@@ -18,7 +18,6 @@ from .measure import (
     tail_mass,
 )
 from .kernels import (
-    KernelGrid,
     KernelKind,
     KernelGridError,
     KernelQuadratureError,

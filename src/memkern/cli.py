@@ -2,15 +2,18 @@
 
 Subcommands: kernels | verify | solve | harnack | holder, each driven by a
 JSON config (see configs/ for examples).  Results land in a directory with a
-manifest.json carrying the config hash, seed and package version; numeric CSV
-content is deterministic for a fixed config and seed (repr round-trip floats,
-fixed iteration order).  Exit codes: 0 success, 2 when a hard inequality
-certificate is violated, 1 on runtime errors.
+manifest.json carrying the config hash, seed and package version.  Every CSV
+goes through one streaming writer with one float format (the repr of a
+Python float, which round-trips), so numeric content is deterministic for a
+fixed config and seed.  Exit codes: 0 success, 2 when a hard inequality
+certificate is violated (a NaN or inf counts as violated), 1 on runtime
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, config_hash, parse_config
+from .config import (ConfigError, ExperimentConfig, _json_default,
+                     config_hash, parse_config)
 from .measure import gamma_bar
 from . import kernels as _kernels
 from . import volterra as _volterra
@@ -30,19 +34,30 @@ from . import harnack as _harnack
 __all__ = ["main", "run"]
 
 SONINE_TOLERANCE = 1e-3
+_CSV_CHUNK_ROWS = 1 << 14
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write CRLF rows of broadcast-compatible columns in row-major order.
+
+    Values are converted with ``tolist``, so each is a Python scalar and its
+    ``str`` is the repr for floats.  Rows are formatted a chunk at a time:
+    no file is ever held in memory as row tuples or strings.
+    """
+    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+    shape, size = cols[0].shape, cols[0].size
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
+        for lo in range(0, size, _CSV_CHUNK_ROWS):
+            idx = np.unravel_index(
+                np.arange(lo, min(lo + _CSV_CHUNK_ROWS, size)), shape)
+            cells = [map(str, c[idx].tolist()) for c in cols]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
 
 
 def _write_manifest(out: Path, config: ExperimentConfig, seed: int,
@@ -55,16 +70,7 @@ def _write_manifest(out: Path, config: ExperimentConfig, seed: int,
         "config": config.to_dict(),
     }
     manifest.update(extra)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_safe)
-
-
-def _json_safe(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
+    _write_json(out / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,7 @@ def _run_kernels(config: ExperimentConfig, out: Path, seed: int) -> int:
     files = []
     for kind, name, th in kinds:
         grid = _kernels.sample_kernel(spec, kind, step, config.n_steps, theta=th)
-        grid.to_csv(out / name)
+        _write_csv(out / name, ["t", "value"], [grid.times, grid.values])
         files.append(name)
     _write_manifest(out, config, seed, {"files": files, "theta": theta})
     return 0
@@ -99,7 +105,10 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
 
     certs = _kernels.bound_certificates(spec, step, n,
                                         r=float(config.params["r"]))
-    certs.to_csv(out / "certificates.csv")
+    _write_csv(out / "certificates.csv",
+               ["t", "l", "upper_ratio", "holder_ratio"],
+               [certs.t, certs.l_values, certs.upper_ratio,
+                certs.holder_ratio])
 
     l_kernel = _volterra.sample_l(spec, step, n)
     k_kernel = _volterra.sample_k(spec, step, n)
@@ -115,11 +124,15 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     p_default = 0.5 * (1.0 + 1.0 / (1.0 - gb))
     p = float(config.params.get("p_scaling") or p_default)
     scaling = _geometry.scaling_certificate(spec, p, r_grid)
-    scaling.to_csv(out / "scaling.csv")
+    # exp of a log below -700 underflows; those bounds are written as 0
+    lhs = [math.exp(v) if v > -700 else 0.0 for v in scaling.log_lhs]
+    rhs = [math.exp(v) if v > -700 else 0.0 for v in scaling.log_rhs]
+    _write_csv(out / "scaling.csv", ["r", "phi_2r", "lhs", "rhs", "ratio"],
+               [scaling.r, scaling.phi_2r, lhs, rhs, scaling.ratio])
 
     violations = (certs.hard_violations + phi_lam.violations
                   + phi_low.violations
-                  + (1 if sonine_residual > SONINE_TOLERANCE else 0))
+                  + (0 if sonine_residual <= SONINE_TOLERANCE else 1))
     report = {
         "gamma_bar": gb,
         "bound_certificates": certs.summary(),
@@ -134,8 +147,7 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
                     "r_admissible": scaling.r_admissible},
         "hard_violations": violations,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_safe)
+    _write_json(out / "report.json", report)
     _write_manifest(out, config, seed, {
         "files": ["certificates.csv", "scaling.csv", "report.json"]})
     return 2 if violations else 0
@@ -187,23 +199,12 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
                           config.n_steps, reaction=reaction,
                           kernel_cumulative=kernel_cumulative)
 
-    rows = []
-    if grid.dim == 0:
-        for m, t in enumerate(field.times):
-            rows.append((t, 0, field.values[m, 0]))
-        header = ["t", "i", "value"]
-    elif grid.dim == 1:
-        for m, t in enumerate(field.times):
-            for i in range(grid.n_cells[0]):
-                rows.append((t, i, field.values[m, i]))
-        header = ["t", "i", "value"]
-    else:
-        for m, t in enumerate(field.times):
-            for i in range(grid.n_cells[0]):
-                for j in range(grid.n_cells[1]):
-                    rows.append((t, i, j, field.values[m, i, j]))
-        header = ["t", "i", "j", "value"]
-    _write_csv(out / "solution.csv", header, rows)
+    # one column per axis of the (t, *grid.shape) block, broadcast together
+    cells = np.indices(grid.shape, sparse=True)
+    header = ["t", "i", "j"][:1 + len(cells)] + ["value"]
+    columns = ([field.times.reshape((-1,) + (1,) * len(cells))]
+               + [c[None] for c in cells] + [field.values])
+    _write_csv(out / "solution.csv", header, columns)
     _write_manifest(out, config, seed, {
         "files": ["solution.csv"],
         "wall_time": field.wall_time,
@@ -225,19 +226,17 @@ def _run_harnack(config: ExperimentConfig, out: Path, seed: int) -> int:
         tau=float(params["tau"]), p=float(params["p"]),
         t0=float(params["t0"]))
     mhash = config_hash(config)[:16]
-    rows = [(seed, i, r, report.p, report.n_cells, mhash)
-            for i, r in enumerate(report.ratios)]
     _write_csv(out / "harnack.csv",
                ["seed", "member", "ratio", "p", "n_cells", "measure_hash"],
-               rows)
+               [seed, np.arange(len(report.ratios)), report.ratios, report.p,
+                report.n_cells, mhash])
     summary = {
         "max_ratio": report.max_ratio,
         "median_ratio": report.median_ratio,
         "all_finite": report.all_finite,
         "statuses": list(report.statuses),
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_safe)
+    _write_json(out / "report.json", summary)
     _write_manifest(out, config, seed,
                     {"files": ["harnack.csv", "report.json"]})
     return 0
@@ -265,7 +264,7 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
         field, spec, t1=t1, x1=float(params["x1"]), theta=theta,
         levels=params["levels"], r=r)
     _write_csv(out / "oscillation.csv", ["level", "radius", "osc"],
-               list(zip(profile.levels, profile.radii, profile.osc)))
+               [profile.levels, profile.radii, profile.osc])
     summary = {
         "kappa": profile.kappa,
         "fit_residual": profile.fit_residual,
@@ -273,8 +272,7 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
         "t1": t1,
         "r": r,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_safe)
+    _write_json(out / "report.json", summary)
     _write_manifest(out, config, seed,
                     {"files": ["oscillation.csv", "report.json"]})
     return 0
@@ -293,11 +291,7 @@ def run(config: ExperimentConfig, out_dir, *, seed: int | None = None,
         n_steps: int | None = None) -> int:
     """Execute one experiment; returns the process exit code."""
     if n_steps is not None:
-        config = ExperimentConfig(
-            experiment=config.experiment, measure=config.measure,
-            horizon=config.horizon, n_steps=int(n_steps),
-            grid_spec=config.grid_spec,
-            coefficients_spec=config.coefficients_spec, params=config.params)
+        config = dataclasses.replace(config, n_steps=int(n_steps))
     seed = int(config.params["seed"]) if seed is None else int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -320,12 +314,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config)
         if config.experiment != args.command:
-            config = ExperimentConfig(
-                experiment=args.command, measure=config.measure,
-                horizon=config.horizon, n_steps=config.n_steps,
-                grid_spec=config.grid_spec,
-                coefficients_spec=config.coefficients_spec,
-                params=config.params)
+            config = dataclasses.replace(config, experiment=args.command)
         return run(config, args.out, seed=args.seed, n_steps=args.steps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -125,7 +125,8 @@ class Cylinder:
             raise GeometryError("cylinder needs t_start < t_end")
         if self.radius <= 0.0:
             raise GeometryError("cylinder needs radius > 0")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", tuple(
+            float(c) for c in np.atleast_1d(self.center)))
 
     def contains(self, t: float, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -134,12 +135,6 @@ class Cylinder:
         in_ball = (np.linalg.norm(x - np.asarray(self.center)) < self.radius
                    if self.center else True)
         return self.t_start < t < self.t_end and bool(in_ball)
-
-
-def _as_center(x0) -> tuple[float, ...]:
-    if np.isscalar(x0):
-        return (float(x0),)
-    return tuple(float(c) for c in x0)
 
 
 def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
@@ -155,10 +150,9 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
     if tau <= 0.0 or r <= 0.0:
         raise GeometryError("tau and r must be positive")
     height = tau * phi(spec, 2.0 * r)
-    center = _as_center(x0)
-    q_minus = Cylinder(t0, t0 + delta * height, center, delta * r,
+    q_minus = Cylinder(t0, t0 + delta * height, x0, delta * r,
                        CylinderKind.Q_MINUS)
-    q_plus = Cylinder(t0 + (2.0 - delta) * height, t0 + 2.0 * height, center,
+    q_plus = Cylinder(t0 + (2.0 - delta) * height, t0 + 2.0 * height, x0,
                       delta * r, CylinderKind.Q_PLUS)
     return q_minus, q_plus
 
@@ -210,15 +204,6 @@ class ScalingCertificate:
     c_emp: float
     r_admissible: float
     log_plateau: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("r,phi_2r,lhs,rhs,ratio\r\n")
-            for i in range(self.r.size):
-                lhs = math.exp(self.log_lhs[i]) if self.log_lhs[i] > -700 else 0.0
-                rhs = math.exp(self.log_rhs[i]) if self.log_rhs[i] > -700 else 0.0
-                row = (self.r[i], self.phi_2r[i], lhs, rhs, self.ratio[i])
-                fh.write(",".join(repr(float(v)) for v in row) + "\r\n")
 
 
 def scaling_certificate(spec: MeasureSpec, p: float,
@@ -291,7 +276,7 @@ def phi_lambda_check(spec: MeasureSpec, r_grid, lambda_grid) -> PhiLambdaReport:
             rhs = li**2 * phi_r
             rel = (lhs - rhs) / rhs
             worst = max(worst, rel)
-            if rel > 1e-12:
+            if not rel <= 1e-12:  # NaN counts as a violation
                 violations += 1
     return PhiLambdaReport(worst_rel_slack=float(worst), violations=violations)
 
@@ -321,7 +306,7 @@ def phi_lower_bound_check(spec: MeasureSpec, r_grid) -> PhiLowerBoundReport:
         bound = c_mu * float(ri) ** (2.0 / gb)
         rel = (bound - phi_r) / phi_r
         worst = max(worst, rel)
-        if rel > 1e-12:
+        if not rel <= 1e-12:  # NaN counts as a violation
             violations += 1
     return PhiLowerBoundReport(c_mu=float(c_mu), worst_rel_slack=float(worst),
                                violations=violations)

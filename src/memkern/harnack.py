@@ -258,7 +258,7 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     if top_idx < 1 or top_idx > field.n_steps:
         raise HarnackError("anchor time t1 outside the computed trajectory")
     centers = grid.centers().reshape(-1, grid.dim)
-    x1c = np.asarray(_center(x1))
+    x1c = np.atleast_1d(np.asarray(x1, dtype=float))
     dist = np.linalg.norm(centers - x1c, axis=1)
     radii, oscs, kept = [], [], []
     for j in levels:
@@ -305,12 +305,6 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     return OscillationProfile(tuple(kept), tuple(radii), tuple(oscs),
                               kappa=float(-slope), fit_residual=resid,
                               status="ok")
-
-
-def _center(x) -> tuple[float, ...]:
-    if np.isscalar(x):
-        return (float(x),)
-    return tuple(float(c) for c in x)
 
 
 # ---------------------------------------------------------------------------

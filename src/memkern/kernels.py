@@ -40,7 +40,8 @@ __all__ = [
     "KernelQuadratureError",
     "KernelGridError",
     "KernelKind",
-    "KernelGrid",
+    "GridMismatchError",
+    "DiscreteKernel",
     "k_eval",
     "k1_eval",
     "one_star_k_eval",
@@ -50,7 +51,6 @@ __all__ = [
     "r_theta_eval",
     "resolvent_running_integral",
     "resolvent_double_integral",
-    "resolvent_triple_integral",
     "sample_kernel",
     "bound_certificates",
     "BoundCertificates",
@@ -190,17 +190,10 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
 
 @dataclass(frozen=True)
 class _PanelScheme:
-    u: np.ndarray          # flattened Gauss-Legendre nodes in u = p*t
-    w: np.ndarray          # matching weights
-    w_exp: np.ndarray      # weights premultiplied by exp(-u)
-    w_one_minus: np.ndarray  # weights premultiplied by (1 - exp(-u)) / u
-    w_double: np.ndarray   # weights premultiplied by (exp(-u) - 1 + u) / u^2
-    w_triple: np.ndarray   # weights premultiplied by (u^2/2 - u + 1 - exp(-u)) / u^3
-
-
-def _support_exponents(spec: MeasureSpec) -> tuple[float, float]:
-    lo, hi = spec.support_bounds()
-    return lo, hi
+    u: np.ndarray  # flattened Gauss-Legendre nodes in u = p*t
+    # per depth d, the matching weights premultiplied by g_d(u): exp(-u),
+    # (1 - exp(-u))/u, (exp(-u) - 1 + u)/u^2, (u^2/2 - u + 1 - exp(-u))/u^3
+    weights: tuple[np.ndarray, ...]
 
 
 @lru_cache(maxsize=64)
@@ -213,7 +206,7 @@ def _panel_scheme(spec: MeasureSpec) -> _PanelScheme:
     integrand of r_theta and the algebraic u^(-1-a_high) tail of its running
     integral, so R is sized from the top of the support.
     """
-    a_low, a_high = _support_exponents(spec)
+    a_low, a_high = spec.support_bounds()
     # contributions decay like 2^(-j*left_rate); need 2^(-L*left_rate) <= 1e-16
     left_rate = 1.0 - a_low
     n_left = math.ceil(16.0 / (left_rate * math.log10(2.0)))
@@ -225,7 +218,6 @@ def _panel_scheme(spec: MeasureSpec) -> _PanelScheme:
     n_right = max(8, math.ceil(16.0 / (a_high * math.log10(2.0))))
     n_right = min(n_right, 600)
     nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
-    edges = [0.0]
     lefts = [2.0 ** (-j) for j in range(n_left, 0, -1)]
     rights = [2.0 ** j for j in range(0, n_right + 1)]
     edges = np.array(lefts + rights)
@@ -249,61 +241,61 @@ def _panel_scheme(spec: MeasureSpec) -> _PanelScheme:
     g3 = np.where(small,
                   1.0 / 6.0 - u / 24.0 + u**2 / 120.0,
                   (u**2 / 2.0 - u - np.expm1(-u)) / u**3)
-    return _PanelScheme(u=u, w=w, w_exp=w_exp, w_one_minus=w_one_minus,
-                        w_double=w * g2, w_triple=w * g3)
+    return _PanelScheme(u=u, weights=(w_exp, w_one_minus, w * g2, w * g3))
 
 
-def _invert(spec: MeasureSpec, t: float, theta: float, depth: int) -> float:
-    scheme = _panel_scheme(spec)
-    p = scheme.u / t
-    h, _, _ = h_laplace_eval(spec, p, theta)
-    if depth == 0:
-        return float(np.dot(scheme.w_exp, h) / (math.pi * t))
-    if depth == 1:
-        # (1 * r_theta)(t) = (1/pi) * int (1 - e^-u)/u * H_theta(u/t) du
-        return float(np.dot(scheme.w_one_minus, h) / math.pi)
-    if depth == 2:
-        # (1*1*r_theta)(t) = (t/pi) * int (e^-u - 1 + u)/u^2 * H_theta(u/t) du
-        return float(t * np.dot(scheme.w_double, h) / math.pi)
-    # (1*1*1*r_theta)(t) = (t^2/pi) int (u^2/2 - u + 1 - e^-u)/u^3 H(u/t) du
-    return float(t * t * np.dot(scheme.w_triple, h) / math.pi)
+# Depth d is the d-fold running integral of r_theta,
+#   (1^d * r_theta)(t) = t^(d-1)/pi * int g_d(u) H_theta(u/t) du;
+# these scale the dot product of H with the depth-d panel weights.
+_DEPTH_SCALES = (
+    lambda t, dot: dot / (math.pi * t),
+    lambda t, dot: dot / math.pi,
+    lambda t, dot: t * dot / math.pi,
+    lambda t, dot: t * t * dot / math.pi,
+)
 
 
-def _eval_over_times(spec: MeasureSpec, t, theta: float, depth: int):
+def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
+    """Iterated integrals of r_theta at t, one list entry per requested depth.
+
+    H_theta is evaluated once per time and contracted only against the panel
+    weights of the requested depths.  An array t gives arrays of its shape;
+    anything else gives floats.
+    """
     require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
-    flat = np.atleast_1d(t_arr).astype(float)
-    out = np.array([_invert(spec, float(ti), theta, depth) for ti in flat])
+    scheme = _panel_scheme(spec)
+    contractions = [(scheme.weights[d], _DEPTH_SCALES[d]) for d in depths]
+    out = np.empty((len(contractions), t_arr.size))
+    for i, ti in enumerate(t_arr.ravel().tolist()):
+        h, _, _ = h_laplace_eval(spec, scheme.u / ti, theta)
+        for row, (weights, scale) in enumerate(contractions):
+            out[row, i] = scale(ti, np.dot(weights, h))
     if isinstance(t, np.ndarray):
-        return out.reshape(t_arr.shape)
-    return float(out[0])
+        return [row.reshape(t_arr.shape) for row in out]
+    return [float(row[0]) for row in out]
 
 
 def l_eval(spec: MeasureSpec, t):
     """Convolution inverse of k (the Sonine partner), by Laplace inversion."""
-    return _eval_over_times(spec, t, 0.0, depth=0)
+    return _laplace_inversion(spec, t, 0.0, (0,))[0]
 
 
 def r_theta_eval(spec: MeasureSpec, t, theta: float):
     """Resolvent kernel of l: solves r + theta*(r*l) = l; theta=0 gives l."""
-    return _eval_over_times(spec, t, theta, depth=0)
+    return _laplace_inversion(spec, t, theta, (0,))[0]
 
 
 def resolvent_running_integral(spec: MeasureSpec, t, theta: float = 0.0):
     """Running integral ``(1 * r_theta)(t)``; theta=0 gives ``(1*l)(t)``."""
-    return _eval_over_times(spec, t, theta, depth=1)
+    return _laplace_inversion(spec, t, theta, (1,))[0]
 
 
 def resolvent_double_integral(spec: MeasureSpec, t, theta: float = 0.0):
     """Twice-iterated integral ``(1 * 1 * r_theta)(t)``; theta=0 gives (1*1*l)."""
-    return _eval_over_times(spec, t, theta, depth=2)
-
-
-def resolvent_triple_integral(spec: MeasureSpec, t, theta: float = 0.0):
-    """Thrice-iterated integral ``(1*1*1*r_theta)(t)``; theta=0 gives (1*1*1*l)."""
-    return _eval_over_times(spec, t, theta, depth=3)
+    return _laplace_inversion(spec, t, theta, (2,))[0]
 
 
 def resolvent_tables(spec: MeasureSpec, t: np.ndarray, theta: float = 0.0
@@ -314,22 +306,8 @@ def resolvent_tables(spec: MeasureSpec, t: np.ndarray, theta: float = 0.0
     Laplace-plane function is by far the dominant cost, so this evaluates it
     once per time and contracts it against the four panel weight vectors.
     """
-    require_valid(spec)
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    t_arr = _as_time_array(np.asarray(t, dtype=float))
-    scheme = _panel_scheme(spec)
-    point = np.empty(t_arr.size)
-    run1 = np.empty(t_arr.size)
-    run2 = np.empty(t_arr.size)
-    run3 = np.empty(t_arr.size)
-    for i, ti in enumerate(t_arr.ravel()):
-        h, _, _ = h_laplace_eval(spec, scheme.u / ti, theta)
-        point[i] = np.dot(scheme.w_exp, h) / (math.pi * ti)
-        run1[i] = np.dot(scheme.w_one_minus, h) / math.pi
-        run2[i] = ti * np.dot(scheme.w_double, h) / math.pi
-        run3[i] = ti * ti * np.dot(scheme.w_triple, h) / math.pi
-    return point, run1, run2, run3
+    t_flat = np.ravel(np.asarray(t, dtype=float))
+    return tuple(_laplace_inversion(spec, t_flat, theta, (0, 1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,34 +325,50 @@ class KernelKind(str, enum.Enum):
 _NONDECREASING = {KernelKind.ONE_STAR_K}
 
 
-@dataclass(frozen=True)
-class KernelGrid:
-    """Samples of one kernel at t_j = j*step, j = 1..N (t = 0 excluded)."""
+class GridMismatchError(ValueError):
+    """Two discrete kernels do not share a grid, or a solve degenerated."""
 
-    kind: KernelKind
+
+@dataclass
+class DiscreteKernel:
+    """Samples at t_j = j*step plus optional exact cell integrals.
+
+    ``head`` is the exact integral over the first cell (0, step].
+    ``cell_mass`` holds exact integrals over every cell ((j-1)*step, j*step],
+    and ``cell_first_moment`` the matching integrals of s*kernel(s); both are
+    optional refinements used by the product-integration schemes.  Instances
+    are treated as immutable; the sample array is locked.
+    """
+
     step: float
     values: np.ndarray
-    theta: float | None = None
+    head: float | None = None
+    cell_mass: np.ndarray | None = None
+    cell_first_moment: np.ndarray | None = None
+    cell_bubble_moment: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if self.step <= 0.0:
-            raise KernelGridError("step must be positive")
+        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if vals.ndim != 1 or vals.size < 2:
-            raise KernelGridError("need a 1-d array with at least 2 samples")
+            raise GridMismatchError("need at least 2 samples on one axis")
         if not np.all(np.isfinite(vals)):
-            raise KernelGridError("samples must be finite")
-        if np.any(vals < 0.0):
-            raise KernelGridError("samples must be nonnegative")
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-        diffs = np.diff(vals)
-        if self.kind in _NONDECREASING:
-            if np.any(diffs < -tol):
-                raise KernelGridError(f"{self.kind.value} samples must be nondecreasing")
-        else:
-            if np.any(diffs > tol):
-                raise KernelGridError(f"{self.kind.value} samples must be nonincreasing")
+            raise GridMismatchError("samples must be finite")
+        if self.step <= 0.0:
+            raise GridMismatchError("step must be positive")
+        if self.head is not None and not math.isfinite(self.head):
+            raise GridMismatchError("head must be finite")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        for name in ("cell_mass", "cell_first_moment", "cell_bubble_moment"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.ascontiguousarray(np.asarray(arr, dtype=float))
+                if arr.shape != vals.shape:
+                    raise GridMismatchError(f"{name} must match the sample shape")
+                if not np.all(np.isfinite(arr)):
+                    raise GridMismatchError(f"{name} must be finite")
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -388,15 +382,58 @@ class KernelGrid:
     def times(self) -> np.ndarray:
         return self.step * np.arange(1, self.n + 1)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,value\r\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\r\n")
+    def head_integral(self) -> float:
+        """Integral over the first cell (0, step]; rectangle rule fallback."""
+        if self.cell_mass is not None:
+            return float(self.cell_mass[0])
+        if self.head is not None:
+            return float(self.head)
+        return float(self.step * self.values[0])
+
+    def masses(self) -> np.ndarray:
+        """Cell masses A_m; trapezoid synthesis when no exact table exists."""
+        if self.cell_mass is not None:
+            return self.cell_mass
+        out = np.empty(self.n)
+        out[0] = self.head_integral()
+        out[1:] = 0.5 * self.step * (self.values[:-1] + self.values[1:])
+        return out
+
+    def first_moments(self) -> np.ndarray:
+        """Cell moments B_m = int s*kernel(s) ds; midpoint synthesis fallback."""
+        if self.cell_first_moment is not None:
+            return self.cell_first_moment
+        return self.masses() * (self.times - 0.5 * self.step)
+
+    def bubble_moments(self) -> np.ndarray:
+        """Moments D_m = int (s - t_{m-1})(t_m - s) kernel(s) ds per cell.
+
+        These weight the curvature correction of the smooth factor in the
+        convolution; the fallback treats the kernel as flat on each cell.
+        """
+        if self.cell_bubble_moment is not None:
+            return self.cell_bubble_moment
+        return self.masses() * self.step**2 / 6.0
+
+    def scaled(self, factor: float) -> "DiscreteKernel":
+        def _s(arr):
+            return None if arr is None else factor * arr
+        return DiscreteKernel(
+            self.step, factor * self.values,
+            head=None if self.head is None else factor * self.head,
+            cell_mass=_s(self.cell_mass),
+            cell_first_moment=_s(self.cell_first_moment),
+            cell_bubble_moment=_s(self.cell_bubble_moment),
+        )
 
 
 def sample_kernel(spec: MeasureSpec, kind: KernelKind, step: float, n: int,
-                  theta: float = 0.0) -> KernelGrid:
+                  theta: float = 0.0) -> DiscreteKernel:
+    """Samples of one kernel at t_j = j*step, j = 1..n (t = 0 excluded).
+
+    The samples must be finite, nonnegative and monotone in the direction of
+    their kind; ``KernelGridError`` names the first property that fails.
+    """
     require_valid(spec)
     if step <= 0 or n < 2:
         raise KernelGridError("need step > 0 and n >= 2")
@@ -416,8 +453,19 @@ def sample_kernel(spec: MeasureSpec, kind: KernelKind, step: float, n: int,
         vals = r_theta_eval(spec, t, theta)
     else:  # pragma: no cover - exhaustive
         raise KernelGridError(f"unknown kind {kind}")
-    return KernelGrid(kind=kind, step=step, values=np.asarray(vals),
-                      theta=theta if kind is KernelKind.R_THETA else None)
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise KernelGridError("samples must be finite")
+    if np.any(vals < 0.0):
+        raise KernelGridError("samples must be nonnegative")
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    diffs = np.diff(vals)
+    if kind in _NONDECREASING:
+        if np.any(diffs < -tol):
+            raise KernelGridError(f"{kind.value} samples must be nondecreasing")
+    elif np.any(diffs > tol):
+        raise KernelGridError(f"{kind.value} samples must be nonincreasing")
+    return DiscreteKernel(step, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +517,6 @@ class BoundCertificates:
             "r": self.r,
         }
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,l,upper_ratio,holder_ratio\r\n")
-            for row in zip(self.t, self.l_values, self.upper_ratio,
-                           self.holder_ratio):
-                fh.write(",".join(repr(float(v)) for v in row) + "\r\n")
-
 
 def bound_certificates(spec: MeasureSpec, step: float, n: int, *,
                        c1: float = 1.0, c_bar: float = 1.0,
@@ -488,7 +529,7 @@ def bound_certificates(spec: MeasureSpec, step: float, n: int, *,
     l_vals = np.asarray(l_eval(spec, t))
     denom = t * np.asarray(k1_eval(spec, t))  # int t^(1-a) dmu = t * k1(t)
     upper = l_vals * denom
-    hard = int(np.sum(upper > 1.0 + 1e-12))
+    hard = int(np.sum(~(upper <= 1.0 + 1e-12)))  # NaN counts as a violation
 
     gb = gamma_bar(spec)
     mask = t < 1.0

@@ -491,9 +491,6 @@ class TimeStepper:
             ab[2, :-1] = lower
             b = rhs + rhs_bc
             new = _slinalg.solve_banded((1, 1), ab, b)
-            res = np.abs(ab[1] * new - b)
-            res[:-1] += np.abs(ab[0, 1:] * new[1:])
-            res[1:] += np.abs(ab[2, :-1] * new[:-1])
             denom = max(float(np.max(np.abs(b))), 1e-300)
             self.residuals[m - 1] = float(
                 np.max(np.abs(_banded_apply(ab, new) - b))) / denom
@@ -505,8 +502,10 @@ class TimeStepper:
             precond = _sparse_linalg.LinearOperator(
                 full.shape, matvec=lambda v: inv_diag * v)
             x0 = self.u[m - 1].ravel()
-            new, info = _cg_compat(full, b, x0, precond,
-                                   maxiter=10 * self.grid.n_total)
+            new, info = _sparse_linalg.cg(full, b, x0=x0, rtol=1e-12,
+                                          atol=0.0,
+                                          maxiter=10 * self.grid.n_total,
+                                          M=precond)
             if info != 0:
                 raise SolverError(f"conjugate gradients failed at step {m}")
             denom = max(float(np.max(np.abs(b))), 1e-300)
@@ -523,15 +522,6 @@ def _banded_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     out[:-1] += ab[0, 1:] * x[1:]
     out[1:] += ab[2, :-1] * x[:-1]
     return out
-
-
-def _cg_compat(mat, b, x0, precond, maxiter: int):
-    try:
-        return _sparse_linalg.cg(mat, b, x0=x0, rtol=1e-12, atol=0.0,
-                                 maxiter=maxiter, M=precond)
-    except TypeError:  # older scipy spells the tolerance "tol"
-        return _sparse_linalg.cg(mat, b, x0=x0, tol=1e-12, atol=0.0,
-                                 maxiter=maxiter, M=precond)
 
 
 def solve(spec: MeasureSpec, grid: SpatialGrid,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .measure import MeasureSpec, gamma_bar
 from . import kernels as _kernels
+from .kernels import DiscreteKernel, GridMismatchError
 
 __all__ = [
     "GridMismatchError",
@@ -38,100 +39,6 @@ __all__ = [
     "l1_distance",
     "l1_norm",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Two discrete kernels do not share a grid, or a solve degenerated."""
-
-
-@dataclass
-class DiscreteKernel:
-    """Samples at t_j = j*step plus optional exact cell integrals.
-
-    ``head`` is the exact integral over the first cell (0, step].
-    ``cell_mass`` holds exact integrals over every cell ((j-1)*step, j*step],
-    and ``cell_first_moment`` the matching integrals of s*kernel(s); both are
-    optional refinements used by the product-integration schemes.  Instances
-    are treated as immutable; the sample array is locked.
-    """
-
-    step: float
-    values: np.ndarray
-    head: float | None = None
-    cell_mass: np.ndarray | None = None
-    cell_first_moment: np.ndarray | None = None
-    cell_bubble_moment: np.ndarray | None = None
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if vals.ndim != 1 or vals.size < 2:
-            raise GridMismatchError("need at least 2 samples on one axis")
-        if not np.all(np.isfinite(vals)):
-            raise GridMismatchError("samples must be finite")
-        if self.step <= 0.0:
-            raise GridMismatchError("step must be positive")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        for name in ("cell_mass", "cell_first_moment", "cell_bubble_moment"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.ascontiguousarray(np.asarray(arr, dtype=float))
-                if arr.shape != vals.shape:
-                    raise GridMismatchError(f"{name} must match the sample shape")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.step * np.arange(1, self.n + 1)
-
-    def head_integral(self) -> float:
-        """Integral over the first cell (0, step]; rectangle rule fallback."""
-        if self.cell_mass is not None:
-            return float(self.cell_mass[0])
-        if self.head is not None:
-            return float(self.head)
-        return float(self.step * self.values[0])
-
-    def masses(self) -> np.ndarray:
-        """Cell masses A_m; trapezoid synthesis when no exact table exists."""
-        if self.cell_mass is not None:
-            return self.cell_mass
-        out = np.empty(self.n)
-        out[0] = self.head_integral()
-        out[1:] = 0.5 * self.step * (self.values[:-1] + self.values[1:])
-        return out
-
-    def first_moments(self) -> np.ndarray:
-        """Cell moments B_m = int s*kernel(s) ds; midpoint synthesis fallback."""
-        if self.cell_first_moment is not None:
-            return self.cell_first_moment
-        return self.masses() * (self.times - 0.5 * self.step)
-
-    def bubble_moments(self) -> np.ndarray:
-        """Moments D_m = int (s - t_{m-1})(t_m - s) kernel(s) ds per cell.
-
-        These weight the curvature correction of the smooth factor in the
-        convolution; the fallback treats the kernel as flat on each cell.
-        """
-        if self.cell_bubble_moment is not None:
-            return self.cell_bubble_moment
-        return self.masses() * self.step**2 / 6.0
-
-    def scaled(self, factor: float) -> "DiscreteKernel":
-        def _s(arr):
-            return None if arr is None else factor * arr
-        return DiscreteKernel(
-            self.step, factor * self.values,
-            head=None if self.head is None else factor * self.head,
-            cell_mass=_s(self.cell_mass),
-            cell_first_moment=_s(self.cell_first_moment),
-            cell_bubble_moment=_s(self.cell_bubble_moment),
-        )
 
 
 def _check_compatible(a: DiscreteKernel, b: DiscreteKernel) -> None:
@@ -291,6 +198,31 @@ def _apply_second_kind(x: np.ndarray, w_left: np.ndarray, w_right: np.ndarray,
     return out
 
 
+def _forward_substitution(c: float, lam: float, weights, gv: np.ndarray
+                          ) -> np.ndarray:
+    """Node values x solving ``c*x + lam*(x*kernel) = g`` under the scheme.
+
+    ``weights`` are the (w_left, w_right, w_shape) tables of
+    ``_second_kind_weights``; c = 1 is the second-kind equation and c = 0
+    with lam = 1 the first-kind one.
+    """
+    w_left, w_right, w_shape = weights
+    n = gv.size
+    diag1 = c + lam * w_shape[0]
+    diag = c + lam * w_right[0]
+    if abs(diag1) < 1e-14 or abs(diag) < 1e-14:
+        raise GridMismatchError("degenerate lam*step combination: zero diagonal")
+    x = np.zeros(n)
+    x[0] = gv[0] / diag1
+    for j in range(2, n + 1):
+        known = x[0] * w_shape[j - 1]
+        known += float(np.dot(x[: j - 1], w_left[j - 2 :: -1]))
+        if j > 2:
+            known += float(np.dot(x[1 : j - 1], w_right[j - 2 : 0 : -1]))
+        x[j - 1] = (gv[j - 1] - lam * known) / diag
+    return x
+
+
 def solve_volterra_second_kind(g, kernel: DiscreteKernel, lam: float, *,
                                singular_exponent: float = 1.0,
                                first_cell_weight: float | None = None
@@ -314,21 +246,8 @@ def solve_volterra_second_kind(g, kernel: DiscreteKernel, lam: float, *,
         gv = np.broadcast_to(np.asarray(g, dtype=float), (n,)).astype(float)
     if not (0.0 < singular_exponent <= 1.0):
         raise ValueError("singular_exponent must lie in (0, 1]")
-    w_left, w_right, w_shape = _second_kind_weights(kernel, singular_exponent,
-                                                    first_cell_weight)
-    diag1 = 1.0 + lam * w_shape[0]
-    diag = 1.0 + lam * w_right[0]
-    if abs(diag1) < 1e-14 or abs(diag) < 1e-14:
-        raise GridMismatchError("degenerate lam*step combination: zero diagonal")
-    x = np.zeros(n)
-    x[0] = gv[0] / diag1
-    for j in range(2, n + 1):
-        known = x[0] * w_shape[j - 1]
-        known += float(np.dot(x[: j - 1], w_left[j - 2 :: -1]))
-        if j > 2:
-            known += float(np.dot(x[1 : j - 1], w_right[j - 2 : 0 : -1]))
-        x[j - 1] = (gv[j - 1] - lam * known) / diag
-    return DiscreteKernel(tau, x)
+    weights = _second_kind_weights(kernel, singular_exponent, first_cell_weight)
+    return DiscreteKernel(tau, _forward_substitution(1.0, lam, weights, gv))
 
 
 def volterra_residual(x: DiscreteKernel, kernel: DiscreteKernel, lam: float,
@@ -350,9 +269,9 @@ def volterra_residual(x: DiscreteKernel, kernel: DiscreteKernel, lam: float,
 # sampled kernels with exact tables
 
 
-def _cell_tables(times: np.ndarray, running: np.ndarray, double: np.ndarray,
-                 triple: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell masses and moments from the iterated running integrals.
+def _tabled_kernel(step: float, values: np.ndarray, running: np.ndarray,
+                   double: np.ndarray, triple: np.ndarray) -> DiscreteKernel:
+    """Samples with exact cell tables from the iterated running integrals.
 
     With R1 = 1*f, R2 = 1*1*f, R3 = 1*1*1*f the antiderivatives of f, s*f and
     s^2*f are R1, t*R1 - R2 and t^2*R1 - 2t*R2 + 2*R3 respectively; cell
@@ -361,15 +280,14 @@ def _cell_tables(times: np.ndarray, running: np.ndarray, double: np.ndarray,
     r1 = np.concatenate(([0.0], running))
     r2 = np.concatenate(([0.0], double))
     r3 = np.concatenate(([0.0], triple))
-    t_e = np.concatenate(([0.0], times))
+    t_e = step * np.arange(values.size + 1)
     a_m = np.diff(r1)
     b_m = np.diff(t_e * r1 - r2)
     c_m = np.diff(t_e**2 * r1 - 2.0 * t_e * r2 + 2.0 * r3)
     lo, hi = t_e[:-1], t_e[1:]
     d_m = -c_m + (lo + hi) * b_m - lo * hi * a_m
-    return a_m, b_m, d_m
-
-
+    return DiscreteKernel(step, values, head=float(running[0]), cell_mass=a_m,
+                          cell_first_moment=b_m, cell_bubble_moment=d_m)
 def sample_l(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
     """Sonine-partner samples with exact cell moment tables."""
     return sample_r_theta(spec, step, n_steps, 0.0)
@@ -382,18 +300,14 @@ def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
     running = np.asarray(_kernels.one_star_k_eval(spec, t))
     double = np.asarray(_kernels.iterated_k_integral(spec, t, 2))
     triple = np.asarray(_kernels.iterated_k_integral(spec, t, 3))
-    a_m, b_m, d_m = _cell_tables(t, running, double, triple)
-    return DiscreteKernel(step, vals, head=float(running[0]), cell_mass=a_m,
-                          cell_first_moment=b_m, cell_bubble_moment=d_m)
+    return _tabled_kernel(step, vals, running, double, triple)
 
 
 def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
                    theta: float) -> DiscreteKernel:
     t = step * np.arange(1, n_steps + 1)
     vals, running, double, triple = _kernels.resolvent_tables(spec, t, theta)
-    a_m, b_m, d_m = _cell_tables(t, running, double, triple)
-    return DiscreteKernel(step, vals, head=float(running[0]), cell_mass=a_m,
-                          cell_first_moment=b_m, cell_bubble_moment=d_m)
+    return _tabled_kernel(step, vals, running, double, triple)
 
 
 def l1_distance(a: DiscreteKernel, b: DiscreteKernel,
@@ -568,31 +482,11 @@ def sonine_partner(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKern
     scheme for weakly singular first-kind equations and is independent of
     the Laplace-inversion route.
     """
-    tau = step
-    t = tau * np.arange(1, n_steps + 1)
     gb = gamma_bar(spec)
-    big_k = np.asarray(_kernels.one_star_k_eval(spec, t))
-    big_k2 = np.asarray(_kernels.iterated_k_integral(spec, t, 2))
-    big_k3 = np.asarray(_kernels.iterated_k_integral(spec, t, 3))
-    a_m, b_m, _d_m = _cell_tables(t, big_k, big_k2, big_k3)
-    t_prev = t - tau
-    w_left = (b_m - t_prev * a_m) / tau
-    w_right = (t * a_m - b_m) / tau
-    k_nodes = np.asarray(_kernels.k_eval(spec, t))
-    a_low, a_high = spec.support_bounds()
+    k_kernel = sample_k(spec, step, n_steps)
+    _, a_high = spec.support_bounds()
     w11 = _first_cell_shape_weight(lambda s: np.asarray(_kernels.k_eval(spec, s)),
-                                   tau, gb, a_high)
-    w_shape = np.empty(n_steps)
-    w_shape[0] = w11
-    if n_steps > 1:
-        w_shape[1:] = tau * (k_nodes[1:] / gb
-                             + (k_nodes[:-1] - k_nodes[1:]) / (gb + 1.0))
-    x = np.zeros(n_steps)
-    x[0] = 1.0 / w11
-    for j in range(2, n_steps + 1):
-        known = x[0] * w_shape[j - 1]
-        known += float(np.dot(x[: j - 1], w_left[j - 2 :: -1]))
-        if j > 2:
-            known += float(np.dot(x[1 : j - 1], w_right[j - 2 : 0 : -1]))
-        x[j - 1] = (1.0 - known) / w_right[0]
-    return DiscreteKernel(step, x)
+                                   step, gb, a_high)
+    weights = _second_kind_weights(k_kernel, gb, w11)
+    return DiscreteKernel(step, _forward_substitution(0.0, 1.0, weights,
+                                                      np.ones(n_steps)))

@@ -1,7 +1,8 @@
 import pytest
 
+from memkern.config import parse_config
 from memkern.measure import MeasureSpec
-from memkern import volterra
+from memkern import cli, volterra
 
 
 def canonical_measures() -> dict[str, MeasureSpec]:
@@ -32,4 +33,21 @@ def sampled_2048(measures):
         tau = 1.0 / 2048
         out[name] = (volterra.sample_l(spec, tau, 2048),
                      volterra.sample_k(spec, tau, 2048))
+    return out
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """Output directory of ``memkern verify`` for order 1/2 on 32 steps of 0.01,
+    with r = 0.5 and scaling exponent p = 1."""
+    config = parse_config({
+        "experiment": "verify",
+        "measure": {"atoms": [{"alpha": 0.5, "q": 1.0}],
+                    "weight": {"breaks": [], "values": []}},
+        "horizon": 0.32,
+        "n_steps": 32,
+        "params": {"r": 0.5, "p_scaling": 1.0, "seed": 0},
+    })
+    out = tmp_path_factory.mktemp("verify")
+    assert cli.run(config, out) == 0
     return out

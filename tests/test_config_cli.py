@@ -1,5 +1,7 @@
 import json
+import types
 
+import numpy as np
 import pytest
 
 from memkern.config import (
@@ -135,6 +137,45 @@ class TestRunners:
         lines = (tmp_path / "solution.csv").read_text().splitlines()
         assert lines[0] == "t,i,value"
         assert len(lines) == 130  # header + n_steps + 1 rows
+
+    def test_verify_exit_two_on_nan_sonine_residual(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli._volterra, "conv", lambda a, b:
+                            types.SimpleNamespace(values=np.full(a.n, np.nan)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config("verify", n_steps=64)))
+        assert cli.main(["verify", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        None,
+        {"extents": [[0.0, 1.0], [0.0, 1.0]], "n_cells": [4, 3],
+         "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2] * 2},
+    ], ids=["0d", "2d"])
+    def test_solution_csv_round_trip(self, tmp_path, monkeypatch, grid):
+        fields = []
+        real_solve = cli._solver.solve
+
+        def capture(*args, **kwargs):
+            fields.append(real_solve(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(cli._solver, "solve", capture)
+        overrides = {"n_steps": 16}
+        if grid is not None:
+            overrides["grid"] = grid
+        assert cli.run(parse_config(small_config("solve", **overrides)),
+                       tmp_path) == 0
+        field = fields[0]
+        path = tmp_path / "solution.csv"
+        header = path.read_text().splitlines()[0]
+        assert header == ("t,i,value" if grid is None else "t,i,j,value")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        index = np.indices(field.values.shape)  # (t, i, j) in row order
+        assert np.array_equal(table[:, 0], field.times[index[0].ravel()])
+        for col, axis in enumerate(index[1:], start=1):
+            assert np.array_equal(table[:, col], axis.ravel())
+        assert np.array_equal(table[:, -1], field.values.ravel())
 
     def test_harnack_outputs(self, tmp_path):
         config = parse_config(small_config(

@@ -117,12 +117,10 @@ class TestScalingCertificate:
         with pytest.raises(G.GeometryError):
             G.scaling_certificate(half, 0.5, [0.1])
 
-    def test_csv(self, half, tmp_path):
-        sc = G.scaling_certificate(half, 1.0, [0.01, 0.1])
-        sc.to_csv(tmp_path / "s.csv")
-        lines = (tmp_path / "s.csv").read_text().splitlines()
+    def test_csv(self, verify_run):
+        lines = (verify_run / "scaling.csv").read_text().splitlines()
         assert lines[0] == "r,phi_2r,lhs,rhs,ratio"
-        assert len(lines) == 3
+        assert len(lines) == 9  # header + the 8 radii of ``memkern verify``
 
 
 class TestPhiChecks:
@@ -153,6 +151,11 @@ class TestPhiChecks:
         rep = G.phi_lower_bound_check(spec, [0.1, 0.5, 0.999])
         assert rep.ok
         assert rep.worst_rel_slack < -1e-3  # strictly inside the bound
+
+    def test_nan_counts_as_violation(self, half, monkeypatch):
+        monkeypatch.setattr(G, "_phi_scalar", lambda spec, r: math.nan)
+        assert G.phi_lambda_check(half, [0.5], [0.5, 1.0]).violations == 2
+        assert G.phi_lower_bound_check(half, [0.5]).violations == 1
 
     def test_lower_bound_domain_check(self, half):
         with pytest.raises(G.GeometryError):

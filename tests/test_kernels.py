@@ -6,8 +6,10 @@ from scipy import integrate
 from scipy.special import rgamma
 
 from memkern.measure import MeasureSpec, MeasureError, mu_integral
+from memkern import cli
 from memkern import kernels as K
 from memkern import volterra as V
+from memkern.config import parse_config
 from memkern.solver import mittag_leffler
 
 SQRT_PI = math.sqrt(math.pi)
@@ -167,24 +169,33 @@ class TestKernelGrid:
             assert grid.n == 128
             assert grid.horizon == pytest.approx(1.0)
 
-    def test_monotonicity_violation_raises(self):
-        with pytest.raises(K.KernelGridError):
-            K.KernelGrid(K.KernelKind.L_KERNEL, 0.1,
-                         np.array([1.0, 2.0, 3.0]))
+    def test_monotonicity_violation_raises(self, half, monkeypatch):
+        monkeypatch.setattr(K, "l_eval",
+                            lambda spec, t: np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(K.KernelGridError, match="nonincreasing"):
+            K.sample_kernel(half, K.KernelKind.L_KERNEL, 0.1, 3)
 
-    def test_negative_sample_raises(self):
-        with pytest.raises(K.KernelGridError):
-            K.KernelGrid(K.KernelKind.ONE_STAR_K, 0.1,
-                         np.array([-1.0, 0.0, 1.0]))
+    def test_negative_sample_raises(self, half, monkeypatch):
+        monkeypatch.setattr(K, "one_star_k_eval",
+                            lambda spec, t: np.array([-1.0, 0.0, 1.0]))
+        with pytest.raises(K.KernelGridError, match="nonnegative"):
+            K.sample_kernel(half, K.KernelKind.ONE_STAR_K, 0.1, 3)
 
     def test_csv_export_round_trip(self, half, tmp_path):
-        grid = K.sample_kernel(half, K.KernelKind.L_KERNEL, 0.25, 8)
-        path = tmp_path / "l.csv"
-        grid.to_csv(path)
+        config = parse_config({
+            "experiment": "kernels",
+            "measure": {"atoms": [{"alpha": 0.5, "q": 1.0}],
+                        "weight": {"breaks": [], "values": []}},
+            "horizon": 4.0, "n_steps": 16, "params": {"seed": 0}})
+        assert cli.run(config, tmp_path) == 0
+        path = tmp_path / "kernel_l.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
-        t0, v0 = (float(x) for x in lines[1].split(","))
-        assert t0 == 0.25 and v0 == pytest.approx(grid.values[0], rel=1e-16)
+        t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        grid = K.sample_kernel(half, K.KernelKind.L_KERNEL, 0.25, 16)
+        assert t[0] == 0.25
+        assert np.array_equal(t, grid.times)
+        assert np.array_equal(v, grid.values)
 
 
 class TestBoundCertificates:
@@ -212,8 +223,16 @@ class TestBoundCertificates:
         assert np.all(certs.chain_avg_over_l > 0.0)
         assert np.all(certs.chain_l_times_K > 0.0)
 
-    def test_csv(self, half, tmp_path):
-        certs = K.bound_certificates(half, 0.01, 32, r=0.5)
-        certs.to_csv(tmp_path / "c.csv")
-        header = (tmp_path / "c.csv").read_text().splitlines()[0]
+    def test_csv(self, half, verify_run):
+        path = verify_run / "certificates.csv"
+        header = path.read_text().splitlines()[0]
         assert header == "t,l,upper_ratio,holder_ratio"
+        certs = K.bound_certificates(half, 0.01, 32, r=0.5)
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 1], certs.l_values)
+
+    def test_nan_counts_as_violation(self, half, monkeypatch):
+        monkeypatch.setattr(K, "l_eval",
+                            lambda spec, t: np.full(np.shape(t), np.nan))
+        certs = K.bound_certificates(half, 0.01, 32, r=0.5)
+        assert certs.hard_violations == 32 and not certs.ok

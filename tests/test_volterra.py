@@ -46,6 +46,14 @@ class TestConv:
         with pytest.raises(V.GridMismatchError):
             V.conv(a, c)
 
+    def test_nonfinite_tables_rejected(self):
+        ones = np.ones(4)
+        bad = np.array([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(V.GridMismatchError, match="cell_bubble_moment"):
+            V.DiscreteKernel(0.1, ones, cell_bubble_moment=bad)
+        with pytest.raises(V.GridMismatchError, match="head"):
+            V.DiscreteKernel(0.1, ones, head=math.inf)
+
     @given(s1=st.floats(-2.0, 2.0), s2=st.floats(-2.0, 2.0))
     @settings(max_examples=20, deadline=None)
     def test_bilinear(self, s1, s2):
