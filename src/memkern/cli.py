@@ -103,14 +103,14 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     step = config.horizon / n
     gb = gamma_bar(spec)
 
-    certs = _kernels.bound_certificates(spec, step, n,
+    l_kernel = _volterra.sample_l(spec, step, n)
+    certs = _kernels.bound_certificates(spec, l_kernel,
                                         r=float(config.params["r"]))
     _write_csv(out / "certificates.csv",
                ["t", "l", "upper_ratio", "holder_ratio"],
                [certs.t, certs.l_values, certs.upper_ratio,
                 certs.holder_ratio])
 
-    l_kernel = _volterra.sample_l(spec, step, n)
     k_kernel = _volterra.sample_k(spec, step, n)
     sonine = _volterra.conv(k_kernel, l_kernel)
     window = slice(9, None)  # t >= 10 * step

@@ -8,11 +8,12 @@ through a real-axis inversion integral
     H_theta(p) = S / (S^2 + (theta + C)^2),
     S = int p^a sin(pi a) dmu,  C = int p^a cos(pi a) dmu,
 
-which this module evaluates with composite Gauss-Legendre quadrature on
-dyadic panels after substituting u = p t.  Panels extend right until the
-exponential kills the integrand and left until the algebraic blow-up of
-H near p = 0 (exponent = lowest support point of the measure) has decayed
-below round-off, so the scheme is spectrally accurate for every admissible
+which this module evaluates per call on one fixed set of Gauss-Legendre
+nodes on dyadic panels in p, shared by every requested time and running
+integral.  The panels extend right until the exponential (or the algebraic
+tail of a running integral) has decayed and left until the blow-up of H near
+p = 0 (exponent = lowest support point of the measure) has decayed below
+round-off, so the scheme is spectrally accurate for every admissible
 measure; a measure whose support reaches too close to order one makes the
 left tail undecidable in double precision and raises ``KernelQuadratureError``.
 """
@@ -20,9 +21,9 @@ left tail undecidable in double precision and raises ``KernelQuadratureError``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -58,7 +59,13 @@ __all__ = [
 
 _GL_NODES_PER_PANEL = 24
 _MAX_LEFT_PANELS = 880
+_DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
+_TILE_ENTRIES = 2**15  # times x nodes per inversion tile: 256 KB of doubles
 _SMALL_T_FLOOR = 1e-8  # fraction of the horizon below which samples are refused
+
+
+# Gauss-Legendre rule on [-1, 1], built once per order; callers only read it.
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 class KernelQuadratureError(RuntimeError):
@@ -88,7 +95,7 @@ def _piecewise_gauss(spec: MeasureSpec, f_of_alpha, t_arr: np.ndarray) -> np.nda
     acc = np.zeros_like(t_col)
     max_log = float(np.max(np.abs(np.log(t_col)))) if t_col.size else 0.0
     n_sub = max(1, math.ceil(max_log / 25.0))
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _gauss_legendre(32)
     for a, b, w in pieces:
         edges = np.linspace(a, b, n_sub + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -171,108 +178,100 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
     s, c = sin_cos_moments(spec, p_arr)
     d = theta + c
     scale = np.maximum(np.abs(s), np.abs(d))
+    safe = np.where(scale > 0.0, scale, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        h = np.where(
-            scale > 0.0,
-            (s / np.where(scale > 0, scale, 1.0))
-            / (scale * ((s / np.where(scale > 0, scale, 1.0)) ** 2
-                        + (d / np.where(scale > 0, scale, 1.0)) ** 2)),
-            0.0,
-        )
+        h = np.where(scale > 0.0,
+                     (s / safe) / (safe * ((s / safe) ** 2 + (d / safe) ** 2)),
+                     0.0)
     if isinstance(p, np.ndarray):
         return h, s, c
     return float(h), float(s), float(c)
 
 
 # ---------------------------------------------------------------------------
-# dyadic-panel quadrature for the inversion integral
+# fixed-node quadrature for the inversion integral
 
 
-@dataclass(frozen=True)
-class _PanelScheme:
-    u: np.ndarray  # flattened Gauss-Legendre nodes in u = p*t
-    # per depth d, the matching weights premultiplied by g_d(u): exp(-u),
-    # (1 - exp(-u))/u, (exp(-u) - 1 + u)/u^2, (u^2/2 - u + 1 - exp(-u))/u^3
-    weights: tuple[np.ndarray, ...]
+def _tail_panels(spec: MeasureSpec) -> tuple[int, int]:
+    """Dyadic panel counts (L, R) so that u = p*t over [2^-L, 2^R] suffices.
 
-
-@lru_cache(maxsize=64)
-def _panel_scheme(spec: MeasureSpec) -> _PanelScheme:
-    """Dyadic Gauss–Legendre panels covering [2^-L, 2^R] in u = p*t.
-
-    H(p) ~ p^-a_low as p -> 0, so leftward panel contributions fall off like
-    2^(-j (1 - a_low)): L is sized to push the truncated mass below 1e-16
-    relative.  The right tail must cover both the exponentially damped
-    integrand of r_theta and the algebraic u^(-1-a_high) tail of its running
-    integral, so R is sized from the top of the support.
+    H(p) ~ p^-a_low as p -> 0, so left panels add 2^(-j (1 - a_low)) each and
+    L pushes the truncated mass below 1e-16 relative; R, sized from the top of
+    the support, covers the u^(-1-a_high) tail of the running integrals.
     """
     a_low, a_high = spec.support_bounds()
-    # contributions decay like 2^(-j*left_rate); need 2^(-L*left_rate) <= 1e-16
-    left_rate = 1.0 - a_low
-    n_left = math.ceil(16.0 / (left_rate * math.log10(2.0)))
+    n_left = math.ceil(16.0 / ((1.0 - a_low) * math.log10(2.0)))
     if n_left > _MAX_LEFT_PANELS:
         raise KernelQuadratureError(
             f"tail truncation failed: support reaches {a_low:.4f}, "
             f"needs {n_left} left panels (cap {_MAX_LEFT_PANELS})"
         )
     n_right = max(8, math.ceil(16.0 / (a_high * math.log10(2.0))))
-    n_right = min(n_right, 600)
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES_PER_PANEL)
-    lefts = [2.0 ** (-j) for j in range(n_left, 0, -1)]
-    rights = [2.0 ** j for j in range(0, n_right + 1)]
-    edges = np.array(lefts + rights)
-    u_all, w_all = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        u_all.append(mid + half * nodes)
-        w_all.append(half * weights)
-    u = np.concatenate(u_all)
-    w = np.concatenate(w_all)
-    with np.errstate(over="ignore"):
-        w_exp = w * np.exp(-u)
-    w_one_minus = w * (-np.expm1(-u)) / u
-    # (exp(-u) - 1 + u) / u^2 and (u^2/2 - u + 1 - exp(-u)) / u^3 with series
-    # guards against cancellation at small u
-    small = u < 1e-3
-    g2 = np.where(small,
-                  0.5 - u / 6.0 + u**2 / 24.0,
-                  (np.expm1(-u) + u) / u**2)
-    g3 = np.where(small,
-                  1.0 / 6.0 - u / 24.0 + u**2 / 120.0,
-                  (u**2 / 2.0 - u - np.expm1(-u)) / u**3)
-    return _PanelScheme(u=u, weights=(w_exp, w_one_minus, w * g2, w * g3))
+    return n_left, min(n_right, 600)
 
 
-# Depth d is the d-fold running integral of r_theta,
-#   (1^d * r_theta)(t) = t^(d-1)/pi * int g_d(u) H_theta(u/t) du;
-# these scale the dot product of H with the depth-d panel weights.
-_DEPTH_SCALES = (
-    lambda t, dot: dot / (math.pi * t),
-    lambda t, dot: dot / math.pi,
-    lambda t, dot: t * dot / math.pi,
-    lambda t, dot: t * t * dot / math.pi,
-)
+def _depth_kernels(u: np.ndarray, depths) -> list[np.ndarray]:
+    """g_d(u), u = p*t, of the d-fold running integrals of exp(-p t).
+
+    g_0 = exp(-u), g_1 = (1 - exp(-u))/u and g_d = (1/(d-1)! - g_(d-1))/u,
+    so no power of a large u (past 2^600 for orders near zero) overflows;
+    below u = 1e-3, where that recursion cancels, a series takes over.
+    """
+    g = {}
+    if 0 in depths:
+        g[0] = np.exp(-u)
+    if max(depths) > 0:
+        r = 1.0 / u
+        g[1] = -np.expm1(-u) * r
+        small = u < 1e-3
+        us = u[small]
+        fact = math.factorial
+        for d in range(2, max(depths) + 1):
+            g[d] = r * (1.0 / fact(d - 1) - g[d - 1])
+            g[d][small] = (1.0 / fact(d) - us / fact(d + 1)
+                           + us**2 / fact(d + 2))
+    return [g[d] for d in depths]
 
 
 def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
     """Iterated integrals of r_theta at t, one list entry per requested depth.
 
-    H_theta is evaluated once per time and contracted only against the panel
-    weights of the requested depths.  An array t gives arrays of its shape;
-    anything else gives floats.
+    Depth d is ``(1^d * r_theta)(t) = t^d/pi * int g_d(p t) H_theta(p) dp``,
+    summed over one set of Gauss-Legendre nodes on dyadic panels in p that
+    puts u = p*t over [2^-L, 2^(R+1)] for every t (2^10 for depth 0 alone:
+    exp(-u) is 0 beyond), with H_theta evaluated once on it.  An array t
+    gives arrays of its shape; anything else gives floats.
     """
     require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
-    scheme = _panel_scheme(spec)
-    contractions = [(scheme.weights[d], _DEPTH_SCALES[d]) for d in depths]
-    out = np.empty((len(contractions), t_arr.size))
-    for i, ti in enumerate(t_arr.ravel().tolist()):
-        h, _, _ = h_laplace_eval(spec, scheme.u / ti, theta)
-        for row, (weights, scale) in enumerate(contractions):
-            out[row, i] = scale(ti, np.dot(weights, h))
+    if not np.all(np.isfinite(t_arr)):
+        raise MeasureError("kernel evaluation requires finite t")
+    t_flat = t_arr.ravel()
+    out = np.empty((len(depths), t_flat.size))
+    if t_flat.size:
+        n_left, n_right = _tail_panels(spec)
+        u_right = _DEPTH0_RIGHT if max(depths) == 0 else n_right + 1
+        # p reaches 2^-L for any t: once t < 2^-L, u >= 2^-L alone cuts at
+        # p > 1, dropping 2^(-L (1 - a_high)) of l (all of it as a_high -> 1)
+        k = np.arange(math.floor(-n_left - max(math.log2(t_flat.max()), 0.0)),
+                      math.ceil(u_right - math.log2(t_flat.min())))
+        nodes, weights = _gauss_legendre(_GL_NODES_PER_PANEL)
+        # panel [2^k, 2^(k+1)] has midpoint 3 * 2^(k-1) and half-width 2^(k-1)
+        p = np.ldexp(3.0 + nodes, k[:, None] - 1).ravel()
+        w = np.ldexp(weights, k[:, None] - 1).ravel()
+        coeff = w * h_laplace_eval(spec, p, theta)[0] / math.pi
+        # where u < 2^-60 for every t, g_d(u) is 1/d! in double: sum once
+        flat = np.searchsorted(p, 2.0**-60 / t_flat.max())
+        head, p, coeff = coeff[:flat].sum(), p[flat:], coeff[flat:]
+        rows = max(1, _TILE_ENTRIES // p.size)
+        for lo in range(0, t_flat.size, rows):
+            tt = t_flat[lo:lo + rows]
+            g = _depth_kernels(np.multiply.outer(tt, p), depths)
+            for i, d in enumerate(depths):
+                out[i, lo:lo + rows] = tt**d * (
+                    g[i] @ coeff + head / math.factorial(d))
     if isinstance(t, np.ndarray):
         return [row.reshape(t_arr.shape) for row in out]
     return [float(row[0]) for row in out]
@@ -518,15 +517,18 @@ class BoundCertificates:
         }
 
 
-def bound_certificates(spec: MeasureSpec, step: float, n: int, *,
+def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
                        c1: float = 1.0, c_bar: float = 1.0,
                        r: float = 0.5) -> BoundCertificates:
-    """Measure the sharp upper bound on l and the resolvent comparison chain."""
+    """Measure the sharp upper bound on l and the resolvent comparison chain.
+
+    ``l_kernel`` holds l on the certificate grid, as ``volterra.sample_l``.
+    """
     from .geometry import phi  # local import to avoid a cycle
 
     require_valid(spec)
-    t = step * np.arange(1, n + 1)
-    l_vals = np.asarray(l_eval(spec, t))
+    t = l_kernel.times
+    l_vals = l_kernel.values
     denom = t * np.asarray(k1_eval(spec, t))  # int t^(1-a) dmu = t * k1(t)
     upper = l_vals * denom
     hard = int(np.sum(~(upper <= 1.0 + 1e-12)))  # NaN counts as a violation

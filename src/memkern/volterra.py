@@ -134,7 +134,7 @@ def conv(a: DiscreteKernel, b: DiscreteKernel) -> DiscreteKernel:
 def _dyadic_panel_integral(f: Callable[[np.ndarray], np.ndarray],
                            n_panels: int) -> float:
     """Gauss-Legendre integral of f over (0, 1/2], panels refined toward 0."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = _kernels._gauss_legendre(16)
     edges = np.concatenate(([0.0], 0.5 ** np.arange(n_panels, 0, -1)))
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -114,6 +114,16 @@ class TestRunners:
         assert (tmp_path / "certificates.csv").exists()
         assert (tmp_path / "scaling.csv").exists()
 
+    def test_verify_exit_zero_order_near_zero(self, tmp_path):
+        # u = p*t reaches 2^600 for order 0.05; u**2 would overflow to NaN
+        config = parse_config(small_config(
+            "verify", n_steps=512,
+            measure={"atoms": [{"alpha": 0.05, "q": 1.0}]},
+            params={"r": 0.5, "seed": 0}))
+        assert cli.run(config, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["hard_violations"] == 0
+
     def test_verify_exit_two_on_violation(self, tmp_path, monkeypatch):
         from memkern import kernels as K
 

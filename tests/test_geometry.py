@@ -95,6 +95,18 @@ class TestScalingCertificate:
         assert np.max(np.abs(sc.ratio - expected) / expected) <= 1e-6
         assert sc.c_emp == pytest.approx(expected, rel=1e-6)
 
+    def test_single_order_lp_norm_closed_form(self):
+        # l = s^(a-1)/Gamma(a): int_0^X l^p ds = X^e / (e Gamma(a)^p),
+        # e = p(a-1) + 1; log_lhs adds (p-1) log X
+        for alpha, p in ((0.3, 1.2), (0.55, 1.6), (0.7, 2.5)):
+            spec = MeasureSpec.single_order(alpha)
+            sc = G.scaling_certificate(spec, p, np.logspace(-3, -0.35, 8))
+            e = p * (alpha - 1.0) + 1.0
+            x = sc.phi_2r
+            exact = (e * np.log(x) - math.log(e) - p * math.lgamma(alpha)
+                     + (p - 1.0) * np.log(x))
+            assert np.max(np.abs(np.expm1(sc.log_lhs - exact))) <= 1e-8
+
     def test_ratio_finite_all_measures(self, measures):
         from memkern.measure import gamma_bar
         r_grid = np.logspace(-3, np.log10(0.45), 5)

@@ -37,7 +37,8 @@ def test_sonine_and_resolvent_pipeline(spec):
 @pytest.mark.parametrize("spec", [MIXED, LOPSIDED],
                          ids=["mixed", "lopsided"])
 def test_certificates_pipeline(spec):
-    certs = K.bound_certificates(spec, 1.0 / 512, 512, r=0.5)
+    certs = K.bound_certificates(spec, V.sample_l(spec, 1.0 / 512, 512),
+                                 r=0.5)
     assert certs.ok
     gb = gamma_bar(spec)
     p = 0.5 * (1.0 + 1.0 / (1.0 - gb))

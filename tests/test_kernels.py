@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.special import rgamma
 
 from memkern.measure import MeasureSpec, MeasureError, mu_integral
@@ -125,6 +125,53 @@ class TestSoninePartnerEval:
         with pytest.raises(K.KernelQuadratureError):
             K.l_eval(spec, 1.0)
 
+    def test_batch_matches_scalar_calls(self, measures):
+        # one node set serves the whole array; each scalar call gets its own
+        t = np.geomspace(1e-6, 2.0, 64)
+        for name, spec in measures.items():
+            batch = np.asarray(K.l_eval(spec, t))
+            single = np.array([K.l_eval(spec, float(ti)) for ti in t])
+            assert np.max(np.abs(batch - single) / single) <= 1e-13, name
+
+    def test_uniform_weight_closed_form(self, measures):
+        # H_theta = pi/(p+1) for the unit weight on (0,1), so l = e^t E1(t);
+        # below t = 2^-L the inversion must still reach p < 1
+        spec = measures["uniform"]
+        t = np.geomspace(1e-120, 10.0, 25)
+        exact = np.exp(t) * special.exp1(t)
+        single = np.array([K.l_eval(spec, float(ti)) for ti in t])
+        assert np.max(np.abs(single - exact) / exact) <= 1e-13
+        batch = np.asarray(K.l_eval(spec, t))
+        assert np.max(np.abs(batch - exact) / exact) <= 1e-13
+
+    def test_empty_and_nonfinite_times(self, half):
+        assert np.asarray(K.l_eval(half, np.array([]))).shape == (0,)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(MeasureError):
+                K.l_eval(half, np.array([0.5, bad]))
+
+
+class TestResolventTables:
+    @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.8])
+    def test_single_order_closed_forms(self, alpha):
+        # (1^d * l)(t) = t^(a-1+d) / Gamma(a+d), one call over 11 decades
+        spec = MeasureSpec.single_order(alpha)
+        t = np.geomspace(1e-10, 3.0, 97)
+        for d, got in enumerate(K.resolvent_tables(spec, t)):
+            exact = t ** (alpha - 1 + d) / math.gamma(alpha + d)
+            tol = 1e-12 if d < 2 else 1e-10
+            assert np.max(np.abs(got - exact) / exact) <= tol, d
+
+    def test_order_near_zero_closed_forms(self):
+        # u = p*t reaches 2^600 here: no power of u may overflow; the 600
+        # right panels leave about 1e-9 of the running integrals' tails
+        alpha = 0.05
+        spec = MeasureSpec.single_order(alpha)
+        t = np.geomspace(1e-10, 3.0, 97)
+        for d, got in enumerate(K.resolvent_tables(spec, t)):
+            exact = t ** (alpha - 1 + d) / math.gamma(alpha + d)
+            assert np.max(np.abs(got - exact) / exact) <= 1e-8, d
+
 
 class TestResolvent:
     def test_theta_zero_is_l(self, half):
@@ -200,23 +247,27 @@ class TestKernelGrid:
 
 class TestBoundCertificates:
     def test_no_hard_violations(self, half):
-        certs = K.bound_certificates(half, 1.0 / 256, 256, r=0.5)
+        certs = K.bound_certificates(half, V.sample_l(half, 1.0 / 256, 256),
+                                     r=0.5)
         assert certs.ok and certs.hard_violations == 0
 
     def test_upper_ratio_constant_single_order(self, half):
-        certs = K.bound_certificates(half, 1.0 / 256, 256, r=0.5)
+        certs = K.bound_certificates(half, V.sample_l(half, 1.0 / 256, 256),
+                                     r=0.5)
         # l(t) * int t^(1-a) dmu = 1/Gamma(0.5)Gamma(... ) is flat in t
         assert np.ptp(certs.upper_ratio) <= 1e-10
         assert certs.upper_ratio[0] == pytest.approx(1 / SQRT_PI, rel=1e-10)
 
     def test_holder_ratio_bounded_uniform_weight(self):
         spec = MeasureSpec.uniform_weight()
-        certs = K.bound_certificates(spec, 1.0 / 256, 256, r=0.5)
+        certs = K.bound_certificates(spec, V.sample_l(spec, 1.0 / 256, 256),
+                                     r=0.5)
         finite = certs.holder_ratio[np.isfinite(certs.holder_ratio)]
         assert finite.size and np.max(finite) < 10.0
 
     def test_resolvent_chain_positive(self, half):
-        certs = K.bound_certificates(half, 1.0 / 512, 512, r=0.5)
+        certs = K.bound_certificates(half, V.sample_l(half, 1.0 / 512, 512),
+                                     r=0.5)
         assert certs.chain_t.size > 0
         assert np.all(certs.chain_r_over_avg > 0.0)
         assert np.all(certs.chain_r_over_avg <= 1.0 + 1e-12)
@@ -227,12 +278,14 @@ class TestBoundCertificates:
         path = verify_run / "certificates.csv"
         header = path.read_text().splitlines()[0]
         assert header == "t,l,upper_ratio,holder_ratio"
-        certs = K.bound_certificates(half, 0.01, 32, r=0.5)
+        certs = K.bound_certificates(half, V.sample_l(half, 0.01, 32),
+                                     r=0.5)
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 1], certs.l_values)
 
     def test_nan_counts_as_violation(self, half, monkeypatch):
-        monkeypatch.setattr(K, "l_eval",
+        monkeypatch.setattr(K, "k1_eval",
                             lambda spec, t: np.full(np.shape(t), np.nan))
-        certs = K.bound_certificates(half, 0.01, 32, r=0.5)
+        certs = K.bound_certificates(half, V.sample_l(half, 0.01, 32),
+                                     r=0.5)
         assert certs.hard_violations == 32 and not certs.ok
