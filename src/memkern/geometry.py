@@ -23,7 +23,7 @@ from .measure import (
     require_valid,
     tail_mass,
 )
-from .kernels import _gauss_legendre, l_eval
+from .kernels import _gauss_panels, l_eval
 
 __all__ = [
     "GeometryError",
@@ -168,17 +168,21 @@ def _log_lp_norm_p(spec: MeasureSpec, p: float, upper: float) -> float:
     integrable for admissible p; panels j = 0, 1, ... on (upper/2^(j+1),
     upper/2^j] refine toward zero until the running total stabilizes, eight
     per ``l_eval`` call so that one Laplace-plane node set serves 128 times.
+    Near zero the panels shrink geometrically, so the rest past the last one
+    is taken as the geometric series of the last two.
     """
-    nodes, weights = _gauss_legendre(16)
-    total = 0.0
+    total = prev = 0.0
     for first in range(0, 400, 8):
-        j = np.arange(first, first + 8)
-        half = upper * 0.5 ** (j + 2)  # panel j is (2 * half, 4 * half]
-        vals = np.asarray(l_eval(spec, half[:, None] * (3.0 + nodes))) ** p
-        for jj, piece in zip(j.tolist(), (half * (vals @ weights)).tolist()):
+        # panel j = first + i is row 7 - i of the ascending edges
+        s, w = _gauss_panels(upper * 0.5 ** np.arange(first + 8, first - 1, -1),
+                             16)
+        pieces = (np.asarray(l_eval(spec, s)) ** p * w).sum(axis=1)[::-1]
+        for j, piece in enumerate(pieces.tolist(), start=first):
             total += piece
-            if jj >= 20 and piece < 1e-10 * total:
-                return math.log(total)
+            if j >= 20 and piece < 1e-10 * total:
+                q = piece / prev
+                return math.log(total + piece * q / (1.0 - q))
+            prev = piece
     return math.log(total)
 
 

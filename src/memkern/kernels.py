@@ -1,21 +1,28 @@
 """Memory kernels of the calculus: k, k1, 1*k, H_theta, l, and r_theta.
 
-The singular kernel k and its relatives have exact moment formulas.  The
-convolution inverse l (k*l = 1) and the resolvent family r_theta only exist
-through a real-axis inversion integral
+Every kernel here is a weighted sum over one node set per call.  k and its
+running integrals are order moments
+
+    (1^d * k)(t) = int t^(d-a) / Gamma(d+1-a) dmu(a),
+
+summed over the atoms of the measure plus Gauss-Legendre nodes on its weight
+pieces.  The convolution inverse l (k*l = 1) and the resolvent family r_theta
+only exist through a real-axis inversion integral
 
     r_theta(t) = (1/pi) * int_0^inf exp(-p t) H_theta(p) dp,
     H_theta(p) = S / (S^2 + (theta + C)^2),
     S = int p^a sin(pi a) dmu,  C = int p^a cos(pi a) dmu,
 
-which this module evaluates per call on one fixed set of Gauss-Legendre
-nodes on dyadic panels in p, shared by every requested time and running
-integral.  The panels extend right until the exponential (or the algebraic
-tail of a running integral) has decayed and left until the blow-up of H near
-p = 0 (exponent = lowest support point of the measure) has decayed below
-round-off, so the scheme is spectrally accurate for every admissible
-measure; a measure whose support reaches too close to order one makes the
-left tail undecidable in double precision and raises ``KernelQuadratureError``.
+summed over Gauss-Legendre nodes on dyadic panels in p, with H_theta
+evaluated once for every requested time and running integral.  The panels
+extend right until the exponential (or the algebraic tail of a running
+integral) has decayed and left until the blow-up of H near p = 0 (exponent =
+lowest support point of the measure) has decayed below round-off, so the
+scheme is spectrally accurate for every admissible measure; a measure whose
+support reaches too close to order one makes the left tail undecidable in
+double precision and raises ``KernelQuadratureError``.  ``_gauss_panels``
+places the nodes of both sums, and of the dyadic panels of ``volterra`` and
+``geometry``.
 """
 
 from __future__ import annotations
@@ -60,11 +67,11 @@ __all__ = [
 _GL_NODES_PER_PANEL = 24
 _MAX_LEFT_PANELS = 880
 _DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
-_TILE_ENTRIES = 2**15  # times x nodes per inversion tile: 256 KB of doubles
+_TILE_ENTRIES = 2**15  # times x nodes per matvec tile: 256 KB of doubles
 _SMALL_T_FLOOR = 1e-8  # fraction of the horizon below which samples are refused
 
 
-# Gauss-Legendre rule on [-1, 1], built once per order; callers only read it.
+# Gauss-Legendre rule on [-1, 1], built once per order; read by _gauss_panels.
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
@@ -80,51 +87,74 @@ class KernelGridError(ValueError):
 # pointwise kernels with exact or spectral moment formulas
 
 
-def _piecewise_gauss(spec: MeasureSpec, f_of_alpha, t_arr: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre moment of an entire integrand over the weight pieces.
+def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on each panel
+    [edges[i], edges[i+1]], both of shape (n_panels, order).
 
-    The integrands used here (powers of t times reciprocal-gamma factors) are
-    entire in alpha, so fixed-order panels converge spectrally; panel count
-    grows with |log t| to keep the exponential growth resolved.
+    Halving and doubling are exact, so on dyadic edges [2^k, 2^(k+1)] the
+    nodes are exactly 2^(k-1) * (3 + x) and the weights 2^(k-1) * w.
     """
-    out = np.zeros_like(t_arr)
-    pieces = [(a, b, w) for a, b, w in spec.pieces() if w > 0.0]
-    if not pieces:
-        return out
-    t_col = np.atleast_1d(t_arr)
-    acc = np.zeros_like(t_col)
-    max_log = float(np.max(np.abs(np.log(t_col)))) if t_col.size else 0.0
-    n_sub = max(1, math.ceil(max_log / 25.0))
-    nodes, weights = _gauss_legendre(32)
-    for a, b, w in pieces:
-        edges = np.linspace(a, b, n_sub + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            alphas = mid + half * nodes
-            vals = f_of_alpha(alphas[None, :], t_col[:, None])
-            acc = acc + w * half * vals @ weights
-    return out + acc.reshape(t_arr.shape)
+    nodes, weights = _gauss_legendre(order)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return mid + half * nodes, half * weights
 
 
 def _as_time_array(t, positive: bool = True):
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise MeasureError("kernel evaluation requires finite t")
     if positive and np.any(t_arr <= 0.0):
         raise MeasureError("kernel evaluation requires t > 0")
+    if np.any(t_arr < 0.0):
+        raise MeasureError("running integrals require t >= 0")
     return t_arr
+
+
+def _k_moments(spec: MeasureSpec, t, depths):
+    """Order moments ``(1^d * k)(t) = int t^(d-a) / Gamma(d+1-a) dmu``.
+
+    The measure becomes one node set (alpha, mass): its atoms plus 32-point
+    Gauss-Legendre panels on each positive weight piece.  The integrand is
+    entire in alpha, so the panels converge spectrally; their count grows with
+    |log t| to resolve the exponential growth.  Depth d is the tiled matvec
+    ``t^(d-alpha) @ (mass / Gamma(d+1-alpha))``, with t^(d-alpha) formed per
+    depth: cell moments are differences of these sums and would amplify the
+    extra rounding of t^d * t^-alpha.  Depths >= 1 are 0 at t = 0; an array t
+    gives arrays of its shape, anything else floats.
+    """
+    t_arr = _as_time_array(t, positive=0 in depths)
+    t_flat = t_arr.ravel()
+    pos = t_flat > 0.0
+    tp = t_flat[pos]
+    out = np.zeros((len(depths), t_flat.size))
+    if tp.size:
+        alpha = [np.array([a for a, q in spec.atoms if q > 0.0])]
+        mass = [np.array([q for _, q in spec.atoms if q > 0.0])]
+        n_sub = max(1, math.ceil(float(np.max(np.abs(np.log(tp)))) / 25.0))
+        for a, b, w in spec.pieces():
+            if w > 0.0:
+                x, wx = _gauss_panels(np.linspace(a, b, n_sub + 1), 32)
+                alpha.append(x.ravel())
+                mass.append(w * wx.ravel())
+        alpha, mass = np.concatenate(alpha), np.concatenate(mass)
+        coeff = [mass * special.rgamma(d + 1.0 - alpha) for d in depths]
+        vals = np.empty((len(depths), tp.size))
+        rows = max(1, _TILE_ENTRIES // max(alpha.size, 1))
+        for lo in range(0, tp.size, rows):
+            tt = tp[lo:lo + rows, None]
+            for i, d in enumerate(depths):
+                vals[i, lo:lo + rows] = tt ** (d - alpha) @ coeff[i]
+        out[:, pos] = vals
+    if isinstance(t, np.ndarray):
+        return [row.reshape(t_arr.shape) for row in out]
+    return [float(row[0]) for row in out]
 
 
 def k_eval(spec: MeasureSpec, t):
     """Singular kernel ``k(t) = int t^-a / Gamma(1-a) dmu``."""
-    t_arr = _as_time_array(t)
-    out = np.zeros_like(t_arr)
-    for a, q in spec.atoms:
-        if q > 0.0:
-            out = out + q * special.rgamma(1.0 - a) * t_arr ** (-a)
-    out = out + _piecewise_gauss(
-        spec, lambda al, tt: special.rgamma(1.0 - al) * tt ** (-al), t_arr
-    )
-    return out if isinstance(t, np.ndarray) else float(out)
+    return _k_moments(spec, t, (0,))[0]
 
 
 def k1_eval(spec: MeasureSpec, t):
@@ -132,38 +162,16 @@ def k1_eval(spec: MeasureSpec, t):
     return power_moment(spec, t)
 
 
-def _iterated_integral(spec: MeasureSpec, t, depth: int):
-    """d-fold running integral of k: ``int t^(d-a) / Gamma(d+1-a) dmu``."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise MeasureError("running integrals require t >= 0")
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0.0
-    if np.any(pos):
-        tp = t_arr[pos]
-        acc = np.zeros_like(tp)
-        for a, q in spec.atoms:
-            if q > 0.0:
-                acc = acc + q * special.rgamma(depth + 1.0 - a) * tp ** (depth - a)
-        acc = acc + _piecewise_gauss(
-            spec,
-            lambda al, tt: special.rgamma(depth + 1.0 - al) * tt ** (depth - al),
-            tp,
-        )
-        out[pos] = acc
-    return out if isinstance(t, np.ndarray) else float(out)
-
-
 def one_star_k_eval(spec: MeasureSpec, t):
     """Running integral of k: ``(1*k)(t) = int t^(1-a) / Gamma(2-a) dmu``."""
-    return _iterated_integral(spec, t, 1)
+    return _k_moments(spec, t, (1,))[0]
 
 
 def iterated_k_integral(spec: MeasureSpec, t, depth: int = 2):
     """Repeated running integrals of k; depth=2 gives ``(1*1*k)(t)``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _iterated_integral(spec, t, depth)
+    return _k_moments(spec, t, (depth,))[0]
 
 
 def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
@@ -246,8 +254,6 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
-    if not np.all(np.isfinite(t_arr)):
-        raise MeasureError("kernel evaluation requires finite t")
     t_flat = t_arr.ravel()
     out = np.empty((len(depths), t_flat.size))
     if t_flat.size:
@@ -255,12 +261,10 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
         u_right = _DEPTH0_RIGHT if max(depths) == 0 else n_right + 1
         # p reaches 2^-L for any t: once t < 2^-L, u >= 2^-L alone cuts at
         # p > 1, dropping 2^(-L (1 - a_high)) of l (all of it as a_high -> 1)
-        k = np.arange(math.floor(-n_left - max(math.log2(t_flat.max()), 0.0)),
-                      math.ceil(u_right - math.log2(t_flat.min())))
-        nodes, weights = _gauss_legendre(_GL_NODES_PER_PANEL)
-        # panel [2^k, 2^(k+1)] has midpoint 3 * 2^(k-1) and half-width 2^(k-1)
-        p = np.ldexp(3.0 + nodes, k[:, None] - 1).ravel()
-        w = np.ldexp(weights, k[:, None] - 1).ravel()
+        edges = np.ldexp(1.0, np.arange(
+            math.floor(-n_left - max(math.log2(t_flat.max()), 0.0)),
+            math.ceil(u_right - math.log2(t_flat.min())) + 1))
+        p, w = (a.ravel() for a in _gauss_panels(edges, _GL_NODES_PER_PANEL))
         coeff = w * h_laplace_eval(spec, p, theta)[0] / math.pi
         # where u < 2^-60 for every t, g_d(u) is 1/d! in double: sum once
         flat = np.searchsorted(p, 2.0**-60 / t_flat.max())
@@ -301,9 +305,8 @@ def resolvent_tables(spec: MeasureSpec, t: np.ndarray, theta: float = 0.0
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pointwise r_theta plus its three iterated integrals in one sweep.
 
-    Sampling a kernel grid needs all four quantities at every node; the
-    Laplace-plane function is by far the dominant cost, so this evaluates it
-    once per time and contracts it against the four panel weight vectors.
+    Sampling a kernel grid needs all four quantities at every node; one
+    node set in p and one H_theta evaluation serve all four depths.
     """
     t_flat = np.ravel(np.asarray(t, dtype=float))
     return tuple(_laplace_inversion(spec, t_flat, theta, (0, 1, 2, 3)))
@@ -542,8 +545,8 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     window = t < c_bar * phi(spec, r)
     ct = t[window]
     if ct.size:
-        r_vals = np.asarray(r_theta_eval(spec, ct, theta))
-        avg = np.asarray(resolvent_running_integral(spec, ct, theta)) / ct
+        r_vals, running = _laplace_inversion(spec, ct, theta, (0, 1))
+        avg = running / ct
         big_k = np.asarray(one_star_k_eval(spec, ct))
         chain1 = r_vals / avg
         chain2 = avg / l_vals[window]

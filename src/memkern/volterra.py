@@ -133,15 +133,11 @@ def conv(a: DiscreteKernel, b: DiscreteKernel) -> DiscreteKernel:
 
 def _dyadic_panel_integral(f: Callable[[np.ndarray], np.ndarray],
                            n_panels: int) -> float:
-    """Gauss-Legendre integral of f over (0, 1/2], panels refined toward 0."""
-    nodes, weights = _kernels._gauss_legendre(16)
+    """Gauss-Legendre integral of f over (0, 1/2], panels refined toward 0;
+    f gets every node in one call."""
     edges = np.concatenate(([0.0], 0.5 ** np.arange(n_panels, 0, -1)))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        total += half * float(np.dot(weights, f(mid + half * nodes)))
-    return total
+    x, w = _kernels._gauss_panels(edges, 16)
+    return float(np.sum(w * f(x)))
 
 
 def _first_cell_shape_weight(kernel_at: Callable[[np.ndarray], np.ndarray],
@@ -167,16 +163,12 @@ def _second_kind_weights(kernel: DiscreteKernel, g: float,
                          w_first_cell: float | None):
     """Assemble the product-integration weights for the second-kind scheme."""
     tau = kernel.step
-    t = kernel.times
-    a_m = kernel.masses()
-    b_m = kernel.first_moments()
-    t_prev = t - tau
-    w_left = (b_m - t_prev * a_m) / tau    # multiplies x at the earlier node
-    w_right = (t * a_m - b_m) / tau        # multiplies x at the later node
+    w_left, w_right = _pl_weights(kernel)
     kv = kernel.values
     # shape-ansatz weight of the unknown's first cell against the kernel
     w_shape = np.empty(kernel.n)
-    w_shape[0] = w_first_cell if w_first_cell is not None else a_m[0]
+    w_shape[0] = (w_first_cell if w_first_cell is not None
+                  else kernel.head_integral())
     if kernel.n > 1:
         w_shape[1:] = tau * (kv[1:] / g + (kv[:-1] - kv[1:]) / (g + 1.0))
     return w_left, w_right, w_shape
@@ -296,10 +288,7 @@ def sample_l(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
 def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
     """Measure-kernel samples with exact cell moment tables."""
     t = step * np.arange(1, n_steps + 1)
-    vals = np.asarray(_kernels.k_eval(spec, t))
-    running = np.asarray(_kernels.one_star_k_eval(spec, t))
-    double = np.asarray(_kernels.iterated_k_integral(spec, t, 2))
-    triple = np.asarray(_kernels.iterated_k_integral(spec, t, 3))
+    vals, running, double, triple = _kernels._k_moments(spec, t, (0, 1, 2, 3))
     return _tabled_kernel(step, vals, running, double, triple)
 
 
@@ -312,21 +301,18 @@ def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
 
 def l1_distance(a: DiscreteKernel, b: DiscreteKernel,
                 horizon: float | None = None) -> float:
-    """L1 distance of two sampled kernels, head cells included."""
+    """L1 distance of two sampled kernels up to the horizon: the head cells'
+    difference plus the trapezoid rule from t_1 on."""
     _check_compatible(a, b)
     keep = a.n if horizon is None else min(a.n, int(round(horizon / a.step)))
     diff = np.abs(a.values[:keep] - b.values[:keep])
-    interior = a.step * (np.sum(diff) - 0.5 * diff[0] - 0.5 * diff[-1])
-    return float(abs(a.head_integral() - b.head_integral()) + interior
-                 + 0.5 * a.step * (diff[0] + diff[-1]))
+    return float(abs(a.head_integral() - b.head_integral())
+                 + a.step * (np.sum(diff) - 0.5 * (diff[0] + diff[-1])))
 
 
 def l1_norm(a: DiscreteKernel, horizon: float | None = None) -> float:
-    keep = a.n if horizon is None else min(a.n, int(round(horizon / a.step)))
-    vals = np.abs(a.values[:keep])
-    interior = a.step * (np.sum(vals) - 0.5 * vals[0] - 0.5 * vals[-1])
-    return float(abs(a.head_integral()) + interior
-                 + 0.5 * a.step * (vals[0] + vals[-1]))
+    """L1 norm of a sampled kernel: its distance to the zero kernel."""
+    return l1_distance(a, a.scaled(0.0), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class TestScalingCertificate:
             x = sc.phi_2r
             exact = (e * np.log(x) - math.log(e) - p * math.lgamma(alpha)
                      + (p - 1.0) * np.log(x))
-            assert np.max(np.abs(np.expm1(sc.log_lhs - exact))) <= 1e-8
+            assert np.max(np.abs(np.expm1(sc.log_lhs - exact))) <= 1e-12
 
     def test_ratio_finite_all_measures(self, measures):
         from memkern.measure import gamma_bar

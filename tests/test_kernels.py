@@ -29,6 +29,13 @@ class TestPointwiseKernels:
         with pytest.raises(MeasureError):
             K.k_eval(half, 0.0)
 
+    def test_k_family_rejects_nonfinite_time(self, measures):
+        # a NaN time used to give 0 for the running integrals
+        for f in (K.k_eval, K.one_star_k_eval, K.iterated_k_integral):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(MeasureError):
+                    f(measures["two_atom"], np.array([0.5, bad]))
+
     def test_k1_values(self, half):
         assert K.k1_eval(half, 4.0) == pytest.approx(0.5, rel=1e-14)
         spec = MeasureSpec.uniform_weight()
@@ -50,6 +57,35 @@ class TestPointwiseKernels:
         val, _ = integrate.quad(lambda s: K.k_eval(spec, s), 0.0, t,
                                 points=[0.0], limit=200)
         assert K.one_star_k_eval(spec, t) == pytest.approx(val, rel=1e-8)
+
+    @pytest.mark.parametrize("spec", [
+        MeasureSpec.uniform_weight(),
+        MeasureSpec(weight_breaks=(0.17, 0.78), weight_values=(1.0,)),
+        MeasureSpec(atoms=((0.4, 0.5),), weight_breaks=(0.2, 0.5, 0.9),
+                    weight_values=(0.3, 0.7)),
+    ], ids=["uniform", "band", "atom_two_pieces"])
+    def test_k_moments_match_order_quadrature(self, spec):
+        # (1^d * k)(t) = int t^(d-a) / Gamma(d+1-a) dmu over 13 decades
+        t = np.logspace(-12, 1, 27)
+        depths = (0, 1, 2, 3)
+        got = K._k_moments(spec, t, depths)
+        for d, row in zip(depths, got):
+            for ti, value in zip(t, row):
+                exact = sum(q * ti ** (d - a) * rgamma(d + 1.0 - a)
+                            for a, q in spec.atoms)
+                for lo, hi, w in spec.pieces():
+                    exact += w * integrate.quad(
+                        lambda a: ti ** (d - a) * rgamma(d + 1.0 - a),
+                        lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                assert abs(value - exact) <= 1e-12 * exact, (d, ti)
+
+    def test_gauss_panels_dyadic_edges_exact(self):
+        # the inversion's panels [2^k, 2^(k+1)] are 2^(k-1) * (3 + x) exactly
+        k = np.arange(-900, 641)
+        nodes, weights = K._gauss_legendre(24)
+        p, w = K._gauss_panels(np.ldexp(1.0, np.append(k, k[-1] + 1)), 24)
+        assert np.array_equal(p, np.ldexp(3.0 + nodes, k[:, None] - 1))
+        assert np.array_equal(w, np.ldexp(weights, k[:, None] - 1))
 
 
 class TestLaplacePlane:

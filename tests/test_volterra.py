@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from memkern import kernels as K
 from memkern import volterra as V
+from memkern.measure import MeasureSpec
 
 
 def ones_kernel(n=256, tau=1.0 / 256):
@@ -211,7 +212,27 @@ class TestFundamentalIdentity:
                 k_n, u, lambda v: np.log(v), lambda v: 1.0 / v)
 
 
+class TestL1:
+    def test_constant_kernel(self):
+        # head cell plus trapezoid over [t_1, t_N] covers (0, 1] once
+        tau = 2.0**-11
+        one = V.DiscreteKernel(tau, np.ones(2048), head=tau)
+        assert V.l1_norm(one) == 1.0
+        assert V.l1_norm(one, horizon=0.5) == 0.5
+        assert V.l1_distance(one.scaled(3.0), one) == 2.0
+
+
 class TestSoninePartner:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.55, 0.8, 0.9])
+    def test_first_cell_shape_weight_single_order(self, alpha):
+        # int_0^tau (s/tau)^(a-1) (tau-s)^-a / Gamma(1-a) ds = tau^(1-a) Gamma(a)
+        spec = MeasureSpec.single_order(alpha)
+        for tau in (2.0**-11, 1e-6, 0.5):
+            got = V._first_cell_shape_weight(
+                lambda s: np.asarray(K.k_eval(spec, s)), tau, alpha, alpha)
+            exact = tau ** (1.0 - alpha) * math.gamma(alpha)
+            assert abs(got - exact) <= 1e-13 * exact, tau
+
     def test_single_order_first_cell_exact(self, half):
         oracle = V.sonine_partner(half, 1.0 / 256, 256)
         exact = oracle.times ** (-0.5) / math.sqrt(math.pi)
