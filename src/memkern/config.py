@@ -99,12 +99,16 @@ def _grid_from_dict(data: dict) -> SpatialGrid:
     bcs = []
     for axis, pair in enumerate(data.get("boundary", ())):
         ax = []
-        for side in pair:
+        for i, side in enumerate(pair):
             kind = side.get("type", "dirichlet")
             if kind == "dirichlet":
                 ax.append(BoundaryCondition.dirichlet(float(side.get("value", 0.0))))
-            else:
+            elif kind == "neumann_zero":
                 ax.append(BoundaryCondition.neumann_zero())
+            else:
+                raise ConfigError([(f"/grid/boundary/{axis}/{i}/type",
+                                    f"unknown boundary type {kind!r}; use "
+                                    "'dirichlet' or 'neumann_zero'")])
         bcs.append(tuple(ax))
     return SpatialGrid(extents=extents, n_cells=n_cells, boundary=tuple(bcs))
 
@@ -218,6 +222,8 @@ def parse_config(source) -> ExperimentConfig:
     if grid_spec is not None:
         try:
             _grid_from_dict(grid_spec)
+        except ConfigError as exc:
+            bad.extend(exc.violations)
         except Exception as exc:
             bad.append(("/grid", str(exc)))
     # a solve config without a grid runs in the space-free relaxation mode

@@ -11,10 +11,13 @@ are exact kernel-cell integrals, and the step m solves
                                - sum_{i<m} beta_{m,i} (u_i - u_{i-1}) + f_m,
 
 where L_m is the flux-form divergence with face coefficients averaged from
-the cell centers (3-point in 1d, 5-point in 2d), or a scalar reaction rate
-in the space-free relaxation mode.  All weights are positive and decreasing
-back in time, which is what the nonnegativity and comparison checks in the
-test-suite lean on.
+the cell centers, or a scalar reaction rate in the space-free relaxation
+mode.  One sparse assembly serves every axis (3 points in 1d, 5 in 2d), and
+since beta_{m,m} = beta_{m,1} for every m, the step matrix is factorised
+once by sparse LU and reused for the whole trajectory unless the
+coefficients are declared time dependent.  All weights are positive and
+decreasing back in time, which is what the nonnegativity and comparison
+checks in the test-suite lean on.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import linalg as _slinalg
 from scipy import sparse as _sparse
 from scipy.sparse import linalg as _sparse_linalg
 
@@ -90,6 +92,10 @@ class SpatialGrid:
                 self, "boundary",
                 tuple((BoundaryCondition.dirichlet(), BoundaryCondition.dirichlet())
                       for _ in self.extents))
+        for pair in self.boundary:
+            for bc in pair:
+                if bc.kind not in ("dirichlet", "neumann_zero"):
+                    raise SolverError(f"unknown boundary kind {bc.kind!r}")
         for (lo, hi), n in zip(self.extents, self.n_cells):
             if hi <= lo:
                 raise SolverError("extent upper bound must exceed lower")
@@ -134,7 +140,9 @@ class CoefficientField:
     """Diffusion matrix A(t, x) with user-declared bounds.
 
     ``fn`` maps (t, x-array) to a (dim, dim) symmetric matrix; ``lam`` bounds
-    its Frobenius norm and ``nu`` its ellipticity constant.
+    its Frobenius norm and ``nu`` its ellipticity constant.  The stepper
+    assembles and factorises its step matrix once per trajectory, or at
+    every step when ``time_dependent`` is set.
     """
 
     fn: Callable
@@ -276,13 +284,29 @@ def _sample_field(fn, t: float, grid: SpatialGrid) -> np.ndarray:
     return vals.reshape(grid.shape)
 
 
+def _along(dim: int, axis: int, cut) -> tuple:
+    """Index that applies ``cut`` on ``axis`` and keeps every other axis."""
+    index = [slice(None)] * dim
+    index[axis] = cut
+    return tuple(index)
+
+
+def _face_points(grid: SpatialGrid, axis: int, which: int) -> np.ndarray:
+    """Midpoints of the boundary faces on the low (0) or high (1) side of
+    ``axis``, shape ``(*grid.shape, dim)`` with length 1 on ``axis``."""
+    points = grid.centers()[_along(grid.dim, axis, slice(0, 1))].copy()
+    points[..., axis] = grid.extents[axis][which]
+    return points
+
+
 class TimeStepper:
     """Advances the implicit scheme one slice at a time.
 
-    Completed slices are never mutated; ``advance`` assembles the spatial
-    operator at the new time level, folds the history sum through the exact
-    kernel weights and solves the linear system (direct tridiagonal in 1d,
-    Jacobi-preconditioned conjugate gradients in 2d).
+    Completed slices are never mutated; ``advance`` folds the history sum
+    through the exact kernel weights and solves the step system: a scalar
+    division in the relaxation mode, otherwise one sparse LU solve with the
+    factors of ``beta_{m,m} I + L``, kept for the whole trajectory (rebuilt
+    at every step only for time-dependent coefficients).
     """
 
     def __init__(self, spec: MeasureSpec, grid: SpatialGrid,
@@ -298,16 +322,16 @@ class TimeStepper:
         self.reaction = float(reaction)
         self.tau = horizon / n_steps
         self.n_steps = n_steps
+        # weights[j] = beta at lag j+1
         if kernel_cumulative is not None:
             big_k = np.asarray(kernel_cumulative, dtype=float)
             if big_k.shape != (n_steps + 1,):
                 raise SolverError("kernel_cumulative must have n_steps+1 entries")
+            self.weights = np.diff(big_k) / self.tau
         else:
-            big_k = np.asarray(one_star_k_eval(
-                spec, self.tau * np.arange(0, n_steps + 1)))
-        self.weights = np.diff(big_k) / self.tau  # d[j] = beta at lag j+1
-        if np.any(self.weights <= 0.0):
-            raise SolverError("history weights must be positive")
+            self.weights = conv_weights(spec, n_steps, self.tau)[::-1].copy()
+        if not np.all(self.weights > 0.0):
+            raise SolverError("history weights must be finite and positive")
         self.u = np.empty((n_steps + 1,) + grid.shape)
         self.u[0] = _sample_field(u0, 0.0, grid)
         self.du = np.zeros((n_steps, grid.n_total))
@@ -317,147 +341,78 @@ class TimeStepper:
             self.f_samples = np.zeros_like(self.u)
         self.residuals = np.zeros(n_steps)
         self.m = 0
-        self._matrix_cache = None
+        self._system_cache = None
 
     # -- spatial operator -------------------------------------------------
 
-    def _face_coefficients(self, t: float, axis: int) -> np.ndarray:
-        """Axis diffusivity at interior faces (mean of adjacent centers) and
-        at the two boundary faces (sampled at the face midpoint)."""
+    def _assemble(self, t: float):
+        """Flux-form ``L_t`` as a sparse matrix, and its Dirichlet right-hand
+        side.  An interior face carries the mean diffusivity of its two cells,
+        a Dirichlet face the diffusivity at its midpoint (ghost-cell closure:
+        ``2 a / h^2`` on the diagonal, ``2 a g / h^2`` on the right)."""
         grid = self.grid
-        centers = grid.centers()
-        flat = centers.reshape(-1, grid.dim)
-        a_cells = np.array([
-            np.atleast_2d(self.coefficients.fn(t, x))[axis, axis] for x in flat
-        ]).reshape(grid.shape)
+        fn = self.coefficients.fn
+
+        def axis_diffusivity(points):  # (..., dim) -> diagonal of A, (..., dim)
+            flat = points.reshape(-1, grid.dim)
+            return np.array([np.diagonal(np.atleast_2d(fn(t, x)))
+                             for x in flat]).reshape(points.shape)
+
+        a_cells = axis_diffusivity(grid.centers())
         if np.any(a_cells <= 0.0):
             raise SolverError("axis diffusivity must stay positive")
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[axis] = slice(None, -1)
-        sl_hi[axis] = slice(1, None)
-        interior = 0.5 * (a_cells[tuple(sl_lo)] + a_cells[tuple(sl_hi)])
-
-        def face_value(which: int) -> np.ndarray:
-            lo, hi = grid.extents[axis]
-            x_face = lo if which == 0 else hi
-            shape = list(grid.shape)
-            shape[axis] = 1
-            out = np.empty(shape)
-            for idx in np.ndindex(*shape):
-                x = [grid.axis_centers(a)[idx[a]] for a in range(grid.dim)]
-                x[axis] = x_face
-                out[idx] = np.atleast_2d(self.coefficients.fn(t, np.asarray(x))
-                                         )[axis, axis]
-            return out
-
-        return interior, face_value(0), face_value(1)
-
-    def _assemble_1d(self, t: float):
-        grid = self.grid
-        n = grid.n_cells[0]
-        h = grid.spacing[0]
-        interior, a_lo, a_hi = self._face_coefficients(t, 0)
-        diag = np.zeros(n)
-        lower = np.zeros(n - 1)
-        upper = np.zeros(n - 1)
-        rhs_bc = np.zeros(n)
-        diag[:-1] += interior / h**2
-        diag[1:] += interior / h**2
-        lower -= interior / h**2
-        upper -= interior / h**2
-        for which, a_face in ((0, float(a_lo.squeeze())),
-                              (1, float(a_hi.squeeze()))):
-            bc = grid.boundary[0][which]
-            cell = 0 if which == 0 else n - 1
-            if bc.kind == "dirichlet":
-                x_face = grid.extents[0][which]
-                g = bc.value_at(t, np.array([x_face]))
-                diag[cell] += 2.0 * a_face / h**2
-                rhs_bc[cell] += 2.0 * a_face * g / h**2
-            elif bc.kind != "neumann_zero":
-                raise SolverError(f"unknown boundary kind {bc.kind}")
-        return (diag, lower, upper), rhs_bc
-
-    def _assemble_2d(self, t: float):
-        grid = self.grid
-        nx, ny = grid.n_cells
-        hx, hy = grid.spacing
-        n = nx * ny
-        diag = np.zeros((nx, ny))
-        rhs_bc = np.zeros((nx, ny))
+        idx = np.arange(grid.n_total).reshape(grid.shape)
+        diag = np.zeros(grid.shape)
+        rhs_bc = np.zeros(grid.shape)
         rows, cols, vals = [], [], []
-        idx = np.arange(n).reshape(nx, ny)
+        for axis, h in enumerate(grid.spacing):
+            lo = _along(grid.dim, axis, slice(None, -1))
+            hi = _along(grid.dim, axis, slice(1, None))
+            a = a_cells[..., axis]
+            coef = 0.5 * (a[lo] + a[hi]) / h**2
+            diag[lo] += coef
+            diag[hi] += coef
+            rows += [idx[lo].ravel(), idx[hi].ravel()]
+            cols += [idx[hi].ravel(), idx[lo].ravel()]
+            vals += [-coef.ravel()] * 2
+            for which, bc in enumerate(grid.boundary[axis]):
+                if bc.kind == "neumann_zero":
+                    continue
+                points = _face_points(grid, axis, which)
+                a_face = axis_diffusivity(points)[..., axis]
+                g = np.array([bc.value_at(t, x) for x in
+                              points.reshape(-1, grid.dim)]).reshape(a_face.shape)
+                cells = _along(grid.dim, axis,
+                               slice(0, 1) if which == 0 else slice(-1, None))
+                diag[cells] += 2.0 * a_face / h**2
+                rhs_bc[cells] += 2.0 * a_face * g / h**2
+        n = grid.n_total
+        mat = _sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n))
+        return mat + _sparse.diags(diag.ravel()), rhs_bc.ravel()
 
-        for axis, h in ((0, hx), (1, hy)):
-            interior, a_lo, a_hi = self._face_coefficients(t, axis)
-            coef = interior / h**2
-            sl_lo = [slice(None)] * 2
-            sl_hi = [slice(None)] * 2
-            sl_lo[axis] = slice(None, -1)
-            sl_hi[axis] = slice(1, None)
-            diag[tuple(sl_lo)] += coef
-            diag[tuple(sl_hi)] += coef
-            rows.extend(idx[tuple(sl_lo)].ravel())
-            cols.extend(idx[tuple(sl_hi)].ravel())
-            vals.extend((-coef).ravel())
-            rows.extend(idx[tuple(sl_hi)].ravel())
-            cols.extend(idx[tuple(sl_lo)].ravel())
-            vals.extend((-coef).ravel())
-            for which, a_face in ((0, a_lo), (1, a_hi)):
-                bc = grid.boundary[axis][which]
-                sl = [slice(None)] * 2
-                sl[axis] = 0 if which == 0 else -1
-                if bc.kind == "dirichlet":
-                    x_face_val = grid.extents[axis][which]
-                    face_cells = idx[tuple(sl)]
-                    a_f = a_face.reshape(face_cells.shape)
-                    other = 1 - axis
-                    coords = grid.axis_centers(other)
-                    g = np.empty(face_cells.shape)
-                    for i, c in enumerate(coords):
-                        x = [0.0, 0.0]
-                        x[axis] = x_face_val
-                        x[other] = c
-                        g[i] = bc.value_at(t, np.asarray(x))
-                    diag[tuple(sl)] += 2.0 * a_f / h**2
-                    rhs_bc[tuple(sl)] += 2.0 * a_f * g / h**2
-                elif bc.kind != "neumann_zero":
-                    raise SolverError(f"unknown boundary kind {bc.kind}")
-        mat = _sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        mat = mat + _sparse.diags(diag.ravel())
-        return mat, rhs_bc.ravel()
-
-    def _operator(self, t: float):
-        if self.grid.dim == 0:
-            return None, np.zeros(1)
-        if not self.coefficients.time_dependent and self._matrix_cache is not None:
-            return self._matrix_cache
-        op = (self._assemble_1d(t) if self.grid.dim == 1
-              else self._assemble_2d(t))
-        if not self.coefficients.time_dependent:
-            self._matrix_cache = op
-        return op
+    def _system(self, t: float):
+        """``(full, splu(full), rhs_bc)`` with ``full = beta_{m,m} I + L_t``;
+        built once, and again at every step only for time-dependent
+        coefficients."""
+        if self._system_cache is None or self.coefficients.time_dependent:
+            mat, rhs_bc = self._assemble(t)
+            full = (mat + float(self.weights[0])
+                    * _sparse.identity(mat.shape[0])).tocsc()
+            self._system_cache = (full, _sparse_linalg.splu(full), rhs_bc)
+        return self._system_cache
 
     def check_m_matrix(self, t: float, beta_mm: float) -> bool:
         """Off-diagonals nonpositive and rows weakly diagonally dominant."""
         if self.grid.dim == 0:
             return beta_mm + self.reaction > 0.0
-        op, _ = self._operator(t)
-        if self.grid.dim == 1:
-            diag, lower, upper = op
-            full_diag = diag + beta_mm
-            offsum = np.zeros_like(diag)
-            offsum[:-1] += np.abs(upper)
-            offsum[1:] += np.abs(lower)
-            return bool(np.all(lower <= 1e-14) and np.all(upper <= 1e-14)
-                        and np.all(full_diag >= offsum - 1e-12))
-        mat = op.tocoo()
-        off = mat.data[(mat.row != mat.col)]
-        diag = mat.diagonal() + beta_mm
-        offsum = np.zeros_like(diag)
-        np.add.at(offsum, mat.row[(mat.row != mat.col)], np.abs(off))
-        return bool(np.all(off <= 1e-14) and np.all(diag >= offsum - 1e-12))
+        mat = self._assemble(t)[0].tocoo()
+        off = mat.row != mat.col
+        offsum = np.zeros(mat.shape[0])
+        np.add.at(offsum, mat.row[off], np.abs(mat.data[off]))
+        return bool(np.all(mat.data[off] <= 1e-14)
+                    and np.all(mat.diagonal() + beta_mm >= offsum - 1e-12))
 
     # -- one step ----------------------------------------------------------
 
@@ -483,31 +438,10 @@ class TimeStepper:
                 raise SolverError("degenerate step: zero diagonal")
             new = rhs / denom
             self.residuals[m - 1] = 0.0
-        elif self.grid.dim == 1:
-            (diag, lower, upper), rhs_bc = self._operator(t_m)
-            ab = np.zeros((3, diag.size))
-            ab[0, 1:] = upper
-            ab[1] = diag + beta_mm
-            ab[2, :-1] = lower
-            b = rhs + rhs_bc
-            new = _slinalg.solve_banded((1, 1), ab, b)
-            denom = max(float(np.max(np.abs(b))), 1e-300)
-            self.residuals[m - 1] = float(
-                np.max(np.abs(_banded_apply(ab, new) - b))) / denom
         else:
-            mat, rhs_bc = self._operator(t_m)
-            full = mat + _sparse.eye(mat.shape[0]) * beta_mm
+            full, lu, rhs_bc = self._system(t_m)
             b = rhs + rhs_bc
-            inv_diag = 1.0 / full.diagonal()
-            precond = _sparse_linalg.LinearOperator(
-                full.shape, matvec=lambda v: inv_diag * v)
-            x0 = self.u[m - 1].ravel()
-            new, info = _sparse_linalg.cg(full, b, x0=x0, rtol=1e-12,
-                                          atol=0.0,
-                                          maxiter=10 * self.grid.n_total,
-                                          M=precond)
-            if info != 0:
-                raise SolverError(f"conjugate gradients failed at step {m}")
+            new = lu.solve(b)
             denom = max(float(np.max(np.abs(b))), 1e-300)
             self.residuals[m - 1] = float(np.max(np.abs(full @ new - b))) / denom
 
@@ -515,13 +449,6 @@ class TimeStepper:
         self.du[m - 1] = self.u[m].ravel() - self.u[m - 1].ravel()
         self.m = m
         return self.u[m]
-
-
-def _banded_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = ab[1] * x
-    out[:-1] += ab[0, 1:] * x[1:]
-    out[1:] += ab[2, :-1] * x[:-1]
-    return out
 
 
 def solve(spec: MeasureSpec, grid: SpatialGrid,

@@ -78,6 +78,16 @@ class TestParsing:
         from_path = parse_config(str(path))
         assert from_text == from_path
 
+    def test_unknown_boundary_type_pointer(self):
+        cfg = small_config("holder", grid={
+            "extents": [[0.0, 1.0]], "n_cells": [64],
+            "boundary": [[{"type": "dirichlet", "value": 0.0},
+                          {"type": "dirichelt"}]]})
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        pointers = dict(err.value.violations)
+        assert "dirichelt" in pointers["/grid/boundary/0/1/type"]
+
     def test_round_trip(self):
         config = parse_config(small_config("holder", grid={
             "extents": [[0.0, 1.0]], "n_cells": [64],

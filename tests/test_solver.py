@@ -191,6 +191,55 @@ class TestPdeSanity:
         assert problems
 
 
+class TestAssembly:
+    """The one sparse assembly and the factorisation kept across steps."""
+
+    def test_callable_dirichlet_linear_field_2d(self, half):
+        bc = S.BoundaryCondition.dirichlet(lambda t, x: x[0] + 2.0 * x[1])
+        grid = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 2.0)), n_cells=(12, 9),
+                             boundary=((bc, bc),) * 2)
+        coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 3.0]])
+        fld = S.solve(half, grid, coeffs, lambda t, x: x[0] + 2.0 * x[1],
+                      0.0, 0.5, 32)
+        exact = grid.centers() @ np.array([1.0, 2.0])
+        assert np.max(np.abs(fld.values - exact)) <= 1e-12
+
+    def test_2d_with_neumann_y_walls_matches_1d(self, half):
+        bcd = S.BoundaryCondition.dirichlet(0.5)
+        bcn = S.BoundaryCondition.neumann_zero()
+        line = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(20,),
+                             boundary=((bcd, bcd),))
+        sheet = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 0.7)),
+                              n_cells=(20, 6), boundary=((bcd, bcd), (bcn, bcn)))
+        u0 = lambda t, x: np.sin(np.pi * x[0]) ** 2
+        one = S.solve(half, line, S.CoefficientField.constant([[1.3]]),
+                      u0, 0.2, 0.5, 48)
+        two = S.solve(half, sheet,
+                      S.CoefficientField.constant([[1.3, 0.0], [0.0, 0.4]]),
+                      u0, 0.2, 0.5, 48)
+        assert np.max(np.abs(two.values - one.values[..., None])) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_time_dependent_field_sampled_at_step_times(self, half, dim):
+        bc = S.BoundaryCondition.dirichlet()
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * dim, n_cells=(6,) * dim,
+                             boundary=((bc, bc),) * dim)
+        calls = []
+
+        def fn(t, x):
+            calls.append(t)
+            return np.eye(dim)
+
+        flagged = S.CoefficientField(fn=fn, lam=math.sqrt(dim), nu=1.0,
+                                     time_dependent=True)
+        u0 = np.random.default_rng(3).random(grid.shape)
+        fld = S.solve(half, grid, flagged, u0, 0.0, 0.4, 24)
+        assert sorted(set(calls)) == [m * fld.step for m in range(1, 25)]
+        cached = S.solve(half, grid, S.CoefficientField.constant(np.eye(dim)),
+                         u0, 0.0, 0.4, 24)
+        assert np.array_equal(fld.values, cached.values)
+
+
 class TestMittagLeffler:
     def test_values(self):
         assert S.mittag_leffler(1.0, -1.0) == pytest.approx(math.exp(-1),
@@ -220,6 +269,23 @@ class TestValidationErrors:
     def test_grid_too_coarse(self):
         with pytest.raises(S.SolverError):
             S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(2,))
+
+    def test_unknown_boundary_kind_rejected_at_construction(self):
+        bc = S.BoundaryCondition.dirichlet()
+        with pytest.raises(S.SolverError, match="dirichelt"):
+            S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(8,),
+                          boundary=((bc, S.BoundaryCondition("dirichelt")),))
+
+    @pytest.mark.parametrize("grid", [S.SpatialGrid(), dirichlet_grid(8)],
+                             ids=["0d", "1d"])
+    def test_nan_history_weight_rejected(self, half, grid):
+        n_steps = 16
+        cum = np.asarray(one_star_k_eval(half, np.arange(n_steps + 1) / n_steps))
+        cum[5] = np.nan
+        coeffs = None if grid.dim == 0 else IDENTITY
+        with pytest.raises(S.SolverError, match="finite"):
+            S.solve(half, grid, coeffs, 1.0, 0.0, 1.0, n_steps, reaction=1.0,
+                    kernel_cumulative=cum)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(S.SolverError):
