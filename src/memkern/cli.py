@@ -3,9 +3,10 @@
 Subcommands: kernels | verify | solve | harnack | holder, each driven by a
 JSON config (see configs/ for examples).  Results land in a directory with a
 manifest.json carrying the config hash, seed and package version.  Every CSV
-goes through one streaming writer with one float format (the repr of a
-Python float, which round-trips), so numeric content is deterministic for a
-fixed config and seed.  Exit codes: 0 success, 2 when a hard inequality
+goes through one block-streaming writer with one float format (the repr of
+a Python float, which round-trips), applied per column before the columns
+are broadcast into rows, so numeric content is deterministic for a fixed
+config and seed.  Exit codes: 0 success, 2 when a hard inequality
 certificate is violated (a NaN or inf counts as violated), 1 on runtime
 errors.
 """
@@ -34,25 +35,34 @@ from . import harnack as _harnack
 __all__ = ["main", "run"]
 
 SONINE_TOLERANCE = 1e-3
-_CSV_CHUNK_ROWS = 1 << 14
+_CSV_CHUNK_ROWS = 1 << 12
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write CRLF rows of broadcast-compatible columns in row-major order.
 
-    Values are converted with ``tolist``, so each is a Python scalar and its
-    ``str`` is the repr for floats.  Rows are formatted a chunk at a time:
-    no file is ever held in memory as row tuples or strings.
+    Rows go out in blocks of leading-axis slices, at most ``_CSV_CHUNK_ROWS``
+    rows unless one slice holds more.  In a block each column is formatted
+    on its own unbroadcast shape (a ``(t, 1)`` column costs one ``str`` per
+    time), as the ``str`` of the Python scalars from ``tolist``, which is
+    the repr for floats; the cells are joined by broadcasting ``+`` over
+    object arrays of strings.
     """
-    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
-    shape, size = cols[0].shape, cols[0].size
+    cols = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
+    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+    step = max(1, _CSV_CHUNK_ROWS // max(1, math.prod(shape[1:])))
+    ends = [","] * (len(cols) - 1) + ["\r\n"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, size, _CSV_CHUNK_ROWS):
-            idx = np.unravel_index(
-                np.arange(lo, min(lo + _CSV_CHUNK_ROWS, size)), shape)
-            cells = [map(str, c[idx].tolist()) for c in cols]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        for lo in range(0, shape[0], step):
+            rows = None
+            for col, end in zip(cols, ends):
+                block = col[lo:lo + step] if len(col) > 1 else col
+                cells = np.array([str(v) + end for v in block.ravel().tolist()],
+                                 dtype=object).reshape(block.shape)
+                rows = cells if rows is None else rows + cells
+            fh.writelines(rows.ravel().tolist())
 
 
 def _write_json(path: Path, data: dict) -> None:

@@ -302,8 +302,10 @@ def _face_points(grid: SpatialGrid, axis: int, which: int) -> np.ndarray:
 class TimeStepper:
     """Advances the implicit scheme one slice at a time.
 
-    Completed slices are never mutated; ``advance`` folds the history sum
-    through the exact kernel weights and solves the step system: a scalar
+    Completed slices are never mutated.  The weights are kept once, in the
+    step order of ``conv_weights`` (``weights`` is their lag-ordered view),
+    so the history sum of step m is one contiguous product with the stored
+    increments ``du``.  ``advance`` then solves the step system: a scalar
     division in the relaxation mode, otherwise one sparse LU solve with the
     factors of ``beta_{m,m} I + L``, kept for the whole trajectory (rebuilt
     at every step only for time-dependent coefficients).
@@ -322,48 +324,74 @@ class TimeStepper:
         self.reaction = float(reaction)
         self.tau = horizon / n_steps
         self.n_steps = n_steps
-        # weights[j] = beta at lag j+1
+        # hist[j] = beta at lag N - j, so the history weights of step m are
+        # the contiguous slice hist[N-m : N-1]; weights[j] = beta at lag j+1
         if kernel_cumulative is not None:
             big_k = np.asarray(kernel_cumulative, dtype=float)
             if big_k.shape != (n_steps + 1,):
                 raise SolverError("kernel_cumulative must have n_steps+1 entries")
-            self.weights = np.diff(big_k) / self.tau
+            hist = (np.diff(big_k) / self.tau)[::-1].copy()
         else:
-            self.weights = conv_weights(spec, n_steps, self.tau)[::-1].copy()
-        if not np.all(self.weights > 0.0):
+            hist = conv_weights(spec, n_steps, self.tau)
+        if not np.all(hist > 0.0):
             raise SolverError("history weights must be finite and positive")
+        self._hist = hist
+        self.weights = hist[::-1]
+        self._beta_mm = float(hist[-1])
         self.u = np.empty((n_steps + 1,) + grid.shape)
         self.u[0] = _sample_field(u0, 0.0, grid)
-        self.du = np.zeros((n_steps, grid.n_total))
+        self._u_flat = self.u.reshape(n_steps + 1, -1)
+        self.du = np.zeros((n_steps, self._u_flat.shape[1]))
         self.f = f
+        self._source = None if callable(f) else \
+            _sample_field(f, 0.0, grid).ravel()
         self.f_samples = None
         if f is not None and not (np.isscalar(f) and float(f) == 0.0):
             self.f_samples = np.zeros_like(self.u)
         self.residuals = np.zeros(n_steps)
         self.m = 0
-        self._system_cache = None
+        self._bc_callable = any(callable(bc.value)
+                                for pair in grid.boundary for bc in pair)
+        self._factors = self._rhs_bc = None
 
     # -- spatial operator -------------------------------------------------
 
-    def _assemble(self, t: float):
-        """Flux-form ``L_t`` as a sparse matrix, and its Dirichlet right-hand
-        side.  An interior face carries the mean diffusivity of its two cells,
-        a Dirichlet face the diffusivity at its midpoint (ghost-cell closure:
-        ``2 a / h^2`` on the diagonal, ``2 a g / h^2`` on the right)."""
+    def _diffusivity(self, t: float, points: np.ndarray) -> np.ndarray:
+        """Diagonal of ``A(t, x)`` at ``points``, shape ``(..., dim)``."""
+        flat = points.reshape(-1, self.grid.dim)
+        return np.array([np.diagonal(np.atleast_2d(self.coefficients.fn(t, x)))
+                         for x in flat]).reshape(points.shape)
+
+    def _dirichlet(self, t: float):
+        """Ghost-cell closure of the Dirichlet faces at t, as grid arrays:
+        ``2 a / h^2`` on the diagonal and ``2 a g / h^2`` on the right, with
+        ``a`` the diffusivity at the face midpoint."""
         grid = self.grid
-        fn = self.coefficients.fn
+        diag, rhs_bc = np.zeros(grid.shape), np.zeros(grid.shape)
+        for axis, h in enumerate(grid.spacing):
+            for which, bc in enumerate(grid.boundary[axis]):
+                if bc.kind == "neumann_zero":
+                    continue
+                points = _face_points(grid, axis, which)
+                a_face = self._diffusivity(t, points)[..., axis]
+                g = np.array([bc.value_at(t, x) for x in
+                              points.reshape(-1, grid.dim)]).reshape(a_face.shape)
+                cells = _along(grid.dim, axis,
+                               slice(0, 1) if which == 0 else slice(-1, None))
+                diag[cells] += 2.0 * a_face / h**2
+                rhs_bc[cells] += 2.0 * a_face * g / h**2
+        return diag, rhs_bc
 
-        def axis_diffusivity(points):  # (..., dim) -> diagonal of A, (..., dim)
-            flat = points.reshape(-1, grid.dim)
-            return np.array([np.diagonal(np.atleast_2d(fn(t, x)))
-                             for x in flat]).reshape(points.shape)
-
-        a_cells = axis_diffusivity(grid.centers())
+    def _assemble(self, t: float):
+        """Flux-form ``L_t`` as a sparse matrix.  An interior face carries the
+        mean diffusivity of its two cells, a Dirichlet face the diffusivity
+        at its midpoint (see ``_dirichlet``)."""
+        grid = self.grid
+        a_cells = self._diffusivity(t, grid.centers())
         if np.any(a_cells <= 0.0):
             raise SolverError("axis diffusivity must stay positive")
         idx = np.arange(grid.n_total).reshape(grid.shape)
         diag = np.zeros(grid.shape)
-        rhs_bc = np.zeros(grid.shape)
         rows, cols, vals = [], [], []
         for axis, h in enumerate(grid.spacing):
             lo = _along(grid.dim, axis, slice(None, -1))
@@ -375,39 +403,33 @@ class TimeStepper:
             rows += [idx[lo].ravel(), idx[hi].ravel()]
             cols += [idx[hi].ravel(), idx[lo].ravel()]
             vals += [-coef.ravel()] * 2
-            for which, bc in enumerate(grid.boundary[axis]):
-                if bc.kind == "neumann_zero":
-                    continue
-                points = _face_points(grid, axis, which)
-                a_face = axis_diffusivity(points)[..., axis]
-                g = np.array([bc.value_at(t, x) for x in
-                              points.reshape(-1, grid.dim)]).reshape(a_face.shape)
-                cells = _along(grid.dim, axis,
-                               slice(0, 1) if which == 0 else slice(-1, None))
-                diag[cells] += 2.0 * a_face / h**2
-                rhs_bc[cells] += 2.0 * a_face * g / h**2
+        diag += self._dirichlet(t)[0]
         n = grid.n_total
         mat = _sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
-        return mat + _sparse.diags(diag.ravel()), rhs_bc.ravel()
+        return mat + _sparse.diags(diag.ravel())
 
     def _system(self, t: float):
-        """``(full, splu(full), rhs_bc)`` with ``full = beta_{m,m} I + L_t``;
-        built once, and again at every step only for time-dependent
-        coefficients."""
-        if self._system_cache is None or self.coefficients.time_dependent:
-            mat, rhs_bc = self._assemble(t)
-            full = (mat + float(self.weights[0])
-                    * _sparse.identity(mat.shape[0])).tocsc()
-            self._system_cache = (full, _sparse_linalg.splu(full), rhs_bc)
-        return self._system_cache
+        """``(full, splu(full), rhs_bc)`` at ``t``, with ``full`` the step
+        matrix ``beta_{m,m} I + L_t``.  The factors are built once, and again
+        at every step only for time-dependent coefficients; the boundary
+        vector is sampled again at every step also when a Dirichlet value is
+        callable."""
+        varies = self.coefficients.time_dependent
+        if self._factors is None or varies:
+            full = (self._assemble(t) + self._beta_mm
+                    * _sparse.identity(self.grid.n_total)).tocsc()
+            self._factors = (full, _sparse_linalg.splu(full))
+        if self._rhs_bc is None or varies or self._bc_callable:
+            self._rhs_bc = self._dirichlet(t)[1].ravel()
+        return (*self._factors, self._rhs_bc)
 
     def check_m_matrix(self, t: float, beta_mm: float) -> bool:
         """Off-diagonals nonpositive and rows weakly diagonally dominant."""
         if self.grid.dim == 0:
             return beta_mm + self.reaction > 0.0
-        mat = self._assemble(t)[0].tocoo()
+        mat = self._assemble(t).tocoo()
         off = mat.row != mat.col
         offsum = np.zeros(mat.shape[0])
         np.add.at(offsum, mat.row[off], np.abs(mat.data[off]))
@@ -421,32 +443,31 @@ class TimeStepper:
             raise SolverError("trajectory already complete")
         m = self.m + 1
         t_m = m * self.tau
-        beta_mm = float(self.weights[0])
-        history = np.zeros(self.grid.n_total)
+        u, n = self._u_flat, self.n_steps
+        rhs = self._beta_mm * u[m - 1]
         if m >= 2:
-            coeffs = self.weights[1:m][::-1]  # beta_{m,i} for i = 1..m-1
-            history = coeffs @ self.du[: m - 1]
-        rhs = beta_mm * self.u[m - 1].ravel() - history
-        f_m = _sample_field(self.f, t_m, self.grid)
+            rhs -= self._hist[n - m:n - 1] @ self.du[:m - 1]
+        f_m = self._source
+        if f_m is None:
+            f_m = _sample_field(self.f, t_m, self.grid).ravel()
         if self.f_samples is not None:
-            self.f_samples[m] = f_m
-        rhs = rhs + f_m.ravel()
+            self.f_samples[m] = f_m.reshape(self.grid.shape)
+        rhs += f_m
 
         if self.grid.dim == 0:
-            denom = beta_mm + self.reaction
+            denom = self._beta_mm + self.reaction
             if denom == 0.0:
                 raise SolverError("degenerate step: zero diagonal")
             new = rhs / denom
-            self.residuals[m - 1] = 0.0
         else:
             full, lu, rhs_bc = self._system(t_m)
             b = rhs + rhs_bc
             new = lu.solve(b)
-            denom = max(float(np.max(np.abs(b))), 1e-300)
-            self.residuals[m - 1] = float(np.max(np.abs(full @ new - b))) / denom
+            scale = max(float(np.abs(b).max()), 1e-300)
+            self.residuals[m - 1] = float(np.abs(full @ new - b).max()) / scale
 
-        self.u[m] = new.reshape(self.grid.shape)
-        self.du[m - 1] = self.u[m].ravel() - self.u[m - 1].ravel()
+        u[m] = new
+        np.subtract(u[m], u[m - 1], out=self.du[m - 1])
         self.m = m
         return self.u[m]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import types
 
 import numpy as np
@@ -218,6 +219,60 @@ class TestRunners:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] in ("ok", "flat")
         assert (tmp_path / "oscillation.csv").exists()
+
+
+# floats whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, the edge of exact integers, a short exponent form, an
+# inexact sum and nan
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.1 + 0.2,
+                  math.nan]
+
+
+def _values(shape):
+    values = np.random.default_rng(4).normal(size=shape)
+    values.flat[:len(AWKWARD_FLOATS)] = AWKWARD_FLOATS
+    return values
+
+
+def _solution_layout(cells):
+    """The columns of ``solution.csv`` for a ``cells``-shaped grid."""
+    n_times = 9
+    index = np.indices(cells, sparse=True)
+    return (["t", "i", "j"][:1 + len(cells)] + ["value"],
+            [0.125 * np.arange(n_times).reshape((-1,) + (1,) * len(cells))]
+            + [c[None] for c in index] + [_values((n_times,) + cells)])
+
+
+CSV_LAYOUTS = {
+    "0d": _solution_layout((1,)),
+    "1d": _solution_layout((5,)),
+    "2d": _solution_layout((3, 4)),
+    "harnack": (["seed", "member", "ratio", "p", "n_cells", "measure_hash"],
+                [7, np.arange(11), _values(11), 1.5, 64, "0f3a9c"]),
+    "kernel": (["t", "value"], [np.arange(10) / 3.0, _values(10)]),
+}
+
+
+class TestWriteCsv:
+    """``_write_csv`` against the plain row-by-row writer, byte for byte."""
+
+    @staticmethod
+    def reference(header, columns) -> bytes:
+        cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+        rows = zip(*(c.ravel().tolist() for c in cols))
+        lines = [",".join(header) + "\r\n"]
+        lines += [",".join(map(str, row)) + "\r\n" for row in rows]
+        return "".join(lines).encode()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 26, 4096])
+    @pytest.mark.parametrize("layout", sorted(CSV_LAYOUTS))
+    def test_matches_row_writer(self, tmp_path, monkeypatch, layout,
+                                chunk_rows):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        header, columns = CSV_LAYOUTS[layout]
+        cli._write_csv(tmp_path / "out.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == \
+            self.reference(header, columns)
 
 
 class TestMain:

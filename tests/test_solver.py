@@ -78,6 +78,22 @@ class TestRelaxationMode:
         slope = -np.polyfit(np.log([256, 512, 1024, 2048]), np.log(errs), 1)[0]
         assert slope >= 1.0
 
+    @pytest.mark.parametrize("name", ["d03", "d05", "uniform"])
+    def test_history_product_against_triangular_solve(self, measures, name):
+        # with du_i = u_i - u_{i-1} the 0d scheme is the lower-triangular
+        # system (T + lam L1) du = f - lam u0, T[m, i] the lag-(m-i+1)
+        # weight and L1 the all-ones lower triangle
+        from scipy.linalg import solve_triangular, toeplitz
+
+        spec, n, lam, u0, f = measures[name], 512, 1.3, 0.8, 0.25
+        lags = S.conv_weights(spec, n, 1.0 / n)[::-1]
+        system = toeplitz(lags, np.zeros(n)) + lam * np.tril(np.ones((n, n)))
+        du = solve_triangular(system, np.full(n, f - lam * u0), lower=True)
+        exact = u0 + np.cumsum(du)
+        fld = S.solve(spec, S.SpatialGrid(), None, u0, f, 1.0, n, reaction=lam)
+        got = fld.values[1:, 0]
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
     def test_zero_data_zero_solution(self, half):
         fld = S.solve(half, S.SpatialGrid(), None, 0.0, 0.0, 1.0, 64,
                       reaction=1.0)
@@ -218,6 +234,16 @@ class TestAssembly:
                       S.CoefficientField.constant([[1.3, 0.0], [0.0, 0.4]]),
                       u0, 0.2, 0.5, 48)
         assert np.max(np.abs(two.values - one.values[..., None])) <= 1e-12
+
+    def test_callable_dirichlet_sampled_at_every_step(self, half):
+        # u = t solves the problem with g = t, u0 = 0 and f = (1*k)(t); the
+        # product-integration weights are exact for linear u
+        bc = S.BoundaryCondition.dirichlet(lambda t, x: t)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(16,),
+                             boundary=((bc, bc),))
+        fld = S.solve(half, grid, IDENTITY, 0.0,
+                      lambda t, x: one_star_k_eval(half, t), 1.0, 32)
+        assert np.max(np.abs(fld.values - fld.times[:, None])) <= 1e-13
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_time_dependent_field_sampled_at_step_times(self, half, dim):
