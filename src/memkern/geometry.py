@@ -2,9 +2,13 @@
 
 The anomalous space-time scaling of the calculus is carried by the function
 Phi with k1(Phi(r)) = r^-2: a ball of radius r pairs with a time depth
-Phi(r).  Cylinders here are plain boxes (time interval x ball) whose heights
-are set by Phi, and the certificate routines measure the inequalities that
-make the cylinder geometry usable at small radii.
+Phi(r).  ``phi`` solves it for an array of radii at once by Newton on
+log k1 against log x: that function is convex (its second derivative is the
+variance of the order under the weights x^-alpha dmu) and its slope is minus
+the weighted mean order, so the iteration from x = 1 converges without a
+bracketing phase.  Cylinders here are plain boxes (time interval x ball)
+whose heights are set by Phi, and the certificate routines measure the
+inequalities that make the cylinder geometry usable at small radii.
 """
 
 from __future__ import annotations
@@ -49,57 +53,56 @@ class GeometryError(ValueError):
 # the scaling function
 
 
-def _phi_scalar(spec: MeasureSpec, r: float) -> float:
-    if r <= 0.0:
-        raise GeometryError("phi requires r > 0")
-    target = r ** (-2.0)
-
-    def f(log10_x: float) -> float:
-        return power_moment(spec, 10.0 ** log10_x) - target
-
-    lo, hi = -300.0, 300.0
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise GeometryError(
-            f"no bracket for phi({r}): k1 range does not cross {target}")
-    # bisection on the exponent: k1 is strictly decreasing, so this is safe
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
-            break
-    x = 10.0 ** (0.5 * (lo + hi))
-    # Newton polish; k1'(x) = -alpha_power_moment(x)/x
-    for _ in range(3):
-        k1_x = power_moment(spec, x)
-        slope = -alpha_power_moment(spec, x) / x
-        step = (k1_x - target) / slope
-        x_new = x - step
-        if x_new <= 0.0:
-            break
-        x = x_new
-    resid = abs(power_moment(spec, x) * r**2 - 1.0)
-    if resid > 1e-11:
-        raise GeometryError(f"phi root polish failed at r={r}: residual {resid}")
-    return x
+_PHI_LO, _PHI_HI = 1e-300, 1e300
 
 
 def phi(spec: MeasureSpec, r):
-    """Time height Phi(r): the unique solution of ``k1(Phi(r)) = r^-2``."""
+    """Time height Phi(r): the unique solution of ``k1(Phi(r)) = r^-2``.
+
+    Array in, array out; scalar in, float out.  Every radius runs Newton on
+    log k1 against log x from x = 1, clipped to [1e-300, 1e300] and frozen
+    once its step is below 1e-13, so a radius gets the same bits alone or in
+    a batch.
+    """
     require_valid(spec)
-    if isinstance(r, np.ndarray):
-        return np.array([_phi_scalar(spec, float(ri)) for ri in r.ravel()]
-                        ).reshape(r.shape)
-    return _phi_scalar(spec, float(r))
+    r_arr = np.asarray(r, dtype=float)
+    flat = r_arr.ravel()
+    if np.any(flat <= 0.0):
+        raise GeometryError("phi requires r > 0")
+    target = flat ** -2.0
+    k1_lo, k1_hi = power_moment(spec, _PHI_LO), power_moment(spec, _PHI_HI)
+    crossed = (k1_lo > target) & (target > k1_hi)
+    if not np.all(crossed):
+        bad = float(flat[~crossed][0])
+        raise GeometryError(
+            f"no bracket for phi({bad}): k1 range does not cross {bad**-2.0}")
+    # log k1(e^y) is convex with slope minus the weighted mean order, so
+    # Newton from y = 0 moves monotonically to the root once left of it; a
+    # first step from the right can overshoot past x = 0, hence the clip
+    x = np.ones_like(flat)
+    active = np.ones(flat.shape, dtype=bool)
+    for _ in range(64):
+        if not active.any():
+            break
+        xa = x[active]
+        k1_x = power_moment(spec, xa)
+        step = (np.log(k1_x / target[active]) * k1_x
+                / alpha_power_moment(spec, xa))
+        x[active] = np.clip(xa * np.exp(step), _PHI_LO, _PHI_HI)
+        active[active] = np.abs(step) > 1e-13
+    resid = np.abs(power_moment(spec, x) * flat**2 - 1.0)
+    if not np.all(resid <= 1e-11):
+        i = int(np.argmax(~(resid <= 1e-11)))
+        raise GeometryError(
+            f"phi root polish failed at r={flat[i]}: residual {resid[i]}")
+    if np.ndim(r) == 0 and not isinstance(r, np.ndarray):
+        return float(x[0])
+    return x.reshape(r_arr.shape)
 
 
 def phi_bar(spec: MeasureSpec, r):
     """Doubled-radius height ``Phi(2r)``, the natural cylinder time scale."""
-    return phi(spec, 2.0 * np.asarray(r)) if isinstance(r, np.ndarray) \
-        else phi(spec, 2.0 * r)
+    return phi(spec, 2.0 * np.asarray(r))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +222,9 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     r = np.sort(np.asarray(r_grid, dtype=float))
     if r.size == 0 or np.any(r <= 0.0):
         raise GeometryError("need a nonempty positive radius grid")
-    phi2r = np.array([_phi_scalar(spec, 2.0 * ri) for ri in r])
-    log_lhs = np.empty(r.size)
-    for i, (ri, x) in enumerate(zip(r, phi2r)):
-        log_lhs[i] = (_log_lp_norm_p(spec, p, x)
-                      + (p - 1.0) * math.log(x))
+    phi2r = phi(spec, 2.0 * r)
+    log_lhs = np.array([_log_lp_norm_p(spec, p, x) + (p - 1.0) * math.log(x)
+                        for x in phi2r.tolist()])
     log_rhs = 2.0 * p * np.log(r)
     log_ratio = log_lhs - log_rhs
     with np.errstate(over="ignore"):
@@ -251,6 +252,15 @@ def scaling_certificate(spec: MeasureSpec, p: float,
                               log_plateau=log_plateau)
 
 
+def _worst(rel: np.ndarray) -> float:
+    """Largest relative slack, NaN skipped; -inf when none is a number."""
+    return float(np.fmax.reduce(rel.ravel(), initial=-np.inf))
+
+
+def _violations(rel: np.ndarray) -> int:
+    return int(np.sum(~(rel <= 1e-12)))  # NaN counts as a violation
+
+
 @dataclass(frozen=True)
 class PhiLambdaReport:
     worst_rel_slack: float
@@ -269,18 +279,10 @@ def phi_lambda_check(spec: MeasureSpec, r_grid, lambda_grid) -> PhiLambdaReport:
         raise GeometryError("grids must be nonempty")
     if np.any((lam <= 0.0) | (lam > 1.0)):
         raise GeometryError("lambda grid must lie in (0,1]")
-    worst = -np.inf
-    violations = 0
-    for ri in r:
-        phi_r = _phi_scalar(spec, float(ri))
-        for li in lam:
-            lhs = _phi_scalar(spec, float(li * ri))
-            rhs = li**2 * phi_r
-            rel = (lhs - rhs) / rhs
-            worst = max(worst, rel)
-            if not rel <= 1e-12:  # NaN counts as a violation
-                violations += 1
-    return PhiLambdaReport(worst_rel_slack=float(worst), violations=violations)
+    rhs = np.multiply.outer(phi(spec, r), lam**2)
+    rel = (phi(spec, np.multiply.outer(r, lam)) - rhs) / rhs
+    return PhiLambdaReport(worst_rel_slack=_worst(rel),
+                           violations=_violations(rel))
 
 
 @dataclass(frozen=True)
@@ -301,14 +303,7 @@ def phi_lower_bound_check(spec: MeasureSpec, r_grid) -> PhiLowerBoundReport:
         raise GeometryError("radius grid must lie in (0,1)")
     gb = gamma_bar(spec)
     c_mu = min(tail_mass(spec, gb) ** (1.0 / gb), 1.0)
-    worst = -np.inf
-    violations = 0
-    for ri in r:
-        phi_r = _phi_scalar(spec, float(ri))
-        bound = c_mu * float(ri) ** (2.0 / gb)
-        rel = (bound - phi_r) / phi_r
-        worst = max(worst, rel)
-        if not rel <= 1e-12:  # NaN counts as a violation
-            violations += 1
-    return PhiLowerBoundReport(c_mu=float(c_mu), worst_rel_slack=float(worst),
-                               violations=violations)
+    phi_r = phi(spec, r)
+    rel = (c_mu * r ** (2.0 / gb) - phi_r) / phi_r
+    return PhiLowerBoundReport(c_mu=float(c_mu), worst_rel_slack=_worst(rel),
+                               violations=_violations(rel))

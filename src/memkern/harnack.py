@@ -260,10 +260,10 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     centers = grid.centers().reshape(-1, grid.dim)
     x1c = np.atleast_1d(np.asarray(x1, dtype=float))
     dist = np.linalg.norm(centers - x1c, axis=1)
+    rhos = 0.5 ** np.asarray(levels, dtype=float) * r
+    depths = theta * phi_bar(spec, rhos)
     radii, oscs, kept = [], [], []
-    for j in levels:
-        rho_r = 2.0 ** (-j) * r
-        depth = theta * phi_bar(spec, rho_r)
+    for j, rho_r, depth in zip(levels, rhos.tolist(), depths.tolist()):
         # only levels whose cylinder sits inside the computed domain count:
         # positive start time and the ball within the grid extents
         if t1 - depth <= 0.0:

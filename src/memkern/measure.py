@@ -248,9 +248,8 @@ def _power_antiderivative(t, a: float, b: float):
     return np.where(small, series, regular)
 
 
-def power_moment(spec: MeasureSpec, t, shift: float = 0.0,
-                 tail_from: float | None = None):
-    """Exact moment ``integral of t^(shift - alpha) d mu(alpha)``.
+def power_moment(spec: MeasureSpec, t, tail_from: float | None = None):
+    """Exact moment ``integral of t^(-alpha) d mu(alpha)``.
 
     ``tail_from`` restricts integration to orders in [tail_from, 1] (closed
     at the left, so an atom at exactly that level contributes).  Scalar in,
@@ -263,8 +262,7 @@ def power_moment(spec: MeasureSpec, t, shift: float = 0.0,
     for a, q in spec.atoms:
         if q == 0.0 or (tail_from is not None and a < tail_from - 1e-15):
             continue
-        out = out + q * t_arr ** (shift - a)
-    scale = t_arr ** shift if shift != 0.0 else 1.0
+        out = out + q * t_arr ** (-a)
     for a, b, w in spec.pieces():
         if w == 0.0:
             continue
@@ -272,28 +270,24 @@ def power_moment(spec: MeasureSpec, t, shift: float = 0.0,
             a = max(a, tail_from)
             if a >= b:
                 continue
-        out = out + w * scale * _power_antiderivative(t_arr, a, b)
+        out = out + w * _power_antiderivative(t_arr, a, b)
     return out if isinstance(t, np.ndarray) else float(out)
 
 
-def alpha_power_moment(spec: MeasureSpec, t, tail_from: float | None = None):
+def alpha_power_moment(spec: MeasureSpec, t):
     """Exact moment ``integral of alpha * t^(-alpha) d mu(alpha)``."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
         raise MeasureError("power moments require t > 0")
     out = np.zeros_like(t_arr)
     for a, q in spec.atoms:
-        if q == 0.0 or (tail_from is not None and a < tail_from - 1e-15):
+        if q == 0.0:
             continue
         out = out + q * a * t_arr ** (-a)
     m = -np.log(t_arr)  # integrand is alpha * exp(alpha * m)
     for a, b, w in spec.pieces():
         if w == 0.0:
             continue
-        if tail_from is not None:
-            a = max(a, tail_from)
-            if a >= b:
-                continue
         # the exact antiderivative cancels catastrophically as m -> 0; the
         # quartic series keeps ~1e-12 relative accuracy up to the switch
         small = np.abs(m) < 1e-3

@@ -8,6 +8,22 @@ from memkern.measure import MeasureSpec, power_moment
 from memkern import geometry as G
 
 
+# the order extremes, and a mixture whose log k1 bends so sharply that an
+# unclipped Newton step from x = 1 lands on x = 0
+EXTREMES = (
+    MeasureSpec.single_order(0.01),
+    MeasureSpec.single_order(0.99),
+    MeasureSpec.from_atoms([(0.01, 0.99), (0.99, 0.01)]),
+)
+
+
+def in_bracket(spec, r):
+    """Radii whose Phi lies in [1e-300, 1e300]."""
+    target = np.asarray(r) ** -2.0
+    return ((power_moment(spec, 1e-300) > target)
+            & (target > power_moment(spec, 1e300)))
+
+
 class TestPhi:
     def test_single_order_closed_form(self, half):
         assert G.phi(half, 2.0) == pytest.approx(16.0, rel=1e-12)
@@ -17,14 +33,26 @@ class TestPhi:
         assert np.max(np.abs(got - r**4) / r**4) <= 1e-8
 
     def test_unit_mass_fixed_point(self, measures):
-        for spec in measures.values():
+        for spec in [*measures.values(), *EXTREMES]:
             assert G.phi(spec, 1.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_fixed_point_twelve_decades(self, measures):
-        for spec in measures.values():
+        for spec in [*measures.values(), *EXTREMES]:
             for r in np.logspace(-11, 1, 13):
+                if not in_bracket(spec, r):  # order 0.01 below r = 0.03
+                    with pytest.raises(G.GeometryError):
+                        G.phi(spec, float(r))
+                    continue
                 x = G.phi(spec, float(r))
                 assert abs(power_moment(spec, x) * r * r - 1.0) <= 1e-12
+
+    def test_batch_equals_scalar(self, measures):
+        r = np.logspace(-11, 1, 25)
+        for spec in [*measures.values(), *EXTREMES]:
+            r_ok = r[in_bracket(spec, r)]
+            batch = G.phi(spec, r_ok)
+            for i in range(r_ok.size):
+                assert batch[i] == G.phi(spec, float(r_ok[i]))
 
     def test_strictly_increasing(self, measures):
         r = np.logspace(-3, 1, 50)
@@ -165,7 +193,8 @@ class TestPhiChecks:
         assert rep.worst_rel_slack < -1e-3  # strictly inside the bound
 
     def test_nan_counts_as_violation(self, half, monkeypatch):
-        monkeypatch.setattr(G, "_phi_scalar", lambda spec, r: math.nan)
+        monkeypatch.setattr(G, "phi",
+                            lambda spec, r: np.full(np.shape(r), math.nan))
         assert G.phi_lambda_check(half, [0.5], [0.5, 1.0]).violations == 2
         assert G.phi_lower_bound_check(half, [0.5]).violations == 1
 
