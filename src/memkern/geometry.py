@@ -14,6 +14,7 @@ inequalities that make the cylinder geometry usable at small radii.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .measure import (
     require_valid,
     tail_mass,
 )
-from .kernels import _gauss_panels, l_eval
+from .kernels import _gauss_panels, _l_dyadic_walk
 
 __all__ = [
     "GeometryError",
@@ -169,24 +170,30 @@ def _log_lp_norm_p(spec: MeasureSpec, p: float, upper: float) -> float:
 
     The integrand blows up like s^(p*(gamma_bar-1)) at zero but stays
     integrable for admissible p; panels j = 0, 1, ... on (upper/2^(j+1),
-    upper/2^j] refine toward zero until the running total stabilizes, eight
-    per ``l_eval`` call so that one Laplace-plane node set serves 128 times.
-    Near zero the panels shrink geometrically, so the rest past the last one
-    is taken as the geometric series of the last two.
+    upper/2^j] refine toward zero until a panel adds less than 1e-10 of the
+    running total, or 400 panels are taken.  They come in chunks of eight:
+    chunk c is chunk 0 scaled by 2^(-8c), so one kernel block of
+    ``kernels._l_dyadic_walk`` gives l on every chunk.  Near zero the panels
+    shrink geometrically, so the rest past the last one is taken as the
+    geometric series of the last two; a ratio outside (0, 1) raises.
     """
-    total = prev = 0.0
-    for first in range(0, 400, 8):
-        # panel j = first + i is row 7 - i of the ascending edges
-        s, w = _gauss_panels(upper * 0.5 ** np.arange(first + 8, first - 1, -1),
-                             16)
-        pieces = (np.asarray(l_eval(spec, s)) ** p * w).sum(axis=1)[::-1]
-        for j, piece in enumerate(pieces.tolist(), start=first):
-            total += piece
-            if j >= 20 and piece < 1e-10 * total:
-                q = piece / prev
-                return math.log(total + piece * q / (1.0 - q))
-            prev = piece
-    return math.log(total)
+    # panel j = i of a chunk is row 7 - i of the ascending edges
+    s, w = _gauss_panels(upper * 0.5 ** np.arange(8, -1, -1), 16)
+    walk = _l_dyadic_walk(spec, s.ravel(), 8)
+    pieces = itertools.chain.from_iterable(
+        (next(walk).reshape(s.shape) ** p * np.ldexp(w, -first))
+        .sum(axis=1)[::-1].tolist() for first in range(0, 400, 8))
+    total = prev = piece = 0.0
+    for j, x in enumerate(pieces):
+        prev, piece = piece, x
+        total += piece
+        if j >= 20 and piece < 1e-10 * total:
+            break
+    q = piece / prev
+    if not 0.0 < q < 1.0:
+        raise GeometryError(
+            f"Lp walk to {upper}: last panel ratio {q} is not in (0, 1)")
+    return math.log(total + piece * q / (1.0 - q))
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,22 @@ only exist through a real-axis inversion integral
     H_theta(p) = S / (S^2 + (theta + C)^2),
     S = int p^a sin(pi a) dmu,  C = int p^a cos(pi a) dmu,
 
-summed over Gauss-Legendre nodes on dyadic panels in p, with H_theta
-evaluated once for every requested time and running integral.  The panels
-extend right until the exponential (or the algebraic tail of a running
-integral) has decayed and left until the blow-up of H near p = 0 (exponent =
-lowest support point of the measure) has decayed below round-off, so the
-scheme is spectrally accurate for every admissible measure; a measure whose
-support reaches too close to order one makes the left tail undecidable in
-double precision and raises ``KernelQuadratureError``.  ``_gauss_panels``
-places the nodes of both sums, and of the dyadic panels of ``volterra`` and
-``geometry``.
+summed over Gauss-Legendre nodes on dyadic panels in p (``_node_table``,
+which evaluates H_theta once per call).  The panels extend right until the
+exponential (or the algebraic tail of a running integral) has decayed and
+left until the blow-up of H near p = 0 (exponent = lowest support point of
+the measure) has decayed below round-off, so the scheme is spectrally
+accurate for every admissible measure; a measure whose support reaches too
+close to order one makes the left tail undecidable in double precision and
+raises ``KernelQuadratureError``.  A time contracts only the band of nodes
+where its kernel varies, 2^-60 <= p*t <= 2^10: left of it the kernel is
+constant in double, right of it exp(-p*t) is 0 and the kernels of the
+running integrals are polynomials in 1/(p*t), so those nodes enter exactly
+through prefix sums and suffix moments of the weights.  On dyadic panels,
+scaling t by 2^-m and p by 2^m leaves p*t the same bits, so the Lp walk of
+``geometry`` reuses one kernel block for all of its chunks.
+``_gauss_panels`` places the nodes of both sums, and of the dyadic panels of
+``volterra`` and ``geometry``.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ _GL_NODES_PER_PANEL = 24
 _MAX_LEFT_PANELS = 880
 _DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
 _TILE_ENTRIES = 2**15  # times x nodes per matvec tile: 256 KB of doubles
+_TILE_SPAN = 8  # log2 of the widest t ratio in one inversion tile
 _SMALL_T_FLOOR = 1e-8  # fraction of the horizon below which samples are refused
 
 
@@ -241,14 +248,49 @@ def _depth_kernels(u: np.ndarray, depths) -> list[np.ndarray]:
     return [g[d] for d in depths]
 
 
+def _panel_range(spec: MeasureSpec, t_min: float, t_max: float,
+                 max_depth: int) -> tuple[int, int]:
+    """Dyadic panels [2^k, 2^(k+1)], k_lo <= k < k_hi, that put u = p*t over
+    [2^-L, 2^(R+1)] for every t in [t_min, t_max] (2^10 for depth 0 alone:
+    exp(-u) is 0 beyond)."""
+    n_left, n_right = _tail_panels(spec)
+    u_right = _DEPTH0_RIGHT if max_depth == 0 else n_right + 1
+    # p reaches 2^-L for any t: once t < 2^-L, u >= 2^-L alone cuts at
+    # p > 1, dropping 2^(-L (1 - a_high)) of l (all of it as a_high -> 1)
+    return (math.floor(-n_left - max(math.log2(t_max), 0.0)),
+            math.ceil(u_right - math.log2(t_min)))
+
+
+def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes p of the Gauss-Legendre panels [2^k, 2^(k+1)], k_lo <= k < k_hi,
+    ascending, and their weights times H_theta(p)/pi.
+
+    The nodes of panel k + m are those of panel k times 2^m, bit for bit.
+    """
+    p, w = (a.ravel() for a in _gauss_panels(
+        np.ldexp(1.0, np.arange(k_lo, k_hi + 1)), _GL_NODES_PER_PANEL))
+    return p, w * h_laplace_eval(spec, p, theta)[0] / math.pi
+
+
+def _band(p: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """Index range [b, e) of the ascending nodes p where g_d(p*t) varies for
+    some t in [t_lo, t_hi]: left of it u = p*t < 2^-60 and g_d(u) is 1/d!
+    in double, right of it u >= 2^10 and exp(-u) is 0."""
+    return np.searchsorted(p, (2.0**-60 / t_hi, 2.0**_DEPTH0_RIGHT / t_lo))
+
+
 def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
     """Iterated integrals of r_theta at t, one list entry per requested depth.
 
     Depth d is ``(1^d * r_theta)(t) = t^d/pi * int g_d(p t) H_theta(p) dp``,
-    summed over one set of Gauss-Legendre nodes on dyadic panels in p that
-    puts u = p*t over [2^-L, 2^(R+1)] for every t (2^10 for depth 0 alone:
-    exp(-u) is 0 beyond), with H_theta evaluated once on it.  An array t
-    gives arrays of its shape; anything else gives floats.
+    summed over one ``_node_table`` for all of t.  The times are sorted into
+    tiles, and a tile is contracted only against its band of nodes with
+    2^-60 <= u = p*t <= 2^10 for all of its times.  Left of the band g_d is
+    1/d! in double, so those nodes enter as one prefix sum of the weights;
+    right of it exp(-u) is 0 and g_d = sum_j (-1)^(j-1) u^-j / (d-j)!, so
+    they enter as the suffix moments sum c*p^-j, j = 1..d.  An array t gives
+    arrays of its shape; anything else gives floats.
     """
     require_valid(spec)
     if theta < 0.0:
@@ -257,28 +299,63 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
     t_flat = t_arr.ravel()
     out = np.empty((len(depths), t_flat.size))
     if t_flat.size:
-        n_left, n_right = _tail_panels(spec)
-        u_right = _DEPTH0_RIGHT if max(depths) == 0 else n_right + 1
-        # p reaches 2^-L for any t: once t < 2^-L, u >= 2^-L alone cuts at
-        # p > 1, dropping 2^(-L (1 - a_high)) of l (all of it as a_high -> 1)
-        edges = np.ldexp(1.0, np.arange(
-            math.floor(-n_left - max(math.log2(t_flat.max()), 0.0)),
-            math.ceil(u_right - math.log2(t_flat.min())) + 1))
-        p, w = (a.ravel() for a in _gauss_panels(edges, _GL_NODES_PER_PANEL))
-        coeff = w * h_laplace_eval(spec, p, theta)[0] / math.pi
-        # where u < 2^-60 for every t, g_d(u) is 1/d! in double: sum once
-        flat = np.searchsorted(p, 2.0**-60 / t_flat.max())
-        head, p, coeff = coeff[:flat].sum(), p[flat:], coeff[flat:]
-        rows = max(1, _TILE_ENTRIES // p.size)
-        for lo in range(0, t_flat.size, rows):
-            tt = t_flat[lo:lo + rows]
-            g = _depth_kernels(np.multiply.outer(tt, p), depths)
+        order = np.argsort(t_flat)
+        ts = t_flat[order]
+        p, coeff = _node_table(spec, theta, *_panel_range(
+            spec, ts[0], ts[-1], max(depths)))
+        left = np.concatenate(([0.0], np.cumsum(coeff)))
+        moments, right = coeff, []
+        for _ in range(max(depths)):
+            moments = moments / p
+            right.append(np.append(np.cumsum(moments[::-1])[::-1], 0.0))
+        vals = np.empty_like(out)
+        lo = 0
+        while lo < ts.size:
+            # a tile spans at most 2^_TILE_SPAN in t, so its band is at most
+            # that many panels wider than the band of its first time alone
+            t_end = ts[lo] * 2.0**_TILE_SPAN
+            b, e = _band(p, ts[lo], t_end)
+            hi = min(lo + max(1, _TILE_ENTRIES // max(e - b, 1)),
+                     np.searchsorted(ts, t_end, "right"))
+            tt = ts[lo:hi]
+            b, e = _band(p, tt[0], tt[-1])
+            g = _depth_kernels(np.multiply.outer(tt, p[b:e]), depths)
             for i, d in enumerate(depths):
-                out[i, lo:lo + rows] = tt**d * (
-                    g[i] @ coeff + head / math.factorial(d))
+                vals[i, lo:hi] = tt**d * (
+                    g[i] @ coeff[b:e] + left[b] / math.factorial(d))
+                for j in range(1, d + 1):
+                    vals[i, lo:hi] += ((-1) ** (j - 1) * right[j - 1][e]
+                                       / math.factorial(d - j)) * tt**(d - j)
+            lo = hi
+        out[:, order] = vals
     if isinstance(t, np.ndarray):
         return [row.reshape(t_arr.shape) for row in out]
     return [float(row[0]) for row in out]
+
+
+def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int):
+    """Yield l at s * 2^(-m c) for c = 0, 1, 2, ..., one array per c.
+
+    Scaling s by 2^(-m c) and the nodes by 2^(m c) (panel k -> k + m c)
+    leaves every u = p*s the same bits, so one block exp(-outer(s, p)) over
+    the band 2^-60 <= u <= 2^10 serves every c.  Step c contracts it against
+    the band's weights shifted m panels right: nodes leaving on the left join
+    the head sum, and H_theta is evaluated on m new panels only.  s must stay
+    a normal double.
+    """
+    k_lo, k_hi = _panel_range(spec, s.min(), s.max(), 0)
+    p, coeff = _node_table(spec, 0.0, k_lo, k_hi)
+    band = _band(p, s.min(), s.max())[0]
+    head, coeff = coeff[:band].sum(), coeff[band:]
+    block = np.multiply.outer(-s, p[band:])
+    np.exp(block, out=block)
+    shift = m * _GL_NODES_PER_PANEL
+    while True:
+        yield block @ coeff + head
+        head += coeff[:shift].sum()
+        coeff = np.concatenate(
+            (coeff[shift:], _node_table(spec, 0.0, k_hi, k_hi + m)[1]))
+        k_hi += m
 
 
 def l_eval(spec: MeasureSpec, t):

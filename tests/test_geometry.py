@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -126,7 +127,10 @@ class TestScalingCertificate:
     def test_single_order_lp_norm_closed_form(self):
         # l = s^(a-1)/Gamma(a): int_0^X l^p ds = X^e / (e Gamma(a)^p),
         # e = p(a-1) + 1; log_lhs adds (p-1) log X
-        for alpha, p in ((0.3, 1.2), (0.55, 1.6), (0.7, 2.5)):
+        # the last two cases run to the 400-panel cap, where the rest is
+        # the geometric series of the last two panels as well
+        for alpha, p in ((0.3, 1.2), (0.55, 1.6), (0.7, 2.5), (0.5, 1.9),
+                         (0.3, 1.35)):
             spec = MeasureSpec.single_order(alpha)
             sc = G.scaling_certificate(spec, p, np.logspace(-3, -0.35, 8))
             e = p * (alpha - 1.0) + 1.0
@@ -134,6 +138,46 @@ class TestScalingCertificate:
             exact = (e * np.log(x) - math.log(e) - p * math.lgamma(alpha)
                      + (p - 1.0) * np.log(x))
             assert np.max(np.abs(np.expm1(sc.log_lhs - exact))) <= 1e-12
+
+    def test_lp_walk_matches_per_chunk_inversion(self, measures):
+        # the walk contracts one kernel block for every chunk of 8 panels,
+        # relying on chunk c being chunk 0 scaled by 2^(-8c) in s and the
+        # dyadic p nodes scaled by 2^(8c); here each chunk inverts l afresh
+        from memkern.kernels import _gauss_panels, l_eval
+        from memkern.measure import gamma_bar
+
+        def reference(spec, p, upper):
+            total = prev = piece = 0.0
+            for first in range(0, 400, 8):
+                s, w = _gauss_panels(
+                    upper * 0.5 ** np.arange(first + 8, first - 1, -1), 16)
+                pieces = (np.asarray(l_eval(spec, s)) ** p * w).sum(axis=1)
+                for j, x in enumerate(pieces[::-1].tolist(), start=first):
+                    prev, piece = piece, x
+                    total += piece
+                    if j >= 20 and piece < 1e-10 * total:
+                        q = piece / prev
+                        return math.log(total + piece * q / (1.0 - q))
+            q = piece / prev
+            return math.log(total + piece * q / (1.0 - q))
+
+        for name, spec in measures.items():
+            p = 0.5 * (1 + 1 / (1 - gamma_bar(spec)))
+            sc = G.scaling_certificate(spec, p, [1e-3, 0.03, 0.4])
+            ref = np.array([reference(spec, p, x) + (p - 1.0) * math.log(x)
+                            for x in sc.phi_2r])
+            assert np.max(np.abs(sc.log_lhs - ref) / np.abs(ref)) <= 1e-13, name
+
+    def test_lp_walk_without_geometric_rest_raises(self, half, monkeypatch):
+        # with l = s^-1.5 the panels grow by 2^0.5 toward zero, so the walk
+        # runs to its panel cap and has no geometric rest to add
+        def walk(spec, s, m):
+            for c in itertools.count():
+                yield np.ldexp(s, -m * c) ** -1.5
+
+        monkeypatch.setattr(G, "_l_dyadic_walk", walk)
+        with pytest.raises(G.GeometryError):
+            G.scaling_certificate(half, 1.0, [0.1])
 
     def test_ratio_finite_all_measures(self, measures):
         from memkern.measure import gamma_bar

@@ -168,6 +168,23 @@ class TestSoninePartnerEval:
             batch = np.asarray(K.l_eval(spec, t))
             single = np.array([K.l_eval(spec, float(ti)) for ti in t])
             assert np.max(np.abs(batch - single) / single) <= 1e-13, name
+        # the inversion sorts the times into tiles, contracts each against
+        # its band of nodes and folds the nodes on both sides in exactly;
+        # the results must land back in input order, duplicates included
+        rng = np.random.default_rng(11)
+        base = np.geomspace(1e-12, 10.0, 41)
+        t = rng.permutation(np.concatenate((base, base[::3], [10.0, 1e-12])))
+        for name, spec in measures.items():
+            batch = np.asarray(K.l_eval(spec, t))
+            single = np.array([K.l_eval(spec, float(ti)) for ti in t])
+            assert np.max(np.abs(batch - single) / single) <= 1e-13, name
+            for theta in (0.0, 4.0):
+                batch = K.resolvent_tables(spec, t, theta)
+                single = np.array([K.resolvent_tables(spec, t[i:i + 1], theta)
+                                   for i in range(t.size)])[..., 0].T
+                for d in range(4):
+                    rel = np.abs(batch[d] - single[d]) / single[d]
+                    assert np.max(rel) <= 1e-13, (name, theta, d)
 
     def test_uniform_weight_closed_form(self, measures):
         # H_theta = pi/(p+1) for the unit weight on (0,1), so l = e^t E1(t);
