@@ -20,13 +20,20 @@ left until the blow-up of H near p = 0 (exponent = lowest support point of
 the measure) has decayed below round-off, so the scheme is spectrally
 accurate for every admissible measure; a measure whose support reaches too
 close to order one makes the left tail undecidable in double precision and
-raises ``KernelQuadratureError``.  A time contracts only the band of nodes
-where its kernel varies, 2^-60 <= p*t <= 2^10: left of it the kernel is
-constant in double, right of it exp(-p*t) is 0 and the kernels of the
-running integrals are polynomials in 1/(p*t), so those nodes enter exactly
-through prefix sums and suffix moments of the weights.  On dyadic panels,
-scaling t by 2^-m and p by 2^m leaves p*t the same bits, so the Lp walk of
-``geometry`` reuses one kernel block for all of its chunks.
+raises ``KernelQuadratureError``.  A block of times contracts only the band
+of nodes where its kernel varies.  For r_theta itself (``_exp_sums``) that
+is 2^-10 <= p*t <= 2^10: right of it exp(-p*t) is 0, left of it it is its
+degree-5 Taylor polynomial, so those nodes enter through the block's
+moments of the weights.  The running integrals (``_running_sums``) take
+2^-60 <= p*t <= 2^10, with a prefix sum on the left and, since their
+kernels are polynomials in 1/(p*t) there, suffix moments on the right.
+The sampled r_theta and l of ``volterra`` come from one ``_exp_sums`` over
+several weight vectors: the samples, and per-node cell factors (integrals
+of exp(-p s) over one step) for the cell mass, first moment and bubble, so
+no cell table is a difference of running integrals; the first cell is a
+plain sum over the node table.  On dyadic panels, scaling t by 2^-m and p
+by 2^m leaves p*t the same bits, so the Lp walk of ``geometry`` reuses one
+kernel block for all of its chunks.
 ``_gauss_panels`` places the nodes of both sums, and of the dyadic panels of
 ``volterra`` and ``geometry``.
 """
@@ -75,6 +82,11 @@ _MAX_LEFT_PANELS = 880
 _DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
 _TILE_ENTRIES = 2**15  # times x nodes per matvec tile: 256 KB of doubles
 _TILE_SPAN = 8  # log2 of the widest t ratio in one inversion tile
+_HEAD_U = 2.0**-60  # below u = p*t every g_d(u) is 1/d! in double
+_TAYLOR_U = 2.0**-10  # below it exp(-u) is its Taylor polynomial in double
+_TAYLOR_DEGREE = 5  # (2^-10)^6 / 6! < 2^-69
+_CELL_SERIES_V = 1.5  # _cell_factors sums series below this v = p*tau
+_CELL_SERIES_TERMS = 24  # 1.5^24 / 25! < 1e-20
 _SMALL_T_FLOOR = 1e-8  # fraction of the horizon below which samples are refused
 
 
@@ -226,25 +238,30 @@ def _tail_panels(spec: MeasureSpec) -> tuple[int, int]:
 
 
 def _depth_kernels(u: np.ndarray, depths) -> list[np.ndarray]:
-    """g_d(u), u = p*t, of the d-fold running integrals of exp(-p t).
+    """g_d(u) = sum_k (-u)^k / (k+d)!, u = p*t, of the d-fold running integrals
+    of exp(-p t), for depths d >= 1.
 
-    g_0 = exp(-u), g_1 = (1 - exp(-u))/u and g_d = (1/(d-1)! - g_(d-1))/u,
-    so no power of a large u (past 2^600 for orders near zero) overflows;
-    below u = 1e-3, where that recursion cancels, a series takes over.
+    From u = 1 on, g_1 = (1 - exp(-u))/u and g_d = (1/(d-1)! - g_(d-1))/u,
+    so no power of a large u (past 2^600 for orders near zero) overflows.
+    Below u = 1, where that recursion cancels, the top depth is its 18-term
+    series and the lower ones follow from g_(d-1) = 1/(d-1)! - u*g_d, which
+    loses nothing there; g_1 keeps its expm1 form throughout.
     """
-    g = {}
-    if 0 in depths:
-        g[0] = np.exp(-u)
-    if max(depths) > 0:
-        r = 1.0 / u
-        g[1] = -np.expm1(-u) * r
-        small = u < 1e-3
+    top = max(depths)
+    fact = math.factorial
+    r = 1.0 / u
+    g = {1: -np.expm1(-u) * r}
+    for d in range(2, top + 1):
+        g[d] = r * (1.0 / fact(d - 1) - g[d - 1])
+    if top > 1:
+        small = u < 1.0
         us = u[small]
-        fact = math.factorial
-        for d in range(2, max(depths) + 1):
-            g[d] = r * (1.0 / fact(d - 1) - g[d - 1])
-            g[d][small] = (1.0 / fact(d) - us / fact(d + 1)
-                           + us**2 / fact(d + 2))
+        series = np.full_like(us, 1.0 / fact(top + 17))
+        for k in range(16, -1, -1):
+            series = 1.0 / fact(top + k) - us * series
+        for d in range(top, 1, -1):
+            g[d][small] = series
+            series = 1.0 / fact(d - 1) - us * series
     return [g[d] for d in depths]
 
 
@@ -273,24 +290,99 @@ def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
     return p, w * h_laplace_eval(spec, p, theta)[0] / math.pi
 
 
-def _band(p: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
-    """Index range [b, e) of the ascending nodes p where g_d(p*t) varies for
-    some t in [t_lo, t_hi]: left of it u = p*t < 2^-60 and g_d(u) is 1/d!
-    in double, right of it u >= 2^10 and exp(-u) is 0."""
-    return np.searchsorted(p, (2.0**-60 / t_hi, 2.0**_DEPTH0_RIGHT / t_lo))
+def _band(p: np.ndarray, t_lo: float, t_hi: float,
+          u_left: float = _HEAD_U) -> np.ndarray:
+    """Index range [b, e) of the ascending nodes p with u_left <= p*t for
+    every t in [t_lo, t_hi] and p*t < 2^10 for some: right of it exp(-u) is
+    0 in double."""
+    return np.searchsorted(p, (u_left / t_hi, 2.0**_DEPTH0_RIGHT / t_lo))
+
+
+def _tiles(p: np.ndarray, ts: np.ndarray, u_left: float):
+    """Yield (lo, hi, b, e): the ascending times ts[lo:hi] of one tile and
+    its ``_band`` p[b:e].  A tile holds at most ``_TILE_ENTRIES`` entries
+    and spans at most 2^_TILE_SPAN in t, so its band is at most that many
+    panels wider than the band of its first time alone."""
+    lo = 0
+    while lo < ts.size:
+        t_end = ts[lo] * 2.0**_TILE_SPAN
+        b, e = _band(p, ts[lo], t_end, u_left)
+        hi = min(lo + max(1, _TILE_ENTRIES // max(e - b, 1)),
+                 int(np.searchsorted(ts, t_end, "right")))
+        yield (lo, hi, *_band(p, ts[lo], ts[hi - 1], u_left))
+        lo = hi
+
+
+def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
+              ) -> np.ndarray:
+    """``sum_q weights[q] * exp(-p_q t)`` at the ascending times ts, one
+    column per column of weights (shape (nodes, k)).
+
+    A tile contracts one block exp(-outer(t, p)) over its band
+    2^-10 <= p*t < 2^10 against every column at once; right of the band the
+    exponential is 0.  Left of it exp(-u) is its degree-5 Taylor polynomial
+    to round-off, so those nodes enter through the tile's moments
+    ``sum W (p t_hi)^j / j!``, scaled by its largest time t_hi so that no
+    power of p overflows; below u = 2^-60 a prefix sum of the weights alone
+    covers them.
+    """
+    prefix = np.cumsum(np.vstack((np.zeros(weights.shape[1]), weights)),
+                       axis=0)
+    out = np.empty((ts.size, weights.shape[1]))
+    inverse_j = 1.0 / np.arange(1, _TAYLOR_DEGREE + 1)
+    for lo, hi, b, e in _tiles(p, ts, _TAYLOR_U):
+        tt = ts[lo:hi]
+        block = np.multiply.outer(-tt, p[b:e])
+        np.exp(block, out=block)
+        head = int(np.searchsorted(p, _HEAD_U / tt[-1]))
+        x = np.ones((_TAYLOR_DEGREE + 1, b - head))
+        x[1:] = np.multiply.outer(inverse_j, p[head:b] * tt[-1])
+        x = x.cumprod(axis=0)  # row j holds (p t_hi)^j / j!
+        taylor = np.ones((hi - lo, _TAYLOR_DEGREE + 1))
+        taylor[:, 1:] = (-tt / tt[-1])[:, None]
+        taylor = taylor.cumprod(axis=1)  # column j holds (-t/t_hi)^j
+        out[lo:hi] = block @ weights[b:e] + (
+            taylor @ (x @ weights[head:b]) + prefix[head])
+    return out
+
+
+def _running_sums(p: np.ndarray, coeff: np.ndarray, ts: np.ndarray, depths
+                  ) -> np.ndarray:
+    """``(1^d * r)(t) = t^d * sum_q coeff_q g_d(p_q t)`` for depths d >= 1 at
+    the ascending times ts, one row per depth.
+
+    A tile contracts ``_depth_kernels`` over its band 2^-60 <= p*t < 2^10.
+    Left of the band g_d is 1/d! in double, so those nodes enter as one
+    prefix sum of the weights; right of it exp(-u) is 0 and
+    g_d = sum_j (-1)^(j-1) u^-j / (d-j)!, so they enter as the suffix
+    moments sum c*p^-j, j = 1..d.
+    """
+    left = np.concatenate(([0.0], np.cumsum(coeff)))
+    moments, right = coeff, []
+    for _ in range(max(depths)):
+        moments = moments / p
+        right.append(np.append(np.cumsum(moments[::-1])[::-1], 0.0))
+    vals = np.empty((len(depths), ts.size))
+    for lo, hi, b, e in _tiles(p, ts, _HEAD_U):
+        tt = ts[lo:hi]
+        g = _depth_kernels(np.multiply.outer(tt, p[b:e]), depths)
+        for i, d in enumerate(depths):
+            vals[i, lo:hi] = tt**d * (
+                g[i] @ coeff[b:e] + left[b] / math.factorial(d))
+            for j in range(1, d + 1):
+                vals[i, lo:hi] += ((-1) ** (j - 1) * right[j - 1][e]
+                                   / math.factorial(d - j)) * tt**(d - j)
+    return vals
 
 
 def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
     """Iterated integrals of r_theta at t, one list entry per requested depth.
 
     Depth d is ``(1^d * r_theta)(t) = t^d/pi * int g_d(p t) H_theta(p) dp``,
-    summed over one ``_node_table`` for all of t.  The times are sorted into
-    tiles, and a tile is contracted only against its band of nodes with
-    2^-60 <= u = p*t <= 2^10 for all of its times.  Left of the band g_d is
-    1/d! in double, so those nodes enter as one prefix sum of the weights;
-    right of it exp(-u) is 0 and g_d = sum_j (-1)^(j-1) u^-j / (d-j)!, so
-    they enter as the suffix moments sum c*p^-j, j = 1..d.  An array t gives
-    arrays of its shape; anything else gives floats.
+    summed over one ``_node_table`` for all of t: depth 0 by ``_exp_sums``,
+    the running integrals by ``_running_sums``.  Both sort the times into
+    tiles and contract each tile against its band of nodes only.  An array
+    t gives arrays of its shape; anything else gives floats.
     """
     require_valid(spec)
     if theta < 0.0:
@@ -303,34 +395,77 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
         ts = t_flat[order]
         p, coeff = _node_table(spec, theta, *_panel_range(
             spec, ts[0], ts[-1], max(depths)))
-        left = np.concatenate(([0.0], np.cumsum(coeff)))
-        moments, right = coeff, []
-        for _ in range(max(depths)):
-            moments = moments / p
-            right.append(np.append(np.cumsum(moments[::-1])[::-1], 0.0))
         vals = np.empty_like(out)
-        lo = 0
-        while lo < ts.size:
-            # a tile spans at most 2^_TILE_SPAN in t, so its band is at most
-            # that many panels wider than the band of its first time alone
-            t_end = ts[lo] * 2.0**_TILE_SPAN
-            b, e = _band(p, ts[lo], t_end)
-            hi = min(lo + max(1, _TILE_ENTRIES // max(e - b, 1)),
-                     np.searchsorted(ts, t_end, "right"))
-            tt = ts[lo:hi]
-            b, e = _band(p, tt[0], tt[-1])
-            g = _depth_kernels(np.multiply.outer(tt, p[b:e]), depths)
-            for i, d in enumerate(depths):
-                vals[i, lo:hi] = tt**d * (
-                    g[i] @ coeff[b:e] + left[b] / math.factorial(d))
-                for j in range(1, d + 1):
-                    vals[i, lo:hi] += ((-1) ** (j - 1) * right[j - 1][e]
-                                       / math.factorial(d - j)) * tt**(d - j)
-            lo = hi
+        running = [i for i, d in enumerate(depths) if d > 0]
+        if running:
+            vals[running] = _running_sums(p, coeff, ts,
+                                          [depths[i] for i in running])
+        if 0 in depths:
+            vals[depths.index(0)] = _exp_sums(p, coeff[:, None], ts)[:, 0]
         out[:, order] = vals
     if isinstance(t, np.ndarray):
         return [row.reshape(t_arr.shape) for row in out]
     return [float(row[0]) for row in out]
+
+
+def _cell_factors(v: np.ndarray) -> np.ndarray:
+    """Rows phi_0, phi_1, phi_2 at v = p*tau, the cell integrals
+    ``int_0^1 w(x) exp(-v x) dx`` of w = 1, x and x(1 - x):
+
+        phi_0 = (1 - e^-v)/v,  phi_1 = (1 - (1+v) e^-v)/v^2,
+        phi_2 = ((v-2) + (v+2) e^-v)/v^3.
+
+    From v = 1.5 on they follow from phi_1 = (phi_0 - e^-v)/v and
+    phi_2 = ((v-2) phi_1 + e^-v)/v, which form no power of v; below, where
+    those cancel, each is its series, with coefficients 1/(k+1)!,
+    (k+1)/(k+2)! and (k+1)/(k+3)! of (-v)^k.
+    """
+    out = np.empty((3, v.size))
+    small = v < _CELL_SERIES_V
+    vb = v[~small]
+    ev = np.exp(-vb)
+    out[0, ~small] = -np.expm1(-vb) / vb
+    out[1, ~small] = (out[0, ~small] - ev) / vb
+    out[2, ~small] = ((vb - 2.0) * out[1, ~small] + ev) / vb
+    vs = v[small]
+    fact = math.factorial
+    for row, coeff in enumerate((lambda k: 1.0 / fact(k + 1),
+                                 lambda k: (k + 1) / fact(k + 2),
+                                 lambda k: (k + 1) / fact(k + 3))):
+        acc = np.zeros_like(vs)
+        for k in range(_CELL_SERIES_TERMS - 1, -1, -1):
+            acc = coeff(k) - vs * acc
+        out[row, small] = acc
+    return out
+
+
+def _resolvent_cells(spec: MeasureSpec, step: float, n: int, theta: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """r_theta at t_j = j*step, j = 1..n, and its cell integrals
+    ``int r``, ``int s r`` and ``int (s - t_(m-1))(t_m - s) r`` over each
+    cell (t_(m-1), t_m].
+
+    With r = sum c exp(-p s), cell m is ``sum c exp(-p t_(m-1)) W(p)`` for
+    the per-node cell factors W = tau phi_0, tau^2 phi_1 (plus t_(m-1) times
+    the mass) and tau^3 phi_2 of ``_cell_factors``: every term is
+    nonnegative, so nothing cancels.  The samples and the cells m >= 2 are
+    one ``_exp_sums`` over the grid; the first cell (t_0 = 0) is the plain
+    sum of the factors over the node table, which reaches far enough right
+    for the running integrals.
+    """
+    require_valid(spec)
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    t = _as_time_array(step * np.arange(1, n + 1))
+    if t.size < 2:
+        raise GridMismatchError("need at least 2 samples on one axis")
+    p, coeff = _node_table(spec, theta, *_panel_range(spec, t[0], t[-1], 1))
+    factors = _cell_factors(p * step) * coeff
+    factors *= np.array([step, step**2, step**3])[:, None]
+    sums = _exp_sums(p, np.column_stack((coeff, factors.T)), t)
+    cells = np.vstack((factors.sum(axis=1), sums[:-1, 1:]))
+    mass, shifted, bubble = cells.T
+    return sums[:, 0], mass, (t - step) * mass + shifted, bubble
 
 
 def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int):

@@ -3,11 +3,11 @@
 Everything here lives on the shared node convention t_j = j*tau, j = 1..N,
 with no sample at t = 0 (the kernels are typically singular there).  The
 quadrature behind both the convolution and the Volterra solver is product
-integration: wherever a factor has an exact cell mass table (running
-integral differences), the singular half of each convolution uses those
-masses against the other factor's node averages, which removes the accuracy
-loss that plain trapezoid suffers next to a t^-a endpoint.  Kernels without
-tables degrade gracefully to trapezoid cell masses.
+integration: wherever a factor has an exact cell mass table, the singular
+half of each convolution uses those masses against the other factor's node
+averages, which removes the accuracy loss that plain trapezoid suffers next
+to a t^-a endpoint.  Kernels without tables degrade gracefully to trapezoid
+cell masses.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import linalg
 
 from .measure import MeasureSpec, gamma_bar
 from . import kernels as _kernels
@@ -39,6 +40,9 @@ __all__ = [
     "l1_distance",
     "l1_norm",
 ]
+
+
+_TOEPLITZ_BLOCK = 64  # unknowns per triangular solve of _forward_substitution
 
 
 def _check_compatible(a: DiscreteKernel, b: DiscreteKernel) -> None:
@@ -196,7 +200,11 @@ def _forward_substitution(c: float, lam: float, weights, gv: np.ndarray
 
     ``weights`` are the (w_left, w_right, w_shape) tables of
     ``_second_kind_weights``; c = 1 is the second-kind equation and c = 0
-    with lam = 1 the first-kind one.
+    with lam = 1 the first-kind one.  Once x_1 is known, its w_shape column
+    moves to the right-hand side and x_2..x_N solve a lower-triangular
+    Toeplitz system with lag-L weight lam*(w_left[L-1] + w_right[L]).  That
+    is solved in blocks: the far field of the solved part is one
+    ``np.convolve``, and the diagonal block one triangular solve.
     """
     w_left, w_right, w_shape = weights
     n = gv.size
@@ -204,14 +212,22 @@ def _forward_substitution(c: float, lam: float, weights, gv: np.ndarray
     diag = c + lam * w_right[0]
     if abs(diag1) < 1e-14 or abs(diag) < 1e-14:
         raise GridMismatchError("degenerate lam*step combination: zero diagonal")
-    x = np.zeros(n)
+    x = np.empty(n)
     x[0] = gv[0] / diag1
-    for j in range(2, n + 1):
-        known = x[0] * w_shape[j - 1]
-        known += float(np.dot(x[: j - 1], w_left[j - 2 :: -1]))
-        if j > 2:
-            known += float(np.dot(x[1 : j - 1], w_right[j - 2 : 0 : -1]))
-        x[j - 1] = (gv[j - 1] - lam * known) / diag
+    lagw = np.empty(n - 1)
+    lagw[:1] = diag
+    lagw[1:] = lam * (w_left[:n - 2] + w_right[1:n - 1])
+    rhs = gv[1:] - lam * x[0] * (w_shape[1:] + w_left[:n - 1])
+    size = min(_TOEPLITZ_BLOCK, n - 1)
+    block = linalg.toeplitz(lagw[:size], np.zeros(size))
+    y = x[1:]
+    for lo in range(0, n - 1, _TOEPLITZ_BLOCK):
+        hi = min(lo + _TOEPLITZ_BLOCK, n - 1)
+        known = rhs[lo:hi]
+        if lo:
+            known = known - np.convolve(lagw[1:hi], y[:lo], "valid")
+        y[lo:hi] = linalg.solve_triangular(block[:hi - lo, :hi - lo], known,
+                                           lower=True)
     return x
 
 
@@ -261,42 +277,39 @@ def volterra_residual(x: DiscreteKernel, kernel: DiscreteKernel, lam: float,
 # sampled kernels with exact tables
 
 
-def _tabled_kernel(step: float, values: np.ndarray, running: np.ndarray,
-                   double: np.ndarray, triple: np.ndarray) -> DiscreteKernel:
-    """Samples with exact cell tables from the iterated running integrals.
-
-    With R1 = 1*f, R2 = 1*1*f, R3 = 1*1*1*f the antiderivatives of f, s*f and
-    s^2*f are R1, t*R1 - R2 and t^2*R1 - 2t*R2 + 2*R3 respectively; cell
-    moments are their differences, and the bubble moment combines them.
-    """
-    r1 = np.concatenate(([0.0], running))
-    r2 = np.concatenate(([0.0], double))
-    r3 = np.concatenate(([0.0], triple))
-    t_e = step * np.arange(values.size + 1)
-    a_m = np.diff(r1)
-    b_m = np.diff(t_e * r1 - r2)
-    c_m = np.diff(t_e**2 * r1 - 2.0 * t_e * r2 + 2.0 * r3)
-    lo, hi = t_e[:-1], t_e[1:]
-    d_m = -c_m + (lo + hi) * b_m - lo * hi * a_m
-    return DiscreteKernel(step, values, head=float(running[0]), cell_mass=a_m,
-                          cell_first_moment=b_m, cell_bubble_moment=d_m)
 def sample_l(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
     """Sonine-partner samples with exact cell moment tables."""
     return sample_r_theta(spec, step, n_steps, 0.0)
 
 
 def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
-    """Measure-kernel samples with exact cell moment tables."""
+    """Measure-kernel samples with exact cell tables from the iterated running
+    integrals.
+
+    With R1 = 1*k, R2 = 1*1*k, R3 = 1*1*1*k the antiderivatives of k, s*k and
+    s^2*k are R1, t*R1 - R2 and t^2*R1 - 2t*R2 + 2*R3 respectively; cell
+    moments are their differences, and the bubble moment combines them.
+    """
     t = step * np.arange(1, n_steps + 1)
-    vals, running, double, triple = _kernels._k_moments(spec, t, (0, 1, 2, 3))
-    return _tabled_kernel(step, vals, running, double, triple)
+    vals, *running = _kernels._k_moments(spec, t, (0, 1, 2, 3))
+    r1, r2, r3 = (np.concatenate(([0.0], r)) for r in running)
+    t_e = np.concatenate(([0.0], t))
+    a_m = np.diff(r1)
+    b_m = np.diff(t_e * r1 - r2)
+    c_m = np.diff(t_e**2 * r1 - 2.0 * t_e * r2 + 2.0 * r3)
+    lo, hi = t_e[:-1], t_e[1:]
+    d_m = -c_m + (lo + hi) * b_m - lo * hi * a_m
+    return DiscreteKernel(step, vals, head=float(running[0][0]), cell_mass=a_m,
+                          cell_first_moment=b_m, cell_bubble_moment=d_m)
 
 
 def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
                    theta: float) -> DiscreteKernel:
-    t = step * np.arange(1, n_steps + 1)
-    vals, running, double, triple = _kernels.resolvent_tables(spec, t, theta)
-    return _tabled_kernel(step, vals, running, double, triple)
+    """Resolvent samples with cell tables summed node by node, without
+    differences of running integrals (``kernels._resolvent_cells``)."""
+    vals, a_m, b_m, d_m = _kernels._resolvent_cells(spec, step, n_steps, theta)
+    return DiscreteKernel(step, vals, head=float(a_m[0]), cell_mass=a_m,
+                          cell_first_moment=b_m, cell_bubble_moment=d_m)
 
 
 def l1_distance(a: DiscreteKernel, b: DiscreteKernel,

@@ -226,6 +226,27 @@ class TestResolventTables:
             assert np.max(np.abs(got - exact) / exact) <= 1e-8, d
 
 
+    def test_depth_kernels_match_mpmath(self):
+        # g_d(u) = sum_k (-u)^k / (k+d)!; the recursion up from g_1 cancels
+        # below u = 1 and the series must take over there
+        mpmath = pytest.importorskip("mpmath")
+        u = np.concatenate((np.geomspace(1e-9, 700.0, 1201),
+                            np.linspace(0.9, 1.1, 81),
+                            np.linspace(9e-4, 1.1e-3, 81)))
+        with mpmath.workdps(60):  # the reference loses 27 digits at 1e-9
+            def exact(d, x):
+                x = mpmath.mpf(x)
+                head = mpmath.fsum((-x) ** k / mpmath.factorial(k)
+                                   for k in range(d))
+                return float((mpmath.exp(-x) - head) / (-x) ** d)
+
+            for depths in ((1, 2, 3), (2,)):
+                for d, got in zip(depths, K._depth_kernels(u, depths)):
+                    ref = np.array([exact(d, x) for x in u])
+                    rel = np.abs(got - ref) / ref
+                    assert np.max(rel) <= 1.5e-15, (depths, d)
+
+
 class TestResolvent:
     def test_theta_zero_is_l(self, half):
         t = np.linspace(0.05, 1.5, 7)

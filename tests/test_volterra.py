@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from memkern import kernels as K
 from memkern import volterra as V
@@ -102,6 +103,116 @@ class TestSecondKind:
             / lk.step
         with pytest.raises(V.GridMismatchError):
             V.solve_volterra_second_kind(lk, lk, -1.0 / wr1)
+
+
+    def test_forward_substitution_matches_loop(self, sampled_2048):
+        # the blocked Toeplitz solve against the row-by-row recurrence of the
+        # same scheme, for second-kind solves of l and a first-kind solve of k
+        def loop(c, lam, weights, g):
+            w_left, w_right, w_shape = weights
+            x = np.zeros(g.size)
+            x[0] = g[0] / (c + lam * w_shape[0])
+            for j in range(2, g.size + 1):
+                known = x[0] * w_shape[j - 1]
+                known += np.dot(x[:j - 1], w_left[j - 2::-1])
+                known += np.dot(x[1:j - 1], w_right[j - 2:0:-1])
+                x[j - 1] = (g[j - 1] - lam * known) / (c + lam * w_right[0])
+            return x
+
+        for name, (lk, kk) in sampled_2048.items():
+            cases = [(1.0, lam, V._second_kind_weights(lk, 0.5, None), g)
+                     for lam in (1.0, 256.0) for g in (lk.values, np.ones(lk.n))]
+            cases.append((0.0, 1.0, V._second_kind_weights(kk, 0.5, kk.step),
+                          np.ones(kk.n)))
+            for c, lam, weights, g in cases:
+                ref = loop(c, lam, weights, g)
+                got = V._forward_substitution(c, lam, weights, g)
+                tol = 1e-14 if c else 1e-12  # first kind amplifies rounding
+                assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), \
+                    (name, c, lam)
+
+
+_TABLE_MEASURES = {
+    "order 0.3": MeasureSpec.single_order(0.3),
+    "order 0.55": MeasureSpec.single_order(0.55),
+    "order 0.8": MeasureSpec.single_order(0.8),
+    "mixture": MeasureSpec.from_atoms([(0.32, 0.5), (0.68, 0.5)]),
+    "band": MeasureSpec(weight_breaks=(0.17, 0.78), weight_values=(1.0,)),
+    "uniform": MeasureSpec.uniform_weight(),
+    "atom plus weight": MeasureSpec(atoms=((0.4, 0.5),),
+                                    weight_breaks=(0.2, 0.5, 0.9),
+                                    weight_values=(0.3, 0.7)),
+}
+
+
+def _cell_integrals_longdouble(p, c, tau, cells):
+    """Mass, first moment and bubble of sum c exp(-p s) over the cells
+    ((m-1) tau, m tau], summed node by node in extended precision."""
+    p, c, tau = (np.asarray(a, dtype=np.longdouble) for a in (p, c, tau))
+    v = p * tau
+    # int_0^1 w(x) exp(-v x) dx for w = 1, x, x(1-x): closed forms from v = 4,
+    # series below (60 terms: 4^60/60! < 1e-45)
+    phi = np.empty((3, v.size), dtype=np.longdouble)
+    big = v >= 4
+    vb, eb = v[big], np.exp(-v[big])
+    phi[0, big] = (1 - eb) / vb
+    phi[1, big] = (1 - (1 + vb) * eb) / vb**2
+    phi[2, big] = ((vb - 2) + (vb + 2) * eb) / vb**3
+    inv_fact = np.cumprod([np.longdouble(1)]
+                          + [1 / np.longdouble(j) for j in range(1, 64)])
+    k = np.arange(60)
+    for row, coeff in enumerate((inv_fact[k + 1], (k + 1) * inv_fact[k + 2],
+                                 (k + 1) * inv_fact[k + 3])):
+        acc = np.zeros(int(np.sum(~big)), dtype=np.longdouble)
+        for a in coeff[::-1]:
+            acc = a - v[~big] * acc
+        phi[row, ~big] = acc
+    out = []
+    for m in cells:
+        lo = tau * (m - 1)
+        w = c * np.exp(-p * lo)
+        mass = np.sum(w * tau * phi[0])
+        out.append((mass, lo * mass + np.sum(w * tau**2 * phi[1]),
+                    np.sum(w * tau**3 * phi[2])))
+    return np.array(out)
+
+
+class TestResolventCellTables:
+    @pytest.mark.parametrize("theta", [0.0, 4.0])
+    def test_tables_against_extended_precision_and_quad(self, theta):
+        n = 2048
+        tau = 1.0 / n
+        cells = np.unique(np.geomspace(1, n, 14).round().astype(int))
+        assert cells.size >= 12
+        for name, spec in _TABLE_MEASURES.items():
+            rk = V.sample_r_theta(spec, tau, n, theta)
+            points = np.asarray(K.r_theta_eval(spec, rk.times, theta))
+            assert np.max(np.abs(rk.values - points) / points) <= 2e-15, name
+            got = np.column_stack((rk.cell_mass, rk.cell_first_moment,
+                                   rk.cell_bubble_moment))[cells - 1]
+            assert rk.head == got[0, 0]
+            # the same node table, summed without any cancellation
+            p, c = K._node_table(spec, theta,
+                                 *K._panel_range(spec, tau, 1.0, 1))
+            ref = _cell_integrals_longdouble(p, c, tau, cells)
+            rel = np.abs((got - ref) / ref).astype(float)
+            assert np.max(rel) <= 1e-14, (name, np.max(rel, axis=0))
+            # adaptive quadrature of the pointwise kernel on the cells m >= 2
+            for m, row in zip(cells[1:], got[1:]):
+                lo, hi = (m - 1) * tau, m * tau
+                seen = {}
+
+                def r(s):
+                    if s not in seen:
+                        seen[s] = K.r_theta_eval(spec, s, theta)
+                    return seen[s]
+
+                for weight, value in zip(
+                        (lambda s: 1.0, lambda s: s,
+                         lambda s: (s - lo) * (hi - s)), row):
+                    exact = integrate.quad(lambda s: weight(s) * r(s), lo, hi,
+                                           epsabs=0.0, epsrel=1e-13)[0]
+                    assert abs(value - exact) <= 1e-10 * exact, (name, m)
 
 
 class TestYosida:
