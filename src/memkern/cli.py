@@ -218,6 +218,7 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     _write_manifest(out, config, seed, {
         "files": ["solution.csv"],
         "wall_time": field.wall_time,
+        "lu_factorisations": field.lu_factorisations,
         "max_step_residual": float(np.max(field.residuals))
         if field.residuals.size else 0.0,
     })

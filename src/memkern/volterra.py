@@ -42,7 +42,9 @@ __all__ = [
 ]
 
 
-_TOEPLITZ_BLOCK = 64  # unknowns per triangular solve of _forward_substitution
+_TOEPLITZ_BLOCK = 64     # base block B of the lower-triangular Toeplitz engine
+_DENSE_FAR_FIELD = 128   # far-field spans s up to this are one dense matmul
+_FFT_CHUNK_BYTES = 1 << 18  # spectrum bytes of one column chunk of the FFT path
 
 
 def _check_compatible(a: DiscreteKernel, b: DiscreteKernel) -> None:
@@ -132,6 +134,75 @@ def conv(a: DiscreteKernel, b: DiscreteKernel) -> DiscreteKernel:
 
 
 # ---------------------------------------------------------------------------
+# lower-triangular Toeplitz engine
+
+
+class _ToeplitzHistory:
+    """Far field of the lower-triangular Toeplitz product ``T x``,
+    ``T[i, j] = column[i - j]``, by the divide and conquer of Hairer, Lubich
+    & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).
+
+    The rows split into base blocks of ``_TOEPLITZ_BLOCK``.  At a block start
+    ``lo`` the rows ``x[lo-s : lo]``, ``s = B * lowbit(lo / B)``, are added to
+    rows ``[lo, lo+s)``; over all block starts that counts every pair of rows
+    in different base blocks exactly once, at a cost of O(N log^2 N).  The
+    pairs inside a base block, the near field, are left to the caller.
+    """
+
+    def __init__(self, column: np.ndarray):
+        self.column = np.asarray(column, dtype=float)
+        self._dense: dict[int, np.ndarray] = {}
+
+    def far_field(self, x: np.ndarray, out: np.ndarray, lo: int) -> None:
+        """Add ``sum_{lo-s <= j < lo} column[i-j] x[j]`` to ``out[i]`` for the
+        rows ``i`` of ``[lo, lo+s)`` that ``out`` has.  ``x`` and ``out`` may
+        be one array: the update reads rows below ``lo`` and writes rows from
+        ``lo`` on.  Spans up to ``_DENSE_FAR_FIELD`` are one cached dense
+        Toeplitz matmul; longer ones a length-2s real FFT along the rows, in
+        column chunks of about ``_FFT_CHUNK_BYTES``.  (numpy's FFT rather
+        than scipy's, whose plan cache held about 2 MB more at peak.)"""
+        blocks = lo // _TOEPLITZ_BLOCK
+        s = _TOEPLITZ_BLOCK * (blocks & -blocks)
+        rows = min(s, out.shape[0] - lo)
+        src = x[lo - s:lo]
+        if s <= _DENSE_FAR_FIELD:
+            block = self._dense.get(s)
+            if block is None:
+                lags = self.column[1:2 * s]  # lag s + p - q at (p, q)
+                block = self._dense[s] = linalg.toeplitz(lags[s - 1:],
+                                                         lags[s - 1::-1])
+            out[lo:lo + rows] += block[:rows] @ src
+            return
+        spectrum = np.fft.rfft(self.column[1:2 * s], 2 * s)[:, None]
+        width = max(1, _FFT_CHUNK_BYTES // (16 * (s + 1)))
+        for c in range(0, src.shape[1], width):
+            chunk = np.fft.rfft(src[:, c:c + width], 2 * s, axis=0)
+            chunk *= spectrum
+            conv_rows = np.fft.irfft(chunk, 2 * s, axis=0)
+            out[lo:lo + rows, c:c + width] += conv_rows[s - 1:s - 1 + rows]
+
+
+def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``T x = rhs`` for the lower-triangular Toeplitz ``T`` with first
+    column ``column``; ``rhs`` is ``(n,)`` or ``(n, k)``.  The far-field sums
+    of ``_ToeplitzHistory`` build up in the unsolved rows of ``x``, and each
+    base block then takes one triangular solve."""
+    n = rhs.shape[0]
+    history = _ToeplitzHistory(column)
+    size = min(_TOEPLITZ_BLOCK, n)
+    block = linalg.toeplitz(history.column[:size], np.zeros(size))
+    x = np.zeros(rhs.shape)
+    x2, rhs2 = (x, rhs) if rhs.ndim == 2 else (x[:, None], rhs[:, None])
+    for lo in range(0, n, _TOEPLITZ_BLOCK):
+        hi = min(lo + _TOEPLITZ_BLOCK, n)
+        if lo:
+            history.far_field(x2, x2, lo)
+        x2[lo:hi] = linalg.solve_triangular(block[:hi - lo, :hi - lo],
+                                            rhs2[lo:hi] - x2[lo:hi], lower=True)
+    return x
+
+
+# ---------------------------------------------------------------------------
 # second-kind solver with a piecewise-linear unknown
 
 
@@ -202,9 +273,8 @@ def _forward_substitution(c: float, lam: float, weights, gv: np.ndarray
     ``_second_kind_weights``; c = 1 is the second-kind equation and c = 0
     with lam = 1 the first-kind one.  Once x_1 is known, its w_shape column
     moves to the right-hand side and x_2..x_N solve a lower-triangular
-    Toeplitz system with lag-L weight lam*(w_left[L-1] + w_right[L]).  That
-    is solved in blocks: the far field of the solved part is one
-    ``np.convolve``, and the diagonal block one triangular solve.
+    Toeplitz system with lag-L weight lam*(w_left[L-1] + w_right[L]), which
+    ``_toeplitz_solve`` takes in O(N log^2 N).
     """
     w_left, w_right, w_shape = weights
     n = gv.size
@@ -217,17 +287,8 @@ def _forward_substitution(c: float, lam: float, weights, gv: np.ndarray
     lagw = np.empty(n - 1)
     lagw[:1] = diag
     lagw[1:] = lam * (w_left[:n - 2] + w_right[1:n - 1])
-    rhs = gv[1:] - lam * x[0] * (w_shape[1:] + w_left[:n - 1])
-    size = min(_TOEPLITZ_BLOCK, n - 1)
-    block = linalg.toeplitz(lagw[:size], np.zeros(size))
-    y = x[1:]
-    for lo in range(0, n - 1, _TOEPLITZ_BLOCK):
-        hi = min(lo + _TOEPLITZ_BLOCK, n - 1)
-        known = rhs[lo:hi]
-        if lo:
-            known = known - np.convolve(lagw[1:hi], y[:lo], "valid")
-        y[lo:hi] = linalg.solve_triangular(block[:hi - lo, :hi - lo], known,
-                                           lower=True)
+    x[1:] = _toeplitz_solve(lagw, gv[1:] - lam * x[0]
+                            * (w_shape[1:] + w_left[:n - 1]))
     return x
 
 

@@ -159,6 +159,26 @@ class TestRunners:
         assert lines[0] == "t,i,value"
         assert len(lines) == 130  # header + n_steps + 1 rows
 
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_solve_manifest_counts_lu_factorisations(self, tmp_path,
+                                                    monkeypatch,
+                                                    time_dependent):
+        # one splu per trajectory for constant coefficients, one per step
+        # when they are declared time dependent
+        from memkern.config import ExperimentConfig
+        from memkern.solver import CoefficientField
+
+        field = CoefficientField(fn=lambda t, x: np.eye(1), lam=1.0, nu=1.0,
+                                 time_dependent=time_dependent)
+        monkeypatch.setattr(ExperimentConfig, "coefficients",
+                            lambda self, grid: field)
+        grid = {"extents": [[0.0, 1.0]], "n_cells": [8],
+                "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2]}
+        config = parse_config(small_config("solve", n_steps=24, grid=grid))
+        assert cli.run(config, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["lu_factorisations"] == (24 if time_dependent else 1)
+
     def test_verify_exit_two_on_nan_sonine_residual(self, tmp_path,
                                                      monkeypatch):
         monkeypatch.setattr(cli._volterra, "conv", lambda a, b:

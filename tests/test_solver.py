@@ -26,6 +26,23 @@ def neumann_grid(n=32):
 IDENTITY = S.CoefficientField.constant([[1.0]])
 
 
+class DirectHistoryStepper(S.TimeStepper):
+    """Reference stepper for 1d and 2d grids: step m multiplies the whole
+    history ``du[:m-1]`` by its weights directly, O(N^2) over a trajectory."""
+
+    def advance(self):
+        m = self.m + 1
+        u, n = self._u_flat, self.n_steps
+        rhs = self._beta_mm * u[m - 1] + self._source
+        if m >= 2:
+            rhs -= self._hist[n - m:n - 1] @ self.du[:m - 1]
+        full, lu, rhs_bc = self._system(m * self.tau)
+        u[m] = lu.solve(rhs + rhs_bc)
+        np.subtract(u[m], u[m - 1], out=self.du[m - 1])
+        self.m = m
+        return self.u[m]
+
+
 class TestConvWeights:
     def test_classical_l1_form(self, half):
         tau, m = 0.1, 7
@@ -78,14 +95,17 @@ class TestRelaxationMode:
         slope = -np.polyfit(np.log([256, 512, 1024, 2048]), np.log(errs), 1)[0]
         assert slope >= 1.0
 
-    @pytest.mark.parametrize("name", ["d03", "d05", "uniform"])
-    def test_history_product_against_triangular_solve(self, measures, name):
+    @pytest.mark.parametrize("name, n", [
+        pytest.param(name, n, id=name if n == 512 else f"{name}-{n}")
+        for n in (512, 2049) for name in ("d03", "d05", "uniform")])
+    def test_history_product_against_triangular_solve(self, measures, name,
+                                                      n):
         # with du_i = u_i - u_{i-1} the 0d scheme is the lower-triangular
         # system (T + lam L1) du = f - lam u0, T[m, i] the lag-(m-i+1)
         # weight and L1 the all-ones lower triangle
         from scipy.linalg import solve_triangular, toeplitz
 
-        spec, n, lam, u0, f = measures[name], 512, 1.3, 0.8, 0.25
+        spec, lam, u0, f = measures[name], 1.3, 0.8, 0.25
         lags = S.conv_weights(spec, n, 1.0 / n)[::-1]
         system = toeplitz(lags, np.zeros(n)) + lam * np.tril(np.ones((n, n)))
         du = solve_triangular(system, np.full(n, f - lam * u0), lower=True)
@@ -205,6 +225,33 @@ class TestPdeSanity:
                                    lam=1.0, nu=0.5)
         problems = field.validate_bounds(dirichlet_grid(8), [0.0])
         assert problems
+
+
+class TestBlockHistory:
+    """The block-FFT history of the 1d and 2d stepper against the direct
+    full-history product."""
+
+    @pytest.mark.parametrize("case", ["band-1d", "square-2d"])
+    def test_against_direct_history_product(self, half, case):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        if case == "band-1d":
+            spec = MeasureSpec(weight_breaks=(0.17, 0.78),
+                               weight_values=(1.0 / 0.61,))
+            grid, n_steps, f = dirichlet_grid(128), 2048, 0.3
+            coeffs = IDENTITY
+        else:
+            spec = half
+            grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(24, 24),
+                                 boundary=((bc, bc),) * 2)
+            n_steps, f = 768, 0.0
+            coeffs = S.CoefficientField.constant([[1.0, 0.2], [0.2, 0.8]])
+        u0 = np.maximum(np.random.default_rng(4).normal(size=grid.shape), 0.0)
+        fld = S.solve(spec, grid, coeffs, u0, f, 1.0, n_steps)
+        ref = DirectHistoryStepper(spec, grid, coeffs, u0, f, 1.0, n_steps)
+        for _ in range(n_steps):
+            ref.advance()
+        scale = np.max(np.abs(ref.u))
+        assert np.max(np.abs(fld.values - ref.u)) <= 1e-12 * scale
 
 
 class TestAssembly:

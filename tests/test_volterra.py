@@ -132,6 +132,26 @@ class TestSecondKind:
                     (name, c, lam)
 
 
+class TestToeplitzSolve:
+    """The block-FFT lower-triangular Toeplitz engine against a dense solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257, 2049])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+    def test_against_dense_triangular_solve(self, n, columns):
+        from scipy.linalg import solve_triangular, toeplitz
+
+        # n = 2049 reaches far-field spans 64..2048, past the dense crossover
+        assert 2 * V._DENSE_FAR_FIELD <= 2048
+        rng = np.random.default_rng(n)
+        lags = np.arange(n)
+        column = rng.uniform(0.5, 1.5, n) * (1.0 + lags) ** -1.5
+        rhs = rng.normal(size=(n,) if columns is None else (n, columns))
+        ref = solve_triangular(toeplitz(column, np.zeros(n)), rhs, lower=True)
+        got = V._toeplitz_solve(column, rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 _TABLE_MEASURES = {
     "order 0.3": MeasureSpec.single_order(0.3),
     "order 0.55": MeasureSpec.single_order(0.55),
