@@ -34,7 +34,6 @@ from .kernels import (
 from .volterra import (
     DiscreteKernel,
     conv,
-    solve_volterra_second_kind,
     yosida_kernels,
     fundamental_identity_residual,
     sonine_partner,

@@ -197,12 +197,11 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
         else 0.0
     kernel_cumulative = None
     if params.get("use_yosida"):
-        n_yos = int(params["n_yosida"])
-        step = config.horizon / config.n_steps
-        yos = _volterra.yosida_kernels(spec, n_yos, step, config.n_steps)
-        cum = np.concatenate(([0.0],
-                              np.cumsum(yos.k_n.masses())))
-        kernel_cumulative = cum
+        yos = _volterra.yosida_kernels(spec, params["n_yosida"],
+                                       config.horizon / config.n_steps,
+                                       config.n_steps)
+        kernel_cumulative = np.concatenate(([0.0],
+                                            np.cumsum(yos.k_n.masses())))
     coeffs = config.coefficients(grid) if grid.dim else None
     reaction = float(params["ode_lambda"]) if grid.dim == 0 else 0.0
     field = _solver.solve(spec, grid, coeffs, u0, f_val, config.horizon,

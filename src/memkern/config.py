@@ -217,6 +217,10 @@ def parse_config(source) -> ExperimentConfig:
         bad.append(("/params", "must be an object"))
         raw_params = {}
     params.update(raw_params)
+    n_yosida = params["n_yosida"]  # "type is int" also refuses JSON true
+    if params.get("use_yosida") and not (type(n_yosida) is int
+                                         and n_yosida >= 1):
+        bad.append(("/params/n_yosida", "must be an integer >= 1"))
 
     grid_spec = data.get("grid")
     if grid_spec is not None:

@@ -27,15 +27,16 @@ degree-5 Taylor polynomial, so those nodes enter through the block's
 moments of the weights.  The running integrals (``_running_sums``) take
 2^-60 <= p*t <= 2^10, with a prefix sum on the left and, since their
 kernels are polynomials in 1/(p*t) there, suffix moments on the right.
-The sampled r_theta and l of ``volterra`` come from one ``_exp_sums`` over
-several weight vectors: the samples, and per-node cell factors (integrals
-of exp(-p s) over one step) for the cell mass, first moment and bubble, so
-no cell table is a difference of running integrals; the first cell is a
-plain sum over the node table.  On dyadic panels, scaling t by 2^-m and p
-by 2^m leaves p*t the same bits, so the Lp walk of ``geometry`` reuses one
-kernel block for all of its chunks.
-``_gauss_panels`` places the nodes of both sums, and of the dyadic panels of
-``volterra`` and ``geometry``.
+The sampled r_theta and l of ``volterra``, its Yosida kernels (weights c
+and c/p at theta = n) and the resolvent chain of ``bound_certificates``
+come from one ``_exp_sums`` over several weight vectors: the samples, and
+per-node cell factors (integrals of exp(-p s) over one step) for the cell
+mass, first moment and bubble, so no cell table is a difference of running
+integrals; the first cell is a plain sum over the node table.  On dyadic
+panels, scaling t by 2^-m and p by 2^m leaves p*t the same bits, so the Lp
+walk of ``geometry`` reuses one kernel block for all of its chunks.
+``_gauss_panels`` places the nodes of both sums, of the order moments of k
+and of the dyadic panels of ``geometry``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "l_eval",
     "r_theta_eval",
     "resolvent_running_integral",
-    "resolvent_double_integral",
     "sample_kernel",
     "bound_certificates",
     "BoundCertificates",
@@ -140,8 +140,9 @@ def _k_moments(spec: MeasureSpec, t, depths):
     |log t| to resolve the exponential growth.  Depth d is the tiled matvec
     ``t^(d-alpha) @ (mass / Gamma(d+1-alpha))``, with t^(d-alpha) formed per
     depth: cell moments are differences of these sums and would amplify the
-    extra rounding of t^d * t^-alpha.  Depths >= 1 are 0 at t = 0; an array t
-    gives arrays of its shape, anything else floats.
+    extra rounding of t^d * t^-alpha.  A depth d need not be an integer: it
+    gives the Riemann-Liouville integral of order d.  Depths >= 1 are 0 at
+    t = 0; an array t gives arrays of its shape, anything else floats.
     """
     t_arr = _as_time_array(t, positive=0 in depths)
     t_flat = t_arr.ravel()
@@ -439,33 +440,43 @@ def _cell_factors(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolvent_cells(spec: MeasureSpec, step: float, n: int, theta: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """r_theta at t_j = j*step, j = 1..n, and its cell integrals
-    ``int r``, ``int s r`` and ``int (s - t_(m-1))(t_m - s) r`` over each
-    cell (t_(m-1), t_m].
-
-    With r = sum c exp(-p s), cell m is ``sum c exp(-p t_(m-1)) W(p)`` for
-    the per-node cell factors W = tau phi_0, tau^2 phi_1 (plus t_(m-1) times
-    the mass) and tau^3 phi_2 of ``_cell_factors``: every term is
-    nonnegative, so nothing cancels.  The samples and the cells m >= 2 are
-    one ``_exp_sums`` over the grid; the first cell (t_0 = 0) is the plain
-    sum of the factors over the node table, which reaches far enough right
-    for the running integrals.
-    """
+def _grid_table(spec: MeasureSpec, step: float, n: int, theta: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The theta ``_node_table`` for the grid t_j = j*step, j = 1..n.  It
+    reaches far enough right for the running integrals, so the first cell of
+    ``_resolvent_cells`` is a plain sum over it."""
     require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t = _as_time_array(step * np.arange(1, n + 1))
     if t.size < 2:
         raise GridMismatchError("need at least 2 samples on one axis")
-    p, coeff = _node_table(spec, theta, *_panel_range(spec, t[0], t[-1], 1))
-    factors = _cell_factors(p * step) * coeff
-    factors *= np.array([step, step**2, step**3])[:, None]
-    sums = _exp_sums(p, np.column_stack((coeff, factors.T)), t)
-    cells = np.vstack((factors.sum(axis=1), sums[:-1, 1:]))
-    mass, shifted, bubble = cells.T
-    return sums[:, 0], mass, (t - step) * mass + shifted, bubble
+    return _node_table(spec, theta, *_panel_range(spec, t[0], t[-1], 1))
+
+
+def _resolvent_cells(p: np.ndarray, weights: np.ndarray, step: float, n: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of ``f = sum_q W_q exp(-p_q s)`` at t_j = j*step, j = 1..n,
+    and its cell integrals ``int f``, ``int s f`` and
+    ``int (s - t_(m-1))(t_m - s) f`` over each cell (t_(m-1), t_m]: four
+    arrays of shape (n, k), one column per column of the weights W (shape
+    (nodes, k)), e.g. the ``_grid_table`` weights c of r_theta.
+
+    Cell m is ``sum W exp(-p t_(m-1)) F(p)`` for the per-node cell factors
+    F = tau phi_0, tau^2 phi_1 (plus t_(m-1) times the mass) and
+    tau^3 phi_2 of ``_cell_factors``: for W >= 0 every term is nonnegative,
+    so nothing cancels.  The samples and the cells m >= 2 are one
+    ``_exp_sums`` over the grid; the first cell (t_0 = 0) is the plain sum
+    of the factors over the nodes.
+    """
+    k = weights.shape[1]
+    t = step * np.arange(1, n + 1)
+    factors = (_cell_factors(p * step)[:, None] * weights.T).reshape(3 * k, -1)
+    factors *= np.repeat([step, step**2, step**3], k)[:, None]
+    sums = _exp_sums(p, np.column_stack((weights, factors.T)), t)
+    cells = np.vstack((factors.sum(axis=1), sums[:-1, k:]))
+    mass, shifted, bubble = np.split(cells, 3, axis=1)
+    return sums[:, :k], mass, (t - step)[:, None] * mass + shifted, bubble
 
 
 def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int):
@@ -506,11 +517,6 @@ def r_theta_eval(spec: MeasureSpec, t, theta: float):
 def resolvent_running_integral(spec: MeasureSpec, t, theta: float = 0.0):
     """Running integral ``(1 * r_theta)(t)``; theta=0 gives ``(1*l)(t)``."""
     return _laplace_inversion(spec, t, theta, (1,))[0]
-
-
-def resolvent_double_integral(spec: MeasureSpec, t, theta: float = 0.0):
-    """Twice-iterated integral ``(1 * 1 * r_theta)(t)``; theta=0 gives (1*1*l)."""
-    return _laplace_inversion(spec, t, theta, (2,))[0]
 
 
 def resolvent_tables(spec: MeasureSpec, t: np.ndarray, theta: float = 0.0
@@ -757,8 +763,13 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     window = t < c_bar * phi(spec, r)
     ct = t[window]
     if ct.size:
-        r_vals, running = _laplace_inversion(spec, ct, theta, (0, 1))
-        avg = running / ct
+        # the grid needs two samples; 1*r_theta is the running sum of the
+        # nonnegative cell masses of r_theta
+        n = max(ct.size, 2)
+        p, c = _grid_table(spec, l_kernel.step, n, theta)
+        r_vals, mass = (a[:ct.size, 0] for a in
+                        _resolvent_cells(p, c[:, None], l_kernel.step, n)[:2])
+        avg = np.cumsum(mass) / ct
         big_k = np.asarray(one_star_k_eval(spec, ct))
         chain1 = r_vals / avg
         chain2 = avg / l_vals[window]

@@ -2,12 +2,13 @@
 
 Everything here lives on the shared node convention t_j = j*tau, j = 1..N,
 with no sample at t = 0 (the kernels are typically singular there).  The
-quadrature behind both the convolution and the Volterra solver is product
-integration: wherever a factor has an exact cell mass table, the singular
-half of each convolution uses those masses against the other factor's node
-averages, which removes the accuracy loss that plain trapezoid suffers next
-to a t^-a endpoint.  Kernels without tables degrade gracefully to trapezoid
-cell masses.
+quadrature behind both the convolution and the first-kind Sonine oracle is
+product integration: wherever a factor has an exact cell mass table, the
+singular half of each convolution uses those masses against the other
+factor's node averages, which removes the accuracy loss that plain
+trapezoid suffers next to a t^-a endpoint.  Kernels without tables degrade
+gracefully to trapezoid cell masses.  The Yosida kernels need no solve:
+they are exponential sums over the resolvent's node table at theta = n.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "GridMismatchError",
     "DiscreteKernel",
     "conv",
-    "solve_volterra_second_kind",
-    "volterra_residual",
     "YosidaKernels",
     "yosida_kernels",
     "FundamentalIdentityReport",
@@ -45,6 +44,7 @@ __all__ = [
 _TOEPLITZ_BLOCK = 64     # base block B of the lower-triangular Toeplitz engine
 _DENSE_FAR_FIELD = 128   # far-field spans s up to this are one dense matmul
 _FFT_CHUNK_BYTES = 1 << 18  # spectrum bytes of one column chunk of the FFT path
+_CLOSURE_ULPS = 4  # ulps of 1/n: a smaller Yosida left closure is rounding
 
 
 def _check_compatible(a: DiscreteKernel, b: DiscreteKernel) -> None:
@@ -203,135 +203,45 @@ def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# second-kind solver with a piecewise-linear unknown
-
-
-def _dyadic_panel_integral(f: Callable[[np.ndarray], np.ndarray],
-                           n_panels: int) -> float:
-    """Gauss-Legendre integral of f over (0, 1/2], panels refined toward 0;
-    f gets every node in one call."""
-    edges = np.concatenate(([0.0], 0.5 ** np.arange(n_panels, 0, -1)))
-    x, w = _kernels._gauss_panels(edges, 16)
-    return float(np.sum(w * f(x)))
-
-
-def _first_cell_shape_weight(kernel_at: Callable[[np.ndarray], np.ndarray],
-                             tau: float, g: float, a_high: float) -> float:
-    """Weight ``int_0^tau (s/tau)^(g-1) * kernel(tau - s) ds``.
-
-    Both the shape factor (at s=0) and the kernel (at s=tau) are singular;
-    splitting at tau/2 and folding each half onto (0, 1/2] turns both into
-    one-sided algebraic singularities that dyadic Gauss-Legendre panels
-    resolve without cancellation near the endpoints.
-    """
-    n_shape = min(700, math.ceil(17.0 / (max(g, 0.01) * math.log10(2.0))))
-    n_kern = min(700, math.ceil(17.0 / (max(1.0 - a_high, 0.01)
-                                        * math.log10(2.0))))
-    shape_half = _dyadic_panel_integral(
-        lambda x: x ** (g - 1.0) * kernel_at(tau * (1.0 - x)), n_shape)
-    kernel_half = _dyadic_panel_integral(
-        lambda y: (1.0 - y) ** (g - 1.0) * kernel_at(tau * y), n_kern)
-    return tau * (shape_half + kernel_half)
+# first-kind product integration with a piecewise-linear unknown
 
 
 def _second_kind_weights(kernel: DiscreteKernel, g: float,
-                         w_first_cell: float | None):
-    """Assemble the product-integration weights for the second-kind scheme."""
+                         w_first_cell: float):
+    """Product-integration weights (w_left, w_right, w_shape) of the scheme
+    whose unknown is linear between nodes and ``x_1 * (s/tau)^(g-1)`` on its
+    first cell; ``w_first_cell`` is that shape integrated against the kernel
+    over (0, tau]."""
     tau = kernel.step
     w_left, w_right = _pl_weights(kernel)
     kv = kernel.values
-    # shape-ansatz weight of the unknown's first cell against the kernel
     w_shape = np.empty(kernel.n)
-    w_shape[0] = (w_first_cell if w_first_cell is not None
-                  else kernel.head_integral())
-    if kernel.n > 1:
-        w_shape[1:] = tau * (kv[1:] / g + (kv[:-1] - kv[1:]) / (g + 1.0))
+    w_shape[0] = w_first_cell
+    w_shape[1:] = tau * (kv[1:] / g + (kv[:-1] - kv[1:]) / (g + 1.0))
     return w_left, w_right, w_shape
 
 
-def _apply_second_kind(x: np.ndarray, w_left: np.ndarray, w_right: np.ndarray,
-                       w_shape: np.ndarray) -> np.ndarray:
-    """Evaluate the discrete convolution (x * kernel) under the solve scheme."""
-    n = x.size
-    out = np.empty(n)
-    out[0] = x[0] * w_shape[0]
-    if n > 1:
-        cl = np.convolve(x, w_left)
-        cr = np.convolve(x, w_right)
-        j = np.arange(2, n + 1)
-        sum_l = cl[j - 2]                      # sum_{m=1}^{j-1} wl_m x_{j-m}
-        sum_r = cr[j - 1] - w_right[j - 1] * x[0]  # m = 1..j-1 of wr_m x_{j-m+1}
-        out[1:] = x[0] * w_shape[1:] + sum_l + sum_r
-    return out
+def _forward_substitution(weights, gv: np.ndarray) -> np.ndarray:
+    """Node values x solving the first-kind equation ``x * kernel = g``
+    under the scheme of ``_second_kind_weights``.
 
-
-def _forward_substitution(c: float, lam: float, weights, gv: np.ndarray
-                          ) -> np.ndarray:
-    """Node values x solving ``c*x + lam*(x*kernel) = g`` under the scheme.
-
-    ``weights`` are the (w_left, w_right, w_shape) tables of
-    ``_second_kind_weights``; c = 1 is the second-kind equation and c = 0
-    with lam = 1 the first-kind one.  Once x_1 is known, its w_shape column
-    moves to the right-hand side and x_2..x_N solve a lower-triangular
-    Toeplitz system with lag-L weight lam*(w_left[L-1] + w_right[L]), which
-    ``_toeplitz_solve`` takes in O(N log^2 N).
+    Once x_1 is known, its w_shape column moves to the right-hand side and
+    x_2..x_N solve a lower-triangular Toeplitz system with lag-L weight
+    w_left[L-1] + w_right[L], which ``_toeplitz_solve`` takes in
+    O(N log^2 N).
     """
     w_left, w_right, w_shape = weights
     n = gv.size
-    diag1 = c + lam * w_shape[0]
-    diag = c + lam * w_right[0]
-    if abs(diag1) < 1e-14 or abs(diag) < 1e-14:
-        raise GridMismatchError("degenerate lam*step combination: zero diagonal")
+    if abs(w_shape[0]) < 1e-14 or abs(w_right[0]) < 1e-14:
+        raise GridMismatchError("degenerate step: zero diagonal")
     x = np.empty(n)
-    x[0] = gv[0] / diag1
+    x[0] = gv[0] / w_shape[0]
     lagw = np.empty(n - 1)
-    lagw[:1] = diag
-    lagw[1:] = lam * (w_left[:n - 2] + w_right[1:n - 1])
-    x[1:] = _toeplitz_solve(lagw, gv[1:] - lam * x[0]
-                            * (w_shape[1:] + w_left[:n - 1]))
+    lagw[:1] = w_right[0]
+    lagw[1:] = w_left[:n - 2] + w_right[1:n - 1]
+    x[1:] = _toeplitz_solve(lagw,
+                            gv[1:] - x[0] * (w_shape[1:] + w_left[:n - 1]))
     return x
-
-
-def solve_volterra_second_kind(g, kernel: DiscreteKernel, lam: float, *,
-                               singular_exponent: float = 1.0,
-                               first_cell_weight: float | None = None
-                               ) -> DiscreteKernel:
-    """Solve ``x + lam * (x * kernel) = g`` by forward substitution.
-
-    ``g`` may be a DiscreteKernel, an array of node values, or a scalar
-    (constant forcing).  The unknown is represented piecewise linearly with
-    the exact kernel cell moments on its singular side; on the unknown's own
-    first cell the profile ``x_1 * (s/tau)^(singular_exponent - 1)`` is used,
-    so pass the known small-time exponent when solving for a kernel that
-    blows up at zero and leave the default for bounded unknowns.  The
-    returned solution satisfies the discrete scheme to round-off
-    (see ``volterra_residual``).
-    """
-    tau, n = kernel.step, kernel.n
-    if isinstance(g, DiscreteKernel):
-        _check_compatible(g, kernel)
-        gv = g.values
-    else:
-        gv = np.broadcast_to(np.asarray(g, dtype=float), (n,)).astype(float)
-    if not (0.0 < singular_exponent <= 1.0):
-        raise ValueError("singular_exponent must lie in (0, 1]")
-    weights = _second_kind_weights(kernel, singular_exponent, first_cell_weight)
-    return DiscreteKernel(tau, _forward_substitution(1.0, lam, weights, gv))
-
-
-def volterra_residual(x: DiscreteKernel, kernel: DiscreteKernel, lam: float,
-                      g, *, singular_exponent: float = 1.0,
-                      first_cell_weight: float | None = None) -> float:
-    """Sup-norm residual of x + lam*(x*kernel) - g under the solve scheme."""
-    if isinstance(g, DiscreteKernel):
-        gv = g.values
-    else:
-        gv = np.broadcast_to(np.asarray(g, dtype=float), (x.n,))
-    w_left, w_right, w_shape = _second_kind_weights(kernel, singular_exponent,
-                                                    first_cell_weight)
-    res = x.values + lam * _apply_second_kind(x.values, w_left, w_right,
-                                              w_shape) - gv
-    return float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +278,18 @@ def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
                    theta: float) -> DiscreteKernel:
     """Resolvent samples with cell tables summed node by node, without
     differences of running integrals (``kernels._resolvent_cells``)."""
-    vals, a_m, b_m, d_m = _kernels._resolvent_cells(spec, step, n_steps, theta)
-    return DiscreteKernel(step, vals, head=float(a_m[0]), cell_mass=a_m,
-                          cell_first_moment=b_m, cell_bubble_moment=d_m)
+    p, c = _kernels._grid_table(spec, step, n_steps, theta)
+    return _tabled_kernels(p, c[:, None], step, n_steps)[0]
+
+
+def _tabled_kernels(p: np.ndarray, weights: np.ndarray, step: float,
+                    n_steps: int) -> list[DiscreteKernel]:
+    """One kernel with exact cell tables per weight column of
+    ``kernels._resolvent_cells``."""
+    tables = _kernels._resolvent_cells(p, weights, step, n_steps)
+    return [DiscreteKernel(step, vals, head=float(mass[0]), cell_mass=mass,
+                           cell_first_moment=first, cell_bubble_moment=bubble)
+            for vals, mass, first, bubble in zip(*(a.T for a in tables))]
 
 
 def l1_distance(a: DiscreteKernel, b: DiscreteKernel,
@@ -396,44 +315,45 @@ def l1_norm(a: DiscreteKernel, horizon: float | None = None) -> float:
 @dataclass(frozen=True)
 class YosidaKernels:
     n: int
-    h: DiscreteKernel    # resolvent kernel of n*l
-    k_n: DiscreteKernel  # regularized memory kernel, = n * s_n = k * h_n
-    s_n: DiscreteKernel  # relaxation kernel solving s + n*(s*l) = 1
+    h: DiscreteKernel    # h_n = n*r_n, r_n the resolvent at theta = n
+    k_n: DiscreteKernel  # regularized memory kernel n*s_n = k*h_n
+    s_n: DiscreteKernel  # n*sum (c/p) exp(-p t), solving s + n*(s*l) = 1
 
 
-def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int, *,
-                   l_kernel: DiscreteKernel | None = None,
-                   k_kernel: DiscreteKernel | None = None) -> YosidaKernels:
-    """Regularized kernels h_n, s_n and k_n = n*s_n on one grid.
+def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int
+                   ) -> YosidaKernels:
+    """Regularized kernels h_n, s_n and k_n = n*s_n on one grid, with exact
+    cell tables.
 
-    h_n solves h + n*(h*l) = n*l and inherits l's singularity at zero, so its
-    solve runs with the measure's tail exponent shaping the first cell.  The
-    regularized kernel is built from the bounded relaxation solution s_n
-    (s_n + n*(s_n*l) = 1) through the exact identity k_n = n*s_n: unlike the
-    convolution k*h_n, this stays well-posed when n is large enough that h_n
-    concentrates inside the first grid cell.  The two constructions agree to
-    discretization error wherever h_n is resolved (see the test suite).
+    On the node table at theta = n the resolvent is r_n = sum c exp(-p t)
+    (r_n + n*(r_n*l) = l).  So h_n = n*r_n solves h + n*(h*l) = n*l, and
+    s_n = 1 - n*(1*r_n) = n*sum (c/p) exp(-p t) solves s + n*(s*l) = 1,
+    because sum c/p = 1/n (H_n >= 0, and 1/n is r_n's Laplace transform at
+    0).  Both are sums of nonnegative terms over the one table, with no
+    solve and no difference of running integrals; k_n = n*s_n stays exact
+    when n outruns the grid and h_n concentrates inside the first cell.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if l_kernel is None:
-        l_kernel = sample_l(spec, step, n_steps)
-    if k_kernel is None:
-        k_kernel = sample_k(spec, step, n_steps)
-    _check_compatible(l_kernel, k_kernel)
-    gb = gamma_bar(spec)
-    h = solve_volterra_second_kind(l_kernel.scaled(float(n)), l_kernel,
-                                   float(n), singular_exponent=gb)
-    s_n = solve_volterra_second_kind(1.0, l_kernel, float(n))
-    # exact cell masses via (1*s_n)(t) = t - n*(1*1*r_n)(t): the first cell
-    # holds most of k_n's mass once n outruns the grid, and the quadrature
-    # route resolves it where any on-grid scheme cannot
-    t = l_kernel.times
-    running = t - float(n) * np.asarray(
-        _kernels.resolvent_double_integral(spec, t, float(n)))
-    masses = float(n) * np.diff(np.concatenate(([0.0], running)))
-    k_n = DiscreteKernel(s_n.step, float(n) * s_n.values, cell_mass=masses)
-    return YosidaKernels(n=n, h=h, k_n=k_n, s_n=s_n)
+    theta = float(n)
+    p, c = _kernels._grid_table(spec, step, n_steps, theta)
+    c_over_p = c / p
+    # The part of sum c/p left of the table, where exp(-p t) = 1, enters as
+    # a node at p = 0: it is 1/n less the table's sum and less the part
+    # right of the table, which goes on decaying like the last panel, by
+    # 2^-a_high a panel.  A few ulps of 1/n are the sum's rounding, not
+    # tail: added to s_n, which falls to about 1/(n t^a), they would cost
+    # it up to n ulps.
+    _, a_high = spec.support_bounds()
+    right = (c_over_p[-_kernels._GL_NODES_PER_PANEL:].sum()
+             / (2.0**a_high - 1.0))
+    left = 1.0 / theta - math.fsum(c_over_p) - right
+    if left <= _CLOSURE_ULPS * np.spacing(1.0 / theta):
+        left = 0.0
+    weights = theta * np.column_stack((np.append(0.0, c),
+                                       np.append(left, c_over_p)))
+    h, s_n = _tabled_kernels(np.append(0.0, p), weights, step, n_steps)
+    return YosidaKernels(n=n, h=h, k_n=s_n.scaled(theta), s_n=s_n)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +453,15 @@ def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
 # first-kind Sonine oracle
 
 
+def _first_cell_weight(spec: MeasureSpec, tau: float, g: float) -> float:
+    """``int_0^tau (s/tau)^(g-1) k(tau - s) ds``, in closed form
+    ``tau^(1-g) Gamma(g) (I^g k)(tau)``: ``kernels._k_moments`` at the depth
+    g sums the order nodes' terms tau^(g-a)/Gamma(1+g-a) of the
+    Riemann-Liouville integral I^g k."""
+    return tau ** (1.0 - g) * math.gamma(g) * _kernels._k_moments(
+        spec, tau, (g,))[0]
+
+
 def sonine_partner(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
     """Independent discrete solve of ``k * l = 1`` by product integration.
 
@@ -543,10 +472,7 @@ def sonine_partner(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKern
     the Laplace-inversion route.
     """
     gb = gamma_bar(spec)
-    k_kernel = sample_k(spec, step, n_steps)
-    _, a_high = spec.support_bounds()
-    w11 = _first_cell_shape_weight(lambda s: np.asarray(_kernels.k_eval(spec, s)),
-                                   step, gb, a_high)
-    weights = _second_kind_weights(k_kernel, gb, w11)
-    return DiscreteKernel(step, _forward_substitution(0.0, 1.0, weights,
+    weights = _second_kind_weights(sample_k(spec, step, n_steps), gb,
+                                   _first_cell_weight(spec, step, gb))
+    return DiscreteKernel(step, _forward_substitution(weights,
                                                       np.ones(n_steps)))

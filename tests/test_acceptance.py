@@ -101,12 +101,11 @@ def test_criterion_04_resolvent(half, sampled_2048):
 
 
 def test_criterion_05_yosida(half, sampled_2048):
-    lk, kk = sampled_2048["d05"]
+    _, kk = sampled_2048["d05"]
     norm_k = V.l1_norm(kk, horizon=1.0)
     dists = []
     for n in (4, 16, 64, 256):
-        yos = V.yosida_kernels(half, n, lk.step, lk.n,
-                               l_kernel=lk, k_kernel=kk)
+        yos = V.yosida_kernels(half, n, kk.step, kk.n)
         dists.append(V.l1_distance(yos.k_n, kk, horizon=1.0))
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     ok = decreasing and dists[-1] <= 0.05 * norm_k
@@ -118,11 +117,7 @@ def test_criterion_06_fundamental_identity(half):
     sups = {}
     remainder_ok = True
     for n_steps in (1024, 2048):
-        tau = 1.0 / n_steps
-        lk = V.sample_l(half, tau, n_steps)
-        kk = V.sample_k(half, tau, n_steps)
-        yos = V.yosida_kernels(half, 64, tau, n_steps,
-                               l_kernel=lk, k_kernel=kk)
+        yos = V.yosida_kernels(half, 64, 1.0 / n_steps, n_steps)
         t = yos.k_n.times
         rep = V.fundamental_identity_residual(
             yos.k_n, 1.0 + t, lambda v: v**2, lambda v: 2.0 * v)

@@ -67,6 +67,17 @@ class TestParsing:
             parse_config(small_config(n_steps=8))
         assert any(ptr == "/n_steps" for ptr, _ in err.value.violations)
 
+    @pytest.mark.parametrize("n_yosida", [2.5, "abc", 0, True])
+    def test_n_yosida_must_be_a_positive_integer(self, n_yosida):
+        cfg = small_config("solve", params={"use_yosida": True,
+                                            "n_yosida": n_yosida})
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert "/params/n_yosida" in dict(err.value.violations)
+        # without use_yosida the value is never read
+        cfg["params"]["use_yosida"] = False
+        parse_config(cfg)
+
     def test_bad_json_text(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
@@ -158,6 +169,25 @@ class TestRunners:
         lines = (tmp_path / "solution.csv").read_text().splitlines()
         assert lines[0] == "t,i,value"
         assert len(lines) == 130  # header + n_steps + 1 rows
+
+    def test_solve_yosida_path(self, tmp_path):
+        # the n = 256 regularized kernel moves u only a little, as in
+        # test_yosida_weight_consistency
+        grid = {"extents": [[0.0, 1.0]], "n_cells": [32],
+                "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2]}
+        values = []
+        for use_yosida in (False, True):
+            out = tmp_path / str(use_yosida)
+            config = parse_config(small_config(
+                "solve", grid=grid,
+                params={"use_yosida": use_yosida, "n_yosida": 256,
+                        "seed": 0}))
+            assert cli.run(config, out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["max_step_residual"] <= 1e-10
+            values.append(np.loadtxt(out / "solution.csv", delimiter=",",
+                                     skiprows=1)[:, -1])
+        assert np.max(np.abs(values[0] - values[1])) <= 5e-2
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_solve_manifest_counts_lu_factorisations(self, tmp_path,

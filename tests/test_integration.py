@@ -81,11 +81,10 @@ def test_lopsided_relaxation_bounded(half):
 
 def test_yosida_pipeline_mixed():
     tau, n = 1.0 / 512, 512
-    lk = V.sample_l(MIXED, tau, n)
     kk = V.sample_k(MIXED, tau, n)
     dists = []
     for m in (4, 64):
-        y = V.yosida_kernels(MIXED, m, tau, n, l_kernel=lk, k_kernel=kk)
+        y = V.yosida_kernels(MIXED, m, tau, n)
         assert np.all(np.diff(y.k_n.values) <= 1e-10)
         dists.append(V.l1_distance(y.k_n, kk, horizon=1.0))
     assert dists[1] < dists[0]

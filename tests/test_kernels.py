@@ -348,6 +348,29 @@ class TestBoundCertificates:
         assert np.all(certs.chain_avg_over_l > 0.0)
         assert np.all(certs.chain_l_times_K > 0.0)
 
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_chain_window_edges(self, measures, size):
+        # windows of 0, 1 and 2 samples, below the 2 of one resolvent grid,
+        # against the inversion of r_theta and 1*r_theta at the same times
+        from memkern.geometry import phi
+
+        step = 1.0 / 512
+        for name, spec in measures.items():
+            c_bar = (size + 0.5) * step / phi(spec, 0.5)
+            certs = K.bound_certificates(spec, V.sample_l(spec, step, 512),
+                                         r=0.5, c_bar=c_bar)
+            assert certs.chain_t.size == size, name
+            if not size:
+                continue
+            r_vals, running = K._laplace_inversion(spec, certs.chain_t,
+                                                   certs.theta, (0, 1))
+            l_vals = certs.l_values[:size]
+            expected = (r_vals * certs.chain_t / running,
+                        running / certs.chain_t / l_vals)
+            for got, ref in zip((certs.chain_r_over_avg,
+                                 certs.chain_avg_over_l), expected):
+                assert np.max(np.abs(got / ref - 1.0)) <= 1e-13, name
+
     def test_csv(self, half, verify_run):
         path = verify_run / "certificates.csv"
         header = path.read_text().splitlines()[0]

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from memkern import kernels as K
 from memkern import volterra as V
-from memkern.measure import MeasureSpec
+from memkern.measure import MeasureSpec, gamma_bar
 
 
 def ones_kernel(n=256, tau=1.0 / 256):
@@ -71,65 +71,30 @@ class TestConv:
 
 
 class TestSecondKind:
-    def test_lambda_zero_returns_forcing(self, sampled_2048):
-        lk, _ = sampled_2048["d05"]
-        x = V.solve_volterra_second_kind(lk, lk, 0.0)
-        assert np.array_equal(x.values, lk.values)
-
-    def test_discrete_resolvent_matches_quadrature(self, half, sampled_2048):
-        lk, _ = sampled_2048["d05"]
-        x = V.solve_volterra_second_kind(lk, lk, 1.0, singular_exponent=0.5)
-        ref = np.asarray(K.r_theta_eval(half, x.times, 1.0))
-        rel = np.abs(x.values - ref) / ref
-        assert np.max(rel[9:]) <= 1e-3
-
-    def test_residual_exact_by_construction(self, sampled_2048):
-        lk, _ = sampled_2048["d05"]
-        x = V.solve_volterra_second_kind(lk, lk, 3.0, singular_exponent=0.5)
-        res = V.volterra_residual(x, lk, 3.0, lk, singular_exponent=0.5)
-        assert res <= 1e-10
-
-    def test_relaxation_solution_decreasing(self, sampled_2048):
-        lk, _ = sampled_2048["d05"]
-        for n in (1, 8):
-            s = V.solve_volterra_second_kind(1.0, lk, float(n))
-            assert s.values[0] > 0.9 if n == 1 else s.values[0] > 0.0
-            assert np.all(np.diff(s.values) <= 1e-14)
-            assert V.volterra_residual(s, lk, float(n), 1.0) <= 1e-10
-
-    def test_degenerate_diagonal_raises(self, sampled_2048):
-        lk, _ = sampled_2048["d05"]
-        wr1 = float(lk.times[0] * lk.masses()[0] - lk.first_moments()[0]) \
-            / lk.step
-        with pytest.raises(V.GridMismatchError):
-            V.solve_volterra_second_kind(lk, lk, -1.0 / wr1)
-
+    """The forward substitution of the ``_second_kind_weights`` scheme."""
 
     def test_forward_substitution_matches_loop(self, sampled_2048):
         # the blocked Toeplitz solve against the row-by-row recurrence of the
-        # same scheme, for second-kind solves of l and a first-kind solve of k
-        def loop(c, lam, weights, g):
+        # same scheme, for the first-kind solve k * x = 1 of sonine_partner
+        def loop(weights, g):
             w_left, w_right, w_shape = weights
             x = np.zeros(g.size)
-            x[0] = g[0] / (c + lam * w_shape[0])
+            x[0] = g[0] / w_shape[0]
             for j in range(2, g.size + 1):
                 known = x[0] * w_shape[j - 1]
                 known += np.dot(x[:j - 1], w_left[j - 2::-1])
                 known += np.dot(x[1:j - 1], w_right[j - 2:0:-1])
-                x[j - 1] = (g[j - 1] - lam * known) / (c + lam * w_right[0])
+                x[j - 1] = (g[j - 1] - known) / w_right[0]
             return x
 
-        for name, (lk, kk) in sampled_2048.items():
-            cases = [(1.0, lam, V._second_kind_weights(lk, 0.5, None), g)
-                     for lam in (1.0, 256.0) for g in (lk.values, np.ones(lk.n))]
-            cases.append((0.0, 1.0, V._second_kind_weights(kk, 0.5, kk.step),
-                          np.ones(kk.n)))
-            for c, lam, weights, g in cases:
-                ref = loop(c, lam, weights, g)
-                got = V._forward_substitution(c, lam, weights, g)
-                tol = 1e-14 if c else 1e-12  # first kind amplifies rounding
-                assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref)), \
-                    (name, c, lam)
+        for name, (_, kk) in sampled_2048.items():
+            weights = V._second_kind_weights(kk, 0.5, kk.step)
+            g = np.ones(kk.n)
+            ref = loop(weights, g)
+            got = V._forward_substitution(weights, g)
+            # the first kind amplifies rounding
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+                name
 
 
 class TestToeplitzSolve:
@@ -236,20 +201,17 @@ class TestResolventCellTables:
 
 
 class TestYosida:
-    def test_positivity_resolved_regime(self, half, sampled_2048):
-        lk, kk = sampled_2048["d05"]
+    def test_positivity_resolved_regime(self, half):
         for n in (1, 4, 16, 64):
-            y = V.yosida_kernels(half, n, lk.step, lk.n,
-                                 l_kernel=lk, k_kernel=kk)
+            y = V.yosida_kernels(half, n, 1.0 / 2048, 2048)
             assert float(np.min(y.h.values)) >= 0.0, n
 
     def test_l1_convergence_and_ordering(self, half, sampled_2048):
-        lk, kk = sampled_2048["d05"]
+        _, kk = sampled_2048["d05"]
         norm_k = V.l1_norm(kk, horizon=1.0)
         dists = []
         for n in (4, 16, 64, 256):
-            y = V.yosida_kernels(half, n, lk.step, lk.n,
-                                 l_kernel=lk, k_kernel=kk)
+            y = V.yosida_kernels(half, n, kk.step, kk.n)
             dists.append(V.l1_distance(y.k_n, kk, horizon=1.0))
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
         assert dists[-1] <= 0.05 * norm_k
@@ -257,30 +219,67 @@ class TestYosida:
         assert dists[1] <= dists[0] and dists[2] <= dists[1] \
             and dists[3] <= dists[2]
 
-    def test_kernel_identity_and_monotonicity(self, half, sampled_2048):
-        lk, kk = sampled_2048["d05"]
-        y = V.yosida_kernels(half, 16, lk.step, lk.n,
-                             l_kernel=lk, k_kernel=kk)
+    def test_kernel_identity_and_monotonicity(self, half):
+        y = V.yosida_kernels(half, 16, 1.0 / 2048, 2048)
         assert np.array_equal(y.k_n.values, 16.0 * y.s_n.values)
         assert np.all(y.k_n.values >= 0.0)
         assert np.all(np.diff(y.k_n.values) <= 1e-12)
 
-    def test_direct_relaxation_equation_residual(self, half, sampled_2048):
-        # the relaxation kernel solves s_n + n*(s_n * l) = 1 to round-off
-        lk, kk = sampled_2048["d05"]
-        y = V.yosida_kernels(half, 1, lk.step, lk.n,
-                             l_kernel=lk, k_kernel=kk)
-        assert V.volterra_residual(y.s_n, lk, 1.0, 1.0) <= 1e-10
-
     def test_conv_route_agrees_when_resolved(self, half, sampled_2048):
         # k * h_n reproduces n*s_n within discretization error at small n
-        lk, kk = sampled_2048["d05"]
-        y = V.yosida_kernels(half, 4, lk.step, lk.n,
-                             l_kernel=lk, k_kernel=kk)
+        _, kk = sampled_2048["d05"]
+        y = V.yosida_kernels(half, 4, kk.step, kk.n)
         alt = V.conv(kk, y.h)
-        rel = V.l1_distance(V.DiscreteKernel(lk.step, alt.values), y.k_n,
+        rel = V.l1_distance(V.DiscreteKernel(kk.step, alt.values), y.k_n,
                             horizon=1.0) / V.l1_norm(y.k_n, horizon=1.0)
         assert rel <= 0.08
+
+    @pytest.mark.parametrize("n", [4, 256, 4096])
+    def test_order_half_against_mittag_leffler(self, half, n):
+        # s_n = E_1/2(-n t^1/2) = exp(n^2 t) erfc(n t^1/2) and
+        # h_n = n t^-1/2 E_1/2,1/2(-n t^1/2), in 30-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        y = V.yosida_kernels(half, n, 1.0 / 2048, 2048)
+        s_ref, h_ref = [], []
+        for j in range(1, 2049):
+            t = mp.mpf(j) / 2048
+            z = n * mp.sqrt(t)
+            e = mp.exp(z * z) * mp.erfc(z)
+            s_ref.append(float(e))
+            h_ref.append(float(n / mp.sqrt(t) * (1 / mp.sqrt(mp.pi) - z * e)))
+        assert np.max(np.abs(y.s_n.values / s_ref - 1.0)) <= 1e-13
+        assert np.max(np.abs(y.h.values / h_ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 256])
+    @pytest.mark.parametrize("name", ["uniform", "two_atom"])
+    def test_distributed_orders_against_quad(self, measures, name, n):
+        # s_n = (n/pi) int H_n(p) exp(-p t) dp/p by quad in x = log p, with
+        # S and C in closed form: for the uniform weight
+        # S = pi (1 + p)/(x^2 + pi^2) and C = -x (1 + p)/(x^2 + pi^2)
+        def s_and_c(x):
+            if name == "uniform":
+                scale = (1.0 + math.exp(x)) / (x * x + math.pi**2)
+                return math.pi * scale, -x * scale
+            return (sum(q * math.exp(a * x) * math.sin(math.pi * a)
+                        for a, q in measures[name].atoms),
+                    sum(q * math.exp(a * x) * math.cos(math.pi * a)
+                        for a, q in measures[name].atoms))
+
+        y = V.yosida_kernels(measures[name], n, 1.0 / 2048, 2048)
+        for j in np.unique(np.geomspace(1, 2048, 12).round().astype(int)):
+            t = j / 2048
+
+            def integrand(x):
+                s, c = s_and_c(x)
+                return s / (s * s + (n + c) ** 2) * math.exp(-math.exp(x) * t)
+
+            ref = n / math.pi * sum(
+                integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                               limit=200)[0]
+                for lo, hi in ((-np.inf, 0.0), (0.0, math.log(800.0 / t))))
+            assert abs(y.s_n.values[j - 1] / ref - 1.0) <= 1e-12, (name, j)
 
     def test_invalid_n_raises(self, half):
         with pytest.raises(ValueError):
@@ -289,11 +288,7 @@ class TestYosida:
 
 @pytest.fixture(scope="module")
 def setup_512(half):
-    tau, n = 1.0 / 512, 512
-    lk = V.sample_l(half, tau, n)
-    kk = V.sample_k(half, tau, n)
-    y = V.yosida_kernels(half, 16, tau, n, l_kernel=lk, k_kernel=kk)
-    return y.k_n
+    return V.yosida_kernels(half, 16, 1.0 / 512, 512).k_n
 
 
 class TestFundamentalIdentity:
@@ -314,10 +309,7 @@ class TestFundamentalIdentity:
     def test_quadratic_converges(self, half):
         sups = {}
         for n in (1024, 2048):
-            tau = 1.0 / n
-            lk = V.sample_l(half, tau, n)
-            kk = V.sample_k(half, tau, n)
-            y = V.yosida_kernels(half, 64, tau, n, l_kernel=lk, k_kernel=kk)
+            y = V.yosida_kernels(half, 64, 1.0 / n, n)
             t = y.k_n.times
             rep = V.fundamental_identity_residual(
                 y.k_n, 1.0 + t, lambda v: v**2, lambda v: 2 * v)
@@ -359,10 +351,30 @@ class TestSoninePartner:
         # int_0^tau (s/tau)^(a-1) (tau-s)^-a / Gamma(1-a) ds = tau^(1-a) Gamma(a)
         spec = MeasureSpec.single_order(alpha)
         for tau in (2.0**-11, 1e-6, 0.5):
-            got = V._first_cell_shape_weight(
-                lambda s: np.asarray(K.k_eval(spec, s)), tau, alpha, alpha)
+            got = V._first_cell_weight(spec, tau, alpha)
             exact = tau ** (1.0 - alpha) * math.gamma(alpha)
             assert abs(got - exact) <= 1e-13 * exact, tau
+
+    @pytest.mark.parametrize("atoms", [None, ((0.3, 0.5), (0.995, 0.5))],
+                             ids=["uniform", "order near one"])
+    def test_first_cell_weight_against_mpmath(self, atoms):
+        # the orders' sum of tau^(1-a) Gamma(g)/Gamma(1+g-a), each term the
+        # shape integral of t^-a/Gamma(1-a), by 30-digit quadrature in a
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        spec = (MeasureSpec.uniform_weight() if atoms is None
+                else MeasureSpec.from_atoms(list(atoms)))
+        tau, g = 2.0**-11, gamma_bar(spec)
+
+        def term(a):
+            return (mp.mpf(tau) ** (1 - a) * mp.gamma(g)
+                    / mp.gamma(1 + mp.mpf(g) - a))
+
+        ref = (mp.quad(term, [0, 1]) if atoms is None
+               else mp.fsum(q * term(mp.mpf(a)) for a, q in atoms))
+        got = V._first_cell_weight(spec, tau, g)
+        assert abs(got / float(ref) - 1.0) <= 1e-14
 
     def test_single_order_first_cell_exact(self, half):
         oracle = V.sonine_partner(half, 1.0 / 256, 256)
