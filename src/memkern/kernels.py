@@ -56,6 +56,7 @@ from .measure import (
     power_moment,
     require_valid,
     sin_cos_moments,
+    _sin_cos_log,
 )
 
 __all__ = [
@@ -289,6 +290,21 @@ def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
     p, w = (a.ravel() for a in _gauss_panels(
         np.ldexp(1.0, np.arange(k_lo, k_hi + 1)), _GL_NODES_PER_PANEL))
     return p, w * h_laplace_eval(spec, p, theta)[0] / math.pi
+
+
+def _left_tail(spec: MeasureSpec, theta: float, p_lo: float) -> float:
+    """``(1/pi) int_0^p_lo H_theta(p) dp/p``, theta >= 1: the part of sum c/p
+    left of a node table that starts at p_lo, where S and C are small.
+
+    In y = log(p_lo/p) the integrand decays like exp(-a_low y), or like
+    y^-2 for a weight that reaches order 0, so Gauss-Legendre panels on
+    [0, 1] and [2^j, 2^(j+1)], j < 63, cover it; the moments are taken in
+    log p, since p leaves the double range long before.
+    """
+    y, w = (a.ravel() for a in _gauss_panels(
+        np.append(0.0, np.ldexp(1.0, np.arange(64))), _GL_NODES_PER_PANEL))
+    s, c = _sin_cos_log(spec, math.log(p_lo) - y)
+    return float(w @ (s / (s * s + (theta + c) ** 2))) / math.pi
 
 
 def _band(p: np.ndarray, t_lo: float, t_hi: float,

@@ -309,16 +309,26 @@ def sin_cos_moments(spec: MeasureSpec, p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr <= 0.0):
         raise MeasureError("oscillatory moments require p > 0")
-    s = np.zeros_like(p_arr)
-    c = np.zeros_like(p_arr)
+    s, c = _sin_cos_log(spec, np.log(p_arr), p_arr)
+    if isinstance(p, np.ndarray):
+        return s, c
+    return float(s), float(c)
+
+
+def _sin_cos_log(spec: MeasureSpec, log_p: np.ndarray,
+                 p: np.ndarray | None = None):
+    """``sin_cos_moments`` at p = exp(log_p), arrays only.  The atoms take
+    p^a from p when it is given, else as exp(a log p), which stays exact
+    where p itself under- or overflows a double."""
+    s = np.zeros_like(log_p)
+    c = np.zeros_like(log_p)
     for a, q in spec.atoms:
         if q == 0.0:
             continue
-        pa = p_arr ** a
+        pa = np.exp(a * log_p) if p is None else p ** a
         s = s + q * pa * math.sin(math.pi * a)
         c = c + q * pa * math.cos(math.pi * a)
     if any(w > 0.0 for _, _, w in spec.pieces()):
-        log_p = np.log(p_arr)
         denom = log_p**2 + math.pi**2
 
         def _f_sin(alpha):
@@ -336,9 +346,7 @@ def sin_cos_moments(spec: MeasureSpec, p):
                 continue
             s = s + w * (_f_sin(b) - _f_sin(a))
             c = c + w * (_f_cos(b) - _f_cos(a))
-    if isinstance(p, np.ndarray):
-        return s, c
-    return float(s), float(c)
+    return s, c
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
 _TOEPLITZ_BLOCK = 64     # base block B of the lower-triangular Toeplitz engine
 _DENSE_FAR_FIELD = 128   # far-field spans s up to this are one dense matmul
 _FFT_CHUNK_BYTES = 1 << 18  # spectrum bytes of one column chunk of the FFT path
-_CLOSURE_ULPS = 4  # ulps of 1/n: a smaller Yosida left closure is rounding
 
 
 def _check_compatible(a: DiscreteKernel, b: DiscreteKernel) -> None:
@@ -206,8 +205,8 @@ def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # first-kind product integration with a piecewise-linear unknown
 
 
-def _second_kind_weights(kernel: DiscreteKernel, g: float,
-                         w_first_cell: float):
+def _first_kind_weights(kernel: DiscreteKernel, g: float,
+                        w_first_cell: float):
     """Product-integration weights (w_left, w_right, w_shape) of the scheme
     whose unknown is linear between nodes and ``x_1 * (s/tau)^(g-1)`` on its
     first cell; ``w_first_cell`` is that shape integrated against the kernel
@@ -223,7 +222,7 @@ def _second_kind_weights(kernel: DiscreteKernel, g: float,
 
 def _forward_substitution(weights, gv: np.ndarray) -> np.ndarray:
     """Node values x solving the first-kind equation ``x * kernel = g``
-    under the scheme of ``_second_kind_weights``.
+    under the scheme of ``_first_kind_weights``.
 
     Once x_1 is known, its w_shape column moves to the right-hand side and
     x_2..x_N solve a lower-triangular Toeplitz system with lag-L weight
@@ -279,14 +278,13 @@ def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
     """Resolvent samples with cell tables summed node by node, without
     differences of running integrals (``kernels._resolvent_cells``)."""
     p, c = _kernels._grid_table(spec, step, n_steps, theta)
-    return _tabled_kernels(p, c[:, None], step, n_steps)[0]
+    return _tabled_kernels(
+        _kernels._resolvent_cells(p, c[:, None], step, n_steps), step)[0]
 
 
-def _tabled_kernels(p: np.ndarray, weights: np.ndarray, step: float,
-                    n_steps: int) -> list[DiscreteKernel]:
+def _tabled_kernels(tables, step: float) -> list[DiscreteKernel]:
     """One kernel with exact cell tables per weight column of
     ``kernels._resolvent_cells``."""
-    tables = _kernels._resolvent_cells(p, weights, step, n_steps)
     return [DiscreteKernel(step, vals, head=float(mass[0]), cell_mass=mass,
                            cell_first_moment=first, cell_bubble_moment=bubble)
             for vals, mass, first, bubble in zip(*(a.T for a in tables))]
@@ -338,21 +336,21 @@ def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int
     theta = float(n)
     p, c = _kernels._grid_table(spec, step, n_steps, theta)
     c_over_p = c / p
-    # The part of sum c/p left of the table, where exp(-p t) = 1, enters as
-    # a node at p = 0: it is 1/n less the table's sum and less the part
-    # right of the table, which goes on decaying like the last panel, by
-    # 2^-a_high a panel.  A few ulps of 1/n are the sum's rounding, not
-    # tail: added to s_n, which falls to about 1/(n t^a), they would cost
-    # it up to n ulps.
-    _, a_high = spec.support_bounds()
-    right = (c_over_p[-_kernels._GL_NODES_PER_PANEL:].sum()
-             / (2.0**a_high - 1.0))
-    left = 1.0 / theta - math.fsum(c_over_p) - right
-    if left <= _CLOSURE_ULPS * np.spacing(1.0 / theta):
-        left = 0.0
+    # Left of the table exp(-p t) = 1 on the grid, so the part of sum c/p
+    # there enters as a node at p = 0, integrated in log p.  Right of it
+    # exp(-p t) = 0 and only h_n's first cell mass sees the rest of
+    # sum c/p = 1/n, through the 1/p limit of its factor; the first moment
+    # and bubble factors fall like 1/p^2 there.  Both tails matter once the
+    # table is clipped short of p^a_high >> n (orders below about 0.09).
+    left = _kernels._left_tail(spec, theta,
+                               math.ldexp(1.0, math.frexp(p[0])[1] - 1))
+    right = 1.0 / theta - left - math.fsum(c_over_p)
     weights = theta * np.column_stack((np.append(0.0, c),
                                        np.append(left, c_over_p)))
-    h, s_n = _tabled_kernels(np.append(0.0, p), weights, step, n_steps)
+    tables = _kernels._resolvent_cells(np.append(0.0, p), weights, step,
+                                       n_steps)
+    tables[1][0, 0] += theta * right
+    h, s_n = _tabled_kernels(tables, step)
     return YosidaKernels(n=n, h=h, k_n=s_n.scaled(theta), s_n=s_n)
 
 
@@ -472,7 +470,7 @@ def sonine_partner(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKern
     the Laplace-inversion route.
     """
     gb = gamma_bar(spec)
-    weights = _second_kind_weights(sample_k(spec, step, n_steps), gb,
-                                   _first_cell_weight(spec, step, gb))
+    weights = _first_kind_weights(sample_k(spec, step, n_steps), gb,
+                                  _first_cell_weight(spec, step, gb))
     return DiscreteKernel(step, _forward_substitution(weights,
                                                       np.ones(n_steps)))

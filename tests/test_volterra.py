@@ -71,7 +71,7 @@ class TestConv:
 
 
 class TestSecondKind:
-    """The forward substitution of the ``_second_kind_weights`` scheme."""
+    """The forward substitution of the ``_first_kind_weights`` scheme."""
 
     def test_forward_substitution_matches_loop(self, sampled_2048):
         # the blocked Toeplitz solve against the row-by-row recurrence of the
@@ -88,7 +88,7 @@ class TestSecondKind:
             return x
 
         for name, (_, kk) in sampled_2048.items():
-            weights = V._second_kind_weights(kk, 0.5, kk.step)
+            weights = V._first_kind_weights(kk, 0.5, kk.step)
             g = np.ones(kk.n)
             ref = loop(weights, g)
             got = V._forward_substitution(weights, g)
@@ -251,6 +251,36 @@ class TestYosida:
             h_ref.append(float(n / mp.sqrt(t) * (1 / mp.sqrt(mp.pi) - z * e)))
         assert np.max(np.abs(y.s_n.values / s_ref - 1.0)) <= 1e-13
         assert np.max(np.abs(y.h.values / h_ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.02])
+    def test_small_order_against_mittag_leffler(self, alpha):
+        # Below order 0.09 the theta = n table ends short of p^a >> n and
+        # both of its tails carry a share of sum c/p = 1/n.  References in
+        # 30-digit mpmath, y = p^a: s_n = E_a(-n t^a) =
+        # (n sin(pi a)/(pi a)) int exp(-t y^(1/a)) / (y^2 + 2n cos(pi a) y + n^2) dy,
+        # h_n = -s_n', and h_n's first cell mass 1 - s_n(tau)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        n, a = 256, mp.mpf(alpha)
+        scale = n * mp.sin(mp.pi * a) / (mp.pi * a)
+
+        def reference(t, power):
+            def f(y):
+                return (y ** (power / a) * mp.exp(-t * y ** (1 / a))
+                        / (y * y + 2 * n * mp.cos(mp.pi * a) * y + n * n))
+            yc = t ** -a
+            return float(scale * mp.quad(
+                f, [0, yc / 4, yc / 2, yc, 2 * yc, 4 * yc, mp.inf]))
+
+        y = V.yosida_kernels(MeasureSpec.single_order(alpha), n, 1.0 / 2048,
+                             2048)
+        for j in np.unique(np.geomspace(1, 2048, 8).round().astype(int)):
+            t = mp.mpf(int(j)) / 2048
+            assert abs(y.s_n.values[j - 1] / reference(t, 0) - 1.0) <= 1e-13
+            assert abs(y.h.values[j - 1] / reference(t, 1) - 1.0) <= 1e-13
+        head = 1.0 - reference(mp.mpf(1) / 2048, 0)
+        assert abs(y.h.head_integral() / head - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("n", [4, 256])
     @pytest.mark.parametrize("name", ["uniform", "two_atom"])
