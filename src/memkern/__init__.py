@@ -20,7 +20,6 @@ from .measure import (
 from .kernels import (
     KernelKind,
     KernelGridError,
-    KernelQuadratureError,
     k_eval,
     k1_eval,
     one_star_k_eval,

@@ -14,29 +14,31 @@ only exist through a real-axis inversion integral
     S = int p^a sin(pi a) dmu,  C = int p^a cos(pi a) dmu,
 
 summed over Gauss-Legendre nodes on dyadic panels in p (``_node_table``,
-which evaluates H_theta once per call).  The panels extend right until the
-exponential (or the algebraic tail of a running integral) has decayed and
-left until the blow-up of H near p = 0 (exponent = lowest support point of
-the measure) has decayed below round-off, so the scheme is spectrally
-accurate for every admissible measure; a measure whose support reaches too
-close to order one makes the left tail undecidable in double precision and
-raises ``KernelQuadratureError``.  A block of times contracts only the band
-of nodes where its kernel varies.  For r_theta itself (``_exp_sums``) that
-is 2^-10 <= p*t <= 2^10: right of it exp(-p*t) is 0, left of it it is its
-degree-5 Taylor polynomial, so those nodes enter through the block's
-moments of the weights.  The running integrals (``_running_sums``) take
-2^-60 <= p*t <= 2^10, with a prefix sum on the left and, since their
-kernels are polynomials in 1/(p*t) there, suffix moments on the right.
-The sampled r_theta and l of ``volterra``, its Yosida kernels (weights c
-and c/p at theta = n) and the resolvent chain of ``bound_certificates``
-come from one ``_exp_sums`` over several weight vectors: the samples, and
-per-node cell factors (integrals of exp(-p s) over one step) for the cell
-mass, first moment and bubble, so no cell table is a difference of running
-integrals; the first cell is a plain sum over the node table.  On dyadic
-panels, scaling t by 2^-m and p by 2^m leaves p*t the same bits, so the Lp
-walk of ``geometry`` reuses one kernel block for all of its chunks.
-``_gauss_panels`` places the nodes of both sums, of the order moments of k
-and of the dyadic panels of ``geometry``.
+which evaluates H_theta once per call) that put u = p*t over [2^-60, 2^11]
+for every time of the call.  ``_tail`` closes both ends in log p: left of
+the panels every kernel of u is a constant, so the integral of H/pi there is
+the weight of one node at p = 0; right of them exp(-u) is 0, and the running
+integrals and the first cell take moments of H/pi p^-j there.  No panel
+count depends on the measure.  (For theta > 0, H_theta peaks at the zero of
+theta + C; with a top order near one the panels do not resolve that peak,
+and r_theta is not accurate to round-off.)  A block of times contracts only
+the band of nodes where its kernel varies.  For r_theta itself
+(``_exp_sums``) that is 2^-10 <= p*t <= 2^10: right of it exp(-p*t) is 0,
+left of it it is its degree-5 Taylor polynomial, so those nodes enter
+through the block's moments of the weights.  The running integrals
+(``_running_sums``) take 2^-60 <= p*t <= 2^10, with a prefix sum on the left
+and, since their kernels are polynomials in 1/(p*t) there, suffix moments on
+the right.  The sampled r_theta and l of ``volterra``, its Yosida kernels
+(weights c and c/p at theta = n) and the resolvent chain of
+``bound_certificates`` come from one ``_exp_sums`` over several weight
+vectors: the samples, and per-node cell factors (integrals of exp(-p s) over
+one step) for the cell mass, first moment and bubble, so no cell table is a
+difference of running integrals; the first cell is a plain sum over the node
+table and the right tails.  On dyadic panels, scaling t by 2^-m and p by 2^m
+leaves p*t the same bits, so the Lp walk of ``geometry`` reuses one kernel
+block for all of its chunks.  ``_gauss_panels`` places the nodes of both
+sums and of their tails, of the order moments of k and of the dyadic panels
+of ``geometry``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .measure import (
 )
 
 __all__ = [
-    "KernelQuadratureError",
     "KernelGridError",
     "KernelKind",
     "GridMismatchError",
@@ -68,7 +69,6 @@ __all__ = [
     "k_eval",
     "k1_eval",
     "one_star_k_eval",
-    "iterated_k_integral",
     "h_laplace_eval",
     "l_eval",
     "r_theta_eval",
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 _GL_NODES_PER_PANEL = 24
-_MAX_LEFT_PANELS = 880
 _DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
 _TILE_ENTRIES = 2**15  # times x nodes per matvec tile: 256 KB of doubles
 _TILE_SPAN = 8  # log2 of the widest t ratio in one inversion tile
@@ -93,10 +92,6 @@ _SMALL_T_FLOOR = 1e-8  # fraction of the horizon below which samples are refused
 
 # Gauss-Legendre rule on [-1, 1], built once per order; read by _gauss_panels.
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
-
-
-class KernelQuadratureError(RuntimeError):
-    """Tail truncation of the inversion integral failed to converge."""
 
 
 class KernelGridError(ValueError):
@@ -188,13 +183,6 @@ def one_star_k_eval(spec: MeasureSpec, t):
     return _k_moments(spec, t, (1,))[0]
 
 
-def iterated_k_integral(spec: MeasureSpec, t, depth: int = 2):
-    """Repeated running integrals of k; depth=2 gives ``(1*1*k)(t)``."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return _k_moments(spec, t, (depth,))[0]
-
-
 def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
     """Laplace-plane function ``(H_theta(p), S(p), C(p))``.
 
@@ -221,33 +209,15 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
 # fixed-node quadrature for the inversion integral
 
 
-def _tail_panels(spec: MeasureSpec) -> tuple[int, int]:
-    """Dyadic panel counts (L, R) so that u = p*t over [2^-L, 2^R] suffices.
-
-    H(p) ~ p^-a_low as p -> 0, so left panels add 2^(-j (1 - a_low)) each and
-    L pushes the truncated mass below 1e-16 relative; R, sized from the top of
-    the support, covers the u^(-1-a_high) tail of the running integrals.
-    """
-    a_low, a_high = spec.support_bounds()
-    n_left = math.ceil(16.0 / ((1.0 - a_low) * math.log10(2.0)))
-    if n_left > _MAX_LEFT_PANELS:
-        raise KernelQuadratureError(
-            f"tail truncation failed: support reaches {a_low:.4f}, "
-            f"needs {n_left} left panels (cap {_MAX_LEFT_PANELS})"
-        )
-    n_right = max(8, math.ceil(16.0 / (a_high * math.log10(2.0))))
-    return n_left, min(n_right, 600)
-
-
 def _depth_kernels(u: np.ndarray, depths) -> list[np.ndarray]:
     """g_d(u) = sum_k (-u)^k / (k+d)!, u = p*t, of the d-fold running integrals
     of exp(-p t), for depths d >= 1.
 
     From u = 1 on, g_1 = (1 - exp(-u))/u and g_d = (1/(d-1)! - g_(d-1))/u,
-    so no power of a large u (past 2^600 for orders near zero) overflows.
-    Below u = 1, where that recursion cancels, the top depth is its 18-term
-    series and the lower ones follow from g_(d-1) = 1/(d-1)! - u*g_d, which
-    loses nothing there; g_1 keeps its expm1 form throughout.
+    so no power of a large u overflows.  Below u = 1, where that recursion
+    cancels, the top depth is its 18-term series and the lower ones follow
+    from g_(d-1) = 1/(d-1)! - u*g_d, which loses nothing there; g_1 keeps
+    its expm1 form throughout.
     """
     top = max(depths)
     fact = math.factorial
@@ -267,21 +237,19 @@ def _depth_kernels(u: np.ndarray, depths) -> list[np.ndarray]:
     return [g[d] for d in depths]
 
 
-def _panel_range(spec: MeasureSpec, t_min: float, t_max: float,
-                 max_depth: int) -> tuple[int, int]:
+def _panel_range(t_min: float, t_max: float) -> tuple[int, int]:
     """Dyadic panels [2^k, 2^(k+1)], k_lo <= k < k_hi, that put u = p*t over
-    [2^-L, 2^(R+1)] for every t in [t_min, t_max] (2^10 for depth 0 alone:
-    exp(-u) is 0 beyond)."""
-    n_left, n_right = _tail_panels(spec)
-    u_right = _DEPTH0_RIGHT if max_depth == 0 else n_right + 1
-    # p reaches 2^-L for any t: once t < 2^-L, u >= 2^-L alone cuts at
-    # p > 1, dropping 2^(-L (1 - a_high)) of l (all of it as a_high -> 1)
-    return (math.floor(-n_left - max(math.log2(t_max), 0.0)),
-            math.ceil(u_right - math.log2(t_min)))
+    [2^-60, 2^11] for every t in [t_min, t_max].  Left of them exp(-u) and
+    every g_d(u) are constants in double, right of them exp(-u) is 0, so
+    ``_tail`` closes both ends.  The left end stays at or below 2^-60 also
+    for t_max < 1, so that the widening tail panels meet H only far from
+    p = 1, where it is smooth in log p."""
+    return (math.floor(math.log2(_HEAD_U) - max(math.log2(t_max), 0.0)),
+            math.ceil(_DEPTH0_RIGHT + 1 - math.log2(t_min)))
 
 
-def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes p of the Gauss-Legendre panels [2^k, 2^(k+1)], k_lo <= k < k_hi,
     ascending, and their weights times H_theta(p)/pi.
 
@@ -292,19 +260,43 @@ def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
     return p, w * h_laplace_eval(spec, p, theta)[0] / math.pi
 
 
-def _left_tail(spec: MeasureSpec, theta: float, p_lo: float) -> float:
-    """``(1/pi) int_0^p_lo H_theta(p) dp/p``, theta >= 1: the part of sum c/p
-    left of a node table that starts at p_lo, where S and C are small.
+def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``_panel_nodes`` behind a node at p = 0 that holds the left tail
+    ``(1/pi) int_0^(2^k_lo) H_theta dp``."""
+    p, c = _panel_nodes(spec, theta, k_lo, k_hi)
+    left = _tail(spec, theta, math.ldexp(1.0, k_lo), "left", (0,))
+    return np.append(0.0, p), np.append(left, c)
 
-    In y = log(p_lo/p) the integrand decays like exp(-a_low y), or like
-    y^-2 for a weight that reaches order 0, so Gauss-Legendre panels on
-    [0, 1] and [2^j, 2^(j+1)], j < 63, cover it; the moments are taken in
-    log p, since p leaves the double range long before.
+
+# y-nodes and weights of _tail: 16-point Gauss-Legendre panels on [0, 1]
+# and [2^i, 2^(i+1)], i < 63
+_TAIL_Y, _TAIL_W = (a.ravel() for a in _gauss_panels(
+    np.append(0.0, np.ldexp(1.0, np.arange(64))), 16))
+
+
+def _tail(spec: MeasureSpec, theta: float, edge: float, side: str, powers
+          ) -> np.ndarray:
+    """``(1/pi) int H_theta(p) p^-j dp`` over (0, edge) (side "left") or
+    (edge, inf) ("right"), one entry per j in powers, summed on the panels
+    ``_TAIL_Y`` in y = |log(p/edge)|.  The integrands fall like
+    exp(-(1 - j - a_low) y) or exp(-(j - 1 + a_high) y) there, or like y^-2
+    for H/p on the left at theta > 0 with a weight that reaches order 0.
+    S and C are moments of p^(a - shift), shift the end of the support on
+    that side, and H is scaled by kappa = max(p^shift, theta), so neither p
+    nor a power of it leaves the double range.
     """
-    y, w = (a.ravel() for a in _gauss_panels(
-        np.append(0.0, np.ldexp(1.0, np.arange(64))), _GL_NODES_PER_PANEL))
-    s, c = _sin_cos_log(spec, math.log(p_lo) - y)
-    return float(w @ (s / (s * s + (theta + c) ** 2))) / math.pi
+    a_low, a_high = spec.support_bounds()
+    sign, shift = (-1.0, a_low) if side == "left" else (1.0, a_high)
+    log_p = math.log(edge) + sign * _TAIL_Y
+    s, c = _sin_cos_log(spec, log_p, shift=shift)
+    log_theta = math.log(theta) if theta > 0.0 else -math.inf
+    log_kappa = np.maximum(shift * log_p, log_theta)
+    scale = np.exp(shift * log_p - log_kappa)
+    s, d = s * scale, np.exp(log_theta - log_kappa) + c * scale
+    h = _TAIL_W * s / (s * s + d * d)  # kappa H; dp = p dy
+    return np.array([h @ np.exp((1 - j) * log_p - log_kappa)
+                     for j in powers]) / math.pi
 
 
 def _band(p: np.ndarray, t_lo: float, t_hi: float,
@@ -363,8 +355,8 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
     return out
 
 
-def _running_sums(p: np.ndarray, coeff: np.ndarray, ts: np.ndarray, depths
-                  ) -> np.ndarray:
+def _running_sums(p: np.ndarray, coeff: np.ndarray, tails: np.ndarray,
+                  ts: np.ndarray, depths) -> np.ndarray:
     """``(1^d * r)(t) = t^d * sum_q coeff_q g_d(p_q t)`` for depths d >= 1 at
     the ascending times ts, one row per depth.
 
@@ -372,13 +364,13 @@ def _running_sums(p: np.ndarray, coeff: np.ndarray, ts: np.ndarray, depths
     Left of the band g_d is 1/d! in double, so those nodes enter as one
     prefix sum of the weights; right of it exp(-u) is 0 and
     g_d = sum_j (-1)^(j-1) u^-j / (d-j)!, so they enter as the suffix
-    moments sum c*p^-j, j = 1..d.
+    moments sum c*p^-j, j = 1..d, plus their right tails ``tails[j-1]``.
     """
     left = np.concatenate(([0.0], np.cumsum(coeff)))
     moments, right = coeff, []
-    for _ in range(max(depths)):
-        moments = moments / p
-        right.append(np.append(np.cumsum(moments[::-1])[::-1], 0.0))
+    for tail in tails[:max(depths)]:
+        moments = np.divide(moments, p, out=np.zeros_like(p), where=p > 0.0)
+        right.append(np.append(np.cumsum(moments[::-1])[::-1], 0.0) + tail)
     vals = np.empty((len(depths), ts.size))
     for lo, hi, b, e in _tiles(p, ts, _HEAD_U):
         tt = ts[lo:hi]
@@ -397,9 +389,10 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
 
     Depth d is ``(1^d * r_theta)(t) = t^d/pi * int g_d(p t) H_theta(p) dp``,
     summed over one ``_node_table`` for all of t: depth 0 by ``_exp_sums``,
-    the running integrals by ``_running_sums``.  Both sort the times into
-    tiles and contract each tile against its band of nodes only.  An array
-    t gives arrays of its shape; anything else gives floats.
+    the running integrals by ``_running_sums`` with the right tails beyond
+    the table.  Both sort the times into tiles and contract each tile
+    against its band of nodes only.  An array t gives arrays of its shape;
+    anything else gives floats.
     """
     require_valid(spec)
     if theta < 0.0:
@@ -410,13 +403,14 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
     if t_flat.size:
         order = np.argsort(t_flat)
         ts = t_flat[order]
-        p, coeff = _node_table(spec, theta, *_panel_range(
-            spec, ts[0], ts[-1], max(depths)))
+        k_lo, k_hi = _panel_range(ts[0], ts[-1])
+        p, coeff = _node_table(spec, theta, k_lo, k_hi)
         vals = np.empty_like(out)
         running = [i for i, d in enumerate(depths) if d > 0]
         if running:
-            vals[running] = _running_sums(p, coeff, ts,
-                                          [depths[i] for i in running])
+            vals[running] = _running_sums(p, coeff, _tail(
+                spec, theta, math.ldexp(1.0, k_hi), "right",
+                range(1, max(depths) + 1)), ts, [depths[i] for i in running])
         if 0 in depths:
             vals[depths.index(0)] = _exp_sums(p, coeff[:, None], ts)[:, 0]
         out[:, order] = vals
@@ -456,21 +450,23 @@ def _cell_factors(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_table(spec: MeasureSpec, step: float, n: int, theta: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The theta ``_node_table`` for the grid t_j = j*step, j = 1..n.  It
-    reaches far enough right for the running integrals, so the first cell of
-    ``_resolvent_cells`` is a plain sum over it."""
+def _grid_table(spec: MeasureSpec, step: float, n: int, theta: float,
+                powers=(1, 2, 3)) -> tuple[np.ndarray, ...]:
+    """The theta ``_node_table`` for the grid t_j = j*step, j = 1..n, and
+    its right ``_tail`` moments j in powers, for ``_resolvent_cells``."""
     require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t = _as_time_array(step * np.arange(1, n + 1))
     if t.size < 2:
         raise GridMismatchError("need at least 2 samples on one axis")
-    return _node_table(spec, theta, *_panel_range(spec, t[0], t[-1], 1))
+    k_lo, k_hi = _panel_range(t[0], t[-1])
+    return (*_node_table(spec, theta, k_lo, k_hi),
+            _tail(spec, theta, math.ldexp(1.0, k_hi), "right", powers))
 
 
-def _resolvent_cells(p: np.ndarray, weights: np.ndarray, step: float, n: int
+def _resolvent_cells(p: np.ndarray, weights: np.ndarray, tails: np.ndarray,
+                     step: float, n: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Samples of ``f = sum_q W_q exp(-p_q s)`` at t_j = j*step, j = 1..n,
     and its cell integrals ``int f``, ``int s f`` and
@@ -483,14 +479,19 @@ def _resolvent_cells(p: np.ndarray, weights: np.ndarray, step: float, n: int
     tau^3 phi_2 of ``_cell_factors``: for W >= 0 every term is nonnegative,
     so nothing cancels.  The samples and the cells m >= 2 are one
     ``_exp_sums`` over the grid; the first cell (t_0 = 0) is the plain sum
-    of the factors over the nodes.
+    of the factors over the nodes plus their right tails.  Right of the
+    table p*tau >= 2^11, where the factors are 1/p, 1/p^2 and
+    tau/p^2 - 2/p^3, so ``tails`` (shape (3, k)) holds the moments
+    ``sum W p^-j``, j = 1, 2, 3, of each column beyond the table.
     """
     k = weights.shape[1]
     t = step * np.arange(1, n + 1)
     factors = (_cell_factors(p * step)[:, None] * weights.T).reshape(3 * k, -1)
     factors *= np.repeat([step, step**2, step**3], k)[:, None]
     sums = _exp_sums(p, np.column_stack((weights, factors.T)), t)
-    cells = np.vstack((factors.sum(axis=1), sums[:-1, k:]))
+    first = factors.sum(axis=1) + np.concatenate(
+        (tails[0], tails[1], step * tails[1] - 2.0 * tails[2]))
+    cells = np.vstack((first, sums[:-1, k:]))
     mass, shifted, bubble = np.split(cells, 3, axis=1)
     return sums[:, :k], mass, (t - step)[:, None] * mass + shifted, bubble
 
@@ -505,7 +506,7 @@ def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int):
     the head sum, and H_theta is evaluated on m new panels only.  s must stay
     a normal double.
     """
-    k_lo, k_hi = _panel_range(spec, s.min(), s.max(), 0)
+    k_lo, k_hi = _panel_range(s.min(), s.max())
     p, coeff = _node_table(spec, 0.0, k_lo, k_hi)
     band = _band(p, s.min(), s.max())[0]
     head, coeff = coeff[:band].sum(), coeff[band:]
@@ -516,7 +517,7 @@ def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int):
         yield block @ coeff + head
         head += coeff[:shift].sum()
         coeff = np.concatenate(
-            (coeff[shift:], _node_table(spec, 0.0, k_hi, k_hi + m)[1]))
+            (coeff[shift:], _panel_nodes(spec, 0.0, k_hi, k_hi + m)[1]))
         k_hi += m
 
 
@@ -782,9 +783,9 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
         # the grid needs two samples; 1*r_theta is the running sum of the
         # nonnegative cell masses of r_theta
         n = max(ct.size, 2)
-        p, c = _grid_table(spec, l_kernel.step, n, theta)
-        r_vals, mass = (a[:ct.size, 0] for a in
-                        _resolvent_cells(p, c[:, None], l_kernel.step, n)[:2])
+        p, c, tails = _grid_table(spec, l_kernel.step, n, theta)
+        r_vals, mass = (a[:ct.size, 0] for a in _resolvent_cells(
+            p, c[:, None], tails[:, None], l_kernel.step, n)[:2])
         avg = np.cumsum(mass) / ct
         big_k = np.asarray(one_star_k_eval(spec, ct))
         chain1 = r_vals / avg

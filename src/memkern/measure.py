@@ -34,7 +34,6 @@ __all__ = [
     "alpha_power_moment",
     "sin_cos_moments",
     "gamma_bar",
-    "domination_constant",
 ]
 
 # |ln t| below this the power-moment antiderivative switches to its t->1 limit
@@ -121,10 +120,8 @@ class MeasureSpec:
 
     def support_bounds(self) -> tuple[float, float]:
         """Smallest and largest points carrying mass."""
-        lows, highs = [], []
-        if self.atoms:
-            lows.append(self.atoms[0][0])
-            highs.append(self.atoms[-1][0])
+        lows = [a for a, q in self.atoms if q > 0.0]
+        highs = lows[:]
         for a, b, w in self.pieces():
             if w > 0.0:
                 lows.append(a)
@@ -248,28 +245,20 @@ def _power_antiderivative(t, a: float, b: float):
     return np.where(small, series, regular)
 
 
-def power_moment(spec: MeasureSpec, t, tail_from: float | None = None):
-    """Exact moment ``integral of t^(-alpha) d mu(alpha)``.
-
-    ``tail_from`` restricts integration to orders in [tail_from, 1] (closed
-    at the left, so an atom at exactly that level contributes).  Scalar in,
-    scalar out; arrays broadcast.
-    """
+def power_moment(spec: MeasureSpec, t):
+    """Exact moment ``integral of t^(-alpha) d mu(alpha)``.  Scalar in, scalar
+    out; arrays broadcast."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
         raise MeasureError("power moments require t > 0")
     out = np.zeros_like(t_arr)
     for a, q in spec.atoms:
-        if q == 0.0 or (tail_from is not None and a < tail_from - 1e-15):
+        if q == 0.0:
             continue
         out = out + q * t_arr ** (-a)
     for a, b, w in spec.pieces():
         if w == 0.0:
             continue
-        if tail_from is not None:
-            a = max(a, tail_from)
-            if a >= b:
-                continue
         out = out + w * _power_antiderivative(t_arr, a, b)
     return out if isinstance(t, np.ndarray) else float(out)
 
@@ -315,37 +304,41 @@ def sin_cos_moments(spec: MeasureSpec, p):
     return float(s), float(c)
 
 
+def _sin_cos_pi(a: float) -> tuple[float, float]:
+    """sin(pi a) and cos(pi a) for a in [0, 1], from the exact 1 - a above
+    1/2, so that sin keeps its relative accuracy as a -> 1."""
+    if a > 0.5:
+        return math.sin(math.pi * (1.0 - a)), -math.cos(math.pi * (1.0 - a))
+    return math.sin(math.pi * a), math.cos(math.pi * a)
+
+
 def _sin_cos_log(spec: MeasureSpec, log_p: np.ndarray,
-                 p: np.ndarray | None = None):
-    """``sin_cos_moments`` at p = exp(log_p), arrays only.  The atoms take
-    p^a from p when it is given, else as exp(a log p), which stays exact
-    where p itself under- or overflows a double."""
+                 p: np.ndarray | None = None, shift: float = 0.0):
+    """``sin_cos_moments`` at p = exp(log_p), arrays only, as moments of
+    p^(a - shift).  The atoms take p^a from p when it is given (shift 0),
+    else as exp((a - shift) log p), which stays exact where p itself under-
+    or overflows a double; a shift at an end of the support keeps the
+    moments in range there too."""
     s = np.zeros_like(log_p)
     c = np.zeros_like(log_p)
     for a, q in spec.atoms:
-        if q == 0.0:
-            continue
-        pa = np.exp(a * log_p) if p is None else p ** a
-        s = s + q * pa * math.sin(math.pi * a)
-        c = c + q * pa * math.cos(math.pi * a)
-    if any(w > 0.0 for _, _, w in spec.pieces()):
+        if q > 0.0:
+            pa = q * (np.exp((a - shift) * log_p) if p is None else p ** a)
+            sin_a, cos_a = _sin_cos_pi(a)
+            s, c = s + pa * sin_a, c + pa * cos_a
+
+    def _antiderivatives(alpha):
+        # of exp(alpha log p) times sin and cos of pi alpha, over p^shift
+        e = np.exp(log_p * (alpha - shift))
         denom = log_p**2 + math.pi**2
+        sin_a, cos_a = _sin_cos_pi(alpha)
+        return (e * (log_p * sin_a - math.pi * cos_a) / denom,
+                e * (log_p * cos_a + math.pi * sin_a) / denom)
 
-        def _f_sin(alpha):
-            e = np.exp(log_p * alpha)
-            return e * (log_p * math.sin(math.pi * alpha)
-                        - math.pi * math.cos(math.pi * alpha)) / denom
-
-        def _f_cos(alpha):
-            e = np.exp(log_p * alpha)
-            return e * (log_p * math.cos(math.pi * alpha)
-                        + math.pi * math.sin(math.pi * alpha)) / denom
-
-        for a, b, w in spec.pieces():
-            if w == 0.0:
-                continue
-            s = s + w * (_f_sin(b) - _f_sin(a))
-            c = c + w * (_f_cos(b) - _f_cos(a))
+    for a, b, w in spec.pieces():
+        if w > 0.0:
+            (s_b, c_b), (s_a, c_a) = _antiderivatives(b), _antiderivatives(a)
+            s, c = s + w * (s_b - s_a), c + w * (c_b - c_a)
     return s, c
 
 
@@ -386,11 +379,3 @@ def gamma_bar(spec: MeasureSpec) -> float:
     if tail_mass(spec, gb) <= 0.0:
         raise MeasureError("tail level carries no mass; malformed measure")
     return gb
-
-
-def domination_constant(spec: MeasureSpec, gamma: float | None = None) -> float:
-    """Constant c with ``int x^-a dmu <= c * int over [gamma,1]`` for x in (0,1]."""
-    gb = gamma_bar(spec) if gamma is None else gamma
-    tail = tail_mass(spec, gb)
-    head = mass(spec) - tail
-    return 1.0 + head / tail

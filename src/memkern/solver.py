@@ -442,17 +442,6 @@ class TimeStepper:
             self._rhs_bc = self._dirichlet(t)[1].ravel()
         return (*self._factors, self._rhs_bc)
 
-    def check_m_matrix(self, t: float, beta_mm: float) -> bool:
-        """Off-diagonals nonpositive and rows weakly diagonally dominant."""
-        if self.grid.dim == 0:
-            return beta_mm + self.reaction > 0.0
-        mat = self._assemble(t).tocoo()
-        off = mat.row != mat.col
-        offsum = np.zeros(mat.shape[0])
-        np.add.at(offsum, mat.row[off], np.abs(mat.data[off]))
-        return bool(np.all(mat.data[off] <= 1e-14)
-                    and np.all(mat.diagonal() + beta_mm >= offsum - 1e-12))
-
     # -- one step ----------------------------------------------------------
 
     def advance(self) -> np.ndarray:

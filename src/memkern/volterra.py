@@ -253,22 +253,26 @@ def sample_l(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
 
 
 def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
-    """Measure-kernel samples with exact cell tables from the iterated running
-    integrals.
-
-    With R1 = 1*k, R2 = 1*1*k, R3 = 1*1*1*k the antiderivatives of k, s*k and
-    s^2*k are R1, t*R1 - R2 and t^2*R1 - 2t*R2 + 2*R3 respectively; cell
-    moments are their differences, and the bubble moment combines them.
-    """
+    """Measure-kernel samples with exact cell tables: masses and first
+    moments as differences of R1 = 1*k and t*R1 - R2, R2 = 1*1*k; bubbles
+    ``int (s - t_(m-1))(t_m - s) k`` as ``tau R2 - 2 R3`` on the first cell
+    and as Gauss-Legendre sums of positive terms on the others, which lie a
+    step or more from the pole of k at 0."""
     t = step * np.arange(1, n_steps + 1)
     vals, *running = _kernels._k_moments(spec, t, (0, 1, 2, 3))
-    r1, r2, r3 = (np.concatenate(([0.0], r)) for r in running)
+    r1, r2 = (np.concatenate(([0.0], r)) for r in running[:2])
     t_e = np.concatenate(([0.0], t))
     a_m = np.diff(r1)
     b_m = np.diff(t_e * r1 - r2)
-    c_m = np.diff(t_e**2 * r1 - 2.0 * t_e * r2 + 2.0 * r3)
-    lo, hi = t_e[:-1], t_e[1:]
-    d_m = -c_m + (lo + hi) * b_m - lo * hi * a_m
+    d_m = np.empty(n_steps)
+    d_m[0] = step * running[1][0] - 2.0 * running[2][0]
+    # cell m is 2m - 1 half-widths from the pole: n points err ~ (4m)^-2n
+    for first, last, order in ((1, 16, 10), (16, 256, 5), (256, n_steps, 3)):
+        edges = t[first - 1:last]
+        x, w = _kernels._gauss_panels(edges, order)
+        d_m[first:last] = np.sum(
+            w * (x - edges[:-1, None]) * (edges[1:, None] - x)
+            * _kernels._k_moments(spec, x, (0,))[0], axis=1)
     return DiscreteKernel(step, vals, head=float(running[0][0]), cell_mass=a_m,
                           cell_first_moment=b_m, cell_bubble_moment=d_m)
 
@@ -277,9 +281,9 @@ def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
                    theta: float) -> DiscreteKernel:
     """Resolvent samples with cell tables summed node by node, without
     differences of running integrals (``kernels._resolvent_cells``)."""
-    p, c = _kernels._grid_table(spec, step, n_steps, theta)
-    return _tabled_kernels(
-        _kernels._resolvent_cells(p, c[:, None], step, n_steps), step)[0]
+    p, c, tails = _kernels._grid_table(spec, step, n_steps, theta)
+    return _tabled_kernels(_kernels._resolvent_cells(
+        p, c[:, None], tails[:, None], step, n_steps), step)[0]
 
 
 def _tabled_kernels(tables, step: float) -> list[DiscreteKernel]:
@@ -334,23 +338,15 @@ def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int
     if n < 1:
         raise ValueError("n must be a positive integer")
     theta = float(n)
-    p, c = _kernels._grid_table(spec, step, n_steps, theta)
-    c_over_p = c / p
-    # Left of the table exp(-p t) = 1 on the grid, so the part of sum c/p
-    # there enters as a node at p = 0, integrated in log p.  Right of it
-    # exp(-p t) = 0 and only h_n's first cell mass sees the rest of
-    # sum c/p = 1/n, through the 1/p limit of its factor; the first moment
-    # and bubble factors fall like 1/p^2 there.  Both tails matter once the
-    # table is clipped short of p^a_high >> n (orders below about 0.09).
-    left = _kernels._left_tail(spec, theta,
-                               math.ldexp(1.0, math.frexp(p[0])[1] - 1))
-    right = 1.0 / theta - left - math.fsum(c_over_p)
-    weights = theta * np.column_stack((np.append(0.0, c),
-                                       np.append(left, c_over_p)))
-    tables = _kernels._resolvent_cells(np.append(0.0, p), weights, step,
-                                       n_steps)
-    tables[1][0, 0] += theta * right
-    h, s_n = _tabled_kernels(tables, step)
+    p, c, tails = _kernels._grid_table(spec, step, n_steps, theta,
+                                       (1, 2, 3, 4))
+    # the node at p = 0 holds the part of sum c/p left of the table
+    p_lo = math.ldexp(1.0, math.frexp(p[1])[1] - 1)
+    c_over_p = np.append(_kernels._tail(spec, theta, p_lo, "left", (1,)),
+                         c[1:] / p[1:])
+    h, s_n = _tabled_kernels(_kernels._resolvent_cells(
+        p, theta * np.column_stack((c, c_over_p)),
+        theta * np.column_stack((tails[:3], tails[1:])), step, n_steps), step)
     return YosidaKernels(n=n, h=h, k_n=s_n.scaled(theta), s_n=s_n)
 
 

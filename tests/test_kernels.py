@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 from scipy.special import rgamma
 
@@ -31,7 +32,10 @@ class TestPointwiseKernels:
 
     def test_k_family_rejects_nonfinite_time(self, measures):
         # a NaN time used to give 0 for the running integrals
-        for f in (K.k_eval, K.one_star_k_eval, K.iterated_k_integral):
+        def one_star_one_star_k(spec, t):
+            return K._k_moments(spec, t, (2,))[0]
+
+        for f in (K.k_eval, K.one_star_k_eval, one_star_one_star_k):
             for bad in (math.nan, math.inf):
                 with pytest.raises(MeasureError):
                     f(measures["two_atom"], np.array([0.5, bad]))
@@ -156,10 +160,33 @@ class TestSoninePartnerEval:
             vals = np.asarray(K.l_eval(spec, t))
             assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_tail_truncation_failure_raises(self):
+    def test_weight_near_order_one_against_log_p_quadrature(self):
+        # H ~ p^-0.97 near p = 0, so (1/pi) int_0^eps H dp ~ eps^0.03 / 0.03:
+        # the reference integrates in x = log p from -4000 (one cut at -120
+        # reads 9% low) in 20-digit mpmath, with S and C in closed form
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 20
+        lo, hi = mp.mpf("0.97"), mp.mpf("0.995")
         spec = MeasureSpec(weight_breaks=(0.97, 0.995), weight_values=(1.0,))
-        with pytest.raises(K.KernelQuadratureError):
-            K.l_eval(spec, 1.0)
+
+        def reference(t):
+            def integrand(x):
+                s = c = 0
+                for a, sign in ((hi, 1), (lo, -1)):
+                    e = sign * mp.exp(a * x) / (x * x + mp.pi**2)
+                    s += e * (x * mp.sinpi(a) - mp.pi * mp.cospi(a))
+                    c += e * (x * mp.cospi(a) + mp.pi * mp.sinpi(a))
+                return mp.exp(x - mp.exp(x) * t) * s / (s * s + c * c)
+
+            cuts = [-4000, -2000, -1000, -500, -250, -120, -60, -30, -15,
+                    -8, -4, -2, 0, 2, 4]
+            end = mp.log(800 / mp.mpf(t))
+            return float(mp.quad(integrand, [mp.mpf(x) for x in cuts
+                                             if x < end] + [end]) / mp.pi)
+
+        for t in (0.01, 30.0):
+            assert K.l_eval(spec, t) == pytest.approx(reference(t), rel=1e-13)
 
     def test_batch_matches_scalar_calls(self, measures):
         # one node set serves the whole array; each scalar call gets its own
@@ -197,6 +224,15 @@ class TestSoninePartnerEval:
         batch = np.asarray(K.l_eval(spec, t))
         assert np.max(np.abs(batch - exact) / exact) <= 1e-13
 
+    def test_zero_mass_atoms_change_nothing(self, half):
+        # the tails take their shifts from the orders that carry mass; the
+        # empty atoms at 0.05 and 0.999 would set them and give NaN
+        spec = MeasureSpec.from_atoms([(0.05, 0.0), (0.5, 1.0), (0.999, 0.0)])
+        t = np.geomspace(1e-6, 2.0, 33)
+        for got, ref in zip(K.resolvent_tables(spec, t),
+                            K.resolvent_tables(half, t)):
+            assert np.array_equal(got, ref)
+
     def test_empty_and_nonfinite_times(self, half):
         assert np.asarray(K.l_eval(half, np.array([]))).shape == (0,)
         for bad in (math.nan, math.inf):
@@ -216,14 +252,32 @@ class TestResolventTables:
             assert np.max(np.abs(got - exact) / exact) <= tol, d
 
     def test_order_near_zero_closed_forms(self):
-        # u = p*t reaches 2^600 here: no power of u may overflow; the 600
-        # right panels leave about 1e-9 of the running integrals' tails
+        # H ~ p^-0.05 at the right end: the running integrals owe most of
+        # their value to the right tail beyond the node table
         alpha = 0.05
         spec = MeasureSpec.single_order(alpha)
         t = np.geomspace(1e-10, 3.0, 97)
         for d, got in enumerate(K.resolvent_tables(spec, t)):
             exact = t ** (alpha - 1 + d) / math.gamma(alpha + d)
-            assert np.max(np.abs(got - exact) / exact) <= 1e-8, d
+            assert np.max(np.abs(got - exact) / exact) <= 1e-13, d
+
+    @settings(max_examples=12, deadline=None)
+    @given(alpha=st.floats(0.001, 0.999))
+    @example(alpha=0.001)
+    @example(alpha=0.01)
+    @example(alpha=0.02)
+    @example(alpha=0.05)
+    @example(alpha=0.95)
+    @example(alpha=0.99)
+    @example(alpha=0.999)
+    def test_closed_forms_across_orders(self, alpha):
+        # both tail closures at once: the left one carries most of l near
+        # order 1, the right one most of 1*l and 1*1*l near order 0
+        spec = MeasureSpec.single_order(alpha)
+        t = np.geomspace(1e-10, 3.0, 97)
+        for d, got in enumerate(K.resolvent_tables(spec, t)):
+            exact = t ** (alpha - 1 + d) / math.gamma(alpha + d)
+            assert np.max(np.abs(got - exact) / exact) <= 1e-13, d
 
 
     def test_depth_kernels_match_mpmath(self):

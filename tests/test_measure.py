@@ -8,7 +8,6 @@ from memkern.measure import (
     MeasureSpec,
     MeasureError,
     alpha_power_moment,
-    domination_constant,
     gamma_bar,
     mass,
     mu_integral,
@@ -154,16 +153,6 @@ class TestGammaBar:
         gb = gamma_bar(spec)
         indicator = mu_integral(spec, lambda a: 1.0 if a >= gb else 0.0)
         assert indicator == pytest.approx(tail_mass(spec, gb), rel=1e-6)
-
-    def test_domination_constant_bound(self, measures):
-        # int x^-a dmu <= c * tail integral for every x in (0, 1]
-        for spec in measures.values():
-            gb = gamma_bar(spec)
-            c = domination_constant(spec)
-            for x in np.logspace(-6, 0, 25):
-                full = power_moment(spec, float(x))
-                tail = power_moment(spec, float(x), tail_from=gb)
-                assert full <= c * tail * (1 + 1e-12)
 
 
 def test_json_round_trip():

@@ -70,6 +70,47 @@ class TestConv:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + abs(s1) + abs(s2))
 
 
+_BUBBLE_MEASURES = {
+    "order 0.5": MeasureSpec.single_order(0.5),
+    "mixture": MeasureSpec.from_atoms([(0.32, 0.5), (0.68, 0.5)]),
+    "uniform": MeasureSpec.uniform_weight(),
+    "band": MeasureSpec(weight_breaks=(0.17, 0.78), weight_values=(1.0,)),
+}
+
+
+class TestSampleK:
+    @pytest.mark.parametrize("name", list(_BUBBLE_MEASURES))
+    def test_bubbles_against_quad(self, name):
+        # int (s - t_(m-1))(t_m - s) k(s) ds per cell; the bubbles used to be
+        # a difference of running integrals, 2.7e-6 to 2.4e-5 off here
+        spec = _BUBBLE_MEASURES[name]
+        n = 2048
+        tau = 1.0 / n
+        kk = V.sample_k(spec, tau, n)
+        for m in np.unique(np.geomspace(1, n, 16).round().astype(int)):
+            lo, hi = (m - 1) * tau, m * tau
+            exact = integrate.quad(
+                lambda s: (s - lo) * (hi - s) * K.k_eval(spec, s), lo, hi,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert abs(kk.cell_bubble_moment[m - 1] - exact) <= 1e-10 * exact
+
+    def test_bubbles_linear_in_the_measure(self):
+        # the same k summed over its order nodes in another grouping
+        tau, n = 1.0 / 2048, 2048
+        mixture = V.sample_k(_BUBBLE_MEASURES["mixture"], tau, n)
+        parts = [V.sample_k(MeasureSpec.single_order(a, 0.5), tau, n)
+                 for a in (0.32, 0.68)]
+        band = V.sample_k(_BUBBLE_MEASURES["band"], tau, n)
+        pieces = V.sample_k(MeasureSpec(weight_breaks=(0.17, 0.5, 0.78),
+                                        weight_values=(1.0, 1.0)), tau, n)
+        for whole, split in ((mixture.cell_bubble_moment,
+                              parts[0].cell_bubble_moment
+                              + parts[1].cell_bubble_moment),
+                             (band.cell_bubble_moment,
+                              pieces.cell_bubble_moment)):
+            assert np.max(np.abs(whole / split - 1.0)) <= 1e-12
+
+
 class TestSecondKind:
     """The forward substitution of the ``_first_kind_weights`` scheme."""
 
@@ -176,10 +217,14 @@ class TestResolventCellTables:
             got = np.column_stack((rk.cell_mass, rk.cell_first_moment,
                                    rk.cell_bubble_moment))[cells - 1]
             assert rk.head == got[0, 0]
-            # the same node table, summed without any cancellation
-            p, c = K._node_table(spec, theta,
-                                 *K._panel_range(spec, tau, 1.0, 1))
+            # the same node table, summed without any cancellation; right of
+            # it the first cell's factors are 1/p, 1/p^2 and tau/p^2 - 2/p^3
+            k_lo, k_hi = K._panel_range(tau, 1.0)
+            p, c = K._node_table(spec, theta, k_lo, k_hi)
             ref = _cell_integrals_longdouble(p, c, tau, cells)
+            m1, m2, m3 = K._tail(spec, theta, math.ldexp(1.0, k_hi), "right",
+                                 (1, 2, 3))
+            ref[0] += (m1, m2, tau * m2 - 2.0 * m3)
             rel = np.abs((got - ref) / ref).astype(float)
             assert np.max(rel) <= 1e-14, (name, np.max(rel, axis=0))
             # adaptive quadrature of the pointwise kernel on the cells m >= 2
@@ -198,6 +243,25 @@ class TestResolventCellTables:
                     exact = integrate.quad(lambda s: weight(s) * r(s), lo, hi,
                                            epsabs=0.0, epsrel=1e-13)[0]
                     assert abs(value - exact) <= 1e-10 * exact, (name, m)
+
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.02, 0.05, 0.95, 0.99])
+    def test_l_cell_masses_at_both_ends(self, alpha):
+        # l = t^(a-1)/Gamma(a) has cell masses
+        # (t_m^a - t_(m-1)^a)/Gamma(1+a), here in 30-digit mpmath.  Near
+        # order 0 the first cell owes most of its mass to the right tail
+        # beyond the node table, near order 1 every cell most of its mass
+        # to the left tail at p = 0.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        n = 2048
+        lk = V.sample_l(MeasureSpec.single_order(alpha), 1.0 / n, n)
+        a = mp.mpf(alpha)
+        ref = np.array([float(((mp.mpf(m) / n) ** a - (mp.mpf(m - 1) / n) ** a)
+                              / mp.gamma(1 + a)) for m in range(1, 65)])
+        assert lk.head == pytest.approx(ref[0], rel=1e-13)
+        assert np.max(np.abs(lk.cell_mass[:64] / ref - 1.0)) <= 1e-13
 
 
 class TestYosida:
