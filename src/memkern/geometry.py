@@ -28,7 +28,7 @@ from .measure import (
     require_valid,
     tail_mass,
 )
-from .kernels import _gauss_panels, _l_dyadic_walk
+from .kernels import _gauss_panels, _l_dyadic_walk, _node_table, _panel_range
 
 __all__ = [
     "GeometryError",
@@ -165,7 +165,7 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
 # certificates
 
 
-def _log_lp_norm_p(spec: MeasureSpec, p: float, upper: float) -> float:
+def _log_lp_norm_p(spec: MeasureSpec, p: float, upper: float, table) -> float:
     """log of ``int_0^upper l(s)^p ds`` by dyadic Gauss-Legendre panels.
 
     The integrand blows up like s^(p*(gamma_bar-1)) at zero but stays
@@ -173,13 +173,13 @@ def _log_lp_norm_p(spec: MeasureSpec, p: float, upper: float) -> float:
     upper/2^j] refine toward zero until a panel adds less than 1e-10 of the
     running total, or 400 panels are taken.  They come in chunks of eight:
     chunk c is chunk 0 scaled by 2^(-8c), so one kernel block of
-    ``kernels._l_dyadic_walk`` gives l on every chunk.  Near zero the panels
-    shrink geometrically, so the rest past the last one is taken as the
-    geometric series of the last two; a ratio outside (0, 1) raises.
+    ``kernels._l_dyadic_walk`` over ``table`` gives l on every chunk.  Near
+    zero the panels shrink geometrically, so the rest past the last one is
+    the geometric series of the last two; a ratio outside (0, 1) raises.
     """
     # panel j = i of a chunk is row 7 - i of the ascending edges
     s, w = _gauss_panels(upper * 0.5 ** np.arange(8, -1, -1), 16)
-    walk = _l_dyadic_walk(spec, s.ravel(), 8)
+    walk = _l_dyadic_walk(spec, s.ravel(), 8, table)
     pieces = itertools.chain.from_iterable(
         (next(walk).reshape(s.shape) ** p * np.ldexp(w, -first))
         .sum(axis=1)[::-1].tolist() for first in range(0, 400, 8))
@@ -230,8 +230,11 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     if r.size == 0 or np.any(r <= 0.0):
         raise GeometryError("need a nonempty positive radius grid")
     phi2r = phi(spec, 2.0 * r)
-    log_lhs = np.array([_log_lp_norm_p(spec, p, x) + (p - 1.0) * math.log(x)
-                        for x in phi2r.tolist()])
+    # one node table, and so one left tail, for the walks of all radii
+    table = _node_table(spec, 0.0, *_panel_range(phi2r.min() / 256,
+                                                 phi2r.max()))
+    log_lhs = np.array([_log_lp_norm_p(spec, p, x, table)
+                        + (p - 1.0) * math.log(x) for x in phi2r.tolist()])
     log_rhs = 2.0 * p * np.log(r)
     log_ratio = log_lhs - log_rhs
     with np.errstate(over="ignore"):

@@ -496,18 +496,20 @@ def _resolvent_cells(p: np.ndarray, weights: np.ndarray, tails: np.ndarray,
     return sums[:, :k], mass, (t - step)[:, None] * mass + shifted, bubble
 
 
-def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int):
+def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int, table):
     """Yield l at s * 2^(-m c) for c = 0, 1, 2, ..., one array per c.
 
     Scaling s by 2^(-m c) and the nodes by 2^(m c) (panel k -> k + m c)
     leaves every u = p*s the same bits, so one block exp(-outer(s, p)) over
     the band 2^-60 <= u <= 2^10 serves every c.  Step c contracts it against
     the band's weights shifted m panels right: nodes leaving on the left join
-    the head sum, and H_theta is evaluated on m new panels only.  s must stay
-    a normal double.
+    the head sum, and H_theta is evaluated on m new panels only.  ``table``
+    is a theta = 0 ``_node_table`` over at least ``_panel_range`` of s, so
+    walks over several s share its left tail.  s must stay a normal double.
     """
-    k_lo, k_hi = _panel_range(s.min(), s.max())
-    p, coeff = _node_table(spec, 0.0, k_lo, k_hi)
+    k_hi = _panel_range(s.min(), s.max())[1]  # the table may reach further
+    stop = 1 + _GL_NODES_PER_PANEL * (k_hi + 1 - math.frexp(table[0][1])[1])
+    p, coeff = (a[:stop] for a in table)
     band = _band(p, s.min(), s.max())[0]
     head, coeff = coeff[:band].sum(), coeff[band:]
     block = np.multiply.outer(-s, p[band:])

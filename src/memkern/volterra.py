@@ -7,8 +7,11 @@ product integration: wherever a factor has an exact cell mass table, the
 singular half of each convolution uses those masses against the other
 factor's node averages, which removes the accuracy loss that plain
 trapezoid suffers next to a t^-a endpoint.  Kernels without tables degrade
-gracefully to trapezoid cell masses.  The Yosida kernels need no solve:
-they are exponential sums over the resolvent's node table at theta = n.
+gracefully to trapezoid cell masses.  Two O(N log^2 N) engines share one
+FFT block product: the half-range product of ``conv``, and the Toeplitz
+engine of the first-kind solve and the stepper's history.  The Yosida
+kernels need no solve: they are exponential sums over the resolvent's node
+table at theta = n.
 """
 
 from __future__ import annotations
@@ -70,13 +73,6 @@ def _pl_weights(kern: DiscreteKernel) -> tuple[np.ndarray, np.ndarray]:
     return wl, wr
 
 
-def _second_differences(v: np.ndarray, tau: float) -> np.ndarray:
-    """Centered second differences per node; zero at the two boundary nodes."""
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / tau**2
-    return out
-
-
 def conv(a: DiscreteKernel, b: DiscreteKernel) -> DiscreteKernel:
     """Product-integration convolution ``(a*b)(t_j) = int_0^{t_j} a(t_j-s)b(s) ds``.
 
@@ -84,52 +80,64 @@ def conv(a: DiscreteKernel, b: DiscreteKernel) -> DiscreteKernel:
     own singular end are integrated with that factor's exact cell moments
     against the quadratic interpolant of the other, smooth factor (linear
     through the cell's endpoint nodes plus a curvature correction weighted by
-    the bubble moment).  The odd middle cell is symmetrized, so the operation
-    commutes exactly and is bilinear in the samples and moment tables.
+    the bubble moment): cell q of one factor meets node i of the other at
+    t_(q+i+1), q < i on b's side and q <= i on a's, so both sides are one
+    ``_half_range_product``, O(N log^2 N).  The odd middle cell q = i is
+    averaged over both sides, so the operation commutes exactly and is
+    bilinear in the samples and moment tables.
     """
     _check_compatible(a, b)
     tau, n = a.step, a.n
-    av, bv = a.values, b.values
-    wl_a, wr_a = _pl_weights(a)
-    wl_b, wr_b = _pl_weights(b)
-    d_a, d_b = a.bubble_moments(), b.bubble_moments()
-    app = _second_differences(av, tau)
-    bpp = _second_differences(bv, tau)
-    a_exact = a.cell_mass is not None or a.head is not None
-    b_exact = b.cell_mass is not None or b.head is not None
-    out = np.empty(n)
-    if a_exact and not b_exact:
-        out[0] = bv[0] * a.masses()[0]
-    elif b_exact and not a_exact:
-        out[0] = av[0] * b.masses()[0]
-    else:
-        out[0] = 0.5 * (av[0] * b.masses()[0] + bv[0] * a.masses()[0])
-
-    def _side(w_l, w_r, d, other, otherpp, j, count):
-        # cells m' = 1..count of the exact factor against the other factor's
-        # nodes at t_{j-m'} and t_{j-m'+1}
-        lo = j - count
-        acc = float(np.dot(w_l[:count], other[lo - 1:j - 1][::-1]))
-        acc += float(np.dot(w_r[:count], other[lo:j][::-1]))
-        acc -= 0.5 * float(np.dot(d[:count], otherpp[lo - 1:j - 1][::-1]))
-        return acc
-
-    for j in range(2, n + 1):
-        m = j // 2
-        acc = 0.0
-        if m:
-            acc += _side(wl_b, wr_b, d_b, av, app, j, m)
-        acc += _side(wl_a, wr_a, d_a, bv, bpp, j, j - m)
-        if j % 2 == 1:
-            # the middle cell sat on a's side; average in b's treatment of it
-            mid = m + 1  # cell index on b's side, sigma-cell j-m on a's side
-            own_a = (bv[m - 1] * wl_a[j - m - 1] + bv[m] * wr_a[j - m - 1]
-                     - 0.5 * d_a[j - m - 1] * bpp[m - 1])
-            own_b = (av[j - mid - 1] * wl_b[mid - 1] + av[j - mid] * wr_b[mid - 1]
-                     - 0.5 * d_b[mid - 1] * app[j - mid - 1])
-            acc += 0.5 * (own_b - own_a)
-        out[j - 1] = acc
+    w, x = np.zeros((2, 6, n))
+    for row, own, other in ((0, b, a.values), (3, a, b.values)):
+        w[row + 1], w[row] = _pl_weights(own)
+        w[row + 2] = -0.5 * own.bubble_moments()
+        # wl and the curvature meet the other factor one node back
+        x[row], x[row + 1, 1:] = other, other[:-1]
+        x[row + 2, 2:] = (other[2:] - 2.0 * other[1:-1] + other[:-2]) / tau**2
+    out = _half_range_product(w, x)
+    # first cell: one factor's exact head mass against the other's first
+    # sample, or the mean of both ways when both or neither have one
+    a_exact, b_exact = (k.cell_mass is not None or k.head is not None
+                        for k in (a, b))
+    own_a = 0.5 if a_exact == b_exact else float(a_exact)
+    out[0] = ((1.0 - own_a) * a.values[0] * b.masses()[0]
+              + own_a * b.values[0] * a.masses()[0])
     return DiscreteKernel(tau, out)
+
+
+_LEAF = 16  # leaf blocks of _half_range_product, dense triangles
+# row (q, i) of a leaf block adds to its output q + i: 1 if q < i, 1/2 if q = i
+_LEAF_SUMS = np.array([[(q + i == d) * (0.5 if q == i else q < i)
+                        for d in range(2 * _LEAF)]
+                       for q in range(_LEAF) for i in range(_LEAF)])
+
+
+def _half_range_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out[J] = sum_p sum_{q <= i, q + i = J} w[p, q] x[p, i]``, J < n,
+    the terms q = i halved, for w and x of shape (pairs, n).  Zero-padded to
+    a power of two, each pair q < i lies in opposite halves of one dyadic
+    block: every level multiplies the blocks' first halves of w by their
+    second halves of x in one ``_fft_product``, down to dense leaf
+    triangles.  Only blocks that start below n/2 reach J < n."""
+    pairs, n = w.shape
+    size = max(_LEAF, 1 << (n - 1).bit_length())
+    wp, xp = np.zeros((2, pairs, size))
+    wp[:, :n], xp[:, :n] = w, x
+    out = np.zeros(2 * size)
+    nb = -(-n // (2 * _LEAF))  # leaf blocks with 2o < n
+    wl = wp.reshape(pairs, -1, _LEAF)[:, :nb].transpose(1, 2, 0)
+    xl = xp.reshape(pairs, -1, _LEAF)[:, :nb].transpose(1, 0, 2)
+    out.reshape(-1, 2 * _LEAF)[:nb] += (wl @ xl).reshape(nb, -1) @ _LEAF_SUMS
+    m = 2 * _LEAF
+    while m <= size and m // 2 < n:
+        h = m // 2
+        nb = -(-(n - h) // (2 * m))  # blocks with 2o + h < n
+        w_lo, x_hi = (a.reshape(pairs, -1, m)[:, :nb, s].transpose(0, 2, 1)
+                      for a, s in ((wp, slice(h)), (xp, slice(h, m))))
+        _fft_product(w_lo, x_hi, out.reshape(-1, 2 * m)[:nb, h:3 * h - 1].T, 0)
+        m *= 2
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +165,7 @@ class _ToeplitzHistory:
         rows ``i`` of ``[lo, lo+s)`` that ``out`` has.  ``x`` and ``out`` may
         be one array: the update reads rows below ``lo`` and writes rows from
         ``lo`` on.  Spans up to ``_DENSE_FAR_FIELD`` are one cached dense
-        Toeplitz matmul; longer ones a length-2s real FFT along the rows, in
-        column chunks of about ``_FFT_CHUNK_BYTES``.  (numpy's FFT rather
-        than scipy's, whose plan cache held about 2 MB more at peak.)"""
+        Toeplitz matmul; longer ones one ``_fft_product``."""
         blocks = lo // _TOEPLITZ_BLOCK
         s = _TOEPLITZ_BLOCK * (blocks & -blocks)
         rows = min(s, out.shape[0] - lo)
@@ -172,13 +178,26 @@ class _ToeplitzHistory:
                                                          lags[s - 1::-1])
             out[lo:lo + rows] += block[:rows] @ src
             return
-        spectrum = np.fft.rfft(self.column[1:2 * s], 2 * s)[:, None]
-        width = max(1, _FFT_CHUNK_BYTES // (16 * (s + 1)))
-        for c in range(0, src.shape[1], width):
-            chunk = np.fft.rfft(src[:, c:c + width], 2 * s, axis=0)
-            chunk *= spectrum
-            conv_rows = np.fft.irfft(chunk, 2 * s, axis=0)
-            out[lo:lo + rows, c:c + width] += conv_rows[s - 1:s - 1 + rows]
+        _fft_product(self.column[None, 1:2 * s, None], src[None],
+                     out[lo:lo + rows], s - 1)
+
+
+def _fft_product(w: np.ndarray, x: np.ndarray, out: np.ndarray,
+                 skip: int) -> None:
+    """Add rows ``skip ..`` of ``sum_p w[p] * x[p]``, linear convolutions
+    along axis 1, to ``out`` (rows x columns); w broadcasts against x.  Real
+    FFTs of length ``2 * x.shape[1]``, in column chunks of about
+    ``_FFT_CHUNK_BYTES`` of spectrum, summed over p before the inverse.
+    (numpy's FFT: scipy's plan cache held about 2 MB more at peak.)"""
+    size = 2 * x.shape[1]
+    spectrum = np.broadcast_to(np.fft.rfft(w, size, axis=1),
+                               x.shape[:1] + (size // 2 + 1,) + x.shape[2:])
+    width = max(1, _FFT_CHUNK_BYTES // (16 * (size // 2 + 1) * x.shape[0]))
+    for c in range(0, x.shape[2], width):
+        chunk = np.fft.rfft(x[:, :, c:c + width], size, axis=1)
+        chunk *= spectrum[:, :, c:c + width]
+        rows = np.fft.irfft(chunk.sum(axis=0), size, axis=0)
+        out[:, c:c + width] += rows[skip:skip + out.shape[0]]
 
 
 def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -372,11 +391,13 @@ def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
     Both sides are assembled with the same discrete convolution and centered
     differences, so a linear H cancels to round-off.  The kernel derivative
     comes from centered differences of the k_n samples and the history
-    integral from product trapezoid.  The sup-norm residual is taken over
-    interior nodes past a burn-in fraction of the horizon (the centered
-    differences amplify the kernel's steep start at a fixed node index as
-    the grid refines); the convexity remainder is tracked at every interior
-    node.
+    integral from product trapezoid, so the residual measures how ``conv``'s
+    product integration and those trapezoid sums disagree, not how accurate
+    k_n is: exact cell tables for k_n raise it.  The sup-norm residual is
+    taken over interior nodes past a burn-in fraction of the horizon (the
+    centered differences amplify the kernel's steep start at a fixed node
+    index as the grid refines); the convexity remainder is tracked at every
+    interior node.
     """
     tau, n = k_n.step, k_n.n
     u = np.asarray(u, dtype=float)

@@ -136,6 +136,16 @@ class TestRunners:
         assert (tmp_path / "certificates.csv").exists()
         assert (tmp_path / "scaling.csv").exists()
 
+    def test_verify_reports_late_sonine_residual(self, tmp_path):
+        # max|k*l - 1| on t >= horizon/10, in report.json and the manifest
+        config = parse_config(small_config("verify", n_steps=128))
+        assert cli.run(config, tmp_path) == 0
+        for name in ("report.json", "manifest.json"):
+            data = json.loads((tmp_path / name).read_text())
+            assert math.isfinite(data["sonine_residual_late"]), name
+        assert data["sonine_residual_late"] <= json.loads(
+            (tmp_path / "report.json").read_text())["sonine_residual"]
+
     def test_verify_exit_zero_order_near_zero(self, tmp_path):
         # u = p*t reaches 2^600 for order 0.05; u**2 would overflow to NaN
         config = parse_config(small_config(

@@ -171,7 +171,7 @@ class TestScalingCertificate:
     def test_lp_walk_without_geometric_rest_raises(self, half, monkeypatch):
         # with l = s^-1.5 the panels grow by 2^0.5 toward zero, so the walk
         # runs to its panel cap and has no geometric rest to add
-        def walk(spec, s, m):
+        def walk(spec, s, m, table):
             for c in itertools.count():
                 yield np.ldexp(s, -m * c) ** -1.5
 

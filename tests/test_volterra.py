@@ -10,6 +10,86 @@ from memkern import volterra as V
 from memkern.measure import MeasureSpec, gamma_bar
 
 
+_TABLE_MEASURES = {
+    "order 0.3": MeasureSpec.single_order(0.3),
+    "order 0.55": MeasureSpec.single_order(0.55),
+    "order 0.8": MeasureSpec.single_order(0.8),
+    "mixture": MeasureSpec.from_atoms([(0.32, 0.5), (0.68, 0.5)]),
+    "band": MeasureSpec(weight_breaks=(0.17, 0.78), weight_values=(1.0,)),
+    "uniform": MeasureSpec.uniform_weight(),
+    "atom plus weight": MeasureSpec(atoms=((0.4, 0.5),),
+                                    weight_breaks=(0.2, 0.5, 0.9),
+                                    weight_values=(0.3, 0.7)),
+}
+
+
+def _second_differences(v, tau):
+    """Centered second differences per node; zero at the two boundary nodes."""
+    out = np.zeros_like(v)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / tau**2
+    return out
+
+
+def reference_conv(a, b):
+    """The direct O(N^2) product integration, one output node at a time:
+    the oracle for ``V.conv``'s half-range product."""
+    V._check_compatible(a, b)
+    tau, n = a.step, a.n
+    av, bv = a.values, b.values
+    wl_a, wr_a = V._pl_weights(a)
+    wl_b, wr_b = V._pl_weights(b)
+    d_a, d_b = a.bubble_moments(), b.bubble_moments()
+    app = _second_differences(av, tau)
+    bpp = _second_differences(bv, tau)
+    a_exact = a.cell_mass is not None or a.head is not None
+    b_exact = b.cell_mass is not None or b.head is not None
+    out = np.empty(n)
+    if a_exact and not b_exact:
+        out[0] = bv[0] * a.masses()[0]
+    elif b_exact and not a_exact:
+        out[0] = av[0] * b.masses()[0]
+    else:
+        out[0] = 0.5 * (av[0] * b.masses()[0] + bv[0] * a.masses()[0])
+
+    def _side(w_l, w_r, d, other, otherpp, j, count):
+        # cells m' = 1..count of the exact factor against the other factor's
+        # nodes at t_{j-m'} and t_{j-m'+1}
+        lo = j - count
+        acc = float(np.dot(w_l[:count], other[lo - 1:j - 1][::-1]))
+        acc += float(np.dot(w_r[:count], other[lo:j][::-1]))
+        acc -= 0.5 * float(np.dot(d[:count], otherpp[lo - 1:j - 1][::-1]))
+        return acc
+
+    for j in range(2, n + 1):
+        m = j // 2
+        acc = 0.0
+        if m:
+            acc += _side(wl_b, wr_b, d_b, av, app, j, m)
+        acc += _side(wl_a, wr_a, d_a, bv, bpp, j, j - m)
+        if j % 2 == 1:
+            # the middle cell sat on a's side; average in b's treatment of it
+            mid = m + 1  # cell index on b's side, sigma-cell j-m on a's side
+            own_a = (bv[m - 1] * wl_a[j - m - 1] + bv[m] * wr_a[j - m - 1]
+                     - 0.5 * d_a[j - m - 1] * bpp[m - 1])
+            own_b = (av[j - mid - 1] * wl_b[mid - 1] + av[j - mid] * wr_b[mid - 1]
+                     - 0.5 * d_b[mid - 1] * app[j - mid - 1])
+            acc += 0.5 * (own_b - own_a)
+        out[j - 1] = acc
+    return V.DiscreteKernel(tau, out)
+
+
+def random_kernel(rng, n, tables, tau=0.05):
+    """Random samples with no tables, an exact head, or all cell tables."""
+    v = rng.standard_normal(n)
+    if tables == "head":
+        return V.DiscreteKernel(tau, v, head=float(rng.standard_normal()))
+    if tables == "cells":
+        return V.DiscreteKernel(tau, v, cell_mass=rng.standard_normal(n),
+                                cell_first_moment=rng.standard_normal(n),
+                                cell_bubble_moment=rng.standard_normal(n))
+    return V.DiscreteKernel(tau, v)
+
+
 def ones_kernel(n=256, tau=1.0 / 256):
     return V.DiscreteKernel(tau, np.ones(n))
 
@@ -38,6 +118,43 @@ class TestConv:
         ab = V.conv(kk, lk).values
         ba = V.conv(lk, kk).values
         assert np.max(np.abs(ab - ba)) <= 1e-12
+
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           a_tables=st.sampled_from(["none", "head", "cells"]),
+           b_tables=st.sampled_from(["none", "head", "cells"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_sum(self, n, seed, a_tables, b_tables):
+        rng = np.random.default_rng(seed)
+        a = random_kernel(rng, n, a_tables)
+        b = random_kernel(rng, n, b_tables)
+        ref = reference_conv(a, b).values
+        got = V.conv(a, b).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shortest_grids(self, n):
+        rng = np.random.default_rng(n)
+        if n < 2:  # a kernel needs two samples
+            with pytest.raises(V.GridMismatchError):
+                random_kernel(rng, n, "cells")
+            return
+        for a_tables in ("none", "head", "cells"):
+            for b_tables in ("none", "head", "cells"):
+                a = random_kernel(rng, n, a_tables)
+                b = random_kernel(rng, n, b_tables)
+                ref = reference_conv(a, b).values
+                got = V.conv(a, b).values
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2048, 8192])
+    @pytest.mark.parametrize("name", list(_TABLE_MEASURES))
+    def test_sonine_product_matches_direct_sum(self, name, n):
+        spec = _TABLE_MEASURES[name]
+        kk = V.sample_k(spec, 1.0 / n, n)
+        lk = V.sample_l(spec, 1.0 / n, n)
+        ref = reference_conv(kk, lk).values
+        got = V.conv(kk, lk).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_grid_mismatch_raises(self):
         a = V.DiscreteKernel(0.1, np.ones(8))
@@ -156,19 +273,6 @@ class TestToeplitzSolve:
         got = V._toeplitz_solve(column, rhs)
         assert got.shape == rhs.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-_TABLE_MEASURES = {
-    "order 0.3": MeasureSpec.single_order(0.3),
-    "order 0.55": MeasureSpec.single_order(0.55),
-    "order 0.8": MeasureSpec.single_order(0.8),
-    "mixture": MeasureSpec.from_atoms([(0.32, 0.5), (0.68, 0.5)]),
-    "band": MeasureSpec(weight_breaks=(0.17, 0.78), weight_values=(1.0,)),
-    "uniform": MeasureSpec.uniform_weight(),
-    "atom plus weight": MeasureSpec(atoms=((0.4, 0.5),),
-                                    weight_breaks=(0.2, 0.5, 0.9),
-                                    weight_values=(0.3, 0.7)),
-}
 
 
 def _cell_integrals_longdouble(p, c, tau, cells):
