@@ -195,9 +195,7 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     grid = config.grid()
     params = config.params
     u0 = _initial_data(params.get("u0", {"kind": "constant"}), grid, seed)
-    f_desc = params.get("f", {"kind": "constant", "value": 0.0})
-    f_val = float(f_desc.get("value", 0.0)) if f_desc.get("kind") == "constant" \
-        else 0.0
+    f_val = float(params["f"].get("value", 0.0))
     kernel_cumulative = None
     if params.get("use_yosida"):
         yos = _volterra.yosida_kernels(spec, params["n_yosida"],

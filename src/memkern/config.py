@@ -221,6 +221,10 @@ def parse_config(source) -> ExperimentConfig:
     if params.get("use_yosida") and not (type(n_yosida) is int
                                          and n_yosida >= 1):
         bad.append(("/params/n_yosida", "must be an integer >= 1"))
+    f_desc = params["f"]  # solve takes a constant source term only
+    if not (isinstance(f_desc, dict)
+            and f_desc.get("kind", "constant") == "constant"):
+        bad.append(("/params/f/kind", "the only source kind is 'constant'"))
 
     grid_spec = data.get("grid")
     if grid_spec is not None:

@@ -14,7 +14,6 @@ inequalities that make the cylinder geometry usable at small radii.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,8 @@ from .measure import (
     require_valid,
     tail_mass,
 )
-from .kernels import _gauss_panels, _l_dyadic_walk, _node_table, _panel_range
+from .kernels import (_gauss_panels, _l_dyadic_chunks, _node_table,
+                      _panel_range)
 
 __all__ = [
     "GeometryError",
@@ -165,30 +165,37 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
 # certificates
 
 
-def _log_lp_norm_p(spec: MeasureSpec, p: float, upper: float, table) -> float:
+def _log_lp_norm_p(p: float, upper: float, table, chunks: int) -> float:
     """log of ``int_0^upper l(s)^p ds`` by dyadic Gauss-Legendre panels.
 
     The integrand blows up like s^(p*(gamma_bar-1)) at zero but stays
     integrable for admissible p; panels j = 0, 1, ... on (upper/2^(j+1),
     upper/2^j] refine toward zero until a panel adds less than 1e-10 of the
     running total, or 400 panels are taken.  They come in chunks of eight:
-    chunk c is chunk 0 scaled by 2^(-8c), so one kernel block of
-    ``kernels._l_dyadic_walk`` over ``table`` gives l on every chunk.  Near
-    zero the panels shrink geometrically, so the rest past the last one is
-    the geometric series of the last two; a ratio outside (0, 1) raises.
+    chunk c is chunk 0 scaled by 2^(-8c), so one ``kernels._l_dyadic_chunks``
+    over ``table`` gives l on the ``chunks`` chunks that it holds; a walk
+    that needs more raises.  Near zero the panels shrink geometrically, so
+    the rest past the last one is the geometric series of the last two; a
+    ratio outside (0, 1) raises.
     """
-    # panel j = i of a chunk is row 7 - i of the ascending edges
     s, w = _gauss_panels(upper * 0.5 ** np.arange(8, -1, -1), 16)
-    walk = _l_dyadic_walk(spec, s.ravel(), 8, table)
-    pieces = itertools.chain.from_iterable(
-        (next(walk).reshape(s.shape) ** p * np.ldexp(w, -first))
-        .sum(axis=1)[::-1].tolist() for first in range(0, 400, 8))
+    l = _l_dyadic_chunks(s.ravel(), 8, chunks, table).reshape(-1, *s.shape)
+    # panel j = i of a chunk is row 7 - i of the ascending edges
+    pieces = (l**p * np.ldexp(w, -8 * np.arange(chunks)[:, None, None])
+              ).sum(axis=2)[:, ::-1].ravel().tolist()
     total = prev = piece = 0.0
     for j, x in enumerate(pieces):
         prev, piece = piece, x
         total += piece
         if j >= 20 and piece < 1e-10 * total:
             break
+    else:
+        if len(pieces) < 400:
+            raise GeometryError(
+                f"Lp walk to {upper} needs nodes past the double range")
+    if prev == 0.0:
+        raise GeometryError(
+            f"Lp walk to {upper}: l^p underflows to 0 on its last two panels")
     q = piece / prev
     if not 0.0 < q < 1.0:
         raise GeometryError(
@@ -230,10 +237,13 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     if r.size == 0 or np.any(r <= 0.0):
         raise GeometryError("need a nonempty positive radius grid")
     phi2r = phi(spec, 2.0 * r)
-    # one node table, and so one left tail, for the walks of all radii
-    table = _node_table(spec, 0.0, *_panel_range(phi2r.min() / 256,
-                                                 phi2r.max()))
-    log_lhs = np.array([_log_lp_norm_p(spec, p, x, table)
+    # one node table for the walks of all radii: chunk c of the walk to the
+    # smallest Phi(2r) needs 8c panels past its first, and no panel edge may
+    # pass 2^1023 (Phi(2r) >= 1e-300 keeps the first chunk below it)
+    k_lo, k_hi = _panel_range(phi2r.min() / 256, phi2r.max())
+    chunks = min(50, (1023 - k_hi) // 8 + 1)
+    table = _node_table(spec, 0.0, k_lo, k_hi + 8 * (chunks - 1))
+    log_lhs = np.array([_log_lp_norm_p(p, x, table, chunks)
                         + (p - 1.0) * math.log(x) for x in phi2r.tolist()])
     log_rhs = 2.0 * p * np.log(r)
     log_ratio = log_lhs - log_rhs

@@ -35,10 +35,10 @@ vectors: the samples, and per-node cell factors (integrals of exp(-p s) over
 one step) for the cell mass, first moment and bubble, so no cell table is a
 difference of running integrals; the first cell is a plain sum over the node
 table and the right tails.  On dyadic panels, scaling t by 2^-m and p by 2^m
-leaves p*t the same bits, so the Lp walk of ``geometry`` reuses one kernel
-block for all of its chunks.  ``_gauss_panels`` places the nodes of both
-sums and of their tails, of the order moments of k and of the dyadic panels
-of ``geometry``.
+leaves p*t the same bits, so ``_l_dyadic_chunks`` gives every chunk of the
+Lp walk of ``geometry`` as one weight column of one ``_exp_sums``.
+``_gauss_panels`` places the nodes of both sums and of their tails, of the
+order moments of k and of the dyadic panels of ``geometry``.
 """
 
 from __future__ import annotations
@@ -248,25 +248,19 @@ def _panel_range(t_min: float, t_max: float) -> tuple[int, int]:
             math.ceil(_DEPTH0_RIGHT + 1 - math.log2(t_min)))
 
 
-def _panel_nodes(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes p of the Gauss-Legendre panels [2^k, 2^(k+1)], k_lo <= k < k_hi,
-    ascending, and their weights times H_theta(p)/pi.
+    ascending behind a node at p = 0, and their weights times H_theta(p)/pi;
+    the node at p = 0 holds the left tail ``(1/pi) int_0^(2^k_lo) H_theta dp``.
 
     The nodes of panel k + m are those of panel k times 2^m, bit for bit.
     """
     p, w = (a.ravel() for a in _gauss_panels(
         np.ldexp(1.0, np.arange(k_lo, k_hi + 1)), _GL_NODES_PER_PANEL))
-    return p, w * h_laplace_eval(spec, p, theta)[0] / math.pi
-
-
-def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``_panel_nodes`` behind a node at p = 0 that holds the left tail
-    ``(1/pi) int_0^(2^k_lo) H_theta dp``."""
-    p, c = _panel_nodes(spec, theta, k_lo, k_hi)
     left = _tail(spec, theta, math.ldexp(1.0, k_lo), "left", (0,))
-    return np.append(0.0, p), np.append(left, c)
+    return (np.append(0.0, p),
+            np.append(left, w * h_laplace_eval(spec, p, theta)[0] / math.pi))
 
 
 # y-nodes and weights of _tail: 16-point Gauss-Legendre panels on [0, 1]
@@ -299,8 +293,7 @@ def _tail(spec: MeasureSpec, theta: float, edge: float, side: str, powers
                      for j in powers]) / math.pi
 
 
-def _band(p: np.ndarray, t_lo: float, t_hi: float,
-          u_left: float = _HEAD_U) -> np.ndarray:
+def _band(p: np.ndarray, t_lo: float, t_hi: float, u_left: float):
     """Index range [b, e) of the ascending nodes p with u_left <= p*t for
     every t in [t_lo, t_hi] and p*t < 2^10 for some: right of it exp(-u) is
     0 in double."""
@@ -335,8 +328,9 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
     power of p overflows; below u = 2^-60 a prefix sum of the weights alone
     covers them.
     """
-    prefix = np.cumsum(np.vstack((np.zeros(weights.shape[1]), weights)),
-                       axis=0)
+    heads = int(np.searchsorted(p, _HEAD_U / ts[0]))  # bounds each head
+    prefix = np.zeros((heads + 1, weights.shape[1]))
+    np.cumsum(weights[:heads], axis=0, out=prefix[1:])
     out = np.empty((ts.size, weights.shape[1]))
     inverse_j = 1.0 / np.arange(1, _TAYLOR_DEGREE + 1)
     for lo, hi, b, e in _tiles(p, ts, _TAYLOR_U):
@@ -496,31 +490,23 @@ def _resolvent_cells(p: np.ndarray, weights: np.ndarray, tails: np.ndarray,
     return sums[:, :k], mass, (t - step)[:, None] * mass + shifted, bubble
 
 
-def _l_dyadic_walk(spec: MeasureSpec, s: np.ndarray, m: int, table):
-    """Yield l at s * 2^(-m c) for c = 0, 1, 2, ..., one array per c.
+def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
+    """l at s * 2^(-m c) for ascending s, one row per c < chunks.
 
-    Scaling s by 2^(-m c) and the nodes by 2^(m c) (panel k -> k + m c)
-    leaves every u = p*s the same bits, so one block exp(-outer(s, p)) over
-    the band 2^-60 <= u <= 2^10 serves every c.  Step c contracts it against
-    the band's weights shifted m panels right: nodes leaving on the left join
-    the head sum, and H_theta is evaluated on m new panels only.  ``table``
-    is a theta = 0 ``_node_table`` over at least ``_panel_range`` of s, so
-    walks over several s share its left tail.  s must stay a normal double.
+    The nodes of panel k + m c are those of panel k times 2^(m c), bit for
+    bit, so l(s 2^(-m c)) is the sum over the nodes of ``_panel_range`` of s
+    with the weights m c panels to the right; the nodes that pass the left
+    end join the node at p = 0 as a prefix sum.  One ``_exp_sums`` takes
+    every row.  ``table`` is a theta = 0 ``_node_table`` that reaches
+    m (chunks - 1) panels past that range, so walks over several s share it.
     """
-    k_hi = _panel_range(s.min(), s.max())[1]  # the table may reach further
-    stop = 1 + _GL_NODES_PER_PANEL * (k_hi + 1 - math.frexp(table[0][1])[1])
-    p, coeff = (a[:stop] for a in table)
-    band = _band(p, s.min(), s.max())[0]
-    head, coeff = coeff[:band].sum(), coeff[band:]
-    block = np.multiply.outer(-s, p[band:])
-    np.exp(block, out=block)
-    shift = m * _GL_NODES_PER_PANEL
-    while True:
-        yield block @ coeff + head
-        head += coeff[:shift].sum()
-        coeff = np.concatenate(
-            (coeff[shift:], _panel_nodes(spec, 0.0, k_hi, k_hi + m)[1]))
-        k_hi += m
+    p, coeff = table
+    k_hi = _panel_range(s[0], s[-1])[1]  # the table may reach further
+    n = 1 + _GL_NODES_PER_PANEL * (k_hi + 1 - math.frexp(p[1])[1])
+    shift = m * _GL_NODES_PER_PANEL * np.arange(chunks)
+    weights = np.lib.stride_tricks.sliding_window_view(coeff, n)[shift].T
+    weights[0] = np.cumsum(coeff)[shift]
+    return _exp_sums(p[:n], weights, s).T
 
 
 def l_eval(spec: MeasureSpec, t):

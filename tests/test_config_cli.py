@@ -67,6 +67,13 @@ class TestParsing:
             parse_config(small_config(n_steps=8))
         assert any(ptr == "/n_steps" for ptr, _ in err.value.violations)
 
+    def test_source_kind_must_be_constant(self):
+        cfg = small_config("solve", params={"f": {"kind": "sine",
+                                                  "value": 5.0}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert "/params/f/kind" in dict(err.value.violations)
+
     @pytest.mark.parametrize("n_yosida", [2.5, "abc", 0, True])
     def test_n_yosida_must_be_a_positive_integer(self, n_yosida):
         cfg = small_config("solve", params={"use_yosida": True,

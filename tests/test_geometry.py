@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -140,7 +139,7 @@ class TestScalingCertificate:
             assert np.max(np.abs(np.expm1(sc.log_lhs - exact))) <= 1e-12
 
     def test_lp_walk_matches_per_chunk_inversion(self, measures):
-        # the walk contracts one kernel block for every chunk of 8 panels,
+        # the walk takes every chunk of 8 panels from one exponential sum,
         # relying on chunk c being chunk 0 scaled by 2^(-8c) in s and the
         # dyadic p nodes scaled by 2^(8c); here each chunk inverts l afresh
         from memkern.kernels import _gauss_panels, l_eval
@@ -161,7 +160,18 @@ class TestScalingCertificate:
             q = piece / prev
             return math.log(total + piece * q / (1.0 - q))
 
-        for name, spec in measures.items():
+        # order 0.05 runs to the 400-panel cap and the geometric rest
+        extra = {
+            "d005": MeasureSpec.single_order(0.05),
+            "weight_to_zero": MeasureSpec(weight_breaks=(0.0, 0.4),
+                                          weight_values=(2.5,)),
+            "band": MeasureSpec(weight_breaks=(0.17, 0.78),
+                                weight_values=(1.0,)),
+            "atom_weight": MeasureSpec(atoms=((0.3, 0.5),),
+                                       weight_breaks=(0.6, 1.0),
+                                       weight_values=(1.25,)),
+        }
+        for name, spec in {**measures, **extra}.items():
             p = 0.5 * (1 + 1 / (1 - gamma_bar(spec)))
             sc = G.scaling_certificate(spec, p, [1e-3, 0.03, 0.4])
             ref = np.array([reference(spec, p, x) + (p - 1.0) * math.log(x)
@@ -171,13 +181,26 @@ class TestScalingCertificate:
     def test_lp_walk_without_geometric_rest_raises(self, half, monkeypatch):
         # with l = s^-1.5 the panels grow by 2^0.5 toward zero, so the walk
         # runs to its panel cap and has no geometric rest to add
-        def walk(spec, s, m, table):
-            for c in itertools.count():
-                yield np.ldexp(s, -m * c) ** -1.5
+        def chunks(s, m, n_chunks, table):
+            return np.ldexp(s, -m * np.arange(n_chunks)[:, None]) ** -1.5
 
-        monkeypatch.setattr(G, "_l_dyadic_walk", walk)
+        monkeypatch.setattr(G, "_l_dyadic_chunks", chunks)
         with pytest.raises(G.GeometryError):
             G.scaling_certificate(half, 1.0, [0.1])
+
+    def test_lp_walk_past_double_range_raises(self):
+        # at order 0.02, Phi(2r) of verify's smallest radius is 1e-270, and
+        # the walk to it needs dyadic nodes beyond 2^1023
+        spec = MeasureSpec.single_order(0.02)
+        p = 0.5 * (1 + 1 / 0.98)
+        with pytest.raises(G.GeometryError, match="double range"):
+            G.scaling_certificate(spec, p, np.logspace(-3, np.log10(0.45), 8))
+
+    def test_lp_walk_underflow_raises(self):
+        # Phi(20) = 5.2e173 for the uniform weight: l^50.5 is 0 in double on
+        # every panel of the walk
+        with pytest.raises(G.GeometryError, match="underflows"):
+            G.scaling_certificate(MeasureSpec.uniform_weight(), 50.5, [10.0])
 
     def test_ratio_finite_all_measures(self, measures):
         from memkern.measure import gamma_bar
