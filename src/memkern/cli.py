@@ -190,6 +190,12 @@ def _initial_data(desc: dict, grid: _solver.SpatialGrid, seed: int):
                                      / (grid.extents[1][1] - grid.extents[1][0])))
 
 
+def _step_figures(field: _solver.SolutionField) -> dict:
+    """The step-solve figures a trajectory's manifest carries."""
+    return {"lu_factorisations": field.lu_factorisations,
+            "max_step_residual": float(np.max(field.residuals))}
+
+
 def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     spec = config.measure
     grid = config.grid()
@@ -218,9 +224,7 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     _write_manifest(out, config, seed, {
         "files": ["solution.csv"],
         "wall_time": field.wall_time,
-        "lu_factorisations": field.lu_factorisations,
-        "max_step_residual": float(np.max(field.residuals))
-        if field.residuals.size else 0.0,
+        **_step_figures(field),
     })
     return 0
 
@@ -248,8 +252,11 @@ def _run_harnack(config: ExperimentConfig, out: Path, seed: int) -> int:
         "statuses": list(report.statuses),
     }
     _write_json(out / "report.json", summary)
-    _write_manifest(out, config, seed,
-                    {"files": ["harnack.csv", "report.json"]})
+    _write_manifest(out, config, seed, {
+        "files": ["harnack.csv", "report.json"],
+        "lu_factorisations": report.lu_factorisations,
+        "max_step_residual": report.max_step_residual,
+    })
     return 0
 
 
@@ -284,8 +291,10 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
         "r": r,
     }
     _write_json(out / "report.json", summary)
-    _write_manifest(out, config, seed,
-                    {"files": ["oscillation.csv", "report.json"]})
+    _write_manifest(out, config, seed, {
+        "files": ["oscillation.csv", "report.json"],
+        **_step_figures(field),
+    })
     return 0
 
 

@@ -22,12 +22,18 @@ trajectory is one triangular Toeplitz solve.  One sparse assembly serves
 every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1}
 for every m, the step matrix is factorised once by sparse LU and reused for
 the whole trajectory unless the coefficients are declared time dependent.
-All weights are positive and decreasing back in time, which is what the
-nonnegativity and comparison checks in the test-suite lean on.
+Inside ``_shared_systems()`` trajectories whose step matrices agree share
+one factorisation.  The relative residual of every step is checked against
+the matrix it solved with, by one sparse product per run of steps that
+share that matrix (at most one base block).  All weights are positive and
+decreasing back in time, which is what the nonnegativity and comparison
+checks in the test-suite lean on.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import time
 from dataclasses import dataclass
@@ -240,7 +246,7 @@ class SolutionField:
     f_samples: np.ndarray | None  # same layout, or None when f == 0
     residuals: np.ndarray
     wall_time: float
-    lu_factorisations: int = 0    # splu calls of the trajectory
+    lu_factorisations: int = 0    # splu calls made here; 0 if shared
 
     @property
     def n_steps(self) -> int:
@@ -307,6 +313,25 @@ def _face_points(grid: SpatialGrid, axis: int, which: int) -> np.ndarray:
     return points
 
 
+# Step systems of the steppers inside ``_shared_systems()``, keyed by what
+# the step matrix depends on; None outside that scope.
+_shared = contextvars.ContextVar("memkern_shared_systems", default=None)
+
+
+@contextlib.contextmanager
+def _shared_systems():
+    """Scope in which steppers with equal grid, coefficients, ``beta_{m,m}``
+    and first step time take one factorised step system, and with it the
+    boundary vector of that time.  Time-dependent coefficients are never
+    shared.  The systems are dropped when the scope closes, so none
+    outlives it and a coefficient table changed after it is read afresh."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 class TimeStepper:
     """Advances the implicit scheme one slice at a time.
 
@@ -318,10 +343,14 @@ class TimeStepper:
     adds the solved rows of its own block by one contiguous product.  Then
     one sparse LU solve with the factors of ``beta_{m,m} I + L``, kept for
     the whole trajectory (rebuilt at every step only for time-dependent
-    coefficients; ``lu_factorisations`` counts them), gives the slice, and
-    its relative residual is recorded.  In the relaxation mode the first
-    ``advance`` solves the whole trajectory at once (see ``_relax``) and
-    every call returns its slice.
+    coefficients, and taken from another trajectory inside
+    ``_shared_systems()``; ``lu_factorisations`` counts those computed
+    here), gives the slice.  Its right-hand side is kept until the relative
+    residual is checked: for the steps since the last check at once, at
+    each base-block start, before the factors are replaced and whenever
+    ``residuals`` is read.  In the relaxation mode the first ``advance``
+    solves the whole trajectory at once (see ``_relax``) and every call
+    returns its slice.
     """
 
     def __init__(self, spec: MeasureSpec, grid: SpatialGrid,
@@ -363,7 +392,11 @@ class TimeStepper:
         self.f_samples = None
         if f is not None and not (np.isscalar(f) and float(f) == 0.0):
             self.f_samples = np.zeros_like(self.u)
-        self.residuals = np.zeros(n_steps)
+        self._residuals = np.zeros(n_steps)
+        # b of the steps not yet checked, step m in row (m-1) % B
+        self._rhs = np.zeros((min(_TOEPLITZ_BLOCK, n_steps),
+                              self._u_flat.shape[1]))
+        self._checked = 0  # steps whose residual is in _residuals
         self.m = 0
         self._bc_callable = any(callable(bc.value)
                                 for pair in grid.boundary for bc in pair)
@@ -399,9 +432,10 @@ class TimeStepper:
         return diag, rhs_bc
 
     def _assemble(self, t: float):
-        """Flux-form ``L_t`` as a sparse matrix.  An interior face carries the
-        mean diffusivity of its two cells, a Dirichlet face the diffusivity
-        at its midpoint (see ``_dirichlet``)."""
+        """Flux-form ``L_t`` as a sparse matrix, and the boundary vector at
+        ``t``.  An interior face carries the mean diffusivity of its two
+        cells, a Dirichlet face the diffusivity at its midpoint (see
+        ``_dirichlet``)."""
         grid = self.grid
         a_cells = self._diffusivity(t, grid.centers())
         if np.any(a_cells <= 0.0):
@@ -419,28 +453,69 @@ class TimeStepper:
             rows += [idx[lo].ravel(), idx[hi].ravel()]
             cols += [idx[hi].ravel(), idx[lo].ravel()]
             vals += [-coef.ravel()] * 2
-        diag += self._dirichlet(t)[0]
+        bc_diag, rhs_bc = self._dirichlet(t)
+        diag += bc_diag
         n = grid.n_total
         mat = _sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
-        return mat + _sparse.diags(diag.ravel())
+        return mat + _sparse.diags(diag.ravel()), rhs_bc.ravel()
+
+    def _factorise(self, t: float):
+        """``(full, splu(full), rhs_bc)`` at ``t``, with ``full`` the step
+        matrix ``beta_{m,m} I + L_t``."""
+        mat, rhs_bc = self._assemble(t)
+        full = (mat + self._beta_mm * _sparse.identity(self.grid.n_total)
+                ).tocsc()
+        lu = _sparse_linalg.splu(full)
+        self.lu_factorisations += 1
+        return full, lu, rhs_bc
 
     def _system(self, t: float):
-        """``(full, splu(full), rhs_bc)`` at ``t``, with ``full`` the step
-        matrix ``beta_{m,m} I + L_t``.  The factors are built once, and again
-        at every step only for time-dependent coefficients; the boundary
-        vector is sampled again at every step also when a Dirichlet value is
-        callable."""
+        """``(full, splu(full), rhs_bc)`` at ``t``.  The factors are built at
+        the first step, or taken from the shared systems (see
+        ``_shared_systems``), and again at every step only for time-dependent
+        coefficients; the boundary vector is sampled again at every step also
+        when a Dirichlet value is callable."""
         varies = self.coefficients.time_dependent
         if self._factors is None or varies:
-            full = (self._assemble(t) + self._beta_mm
-                    * _sparse.identity(self.grid.n_total)).tocsc()
-            self._factors = (full, _sparse_linalg.splu(full))
-            self.lu_factorisations += 1
-        if self._rhs_bc is None or varies or self._bc_callable:
+            self._check_residuals()  # before the matrix they solved goes
+            shared = None if varies else _shared.get()
+            if shared is None:
+                self._factors = self._factorise(t)
+            else:
+                key = (self.grid, self.coefficients, self._beta_mm, t)
+                if key not in shared:
+                    shared[key] = self._factorise(t)
+                self._factors = shared[key]
+            self._rhs_bc = self._factors[2]
+        elif self._bc_callable:
             self._rhs_bc = self._dirichlet(t)[1].ravel()
-        return (*self._factors, self._rhs_bc)
+        return self._factors[0], self._factors[1], self._rhs_bc
+
+    # -- step residuals ----------------------------------------------------
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """``max|full u_m - b_m| / max|b_m|`` of every step taken, with
+        ``full`` the matrix step m solved with (0 for steps not taken, and
+        in the relaxation mode)."""
+        self._check_residuals()
+        return self._residuals
+
+    def _check_residuals(self) -> None:
+        """Residuals of the steps since the last check by one sparse
+        product.  They all solved with the current factors and lie in one
+        base block, so their right-hand sides are contiguous rows."""
+        lo, hi = self._checked, self.m
+        if hi == lo or self._factors is None:
+            return
+        start = lo % _TOEPLITZ_BLOCK
+        b = self._rhs[start:start + hi - lo]
+        gap = self._factors[0] @ self._u_flat[lo + 1:hi + 1].T - b.T
+        scale = np.maximum(np.abs(b).max(axis=1), 1e-300)
+        self._residuals[lo:hi] = np.abs(gap).max(axis=0) / scale
+        self._checked = hi
 
     # -- one step ----------------------------------------------------------
 
@@ -465,6 +540,7 @@ class TimeStepper:
             rhs -= du[m - 1]
         else:
             if m > 1:
+                self._check_residuals()
                 self._history.far_field(du, du, m - 1)
             du[m - 1:m - 1 + _TOEPLITZ_BLOCK] -= self._beta_mm * u[m - 1]
             rhs = -du[m - 1]
@@ -475,13 +551,10 @@ class TimeStepper:
             self.f_samples[m] = f_m.reshape(self.grid.shape)
         rhs += f_m
 
-        full, lu, rhs_bc = self._system(t_m)
-        b = rhs + rhs_bc
-        new = lu.solve(b)
-        scale = max(float(np.abs(b).max()), 1e-300)
-        self.residuals[m - 1] = float(np.abs(full @ new - b).max()) / scale
-
-        u[m] = new
+        _, lu, rhs_bc = self._system(t_m)
+        b = self._rhs[near]
+        np.add(rhs, rhs_bc, out=b)
+        u[m] = lu.solve(b)
         np.subtract(u[m], u[m - 1], out=du[m - 1])
         self.m = m
         return self.u[m]

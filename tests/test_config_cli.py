@@ -276,6 +276,10 @@ class TestRunners:
         rows = (tmp_path / "harnack.csv").read_text().splitlines()
         assert rows[0] == "seed,member,ratio,p,n_cells,measure_hash"
         assert len(rows) == 4
+        # the three members share one factorised step system
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["max_step_residual"] <= 1e-10
+        assert manifest["lu_factorisations"] == 1
 
     def test_holder_outputs(self, tmp_path):
         config = parse_config(small_config(
@@ -286,6 +290,9 @@ class TestRunners:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] in ("ok", "flat")
         assert (tmp_path / "oscillation.csv").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["max_step_residual"] <= 1e-10
+        assert manifest["lu_factorisations"] == 1
 
 
 # floats whose repr is easy to get wrong: signed zero, the smallest

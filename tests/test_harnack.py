@@ -141,6 +141,57 @@ class TestEnsemble:
         assert a.ratios == b.ratios
 
 
+class TestSharedFactors:
+    """The members of an ensemble share one factorised step system, and
+    nothing of it outlives the ensemble."""
+
+    def test_one_factorisation_same_ratios(self, half, monkeypatch):
+        calls = []
+        real_splu = S._sparse_linalg.splu
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real_splu(matrix)
+
+        monkeypatch.setattr(S._sparse_linalg, "splu", counted)
+        rep = H.harnack_ensemble(half, n_members=4, seed=5, n_cells=32,
+                                 n_steps=64, r=0.4, x0=0.5)
+        assert len(calls) == 1 and rep.lu_factorisations == 1
+        assert S._shared.get() is None
+        assert rep.max_step_residual <= 1e-10
+        # the same members, solved one by one outside any shared scope
+        grid = dirichlet_grid(32)
+        x = grid.axis_centers(0)
+        height = 2.0 * phi_bar(half, 0.4)
+        ratios = []
+        for member in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence([5, member]))
+            fld = S.solve(half, grid, IDENTITY,
+                          H.random_fourier_profile(rng)(x), 0.0, height, 64)
+            ratios.append(H.weak_harnack_ratio(
+                fld, half, t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0,
+                p=1.0).ratio)
+        assert len(calls) == 5
+        assert rep.ratios == tuple(ratios)
+
+    def test_table_changed_after_ensemble_is_read_afresh(self, half):
+        H.harnack_ensemble(half, n_members=2, seed=5, n_cells=32, n_steps=32,
+                           r=0.4, x0=0.5)
+        grid = dirichlet_grid(32)
+        u0 = np.sin(np.pi * grid.axis_centers(0))
+        table = np.ones(32)
+        coeffs = S.CoefficientField.from_table(table, grid)
+        first = S.solve(half, grid, coeffs, u0, 0.0, 0.5, 32)
+        table[:16] = 3.0
+        second = S.solve(half, grid, coeffs, u0, 0.0, 0.5, 32)
+        for values, fld in ((np.ones(32), first), (table.copy(), second)):
+            fresh = S.solve(half, grid,
+                            S.CoefficientField.from_table(values, grid),
+                            u0, 0.0, 0.5, 32)
+            assert np.array_equal(fld.values, fresh.values)
+        assert not np.array_equal(first.values, second.values)
+
+
 class TestOscillation:
     def test_linear_profile_exponent_one(self, half):
         bc = S.BoundaryCondition.dirichlet(lambda t, x: float(x[0]))

@@ -29,7 +29,7 @@ IDENTITY = S.CoefficientField.constant([[1.0]])
 def _is_m_matrix(stepper, t):
     """Off-diagonals of the assembled operator at t nonpositive, and rows of
     the step matrix beta_mm I + L_t weakly diagonally dominant."""
-    mat = stepper._assemble(t).tocoo()
+    mat = stepper._assemble(t)[0].tocoo()
     off = mat.row != mat.col
     offsum = np.zeros(mat.shape[0])
     np.add.at(offsum, mat.row[off], np.abs(mat.data[off]))
@@ -53,6 +53,33 @@ class DirectHistoryStepper(S.TimeStepper):
         np.subtract(u[m], u[m - 1], out=self.du[m - 1])
         self.m = m
         return self.u[m]
+
+
+class _CheckedFactors:
+    """LU factors whose ``solve`` records ``max|full x - b| / max|b|`` of
+    each solve against the matrix of that step."""
+
+    def __init__(self, full, lu, record):
+        self.full, self.lu, self.record = full, lu, record
+
+    def solve(self, b):
+        new = self.lu.solve(b)
+        scale = max(float(np.abs(b).max()), 1e-300)
+        self.record.append(float(np.abs(self.full @ new - b).max()) / scale)
+        return new
+
+
+class PerStepResidualStepper(S.TimeStepper):
+    """Reference for the batched residual check: the residual of every step
+    computed right after its solve, with the matrix it solved with."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reference = []
+
+    def _system(self, t):
+        full, lu, rhs_bc = super()._system(t)
+        return full, _CheckedFactors(full, lu, self.reference), rhs_bc
 
 
 class TestConvWeights:
@@ -264,6 +291,46 @@ class TestBlockHistory:
             ref.advance()
         scale = np.max(np.abs(ref.u))
         assert np.max(np.abs(fld.values - ref.u)) <= 1e-12 * scale
+
+
+class TestStepResiduals:
+    """The residuals checked once per run of steps that share one matrix
+    against the check made after every solve."""
+
+    @pytest.mark.parametrize("reads", ["1-63-64-65-N", "N"])
+    @pytest.mark.parametrize("case", ["line-1d", "square-2d",
+                                      "time-dependent"])
+    def test_batched_equals_per_step(self, half, case, reads):
+        rng = np.random.default_rng(6)
+        if case == "line-1d":
+            grid, n_steps, f = dirichlet_grid(64), 192, 0.3
+            coeffs = IDENTITY
+        elif case == "square-2d":
+            bc = S.BoundaryCondition.dirichlet(0.0)
+            grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(12, 12),
+                                 boundary=((bc, bc),) * 2)
+            n_steps, f = 160, 0.0
+            coeffs = S.CoefficientField.constant([[1.0, 0.2], [0.2, 0.8]])
+        else:
+            # a check of a block against its last matrix reads 0.15-0.25 here
+            bc = S.BoundaryCondition.dirichlet(lambda t, x: 0.1 * t)
+            grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(32,),
+                                 boundary=((bc, bc),))
+            n_steps, f = 150, 0.0
+            coeffs = S.CoefficientField(
+                fn=lambda t, x: (1.0 + t + x[0]) * np.eye(1), lam=3.0,
+                nu=1.0, time_dependent=True)
+        u0 = np.maximum(rng.normal(size=grid.shape), 0.0)
+        stepper = PerStepResidualStepper(half, grid, coeffs, u0, f, 1.0,
+                                         n_steps)
+        stops = [1, 63, 64, 65, n_steps] if reads != "N" else [n_steps]
+        for stop in stops:
+            while stepper.m < stop:
+                stepper.advance()
+            got = stepper.residuals
+            assert np.array_equal(got[:stop], stepper.reference)
+            assert not np.any(got[stop:])
+        assert max(stepper.reference) <= 1e-10
 
 
 class TestAssembly:
