@@ -167,40 +167,35 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def _initial_data(desc: dict, grid: _solver.SpatialGrid, seed: int):
+    """``u0`` of a run; without a grid, ``value`` (1.0 by default)."""
     kind = desc.get("kind", "constant")
-    if kind == "constant":
+    if kind == "constant" or grid.dim == 0:
         return float(desc.get("value", 1.0))
-    if grid.dim == 0:
-        return float(desc.get("value", 1.0))
-    x = grid.axis_centers(0)
-    if kind == "sine":
-        amp = float(desc.get("amplitude", 1.0))
-        field_1d = amp * np.sin(math.pi * (x - grid.extents[0][0])
-                                / (grid.extents[0][1] - grid.extents[0][0]))
-    elif kind == "fourier":
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [seed, int(desc.get("member", 0))]))
-        field_1d = _harnack.random_fourier_profile(rng)(x)
-    else:
-        raise ConfigError([("/params/u0/kind", f"unknown kind {kind!r}")])
-    if grid.dim == 1:
-        return field_1d
-    y = grid.axis_centers(1)
-    return np.outer(field_1d, np.sin(math.pi * (y - grid.extents[1][0])
-                                     / (grid.extents[1][1] - grid.extents[1][0])))
+    if kind == "fourier":
+        return _harnack.member_data(grid, seed, int(desc.get("member", 0)))
+    return _harnack.spread_across(grid, float(desc.get("amplitude", 1.0))
+                                  * _harnack._half_sine(grid, 0))
 
 
-def _step_figures(field: _solver.SolutionField) -> dict:
-    """The step-solve figures a trajectory's manifest carries."""
-    return {"lu_factorisations": field.lu_factorisations,
-            "max_step_residual": float(np.max(field.residuals))}
+def _step_figures(run, coeffs: _solver.CoefficientField | None,
+                  grid: _solver.SpatialGrid) -> dict:
+    """The step-solve figures of a trajectory or an ensemble, with A's
+    declared bounds and what probing them at t = 0 found (config-built
+    fields are constant in time)."""
+    figures = {"lu_factorisations": run.lu_factorisations,
+               "max_step_residual": run.max_step_residual}
+    if coeffs is not None:
+        figures["coefficient_bounds"] = {
+            "nu": coeffs.nu, "lam": coeffs.lam,
+            "findings": coeffs.validate_bounds(grid, [0.0])}
+    return figures
 
 
 def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     spec = config.measure
     grid = config.grid()
     params = config.params
-    u0 = _initial_data(params.get("u0", {"kind": "constant"}), grid, seed)
+    u0 = _initial_data(params["u0"], grid, seed)
     f_val = float(params["f"].get("value", 0.0))
     kernel_cumulative = None
     if params.get("use_yosida"):
@@ -222,41 +217,30 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
                + [c[None] for c in cells] + [field.values])
     _write_csv(out / "solution.csv", header, columns)
     _write_manifest(out, config, seed, {
-        "files": ["solution.csv"],
-        "wall_time": field.wall_time,
-        **_step_figures(field),
-    })
+        "files": ["solution.csv"], "wall_time": field.wall_time,
+        **_step_figures(field, coeffs, grid)})
     return 0
 
 
 def _run_harnack(config: ExperimentConfig, out: Path, seed: int) -> int:
-    spec = config.measure
     params = config.params
-    grid = config.grid() if config.grid_spec else None
-    n_cells = grid.n_cells[0] if grid is not None and grid.dim else 64
+    grid = config.grid()
+    coeffs = config.coefficients(grid)
     report = _harnack.harnack_ensemble(
-        spec, n_members=int(params["n_members"]), seed=seed,
-        n_cells=n_cells, n_steps=config.n_steps, r=float(params["r"]),
-        x0=float(params["x0"]), delta=float(params["delta"]),
-        tau=float(params["tau"]), p=float(params["p"]),
-        t0=float(params["t0"]))
+        config.measure, grid, coeffs, n_members=int(params["n_members"]),
+        seed=seed, n_steps=config.n_steps,
+        **{k: float(params[k]) for k in ("r", "x0", "delta", "tau", "p", "t0")})
     mhash = config_hash(config)[:16]
     _write_csv(out / "harnack.csv",
                ["seed", "member", "ratio", "p", "n_cells", "measure_hash"],
                [seed, np.arange(len(report.ratios)), report.ratios, report.p,
                 report.n_cells, mhash])
-    summary = {
-        "max_ratio": report.max_ratio,
-        "median_ratio": report.median_ratio,
-        "all_finite": report.all_finite,
-        "statuses": list(report.statuses),
-    }
-    _write_json(out / "report.json", summary)
+    _write_json(out / "report.json", {
+        "max_ratio": report.max_ratio, "median_ratio": report.median_ratio,
+        "all_finite": report.all_finite, "statuses": list(report.statuses)})
     _write_manifest(out, config, seed, {
         "files": ["harnack.csv", "report.json"],
-        "lu_factorisations": report.lu_factorisations,
-        "max_step_residual": report.max_step_residual,
-    })
+        **_step_figures(report, coeffs, grid)})
     return 0
 
 
@@ -268,14 +252,9 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
     theta = float(params["theta"])
     height = _geometry.phi_bar(spec, r)
     horizon = 2.0 * eta * height
-    if config.grid_spec:
-        grid = config.grid()
-    else:
-        bc = _solver.BoundaryCondition.dirichlet(0.0)
-        grid = _solver.SpatialGrid(extents=((0.0, 1.0),), n_cells=(256,),
-                                   boundary=((bc, bc),))
+    grid = config.grid()
     coeffs = config.coefficients(grid)
-    u0 = _initial_data(params.get("u0", {"kind": "sine"}), grid, seed)
+    u0 = _initial_data(params["u0"], grid, seed)
     field = _solver.solve(spec, grid, coeffs, u0, 0.0, horizon, config.n_steps)
     t1 = float(params["t1"]) if params.get("t1") else 1.5 * eta * height
     profile = _harnack.oscillation_profile(
@@ -283,18 +262,12 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
         levels=params["levels"], r=r)
     _write_csv(out / "oscillation.csv", ["level", "radius", "osc"],
                [profile.levels, profile.radii, profile.osc])
-    summary = {
-        "kappa": profile.kappa,
-        "fit_residual": profile.fit_residual,
-        "status": profile.status,
-        "t1": t1,
-        "r": r,
-    }
-    _write_json(out / "report.json", summary)
+    _write_json(out / "report.json", {
+        "kappa": profile.kappa, "fit_residual": profile.fit_residual,
+        "status": profile.status, "t1": t1, "r": r})
     _write_manifest(out, config, seed, {
         "files": ["oscillation.csv", "report.json"],
-        **_step_figures(field),
-    })
+        **_step_figures(field, coeffs, grid)})
     return 0
 
 

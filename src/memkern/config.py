@@ -50,6 +50,9 @@ _DEFAULT_PARAMS: dict = {
 }
 
 
+_FALLBACK_CELLS = {"harnack": 64, "holder": 256}
+
+
 class ConfigError(ValueError):
     def __init__(self, violations: list[tuple[str, str]]):
         self.violations = violations
@@ -68,11 +71,16 @@ class ExperimentConfig:
     params: dict
 
     def grid(self) -> SpatialGrid:
-        return _grid_from_dict(self.grid_spec or {})
+        """The config's grid.  Without one, harnack and holder run on (0, 1),
+        Dirichlet 0, with 64 or 256 cells, kept out of ``to_dict``."""
+        spec = self.grid_spec
+        if spec is None and self.experiment in _FALLBACK_CELLS:
+            spec = {"extents": [[0.0, 1.0]],
+                    "n_cells": [_FALLBACK_CELLS[self.experiment]]}
+        return _grid_from_dict(spec or {})
 
     def coefficients(self, grid: SpatialGrid) -> CoefficientField:
-        return _coeffs_from_dict(self.coefficients_spec or
-                                 {"kind": "constant", "matrix": None}, grid)
+        return _coeffs_from_dict(self.coefficients_spec or {}, grid)
 
     def to_dict(self) -> dict:
         out = {
@@ -140,43 +148,24 @@ def _coeffs_from_dict(data: dict, grid: SpatialGrid) -> CoefficientField:
 
 
 def _validate_measure_dict(data, bad: list[tuple[str, str]]) -> None:
+    """JSON-shape checks; ``validate_measure`` checks the values."""
     if not isinstance(data, dict):
         bad.append(("/measure", "must be an object"))
         return
-    atoms = data.get("atoms", [])
-    prev = None
-    for i, atom in enumerate(atoms):
-        alpha = atom.get("alpha")
-        q = atom.get("q")
-        if alpha is None or not (0.0 < float(alpha) < 1.0):
-            bad.append((f"/measure/atoms/{i}/alpha", "order must lie in (0,1)"))
-        elif prev is not None and float(alpha) <= prev:
-            bad.append((f"/measure/atoms/{i}/alpha",
-                        "orders must be strictly increasing"))
-        if alpha is not None:
-            prev = float(alpha)
-        if q is None or float(q) < 0.0:
-            bad.append((f"/measure/atoms/{i}/q", "mass must be >= 0"))
     weight = data.get("weight") or {}
-    breaks = weight.get("breaks", [])
-    values = weight.get("values", [])
-    if (len(breaks) == 0) != (len(values) == 0) or \
-            (breaks and len(values) != len(breaks) - 1):
-        bad.append(("/measure/weight", "need len(values) == len(breaks) - 1"))
-    for i, b in enumerate(breaks):
-        if not (0.0 <= float(b) <= 1.0):
-            bad.append((f"/measure/weight/breaks/{i}", "must lie in [0,1]"))
-        if i and float(b) <= float(breaks[i - 1]):
-            bad.append((f"/measure/weight/breaks/{i}",
-                        "breaks must be strictly increasing"))
-    for i, v in enumerate(values):
-        if float(v) < 0.0:
-            bad.append((f"/measure/weight/values/{i}", "must be >= 0"))
-    if not bad:
-        spec = MeasureSpec.from_dict(data)
-        report = validate_measure(spec)
-        for v in report.violations:
-            bad.append(("/measure", v.message))
+    entries = [(f"atoms/{i}/{key}", atom.get(key) if isinstance(atom, dict)
+                else None)
+               for i, atom in enumerate(data.get("atoms", []))
+               for key in ("alpha", "q")]
+    entries += [(f"weight/{key}/{i}", v) for key in ("breaks", "values")
+                for i, v in enumerate(weight.get(key, []))]
+    shape = [(f"/measure/{ptr}", "must be a number") for ptr, v in entries
+             if type(v) not in (int, float)]  # bool is not a number here
+    bad.extend(shape)
+    if not shape:
+        bad.extend(("/measure" + v.pointer, v.message)
+                   for v in validate_measure(MeasureSpec.from_dict(data))
+                   .violations)
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -227,21 +216,31 @@ def parse_config(source) -> ExperimentConfig:
         bad.append(("/params/f/kind", "the only source kind is 'constant'"))
 
     grid_spec = data.get("grid")
+    n_dim = int(experiment in _FALLBACK_CELLS)  # see ExperimentConfig.grid
     if grid_spec is not None:
         try:
-            _grid_from_dict(grid_spec)
+            n_dim = _grid_from_dict(grid_spec).dim
         except ConfigError as exc:
             bad.extend(exc.violations)
         except Exception as exc:
             bad.append(("/grid", str(exc)))
+        else:
+            if n_dim == 0 and experiment in _FALLBACK_CELLS:
+                bad.append(("/grid", f"{experiment} needs a 1d or 2d grid"))
     # a solve config without a grid runs in the space-free relaxation mode
 
+    u0 = params["u0"]
+    kind = u0.get("kind", "constant") if isinstance(u0, dict) else None
+    if kind not in ("constant", "sine", "fourier"):
+        bad.append(("/params/u0/kind", "use 'constant', 'sine' or 'fourier'"))
+    elif experiment == "solve" and n_dim == 0 and "u0" in raw_params \
+            and kind != "constant":
+        bad.append(("/params/u0/kind", "a solve without a grid takes only "
+                    "'constant' initial data"))
+
     if not bad and experiment == "harnack":
-        spec = MeasureSpec.from_dict(data["measure"])
-        gb = gamma_bar(spec)
-        grid = _grid_from_dict(grid_spec) if grid_spec else None
-        n_dim = grid.dim if grid is not None and grid.dim else 1
-        kappa = critical_exponent(gb, n_dim)
+        kappa = critical_exponent(
+            gamma_bar(MeasureSpec.from_dict(data["measure"])), n_dim)
         if not (0.0 < float(params["p"]) < kappa):
             bad.append(("/params/p",
                         f"p exceeds the critical exponent bound {kappa:.6g}"))

@@ -17,7 +17,6 @@ import numpy as np
 from .measure import MeasureSpec, gamma_bar
 from .geometry import Cylinder, build_cylinders, phi_bar
 from .solver import (
-    BoundaryCondition,
     CoefficientField,
     SolutionField,
     SpatialGrid,
@@ -33,6 +32,8 @@ __all__ = [
     "EnsembleReport",
     "harnack_ensemble",
     "random_fourier_profile",
+    "member_data",
+    "spread_across",
     "OscillationProfile",
     "oscillation_profile",
     "strong_max_check",
@@ -53,6 +54,15 @@ def critical_exponent(gamma_bar_value: float, n_dim: int) -> float:
         raise HarnackError("dimension must be a positive integer")
     g = gamma_bar_value
     return (2.0 + n_dim * g) / (2.0 + n_dim * g - 2.0 * g)
+
+
+def _point(grid: SpatialGrid, x) -> np.ndarray:
+    """A point of the grid's space; one number stands for it on every axis."""
+    try:
+        return np.broadcast_to(np.asarray(x, dtype=float), (grid.dim,))
+    except ValueError:
+        raise HarnackError(f"{x!r} is not a point of a {grid.dim}d grid"
+                           ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +95,6 @@ class HarnackReport:
     status: str            # "ok" | "degenerate" | "unbounded"
     n_cells_minus: int
     n_cells_plus: int
-    config: dict
-
-    @property
-    def finite(self) -> bool:
-        return self.status == "ok"
 
 
 def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
@@ -107,7 +112,8 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
     kappa = critical_exponent(gb, max(field.grid.dim, 1))
     if not (0.0 < p < kappa):
         raise HarnackError(f"p={p} outside (0, {kappa:.4f})")
-    q_minus, q_plus = build_cylinders(spec, t0, x0, r, delta, tau)
+    q_minus, q_plus = build_cylinders(spec, t0, _point(field.grid, x0), r,
+                                      delta, tau)
     u_minus = _cells_in_cylinder(field, q_minus)
     u_plus = _cells_in_cylinder(field, q_plus)
     if u_minus.size < min_cells or u_plus.size < min_cells:
@@ -129,7 +135,6 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
     inf_plus = float(np.min(u_plus))
     correction = r**2 * field.f_negative_sup()
     denom = inf_plus + correction
-    config = {"t0": t0, "x0": x0, "r": r, "delta": delta, "tau": tau, "p": p}
     tiny = 1e-14 * scale
     if denom <= tiny and mean_p <= tiny:
         status, ratio = "degenerate", None
@@ -140,7 +145,7 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
     return HarnackReport(p=p, mean_p=mean_p, inf_plus=inf_plus,
                          correction=correction, ratio=ratio, status=status,
                          n_cells_minus=int(u_minus.size),
-                         n_cells_plus=int(u_plus.size), config=config)
+                         n_cells_plus=int(u_plus.size))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,29 @@ def random_fourier_profile(rng: np.random.Generator, n_modes: int = 8,
     return profile
 
 
+def _half_sine(grid: SpatialGrid, axis: int) -> np.ndarray:
+    """``sin(pi y)`` of the cell centres along ``axis``, mapped onto (0, 1)."""
+    lo, hi = grid.extents[axis]
+    return np.sin(math.pi * (grid.axis_centers(axis) - lo) / (hi - lo))
+
+
+def spread_across(grid: SpatialGrid, along_x: np.ndarray) -> np.ndarray:
+    """Cell data from values along the first axis: those values themselves
+    in 1d, times ``sin(pi y)`` across the second axis in 2d."""
+    if grid.dim == 1:
+        return along_x
+    return np.outer(along_x, _half_sine(grid, 1))
+
+
+def member_data(grid: SpatialGrid, seed: int, member: int) -> np.ndarray:
+    """Initial data of ensemble member ``member``: the clipped Fourier
+    profile of ``SeedSequence([seed, member])``, spread across the grid.
+    Refining the grid resamples the same continuum data."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, member]))
+    return spread_across(grid, random_fourier_profile(rng)(
+        grid.axis_centers(0)))
+
+
 @dataclass(frozen=True)
 class EnsembleReport:
     seed: int
@@ -185,44 +213,39 @@ class EnsembleReport:
         return all(s == "ok" for s in self.statuses)
 
 
-def harnack_ensemble(spec: MeasureSpec, *, n_members: int, seed: int,
-                     n_cells: int, n_steps: int, r: float, x0: float,
+def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
+                     coefficients: CoefficientField, *, n_members: int,
+                     seed: int, n_steps: int, r: float, x0,
                      delta: float = 0.5, tau: float = 1.0, p: float = 1.0,
-                     t0: float = 0.0, domain: tuple[float, float] = (0.0, 1.0),
-                     ) -> EnsembleReport:
-    """Weak-Harnack ratios over seeded random nonnegative initial data (1d).
+                     t0: float = 0.0) -> EnsembleReport:
+    """Weak-Harnack ratios over seeded random nonnegative initial data.
 
-    Each member draws a clipped Fourier profile once and evaluates it on the
-    requested grid, so refining ``n_cells`` reruns the same continuum data.
-    The members differ only in their initial data, so they solve with one
-    factorised step system.
+    Member m starts from ``member_data(grid, seed, m)``.  The members differ
+    only in their initial data, so they solve with one factorised step
+    system.
     """
+    if grid.dim == 0:
+        raise HarnackError("the ensemble needs a 1d or 2d grid")
     height = 2.0 * tau * phi_bar(spec, r)
-    bc = BoundaryCondition.dirichlet(0.0)
-    grid = SpatialGrid(extents=(domain,), n_cells=(n_cells,),
-                       boundary=((bc, bc),))
-    coeffs = CoefficientField.constant([[1.0]])
-    x = grid.axis_centers(0)
     ratios: list[float] = []
     statuses: list[str] = []
     worst, factorisations = 0.0, 0
     with _shared_systems():
         for member in range(n_members):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, member]))
-            profile = random_fourier_profile(rng)
-            fld = solve(spec, grid, coeffs, profile(x), 0.0, t0 + height,
+            fld = solve(spec, grid, coefficients,
+                        member_data(grid, seed, member), 0.0, t0 + height,
                         n_steps)
             report = weak_harnack_ratio(fld, spec, t0=t0, x0=x0, r=r,
                                         delta=delta, tau=tau, p=p)
             statuses.append(report.status)
             ratios.append(report.ratio if report.ratio is not None
                           else math.nan)
-            worst = float(np.maximum(worst, np.max(fld.residuals)))
+            worst = float(np.maximum(worst, fld.max_step_residual))
             factorisations += fld.lu_factorisations
     arr = np.asarray(ratios)
     finite = arr[np.isfinite(arr)]
     return EnsembleReport(
-        seed=seed, p=p, n_cells=n_cells, ratios=tuple(ratios),
+        seed=seed, p=p, n_cells=grid.n_total, ratios=tuple(ratios),
         statuses=tuple(statuses),
         max_ratio=float(np.max(finite)) if finite.size else math.nan,
         median_ratio=float(np.median(finite)) if finite.size else math.nan,
@@ -270,7 +293,7 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     if top_idx < 1 or top_idx > field.n_steps:
         raise HarnackError("anchor time t1 outside the computed trajectory")
     centers = grid.centers().reshape(-1, grid.dim)
-    x1c = np.atleast_1d(np.asarray(x1, dtype=float))
+    x1c = _point(grid, x1)
     dist = np.linalg.norm(centers - x1c, axis=1)
     rhos = 0.5 ** np.asarray(levels, dtype=float) * r
     depths = theta * phi_bar(spec, rhos)

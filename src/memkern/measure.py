@@ -48,6 +48,7 @@ class MeasureError(ValueError):
 class Violation:
     code: str
     message: str
+    pointer: str = ""  # JSON pointer into the measure's dict form
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.code}: {self.message}"
@@ -136,42 +137,42 @@ class MeasureSpec:
 
 
 def validate_measure(spec: MeasureSpec) -> MeasureValidation:
-    """Check every structural invariant; report all violations found."""
+    """Report every broken invariant with the JSON pointer of its entry."""
     bad: list[Violation] = []
 
-    alphas = [a for a, _ in spec.atoms]
-    if any(not (0.0 < a < 1.0) for a in alphas):
-        bad.append(Violation("atom_order_range", "atom orders must lie in (0,1)"))
-    if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-        bad.append(Violation("atom_order_monotone",
-                             "atom orders must be strictly increasing"))
-    if any(q < 0.0 for _, q in spec.atoms):
-        bad.append(Violation("atom_mass_negative", "atom masses must be >= 0"))
-    if any(not math.isfinite(a) or not math.isfinite(q) for a, q in spec.atoms):
-        bad.append(Violation("atom_not_finite", "atom entries must be finite"))
+    def flag(failed: bool, code: str, message: str, pointer: str = ""):
+        if failed:
+            bad.append(Violation(code, message, pointer))
 
-    nb, nv = len(spec.weight_breaks), len(spec.weight_values)
-    if (nb == 0) != (nv == 0) or (nb > 0 and nv != nb - 1):
-        bad.append(Violation("weight_shape",
-                             "need len(values) == len(breaks) - 1"))
-    else:
-        if any(not (0.0 <= b <= 1.0) for b in spec.weight_breaks):
-            bad.append(Violation("weight_break_range",
-                                 "weight breakpoints must lie in [0,1]"))
-        if any(b2 <= b1 for b1, b2 in
-               zip(spec.weight_breaks, spec.weight_breaks[1:])):
-            bad.append(Violation("weight_break_monotone",
-                                 "weight breakpoints must be strictly increasing"))
-        if any(v < 0.0 for v in spec.weight_values):
-            bad.append(Violation("weight_value_negative",
-                                 "weight density must be >= 0"))
+    for i, (a, q) in enumerate(spec.atoms):
+        at = f"/atoms/{i}"
+        flag(not (0.0 < a < 1.0), "atom_order_range",
+             "atom orders must lie in (0,1)", at + "/alpha")
+        flag(i > 0 and a <= spec.atoms[i - 1][0], "atom_order_monotone",
+             "atom orders must be strictly increasing", at + "/alpha")
+        flag(q < 0.0, "atom_mass_negative", "atom masses must be >= 0",
+             at + "/q")
+        flag(not (math.isfinite(a) and math.isfinite(q)), "atom_not_finite",
+             "atom entries must be finite", at)
 
-    if not (0.0 < spec.gamma_slack < 1.0):
-        bad.append(Violation("gamma_slack_range", "gamma_slack must be in (0,1)"))
+    breaks, values = spec.weight_breaks, spec.weight_values
+    shape_ok = len(values) == len(breaks) - 1 >= 1 or not (breaks or values)
+    flag(not shape_ok, "weight_shape", "need len(values) == len(breaks) - 1",
+         "/weight")
+    for i, b in enumerate(breaks if shape_ok else ()):
+        flag(not (0.0 <= b <= 1.0), "weight_break_range",
+             "weight breakpoints must lie in [0,1]", f"/weight/breaks/{i}")
+        flag(i > 0 and b <= breaks[i - 1], "weight_break_monotone",
+             "weight breakpoints must be strictly increasing",
+             f"/weight/breaks/{i}")
+    for i, v in enumerate(values if shape_ok else ()):
+        flag(v < 0.0, "weight_value_negative", "weight density must be >= 0",
+             f"/weight/values/{i}")
 
-    if not bad and mass(spec) <= 0.0:
-        bad.append(Violation("zero_measure", "total mass must be positive"))
-
+    flag(not (0.0 < spec.gamma_slack < 1.0), "gamma_slack_range",
+         "gamma_slack must be in (0,1)", "/gamma_slack")
+    flag(not bad and mass(spec) <= 0.0, "zero_measure",
+         "total mass must be positive")
     return MeasureValidation(ok=not bad, violations=tuple(bad))
 
 

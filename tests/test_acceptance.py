@@ -192,18 +192,19 @@ def test_criterion_09_scaling_certificate():
 
 
 def test_criterion_10_weak_harnack_ensemble(half):
-    ens_64 = H.harnack_ensemble(half, n_members=20, seed=7, n_cells=64,
+    bc = S.BoundaryCondition.dirichlet(0.0)
+    grid, fine = (S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(n,),
+                                boundary=((bc, bc),)) for n in (64, 128))
+    coeffs = S.CoefficientField.constant([[1.0]])
+    ens_64 = H.harnack_ensemble(half, grid, coeffs, n_members=20, seed=7,
                                 n_steps=192, r=0.4, x0=0.5, delta=0.5,
                                 tau=1.0, p=1.0)
-    ens_128 = H.harnack_ensemble(half, n_members=20, seed=7, n_cells=128,
+    ens_128 = H.harnack_ensemble(half, fine, coeffs, n_members=20, seed=7,
                                  n_steps=192, r=0.4, x0=0.5, delta=0.5,
                                  tau=1.0, p=1.0)
     change = abs(ens_128.max_ratio - ens_64.max_ratio) / ens_64.max_ratio
 
     height = 2.0 * phi_bar(half, 0.4)
-    bc = S.BoundaryCondition.dirichlet(0.0)
-    grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(64,),
-                         boundary=((bc, bc),))
     vals = np.full((193, 64), 2.75)
     const_field = S.SolutionField(grid=grid, step=height / 192, values=vals,
                                   f_samples=None, residuals=np.zeros(192),

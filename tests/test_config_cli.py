@@ -107,6 +107,56 @@ class TestParsing:
         pointers = dict(err.value.violations)
         assert "dirichelt" in pointers["/grid/boundary/0/1/type"]
 
+    @pytest.mark.parametrize("measure,pointer", [
+        ({"atoms": [{"alpha": 0.3, "q": 1.0}, {"alpha": 1.2, "q": 1.0}]},
+         "/measure/atoms/1/alpha"),
+        ({"atoms": [{"alpha": 0.6, "q": 1.0}, {"alpha": 0.4, "q": 1.0}]},
+         "/measure/atoms/1/alpha"),
+        ({"atoms": [{"alpha": "0.5", "q": 1.0}]}, "/measure/atoms/0/alpha"),
+        ({"atoms": [{"alpha": 0.5}]}, "/measure/atoms/0/q"),
+        ({"weight": {"breaks": [0.0, 0.6, 0.4], "values": [1.0, 1.0]}},
+         "/measure/weight/breaks/2"),
+        ({"weight": {"breaks": [0.0, 1.0], "values": [-1.0]}},
+         "/measure/weight/values/0"),
+        ({"weight": {"breaks": [0.0, 1.0], "values": []}}, "/measure/weight"),
+        ({"atoms": [{"alpha": 0.5, "q": 1.0}], "gamma_slack": 2.0},
+         "/measure/gamma_slack"),
+        ({"atoms": [{"alpha": 0.5, "q": 0.0}]}, "/measure"),
+    ], ids=["range", "order", "string", "missing", "breaks", "density",
+            "shape", "slack", "zero"])
+    def test_measure_violation_pointers(self, measure, pointer):
+        with pytest.raises(ConfigError) as err:
+            parse_config(small_config(measure=measure))
+        assert [ptr for ptr, _ in err.value.violations] == [pointer]
+
+    @pytest.mark.parametrize("experiment", ["harnack", "holder"])
+    def test_empty_grid_rejected(self, experiment):
+        with pytest.raises(ConfigError) as err:
+            parse_config(small_config(experiment, grid={}))
+        assert "/grid" in dict(err.value.violations)
+
+    @pytest.mark.parametrize("experiment,grid,u0,ok", [
+        ("solve", None, {"kind": "constant", "value": 2.0}, True),
+        ("solve", None, {"kind": "sine", "amplitude": 3.0}, False),
+        ("solve", None, {"kind": "fourier"}, False),
+        ("solve", None, {"kind": "bogus"}, False),
+        ("solve", {"extents": [[0.0, 1.0]], "n_cells": [8]},
+         {"kind": "bogus"}, False),
+        ("holder", None, {"kind": "bogus"}, False),
+        ("holder", None, {"kind": "fourier"}, True),
+    ])
+    def test_u0_kind_checked_on_every_grid(self, experiment, grid, u0, ok):
+        overrides = {"params": {"u0": u0, "seed": 0}}
+        if grid is not None:
+            overrides["grid"] = grid
+        cfg = small_config(experiment, **overrides)
+        if ok:
+            parse_config(cfg)
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert "/params/u0/kind" in dict(err.value.violations)
+
     def test_round_trip(self):
         config = parse_config(small_config("holder", grid={
             "extents": [[0.0, 1.0]], "n_cells": [64],
@@ -280,6 +330,68 @@ class TestRunners:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["max_step_residual"] <= 1e-10
         assert manifest["lu_factorisations"] == 1
+
+    def test_harnack_runs_on_a_2d_config_grid(self, tmp_path):
+        config = parse_config(small_config(
+            "harnack", n_steps=48,
+            grid={"extents": [[0.0, 1.0], [0.0, 1.0]], "n_cells": [16, 16],
+                  "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2] * 2},
+            coefficients={"kind": "checkerboard", "low": 0.1, "high": 10.0,
+                          "period": 0.125},
+            params={"r": 0.4, "x0": 0.5, "p": 1.0, "n_members": 2,
+                    "seed": 7}))
+        assert cli.run(config, tmp_path) == 0
+        rows = (tmp_path / "harnack.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["256", "256"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["lu_factorisations"] == 1
+        assert manifest["coefficient_bounds"] == {
+            "nu": 0.1, "lam": 10.0 * math.sqrt(2.0), "findings": []}
+
+    @pytest.mark.parametrize("experiment,n_cells,csv,digest", [
+        ("harnack", 64, "harnack.csv",
+         "bbb2782227b19fcdde029cf6ad6283f22e59e70627f679e25c82dd44fe6f3b52"),
+        ("holder", 256, "oscillation.csv",
+         "b9eba239b059de4aa227cfde51479e5839c7e727d364db004b25622a0f2ecebe"),
+    ])
+    def test_gridless_config_runs_on_the_fallback_grid(
+            self, tmp_path, experiment, n_cells, csv, digest):
+        # the fallback grid is (0, 1) with Dirichlet 0, and it stays out of
+        # the config hash
+        params = {"harnack": {"r": 0.4, "x0": 0.5, "p": 1.0, "n_members": 3,
+                              "seed": 1},
+                  "holder": {"r": 0.2, "eta": 0.25, "theta": 1.0, "x1": 0.4,
+                             "levels": [1, 2, 3, 4], "seed": 0}}[experiment]
+        n_steps = {"harnack": 64, "holder": 128}[experiment]
+        gridless = parse_config(small_config(experiment, n_steps=n_steps,
+                                             params=params))
+        assert config_hash(gridless) == digest
+        explicit = parse_config(small_config(
+            experiment, n_steps=n_steps, params=params,
+            grid={"extents": [[0.0, 1.0]], "n_cells": [n_cells],
+                  "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2]}))
+        assert gridless.grid() == explicit.grid()
+        tables = []
+        for name, config in (("gridless", gridless), ("explicit", explicit)):
+            assert cli.run(config, tmp_path / name) == 0
+            tables.append(np.loadtxt(tmp_path / name / csv, delimiter=",",
+                                     skiprows=1, usecols=range(3)))
+        assert np.array_equal(tables[0], tables[1])
+
+    def test_manifests_record_coefficient_bounds(self, tmp_path):
+        grid = {"extents": [[0.0, 1.0]], "n_cells": [8],
+                "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2]}
+        config = parse_config(small_config(
+            "solve", n_steps=16, grid=grid,
+            coefficients={"kind": "constant", "matrix": [[2.0]], "nu": 3.0}))
+        assert cli.run(config, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        bounds = manifest["coefficient_bounds"]
+        assert (bounds["nu"], bounds["lam"]) == (3.0, 2.0)
+        # A = 2 is below nu = 3 at every cell: one finding for the bound
+        assert bounds["findings"] == [
+            "ellipticity bound broken at 8 of 8 cells at t=0.0, first at "
+            "x=[0.0625]"]
 
     def test_holder_outputs(self, tmp_path):
         config = parse_config(small_config(

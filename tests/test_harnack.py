@@ -128,17 +128,66 @@ class TestWeakHarnackRatio:
 
 class TestEnsemble:
     def test_small_ensemble_finite(self, half):
-        rep = H.harnack_ensemble(half, n_members=5, seed=3, n_cells=48,
-                                 n_steps=96, r=0.4, x0=0.5)
+        rep = H.harnack_ensemble(half, dirichlet_grid(48), IDENTITY,
+                                 n_members=5, seed=3, n_steps=96, r=0.4,
+                                 x0=0.5)
         assert rep.all_finite
         assert rep.max_ratio >= rep.median_ratio > 0.0
 
     def test_seed_reproducible(self, half):
-        a = H.harnack_ensemble(half, n_members=3, seed=9, n_cells=32,
-                               n_steps=64, r=0.4, x0=0.5)
-        b = H.harnack_ensemble(half, n_members=3, seed=9, n_cells=32,
-                               n_steps=64, r=0.4, x0=0.5)
+        a = H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
+                               n_members=3, seed=9, n_steps=64, r=0.4, x0=0.5)
+        b = H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
+                               n_members=3, seed=9, n_steps=64, r=0.4, x0=0.5)
         assert a.ratios == b.ratios
+
+
+class TestConfigSetup:
+    """The ensemble runs on the grid and coefficients it is given."""
+
+    def test_checkerboard_changes_ratios(self, half):
+        grid = dirichlet_grid(64)
+        checker = S.CoefficientField.checkerboard(0.1, 10.0, 0.1)
+        kw = dict(n_members=5, seed=7, n_steps=96, r=0.4, x0=0.5)
+        plain = H.harnack_ensemble(half, grid, IDENTITY, **kw)
+        rough = H.harnack_ensemble(half, grid, checker, **kw)
+        assert rough.all_finite and rough.lu_factorisations == 1
+        assert all(a != b for a, b in zip(plain.ratios, rough.ratios))
+
+    def test_2d_grid_runs_in_2d(self, half, monkeypatch):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(16, 16),
+                             boundary=((bc, bc),) * 2)
+        shapes = []
+        real_solve = H.solve
+
+        def capture(*args, **kwargs):
+            fld = real_solve(*args, **kwargs)
+            shapes.append(fld.values.shape[1:])
+            return fld
+
+        monkeypatch.setattr(H, "solve", capture)
+        rep = H.harnack_ensemble(half, grid, S.CoefficientField.constant(
+            np.eye(2)), n_members=2, seed=7, n_steps=48, r=0.4, x0=0.5)
+        assert shapes == [(16, 16)] * 2
+        assert rep.n_cells == grid.n_total == 256 and rep.all_finite
+
+    def test_member_data_is_the_profile_times_sin_y(self):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        line = dirichlet_grid(24)
+        square = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 2.0)),
+                               n_cells=(24, 10), boundary=((bc, bc),) * 2)
+        rng = np.random.default_rng(np.random.SeedSequence([3, 4]))
+        along = H.random_fourier_profile(rng)(line.axis_centers(0))
+        assert np.array_equal(H.member_data(line, 3, 4), along)
+        y = square.axis_centers(1)
+        assert np.array_equal(H.member_data(square, 3, 4),
+                              np.outer(along, np.sin(np.pi * y / 2.0)))
+
+    def test_gridless_ensemble_rejected(self, half):
+        with pytest.raises(H.HarnackError):
+            H.harnack_ensemble(half, S.SpatialGrid(), IDENTITY, n_members=1,
+                               seed=0, n_steps=16, r=0.4, x0=0.5)
 
 
 class TestSharedFactors:
@@ -154,8 +203,9 @@ class TestSharedFactors:
             return real_splu(matrix)
 
         monkeypatch.setattr(S._sparse_linalg, "splu", counted)
-        rep = H.harnack_ensemble(half, n_members=4, seed=5, n_cells=32,
-                                 n_steps=64, r=0.4, x0=0.5)
+        rep = H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
+                                 n_members=4, seed=5, n_steps=64, r=0.4,
+                                 x0=0.5)
         assert len(calls) == 1 and rep.lu_factorisations == 1
         assert S._shared.get() is None
         assert rep.max_step_residual <= 1e-10
@@ -175,7 +225,8 @@ class TestSharedFactors:
         assert rep.ratios == tuple(ratios)
 
     def test_table_changed_after_ensemble_is_read_afresh(self, half):
-        H.harnack_ensemble(half, n_members=2, seed=5, n_cells=32, n_steps=32,
+        H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
+                           n_members=2, seed=5, n_steps=32,
                            r=0.4, x0=0.5)
         grid = dirichlet_grid(32)
         u0 = np.sin(np.pi * grid.axis_centers(0))
@@ -234,6 +285,35 @@ class TestOscillation:
         with pytest.raises(H.HarnackError):
             H.oscillation_profile(fld, half, t1=0.9 * horizon, x1=0.4,
                                   theta=1.0, levels=[1, 2], r=0.2)
+
+
+class TestPointOnEveryAxis:
+    """A centre given as one number stands for it on every axis."""
+
+    def test_holder_levels_inside_on_the_second_axis(self, half):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 0.5)),
+                             n_cells=(64, 32), boundary=((bc, bc),) * 2)
+        horizon = 1.5 * phi_bar(half, 0.4)  # level 0 fits in time
+        fld = constant_field(grid, 64, horizon / 64, 1.0)
+        prof = H.oscillation_profile(fld, half, t1=0.9 * horizon, x1=0.4,
+                                     theta=1.0, levels=[0, 1, 2, 3], r=0.2)
+        # the level-0 ball B(0.4, 0.2) leaves (0, 0.5) along y only
+        assert prof.levels == (1, 2, 3)
+
+    def test_scalar_and_tuple_centre_agree_in_2d(self, half):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(16, 16),
+                             boundary=((bc, bc),) * 2)
+        fld = S.solve(half, grid, S.CoefficientField.constant(np.eye(2)),
+                      H.member_data(grid, 7, 0), 0.0,
+                      2.0 * phi_bar(half, 0.4), 48)
+        kw = dict(t0=0.0, r=0.4, delta=0.5, tau=1.0, p=1.0)
+        scalar = H.weak_harnack_ratio(fld, half, x0=0.5, **kw)
+        pair = H.weak_harnack_ratio(fld, half, x0=(0.5, 0.5), **kw)
+        assert scalar == pair
+        with pytest.raises(H.HarnackError):
+            H.weak_harnack_ratio(fld, half, x0=(0.5, 0.5, 0.5), **kw)
 
 
 class TestStrongMax:

@@ -265,6 +265,19 @@ class TestPdeSanity:
         problems = field.validate_bounds(dirichlet_grid(8), [0.0])
         assert problems
 
+    def test_coefficient_bounds_checked_at_every_cell(self):
+        # the bound lam = sqrt(2) holds on column 0 of a 64 x 64 table only
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(64, 64),
+                             boundary=((bc, bc),) * 2)
+        table = np.full((64, 64), 5.0)
+        table[:, 0] = 1.0
+        field = S.CoefficientField.from_table(table, grid, lam=math.sqrt(2.0),
+                                              nu=1.0)
+        assert field.validate_bounds(grid, [0.0]) == [
+            "Frobenius bound broken at 4032 of 4096 cells at t=0.0, first "
+            "at x=[0.0078125 0.0234375]"]
+
 
 class TestBlockHistory:
     """The block-FFT history of the 1d and 2d stepper against the direct
