@@ -5,7 +5,10 @@ memory kernel k.  ``measure`` holds the measure algebra, ``kernels`` the
 pointwise kernel family (k, k1, 1*k, l, r_theta), ``volterra`` the discrete
 convolution calculus and Yosida layer, ``geometry`` the scaling function and
 cylinders, ``solver`` the implicit memory stepper, ``harnack`` the empirical
-regularity harness, and ``cli`` the experiment runner.
+regularity harness, and ``cli`` the experiment runner.  Importing the
+package loads numpy only: scipy is imported inside the few functions that
+compute with it (sparse LU of grid solves, triangular Toeplitz blocks,
+adaptive quadrature).
 """
 
 from .measure import (

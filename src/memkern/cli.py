@@ -305,9 +305,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override seed")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config)
-        if config.experiment != args.command:
-            config = dataclasses.replace(config, experiment=args.command)
+        config = parse_config(args.config, experiment=args.command)
         return run(config, args.out, seed=args.seed, n_steps=args.steps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -152,15 +152,28 @@ def _validate_measure_dict(data, bad: list[tuple[str, str]]) -> None:
     if not isinstance(data, dict):
         bad.append(("/measure", "must be an object"))
         return
-    weight = data.get("weight") or {}
+    shape = []
+
+    def container(ptr, value, kind):
+        """``value`` if it is a JSON ``kind``, else an empty one."""
+        if isinstance(value, kind):
+            return value
+        name = "an object" if kind is dict else "an array"
+        shape.append((f"/measure/{ptr}", f"must be {name}"))
+        return kind()
+
+    weight = container("weight", data.get("weight") or {}, dict)
     entries = [(f"atoms/{i}/{key}", atom.get(key) if isinstance(atom, dict)
                 else None)
-               for i, atom in enumerate(data.get("atoms", []))
+               for i, atom in enumerate(container("atoms",
+                                                  data.get("atoms", []), list))
                for key in ("alpha", "q")]
     entries += [(f"weight/{key}/{i}", v) for key in ("breaks", "values")
-                for i, v in enumerate(weight.get(key, []))]
-    shape = [(f"/measure/{ptr}", "must be a number") for ptr, v in entries
-             if type(v) not in (int, float)]  # bool is not a number here
+                for i, v in enumerate(container(f"weight/{key}",
+                                                weight.get(key, []), list))]
+    entries.append(("gamma_slack", data.get("gamma_slack", 0.01)))
+    shape += [(f"/measure/{ptr}", "must be a number") for ptr, v in entries
+              if type(v) not in (int, float)]  # bool is not a number here
     bad.extend(shape)
     if not shape:
         bad.extend(("/measure" + v.pointer, v.message)
@@ -168,9 +181,11 @@ def _validate_measure_dict(data, bad: list[tuple[str, str]]) -> None:
                    .violations)
 
 
-def parse_config(source) -> ExperimentConfig:
+def parse_config(source, experiment: str | None = None) -> ExperimentConfig:
     """Parse and validate a config from a path, JSON text, or dict.
 
+    ``experiment``, when given, replaces the file's own ``experiment`` before
+    validation, so a subcommand's rules apply to the config it runs.
     Raises ``ConfigError`` carrying every (json-pointer, message) violation.
     """
     if isinstance(source, dict):
@@ -184,9 +199,12 @@ def parse_config(source) -> ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError([("/", f"not valid JSON: {exc}")]) from exc
+    if not isinstance(data, dict):
+        raise ConfigError([("/", "must be an object")])
 
     bad: list[tuple[str, str]] = []
-    experiment = data.get("experiment")
+    if experiment is None:
+        experiment = data.get("experiment")
     if experiment not in EXPERIMENTS:
         bad.append(("/experiment", f"must be one of {EXPERIMENTS}"))
     if "measure" not in data:

@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .measure import (
     MeasureSpec,
@@ -155,7 +154,9 @@ def _k_moments(spec: MeasureSpec, t, depths):
                 alpha.append(x.ravel())
                 mass.append(w * wx.ravel())
         alpha, mass = np.concatenate(alpha), np.concatenate(mass)
-        coeff = [mass * special.rgamma(d + 1.0 - alpha) for d in depths]
+        coeff = [mass * np.array([1.0 / math.gamma(d + 1.0 - a)
+                                  for a in alpha.tolist()])
+                 for d in depths]
         vals = np.empty((len(depths), tp.size))
         rows = max(1, _TILE_ENTRIES // max(alpha.size, 1))
         for lo in range(0, tp.size, rows):

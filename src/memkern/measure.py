@@ -8,7 +8,7 @@ with the orders alpha_n in (0,1) and w piecewise constant on a partition of
 (0,1).  Every kernel evaluated downstream is a moment integral against mu, so
 this module keeps those moments exact where a closed antiderivative exists
 (power moments, oscillatory moments) and falls back to adaptive quadrature for
-generic integrands.
+generic integrands (scipy's ``quad``, imported by ``mu_integral`` alone).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "MeasureError",
@@ -211,6 +210,8 @@ def mu_integral(spec: MeasureSpec, g: Callable[[float], float]) -> float:
     quadrature at relative tolerance 1e-10.  Raises if ``g`` is non-finite
     anywhere it is sampled on the support.
     """
+    from scipy.integrate import quad
+
     total = 0.0
     for a, q in spec.atoms:
         if q == 0.0:
@@ -222,7 +223,7 @@ def mu_integral(spec: MeasureSpec, g: Callable[[float], float]) -> float:
     for a, b, w in spec.pieces():
         if w == 0.0:
             continue
-        val, _err = integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-10, limit=200)
+        val, _err = quad(g, a, b, epsabs=0.0, epsrel=1e-10, limit=200)
         if not math.isfinite(val):
             raise MeasureError(f"integrand not finite on weight piece ({a},{b})")
         total += w * val

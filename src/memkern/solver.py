@@ -21,7 +21,8 @@ block.  The relaxation mode has no spatial operator, so its whole
 trajectory is one triangular Toeplitz solve.  One sparse assembly serves
 every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1}
 for every m, the step matrix is factorised once by sparse LU and reused for
-the whole trajectory unless the coefficients are declared time dependent.
+the whole trajectory unless the coefficients are declared time dependent
+(``scipy.sparse`` is imported there, at the first step on a grid).
 Inside ``_shared_systems()`` trajectories whose step matrices agree share
 one factorisation.  The relative residual of every step is checked against
 the matrix it solved with, by one sparse product per run of steps that
@@ -40,8 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse as _sparse
-from scipy.sparse import linalg as _sparse_linalg
 
 from .measure import MeasureSpec, require_valid
 from .kernels import one_star_k_eval
@@ -439,6 +438,8 @@ class TimeStepper:
         ``t``.  An interior face carries the mean diffusivity of its two
         cells, a Dirichlet face the diffusivity at its midpoint (see
         ``_dirichlet``)."""
+        from scipy import sparse
+
         grid = self.grid
         a_cells = self._diffusivity(t, grid.centers())
         if np.any(a_cells <= 0.0):
@@ -459,18 +460,20 @@ class TimeStepper:
         bc_diag, rhs_bc = self._dirichlet(t)
         diag += bc_diag
         n = grid.n_total
-        mat = _sparse.csr_matrix(
+        mat = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
-        return mat + _sparse.diags(diag.ravel()), rhs_bc.ravel()
+        return mat + sparse.diags(diag.ravel()), rhs_bc.ravel()
 
     def _factorise(self, t: float):
         """``(full, splu(full), rhs_bc)`` at ``t``, with ``full`` the step
         matrix ``beta_{m,m} I + L_t``."""
+        from scipy.sparse import identity
+        from scipy.sparse.linalg import splu
+
         mat, rhs_bc = self._assemble(t)
-        full = (mat + self._beta_mm * _sparse.identity(self.grid.n_total)
-                ).tocsc()
-        lu = _sparse_linalg.splu(full)
+        full = (mat + self._beta_mm * identity(self.grid.n_total)).tocsc()
+        lu = splu(full)
         self.lu_factorisations += 1
         return full, lu, rhs_bc
 

@@ -9,9 +9,10 @@ factor's node averages, which removes the accuracy loss that plain
 trapezoid suffers next to a t^-a endpoint.  Kernels without tables degrade
 gracefully to trapezoid cell masses.  Two O(N log^2 N) engines share one
 FFT block product: the half-range product of ``conv``, and the Toeplitz
-engine of the first-kind solve and the stepper's history.  The Yosida
-kernels need no solve: they are exponential sums over the resolvent's node
-table at theta = n.
+engine of the first-kind solve and the stepper's history (dense blocks
+are numpy strided views; only the solve imports scipy's triangular
+solver).  The Yosida kernels need no solve: they are exponential sums over
+the resolvent's node table at theta = n.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measure import MeasureSpec, gamma_bar
 from . import kernels as _kernels
@@ -144,6 +145,12 @@ def _half_range_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 # lower-triangular Toeplitz engine
 
 
+def _toeplitz(lags: np.ndarray, size: int) -> np.ndarray:
+    """The (size, size) Toeplitz matrix ``T[i, j] = lags[size - 1 + i - j]``
+    of ``2 * size - 1`` lags, as a C-contiguous copy of reversed windows."""
+    return sliding_window_view(lags, size)[:, ::-1].copy()
+
+
 class _ToeplitzHistory:
     """Far field of the lower-triangular Toeplitz product ``T x``,
     ``T[i, j] = column[i - j]``, by the divide and conquer of Hairer, Lubich
@@ -174,8 +181,7 @@ class _ToeplitzHistory:
             block = self._dense.get(s)
             if block is None:
                 lags = self.column[1:2 * s]  # lag s + p - q at (p, q)
-                block = self._dense[s] = linalg.toeplitz(lags[s - 1:],
-                                                         lags[s - 1::-1])
+                block = self._dense[s] = _toeplitz(lags, s)
             out[lo:lo + rows] += block[:rows] @ src
             return
         _fft_product(self.column[None, 1:2 * s, None], src[None],
@@ -205,18 +211,21 @@ def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     column ``column``; ``rhs`` is ``(n,)`` or ``(n, k)``.  The far-field sums
     of ``_ToeplitzHistory`` build up in the unsolved rows of ``x``, and each
     base block then takes one triangular solve."""
+    from scipy.linalg import solve_triangular
+
     n = rhs.shape[0]
     history = _ToeplitzHistory(column)
     size = min(_TOEPLITZ_BLOCK, n)
-    block = linalg.toeplitz(history.column[:size], np.zeros(size))
+    block = _toeplitz(np.concatenate((np.zeros(size - 1),
+                                      history.column[:size])), size)
     x = np.zeros(rhs.shape)
     x2, rhs2 = (x, rhs) if rhs.ndim == 2 else (x[:, None], rhs[:, None])
     for lo in range(0, n, _TOEPLITZ_BLOCK):
         hi = min(lo + _TOEPLITZ_BLOCK, n)
         if lo:
             history.far_field(x2, x2, lo)
-        x2[lo:hi] = linalg.solve_triangular(block[:hi - lo, :hi - lo],
-                                            rhs2[lo:hi] - x2[lo:hi], lower=True)
+        x2[lo:hi] = solve_triangular(block[:hi - lo, :hi - lo],
+                                     rhs2[lo:hi] - x2[lo:hi], lower=True)
     return x
 
 

@@ -1,0 +1,47 @@
+"""The certificate commands and the package import run on numpy alone:
+scipy is imported only inside the functions that compute with it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import memkern
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(memkern.__file__).resolve().parents[1]
+
+SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy')")
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_import_loads_no_scipy():
+    done = _fresh(f"import sys, memkern; print({SCIPY_MODULES})")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
+
+
+def test_verify_and_kernels_run_without_scipy(tmp_path):
+    runs = [["verify", "--config", str(CONFIGS / "single05.json"),
+             "--out", str(tmp_path / "verify")],
+            ["kernels", "--config", str(CONFIGS / "twoatom.json"),
+             "--out", str(tmp_path / "kernels")]]
+    done = _fresh("import json, sys\n"
+                  "from memkern.cli import main\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  f"print(json.dumps([codes, {SCIPY_MODULES}]))")
+    assert done.returncode == 0, done.stderr
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []
+    assert (tmp_path / "verify" / "report.json").exists()
+    assert (tmp_path / "kernels" / "kernel_one_star_k.csv").exists()

@@ -88,6 +88,9 @@ class TestParsing:
     def test_bad_json_text(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+        with pytest.raises(ConfigError) as err:
+            parse_config("[1, 2]")
+        assert "/" in dict(err.value.violations)
 
     def test_json_text_and_path(self, tmp_path):
         text = json.dumps(small_config())
@@ -122,8 +125,16 @@ class TestParsing:
         ({"atoms": [{"alpha": 0.5, "q": 1.0}], "gamma_slack": 2.0},
          "/measure/gamma_slack"),
         ({"atoms": [{"alpha": 0.5, "q": 0.0}]}, "/measure"),
+        ({"atoms": [{"alpha": 0.5, "q": 1.0}], "gamma_slack": "x"},
+         "/measure/gamma_slack"),
+        ({"atoms": [{"alpha": 0.5, "q": 1.0}], "weight": [1, 2]},
+         "/measure/weight"),
+        ({"atoms": {"alpha": 0.5, "q": 1.0}}, "/measure/atoms"),
+        ({"weight": {"breaks": 0.5, "values": [1.0]}},
+         "/measure/weight/breaks"),
     ], ids=["range", "order", "string", "missing", "breaks", "density",
-            "shape", "slack", "zero"])
+            "shape", "slack", "zero", "slack_type", "weight_type",
+            "atoms_type", "breaks_type"])
     def test_measure_violation_pointers(self, measure, pointer):
         with pytest.raises(ConfigError) as err:
             parse_config(small_config(measure=measure))
@@ -470,6 +481,22 @@ class TestMain:
         assert code == 0
         lines = (tmp_path / "out" / "kernel_l.csv").read_text().splitlines()
         assert len(lines) == 33
+
+    def test_main_validates_under_the_subcommand(self, tmp_path, capsys):
+        # a gridless holder config is valid with sine data, but run as a
+        # solve it is the space-free mode, which takes constant data only
+        cfg_path = tmp_path / "holder.json"
+        cfg_path.write_text(json.dumps(small_config(
+            "holder", n_steps=32,
+            params={"u0": {"kind": "sine", "amplitude": 3.0}, "seed": 0})))
+        assert cli.main(["solve", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "/params/u0/kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(cfg_path), experiment="solve")
+        assert list(dict(err.value.violations)) == ["/params/u0/kind"]
+        assert parse_config(str(cfg_path)).experiment == "holder"
 
     def test_main_bad_config_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -195,14 +195,16 @@ class TestSharedFactors:
     nothing of it outlives the ensemble."""
 
     def test_one_factorisation_same_ratios(self, half, monkeypatch):
+        from scipy.sparse import linalg as sparse_linalg
+
         calls = []
-        real_splu = S._sparse_linalg.splu
+        real_splu = sparse_linalg.splu
 
         def counted(matrix):
             calls.append(matrix.shape)
             return real_splu(matrix)
 
-        monkeypatch.setattr(S._sparse_linalg, "splu", counted)
+        monkeypatch.setattr(sparse_linalg, "splu", counted)
         rep = H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
                                  n_members=4, seed=5, n_steps=64, r=0.4,
                                  x0=0.5)

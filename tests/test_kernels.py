@@ -83,6 +83,25 @@ class TestPointwiseKernels:
                         lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                 assert abs(value - exact) <= 1e-12 * exact, (d, ti)
 
+    def test_k_moments_order_coefficients_against_mpmath(self):
+        # at t = 1 a unit atom's moment is its coefficient 1/Gamma(d+1-a)
+        # alone; depths 0-3 and the non-integer g of the first-cell weight.
+        # The reference takes the argument as rounded in double: near
+        # d + 1 - a = 0.06 its own rounding moves 1/Gamma by up to 1.1e-15
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        depths = (0, 1, 2, 3, 0.05, 0.3, 0.5, 0.77, 0.95)
+        orders = np.concatenate(([1e-9, 1e-3], np.linspace(0.005, 0.995, 199),
+                                 [0.999, 1.0 - 1e-9]))
+        worst = 0.0
+        for a in orders:
+            got = K._k_moments(MeasureSpec.single_order(a), 1.0, depths)
+            for d, value in zip(depths, got):
+                exact = mp.rgamma(mp.mpf(d + 1.0 - a))
+                worst = max(worst, abs(float((value - exact) / exact)))
+        assert worst <= 1e-15
+
     def test_gauss_panels_dyadic_edges_exact(self):
         # the inversion's panels [2^k, 2^(k+1)] are 2^(k-1) * (3 + x) exactly
         k = np.arange(-900, 641)
