@@ -31,6 +31,7 @@ from .kernels import (
     r_theta_eval,
     resolvent_running_integral,
     sample_kernel,
+    sample_kernels,
     bound_certificates,
 )
 from .volterra import (

@@ -14,7 +14,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -91,18 +90,11 @@ def _run_kernels(config: ExperimentConfig, out: Path, seed: int) -> int:
     spec = config.measure
     step = config.horizon / config.n_steps
     theta = float(config.params["theta"])
-    kinds = [
-        (_kernels.KernelKind.K_KERNEL, "kernel_k.csv", 0.0),
-        (_kernels.KernelKind.K1, "kernel_k1.csv", 0.0),
-        (_kernels.KernelKind.ONE_STAR_K, "kernel_one_star_k.csv", 0.0),
-        (_kernels.KernelKind.L_KERNEL, "kernel_l.csv", 0.0),
-        (_kernels.KernelKind.R_THETA, "kernel_r_theta.csv", theta),
-    ]
-    files = []
-    for kind, name, th in kinds:
-        grid = _kernels.sample_kernel(spec, kind, step, config.n_steps, theta=th)
+    kinds = list(_kernels.KernelKind)
+    files = [f"kernel_{kind.value}.csv" for kind in kinds]
+    grids = _kernels.sample_kernels(spec, kinds, step, config.n_steps, theta)
+    for name, grid in zip(files, grids):
         _write_csv(out / name, ["t", "value"], [grid.times, grid.values])
-        files.append(name)
     _write_manifest(out, config, seed, {"files": files, "theta": theta})
     return 0
 
@@ -162,7 +154,9 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     _write_json(out / "report.json", report)
     _write_manifest(out, config, seed, {
         "files": ["certificates.csv", "scaling.csv", "report.json"],
-        "sonine_residual_late": sonine_residual_late})
+        "sonine_residual_late": sonine_residual_late,
+        "lp_walk_chunks": dict(zip(("computed", "most_used"),
+                                   scaling.walk_chunks))})
     return 2 if violations else 0
 
 
@@ -280,11 +274,8 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, out_dir, *, seed: int | None = None,
-        n_steps: int | None = None) -> int:
+def run(config: ExperimentConfig, out_dir, *, seed: int | None = None) -> int:
     """Execute one experiment; returns the process exit code."""
-    if n_steps is not None:
-        config = dataclasses.replace(config, n_steps=int(n_steps))
     seed = int(config.params["seed"]) if seed is None else int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,8 +296,9 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override seed")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config, experiment=args.command)
-        return run(config, args.out, seed=args.seed, n_steps=args.steps)
+        config = parse_config(args.config, experiment=args.command,
+                              n_steps=args.steps)
+        return run(config, args.out, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

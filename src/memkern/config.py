@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -73,11 +74,7 @@ class ExperimentConfig:
     def grid(self) -> SpatialGrid:
         """The config's grid.  Without one, harnack and holder run on (0, 1),
         Dirichlet 0, with 64 or 256 cells, kept out of ``to_dict``."""
-        spec = self.grid_spec
-        if spec is None and self.experiment in _FALLBACK_CELLS:
-            spec = {"extents": [[0.0, 1.0]],
-                    "n_cells": [_FALLBACK_CELLS[self.experiment]]}
-        return _grid_from_dict(spec or {})
+        return _grid_from_dict(_with_fallback(self.grid_spec, self.experiment))
 
     def coefficients(self, grid: SpatialGrid) -> CoefficientField:
         return _coeffs_from_dict(self.coefficients_spec or {}, grid)
@@ -99,6 +96,13 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # sub-object builders
+
+
+def _with_fallback(grid_spec: dict | None, experiment: str) -> dict:
+    if grid_spec is None and experiment in _FALLBACK_CELLS:
+        return {"extents": [[0.0, 1.0]],
+                "n_cells": [_FALLBACK_CELLS[experiment]]}
+    return grid_spec or {}
 
 
 def _grid_from_dict(data: dict) -> SpatialGrid:
@@ -181,11 +185,62 @@ def _validate_measure_dict(data, bad: list[tuple[str, str]]) -> None:
                    .violations)
 
 
-def parse_config(source, experiment: str | None = None) -> ExperimentConfig:
+def _number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)  # not bool
+
+
+# kind -> (required keys, optional keys) of ``coefficients``
+_COEFFICIENT_KEYS = {"constant": ((), ("matrix", "lam", "nu")),
+                     "checkerboard": (("low", "high", "period"), ()),
+                     "table": (("values",), ("lam", "nu"))}
+
+
+def _validate_coefficients(data, grid: SpatialGrid | None,
+                           bad: list[tuple[str, str]]) -> None:
+    """The kind, the keys it requires, positive numbers, a symmetric
+    positive definite matrix and a table in the grid's shape (these two
+    only when the grid itself is valid)."""
+    if not isinstance(data, dict):
+        bad.append(("/coefficients", "must be an object"))
+        return
+    kind = data.get("kind", "constant")
+    if kind not in _COEFFICIENT_KEYS:
+        bad.append(("/coefficients/kind", f"unknown kind {kind!r}; use one "
+                    f"of {tuple(_COEFFICIENT_KEYS)}"))
+        return
+    required, optional = _COEFFICIENT_KEYS[kind]
+    given = {key: data[key] for key in required + optional
+             if data.get(key) is not None}
+    bad.extend((f"/coefficients/{key}", "required") for key in required
+               if key not in given)
+    bad.extend((f"/coefficients/{key}", "must be a positive number")
+               for key, value in given.items()
+               if key not in ("matrix", "values")
+               and not (_number(value) and value > 0))
+    if grid is None:
+        return
+    d = max(grid.dim, 1)
+    for key, shape, what in (
+            ("matrix", (d, d), "a symmetric positive definite matrix"),
+            ("values", grid.shape, "positive numbers")):
+        if key not in given:
+            continue
+        arr = np.asarray(given[key], dtype=object)
+        if arr.shape == shape and all(map(_number, arr.ravel())):
+            arr = arr.astype(float)
+            if np.all(arr > 0) if key == "values" else (
+                    np.allclose(arr, arr.T) and np.linalg.eigvalsh(arr)[0] > 0):
+                continue
+        bad.append((f"/coefficients/{key}", f"must be {what} of shape {shape}"))
+
+
+def parse_config(source, experiment: str | None = None,
+                 n_steps: int | None = None) -> ExperimentConfig:
     """Parse and validate a config from a path, JSON text, or dict.
 
-    ``experiment``, when given, replaces the file's own ``experiment`` before
-    validation, so a subcommand's rules apply to the config it runs.
+    ``experiment`` and ``n_steps``, when given, replace the file's own
+    before validation, so a subcommand's rules apply to the config it runs
+    and an overridden step count meets the file's rule.
     Raises ``ConfigError`` carrying every (json-pointer, message) violation.
     """
     if isinstance(source, dict):
@@ -203,6 +258,8 @@ def parse_config(source, experiment: str | None = None) -> ExperimentConfig:
         raise ConfigError([("/", "must be an object")])
 
     bad: list[tuple[str, str]] = []
+    if n_steps is not None:
+        data = dict(data, n_steps=n_steps)
     if experiment is None:
         experiment = data.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -234,18 +291,20 @@ def parse_config(source, experiment: str | None = None) -> ExperimentConfig:
         bad.append(("/params/f/kind", "the only source kind is 'constant'"))
 
     grid_spec = data.get("grid")
-    n_dim = int(experiment in _FALLBACK_CELLS)  # see ExperimentConfig.grid
-    if grid_spec is not None:
-        try:
-            n_dim = _grid_from_dict(grid_spec).dim
-        except ConfigError as exc:
-            bad.extend(exc.violations)
-        except Exception as exc:
-            bad.append(("/grid", str(exc)))
-        else:
-            if n_dim == 0 and experiment in _FALLBACK_CELLS:
-                bad.append(("/grid", f"{experiment} needs a 1d or 2d grid"))
+    grid = None  # see ExperimentConfig.grid
+    try:
+        grid = _grid_from_dict(_with_fallback(grid_spec, experiment))
+    except ConfigError as exc:
+        bad.extend(exc.violations)
+    except Exception as exc:
+        bad.append(("/grid", str(exc)))
+    else:
+        if grid.dim == 0 and experiment in _FALLBACK_CELLS:
+            bad.append(("/grid", f"{experiment} needs a 1d or 2d grid"))
     # a solve config without a grid runs in the space-free relaxation mode
+    n_dim = int(experiment in _FALLBACK_CELLS) if grid is None else grid.dim
+    if data.get("coefficients") is not None:
+        _validate_coefficients(data["coefficients"], grid, bad)
 
     u0 = params["u0"]
     kind = u0.get("kind", "constant") if isinstance(u0, dict) else None

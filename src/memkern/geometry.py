@@ -165,21 +165,40 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
 # certificates
 
 
-def _log_lp_norm_p(p: float, upper: float, table, chunks: int) -> float:
-    """log of ``int_0^upper l(s)^p ds`` by dyadic Gauss-Legendre panels.
+def _walk_chunks(spec: MeasureSpec, p: float, upper: np.ndarray,
+                 most: int) -> int:
+    """Chunks that the Lp walks to ``upper`` read, plus one, at most
+    ``most``: their stopping rule on the panels of ``s l(s)^p`` with l
+    replaced by its sharp bound 1/(s k1(s)), summed in logs.  Near 0 its
+    decay rate 1 - p(1 - mean order under s^-a dmu) tends to
+    1 - p(1 - gamma_bar); at a single order the two walks stop on the same
+    panel, on mixtures and weight bands within a chunk."""
+    j = np.arange(8 * most)
+    log_s = np.log(0.75 * upper)[:, None] - math.log(2.0) * j
+    log_m = (1.0 - p) * log_s - p * np.log(power_moment(spec, np.exp(log_s)))
+    m = np.exp(log_m - log_m.max(axis=1, keepdims=True))
+    stop = (m < 1e-10 * np.cumsum(m, axis=1)) & (j >= 20)
+    last = np.where(stop.any(axis=1), stop.argmax(axis=1), j[-1]).max()
+    return min(most, int(last) // 8 + 2)
+
+
+def _log_lp_norm_p(p: float, upper: float, l: np.ndarray, w: np.ndarray,
+                   last: bool) -> tuple[float, int] | None:
+    """log of ``int_0^upper l(s)^p ds`` by dyadic Gauss-Legendre panels, and
+    the chunks of ``l`` that the walk read.
 
     The integrand blows up like s^(p*(gamma_bar-1)) at zero but stays
     integrable for admissible p; panels j = 0, 1, ... on (upper/2^(j+1),
     upper/2^j] refine toward zero until a panel adds less than 1e-10 of the
     running total, or 400 panels are taken.  They come in chunks of eight:
-    chunk c is chunk 0 scaled by 2^(-8c), so one ``kernels._l_dyadic_chunks``
-    over ``table`` gives l on the ``chunks`` chunks that it holds; a walk
-    that needs more raises.  Near zero the panels shrink geometrically, so
-    the rest past the last one is the geometric series of the last two; a
-    ratio outside (0, 1) raises.
+    chunk c is chunk 0 (weights w) scaled by 2^(-8c), and ``l`` holds l on
+    every chunk, shape (chunks, 8, 16).  A walk that needs more chunks than
+    ``l`` holds returns None, or raises if ``last`` says that no more fit in
+    the double range.  Near zero the panels shrink geometrically, so the
+    rest past the last one is the geometric series of the last two; a ratio
+    outside (0, 1) raises.
     """
-    s, w = _gauss_panels(upper * 0.5 ** np.arange(8, -1, -1), 16)
-    l = _l_dyadic_chunks(s.ravel(), 8, chunks, table).reshape(-1, *s.shape)
+    chunks = l.shape[0]
     # panel j = i of a chunk is row 7 - i of the ascending edges
     pieces = (l**p * np.ldexp(w, -8 * np.arange(chunks)[:, None, None])
               ).sum(axis=2)[:, ::-1].ravel().tolist()
@@ -191,6 +210,8 @@ def _log_lp_norm_p(p: float, upper: float, table, chunks: int) -> float:
             break
     else:
         if len(pieces) < 400:
+            if not last:
+                return None
             raise GeometryError(
                 f"Lp walk to {upper} needs nodes past the double range")
     if prev == 0.0:
@@ -200,7 +221,7 @@ def _log_lp_norm_p(p: float, upper: float, table, chunks: int) -> float:
     if not 0.0 < q < 1.0:
         raise GeometryError(
             f"Lp walk to {upper}: last panel ratio {q} is not in (0, 1)")
-    return math.log(total + piece * q / (1.0 - q))
+    return math.log(total + piece * q / (1.0 - q)), j // 8 + 1
 
 
 @dataclass(frozen=True)
@@ -223,6 +244,7 @@ class ScalingCertificate:
     c_emp: float
     r_admissible: float
     log_plateau: float
+    walk_chunks: tuple[int, int]  # chunks of l computed; most a walk read
 
 
 def scaling_certificate(spec: MeasureSpec, p: float,
@@ -237,14 +259,30 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     if r.size == 0 or np.any(r <= 0.0):
         raise GeometryError("need a nonempty positive radius grid")
     phi2r = phi(spec, 2.0 * r)
-    # one node table for the walks of all radii: chunk c of the walk to the
-    # smallest Phi(2r) needs 8c panels past its first, and no panel edge may
-    # pass 2^1023 (Phi(2r) >= 1e-300 keeps the first chunk below it)
+    uppers = phi2r.tolist()
+    panels = [_gauss_panels(x * 0.5 ** np.arange(8, -1, -1), 16)
+              for x in uppers]
+    s = np.concatenate([x.ravel() for x, _ in panels])
+    order = np.argsort(s)
+    # one node table and one exponential sum for the walks of all radii:
+    # chunk c of the walk to the smallest Phi(2r) needs 8c panels past its
+    # first, and no panel edge may pass 2^1023 (Phi(2r) >= 1e-300 keeps the
+    # first chunk below it).  Walks that the chunks do not finish get all
+    # that fit.
     k_lo, k_hi = _panel_range(phi2r.min() / 256, phi2r.max())
-    chunks = min(50, (1023 - k_hi) // 8 + 1)
-    table = _node_table(spec, 0.0, k_lo, k_hi + 8 * (chunks - 1))
-    log_lhs = np.array([_log_lp_norm_p(p, x, table, chunks)
-                        + (p - 1.0) * math.log(x) for x in phi2r.tolist()])
+    most = min(50, (1023 - k_hi) // 8 + 1)
+    chunks = _walk_chunks(spec, p, phi2r, most)
+    while True:
+        l = _l_dyadic_chunks(s[order], 8, chunks, _node_table(
+            spec, 0.0, k_lo, k_hi + 8 * (chunks - 1)))[:, np.argsort(order)]
+        l = l.reshape(chunks, r.size, 8, 16)
+        walks = [_log_lp_norm_p(p, x, l[:, i], w, chunks == most)
+                 for i, (x, (_, w)) in enumerate(zip(uppers, panels))]
+        if None not in walks:
+            break
+        chunks = most
+    log_lhs = np.array([w[0] + (p - 1.0) * math.log(x)
+                        for w, x in zip(walks, uppers)])
     log_rhs = 2.0 * p * np.log(r)
     log_ratio = log_lhs - log_rhs
     with np.errstate(over="ignore"):
@@ -269,7 +307,9 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     return ScalingCertificate(p=p, r=r, phi_2r=phi2r, log_lhs=log_lhs,
                               log_rhs=log_rhs, log_ratio=log_ratio,
                               ratio=ratio, c_emp=c_emp, r_admissible=r_adm,
-                              log_plateau=log_plateau)
+                              log_plateau=log_plateau,
+                              walk_chunks=(chunks,
+                                           max(w[1] for w in walks)))
 
 
 def _worst(rel: np.ndarray) -> float:

@@ -69,8 +69,10 @@ def _point(grid: SpatialGrid, x) -> np.ndarray:
 # cylinder sampling
 
 
-def _cells_in_cylinder(field: SolutionField, cyl: Cylinder) -> np.ndarray:
-    """Samples of u at cell centers strictly inside the cylinder."""
+def _cylinder_masks(field: SolutionField, cyl: Cylinder
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The time slices and the cells of ``field`` strictly inside the
+    cylinder; fields with the same times and grid share them."""
     grid = field.grid
     if grid.dim == 0:
         raise HarnackError("cylinder measurements need a spatial grid")
@@ -78,11 +80,24 @@ def _cells_in_cylinder(field: SolutionField, cyl: Cylinder) -> np.ndarray:
     t_mask = (times > cyl.t_start) & (times < cyl.t_end)
     centers = grid.centers().reshape(-1, grid.dim)
     dist = np.linalg.norm(centers - np.asarray(cyl.center), axis=1)
-    x_mask = dist < cyl.radius
+    return t_mask, dist < cyl.radius
+
+
+def _cells_in_cylinder(field: SolutionField, masks) -> np.ndarray:
+    """Samples of u at cell centers strictly inside the cylinder whose
+    ``_cylinder_masks`` are given."""
+    t_mask, x_mask = masks
     if not np.any(t_mask) or not np.any(x_mask):
         return np.empty((0,))
     block = field.values[t_mask].reshape(int(np.sum(t_mask)), -1)
     return block[:, x_mask].ravel()
+
+
+def _harnack_masks(field: SolutionField, spec: MeasureSpec, t0: float, x0,
+                   r: float, delta: float, tau: float) -> list:
+    """``_cylinder_masks`` of the early and the late ``build_cylinders``."""
+    return [_cylinder_masks(field, cyl) for cyl in build_cylinders(
+        spec, t0, _point(field.grid, x0), r, delta, tau)]
 
 
 @dataclass(frozen=True)
@@ -99,23 +114,23 @@ class HarnackReport:
 
 def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
                        t0: float, x0, r: float, delta: float, tau: float,
-                       p: float,
-                       min_cells: int = _MIN_CYLINDER_CELLS) -> HarnackReport:
+                       p: float, min_cells: int = _MIN_CYLINDER_CELLS,
+                       masks=None) -> HarnackReport:
     """Ratio of the early Lp mean to the late infimum over paired cylinders.
 
     The negative-forcing correction ``r^2 * sup f^-`` enters the denominator
     whenever the field carries forcing samples.  Nonnegativity of u on the
     working cylinder is a precondition; solver round-off slightly below zero
-    is clipped.
+    is clipped.  ``masks``, the ``_harnack_masks`` of a field with the same
+    times and grid, spares building the cylinders again.
     """
     gb = gamma_bar(spec)
     kappa = critical_exponent(gb, max(field.grid.dim, 1))
     if not (0.0 < p < kappa):
         raise HarnackError(f"p={p} outside (0, {kappa:.4f})")
-    q_minus, q_plus = build_cylinders(spec, t0, _point(field.grid, x0), r,
-                                      delta, tau)
-    u_minus = _cells_in_cylinder(field, q_minus)
-    u_plus = _cells_in_cylinder(field, q_plus)
+    if masks is None:
+        masks = _harnack_masks(field, spec, t0, x0, r, delta, tau)
+    u_minus, u_plus = (_cells_in_cylinder(field, m) for m in masks)
     if u_minus.size < min_cells or u_plus.size < min_cells:
         raise HarnackError(
             f"discrete cylinders too small ({u_minus.size}, {u_plus.size}); "
@@ -222,21 +237,24 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
 
     Member m starts from ``member_data(grid, seed, m)``.  The members differ
     only in their initial data, so they solve with one factorised step
-    system.
+    system and share one pair of cylinders.
     """
     if grid.dim == 0:
         raise HarnackError("the ensemble needs a 1d or 2d grid")
     height = 2.0 * tau * phi_bar(spec, r)
     ratios: list[float] = []
     statuses: list[str] = []
-    worst, factorisations = 0.0, 0
+    worst, factorisations, masks = 0.0, 0, None
     with _shared_systems():
         for member in range(n_members):
             fld = solve(spec, grid, coefficients,
                         member_data(grid, seed, member), 0.0, t0 + height,
                         n_steps)
+            if masks is None:
+                masks = _harnack_masks(fld, spec, t0, x0, r, delta, tau)
             report = weak_harnack_ratio(fld, spec, t0=t0, x0=x0, r=r,
-                                        delta=delta, tau=tau, p=p)
+                                        delta=delta, tau=tau, p=p,
+                                        masks=masks)
             statuses.append(report.status)
             ratios.append(report.ratio if report.ratio is not None
                           else math.nan)
@@ -354,7 +372,7 @@ def strong_max_check(field: SolutionField, cyl: Cylinder,
     tol), every earlier time slice must be flat; returns "consistent",
     "violated", or "not-applicable" when the hypothesis fails.
     """
-    u_cyl = _cells_in_cylinder(field, cyl)
+    u_cyl = _cells_in_cylinder(field, _cylinder_masks(field, cyl))
     if u_cyl.size == 0:
         raise HarnackError("cylinder contains no samples")
     global_sup = float(np.max(field.values))

@@ -25,7 +25,8 @@ and r_theta is not accurate to round-off.)  A block of times contracts only
 the band of nodes where its kernel varies.  For r_theta itself
 (``_exp_sums``) that is 2^-10 <= p*t <= 2^10: right of it exp(-p*t) is 0,
 left of it it is its degree-5 Taylor polynomial, so those nodes enter
-through the block's moments of the weights.  The running integrals
+through moments of the weights that run over the call, each node entering
+once.  The running integrals
 (``_running_sums``) take 2^-60 <= p*t <= 2^10, with a prefix sum on the left
 and, since their kernels are polynomials in 1/(p*t) there, suffix moments on
 the right.  The sampled r_theta and l of ``volterra``, its Yosida kernels
@@ -34,9 +35,11 @@ the right.  The sampled r_theta and l of ``volterra``, its Yosida kernels
 vectors: the samples, and per-node cell factors (integrals of exp(-p s) over
 one step) for the cell mass, first moment and bubble, so no cell table is a
 difference of running integrals; the first cell is a plain sum over the node
-table and the right tails.  On dyadic panels, scaling t by 2^-m and p by 2^m
-leaves p*t the same bits, so ``_l_dyadic_chunks`` gives every chunk of the
-Lp walk of ``geometry`` as one weight column of one ``_exp_sums``.
+table and the right tails.  ``sample_kernels`` takes l and r_theta as two
+weight columns of one ``_exp_sums``.  On dyadic panels, scaling t by 2^-m
+and p by 2^m leaves p*t the same bits, so ``_l_dyadic_chunks`` gives every
+chunk of the Lp walks of ``geometry``, for all radii at once, as one weight
+column of one ``_exp_sums``.
 ``_gauss_panels`` places the nodes of both sums and of their tails, of the
 order moments of k and of the dyadic panels of ``geometry``.
 """
@@ -73,6 +76,7 @@ __all__ = [
     "r_theta_eval",
     "resolvent_running_integral",
     "sample_kernel",
+    "sample_kernels",
     "bound_certificates",
     "BoundCertificates",
 ]
@@ -324,29 +328,28 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
     A tile contracts one block exp(-outer(t, p)) over its band
     2^-10 <= p*t < 2^10 against every column at once; right of the band the
     exponential is 0.  Left of it exp(-u) is its degree-5 Taylor polynomial
-    to round-off, so those nodes enter through the tile's moments
-    ``sum W (p t_hi)^j / j!``, scaled by its largest time t_hi so that no
-    power of p overflows; below u = 2^-60 a prefix sum of the weights alone
-    covers them.
+    to round-off, so those nodes enter through the moments
+    ``sum W (p t_hi)^j`` of the tile's largest time t_hi.  The tiles run
+    from the largest times down, so the nodes left of the band only grow:
+    the moments run over the call, each node enters them once, and a tile
+    rescales them by (t_hi / previous t_hi)^j <= 1, so no power of p leaves
+    the double range.
     """
-    heads = int(np.searchsorted(p, _HEAD_U / ts[0]))  # bounds each head
-    prefix = np.zeros((heads + 1, weights.shape[1]))
-    np.cumsum(weights[:heads], axis=0, out=prefix[1:])
+    j = np.arange(_TAYLOR_DEGREE + 1)
+    inverse_fact = 1.0 / np.cumprod(np.maximum(j, 1))
     out = np.empty((ts.size, weights.shape[1]))
-    inverse_j = 1.0 / np.arange(1, _TAYLOR_DEGREE + 1)
-    for lo, hi, b, e in _tiles(p, ts, _TAYLOR_U):
+    moments = np.zeros((j.size, weights.shape[1]))
+    done, t_top = 0, ts[-1]
+    for lo, hi, b, e in reversed(list(_tiles(p, ts, _TAYLOR_U))):
         tt = ts[lo:hi]
+        moments *= (tt[-1] / t_top) ** j[:, None]
+        moments += np.vander(p[done:b] * tt[-1], j.size,
+                             increasing=True).T @ weights[done:b]
+        done, t_top = b, tt[-1]
         block = np.multiply.outer(-tt, p[b:e])
         np.exp(block, out=block)
-        head = int(np.searchsorted(p, _HEAD_U / tt[-1]))
-        x = np.ones((_TAYLOR_DEGREE + 1, b - head))
-        x[1:] = np.multiply.outer(inverse_j, p[head:b] * tt[-1])
-        x = x.cumprod(axis=0)  # row j holds (p t_hi)^j / j!
-        taylor = np.ones((hi - lo, _TAYLOR_DEGREE + 1))
-        taylor[:, 1:] = (-tt / tt[-1])[:, None]
-        taylor = taylor.cumprod(axis=1)  # column j holds (-t/t_hi)^j
-        out[lo:hi] = block @ weights[b:e] + (
-            taylor @ (x @ weights[head:b]) + prefix[head])
+        taylor = np.vander(-tt / t_top, j.size, increasing=True) * inverse_fact
+        out[lo:hi] = block @ weights[b:e] + taylor @ moments
     return out
 
 
@@ -499,7 +502,8 @@ def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
     with the weights m c panels to the right; the nodes that pass the left
     end join the node at p = 0 as a prefix sum.  One ``_exp_sums`` takes
     every row.  ``table`` is a theta = 0 ``_node_table`` that reaches
-    m (chunks - 1) panels past that range, so walks over several s share it.
+    m (chunks - 1) panels past that range; s may hold the nodes of several
+    walks.
     """
     p, coeff = table
     k_hi = _panel_range(s[0], s[-1])[1]  # the table may reach further
@@ -653,12 +657,15 @@ class DiscreteKernel:
         )
 
 
-def sample_kernel(spec: MeasureSpec, kind: KernelKind, step: float, n: int,
-                  theta: float = 0.0) -> DiscreteKernel:
-    """Samples of one kernel at t_j = j*step, j = 1..n (t = 0 excluded).
+def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
+                   theta: float = 0.0) -> list[DiscreteKernel]:
+    """Samples of several kernels at t_j = j*step, j = 1..n (t = 0 excluded),
+    one ``DiscreteKernel`` per kind; theta is the resolvent's.
 
-    The samples must be finite, nonnegative and monotone in the direction of
-    their kind; ``KernelGridError`` names the first property that fails.
+    l and r_theta come from one node set and one ``_exp_sums``, a weight
+    column each.  Every kind's samples must be finite, nonnegative and
+    monotone in its direction; ``KernelGridError`` names the first property
+    that fails.
     """
     require_valid(spec)
     if step <= 0 or n < 2:
@@ -666,32 +673,40 @@ def sample_kernel(spec: MeasureSpec, kind: KernelKind, step: float, n: int,
     if 1.0 < _SMALL_T_FLOOR * n:
         raise KernelGridError("grid too fine: first node below the small-t floor")
     t = step * np.arange(1, n + 1)
-    kind = KernelKind(kind)
-    if kind is KernelKind.K_KERNEL:
-        vals = k_eval(spec, t)
-    elif kind is KernelKind.K1:
-        vals = k1_eval(spec, t)
-    elif kind is KernelKind.ONE_STAR_K:
-        vals = one_star_k_eval(spec, t)
-    elif kind is KernelKind.L_KERNEL:
-        vals = l_eval(spec, t)
-    elif kind is KernelKind.R_THETA:
-        vals = r_theta_eval(spec, t, theta)
-    else:  # pragma: no cover - exhaustive
-        raise KernelGridError(f"unknown kind {kind}")
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise KernelGridError("samples must be finite")
-    if np.any(vals < 0.0):
-        raise KernelGridError("samples must be nonnegative")
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    diffs = np.diff(vals)
-    if kind in _NONDECREASING:
-        if np.any(diffs < -tol):
-            raise KernelGridError(f"{kind.value} samples must be nondecreasing")
-    elif np.any(diffs > tol):
-        raise KernelGridError(f"{kind.value} samples must be nonincreasing")
-    return DiscreteKernel(step, vals)
+    kinds = [KernelKind(kind) for kind in kinds]
+    evaluators = {KernelKind.K_KERNEL: k_eval, KernelKind.K1: k1_eval,
+                  KernelKind.ONE_STAR_K: one_star_k_eval}
+    thetas = [theta if kind is KernelKind.R_THETA else 0.0
+              for kind in kinds if kind not in evaluators]
+    if thetas:
+        tables = [_node_table(spec, th, *_panel_range(t[0], t[-1]))
+                  for th in thetas]
+        inverted = iter(_exp_sums(tables[0][0], np.column_stack(
+            [c for _, c in tables]), t).T)
+    out = []
+    for kind in kinds:
+        vals = np.asarray(evaluators[kind](spec, t) if kind in evaluators
+                          else next(inverted), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise KernelGridError("samples must be finite")
+        if np.any(vals < 0.0):
+            raise KernelGridError("samples must be nonnegative")
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+        diffs = np.diff(vals)
+        if kind in _NONDECREASING:
+            if np.any(diffs < -tol):
+                raise KernelGridError(
+                    f"{kind.value} samples must be nondecreasing")
+        elif np.any(diffs > tol):
+            raise KernelGridError(f"{kind.value} samples must be nonincreasing")
+        out.append(DiscreteKernel(step, vals))
+    return out
+
+
+def sample_kernel(spec: MeasureSpec, kind: KernelKind, step: float, n: int,
+                  theta: float = 0.0) -> DiscreteKernel:
+    """Samples of one kernel: ``sample_kernels`` of the one kind."""
+    return sample_kernels(spec, [kind], step, n, theta)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ trajectory is one triangular Toeplitz solve.  One sparse assembly serves
 every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1}
 for every m, the step matrix is factorised once by sparse LU and reused for
 the whole trajectory unless the coefficients are declared time dependent
-(``scipy.sparse`` is imported there, at the first step on a grid).
+(``scipy.sparse`` is imported by ``solve``, before its clock starts).
 Inside ``_shared_systems()`` trajectories whose step matrices agree share
 one factorisation.  The relative residual of every step is checked against
 the matrix it solved with, by one sparse product per run of steps that
@@ -593,7 +593,14 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
           coefficients: CoefficientField | None, u0, f, horizon: float,
           n_steps: int, *, reaction: float = 0.0,
           kernel_cumulative: np.ndarray | None = None) -> SolutionField:
-    """Run the full trajectory and collect residual and timing metadata."""
+    """Run the full trajectory and collect residual and timing metadata.
+
+    The step solvers import scipy on first use; it is loaded before the
+    clock starts, so ``wall_time`` is the solve's own."""
+    if grid.dim:
+        import scipy.sparse.linalg  # noqa: F401
+    else:
+        import scipy.linalg  # noqa: F401
     start = time.perf_counter()
     stepper = TimeStepper(spec, grid, coefficients, u0, f, horizon, n_steps,
                           reaction=reaction,

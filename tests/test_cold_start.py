@@ -30,6 +30,24 @@ def test_import_loads_no_scipy():
     assert done.stdout.split() == ["[]"]
 
 
+def test_cli_import_loads_no_scipy():
+    done = _fresh(f"import sys, memkern.cli; print({SCIPY_MODULES})")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
+
+
+def test_solve_wall_time_leaves_out_the_scipy_import(tmp_path):
+    # the first solve of a process imports scipy's solvers before its clock
+    # starts; the ode05 solve itself takes about 0.01 s
+    out = tmp_path / "ode05"
+    done = _fresh("from memkern.cli import main\n"
+                  f"main(['solve', '--config', {str(CONFIGS / 'ode05.json')!r},"
+                  f" '--out', {str(out)!r}])")
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0.0 < manifest["wall_time"] < 0.1
+
+
 def test_verify_and_kernels_run_without_scipy(tmp_path):
     runs = [["verify", "--config", str(CONFIGS / "single05.json"),
              "--out", str(tmp_path / "verify")],

@@ -110,6 +110,49 @@ class TestParsing:
         pointers = dict(err.value.violations)
         assert "dirichelt" in pointers["/grid/boundary/0/1/type"]
 
+    @pytest.mark.parametrize("coefficients, pointer, grid_cells", [
+        ({"kind": "checkerboard", "low": 0.1, "period": 0.25}, "high", 8),
+        ({"kind": "checkerboard", "low": "0.1", "high": 1.0, "period": 0.25},
+         "low", 8),
+        ({"kind": "checkerboard", "low": 0.1, "high": 1.0, "period": -0.25},
+         "period", 8),
+        ({"kind": "checkerboard", "low": True, "high": 1.0, "period": 0.25},
+         "low", 8),
+        ({"kind": "spotted"}, "kind", 8),
+        ({"kind": "table"}, "values", 8),
+        ({"kind": "table", "values": [1.0] * 7}, "values", 8),
+        ({"kind": "table", "values": [1.0] * 7 + [0.0]}, "values", 8),
+        ({"kind": "table", "values": [1.0] * 8, "lam": -1.0}, "lam", 8),
+        ({"kind": "constant", "matrix": [[1.0, 0.5], [0.0, 1.0]]}, "matrix",
+         (8, 8)),
+        ({"kind": "constant", "matrix": [[1.0]]}, "matrix", (8, 8)),
+        ({"kind": "constant", "matrix": [[-1.0]]}, "matrix", 8),
+        ({"kind": "constant", "matrix": [[1.0]], "nu": "x"}, "nu", 8),
+        ([1.0], "", 8),
+    ])
+    def test_coefficient_pointers(self, coefficients, pointer, grid_cells):
+        cells = list(np.atleast_1d(grid_cells))
+        cfg = small_config("holder", coefficients=coefficients, grid={
+            "extents": [[0.0, 1.0]] * len(cells), "n_cells": cells})
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        pointers = dict(err.value.violations)
+        assert list(pointers) == [f"/coefficients/{pointer}".rstrip("/")]
+
+    def test_valid_coefficients_pass(self):
+        for coefficients, cells in (
+                ({"kind": "checkerboard", "low": 0.1, "high": 10,
+                  "period": 0.25}, [8, 8]),
+                ({"kind": "table", "values": [[1.0] * 4] * 3, "nu": None},
+                 [3, 4]),
+                ({"kind": "constant", "matrix": [[2.0, 0.5], [0.5, 1.0]],
+                  "nu": 0.5}, [8, 8]),
+                ({"kind": "constant"}, [8])):
+            cfg = small_config("holder", coefficients=coefficients, grid={
+                "extents": [[0.0, 1.0]] * len(cells), "n_cells": cells})
+            config = parse_config(cfg)
+            config.coefficients(config.grid())
+
     @pytest.mark.parametrize("measure,pointer", [
         ({"atoms": [{"alpha": 0.3, "q": 1.0}, {"alpha": 1.2, "q": 1.0}]},
          "/measure/atoms/1/alpha"),
@@ -497,6 +540,28 @@ class TestMain:
             parse_config(str(cfg_path), experiment="solve")
         assert list(dict(err.value.violations)) == ["/params/u0/kind"]
         assert parse_config(str(cfg_path)).experiment == "holder"
+
+    @pytest.mark.parametrize("steps", ["2", "0", "-3"])
+    def test_steps_override_meets_the_config_rule(self, tmp_path, capsys,
+                                                  steps):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config("verify")))
+        assert cli.main(["verify", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out"), "--steps", steps]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "/n_steps" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkerboard_without_high_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(
+            "holder", grid={"extents": [[0.0, 1.0]], "n_cells": [16]},
+            coefficients={"kind": "checkerboard", "low": 0.1,
+                          "period": 0.25})))
+        assert cli.main(["holder", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "/coefficients/high" in err
 
     def test_main_bad_config_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

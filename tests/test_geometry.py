@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -202,6 +203,57 @@ class TestScalingCertificate:
         with pytest.raises(G.GeometryError, match="underflows"):
             G.scaling_certificate(MeasureSpec.uniform_weight(), 50.5, [10.0])
 
+    @pytest.mark.parametrize("spec", [
+        *(MeasureSpec.single_order(a)
+          for a in (0.03, 0.1, 0.3, 0.5, 0.8, 0.95, 0.99)),
+        MeasureSpec.from_atoms([(0.3, 0.5), (0.7, 0.5)]),
+        MeasureSpec.from_atoms([(0.05, 0.5), (0.95, 0.5)]),
+        MeasureSpec(weight_breaks=(0.17, 0.78), weight_values=(1 / 0.61,)),
+        MeasureSpec(weight_breaks=(0.0, 0.4), weight_values=(2.5,)),
+        MeasureSpec.uniform_weight(),
+    ], ids=str)
+    def test_bounded_walk_matches_full_walk(self, spec, monkeypatch):
+        # the chunks predicted from the decay of l^p near 0 against every
+        # chunk that fits in the double range (at most 50)
+        from memkern.measure import gamma_bar
+        p = 0.5 * (1 + 1 / (1 - gamma_bar(spec)))
+        r_grid = np.logspace(-3, np.log10(0.45), 8)
+        bounded = G.scaling_certificate(spec, p, r_grid)
+        monkeypatch.setattr(G, "_walk_chunks",
+                            lambda spec, p, upper, most: most)
+        full = G.scaling_certificate(spec, p, r_grid)
+        assert bounded.walk_chunks[1] == full.walk_chunks[1]
+        assert abs(bounded.c_emp / full.c_emp - 1.0) <= 1e-14
+        assert np.max(np.abs(bounded.log_lhs - full.log_lhs)
+                      / np.abs(full.log_lhs)) <= 1e-14
+
+    def test_one_walk_call_for_every_radius(self, half, monkeypatch):
+        calls = []
+        chunks = G._l_dyadic_chunks
+        monkeypatch.setattr(G, "_l_dyadic_chunks", lambda *args: calls.append(
+            args[2]) or chunks(*args))
+        sc = G.scaling_certificate(half, 1.5,
+                                   np.logspace(-3, np.log10(0.45), 8))
+        assert calls == [sc.walk_chunks[0]]
+        assert sc.walk_chunks == (17, 16)
+
+    def test_walk_short_of_chunks_gets_more(self, half, monkeypatch):
+        r_grid = np.logspace(-3, np.log10(0.45), 8)
+        expected = G.scaling_certificate(half, 1.5, r_grid)
+        calls = []
+        chunks = G._l_dyadic_chunks
+        monkeypatch.setattr(G, "_l_dyadic_chunks", lambda *args: calls.append(
+            args[2]) or chunks(*args))
+        monkeypatch.setattr(G, "_walk_chunks", lambda spec, p, upper, most: 3)
+        sc = G.scaling_certificate(half, 1.5, r_grid)
+        assert calls == [3, 50] and sc.walk_chunks == (50, 16)
+        assert np.max(np.abs(sc.log_lhs - expected.log_lhs)
+                      / np.abs(expected.log_lhs)) <= 1e-14
+        # past the double range the walk raises whatever it started with
+        spec = MeasureSpec.single_order(0.02)
+        with pytest.raises(G.GeometryError, match="double range"):
+            G.scaling_certificate(spec, 0.5 * (1 + 1 / 0.98), r_grid)
+
     def test_ratio_finite_all_measures(self, measures):
         from memkern.measure import gamma_bar
         r_grid = np.logspace(-3, np.log10(0.45), 5)
@@ -223,6 +275,11 @@ class TestScalingCertificate:
             G.scaling_certificate(half, 2.0, [0.1])
         with pytest.raises(G.GeometryError):
             G.scaling_certificate(half, 0.5, [0.1])
+
+    def test_manifest_records_walk_chunks(self, verify_run):
+        manifest = json.loads((verify_run / "manifest.json").read_text())
+        chunks = manifest["lp_walk_chunks"]
+        assert 1 <= chunks["most_used"] <= chunks["computed"] <= 50
 
     def test_csv(self, verify_run):
         lines = (verify_run / "scaling.csv").read_text().splitlines()

@@ -226,6 +226,27 @@ class TestSharedFactors:
         assert len(calls) == 5
         assert rep.ratios == tuple(ratios)
 
+    def test_cylinders_built_once_per_ensemble(self, half, monkeypatch):
+        # phi once for the ensemble's horizon and once for its cylinders;
+        # solve and weak_harnack_ratio still run once per member
+        from memkern import geometry as G
+
+        calls = {"phi": 0, "ratio": 0}
+        phi, ratio = G.phi, H.weak_harnack_ratio
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(G, "phi", counted("phi", phi))
+        monkeypatch.setattr(H, "weak_harnack_ratio",
+                            counted("ratio", ratio))
+        H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY, n_members=5,
+                           seed=5, n_steps=32, r=0.4, x0=0.5)
+        assert calls == {"phi": 2, "ratio": 5}
+
     def test_table_changed_after_ensemble_is_read_afresh(self, half):
         H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
                            n_members=2, seed=5, n_steps=32,

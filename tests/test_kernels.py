@@ -320,6 +320,28 @@ class TestResolventTables:
                     assert np.max(rel) <= 1.5e-15, (depths, d)
 
 
+class TestExpSums:
+    @pytest.mark.parametrize("columns", [1, 4, 50])
+    @pytest.mark.parametrize("p_exp, t_exp", [
+        ((-40, 12), (-6, 6)),        # wide Taylor regions left of the bands
+        ((-300, 300), (-290, 290)),  # powers of p far outside the range
+    ])
+    def test_matches_longdouble_direct_sum(self, columns, p_exp, t_exp):
+        # the running Taylor moments of the nodes left of each tile's band
+        # against the full sum in extended precision, on times that span
+        # many tiles
+        rng = np.random.default_rng(columns)
+        p = np.sort(np.append(0.0, 10 ** rng.uniform(*p_exp, 800)))
+        ts = np.sort(10 ** rng.uniform(*t_exp, 600))
+        w = rng.uniform(0.0, 1.0, (p.size, columns)) / np.sqrt(1 + p[:, None])
+        got = K._exp_sums(p, w, ts)
+        assert len(list(K._tiles(p, ts, K._TAYLOR_U))) >= 5
+        wide = np.longdouble
+        ref = np.exp(-np.multiply.outer(ts.astype(wide), p.astype(wide))
+                     ) @ w.astype(wide)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
 class TestResolvent:
     def test_theta_zero_is_l(self, half):
         t = np.linspace(0.05, 1.5, 7)
@@ -364,8 +386,9 @@ class TestKernelGrid:
             assert grid.horizon == pytest.approx(1.0)
 
     def test_monotonicity_violation_raises(self, half, monkeypatch):
-        monkeypatch.setattr(K, "l_eval",
-                            lambda spec, t: np.array([1.0, 2.0, 3.0]))
+        # l is one weight column of the sampler's exponential sum
+        monkeypatch.setattr(K, "_exp_sums",
+                            lambda p, w, ts: np.array([[1.0], [2.0], [3.0]]))
         with pytest.raises(K.KernelGridError, match="nonincreasing"):
             K.sample_kernel(half, K.KernelKind.L_KERNEL, 0.1, 3)
 
@@ -386,10 +409,48 @@ class TestKernelGrid:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,value"
         t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-        grid = K.sample_kernel(half, K.KernelKind.L_KERNEL, 0.25, 16)
+        grid = K.sample_kernels(half, list(K.KernelKind), 0.25, 16,
+                                theta=1.0)[3]
         assert t[0] == 0.25
         assert np.array_equal(t, grid.times)
         assert np.array_equal(v, grid.values)
+
+    def test_multi_kind_sampler_matches_each_kind(self, measures):
+        kinds = list(K.KernelKind)
+        for name, spec in measures.items():
+            grids = K.sample_kernels(spec, kinds, 1.0 / 512, 512, theta=4.0)
+            for kind, grid in zip(kinds, grids):
+                one = K.sample_kernel(spec, kind, 1.0 / 512, 512, theta=4.0)
+                assert np.array_equal(grid.times, one.times)
+                assert np.max(np.abs(grid.values - one.values)
+                              / one.values) <= 1e-14, (name, kind)
+
+    def test_multi_kind_sampler_builds_one_exponential_block(
+            self, half, monkeypatch):
+        calls = []
+        exp_sums = K._exp_sums
+        monkeypatch.setattr(K, "_exp_sums", lambda p, w, ts: calls.append(
+            w.shape) or exp_sums(p, w, ts))
+        K.sample_kernels(half, list(K.KernelKind), 1.0 / 256, 256, theta=1.0)
+        assert calls == [(calls[0][0], 2)]
+
+    @pytest.mark.parametrize("column, bad, message", [
+        (0, [1.0, 2.0, 3.0], "l samples must be nonincreasing"),
+        (1, [1.0, 2.0, 3.0], "r_theta samples must be nonincreasing"),
+        (1, [1.0, -1.0, -2.0], "samples must be nonnegative"),
+        (0, [np.nan, 1.0, 0.5], "samples must be finite"),
+    ])
+    def test_multi_kind_sampler_checks_each_kind(self, half, monkeypatch,
+                                                 column, bad, message):
+        # column 0 of the shared exponential sum is l, column 1 is r_theta
+        cols = [[3.0, 2.0, 1.0]] * 2
+        cols[column] = bad
+        monkeypatch.setattr(K, "_exp_sums",
+                            lambda p, w, ts: np.array(cols).T)
+        kinds = [K.KernelKind.K_KERNEL, K.KernelKind.L_KERNEL,
+                 K.KernelKind.R_THETA]
+        with pytest.raises(K.KernelGridError, match=message):
+            K.sample_kernels(half, kinds, 0.1, 3, theta=1.0)
 
 
 class TestBoundCertificates:
