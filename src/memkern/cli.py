@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, _json_default,
                      config_hash, parse_config)
-from .measure import gamma_bar
+from .measure import gamma_bar, power_moment
 from . import kernels as _kernels
 from . import volterra as _volterra
 from . import geometry as _geometry
@@ -119,11 +119,13 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     sonine_residual = float(np.max(gap[9:]))  # t >= 10 * step
     sonine_residual_late = float(np.max(gap[(n - 1) // 10:]))  # t >= T/10
 
-    r_grid = np.logspace(-3, math.log10(0.45), 8)
+    # phi brackets radii above k1(1e-300)^(-1/2) only, and phi_lambda_check
+    # reads it down to 0.1 r: at small orders the grid starts above 1e-3
+    r_min = 10.0 * power_moment(spec, 1e-300) ** -0.5 * (1.0 + 1e-2)
+    r_grid = np.logspace(max(-3.0, math.log10(r_min)), math.log10(0.45), 8)
     lam_grid = np.linspace(0.1, 1.0, 7)
     phi_lam = _geometry.phi_lambda_check(spec, r_grid, lam_grid)
-    phi_low = _geometry.phi_lower_bound_check(
-        spec, np.clip(r_grid, 1e-3, 0.999))
+    phi_low = _geometry.phi_lower_bound_check(spec, r_grid)
     p_default = 0.5 * (1.0 + 1.0 / (1.0 - gb))
     p = float(config.params.get("p_scaling") or p_default)
     scaling = _geometry.scaling_certificate(spec, p, r_grid)
@@ -171,17 +173,14 @@ def _initial_data(desc: dict, grid: _solver.SpatialGrid, seed: int):
                                   * _harnack._half_sine(grid, 0))
 
 
-def _step_figures(run, coeffs: _solver.CoefficientField | None,
-                  grid: _solver.SpatialGrid) -> dict:
-    """The step-solve figures of a trajectory or an ensemble, with A's
-    declared bounds and what probing them at t = 0 found (config-built
-    fields are constant in time)."""
+def _step_figures(run) -> dict:
+    """The step-solve figures of a trajectory or an ensemble, with the
+    bounds of A that the stepper measured, when it solved on a grid."""
     figures = {"lu_factorisations": run.lu_factorisations,
                "max_step_residual": run.max_step_residual}
-    if coeffs is not None:
-        figures["coefficient_bounds"] = {
-            "nu": coeffs.nu, "lam": coeffs.lam,
-            "findings": coeffs.validate_bounds(grid, [0.0])}
+    if run.coefficient_bounds is not None:
+        figures["coefficient_bounds"] = dict(zip(("nu", "lam"),
+                                                 run.coefficient_bounds))
     return figures
 
 
@@ -212,17 +211,16 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     _write_csv(out / "solution.csv", header, columns)
     _write_manifest(out, config, seed, {
         "files": ["solution.csv"], "wall_time": field.wall_time,
-        **_step_figures(field, coeffs, grid)})
+        **_step_figures(field)})
     return 0
 
 
 def _run_harnack(config: ExperimentConfig, out: Path, seed: int) -> int:
     params = config.params
     grid = config.grid()
-    coeffs = config.coefficients(grid)
     report = _harnack.harnack_ensemble(
-        config.measure, grid, coeffs, n_members=int(params["n_members"]),
-        seed=seed, n_steps=config.n_steps,
+        config.measure, grid, config.coefficients(grid),
+        n_members=params["n_members"], seed=seed, n_steps=config.n_steps,
         **{k: float(params[k]) for k in ("r", "x0", "delta", "tau", "p", "t0")})
     mhash = config_hash(config)[:16]
     _write_csv(out / "harnack.csv",
@@ -234,7 +232,7 @@ def _run_harnack(config: ExperimentConfig, out: Path, seed: int) -> int:
         "all_finite": report.all_finite, "statuses": list(report.statuses)})
     _write_manifest(out, config, seed, {
         "files": ["harnack.csv", "report.json"],
-        **_step_figures(report, coeffs, grid)})
+        **_step_figures(report)})
     return 0
 
 
@@ -247,9 +245,9 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
     height = _geometry.phi_bar(spec, r)
     horizon = 2.0 * eta * height
     grid = config.grid()
-    coeffs = config.coefficients(grid)
     u0 = _initial_data(params["u0"], grid, seed)
-    field = _solver.solve(spec, grid, coeffs, u0, 0.0, horizon, config.n_steps)
+    field = _solver.solve(spec, grid, config.coefficients(grid), u0, 0.0,
+                          horizon, config.n_steps)
     t1 = float(params["t1"]) if params.get("t1") else 1.5 * eta * height
     profile = _harnack.oscillation_profile(
         field, spec, t1=t1, x1=float(params["x1"]), theta=theta,
@@ -261,7 +259,7 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
         "status": profile.status, "t1": t1, "r": r})
     _write_manifest(out, config, seed, {
         "files": ["oscillation.csv", "report.json"],
-        **_step_figures(field, coeffs, grid)})
+        **_step_figures(field)})
     return 0
 
 
@@ -274,12 +272,11 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, out_dir, *, seed: int | None = None) -> int:
+def run(config: ExperimentConfig, out_dir) -> int:
     """Execute one experiment; returns the process exit code."""
-    seed = int(config.params["seed"]) if seed is None else int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.experiment](config, out, seed)
+    return _RUNNERS[config.experiment](config, out, config.params["seed"])
 
 
 def main(argv=None) -> int:
@@ -297,8 +294,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config, experiment=args.command,
-                              n_steps=args.steps)
-        return run(config, args.out, seed=args.seed)
+                              n_steps=args.steps, seed=args.seed)
+        return run(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

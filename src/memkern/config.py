@@ -129,21 +129,15 @@ def _coeffs_from_dict(data: dict, grid: SpatialGrid) -> CoefficientField:
     kind = data.get("kind", "constant")
     if kind == "constant":
         mat = data.get("matrix")
-        if mat is None:
-            mat = np.eye(max(grid.dim, 1))
-        return CoefficientField.constant(np.asarray(mat, dtype=float),
-                                         lam=data.get("lam"),
-                                         nu=data.get("nu"))
+        return CoefficientField.constant(np.eye(max(grid.dim, 1)) if mat is None
+                                         else mat)
     if kind == "checkerboard":
         return CoefficientField.checkerboard(float(data["low"]),
                                              float(data["high"]),
                                              float(data["period"]),
                                              dim=max(grid.dim, 1))
     if kind == "table":
-        return CoefficientField.from_table(np.asarray(data["values"],
-                                                      dtype=float), grid,
-                                           lam=data.get("lam"),
-                                           nu=data.get("nu"))
+        return CoefficientField.from_table(data["values"], grid)
     raise ConfigError([("/coefficients/kind", f"unknown kind {kind!r}")])
 
 
@@ -190,16 +184,16 @@ def _number(value) -> bool:
 
 
 # kind -> (required keys, optional keys) of ``coefficients``
-_COEFFICIENT_KEYS = {"constant": ((), ("matrix", "lam", "nu")),
+_COEFFICIENT_KEYS = {"constant": ((), ("matrix",)),
                      "checkerboard": (("low", "high", "period"), ()),
-                     "table": (("values",), ("lam", "nu"))}
+                     "table": (("values",), ())}
 
 
 def _validate_coefficients(data, grid: SpatialGrid | None,
                            bad: list[tuple[str, str]]) -> None:
-    """The kind, the keys it requires, positive numbers, a symmetric
-    positive definite matrix and a table in the grid's shape (these two
-    only when the grid itself is valid)."""
+    """The kind, the keys it takes and those it requires, positive numbers,
+    a diagonal matrix with positive entries and a table in the grid's shape
+    (these two only when the grid itself is valid)."""
     if not isinstance(data, dict):
         bad.append(("/coefficients", "must be an object"))
         return
@@ -209,6 +203,9 @@ def _validate_coefficients(data, grid: SpatialGrid | None,
                     f"of {tuple(_COEFFICIENT_KEYS)}"))
         return
     required, optional = _COEFFICIENT_KEYS[kind]
+    taken = ("kind",) + required + optional
+    bad.extend((f"/coefficients/{key}", f"{kind!r} coefficients take only "
+                f"{taken}") for key in data if key not in taken)
     given = {key: data[key] for key in required + optional
              if data.get(key) is not None}
     bad.extend((f"/coefficients/{key}", "required") for key in required
@@ -221,26 +218,27 @@ def _validate_coefficients(data, grid: SpatialGrid | None,
         return
     d = max(grid.dim, 1)
     for key, shape, what in (
-            ("matrix", (d, d), "a symmetric positive definite matrix"),
+            ("matrix", (d, d), "a diagonal matrix with positive entries"),
             ("values", grid.shape, "positive numbers")):
         if key not in given:
             continue
         arr = np.asarray(given[key], dtype=object)
         if arr.shape == shape and all(map(_number, arr.ravel())):
             arr = arr.astype(float)
-            if np.all(arr > 0) if key == "values" else (
-                    np.allclose(arr, arr.T) and np.linalg.eigvalsh(arr)[0] > 0):
+            if np.all(arr > 0 if key == "values" else np.where(
+                    np.eye(d, dtype=bool), arr > 0, arr == 0)):
                 continue
         bad.append((f"/coefficients/{key}", f"must be {what} of shape {shape}"))
 
 
 def parse_config(source, experiment: str | None = None,
-                 n_steps: int | None = None) -> ExperimentConfig:
+                 n_steps: int | None = None,
+                 seed: int | None = None) -> ExperimentConfig:
     """Parse and validate a config from a path, JSON text, or dict.
 
-    ``experiment`` and ``n_steps``, when given, replace the file's own
-    before validation, so a subcommand's rules apply to the config it runs
-    and an overridden step count meets the file's rule.
+    ``experiment``, ``n_steps`` and ``seed``, when given, replace the
+    file's own before validation, so a subcommand's rules apply to the
+    config it runs and an override meets the file's rule.
     Raises ``ConfigError`` carrying every (json-pointer, message) violation.
     """
     if isinstance(source, dict):
@@ -281,6 +279,11 @@ def parse_config(source, experiment: str | None = None,
         bad.append(("/params", "must be an object"))
         raw_params = {}
     params.update(raw_params)
+    if seed is not None:
+        params["seed"] = seed
+    for key, low in (("n_members", 1), ("seed", 0)):
+        if not (type(params[key]) is int and params[key] >= low):
+            bad.append((f"/params/{key}", f"must be an integer >= {low}"))
     n_yosida = params["n_yosida"]  # "type is int" also refuses JSON true
     if params.get("use_yosida") and not (type(n_yosida) is int
                                          and n_yosida >= 1):

@@ -222,6 +222,7 @@ class EnsembleReport:
     median_ratio: float
     max_step_residual: float  # worst relative step residual of any member
     lu_factorisations: int    # computed over all members; 1 when shared
+    coefficient_bounds: tuple[float, float]  # (nu, lam) every member read
 
     @property
     def all_finite(self) -> bool:
@@ -241,10 +242,12 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     """
     if grid.dim == 0:
         raise HarnackError("the ensemble needs a 1d or 2d grid")
+    if n_members < 1:
+        raise HarnackError("the ensemble needs at least one member")
     height = 2.0 * tau * phi_bar(spec, r)
     ratios: list[float] = []
     statuses: list[str] = []
-    worst, factorisations, masks = 0.0, 0, None
+    worst, factorisations, masks, bounds = 0.0, 0, None, None
     with _shared_systems():
         for member in range(n_members):
             fld = solve(spec, grid, coefficients,
@@ -260,6 +263,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
                           else math.nan)
             worst = float(np.maximum(worst, fld.max_step_residual))
             factorisations += fld.lu_factorisations
+            bounds = fld.coefficient_bounds  # the same for every member
     arr = np.asarray(ratios)
     finite = arr[np.isfinite(arr)]
     return EnsembleReport(
@@ -268,6 +272,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
         max_ratio=float(np.max(finite)) if finite.size else math.nan,
         median_ratio=float(np.median(finite)) if finite.size else math.nan,
         max_step_residual=worst, lu_factorisations=factorisations,
+        coefficient_bounds=bounds,
     )
 
 

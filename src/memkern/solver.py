@@ -11,10 +11,10 @@ step m solves
     (beta_{m,m} I + L_m) u_m = beta_{m,m} u_{m-1}
                                - sum_{i<m} beta_{m,i} (u_i - u_{i-1}) + f_m,
 
-where L_m is the flux-form divergence with face coefficients averaged from
-the cell centers, or a scalar reaction rate in the space-free relaxation
-mode.  The history sum is a lower-triangular Toeplitz product, which
-``volterra._ToeplitzHistory`` splits into base blocks: the far field of
+where L_m is the flux-form divergence of diagonal A with face coefficients
+averaged from the cell centers, or a scalar reaction rate in the space-free
+relaxation mode.  The history sum is a lower-triangular Toeplitz product,
+which ``volterra._ToeplitzHistory`` splits into base blocks: the far field of
 earlier blocks arrives by dense or FFT block convolutions at block starts,
 O(N log^2 N) over a trajectory, and each step adds only the rows of its own
 block.  The relaxation mode has no spatial operator, so its whole
@@ -38,7 +38,7 @@ import contextvars
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -149,54 +149,42 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Diffusion matrix A(t, x) with user-declared bounds.
+    """Diagonal diffusion matrix A(t, x).
 
-    ``fn`` maps (t, x-array) to a (dim, dim) symmetric matrix; ``lam`` bounds
-    its Frobenius norm and ``nu`` its ellipticity constant.  The stepper
-    assembles and factorises its step matrix once per trajectory, or at
+    ``fn`` maps (t, x-array) to a (dim, dim) matrix, which the stepper
+    refuses unless it is diagonal with positive entries; the stepper also
+    measures its bounds (see ``SolutionField.coefficient_bounds``).  The
+    step matrix is assembled and factorised once per trajectory, or at
     every step when ``time_dependent`` is set.
     """
 
     fn: Callable
-    lam: float
-    nu: float
     time_dependent: bool = False
 
     @classmethod
-    def constant(cls, matrix, lam: float | None = None,
-                 nu: float | None = None) -> "CoefficientField":
+    def constant(cls, matrix) -> "CoefficientField":
         mat = np.atleast_2d(np.asarray(matrix, dtype=float))
         if not np.allclose(mat, mat.T):
             raise SolverError("coefficient matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(mat)
-        lam = float(np.linalg.norm(mat)) if lam is None else float(lam)
-        nu = float(eigs.min()) if nu is None else float(nu)
-        return cls(fn=lambda t, x: mat, lam=lam, nu=nu, time_dependent=False)
+        return cls(fn=lambda t, x: mat)
 
     @classmethod
     def checkerboard(cls, low: float, high: float, period: float,
                      dim: int = 1) -> "CoefficientField":
         """Scalar diffusivity alternating between two values on a grid of
         the given period (a standard rough-coefficient stress test)."""
-        lo_m = low * np.eye(dim)
-        hi_m = high * np.eye(dim)
+        mats = (low * np.eye(dim), high * np.eye(dim))
 
         def fn(t, x):
-            parity = int(np.sum(np.floor(np.asarray(x) / period))) % 2
-            return hi_m if parity else lo_m
+            return mats[int(np.sum(np.floor(np.asarray(x) / period))) % 2]
 
-        lam = float(np.linalg.norm(hi_m))
-        nu = float(min(low, high))
-        return cls(fn=fn, lam=lam, nu=nu, time_dependent=False)
+        return cls(fn=fn)
 
     @classmethod
-    def from_table(cls, values: np.ndarray, grid: "SpatialGrid",
-                   lam: float | None = None,
-                   nu: float | None = None) -> "CoefficientField":
+    def from_table(cls, values: np.ndarray, grid: "SpatialGrid"
+                   ) -> "CoefficientField":
         """Piecewise-constant scalar diffusivity given per cell."""
         values = np.asarray(values, dtype=float).reshape(grid.shape)
-        if np.any(values <= 0.0):
-            raise SolverError("table diffusivities must be positive")
         eye = np.eye(max(grid.dim, 1))
 
         def fn(t, x):
@@ -208,30 +196,7 @@ class CoefficientField:
                 idx.append(i)
             return values[tuple(idx)] * eye
 
-        lam = float(values.max() * math.sqrt(max(grid.dim, 1))) if lam is None \
-            else float(lam)
-        nu = float(values.min()) if nu is None else float(nu)
-        return cls(fn=fn, lam=lam, nu=nu, time_dependent=False)
-
-    def validate_bounds(self, grid: SpatialGrid, times: Sequence[float]
-                        ) -> list[str]:
-        """Check the declared Frobenius bound ``lam`` and ellipticity bound
-        ``nu`` at every cell centre: one finding per broken bound and time."""
-        if grid.dim == 0:
-            return []
-        problems: list[str] = []
-        centers = grid.centers().reshape(-1, grid.dim)
-        for t in times:
-            a = np.array([np.atleast_2d(self.fn(t, x)) for x in centers])
-            norm, low = np.linalg.norm(a, axis=(1, 2)), np.linalg.eigvalsh(a)
-            for name, bad in (("Frobenius", norm > self.lam * (1 + 1e-12)),
-                              ("ellipticity", low[:, 0] < self.nu
-                               * (1 - 1e-12) - 1e-15)):
-                if np.any(bad):
-                    problems.append(f"{name} bound broken at {np.sum(bad)} of "
-                                    f"{len(bad)} cells at t={t}, first at "
-                                    f"x={centers[np.argmax(bad)]}")
-        return problems
+        return cls(fn=fn)
 
 
 @dataclass
@@ -245,6 +210,7 @@ class SolutionField:
     residuals: np.ndarray
     wall_time: float
     lu_factorisations: int = 0    # splu calls made here; 0 if shared
+    coefficient_bounds: tuple | None = None  # (nu, lam) of every assembly
 
     @property
     def n_steps(self) -> int:
@@ -402,16 +368,32 @@ class TimeStepper:
         self.m = 0
         self._bc_callable = any(callable(bc.value)
                                 for pair in grid.boundary for bc in pair)
-        self._factors = self._rhs_bc = None
+        self._factors = self._rhs_bc = self.coefficient_bounds = None
         self.lu_factorisations = 0
 
     # -- spatial operator -------------------------------------------------
 
     def _diffusivity(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Diagonal of ``A(t, x)`` at ``points``, shape ``(..., dim)``."""
+        """Diagonal of ``A(t, x)`` at ``points``, shape ``(..., dim)``.  A is
+        read nowhere else.  With no cross-derivative terms in the assembly,
+        an entry off the diagonal or not positive is refused, and
+        ``coefficient_bounds`` widens to cover the smallest diagonal entry
+        ``nu`` and the largest Frobenius norm ``lam`` read here."""
         flat = points.reshape(-1, self.grid.dim)
-        return np.array([np.diagonal(np.atleast_2d(self.coefficients.fn(t, x)))
-                         for x in flat]).reshape(points.shape)
+        a = np.array([np.atleast_2d(self.coefficients.fn(t, x)) for x in flat],
+                     dtype=float)
+        bad = ~np.all(np.where(np.eye(a.shape[1], dtype=bool), a > 0.0,
+                               a == 0.0), axis=(1, 2))
+        if np.any(bad):
+            raise SolverError(f"A(t={t}, x={flat[np.argmax(bad)].tolist()}) is "
+                              "not diagonal with positive entries")
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        nu, lam = float(diag.min()), float(np.linalg.norm(a, axis=(1, 2)).max())
+        if self.coefficient_bounds is not None:
+            nu = min(nu, self.coefficient_bounds[0])
+            lam = max(lam, self.coefficient_bounds[1])
+        self.coefficient_bounds = nu, lam
+        return diag.reshape(points.shape)
 
     def _dirichlet(self, t: float):
         """Ghost-cell closure of the Dirichlet faces at t, as grid arrays:
@@ -442,8 +424,6 @@ class TimeStepper:
 
         grid = self.grid
         a_cells = self._diffusivity(t, grid.centers())
-        if np.any(a_cells <= 0.0):
-            raise SolverError("axis diffusivity must stay positive")
         idx = np.arange(grid.n_total).reshape(grid.shape)
         diag = np.zeros(grid.shape)
         rows, cols, vals = [], [], []
@@ -466,8 +446,9 @@ class TimeStepper:
         return mat + sparse.diags(diag.ravel()), rhs_bc.ravel()
 
     def _factorise(self, t: float):
-        """``(full, splu(full), rhs_bc)`` at ``t``, with ``full`` the step
-        matrix ``beta_{m,m} I + L_t``."""
+        """``(full, splu(full), rhs_bc, (nu, lam))`` at ``t``, with ``full``
+        the step matrix ``beta_{m,m} I + L_t`` and ``(nu, lam)`` the
+        ``coefficient_bounds`` of this stepper's reads of A up to here."""
         from scipy.sparse import identity
         from scipy.sparse.linalg import splu
 
@@ -475,14 +456,15 @@ class TimeStepper:
         full = (mat + self._beta_mm * identity(self.grid.n_total)).tocsc()
         lu = splu(full)
         self.lu_factorisations += 1
-        return full, lu, rhs_bc
+        return full, lu, rhs_bc, self.coefficient_bounds
 
     def _system(self, t: float):
         """``(full, splu(full), rhs_bc)`` at ``t``.  The factors are built at
         the first step, or taken from the shared systems (see
-        ``_shared_systems``), and again at every step only for time-dependent
-        coefficients; the boundary vector is sampled again at every step also
-        when a Dirichlet value is callable."""
+        ``_shared_systems``) with the ``coefficient_bounds`` read to build
+        them, and again at every step only for time-dependent coefficients;
+        the boundary vector is sampled again at every step also when a
+        Dirichlet value is callable."""
         varies = self.coefficients.time_dependent
         if self._factors is None or varies:
             self._check_residuals()  # before the matrix they solved goes
@@ -494,7 +476,7 @@ class TimeStepper:
                 if key not in shared:
                     shared[key] = self._factorise(t)
                 self._factors = shared[key]
-            self._rhs_bc = self._factors[2]
+            self._rhs_bc, self.coefficient_bounds = self._factors[2:]
         elif self._bc_callable:
             self._rhs_bc = self._dirichlet(t)[1].ravel()
         return self._factors[0], self._factors[1], self._rhs_bc
@@ -611,7 +593,8 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
     return SolutionField(grid=grid, step=stepper.tau, values=stepper.u,
                          f_samples=stepper.f_samples,
                          residuals=stepper.residuals, wall_time=wall,
-                         lu_factorisations=stepper.lu_factorisations)
+                         lu_factorisations=stepper.lu_factorisations,
+                         coefficient_bounds=stepper.coefficient_bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,26 @@ class TestParsing:
         cfg["params"]["use_yosida"] = False
         parse_config(cfg)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_members", 0), ("n_members", 2.5), ("n_members", True),
+        ("seed", -1), ("seed", "x"), ("seed", 1.0)])
+    def test_n_members_and_seed_must_be_integers(self, key, value):
+        # refused here, not truncated by int() or left to numpy to reject
+        cfg = small_config("harnack", params={"n_members": 3, "seed": 0,
+                                              key: value})
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert list(dict(err.value.violations)) == [f"/params/{key}"]
+        cfg["params"][key] = 1
+        parse_config(cfg)
+
+    def test_readme_configs_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(block)
+
     def test_bad_json_text(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
@@ -128,6 +150,13 @@ class TestParsing:
         ({"kind": "constant", "matrix": [[1.0]]}, "matrix", (8, 8)),
         ({"kind": "constant", "matrix": [[-1.0]]}, "matrix", 8),
         ({"kind": "constant", "matrix": [[1.0]], "nu": "x"}, "nu", 8),
+        ({"kind": "constant", "matrix": [[2.0, 0.5], [0.5, 1.0]]}, "matrix",
+         (8, 8)),
+        ({"kind": "constant", "lam": 2.0}, "lam", 8),
+        ({"kind": "constant", "nu": 0.5}, "nu", 8),
+        ({"kind": "checkerboard", "low": 0.1, "high": 1.0, "period": 0.25,
+          "lam": 1.0}, "lam", 8),
+        ({"kind": "table", "values": [1.0] * 8, "nu": None}, "nu", 8),
         ([1.0], "", 8),
     ])
     def test_coefficient_pointers(self, coefficients, pointer, grid_cells):
@@ -143,10 +172,9 @@ class TestParsing:
         for coefficients, cells in (
                 ({"kind": "checkerboard", "low": 0.1, "high": 10,
                   "period": 0.25}, [8, 8]),
-                ({"kind": "table", "values": [[1.0] * 4] * 3, "nu": None},
-                 [3, 4]),
-                ({"kind": "constant", "matrix": [[2.0, 0.5], [0.5, 1.0]],
-                  "nu": 0.5}, [8, 8]),
+                ({"kind": "table", "values": [[1.0] * 4] * 3}, [3, 4]),
+                ({"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 1.0]]},
+                 [8, 8]),
                 ({"kind": "constant"}, [8])):
             cfg = small_config("holder", coefficients=coefficients, grid={
                 "extents": [[0.0, 1.0]] * len(cells), "n_cells": cells})
@@ -319,7 +347,7 @@ class TestRunners:
         from memkern.config import ExperimentConfig
         from memkern.solver import CoefficientField
 
-        field = CoefficientField(fn=lambda t, x: np.eye(1), lam=1.0, nu=1.0,
+        field = CoefficientField(fn=lambda t, x: np.eye(1),
                                  time_dependent=time_dependent)
         monkeypatch.setattr(ExperimentConfig, "coefficients",
                             lambda self, grid: field)
@@ -400,7 +428,7 @@ class TestRunners:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["lu_factorisations"] == 1
         assert manifest["coefficient_bounds"] == {
-            "nu": 0.1, "lam": 10.0 * math.sqrt(2.0), "findings": []}
+            "nu": 0.1, "lam": 10.0 * math.sqrt(2.0)}
 
     @pytest.mark.parametrize("experiment,n_cells,csv,digest", [
         ("harnack", 64, "harnack.csv",
@@ -432,20 +460,23 @@ class TestRunners:
                                      skiprows=1, usecols=range(3)))
         assert np.array_equal(tables[0], tables[1])
 
-    def test_manifests_record_coefficient_bounds(self, tmp_path):
+    @pytest.mark.parametrize("coefficients, bounds", [
+        ({"kind": "constant", "matrix": [[2.0]]}, (2.0, 2.0)),
+        ({"kind": "table", "values": [1.0] * 7 + [9.0]}, (1.0, 9.0)),
+        ({"kind": "checkerboard", "low": 10.0, "high": 0.1, "period": 0.25},
+         (0.1, 10.0)),
+    ])
+    def test_manifests_record_measured_coefficient_bounds(self, tmp_path,
+                                                          coefficients,
+                                                          bounds):
         grid = {"extents": [[0.0, 1.0]], "n_cells": [8],
                 "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2]}
         config = parse_config(small_config(
-            "solve", n_steps=16, grid=grid,
-            coefficients={"kind": "constant", "matrix": [[2.0]], "nu": 3.0}))
+            "solve", n_steps=16, grid=grid, coefficients=coefficients))
         assert cli.run(config, tmp_path) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        bounds = manifest["coefficient_bounds"]
-        assert (bounds["nu"], bounds["lam"]) == (3.0, 2.0)
-        # A = 2 is below nu = 3 at every cell: one finding for the bound
-        assert bounds["findings"] == [
-            "ellipticity bound broken at 8 of 8 cells at t=0.0, first at "
-            "x=[0.0625]"]
+        assert manifest["coefficient_bounds"] == dict(zip(("nu", "lam"),
+                                                          bounds))
 
     def test_holder_outputs(self, tmp_path):
         config = parse_config(small_config(
@@ -583,3 +614,27 @@ class TestMain:
                   "--out", str(tmp_path / "s1"), "--seed", "42"])
         manifest = json.loads((tmp_path / "s1" / "manifest.json").read_text())
         assert manifest["seed"] == 42
+        assert manifest["config"]["params"]["seed"] == 42
+
+    def test_seed_override_meets_the_config_rule(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config("kernels")))
+        assert cli.main(["kernels", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "/params/seed" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.02])
+    def test_verify_exits_zero_at_small_orders(self, tmp_path, alpha):
+        # phi cannot bracket r = 1e-3 at these orders; the radius grid
+        # starts where it can
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(
+            "verify", n_steps=1024,
+            measure={"atoms": [{"alpha": alpha, "q": 1.0}]},
+            params={"r": 0.5, "seed": 0})))
+        assert cli.main(["verify", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["hard_violations"] == 0

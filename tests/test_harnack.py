@@ -154,6 +154,14 @@ class TestConfigSetup:
         assert rough.all_finite and rough.lu_factorisations == 1
         assert all(a != b for a, b in zip(plain.ratios, rough.ratios))
 
+    def test_ensemble_reports_the_shared_systems_bounds(self, half):
+        checker = S.CoefficientField.checkerboard(10.0, 0.1, 0.1)
+        rep = H.harnack_ensemble(half, dirichlet_grid(32), checker,
+                                 n_members=3, seed=7, n_steps=64, r=0.4,
+                                 x0=0.5)
+        assert rep.lu_factorisations == 1
+        assert rep.coefficient_bounds == (0.1, 10.0)
+
     def test_2d_grid_runs_in_2d(self, half, monkeypatch):
         bc = S.BoundaryCondition.dirichlet(0.0)
         grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(16, 16),
@@ -188,6 +196,12 @@ class TestConfigSetup:
         with pytest.raises(H.HarnackError):
             H.harnack_ensemble(half, S.SpatialGrid(), IDENTITY, n_members=1,
                                seed=0, n_steps=16, r=0.4, x0=0.5)
+
+    def test_memberless_ensemble_rejected(self, half):
+        # no member, no max_ratio: refused rather than reported as NaN
+        with pytest.raises(H.HarnackError, match="at least one member"):
+            H.harnack_ensemble(half, dirichlet_grid(16), IDENTITY,
+                               n_members=0, seed=0, n_steps=16, r=0.4, x0=0.5)
 
 
 class TestSharedFactors:

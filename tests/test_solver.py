@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ class TestPdeSanity:
         grid2 = S.SpatialGrid(
             extents=((0.0, 1.0), (0.0, 1.0)), n_cells=(8, 8),
             boundary=((S.BoundaryCondition.dirichlet(0.0),) * 2,) * 2)
-        coeffs = S.CoefficientField.constant([[1.0, 0.1], [0.1, 2.0]])
+        coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 2.0]])
         st2 = S.TimeStepper(half, grid2, coeffs, 1.0, 0.0, 0.2, 32)
         assert _is_m_matrix(st2, 0.1)
 
@@ -225,7 +226,7 @@ class TestPdeSanity:
         bcn = S.BoundaryCondition.neumann_zero()
         g2 = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 1.0)),
                            n_cells=(10, 10), boundary=((bcn, bcn),) * 2)
-        coeffs = S.CoefficientField.constant([[1.0, 0.2], [0.2, 1.5]])
+        coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 1.5]])
         fld = S.solve(half, g2, coeffs, 1.25, 0.0, 0.1, 24)
         assert np.max(np.abs(fld.values - 1.25)) <= 1e-12
         g2d = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 1.0)),
@@ -257,26 +258,85 @@ class TestPdeSanity:
         u0 = np.maximum(np.sin(2 * np.pi * grid.axis_centers(0)), 0.0)
         fld = S.solve(half, grid, cb, u0, 0.0, 0.2, 40)
         assert float(np.min(fld.values)) >= -1e-12
-        assert not cb.validate_bounds(grid, [0.0, 0.1])
+        assert fld.coefficient_bounds == (0.5, 2.0)
 
-    def test_coefficient_bound_probes_catch_lies(self):
-        field = S.CoefficientField(fn=lambda t, x: np.array([[2.0]]),
-                                   lam=1.0, nu=0.5)
-        problems = field.validate_bounds(dirichlet_grid(8), [0.0])
-        assert problems
 
-    def test_coefficient_bounds_checked_at_every_cell(self):
-        # the bound lam = sqrt(2) holds on column 0 of a 64 x 64 table only
+class TestCoefficientBounds:
+    """``(nu, lam)`` measured where the stepper reads A: the smallest
+    diagonal entry and the largest Frobenius norm over the cell centres and
+    Dirichlet face midpoints of every assembly."""
+
+    @staticmethod
+    def _square(n=8):
         bc = S.BoundaryCondition.dirichlet(0.0)
-        grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(64, 64),
+        return S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(n, n),
                              boundary=((bc, bc),) * 2)
-        table = np.full((64, 64), 5.0)
-        table[:, 0] = 1.0
-        field = S.CoefficientField.from_table(table, grid, lam=math.sqrt(2.0),
-                                              nu=1.0)
-        assert field.validate_bounds(grid, [0.0]) == [
-            "Frobenius bound broken at 4032 of 4096 cells at t=0.0, first "
-            "at x=[0.0078125 0.0234375]"]
+
+    def test_constant(self, half):
+        fld = S.solve(half, self._square(), S.CoefficientField.constant(
+            [[3.0, 0.0], [0.0, 4.0]]), 1.0, 0.0, 0.2, 16)
+        assert fld.coefficient_bounds == (3.0, 5.0)
+
+    def test_table_read_at_every_cell(self, half):
+        # the largest entry sits in one corner cell of a 64 x 64 table
+        grid = self._square(64)
+        table = np.full((64, 64), 2.0)
+        table[0, 0], table[-1, -1] = 0.5, 7.0
+        fld = S.solve(half, grid, S.CoefficientField.from_table(table, grid),
+                      1.0, 0.0, 0.2, 16)
+        assert fld.coefficient_bounds == (0.5, 7.0 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("low, high", [(0.1, 10.0), (10.0, 0.1)])
+    def test_checkerboard_either_way_round(self, half, low, high):
+        # the bounds do not depend on which value is passed as low
+        fld = S.solve(half, self._square(16),
+                      S.CoefficientField.checkerboard(low, high, 0.125, dim=2),
+                      1.0, 0.0, 0.2, 16)
+        assert fld.coefficient_bounds == (0.1, 10.0 * math.sqrt(2.0))
+
+    def test_time_dependent_bounds_cover_every_step(self, half):
+        # A = (1 + t) I grows over the run: nu is read at the first step,
+        # lam at the last, not at t = 0
+        coeffs = S.CoefficientField(fn=lambda t, x: (1.0 + t) * np.eye(1),
+                                    time_dependent=True)
+        fld = S.solve(half, dirichlet_grid(8), coeffs, 1.0, 0.0, 1.0, 16)
+        assert fld.coefficient_bounds == (1.0 + 1.0 / 16, 2.0)
+        assert fld.lu_factorisations == 16
+
+    def test_dirichlet_face_midpoints_count(self, half):
+        # A is 4 at the boundary faces only, which no cell centre sees
+        coeffs = S.CoefficientField(
+            fn=lambda t, x: np.eye(1) * (4.0 if x[0] in (0.0, 1.0) else 1.0))
+        fld = S.solve(half, dirichlet_grid(8), coeffs, 1.0, 0.0, 0.2, 16)
+        assert fld.coefficient_bounds == (1.0, 4.0)
+        neumann = S.solve(half, neumann_grid(8), coeffs, 1.0, 0.0, 0.2, 16)
+        assert neumann.coefficient_bounds == (1.0, 1.0)
+
+    def test_no_bounds_without_a_grid(self, half):
+        fld = S.solve(half, S.SpatialGrid(), None, 1.0, 0.0, 1.0, 16,
+                      reaction=1.0)
+        assert fld.coefficient_bounds is None
+
+    @pytest.mark.parametrize("matrix", [[[1.0, 0.9], [0.9, 1.0]],
+                                        [[1.0, 0.0], [0.0, -1.0]]],
+                             ids=["off-diagonal", "negative"])
+    def test_non_diagonal_or_nonpositive_a_raises(self, half, matrix):
+        # named at the first step time and the first cell centre
+        with pytest.raises(S.SolverError, match=re.escape(
+                "A(t=0.0125, x=[0.0625, 0.0625]) is not diagonal")):
+            S.solve(half, self._square(), S.CoefficientField.constant(matrix),
+                    1.0, 0.0, 0.2, 16)
+
+    def test_off_diagonal_found_at_any_time_and_point(self, half):
+        # diagonal until t = 0.1, then off-diagonal at one face midpoint
+        def fn(t, x):
+            off = 0.5 if t > 0.1 and x[0] == 1.0 and x[1] < 0.1 else 0.0
+            return np.array([[1.0, off], [off, 1.0]])
+
+        coeffs = S.CoefficientField(fn=fn, time_dependent=True)
+        with pytest.raises(S.SolverError,
+                           match=re.escape("A(t=0.1125, x=[1.0, 0.0625])")):
+            S.solve(half, self._square(), coeffs, 1.0, 0.0, 0.2, 16)
 
 
 class TestBlockHistory:
@@ -296,7 +356,7 @@ class TestBlockHistory:
             grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(24, 24),
                                  boundary=((bc, bc),) * 2)
             n_steps, f = 768, 0.0
-            coeffs = S.CoefficientField.constant([[1.0, 0.2], [0.2, 0.8]])
+            coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 0.8]])
         u0 = np.maximum(np.random.default_rng(4).normal(size=grid.shape), 0.0)
         fld = S.solve(spec, grid, coeffs, u0, f, 1.0, n_steps)
         ref = DirectHistoryStepper(spec, grid, coeffs, u0, f, 1.0, n_steps)
@@ -323,7 +383,7 @@ class TestStepResiduals:
             grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(12, 12),
                                  boundary=((bc, bc),) * 2)
             n_steps, f = 160, 0.0
-            coeffs = S.CoefficientField.constant([[1.0, 0.2], [0.2, 0.8]])
+            coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 0.8]])
         else:
             # a check of a block against its last matrix reads 0.15-0.25 here
             bc = S.BoundaryCondition.dirichlet(lambda t, x: 0.1 * t)
@@ -331,8 +391,8 @@ class TestStepResiduals:
                                  boundary=((bc, bc),))
             n_steps, f = 150, 0.0
             coeffs = S.CoefficientField(
-                fn=lambda t, x: (1.0 + t + x[0]) * np.eye(1), lam=3.0,
-                nu=1.0, time_dependent=True)
+                fn=lambda t, x: (1.0 + t + x[0]) * np.eye(1),
+                time_dependent=True)
         u0 = np.maximum(rng.normal(size=grid.shape), 0.0)
         stepper = PerStepResidualStepper(half, grid, coeffs, u0, f, 1.0,
                                          n_steps)
@@ -395,8 +455,7 @@ class TestAssembly:
             calls.append(t)
             return np.eye(dim)
 
-        flagged = S.CoefficientField(fn=fn, lam=math.sqrt(dim), nu=1.0,
-                                     time_dependent=True)
+        flagged = S.CoefficientField(fn=fn, time_dependent=True)
         u0 = np.random.default_rng(3).random(grid.shape)
         fld = S.solve(half, grid, flagged, u0, 0.0, 0.4, 24)
         assert sorted(set(calls)) == [m * fld.step for m in range(1, 25)]
