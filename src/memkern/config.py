@@ -129,13 +129,12 @@ def _coeffs_from_dict(data: dict, grid: SpatialGrid) -> CoefficientField:
     kind = data.get("kind", "constant")
     if kind == "constant":
         mat = data.get("matrix")
-        return CoefficientField.constant(np.eye(max(grid.dim, 1)) if mat is None
-                                         else mat)
+        return CoefficientField.constant(1.0 if mat is None
+                                         else np.diagonal(mat))
     if kind == "checkerboard":
         return CoefficientField.checkerboard(float(data["low"]),
                                              float(data["high"]),
-                                             float(data["period"]),
-                                             dim=max(grid.dim, 1))
+                                             float(data["period"]))
     if kind == "table":
         return CoefficientField.from_table(data["values"], grid)
     raise ConfigError([("/coefficients/kind", f"unknown kind {kind!r}")])
@@ -181,6 +180,16 @@ def _validate_measure_dict(data, bad: list[tuple[str, str]]) -> None:
 
 def _number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)  # not bool
+
+
+def _non_finite(value, ptr: str = ""):
+    """JSON pointers of the NaN and infinite numbers in ``value``."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _non_finite(item, f"{ptr}/{key}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield ptr
 
 
 # kind -> (required keys, optional keys) of ``coefficients``
@@ -239,7 +248,9 @@ def parse_config(source, experiment: str | None = None,
     ``experiment``, ``n_steps`` and ``seed``, when given, replace the
     file's own before validation, so a subcommand's rules apply to the
     config it runs and an override meets the file's rule.
-    Raises ``ConfigError`` carrying every (json-pointer, message) violation.
+    Raises ``ConfigError`` carrying every (json-pointer, message) violation;
+    a NaN or infinite number (Python's ``json`` reads ``NaN``, ``Infinity``
+    and ``1e999``) is refused before the other checks, which compare numbers.
     """
     if isinstance(source, dict):
         data = source
@@ -255,7 +266,10 @@ def parse_config(source, experiment: str | None = None,
     if not isinstance(data, dict):
         raise ConfigError([("/", "must be an object")])
 
-    bad: list[tuple[str, str]] = []
+    bad: list[tuple[str, str]] = [(ptr, "must be a finite number")
+                                  for ptr in _non_finite(data)]
+    if bad:
+        raise ConfigError(bad)
     if n_steps is not None:
         data = dict(data, n_steps=n_steps)
     if experiment is None:

@@ -19,9 +19,11 @@ for every time of the call.  ``_tail`` closes both ends in log p: left of
 the panels every kernel of u is a constant, so the integral of H/pi there is
 the weight of one node at p = 0; right of them exp(-u) is 0, and the running
 integrals and the first cell take moments of H/pi p^-j there.  No panel
-count depends on the measure.  (For theta > 0, H_theta peaks at the zero of
-theta + C; with a top order near one the panels do not resolve that peak,
-and r_theta is not accurate to round-off.)  A block of times contracts only
+count depends on the measure.  (H_theta peaks at the zero of theta + C, and
+where S is small there the panels do not resolve the peak: for theta > 0
+with a top order near one, and at theta = 0 as well for mixtures with mass
+near both 0 and 1, such as (0.001, 1/2) + (0.999, 1/2), whose l is 0.5%
+high.  l and r_theta are then not accurate to round-off.)  A block of times contracts only
 the band of nodes where its kernel varies.  For r_theta itself
 (``_exp_sums``) that is 2^-10 <= p*t <= 2^10: right of it exp(-p*t) is 0,
 left of it it is its degree-5 Taylor polynomial, so those nodes enter

@@ -149,34 +149,34 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Diagonal diffusion matrix A(t, x).
+    """Diagonal diffusion matrix A(t, x), given by its diagonal.
 
-    ``fn`` maps (t, x-array) to a (dim, dim) matrix, which the stepper
-    refuses unless it is diagonal with positive entries; the stepper also
-    measures its bounds (see ``SolutionField.coefficient_bounds``).  The
-    step matrix is assembled and factorised once per trajectory, or at
-    every step when ``time_dependent`` is set.
+    ``fn(points)`` maps points of shape ``(..., dim)`` to A's diagonal
+    there, in the same shape; a ``time_dependent`` field is ``fn(t,
+    points)``, and a static one never receives t.  The stepper reads it
+    once per point set (``TimeStepper._diffusivity``) and factorises the
+    step matrix once, or at every step when ``time_dependent`` is set.
     """
 
     fn: Callable
     time_dependent: bool = False
 
     @classmethod
-    def constant(cls, matrix) -> "CoefficientField":
-        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if not np.allclose(mat, mat.T):
-            raise SolverError("coefficient matrix must be symmetric")
-        return cls(fn=lambda t, x: mat)
+    def constant(cls, diagonal) -> "CoefficientField":
+        """A = diag(diagonal), one number standing for every axis; one of
+        another length reaches the stepper as it is, to be refused."""
+        diag = np.asarray(diagonal, dtype=float)
+        return cls(fn=lambda x: np.broadcast_to(diag, x.shape)
+                   if diag.shape in ((), x.shape[-1:]) else diag)
 
     @classmethod
-    def checkerboard(cls, low: float, high: float, period: float,
-                     dim: int = 1) -> "CoefficientField":
+    def checkerboard(cls, low: float, high: float,
+                     period: float) -> "CoefficientField":
         """Scalar diffusivity alternating between two values on a grid of
         the given period (a standard rough-coefficient stress test)."""
-        mats = (low * np.eye(dim), high * np.eye(dim))
-
-        def fn(t, x):
-            return mats[int(np.sum(np.floor(np.asarray(x) / period))) % 2]
+        def fn(x):
+            odd = np.sum(np.floor(x / period), axis=-1, keepdims=True) % 2
+            return np.broadcast_to(np.where(odd, high, low), x.shape)
 
         return cls(fn=fn)
 
@@ -184,17 +184,15 @@ class CoefficientField:
     def from_table(cls, values: np.ndarray, grid: "SpatialGrid"
                    ) -> "CoefficientField":
         """Piecewise-constant scalar diffusivity given per cell."""
-        values = np.asarray(values, dtype=float).reshape(grid.shape)
-        eye = np.eye(max(grid.dim, 1))
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.shape:
+            raise SolverError(f"table shape {values.shape} is not {grid.shape}")
+        lo, top = np.array(grid.extents)[:, 0], np.array(grid.n_cells) - 1
 
-        def fn(t, x):
-            idx = []
-            for a in range(grid.dim):
-                lo, hi = grid.extents[a]
-                h = grid.spacing[a]
-                i = int(np.clip((x[a] - lo) / h, 0, grid.n_cells[a] - 1))
-                idx.append(i)
-            return values[tuple(idx)] * eye
+        def fn(x):
+            cell = np.clip((x - lo) / grid.spacing, 0, top).astype(int)
+            return np.broadcast_to(values[tuple(np.moveaxis(cell, -1, 0))]
+                                   [..., None], x.shape)
 
         return cls(fn=fn)
 
@@ -374,26 +372,25 @@ class TimeStepper:
     # -- spatial operator -------------------------------------------------
 
     def _diffusivity(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Diagonal of ``A(t, x)`` at ``points``, shape ``(..., dim)``.  A is
-        read nowhere else.  With no cross-derivative terms in the assembly,
-        an entry off the diagonal or not positive is refused, and
-        ``coefficient_bounds`` widens to cover the smallest diagonal entry
-        ``nu`` and the largest Frobenius norm ``lam`` read here."""
-        flat = points.reshape(-1, self.grid.dim)
-        a = np.array([np.atleast_2d(self.coefficients.fn(t, x)) for x in flat],
-                     dtype=float)
-        bad = ~np.all(np.where(np.eye(a.shape[1], dtype=bool), a > 0.0,
-                               a == 0.0), axis=(1, 2))
+        """Diagonal of ``A(t, x)`` at ``points``, shape ``(..., dim)``, by one
+        call of the field; A is read nowhere else.  Another shape or an entry
+        not finite and positive is refused, and ``coefficient_bounds`` widens
+        to the smallest entry ``nu`` and largest Euclidean norm ``lam`` read."""
+        field = self.coefficients
+        diag = np.asarray(field.fn(t, points) if field.time_dependent
+                          else field.fn(points), dtype=float)
+        if diag.shape != points.shape:
+            raise SolverError(f"A(t={t}) has a diagonal of shape {diag.shape} "
+                              f"at points of shape {points.shape}")
+        bad = ~np.all((diag > 0.0) & (diag < np.inf), axis=-1).ravel()
         if np.any(bad):
-            raise SolverError(f"A(t={t}, x={flat[np.argmax(bad)].tolist()}) is "
-                              "not diagonal with positive entries")
-        diag = np.diagonal(a, axis1=1, axis2=2)
-        nu, lam = float(diag.min()), float(np.linalg.norm(a, axis=(1, 2)).max())
-        if self.coefficient_bounds is not None:
-            nu = min(nu, self.coefficient_bounds[0])
-            lam = max(lam, self.coefficient_bounds[1])
-        self.coefficient_bounds = nu, lam
-        return diag.reshape(points.shape)
+            x = points.reshape(-1, self.grid.dim)[np.argmax(bad)].tolist()
+            raise SolverError(f"A(t={t}, x={x}) is not finite and positive")
+        nu, lam = self.coefficient_bounds or (math.inf, 0.0)
+        self.coefficient_bounds = (
+            min(nu, float(diag.min())),
+            max(lam, float(np.linalg.norm(diag, axis=-1).max())))
+        return diag
 
     def _dirichlet(self, t: float):
         """Ghost-cell closure of the Dirichlet faces at t, as grid arrays:
@@ -577,8 +574,10 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
           kernel_cumulative: np.ndarray | None = None) -> SolutionField:
     """Run the full trajectory and collect residual and timing metadata.
 
-    The step solvers import scipy on first use; it is loaded before the
-    clock starts, so ``wall_time`` is the solve's own."""
+    A trajectory or step residual that is not finite, as from NaN initial,
+    source or boundary data, raises ``SolverError``.  The step solvers
+    import scipy on first use; it is loaded before the clock starts, so
+    ``wall_time`` is the solve's own."""
     if grid.dim:
         import scipy.sparse.linalg  # noqa: F401
     else:
@@ -590,6 +589,11 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
     for _ in range(n_steps):
         stepper.advance()
     wall = time.perf_counter() - start
+    finite = np.isfinite(stepper._u_flat).all(axis=1)
+    finite[1:] &= np.isfinite(stepper.residuals)  # residual of step m
+    if not finite.all():
+        raise SolverError("the trajectory or its step residual is not finite "
+                          f"from t = {np.argmin(finite) * stepper.tau} on")
     return SolutionField(grid=grid, step=stepper.tau, values=stepper.u,
                          f_samples=stepper.f_samples,
                          residuals=stepper.residuals, wall_time=wall,

@@ -210,7 +210,8 @@ def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``T x = rhs`` for the lower-triangular Toeplitz ``T`` with first
     column ``column``; ``rhs`` is ``(n,)`` or ``(n, k)``.  The far-field sums
     of ``_ToeplitzHistory`` build up in the unsolved rows of ``x``, and each
-    base block then takes one triangular solve."""
+    base block then takes one triangular solve.  NaN and inf pass through
+    to ``x``, where ``solver.solve`` names the first time they reach."""
     from scipy.linalg import solve_triangular
 
     n = rhs.shape[0]
@@ -225,7 +226,8 @@ def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if lo:
             history.far_field(x2, x2, lo)
         x2[lo:hi] = solve_triangular(block[:hi - lo, :hi - lo],
-                                     rhs2[lo:hi] - x2[lo:hi], lower=True)
+                                     rhs2[lo:hi] - x2[lo:hi], lower=True,
+                                     check_finite=False)
     return x
 
 

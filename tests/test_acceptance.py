@@ -157,7 +157,7 @@ def test_criterion_08_pde_sanity(half):
     bc_n = S.BoundaryCondition.neumann_zero()
     grid_n = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(32,),
                            boundary=((bc_n, bc_n),))
-    coeffs = S.CoefficientField.constant([[1.0]])
+    coeffs = S.CoefficientField.constant(1.0)
     fld = S.solve(half, grid_n, coeffs, 3.7, 0.0, 0.5, 64)
     const_dev = float(np.max(np.abs(fld.values - 3.7)))
 
@@ -195,7 +195,7 @@ def test_criterion_10_weak_harnack_ensemble(half):
     bc = S.BoundaryCondition.dirichlet(0.0)
     grid, fine = (S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(n,),
                                 boundary=((bc, bc),)) for n in (64, 128))
-    coeffs = S.CoefficientField.constant([[1.0]])
+    coeffs = S.CoefficientField.constant(1.0)
     ens_64 = H.harnack_ensemble(half, grid, coeffs, n_members=20, seed=7,
                                 n_steps=192, r=0.4, x0=0.5, delta=0.5,
                                 tau=1.0, p=1.0)
@@ -219,7 +219,7 @@ def test_criterion_10_weak_harnack_ensemble(half):
 
 
 def test_criterion_11_holder_profile(half):
-    coeffs = S.CoefficientField.constant([[1.0]])
+    coeffs = S.CoefficientField.constant(1.0)
     bc = S.BoundaryCondition.dirichlet(0.0)
     grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(256,),
                          boundary=((bc, bc),))
@@ -258,7 +258,7 @@ def test_criterion_11_holder_profile(half):
 
 
 def test_criterion_12_strong_maximum_principle(half):
-    coeffs = S.CoefficientField.constant([[1.0]])
+    coeffs = S.CoefficientField.constant(1.0)
     bc_m = S.BoundaryCondition.dirichlet(2.0)
     grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(48,),
                          boundary=((bc_m, bc_m),))

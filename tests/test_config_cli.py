@@ -114,6 +114,41 @@ class TestParsing:
             parse_config("[1, 2]")
         assert "/" in dict(err.value.violations)
 
+    @pytest.mark.parametrize("experiment, pointer, literal", [
+        ("harnack", "/grid/boundary/0/0/value", "NaN"),
+        ("holder", "/grid/boundary/0/1/value", "NaN"),
+        ("solve", "/params/u0/value", "NaN"),
+        ("solve", "/params/f/value", "-Infinity"),
+        ("verify", "/horizon", "Infinity"),
+        ("kernels", "/measure/atoms/0/q", "1e999"),
+    ])
+    def test_non_finite_number_refused(self, tmp_path, capsys, experiment,
+                                       pointer, literal):
+        # Python's json reads these literals; a NaN Dirichlet value used to
+        # give NaN ratios with all_finite true, and an infinite horizon passed
+        data = small_config(experiment, grid={
+            "extents": [[0.0, 1.0]], "n_cells": [16],
+            "boundary": [[{"type": "dirichlet", "value": 0.0}
+                          for _ in range(2)]]})
+        data["params"].update(u0={"kind": "constant", "value": 1.0},
+                              f={"kind": "constant", "value": 0.0})
+        *path, last = pointer[1:].split("/")
+        node = data
+        for key in path:
+            node = node[int(key) if isinstance(node, list) else key]
+        node[int(last) if isinstance(node, list) else last] = "@"
+        text = json.dumps(data).replace('"@"', literal)
+        for source in (text, json.loads(text)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(source)
+            assert err.value.violations == [(pointer, "must be a finite number")]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main([experiment, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert pointer in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_json_text_and_path(self, tmp_path):
         text = json.dumps(small_config())
         from_text = parse_config(text)
@@ -347,8 +382,9 @@ class TestRunners:
         from memkern.config import ExperimentConfig
         from memkern.solver import CoefficientField
 
-        field = CoefficientField(fn=lambda t, x: np.eye(1),
-                                 time_dependent=time_dependent)
+        field = CoefficientField(
+            fn=(lambda t, x: np.ones_like(x)) if time_dependent
+            else np.ones_like, time_dependent=time_dependent)
         monkeypatch.setattr(ExperimentConfig, "coefficients",
                             lambda self, grid: field)
         grid = {"extents": [[0.0, 1.0]], "n_cells": [8],

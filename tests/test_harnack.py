@@ -6,7 +6,7 @@ from memkern.geometry import Cylinder, CylinderKind, phi_bar
 from memkern import harnack as H
 from memkern import solver as S
 
-IDENTITY = S.CoefficientField.constant([[1.0]])
+IDENTITY = S.CoefficientField.constant(1.0)
 
 
 def dirichlet_grid(n=64, value=0.0):
@@ -145,6 +145,13 @@ class TestEnsemble:
 class TestConfigSetup:
     """The ensemble runs on the grid and coefficients it is given."""
 
+    def test_nan_boundary_data_is_never_graded(self, half):
+        # a NaN Dirichlet value used to give NaN ratios with all_finite true
+        with pytest.raises(S.SolverError, match="not finite"):
+            H.harnack_ensemble(half, dirichlet_grid(32, value=np.nan),
+                               IDENTITY, n_members=2, seed=5, n_steps=32,
+                               r=0.4, x0=0.5)
+
     def test_checkerboard_changes_ratios(self, half):
         grid = dirichlet_grid(64)
         checker = S.CoefficientField.checkerboard(0.1, 10.0, 0.1)
@@ -175,8 +182,9 @@ class TestConfigSetup:
             return fld
 
         monkeypatch.setattr(H, "solve", capture)
-        rep = H.harnack_ensemble(half, grid, S.CoefficientField.constant(
-            np.eye(2)), n_members=2, seed=7, n_steps=48, r=0.4, x0=0.5)
+        rep = H.harnack_ensemble(half, grid, S.CoefficientField.constant(1.0),
+                                 n_members=2, seed=7, n_steps=48, r=0.4,
+                                 x0=0.5)
         assert shapes == [(16, 16)] * 2
         assert rep.n_cells == grid.n_total == 256 and rep.all_finite
 
@@ -342,7 +350,7 @@ class TestPointOnEveryAxis:
         bc = S.BoundaryCondition.dirichlet(0.0)
         grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(16, 16),
                              boundary=((bc, bc),) * 2)
-        fld = S.solve(half, grid, S.CoefficientField.constant(np.eye(2)),
+        fld = S.solve(half, grid, S.CoefficientField.constant(1.0),
                       H.member_data(grid, 7, 0), 0.0,
                       2.0 * phi_bar(half, 0.4), 48)
         kw = dict(t0=0.0, r=0.4, delta=0.5, tau=1.0, p=1.0)

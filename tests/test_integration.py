@@ -57,7 +57,7 @@ def test_weak_harnack_ratio_2d(half):
     bc = S.BoundaryCondition.dirichlet(0.0)
     grid = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 1.0)),
                          n_cells=(24, 24), boundary=((bc, bc),) * 2)
-    coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 1.0]])
+    coeffs = S.CoefficientField.constant(1.0)
     xs = grid.axis_centers(0)
     u0 = np.maximum(np.outer(np.sin(np.pi * xs), np.sin(np.pi * xs)), 0.0) \
         + 0.1

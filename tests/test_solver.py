@@ -24,7 +24,7 @@ def neumann_grid(n=32):
                          boundary=((bc, bc),))
 
 
-IDENTITY = S.CoefficientField.constant([[1.0]])
+IDENTITY = S.CoefficientField.constant(1.0)
 
 
 def _is_m_matrix(stepper, t):
@@ -218,7 +218,7 @@ class TestPdeSanity:
         grid2 = S.SpatialGrid(
             extents=((0.0, 1.0), (0.0, 1.0)), n_cells=(8, 8),
             boundary=((S.BoundaryCondition.dirichlet(0.0),) * 2,) * 2)
-        coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 2.0]])
+        coeffs = S.CoefficientField.constant([1.0, 2.0])
         st2 = S.TimeStepper(half, grid2, coeffs, 1.0, 0.0, 0.2, 32)
         assert _is_m_matrix(st2, 0.1)
 
@@ -226,7 +226,7 @@ class TestPdeSanity:
         bcn = S.BoundaryCondition.neumann_zero()
         g2 = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 1.0)),
                            n_cells=(10, 10), boundary=((bcn, bcn),) * 2)
-        coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 1.5]])
+        coeffs = S.CoefficientField.constant([1.0, 1.5])
         fld = S.solve(half, g2, coeffs, 1.25, 0.0, 0.1, 24)
         assert np.max(np.abs(fld.values - 1.25)) <= 1e-12
         g2d = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 1.0)),
@@ -253,7 +253,7 @@ class TestPdeSanity:
         assert np.max(np.abs(base.values - reg.values)) <= 5e-2
 
     def test_checkerboard_coefficients(self, half):
-        cb = S.CoefficientField.checkerboard(0.5, 2.0, 0.25, dim=1)
+        cb = S.CoefficientField.checkerboard(0.5, 2.0, 0.25)
         grid = dirichlet_grid(40)
         u0 = np.maximum(np.sin(2 * np.pi * grid.axis_centers(0)), 0.0)
         fld = S.solve(half, grid, cb, u0, 0.0, 0.2, 40)
@@ -274,7 +274,7 @@ class TestCoefficientBounds:
 
     def test_constant(self, half):
         fld = S.solve(half, self._square(), S.CoefficientField.constant(
-            [[3.0, 0.0], [0.0, 4.0]]), 1.0, 0.0, 0.2, 16)
+            [3.0, 4.0]), 1.0, 0.0, 0.2, 16)
         assert fld.coefficient_bounds == (3.0, 5.0)
 
     def test_table_read_at_every_cell(self, half):
@@ -290,14 +290,14 @@ class TestCoefficientBounds:
     def test_checkerboard_either_way_round(self, half, low, high):
         # the bounds do not depend on which value is passed as low
         fld = S.solve(half, self._square(16),
-                      S.CoefficientField.checkerboard(low, high, 0.125, dim=2),
+                      S.CoefficientField.checkerboard(low, high, 0.125),
                       1.0, 0.0, 0.2, 16)
         assert fld.coefficient_bounds == (0.1, 10.0 * math.sqrt(2.0))
 
     def test_time_dependent_bounds_cover_every_step(self, half):
         # A = (1 + t) I grows over the run: nu is read at the first step,
         # lam at the last, not at t = 0
-        coeffs = S.CoefficientField(fn=lambda t, x: (1.0 + t) * np.eye(1),
+        coeffs = S.CoefficientField(fn=lambda t, x: (1.0 + t) * np.ones_like(x),
                                     time_dependent=True)
         fld = S.solve(half, dirichlet_grid(8), coeffs, 1.0, 0.0, 1.0, 16)
         assert fld.coefficient_bounds == (1.0 + 1.0 / 16, 2.0)
@@ -306,7 +306,7 @@ class TestCoefficientBounds:
     def test_dirichlet_face_midpoints_count(self, half):
         # A is 4 at the boundary faces only, which no cell centre sees
         coeffs = S.CoefficientField(
-            fn=lambda t, x: np.eye(1) * (4.0 if x[0] in (0.0, 1.0) else 1.0))
+            fn=lambda x: np.where((x == 0.0) | (x == 1.0), 4.0, 1.0))
         fld = S.solve(half, dirichlet_grid(8), coeffs, 1.0, 0.0, 0.2, 16)
         assert fld.coefficient_bounds == (1.0, 4.0)
         neumann = S.solve(half, neumann_grid(8), coeffs, 1.0, 0.0, 0.2, 16)
@@ -317,26 +317,56 @@ class TestCoefficientBounds:
                       reaction=1.0)
         assert fld.coefficient_bounds is None
 
-    @pytest.mark.parametrize("matrix", [[[1.0, 0.9], [0.9, 1.0]],
-                                        [[1.0, 0.0], [0.0, -1.0]]],
-                             ids=["off-diagonal", "negative"])
-    def test_non_diagonal_or_nonpositive_a_raises(self, half, matrix):
-        # named at the first step time and the first cell centre
+    @pytest.mark.parametrize("diagonal", [[1.0, -1.0], [0.0, 1.0],
+                                          [1.0, np.nan], np.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_entry_not_finite_and_positive_raises(self, half, diagonal):
+        # named at the first step time and the first cell centre, an
+        # infinite entry included
         with pytest.raises(S.SolverError, match=re.escape(
-                "A(t=0.0125, x=[0.0625, 0.0625]) is not diagonal")):
-            S.solve(half, self._square(), S.CoefficientField.constant(matrix),
-                    1.0, 0.0, 0.2, 16)
+                "A(t=0.0125, x=[0.0625, 0.0625]) is not finite and positive")):
+            S.solve(half, self._square(),
+                    S.CoefficientField.constant(diagonal), 1.0, 0.0, 0.2, 16)
 
-    def test_off_diagonal_found_at_any_time_and_point(self, half):
-        # diagonal until t = 0.1, then off-diagonal at one face midpoint
+    def test_bad_entry_found_at_any_time_and_point(self, half):
+        # positive until t = 0.1, then 0 at one face midpoint
         def fn(t, x):
-            off = 0.5 if t > 0.1 and x[0] == 1.0 and x[1] < 0.1 else 0.0
-            return np.array([[1.0, off], [off, 1.0]])
+            at = (x[..., 0] == 1.0) & (x[..., 1] < 0.1) & (t > 0.1)
+            return np.where(at[..., None], 0.0, np.ones_like(x))
 
         coeffs = S.CoefficientField(fn=fn, time_dependent=True)
         with pytest.raises(S.SolverError,
                            match=re.escape("A(t=0.1125, x=[1.0, 0.0625])")):
             S.solve(half, self._square(), coeffs, 1.0, 0.0, 0.2, 16)
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 2.0, 3.0], [[1.0, 0.5],
+                                                             [0.0, 1.0]]],
+                             ids=["three-entries", "matrix"])
+    def test_wrong_diagonal_shape_raises(self, half, diagonal):
+        with pytest.raises(S.SolverError, match=re.escape(
+                "A(t=0.0125) has a diagonal of shape")):
+            S.solve(half, self._square(),
+                    S.CoefficientField.constant(diagonal), 1.0, 0.0, 0.2, 16)
+
+    def test_field_read_once_per_point_set(self, half):
+        # cell centres and the 4 Dirichlet faces, at the one assembly
+        shapes = []
+
+        def fn(x):
+            shapes.append(x.shape)
+            return np.ones_like(x)
+
+        S.solve(half, self._square(), S.CoefficientField(fn=fn), 1.0, 0.0,
+                0.2, 16)
+        assert shapes == [(8, 8, 2), (1, 8, 2), (1, 8, 2), (8, 1, 2),
+                          (8, 1, 2)]
+
+    def test_static_field_never_receives_t(self, half):
+        # a field of (t, x) that is not declared time dependent raises at
+        # its first read instead of being frozen at t_1
+        coeffs = S.CoefficientField(fn=lambda t, x: (1.0 + t) * np.ones_like(x))
+        with pytest.raises(TypeError):
+            S.solve(half, dirichlet_grid(8), coeffs, 1.0, 0.0, 1.0, 16)
 
 
 class TestBlockHistory:
@@ -356,7 +386,7 @@ class TestBlockHistory:
             grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(24, 24),
                                  boundary=((bc, bc),) * 2)
             n_steps, f = 768, 0.0
-            coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 0.8]])
+            coeffs = S.CoefficientField.constant([1.0, 0.8])
         u0 = np.maximum(np.random.default_rng(4).normal(size=grid.shape), 0.0)
         fld = S.solve(spec, grid, coeffs, u0, f, 1.0, n_steps)
         ref = DirectHistoryStepper(spec, grid, coeffs, u0, f, 1.0, n_steps)
@@ -383,7 +413,7 @@ class TestStepResiduals:
             grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(12, 12),
                                  boundary=((bc, bc),) * 2)
             n_steps, f = 160, 0.0
-            coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 0.8]])
+            coeffs = S.CoefficientField.constant([1.0, 0.8])
         else:
             # a check of a block against its last matrix reads 0.15-0.25 here
             bc = S.BoundaryCondition.dirichlet(lambda t, x: 0.1 * t)
@@ -391,7 +421,7 @@ class TestStepResiduals:
                                  boundary=((bc, bc),))
             n_steps, f = 150, 0.0
             coeffs = S.CoefficientField(
-                fn=lambda t, x: (1.0 + t + x[0]) * np.eye(1),
+                fn=lambda t, x: 1.0 + t + x,
                 time_dependent=True)
         u0 = np.maximum(rng.normal(size=grid.shape), 0.0)
         stepper = PerStepResidualStepper(half, grid, coeffs, u0, f, 1.0,
@@ -413,7 +443,7 @@ class TestAssembly:
         bc = S.BoundaryCondition.dirichlet(lambda t, x: x[0] + 2.0 * x[1])
         grid = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 2.0)), n_cells=(12, 9),
                              boundary=((bc, bc),) * 2)
-        coeffs = S.CoefficientField.constant([[1.0, 0.0], [0.0, 3.0]])
+        coeffs = S.CoefficientField.constant([1.0, 3.0])
         fld = S.solve(half, grid, coeffs, lambda t, x: x[0] + 2.0 * x[1],
                       0.0, 0.5, 32)
         exact = grid.centers() @ np.array([1.0, 2.0])
@@ -427,10 +457,10 @@ class TestAssembly:
         sheet = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 0.7)),
                               n_cells=(20, 6), boundary=((bcd, bcd), (bcn, bcn)))
         u0 = lambda t, x: np.sin(np.pi * x[0]) ** 2
-        one = S.solve(half, line, S.CoefficientField.constant([[1.3]]),
+        one = S.solve(half, line, S.CoefficientField.constant(1.3),
                       u0, 0.2, 0.5, 48)
         two = S.solve(half, sheet,
-                      S.CoefficientField.constant([[1.3, 0.0], [0.0, 0.4]]),
+                      S.CoefficientField.constant([1.3, 0.4]),
                       u0, 0.2, 0.5, 48)
         assert np.max(np.abs(two.values - one.values[..., None])) <= 1e-12
 
@@ -453,13 +483,13 @@ class TestAssembly:
 
         def fn(t, x):
             calls.append(t)
-            return np.eye(dim)
+            return np.ones_like(x)
 
         flagged = S.CoefficientField(fn=fn, time_dependent=True)
         u0 = np.random.default_rng(3).random(grid.shape)
         fld = S.solve(half, grid, flagged, u0, 0.0, 0.4, 24)
         assert sorted(set(calls)) == [m * fld.step for m in range(1, 25)]
-        cached = S.solve(half, grid, S.CoefficientField.constant(np.eye(dim)),
+        cached = S.solve(half, grid, S.CoefficientField.constant(1.0),
                          u0, 0.0, 0.4, 24)
         assert np.array_equal(fld.values, cached.values)
 
@@ -511,6 +541,30 @@ class TestValidationErrors:
             S.solve(half, grid, coeffs, 1.0, 0.0, 1.0, n_steps, reaction=1.0,
                     kernel_cumulative=cum)
 
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(S.SolverError):
-            S.CoefficientField.constant([[1.0, 0.5], [0.0, 1.0]])
+    @pytest.mark.parametrize("case, t_bad", [
+        ("u0", 0.0), ("f", 0.0625), ("dirichlet", 0.0625),
+        ("dirichlet-late", 0.5), ("relaxation", 0.0)])
+    def test_non_finite_trajectory_raises(self, half, case, t_bad):
+        grid, u0, f = dirichlet_grid(8), 1.0, 0.0
+        if case == "u0":
+            u0 = np.where(np.arange(8) == 3, np.nan, 1.0)
+        elif case == "f":
+            f = np.nan
+        elif case == "dirichlet":
+            grid = dirichlet_grid(8, value=np.nan)
+        elif case == "dirichlet-late":
+            bc = S.BoundaryCondition.dirichlet(
+                lambda t, x: np.inf if t >= 0.5 else 0.0)
+            grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(8,),
+                                 boundary=((bc, bc),))
+        else:
+            grid, u0 = S.SpatialGrid(), np.nan
+        coeffs = None if grid.dim == 0 else IDENTITY
+        with pytest.raises(S.SolverError, match=re.escape(
+                f"not finite from t = {t_bad} on")):
+            S.solve(half, grid, coeffs, u0, f, 1.0, 16, reaction=1.0)
+
+    def test_table_of_wrong_shape_rejected(self):
+        grid = dirichlet_grid(8)
+        with pytest.raises(S.SolverError, match=r"table shape \(7,\)"):
+            S.CoefficientField.from_table(np.ones(7), grid)
