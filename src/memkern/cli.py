@@ -77,6 +77,7 @@ def _write_manifest(out: Path, config: ExperimentConfig, seed: int,
         "seed": seed,
         "experiment": config.experiment,
         "config": config.to_dict(),
+        "unread_keys": list(config.unread_keys),
     }
     manifest.update(extra)
     _write_json(out / "manifest.json", manifest)

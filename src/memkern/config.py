@@ -1,9 +1,9 @@
 """Declarative experiment configs: parsing, validation, canonical hashing.
 
-Configs are plain JSON.  Validation reports every problem it finds as a
-(json-pointer, message) pair so a bad file can be fixed in one pass, and the
-canonical serialization (sorted keys, repr floats) is what gets hashed into
-result manifests for reproducibility.
+Configs are plain JSON, checked against one key table, ``_SCHEMA``; every
+problem is reported as a (json-pointer, message) pair, so a bad file can be
+fixed in one pass.  The canonical serialization (sorted keys, repr floats)
+is hashed into result manifests.
 """
 
 from __future__ import annotations
@@ -11,14 +11,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .measure import MeasureSpec, gamma_bar, validate_measure
 from .harnack import critical_exponent
-from .solver import BoundaryCondition, CoefficientField, SpatialGrid
+from .solver import (BoundaryCondition, CoefficientField, SolverError,
+                     SpatialGrid)
 
 __all__ = [
     "ConfigError",
@@ -29,28 +32,84 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("kernels", "verify", "solve", "harnack", "holder")
+REQUIRED, ABSENT = object(), object()  # defaults of keys that have none
 
-_DEFAULT_PARAMS: dict = {
-    "delta": 0.5,
-    "tau": 1.0,
-    "p": 1.0,
-    "theta": 1.0,
-    "eta": 0.25,
-    "t0": 0.0,
-    "x0": 0.5,
-    "x1": 0.4,
-    "t1": None,
-    "r": 0.2,
-    "n_yosida": 256,
-    "seed": 0,
-    "n_members": 20,
-    "ode_lambda": 1.0,
-    "levels": [1, 2, 3, 4],
-    "u0": {"kind": "sine", "amplitude": 1.0},
-    "f": {"kind": "constant", "value": 0.0},
+
+class Key(NamedTuple):
+    """``type`` is a JSON type name, a key table (an object), ``_Kinds`` or
+    ``[Key]`` (an array of such items); ``rule`` the allowed values, or
+    bounds such as ``"> 0, < 1"`` (of the length, for an array).  A key
+    whose default is None may be null, and one with ``needs`` is read only
+    when that sibling is true."""
+    type: object
+    default: object = REQUIRED
+    rule: object = None
+    read_by: tuple = EXPERIMENTS
+    needs: str | None = None
+
+
+class _Kinds(dict):
+    """Key tables by an object's ``kind``; the first kind is the default."""
+
+
+_GRIDDED = ("solve", "harnack", "holder")
+_NUMBERS = Key([Key("number")], [])
+_SIDE = {"type": Key("string", "dirichlet", ("dirichlet", "neumann_zero")),
+         "value": Key("number", 0.0)}
+_SCHEMA = {
+    "experiment": Key("string", REQUIRED, EXPERIMENTS),
+    "measure": Key({
+        "atoms": Key([Key({"alpha": Key("number"), "q": Key("number")})], []),
+        "weight": Key({"breaks": _NUMBERS, "values": _NUMBERS}, None),
+        "gamma_slack": Key("number", 0.01)}),
+    "horizon": Key("number", 1.0, "> 0", ("kernels", "verify", "solve")),
+    "n_steps": Key("integer", 256, ">= 16"),
+    "grid": Key({"extents": Key([Key([Key("number")], REQUIRED, "== 2")],
+                                []),
+                 "n_cells": Key([Key("integer", REQUIRED, ">= 3")], []),
+                 "boundary": Key([Key([Key(_SIDE)], REQUIRED, "== 2")], [])},
+                None, None, _GRIDDED),
+    "coefficients": Key(_Kinds(
+        constant={"matrix": Key("array", None)},
+        checkerboard=dict.fromkeys(("low", "high", "period"),
+                                   Key("number", REQUIRED, "> 0")),
+        table={"values": Key("array")}), None, None, _GRIDDED),
+    "params": Key({
+        "delta": Key("number", 0.5, "> 0, < 1", ("harnack",)),
+        "tau": Key("number", 1.0, "> 0", ("harnack",)),
+        "p": Key("number", 1.0, "> 0", ("harnack",)),
+        "theta": Key("number", 1.0, ">= 0", ("kernels", "holder")),
+        "eta": Key("number", 0.25, "> 0", ("holder",)),
+        "t0": Key("number", 0.0, ">= 0", ("harnack",)),
+        "x0": Key("number", 0.5, None, ("harnack",)),
+        "x1": Key("number", 0.4, None, ("holder",)),
+        "t1": Key("number", None, "> 0", ("holder",)),
+        "r": Key("number", 0.2, "> 0", ("verify", "harnack", "holder")),
+        "n_yosida": Key("integer", 256, ">= 1", ("solve",), "use_yosida"),
+        "seed": Key("integer", 0, ">= 0"),
+        "n_members": Key("integer", 20, ">= 1", ("harnack",)),
+        "ode_lambda": Key("number", 1.0, None, ("solve",)),
+        "levels": Key([Key("integer")], [1, 2, 3, 4], ">= 3", ("holder",)),
+        "u0": Key(_Kinds(constant={"value": Key("number", 1.0)},
+                         sine={"amplitude": Key("number", 1.0)},
+                         fourier={"member": Key("integer", 0, ">= 0")}),
+                  {"kind": "sine", "amplitude": 1.0}, None,
+                  ("solve", "holder")),
+        "f": Key(_Kinds(constant={"value": Key("number", 0.0)}),
+                 {"kind": "constant", "value": 0.0}, None, ("solve",)),
+        "use_yosida": Key("boolean", ABSENT, None, ("solve",)),
+        "p_scaling": Key("number", ABSENT, ">= 1", ("verify",)),
+    }, {}),
 }
 
-
+# JSON type -> (the exact Python types json gives for it, its name in a
+# message); so a bool is neither a number nor an integer
+_JSON = {"number": ((int, float), "a number"),
+         "integer": ((int,), "an integer"),
+         "boolean": ((bool,), "true or false"), "string": ((str,), "a string"),
+         "array": ((list,), "an array"), "object": ((dict,), "an object")}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+        "==": operator.eq}
 _FALLBACK_CELLS = {"harnack": 64, "holder": 256}
 
 
@@ -70,14 +129,26 @@ class ExperimentConfig:
     grid_spec: dict | None
     coefficients_spec: dict | None
     params: dict
+    # pointers of the file's keys that this experiment does not read
+    unread_keys: tuple[str, ...] = field(default=(), compare=False)
 
     def grid(self) -> SpatialGrid:
         """The config's grid.  Without one, harnack and holder run on (0, 1),
         Dirichlet 0, with 64 or 256 cells, kept out of ``to_dict``."""
-        return _grid_from_dict(_with_fallback(self.grid_spec, self.experiment))
+        return _grid_from_dict(self.grid_spec, self.experiment)
 
     def coefficients(self, grid: SpatialGrid) -> CoefficientField:
-        return _coeffs_from_dict(self.coefficients_spec or {}, grid)
+        data = self.coefficients_spec or {}
+        kind = data.get("kind", "constant")
+        if kind == "checkerboard":
+            return CoefficientField.checkerboard(float(data["low"]),
+                                                 float(data["high"]),
+                                                 float(data["period"]))
+        if kind == "table":
+            return CoefficientField.from_table(data["values"], grid)
+        mat = data.get("matrix")
+        return CoefficientField.constant(1.0 if mat is None
+                                         else np.diagonal(mat))
 
     def to_dict(self) -> dict:
         out = {
@@ -98,93 +169,31 @@ class ExperimentConfig:
 # sub-object builders
 
 
-def _with_fallback(grid_spec: dict | None, experiment: str) -> dict:
-    if grid_spec is None and experiment in _FALLBACK_CELLS:
-        return {"extents": [[0.0, 1.0]],
+def _grid_from_dict(data: dict | None, experiment: str) -> SpatialGrid:
+    if data is None and experiment in _FALLBACK_CELLS:
+        data = {"extents": [[0.0, 1.0]],
                 "n_cells": [_FALLBACK_CELLS[experiment]]}
-    return grid_spec or {}
+    data = data or {}
 
+    def side(bc: dict) -> BoundaryCondition:
+        if bc.get("type") == "neumann_zero":
+            return BoundaryCondition.neumann_zero()
+        return BoundaryCondition.dirichlet(float(bc.get("value", 0.0)))
 
-def _grid_from_dict(data: dict) -> SpatialGrid:
-    extents = tuple(tuple(float(v) for v in e) for e in data.get("extents", ()))
-    n_cells = tuple(int(n) for n in data.get("n_cells", ()))
-    bcs = []
-    for axis, pair in enumerate(data.get("boundary", ())):
-        ax = []
-        for i, side in enumerate(pair):
-            kind = side.get("type", "dirichlet")
-            if kind == "dirichlet":
-                ax.append(BoundaryCondition.dirichlet(float(side.get("value", 0.0))))
-            elif kind == "neumann_zero":
-                ax.append(BoundaryCondition.neumann_zero())
-            else:
-                raise ConfigError([(f"/grid/boundary/{axis}/{i}/type",
-                                    f"unknown boundary type {kind!r}; use "
-                                    "'dirichlet' or 'neumann_zero'")])
-        bcs.append(tuple(ax))
-    return SpatialGrid(extents=extents, n_cells=n_cells, boundary=tuple(bcs))
-
-
-def _coeffs_from_dict(data: dict, grid: SpatialGrid) -> CoefficientField:
-    kind = data.get("kind", "constant")
-    if kind == "constant":
-        mat = data.get("matrix")
-        return CoefficientField.constant(1.0 if mat is None
-                                         else np.diagonal(mat))
-    if kind == "checkerboard":
-        return CoefficientField.checkerboard(float(data["low"]),
-                                             float(data["high"]),
-                                             float(data["period"]))
-    if kind == "table":
-        return CoefficientField.from_table(data["values"], grid)
-    raise ConfigError([("/coefficients/kind", f"unknown kind {kind!r}")])
+    return SpatialGrid(
+        extents=tuple(tuple(map(float, e)) for e in data.get("extents", ())),
+        n_cells=tuple(map(int, data.get("n_cells", ()))),
+        boundary=tuple(tuple(map(side, pair))
+                       for pair in data.get("boundary", ())))
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _validate_measure_dict(data, bad: list[tuple[str, str]]) -> None:
-    """JSON-shape checks; ``validate_measure`` checks the values."""
-    if not isinstance(data, dict):
-        bad.append(("/measure", "must be an object"))
-        return
-    shape = []
-
-    def container(ptr, value, kind):
-        """``value`` if it is a JSON ``kind``, else an empty one."""
-        if isinstance(value, kind):
-            return value
-        name = "an object" if kind is dict else "an array"
-        shape.append((f"/measure/{ptr}", f"must be {name}"))
-        return kind()
-
-    weight = container("weight", data.get("weight") or {}, dict)
-    entries = [(f"atoms/{i}/{key}", atom.get(key) if isinstance(atom, dict)
-                else None)
-               for i, atom in enumerate(container("atoms",
-                                                  data.get("atoms", []), list))
-               for key in ("alpha", "q")]
-    entries += [(f"weight/{key}/{i}", v) for key in ("breaks", "values")
-                for i, v in enumerate(container(f"weight/{key}",
-                                                weight.get(key, []), list))]
-    entries.append(("gamma_slack", data.get("gamma_slack", 0.01)))
-    shape += [(f"/measure/{ptr}", "must be a number") for ptr, v in entries
-              if type(v) not in (int, float)]  # bool is not a number here
-    bad.extend(shape)
-    if not shape:
-        bad.extend(("/measure" + v.pointer, v.message)
-                   for v in validate_measure(MeasureSpec.from_dict(data))
-                   .violations)
-
-
-def _number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)  # not bool
-
-
 def _non_finite(value, ptr: str = ""):
     """JSON pointers of the NaN and infinite numbers in ``value``."""
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, item in items:
             yield from _non_finite(item, f"{ptr}/{key}")
@@ -192,52 +201,75 @@ def _non_finite(value, ptr: str = ""):
         yield ptr
 
 
-# kind -> (required keys, optional keys) of ``coefficients``
-_COEFFICIENT_KEYS = {"constant": ((), ("matrix",)),
-                     "checkerboard": (("low", "high", "period"), ()),
-                     "table": (("values",), ())}
+def _walk(data: dict, experiment) -> tuple[list, list]:
+    """The violations of ``data`` against ``_SCHEMA``, and the pointers of
+    its keys that ``experiment`` does not read (checked all the same)."""
+    bad, unread = [], []
+
+    def check(value, key: Key, ptr: str) -> None:
+        types, name = _JSON[key.type if isinstance(key.type, str) else "array"
+                            if isinstance(key.type, list) else "object"]
+        size = len(value) if type(value) is list else value
+        if value is None and key.default is None:
+            return
+        if type(value) not in types:
+            bad.append((ptr, f"must be {name}"))
+        elif isinstance(key.rule, tuple) and value not in key.rule:
+            bad.append((ptr, f"must be one of {key.rule}, not {value!r}"))
+        elif isinstance(key.rule, str) and not all(
+                _OPS[op](size, float(bound))
+                for op, bound in map(str.split, key.rule.split(", "))):
+            what = "an array of length" if type(value) is list else name
+            bad.append((ptr, f"must be {what} {key.rule}"))
+        elif isinstance(key.type, list):
+            for i, item in enumerate(value):
+                check(item, key.type[0], f"{ptr}/{i}")
+        elif isinstance(key.type, dict):
+            check_object(value, key.type, ptr)
+
+    def check_object(obj: dict, table: dict, ptr: str) -> None:
+        if isinstance(table, _Kinds):
+            kind = obj.get("kind", next(iter(table)))
+            if type(kind) is not str or kind not in table:
+                return bad.append((f"{ptr}/kind", "must be one of "
+                                   f"{tuple(table)}, not {kind!r}"))
+            table = {"kind": Key("string"), **table[kind]}
+        for name, value in obj.items():
+            key = table.get(name)
+            if key is None:
+                bad.append((f"{ptr}/{name}",
+                            "unknown key; use one of " + ", ".join(table)))
+                continue
+            active = key.needs is None or obj.get(key.needs)
+            if active:
+                check(value, key, f"{ptr}/{name}")
+            if not active or experiment not in key.read_by:
+                unread.append(f"{ptr}/{name}")
+        bad.extend((f"{ptr}/{name}", "required") for name, key in table.items()
+                   if key.default is REQUIRED and name not in obj)
+
+    check_object(data, _SCHEMA, "")
+    return bad, unread
 
 
-def _validate_coefficients(data, grid: SpatialGrid | None,
-                           bad: list[tuple[str, str]]) -> None:
-    """The kind, the keys it takes and those it requires, positive numbers,
-    a diagonal matrix with positive entries and a table in the grid's shape
-    (these two only when the grid itself is valid)."""
-    if not isinstance(data, dict):
-        bad.append(("/coefficients", "must be an object"))
-        return
-    kind = data.get("kind", "constant")
-    if kind not in _COEFFICIENT_KEYS:
-        bad.append(("/coefficients/kind", f"unknown kind {kind!r}; use one "
-                    f"of {tuple(_COEFFICIENT_KEYS)}"))
-        return
-    required, optional = _COEFFICIENT_KEYS[kind]
-    taken = ("kind",) + required + optional
-    bad.extend((f"/coefficients/{key}", f"{kind!r} coefficients take only "
-                f"{taken}") for key in data if key not in taken)
-    given = {key: data[key] for key in required + optional
-             if data.get(key) is not None}
-    bad.extend((f"/coefficients/{key}", "required") for key in required
-               if key not in given)
-    bad.extend((f"/coefficients/{key}", "must be a positive number")
-               for key, value in given.items()
-               if key not in ("matrix", "values")
-               and not (_number(value) and value > 0))
-    if grid is None:
-        return
-    d = max(grid.dim, 1)
+def _coefficient_values(data: dict, grid: SpatialGrid) -> list:
+    """Violations of a ``matrix`` that is not diagonal with positive entries
+    and of a ``values`` table not of positive numbers in the grid's shape."""
+    d, bad = max(grid.dim, 1), []
     for key, shape, what in (
             ("matrix", (d, d), "a diagonal matrix with positive entries"),
             ("values", grid.shape, "positive numbers")):
-        if key not in given:
+        if data.get(key) is None:
             continue
-        arr = np.asarray(given[key], dtype=object)
-        if arr.shape == shape and all(map(_number, arr.ravel())):
+        arr = np.asarray(data[key], dtype=object)
+        if arr.shape == shape and all(type(v) in (int, float)
+                                      for v in arr.ravel()):
             arr = arr.astype(float)
             if np.all(arr > 0 if key == "values" else np.where(
                     np.eye(d, dtype=bool), arr > 0, arr == 0)):
                 continue
         bad.append((f"/coefficients/{key}", f"must be {what} of shape {shape}"))
+    return bad
 
 
 def parse_config(source, experiment: str | None = None,
@@ -247,109 +279,70 @@ def parse_config(source, experiment: str | None = None,
 
     ``experiment``, ``n_steps`` and ``seed``, when given, replace the
     file's own before validation, so a subcommand's rules apply to the
-    config it runs and an override meets the file's rule.
-    Raises ``ConfigError`` carrying every (json-pointer, message) violation;
-    a NaN or infinite number (Python's ``json`` reads ``NaN``, ``Infinity``
-    and ``1e999``) is refused before the other checks, which compare numbers.
+    config it runs and an override meets the file's rule.  Raises
+    ``ConfigError`` with every (json-pointer, message) violation: first
+    the NaN and infinite numbers (Python's ``json`` reads ``NaN``,
+    ``Infinity`` and ``1e999``), then the keys not in ``_SCHEMA`` and the
+    values of the wrong type or range, then what depends on other keys.
+    A key that this experiment does not read goes to ``unread_keys``.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if os.path.exists(text):
-            with open(text) as fh:
-                text = fh.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([("/", f"not valid JSON: {exc}")]) from exc
+    text = source
+    if not isinstance(source, dict) and os.path.exists(str(source)):
+        with open(source) as fh:
+            text = fh.read()
+    try:  # a dict as json gives it back: no numpy scalars, no tuples
+        if isinstance(text, dict):
+            text = json.dumps(text, default=_json_default)
+        data = json.loads(str(text))
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError([("/", f"not valid JSON: {exc}")]) from exc
     if not isinstance(data, dict):
         raise ConfigError([("/", "must be an object")])
-
-    bad: list[tuple[str, str]] = [(ptr, "must be a finite number")
-                                  for ptr in _non_finite(data)]
+    bad = [(ptr, "must be a finite number") for ptr in _non_finite(data)]
     if bad:
         raise ConfigError(bad)
-    if n_steps is not None:
-        data = dict(data, n_steps=n_steps)
-    if experiment is None:
-        experiment = data.get("experiment")
-    if experiment not in EXPERIMENTS:
-        bad.append(("/experiment", f"must be one of {EXPERIMENTS}"))
-    if "measure" not in data:
-        bad.append(("/measure", "required"))
-    else:
-        _validate_measure_dict(data["measure"], bad)
-    horizon = data.get("horizon", 1.0)
-    if not (isinstance(horizon, (int, float)) and horizon > 0.0):
-        bad.append(("/horizon", "must be a positive number"))
-    n_steps = data.get("n_steps", 256)
-    if not (isinstance(n_steps, int) and n_steps >= 16):
-        bad.append(("/n_steps", "must be an integer >= 16"))
 
-    params = dict(_DEFAULT_PARAMS)
-    raw_params = data.get("params", {})
-    if not isinstance(raw_params, dict):
-        bad.append(("/params", "must be an object"))
-        raw_params = {}
-    params.update(raw_params)
-    if seed is not None:
-        params["seed"] = seed
-    for key, low in (("n_members", 1), ("seed", 0)):
-        if not (type(params[key]) is int and params[key] >= low):
-            bad.append((f"/params/{key}", f"must be an integer >= {low}"))
-    n_yosida = params["n_yosida"]  # "type is int" also refuses JSON true
-    if params.get("use_yosida") and not (type(n_yosida) is int
-                                         and n_yosida >= 1):
-        bad.append(("/params/n_yosida", "must be an integer >= 1"))
-    f_desc = params["f"]  # solve takes a constant source term only
-    if not (isinstance(f_desc, dict)
-            and f_desc.get("kind", "constant") == "constant"):
-        bad.append(("/params/f/kind", "the only source kind is 'constant'"))
+    data.update((k, v) for k, v in (("experiment", experiment),
+                                    ("n_steps", n_steps)) if v is not None)
+    if seed is not None and isinstance(data.setdefault("params", {}), dict):
+        data["params"]["seed"] = seed
+    experiment = data.get("experiment")
+    bad, unread = _walk(data, experiment)
+    if bad:
+        raise ConfigError(bad)
 
-    grid_spec = data.get("grid")
-    grid = None  # see ExperimentConfig.grid
+    measure = MeasureSpec.from_dict(data["measure"])
+    bad = [("/measure" + v.pointer, v.message)
+           for v in validate_measure(measure).violations]
     try:
-        grid = _grid_from_dict(_with_fallback(grid_spec, experiment))
-    except ConfigError as exc:
-        bad.extend(exc.violations)
-    except Exception as exc:
-        bad.append(("/grid", str(exc)))
-    else:
-        if grid.dim == 0 and experiment in _FALLBACK_CELLS:
-            bad.append(("/grid", f"{experiment} needs a 1d or 2d grid"))
+        grid = _grid_from_dict(data.get("grid"), experiment)
+    except SolverError as exc:
+        raise ConfigError(bad + [("/grid", str(exc))]) from None
+    if grid.dim == 0 and experiment in _FALLBACK_CELLS:
+        bad.append(("/grid", f"{experiment} needs a 1d or 2d grid"))
+    bad += _coefficient_values(data.get("coefficients") or {}, grid)
+    params = {name: key.default for name, key in
+              _SCHEMA["params"].type.items() if key.default is not ABSENT}
+    params.update(data.get("params", {}))
     # a solve config without a grid runs in the space-free relaxation mode
-    n_dim = int(experiment in _FALLBACK_CELLS) if grid is None else grid.dim
-    if data.get("coefficients") is not None:
-        _validate_coefficients(data["coefficients"], grid, bad)
-
-    u0 = params["u0"]
-    kind = u0.get("kind", "constant") if isinstance(u0, dict) else None
-    if kind not in ("constant", "sine", "fourier"):
-        bad.append(("/params/u0/kind", "use 'constant', 'sine' or 'fourier'"))
-    elif experiment == "solve" and n_dim == 0 and "u0" in raw_params \
-            and kind != "constant":
+    if experiment == "solve" and grid.dim == 0 \
+            and "u0" in data.get("params", {}) \
+            and params["u0"].get("kind", "constant") != "constant":
         bad.append(("/params/u0/kind", "a solve without a grid takes only "
                     "'constant' initial data"))
-
     if not bad and experiment == "harnack":
-        kappa = critical_exponent(
-            gamma_bar(MeasureSpec.from_dict(data["measure"])), n_dim)
-        if not (0.0 < float(params["p"]) < kappa):
+        kappa = critical_exponent(gamma_bar(measure), grid.dim)
+        if params["p"] >= kappa:
             bad.append(("/params/p",
                         f"p exceeds the critical exponent bound {kappa:.6g}"))
-
     if bad:
         raise ConfigError(bad)
     return ExperimentConfig(
-        experiment=experiment,
-        measure=MeasureSpec.from_dict(data["measure"]),
-        horizon=float(horizon),
-        n_steps=int(n_steps),
-        grid_spec=grid_spec,
-        coefficients_spec=data.get("coefficients"),
-        params=params,
-    )
+        experiment=experiment, measure=measure,
+        horizon=float(data.get("horizon", _SCHEMA["horizon"].default)),
+        n_steps=int(data.get("n_steps", _SCHEMA["n_steps"].default)),
+        grid_spec=data.get("grid"), coefficients_spec=data.get("coefficients"),
+        params=params, unread_keys=tuple(unread))
 
 
 # ---------------------------------------------------------------------------

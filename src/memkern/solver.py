@@ -392,31 +392,34 @@ class TimeStepper:
             max(lam, float(np.linalg.norm(diag, axis=-1).max())))
         return diag
 
-    def _dirichlet(self, t: float):
+    def _dirichlet(self, t: float, faces=None):
         """Ghost-cell closure of the Dirichlet faces at t, as grid arrays:
         ``2 a / h^2`` on the diagonal and ``2 a g / h^2`` on the right, with
-        ``a`` the diffusivity at the face midpoint."""
+        ``a`` the diffusivity at the face midpoint; and those ``a``.  Given
+        the ``a`` of an earlier call, it samples only g again."""
         grid = self.grid
-        diag, rhs_bc = np.zeros(grid.shape), np.zeros(grid.shape)
+        diag, rhs_bc, a_faces = np.zeros(grid.shape), np.zeros(grid.shape), []
         for axis, h in enumerate(grid.spacing):
             for which, bc in enumerate(grid.boundary[axis]):
                 if bc.kind == "neumann_zero":
                     continue
                 points = _face_points(grid, axis, which)
-                a_face = self._diffusivity(t, points)[..., axis]
+                a_face = self._diffusivity(t, points)[..., axis] \
+                    if faces is None else faces[len(a_faces)]
+                a_faces.append(a_face)
                 g = np.array([bc.value_at(t, x) for x in
                               points.reshape(-1, grid.dim)]).reshape(a_face.shape)
                 cells = _along(grid.dim, axis,
                                slice(0, 1) if which == 0 else slice(-1, None))
                 diag[cells] += 2.0 * a_face / h**2
                 rhs_bc[cells] += 2.0 * a_face * g / h**2
-        return diag, rhs_bc
+        return diag, rhs_bc, a_faces
 
     def _assemble(self, t: float):
-        """Flux-form ``L_t`` as a sparse matrix, and the boundary vector at
-        ``t``.  An interior face carries the mean diffusivity of its two
-        cells, a Dirichlet face the diffusivity at its midpoint (see
-        ``_dirichlet``)."""
+        """Flux-form ``L_t`` as a sparse matrix, the boundary vector at
+        ``t`` and the Dirichlet face diffusivities.  An interior face carries
+        the mean diffusivity of its two cells, a Dirichlet face the
+        diffusivity at its midpoint (see ``_dirichlet``)."""
         from scipy import sparse
 
         grid = self.grid
@@ -434,34 +437,36 @@ class TimeStepper:
             rows += [idx[lo].ravel(), idx[hi].ravel()]
             cols += [idx[hi].ravel(), idx[lo].ravel()]
             vals += [-coef.ravel()] * 2
-        bc_diag, rhs_bc = self._dirichlet(t)
+        bc_diag, rhs_bc, faces = self._dirichlet(t)
         diag += bc_diag
         n = grid.n_total
         mat = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
-        return mat + sparse.diags(diag.ravel()), rhs_bc.ravel()
+        return mat + sparse.diags(diag.ravel()), rhs_bc.ravel(), faces
 
     def _factorise(self, t: float):
-        """``(full, splu(full), rhs_bc, (nu, lam))`` at ``t``, with ``full``
-        the step matrix ``beta_{m,m} I + L_t`` and ``(nu, lam)`` the
-        ``coefficient_bounds`` of this stepper's reads of A up to here."""
+        """``(full, splu(full), rhs_bc, (nu, lam), faces)`` at ``t``, with
+        ``full`` the step matrix ``beta_{m,m} I + L_t``, ``(nu, lam)`` the
+        ``coefficient_bounds`` of this stepper's reads of A up to here and
+        ``faces`` the Dirichlet face diffusivities of ``_dirichlet``."""
         from scipy.sparse import identity
         from scipy.sparse.linalg import splu
 
-        mat, rhs_bc = self._assemble(t)
+        mat, rhs_bc, faces = self._assemble(t)
         full = (mat + self._beta_mm * identity(self.grid.n_total)).tocsc()
         lu = splu(full)
         self.lu_factorisations += 1
-        return full, lu, rhs_bc, self.coefficient_bounds
+        return full, lu, rhs_bc, self.coefficient_bounds, faces
 
     def _system(self, t: float):
         """``(full, splu(full), rhs_bc)`` at ``t``.  The factors are built at
         the first step, or taken from the shared systems (see
         ``_shared_systems``) with the ``coefficient_bounds`` read to build
-        them, and again at every step only for time-dependent coefficients;
-        the boundary vector is sampled again at every step also when a
-        Dirichlet value is callable."""
+        them, and again at every step only for time-dependent coefficients.
+        When a Dirichlet value is callable, the boundary vector is sampled
+        again at every step with the face diffusivities kept with the
+        factors, so a static A is read only to build them."""
         varies = self.coefficients.time_dependent
         if self._factors is None or varies:
             self._check_residuals()  # before the matrix they solved goes
@@ -473,9 +478,9 @@ class TimeStepper:
                 if key not in shared:
                     shared[key] = self._factorise(t)
                 self._factors = shared[key]
-            self._rhs_bc, self.coefficient_bounds = self._factors[2:]
+            self._rhs_bc, self.coefficient_bounds = self._factors[2:4]
         elif self._bc_callable:
-            self._rhs_bc = self._dirichlet(t)[1].ravel()
+            self._rhs_bc = self._dirichlet(t, self._factors[4])[1].ravel()
         return self._factors[0], self._factors[1], self._rhs_bc
 
     # -- step residuals ----------------------------------------------------

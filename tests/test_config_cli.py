@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memkern import config as C
 from memkern.config import (
     ConfigError,
     config_hash,
@@ -14,6 +15,8 @@ from memkern.config import (
     serialize_config,
 )
 from memkern import cli
+
+ROOT = Path(__file__).parents[1]
 
 MINIMAL = {
     "experiment": "kernels",
@@ -99,6 +102,102 @@ class TestParsing:
         assert list(dict(err.value.violations)) == [f"/params/{key}"]
         cfg["params"][key] = 1
         parse_config(cfg)
+
+    @pytest.mark.parametrize("path, value, pointer", [
+        ("params/n_member", 200, "/params/n_member"),
+        ("n_members", 200, "/n_members"),
+        ("grid/n_cell", [64], "/grid/n_cell"),
+        ("params/r", "x", "/params/r"),
+        ("params/theta", "x", "/params/theta"),
+        ("params/levels", "x", "/params/levels"),
+        ("params/u0", {"kind": "sine", "amplitude": "x"},
+         "/params/u0/amplitude"),
+        ("params/x0", [0.5, 0.5, 0.5], "/params/x0"),
+        ("params/tau", 0, "/params/tau"),
+        ("params/p", "x", "/params/p"),
+    ])
+    def test_harnack1d_probe_names_its_pointer(self, path, value, pointer):
+        # each of these used to parse, or to fail later without a pointer
+        data = json.loads((ROOT / "configs" / "harnack1d.json").read_text())
+        *parents, last = path.split("/")
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert [ptr for ptr, _ in err.value.violations] == [pointer]
+
+    @pytest.mark.parametrize("name, digest", [
+        ("edge005", "4ab75b899fcc6a6dba37e2f57ad451cf"
+                    "10b1cc7982cd160dd42ffa0cde3b1c12"),
+        ("edge099", "dff61fa62a146fe231a2a3076d7f05da"
+                    "b67ed703997f10533c7e02435abf6565"),
+        ("harnack1d", "c85d57e0805ccc1b8ce7c2bbb895e218"
+                      "a9cbfc1148a83c8face43fa4e83d2664"),
+        ("harnack2d_checker", "b364d9ead5b4024e6a7c2e73dd0a20a5"
+                              "0ac52bf9e902948ddb766209a7b4bc3f"),
+        ("holder2d_checker", "c695b14f82f30426a4ab814ae837aeae"
+                             "29acc4539c2f3f325bab73a326643ddf"),
+        ("ode05", "3b02528cfa84052632970a120fdf6666"
+                  "46407d2075f9be0573dcf87f89d6934b"),
+        ("single05", "bb2ed29d5ca2baf1e0a792414ecdd83f"
+                     "e90dbc9ab818bf8df9cda3a08d8310ee"),
+        ("smooth1d", "f615241911cb25ab583bf3712dc7fc74"
+                     "6d5131d0ae5827aa4fcad76d36a1f45e"),
+        ("twoatom", "d86aed54eebcc8d964258737930e081e"
+                    "17c89b4a6a03de13c39d45883010d575"),
+        ("uniform_weight", "ec1358e742b6ad90a699160abe33ca77"
+                           "ab09ea4d6ee669ee281404a9278982f1"),
+        ("yosida1d", "63479cd32e2840e53620f40fb7fe3605"
+                     "e5365199ab9c277e96b6eb2fb296496c"),
+    ])
+    def test_shipped_config_hash_is_pinned(self, name, digest):
+        # a default that moves in the schema changes the hash of every
+        # config that leaves its key out
+        config = parse_config(str(ROOT / "configs" / f"{name}.json"))
+        assert config_hash(config) == digest
+
+    def test_unread_keys(self, tmp_path):
+        # listed, not refused: a harnack run takes its horizon from the
+        # cylinders, and verify runs on no grid
+        harnack = parse_config(str(ROOT / "configs" / "harnack1d.json"))
+        assert harnack.unread_keys == ("/horizon",)
+        cli._write_manifest(tmp_path, harnack, 7, {})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["unread_keys"] == ["/horizon"]
+        config = parse_config(small_config("verify", grid={
+            "extents": [[0.0, 1.0]], "n_cells": [16]}))
+        assert config.unread_keys == ("/grid",)
+        assert cli.run(config, tmp_path / "verify") == 0
+        manifest = json.loads((tmp_path / "verify" / "manifest.json")
+                              .read_text())
+        assert manifest["unread_keys"] == ["/grid"]
+        # n_yosida is read only with use_yosida; seed is read by every run
+        config = parse_config(small_config(
+            "solve", params={"n_yosida": 8, "use_yosida": False, "seed": 1}))
+        assert config.unread_keys == ("/params/n_yosida",)
+
+    def test_readme_table_names_the_schema_keys(self):
+        def pointers(key, ptr):
+            # every key of the schema below ``key``, "*" for an array index
+            if isinstance(key.type, list):
+                yield ptr + "/*"
+                yield from pointers(key.type[0], ptr + "/*")
+            elif isinstance(key.type, C._Kinds):
+                yield ptr + "/kind"
+                for table in key.type.values():
+                    yield from pointers(C.Key(table), ptr)
+            elif isinstance(key.type, dict):
+                for name, sub in key.type.items():
+                    yield f"{ptr}/{name}"
+                    yield from pointers(sub, f"{ptr}/{name}")
+
+        schema = set(pointers(C.Key(C._SCHEMA), ""))
+        readme = (ROOT / "README.md").read_text()
+        rows = re.findall(r"^\| `(/[^`]*)` \|", readme, flags=re.M)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == schema
 
     def test_readme_configs_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -238,9 +337,11 @@ class TestParsing:
         ({"atoms": {"alpha": 0.5, "q": 1.0}}, "/measure/atoms"),
         ({"weight": {"breaks": 0.5, "values": [1.0]}},
          "/measure/weight/breaks"),
+        ({"atoms": [{"alpha": 0.5, "q": 1.0}], "gama_slack": 0.01},
+         "/measure/gama_slack"),
     ], ids=["range", "order", "string", "missing", "breaks", "density",
             "shape", "slack", "zero", "slack_type", "weight_type",
-            "atoms_type", "breaks_type"])
+            "atoms_type", "breaks_type", "misspelt_key"])
     def test_measure_violation_pointers(self, measure, pointer):
         with pytest.raises(ConfigError) as err:
             parse_config(small_config(measure=measure))

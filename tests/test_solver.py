@@ -361,6 +361,28 @@ class TestCoefficientBounds:
         assert shapes == [(8, 8, 2), (1, 8, 2), (1, 8, 2), (8, 1, 2),
                           (8, 1, 2)]
 
+    def test_static_field_read_once_with_callable_dirichlet(self, half):
+        # a callable g is sampled at every step from the face diffusivities
+        # kept with the factors: 3 reads (centres and two faces), not 65,
+        # and the same trajectory as reading A again at every step
+        bc = S.BoundaryCondition.dirichlet(lambda t, x: t)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(16,),
+                             boundary=((bc, bc),))
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return 1.0 + x
+
+        f = lambda t, x: one_star_k_eval(half, t)
+        fld = S.solve(half, grid, S.CoefficientField(fn=fn), 0.0, f, 1.0, 32)
+        assert calls == [(16, 1), (1, 1), (1, 1)]
+        assert fld.lu_factorisations == 1
+        again = S.solve(half, grid, S.CoefficientField(
+            fn=lambda t, x: 1.0 + x, time_dependent=True), 0.0, f, 1.0, 32)
+        assert np.array_equal(fld.values, again.values)
+        assert fld.coefficient_bounds == again.coefficient_bounds == (1.0, 2.0)
+
     def test_static_field_never_receives_t(self, half):
         # a field of (t, x) that is not declared time dependent raises at
         # its first read instead of being frozen at t_1
