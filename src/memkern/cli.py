@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, _json_default,
-                     config_hash, parse_config)
+                     _kind_value, config_hash, parse_config)
 from .measure import gamma_bar, power_moment
 from . import kernels as _kernels
 from . import volterra as _volterra
@@ -164,13 +164,14 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
 
 
 def _initial_data(desc: dict, grid: _solver.SpatialGrid, seed: int):
-    """``u0`` of a run; without a grid, ``value`` (1.0 by default)."""
-    kind = desc.get("kind", "constant")
-    if kind == "constant" or grid.dim == 0:
-        return float(desc.get("value", 1.0))
+    """``u0`` of a run; without a grid, its constant ``value``."""
+    kind = "constant" if grid.dim == 0 else desc.get("kind", "constant")
+    value = _kind_value(desc, "u0", kind)
+    if kind == "constant":
+        return float(value)
     if kind == "fourier":
-        return _harnack.member_data(grid, seed, int(desc.get("member", 0)))
-    return _harnack.spread_across(grid, float(desc.get("amplitude", 1.0))
+        return _harnack.member_data(grid, seed, int(value))
+    return _harnack.spread_across(grid, float(value)
                                   * _harnack._half_sine(grid, 0))
 
 
@@ -190,7 +191,7 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     grid = config.grid()
     params = config.params
     u0 = _initial_data(params["u0"], grid, seed)
-    f_val = float(params["f"].get("value", 0.0))
+    f_val = float(_kind_value(params["f"], "f", "constant"))
     kernel_cumulative = None
     if params.get("use_yosida"):
         yos = _volterra.yosida_kernels(spec, params["n_yosida"],

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import MeasureSpec, gamma_bar, validate_measure
+from .geometry import phi_bar
 from .harnack import critical_exponent
 from .solver import (BoundaryCondition, CoefficientField, SolverError,
                      SpatialGrid)
@@ -178,13 +179,21 @@ def _grid_from_dict(data: dict | None, experiment: str) -> SpatialGrid:
     def side(bc: dict) -> BoundaryCondition:
         if bc.get("type") == "neumann_zero":
             return BoundaryCondition.neumann_zero()
-        return BoundaryCondition.dirichlet(float(bc.get("value", 0.0)))
+        return BoundaryCondition.dirichlet(
+            float(bc.get("value", _SIDE["value"].default)))
 
     return SpatialGrid(
         extents=tuple(tuple(map(float, e)) for e in data.get("extents", ())),
         n_cells=tuple(map(int, data.get("n_cells", ()))),
         boundary=tuple(tuple(map(side, pair))
                        for pair in data.get("boundary", ())))
+
+
+def _kind_value(desc: dict, param: str, kind: str):
+    """The one number of a ``params`` object ``desc`` of ``param`` (``u0`` or
+    ``f``) read as ``kind``: its own, or else the default of ``_SCHEMA``."""
+    [(name, key)] = _SCHEMA["params"].type[param].type[kind].items()
+    return desc.get(name, key.default)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +281,34 @@ def _coefficient_values(data: dict, grid: SpatialGrid) -> list:
     return bad
 
 
+def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
+              params: dict) -> list:
+    """Violations of the values whose range depends on the measure or the
+    grid: harnack's ``p`` below the critical exponent, verify's
+    ``p_scaling`` below 1/(1 - gamma_bar), the anchor ``x0`` or ``x1`` on
+    the grid on every axis, and holder's ``t1`` within its horizon."""
+    bad = []
+    if experiment == "harnack" and params["p"] >= (
+            kappa := critical_exponent(gamma_bar(measure), grid.dim)):
+        bad.append(("/params/p",
+                    f"p exceeds the critical exponent bound {kappa:.6g}"))
+    if experiment == "verify" and "p_scaling" in params and not (
+            params["p_scaling"] < (top := 1.0 / (1.0 - gamma_bar(measure)))):
+        bad.append(("/params/p_scaling",
+                    f"must be < 1/(1 - gamma_bar) = {top:.6g}"))
+    anchor = {"harnack": "x0", "holder": "x1"}.get(experiment)
+    if anchor and not all(lo <= params[anchor] <= hi
+                          for lo, hi in grid.extents):
+        bad.append((f"/params/{anchor}", "must lie in the grid's extents "
+                    f"{list(map(list, grid.extents))} on every axis"))
+    if experiment == "holder" and params["t1"] is not None:
+        horizon = 2.0 * params["eta"] * phi_bar(measure, params["r"])
+        if params["t1"] > horizon:
+            bad.append(("/params/t1", "must be at most the horizon "
+                        f"2 eta Phi_bar(r) = {horizon:.6g}"))
+    return bad
+
+
 def parse_config(source, experiment: str | None = None,
                  n_steps: int | None = None,
                  seed: int | None = None) -> ExperimentConfig:
@@ -330,11 +367,8 @@ def parse_config(source, experiment: str | None = None,
             and params["u0"].get("kind", "constant") != "constant":
         bad.append(("/params/u0/kind", "a solve without a grid takes only "
                     "'constant' initial data"))
-    if not bad and experiment == "harnack":
-        kappa = critical_exponent(gamma_bar(measure), grid.dim)
-        if params["p"] >= kappa:
-            bad.append(("/params/p",
-                        f"p exceeds the critical exponent bound {kappa:.6g}"))
+    if not bad:
+        bad = _measured(experiment, measure, grid, params)
     if bad:
         raise ConfigError(bad)
     return ExperimentConfig(

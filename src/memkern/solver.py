@@ -29,12 +29,19 @@ the matrix it solved with, by one sparse product per run of steps that
 share that matrix (at most one base block).  All weights are positive and
 decreasing back in time, which is what the nonnegativity and comparison
 checks in the test-suite lean on.
+
+A, u0, f and the Dirichlet values g are data on point sets of shape
+``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
+each read by one vectorised call per point set: A's diagonal as ``fn(points)``
+or ``fn(t, points)`` (see ``CoefficientField``), and u0, f and g as a
+number, an array on the points or ``value(t, points)`` (see ``_datum``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -70,7 +77,7 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class BoundaryCondition:
     kind: str  # "dirichlet" | "neumann_zero"
-    value: float | Callable = 0.0
+    value: float | Callable = 0.0  # g, read at the face midpoints by _datum
 
     @classmethod
     def dirichlet(cls, value: float | Callable = 0.0) -> "BoundaryCondition":
@@ -79,11 +86,6 @@ class BoundaryCondition:
     @classmethod
     def neumann_zero(cls) -> "BoundaryCondition":
         return cls("neumann_zero")
-
-    def value_at(self, t: float, x) -> float:
-        if callable(self.value):
-            return float(self.value(t, x))
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -139,12 +141,17 @@ class SpatialGrid:
         return lo + h * (np.arange(self.n_cells[axis]) + 0.5)
 
     def centers(self) -> np.ndarray:
-        """Cell-center coordinates, shape ``(*self.shape, dim)``."""
-        if self.dim == 0:
-            return np.zeros((1, 0))
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Cell-center coordinates, shape ``(*self.shape, dim)``, read-only:
+        computed at the first call and shared by every later one."""
+        return self._centers
+
+    @functools.cached_property
+    def _centers(self) -> np.ndarray:
+        axes = np.meshgrid(*map(self.axis_centers, range(self.dim)),
+                           indexing="ij")
+        points = np.stack(axes, axis=-1) if self.dim else np.zeros((1, 0))
+        points.flags.writeable = False
+        return points
 
 
 @dataclass(frozen=True)
@@ -249,19 +256,21 @@ def conv_weights(spec: MeasureSpec, m: int, tau: float) -> np.ndarray:
 # the stepper
 
 
-def _sample_field(fn, t: float, grid: SpatialGrid) -> np.ndarray:
-    if fn is None:
-        return np.zeros(grid.shape)
-    if np.isscalar(fn):
-        return np.full(grid.shape, float(fn))
-    if isinstance(fn, np.ndarray):
-        return fn.reshape(grid.shape).astype(float)
-    centers = grid.centers()
-    if grid.dim == 0:
-        return np.full(grid.shape, float(fn(t, np.zeros(0))))
-    flat = centers.reshape(-1, grid.dim)
-    vals = np.array([fn(t, x) for x in flat], dtype=float)
-    return vals.reshape(grid.shape)
+def _datum(value, t: float, points: np.ndarray) -> np.ndarray:
+    """u0, f or g at ``points``, in the shape ``points.shape[:-1]``, from a
+    number, an array of that shape or its flat form, or one call ``value(t,
+    points)`` giving either.  Any other shape is refused, so a per-point
+    callable fails instead of broadcasting its value at one point."""
+    if callable(value):
+        value = value(t, points)
+    data = np.asarray(value, dtype=float)
+    shape = points.shape[:-1]
+    if data.ndim == 0:
+        return np.full(shape, data)
+    if data.shape not in (shape, (math.prod(shape),)):
+        raise SolverError(f"a datum at t={t} has shape {data.shape} at "
+                          f"points of shape {points.shape}")
+    return data.reshape(shape)
 
 
 def _along(dim: int, axis: int, cut) -> tuple:
@@ -269,14 +278,6 @@ def _along(dim: int, axis: int, cut) -> tuple:
     index = [slice(None)] * dim
     index[axis] = cut
     return tuple(index)
-
-
-def _face_points(grid: SpatialGrid, axis: int, which: int) -> np.ndarray:
-    """Midpoints of the boundary faces on the low (0) or high (1) side of
-    ``axis``, shape ``(*grid.shape, dim)`` with length 1 on ``axis``."""
-    points = grid.centers()[_along(grid.dim, axis, slice(0, 1))].copy()
-    points[..., axis] = grid.extents[axis][which]
-    return points
 
 
 # Step systems of the steppers inside ``_shared_systems()``, keyed by what
@@ -349,15 +350,14 @@ class TimeStepper:
         self._beta_mm = float(hist[-1])
         self._lead = self._beta_mm - hist  # beta_{m,m} - beta_{m,i}; see advance
         self.u = np.empty((n_steps + 1,) + grid.shape)
-        self.u[0] = _sample_field(u0, 0.0, grid)
+        self.u[0] = _datum(u0, 0.0, grid.centers())
         self._u_flat = self.u.reshape(n_steps + 1, -1)
         self.du = np.zeros((n_steps, self._u_flat.shape[1]))
         self.f = f
         self._source = None if callable(f) else \
-            _sample_field(f, 0.0, grid).ravel()
-        self.f_samples = None
-        if f is not None and not (np.isscalar(f) and float(f) == 0.0):
-            self.f_samples = np.zeros_like(self.u)
+            _datum(f, 0.0, grid.centers()).ravel()
+        self.f_samples = None if np.isscalar(f) and float(f) == 0.0 \
+            else np.zeros_like(self.u)
         self._residuals = np.zeros(n_steps)
         # b of the steps not yet checked, step m in row (m-1) % B
         self._rhs = np.zeros((min(_TOEPLITZ_BLOCK, n_steps),
@@ -395,22 +395,22 @@ class TimeStepper:
     def _dirichlet(self, t: float, faces=None):
         """Ghost-cell closure of the Dirichlet faces at t, as grid arrays:
         ``2 a / h^2`` on the diagonal and ``2 a g / h^2`` on the right, with
-        ``a`` the diffusivity at the face midpoint; and those ``a``.  Given
-        the ``a`` of an earlier call, it samples only g again."""
+        ``a`` and g read once per side at its face midpoints; and those
+        ``a``.  Given the ``a`` of an earlier call, it reads only g again."""
         grid = self.grid
         diag, rhs_bc, a_faces = np.zeros(grid.shape), np.zeros(grid.shape), []
         for axis, h in enumerate(grid.spacing):
             for which, bc in enumerate(grid.boundary[axis]):
                 if bc.kind == "neumann_zero":
                     continue
-                points = _face_points(grid, axis, which)
+                cells = _along(grid.dim, axis,
+                               slice(0, 1) if which == 0 else slice(-1, None))
+                points = grid.centers()[cells].copy()  # moved onto the face
+                points[..., axis] = grid.extents[axis][which]
                 a_face = self._diffusivity(t, points)[..., axis] \
                     if faces is None else faces[len(a_faces)]
                 a_faces.append(a_face)
-                g = np.array([bc.value_at(t, x) for x in
-                              points.reshape(-1, grid.dim)]).reshape(a_face.shape)
-                cells = _along(grid.dim, axis,
-                               slice(0, 1) if which == 0 else slice(-1, None))
+                g = _datum(bc.value, t, points)
                 diag[cells] += 2.0 * a_face / h**2
                 rhs_bc[cells] += 2.0 * a_face * g / h**2
         return diag, rhs_bc, a_faces
@@ -536,7 +536,7 @@ class TimeStepper:
             rhs = -du[m - 1]
         f_m = self._source
         if f_m is None:
-            f_m = _sample_field(self.f, t_m, self.grid).ravel()
+            f_m = _datum(self.f, t_m, self.grid.centers()).ravel()
         if self.f_samples is not None:
             self.f_samples[m] = f_m.reshape(self.grid.shape)
         rhs += f_m
@@ -559,11 +559,9 @@ class TimeStepper:
         if column[0] == 0.0:
             raise SolverError("degenerate step: zero diagonal")
         u, n = self._u_flat, self.n_steps
-        if self._source is None:
-            f = np.array([_sample_field(self.f, m * self.tau, self.grid)
-                          for m in range(1, n + 1)])
-        else:
-            f = self._source
+        f = self._source if self._source is not None else np.array(
+            [_datum(self.f, m * self.tau, self.grid.centers())
+             for m in range(1, n + 1)])
         if self.f_samples is not None:
             self.f_samples[1:] = f
         rhs = np.broadcast_to(f - self.reaction * u[0], (n, 1))

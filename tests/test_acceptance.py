@@ -231,7 +231,7 @@ def test_criterion_11_holder_profile(half):
                                  x1=0.4, theta=1.0, levels=[0, 1, 2, 3, 4],
                                  r=r)
 
-    bc_lin = S.BoundaryCondition.dirichlet(lambda t, xx: float(xx[0]))
+    bc_lin = S.BoundaryCondition.dirichlet(lambda t, xx: xx[..., 0])
     grid_lin = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(256,),
                              boundary=((bc_lin, bc_lin),))
     lin_horizon = 0.5 * phi_bar(half, r)

@@ -115,6 +115,7 @@ class TestParsing:
         ("params/x0", [0.5, 0.5, 0.5], "/params/x0"),
         ("params/tau", 0, "/params/tau"),
         ("params/p", "x", "/params/p"),
+        ("params/x0", 5.0, "/params/x0"),
     ])
     def test_harnack1d_probe_names_its_pointer(self, path, value, pointer):
         # each of these used to parse, or to fail later without a pointer
@@ -127,6 +128,68 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert [ptr for ptr, _ in err.value.violations] == [pointer]
+
+    @pytest.mark.parametrize("name, key, value, pointer", [
+        ("single05", "p_scaling", 5.0, "/params/p_scaling"),
+        ("single05", "p_scaling", 2.0, "/params/p_scaling"),
+        ("single05", "p_scaling", 1.99, None),
+        ("harnack2d_checker", "x0", 1.5, "/params/x0"),
+        ("harnack1d", "x0", -0.01, "/params/x0"),
+        ("harnack1d", "x0", 0.95, None),  # a ball partly outside: accepted
+        ("harnack1d", "x0", 1.0, None),
+        ("smooth1d", "x1", 2.0, "/params/x1"),
+        ("holder2d_checker", "x1", -1.0, "/params/x1"),
+        ("smooth1d", "t1", 50.0, "/params/t1"),
+        ("smooth1d", "t1", 0.0129, "/params/t1"),
+        ("smooth1d", "t1", 0.0127, None),  # the horizon is 0.01280
+    ])
+    def test_run_time_value_names_its_pointer(self, tmp_path, capsys, name,
+                                              key, value, pointer):
+        # values whose range depends on the measure or the grid; each of
+        # these used to exit 1 from the run, without a pointer
+        data = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        data["params"][key] = value
+        if pointer is None:
+            parse_config(data)
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert [ptr for ptr, _ in err.value.violations] == [pointer]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main([data["experiment"], "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert pointer in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where, desc, name, new", [
+        ("u0", {"kind": "constant"}, "value", 2.5),
+        ("u0", {"kind": "sine"}, "amplitude", 3.0),
+        ("u0", {"kind": "fourier"}, "member", 2),
+        ("f", {"kind": "constant"}, "value", 0.5),
+        ("boundary", {"type": "dirichlet"}, "value", 0.25),
+    ])
+    def test_nested_default_read_from_schema(self, tmp_path, monkeypatch,
+                                             where, desc, name, new):
+        # a run that omits the key follows a default moved in the table,
+        # as one that sets the key to that value does
+        def solution(desc, out):
+            grid = {"extents": [[0.0, 1.0]], "n_cells": [16]}
+            params = {"seed": 0}
+            if where == "boundary":
+                grid["boundary"] = [[desc, desc]]
+            else:
+                params[where] = desc
+            config = parse_config(small_config("solve", n_steps=16,
+                                               grid=grid, params=params))
+            assert cli.run(config, out) == 0
+            return (out / "solution.csv").read_bytes()
+
+        table = C._SIDE if where == "boundary" else \
+            C._SCHEMA["params"].type[where].type[desc["kind"]]
+        monkeypatch.setitem(table, name, table[name]._replace(default=new))
+        assert solution(desc, tmp_path / "omitted") == \
+            solution({**desc, name: new}, tmp_path / "set")
 
     @pytest.mark.parametrize("name, digest", [
         ("edge005", "4ab75b899fcc6a6dba37e2f57ad451cf"

@@ -290,7 +290,7 @@ class TestSharedFactors:
 
 class TestOscillation:
     def test_linear_profile_exponent_one(self, half):
-        bc = S.BoundaryCondition.dirichlet(lambda t, x: float(x[0]))
+        bc = S.BoundaryCondition.dirichlet(lambda t, x: x[..., 0])
         grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(256,),
                              boundary=((bc, bc),))
         x = grid.axis_centers(0)

@@ -462,12 +462,12 @@ class TestAssembly:
     """The one sparse assembly and the factorisation kept across steps."""
 
     def test_callable_dirichlet_linear_field_2d(self, half):
-        bc = S.BoundaryCondition.dirichlet(lambda t, x: x[0] + 2.0 * x[1])
+        linear = lambda t, x: x[..., 0] + 2.0 * x[..., 1]
+        bc = S.BoundaryCondition.dirichlet(linear)
         grid = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 2.0)), n_cells=(12, 9),
                              boundary=((bc, bc),) * 2)
         coeffs = S.CoefficientField.constant([1.0, 3.0])
-        fld = S.solve(half, grid, coeffs, lambda t, x: x[0] + 2.0 * x[1],
-                      0.0, 0.5, 32)
+        fld = S.solve(half, grid, coeffs, linear, 0.0, 0.5, 32)
         exact = grid.centers() @ np.array([1.0, 2.0])
         assert np.max(np.abs(fld.values - exact)) <= 1e-12
 
@@ -478,7 +478,7 @@ class TestAssembly:
                              boundary=((bcd, bcd),))
         sheet = S.SpatialGrid(extents=((0.0, 1.0), (0.0, 0.7)),
                               n_cells=(20, 6), boundary=((bcd, bcd), (bcn, bcn)))
-        u0 = lambda t, x: np.sin(np.pi * x[0]) ** 2
+        u0 = lambda t, x: np.sin(np.pi * x[..., 0]) ** 2
         one = S.solve(half, line, S.CoefficientField.constant(1.3),
                       u0, 0.2, 0.5, 48)
         two = S.solve(half, sheet,
@@ -514,6 +514,71 @@ class TestAssembly:
         cached = S.solve(half, grid, S.CoefficientField.constant(1.0),
                          u0, 0.0, 0.4, 24)
         assert np.array_equal(fld.values, cached.values)
+
+
+class TestData:
+    """u0, f and a Dirichlet value g are read as A is: a number, an array
+    or one call ``value(t, points)`` per point set."""
+
+    @staticmethod
+    def _square(n=8, g=0.0):
+        bc = S.BoundaryCondition.dirichlet(g)
+        return S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(n, n),
+                             boundary=((bc, bc),) * 2)
+
+    def test_callables_read_once_per_point_set(self, half):
+        # f once per step at the cell centres, g once per Dirichlet side
+        # and step at its face midpoints, u0 once
+        reads = {"u0": [], "f": [], "g": []}
+
+        def datum(name):
+            def value(t, x):
+                reads[name].append((t, x.shape))
+                return np.sin(x[..., 0] + t) ** 2
+            return value
+
+        fld = S.solve(half, self._square(g=datum("g")), IDENTITY,
+                      datum("u0"), datum("f"), 0.5, 16)
+        times = [m * fld.step for m in range(1, 17)]
+        assert reads["u0"] == [(0.0, (8, 8, 2))]
+        assert reads["f"] == [(t, (8, 8, 2)) for t in times]
+        assert reads["g"] == [(t, shape) for t in times for shape in
+                              [(1, 8, 2)] * 2 + [(8, 1, 2)] * 2]
+        assert np.array_equal(fld.f_samples[1:], np.sin(
+            fld.grid.centers()[..., 0] + fld.times[1:, None, None]) ** 2)
+
+    def test_flat_array_is_read_in_grid_order(self, half):
+        grid = self._square()
+        u0 = np.random.default_rng(2).random(grid.shape)
+        shaped = S.solve(half, grid, IDENTITY, u0, u0, 0.5, 16)
+        flat = S.solve(half, grid, IDENTITY, u0.ravel(), u0.ravel(), 0.5, 16)
+        assert np.array_equal(shaped.values, flat.values)
+
+    @pytest.mark.parametrize("case, message", [
+        ("u0", "at t=0.0 has shape (1,) at points of shape (8, 1)"),
+        ("f", "at t=0.0625 has shape (1,) at points of shape (8, 1)"),
+        ("g", "at t=0.0625 has shape (8, 2) at points of shape (1, 8, 2)"),
+        ("array", "at t=0.0 has shape (7,) at points of shape (8, 1)"),
+        ("relaxation",
+         "at t=0.0625 has shape (0,) at points of shape (1, 0)")])
+    def test_other_shapes_refused(self, half, case, message):
+        # a per-point callable, as x[0] reads the first point of the set,
+        # and an array that is neither the grid's shape nor its flat form
+        per_point = lambda t, x: x[0]
+        grid, u0, f = dirichlet_grid(8), 1.0, 0.0
+        if case == "u0":
+            u0 = per_point
+        elif case in ("f", "relaxation"):
+            f = per_point
+        elif case == "g":
+            grid = self._square(g=per_point)
+        else:
+            u0 = np.ones(7)
+        if case == "relaxation":
+            grid = S.SpatialGrid()
+        coeffs = None if grid.dim == 0 else IDENTITY
+        with pytest.raises(S.SolverError, match=re.escape(message)):
+            S.solve(half, grid, coeffs, u0, f, 1.0, 16, reaction=1.0)
 
 
 class TestMittagLeffler:
