@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, _json_default,
-                     _kind_value, config_hash, parse_config)
+                     _kind_value, config_hash, holder_horizon, parse_config)
 from .measure import gamma_bar, power_moment
 from . import kernels as _kernels
 from . import volterra as _volterra
@@ -127,7 +127,7 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     lam_grid = np.linspace(0.1, 1.0, 7)
     phi_lam = _geometry.phi_lambda_check(spec, r_grid, lam_grid)
     phi_low = _geometry.phi_lower_bound_check(spec, r_grid)
-    p_default = 0.5 * (1.0 + 1.0 / (1.0 - gb))
+    p_default = 0.5 * (1.0 + _geometry.scaling_p_sup(spec))
     p = float(config.params.get("p_scaling") or p_default)
     scaling = _geometry.scaling_certificate(spec, p, r_grid)
     # exp of a log below -700 underflows; those bounds are written as 0
@@ -242,15 +242,13 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
     spec = config.measure
     params = config.params
     r = float(params["r"])
-    eta = float(params["eta"])
     theta = float(params["theta"])
-    height = _geometry.phi_bar(spec, r)
-    horizon = 2.0 * eta * height
+    horizon = holder_horizon(spec, params)
     grid = config.grid()
     u0 = _initial_data(params["u0"], grid, seed)
     field = _solver.solve(spec, grid, config.coefficients(grid), u0, 0.0,
                           horizon, config.n_steps)
-    t1 = float(params["t1"]) if params.get("t1") else 1.5 * eta * height
+    t1 = float(params["t1"]) if params.get("t1") else 0.75 * horizon
     profile = _harnack.oscillation_profile(
         field, spec, t1=t1, x1=float(params["x1"]), theta=theta,
         levels=params["levels"], r=r)

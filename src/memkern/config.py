@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import MeasureSpec, gamma_bar, validate_measure
-from .geometry import phi_bar
+from .geometry import phi_bar, scaling_p_sup
 from .harnack import critical_exponent
 from .solver import (BoundaryCondition, CoefficientField, SolverError,
                      SpatialGrid)
@@ -30,6 +30,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "config_hash",
+    "holder_horizon",
 ]
 
 EXPERIMENTS = ("kernels", "verify", "solve", "harnack", "holder")
@@ -281,6 +282,11 @@ def _coefficient_values(data: dict, grid: SpatialGrid) -> list:
     return bad
 
 
+def holder_horizon(measure: MeasureSpec, params: dict) -> float:
+    """The end 2 eta Phi_bar(r) of a holder run's trajectory."""
+    return 2.0 * float(params["eta"]) * phi_bar(measure, float(params["r"]))
+
+
 def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
               params: dict) -> list:
     """Violations of the values whose range depends on the measure or the
@@ -293,7 +299,7 @@ def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
         bad.append(("/params/p",
                     f"p exceeds the critical exponent bound {kappa:.6g}"))
     if experiment == "verify" and "p_scaling" in params and not (
-            params["p_scaling"] < (top := 1.0 / (1.0 - gamma_bar(measure)))):
+            params["p_scaling"] < (top := scaling_p_sup(measure))):
         bad.append(("/params/p_scaling",
                     f"must be < 1/(1 - gamma_bar) = {top:.6g}"))
     anchor = {"harnack": "x0", "holder": "x1"}.get(experiment)
@@ -302,8 +308,7 @@ def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
         bad.append((f"/params/{anchor}", "must lie in the grid's extents "
                     f"{list(map(list, grid.extents))} on every axis"))
     if experiment == "holder" and params["t1"] is not None:
-        horizon = 2.0 * params["eta"] * phi_bar(measure, params["r"])
-        if params["t1"] > horizon:
+        if params["t1"] > (horizon := holder_horizon(measure, params)):
             bad.append(("/params/t1", "must be at most the horizon "
                         f"2 eta Phi_bar(r) = {horizon:.6g}"))
     return bad

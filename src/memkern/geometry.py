@@ -38,6 +38,7 @@ __all__ = [
     "phi_bar",
     "build_cylinders",
     "ScalingCertificate",
+    "scaling_p_sup",
     "scaling_certificate",
     "PhiLambdaReport",
     "phi_lambda_check",
@@ -247,14 +248,20 @@ class ScalingCertificate:
     walk_chunks: tuple[int, int]  # chunks of l computed; most a walk read
 
 
+def scaling_p_sup(spec: MeasureSpec) -> float:
+    """1/(1 - gamma_bar): the exponents of the Lp scaling bound are the p
+    in [1, scaling_p_sup)."""
+    return 1.0 / (1.0 - gamma_bar(spec))
+
+
 def scaling_certificate(spec: MeasureSpec, p: float,
                         r_grid) -> ScalingCertificate:
     """Measure the constant in the Lp scaling bound over a radius grid."""
     require_valid(spec)
-    gb = gamma_bar(spec)
-    if not (1.0 <= p < 1.0 / (1.0 - gb)):
+    top = scaling_p_sup(spec)
+    if not (1.0 <= p < top):
         raise GeometryError(
-            f"p={p} out of admissible range [1, {1.0 / (1.0 - gb):.6g})")
+            f"p={p} out of admissible range [1, {top:.6g})")
     r = np.sort(np.asarray(r_grid, dtype=float))
     if r.size == 0 or np.any(r <= 0.0):
         raise GeometryError("need a nonempty positive radius grid")

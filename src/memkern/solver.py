@@ -257,10 +257,11 @@ def conv_weights(spec: MeasureSpec, m: int, tau: float) -> np.ndarray:
 
 
 def _datum(value, t: float, points: np.ndarray) -> np.ndarray:
-    """u0, f or g at ``points``, in the shape ``points.shape[:-1]``, from a
-    number, an array of that shape or its flat form, or one call ``value(t,
-    points)`` giving either.  Any other shape is refused, so a per-point
-    callable fails instead of broadcasting its value at one point."""
+    """u0, f or g at ``points``, shaped ``points.shape[:-1]``, from a number,
+    an array of that shape or its flat form, or one call ``value(t, points)``
+    giving either; any other shape is refused, so ``lambda t, x: x[0]`` fails
+    (write ``x[..., 0]``).  A number is spread, so on a 1d grid ``1.0 if x[0]
+    < 0.5 else 0.0`` (or ``float(x[0])`` on older NumPy) reads one centre."""
     if callable(value):
         value = value(t, points)
     data = np.asarray(value, dtype=float)

@@ -580,6 +580,15 @@ class TestData:
         with pytest.raises(S.SolverError, match=re.escape(message)):
             S.solve(half, grid, coeffs, u0, f, 1.0, 16, reaction=1.0)
 
+    def test_scalar_per_point_forms_become_constant_in_1d(self, half):
+        # 1d cell centres have shape (n, 1), so x[0] is the first centre,
+        # of shape (1,).  A per-point form that makes a number of it
+        # returns one number, which is spread as a t-only g must be: the
+        # datum silently takes the first centre's value everywhere
+        step = lambda t, x: 1.0 if x[0] < 0.5 else 0.0
+        fld = S.solve(half, dirichlet_grid(8), IDENTITY, step, step, 0.5, 4)
+        assert np.array_equal(fld.values[0], np.ones(8))
+        assert np.array_equal(fld.f_samples[1:], np.ones((4, 8)))
 
 class TestMittagLeffler:
     def test_values(self):
