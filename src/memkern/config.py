@@ -288,11 +288,12 @@ def holder_horizon(measure: MeasureSpec, params: dict) -> float:
 
 
 def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
-              params: dict) -> list:
+              params: dict, n_steps: int) -> list:
     """Violations of the values whose range depends on the measure or the
     grid: harnack's ``p`` below the critical exponent, verify's
     ``p_scaling`` below 1/(1 - gamma_bar), the anchor ``x0`` or ``x1`` on
-    the grid on every axis, and holder's ``t1`` within its horizon."""
+    the grid on every axis, and holder's ``t1`` within its horizon and not
+    before its first step."""
     bad = []
     if experiment == "harnack" and params["p"] >= (
             kappa := critical_exponent(gamma_bar(measure), grid.dim)):
@@ -308,9 +309,14 @@ def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
         bad.append((f"/params/{anchor}", "must lie in the grid's extents "
                     f"{list(map(list, grid.extents))} on every axis"))
     if experiment == "holder" and params["t1"] is not None:
-        if params["t1"] > (horizon := holder_horizon(measure, params)):
+        horizon = holder_horizon(measure, params)
+        if params["t1"] > horizon:
             bad.append(("/params/t1", "must be at most the horizon "
                         f"2 eta Phi_bar(r) = {horizon:.6g}"))
+        # oscillation_profile's anchor slice is floor(t1 / step + 1e-12)
+        elif params["t1"] / (step := horizon / n_steps) + 1e-12 < 1.0:
+            bad.append(("/params/t1", "must be at least the first step time "
+                        f"2 eta Phi_bar(r) / n_steps = {step:.6g}"))
     return bad
 
 
@@ -372,14 +378,15 @@ def parse_config(source, experiment: str | None = None,
             and params["u0"].get("kind", "constant") != "constant":
         bad.append(("/params/u0/kind", "a solve without a grid takes only "
                     "'constant' initial data"))
+    steps = int(data.get("n_steps", _SCHEMA["n_steps"].default))
     if not bad:
-        bad = _measured(experiment, measure, grid, params)
+        bad = _measured(experiment, measure, grid, params, steps)
     if bad:
         raise ConfigError(bad)
     return ExperimentConfig(
         experiment=experiment, measure=measure,
         horizon=float(data.get("horizon", _SCHEMA["horizon"].default)),
-        n_steps=int(data.get("n_steps", _SCHEMA["n_steps"].default)),
+        n_steps=steps,
         grid_spec=data.get("grid"), coefficients_spec=data.get("coefficients"),
         params=params, unread_keys=tuple(unread))
 

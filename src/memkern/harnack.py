@@ -237,8 +237,11 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     """Weak-Harnack ratios over seeded random nonnegative initial data.
 
     Member m starts from ``member_data(grid, seed, m)``.  The members differ
-    only in their initial data, so they solve with one factorised step
-    system and share one pair of cylinders.
+    only in their initial data, so inside one ``_shared_systems()`` scope
+    they share one set of history weights with its far-field blocks, one
+    factorised step system with its boundary vector, and one pair of
+    cylinders; each member still runs its own ``solve`` and
+    ``weak_harnack_ratio``.
     """
     if grid.dim == 0:
         raise HarnackError("the ensemble needs a 1d or 2d grid")

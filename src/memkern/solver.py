@@ -22,13 +22,17 @@ trajectory is one triangular Toeplitz solve.  One sparse assembly serves
 every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1}
 for every m, the step matrix is factorised once by sparse LU and reused for
 the whole trajectory unless the coefficients are declared time dependent
-(``scipy.sparse`` is imported by ``solve``, before its clock starts).
-Inside ``_shared_systems()`` trajectories whose step matrices agree share
-one factorisation.  The relative residual of every step is checked against
-the matrix it solved with, by one sparse product per run of steps that
-share that matrix (at most one base block).  All weights are positive and
-decreasing back in time, which is what the nonnegativity and comparison
-checks in the test-suite lean on.
+(``scipy.sparse`` is imported by ``solve``, before its clock starts).  The
+source and the Dirichlet boundary vector are kept with the factors as one
+vector, sampled again at every step only when f or a Dirichlet value is
+callable.  Inside ``_shared_systems()``, as over the members of a Harnack
+ensemble, trajectories with equal measure, step count and step share one
+set of history weights with its far-field blocks, and those whose step
+matrices agree share one factorisation.  The relative residual of every
+step is checked against the matrix it solved with, by one sparse product
+per run of steps that share that matrix (at most one base block).  All
+weights are positive and decreasing back in time, which is what the
+nonnegativity and comparison checks in the test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -252,6 +256,29 @@ def conv_weights(spec: MeasureSpec, m: int, tau: float) -> np.ndarray:
     return d[::-1].copy()
 
 
+def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
+                   kernel_cumulative: np.ndarray | None):
+    """``(hist, _ToeplitzHistory, lead)`` of the history weights, from
+    ``conv_weights`` or from the differences of ``kernel_cumulative``.
+    ``hist[j]`` is beta at lag N - j, so the weights of step m are the
+    contiguous slice ``hist[N-m : N-1]``; ``hist[::-1]``, the Toeplitz
+    column, runs from lag 1; ``lead`` holds ``beta_{m,m} - beta_{m,i}``
+    (see ``TimeStepper.advance``).  The arrays are read-only, as steppers
+    share them inside ``_shared_systems()``."""
+    if kernel_cumulative is None:
+        hist = conv_weights(spec, n_steps, tau)
+    else:
+        big_k = np.asarray(kernel_cumulative, dtype=float)
+        if big_k.shape != (n_steps + 1,):
+            raise SolverError("kernel_cumulative must have n_steps+1 entries")
+        hist = (np.diff(big_k) / tau)[::-1].copy()
+    if not np.all(hist > 0.0):
+        raise SolverError("history weights must be finite and positive")
+    lead = hist[-1] - hist
+    hist.flags.writeable = lead.flags.writeable = False
+    return hist, _ToeplitzHistory(hist[::-1]), lead
+
+
 # ---------------------------------------------------------------------------
 # the stepper
 
@@ -281,18 +308,21 @@ def _along(dim: int, axis: int, cut) -> tuple:
     return tuple(index)
 
 
-# Step systems of the steppers inside ``_shared_systems()``, keyed by what
-# the step matrix depends on; None outside that scope.
+# Set-ups of the steppers inside ``_shared_systems()``, keyed by what each
+# depends on; None outside that scope.
 _shared = contextvars.ContextVar("memkern_shared_systems", default=None)
 
 
 @contextlib.contextmanager
 def _shared_systems():
-    """Scope in which steppers with equal grid, coefficients, ``beta_{m,m}``
-    and first step time take one factorised step system, and with it the
-    boundary vector of that time.  Time-dependent coefficients are never
-    shared.  The systems are dropped when the scope closes, so none
-    outlives it and a coefficient table changed after it is read afresh."""
+    """Scope in which steppers share the set-up their inputs fix: equal
+    ``(spec, n_steps, tau)`` without ``kernel_cumulative`` take one array of
+    history weights with its ``_ToeplitzHistory`` (and the dense blocks it
+    caches), and equal grid, coefficients, ``beta_{m,m}`` and first step
+    time take one factorised step system, and with it the boundary vector
+    of that time.  Time-dependent coefficients are never shared.  The
+    set-ups are dropped when the scope closes, so none outlives it and a
+    coefficient table changed after it is read afresh."""
     token = _shared.set({})
     try:
         yield
@@ -300,25 +330,40 @@ def _shared_systems():
         _shared.reset(token)
 
 
+def _share(key: tuple | None, build: Callable):
+    """``build()``, or inside ``_shared_systems()`` and given a key the
+    value built for an equal key there."""
+    shared = _shared.get()
+    if key is None or shared is None:
+        return build()
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
+
+
 class TimeStepper:
     """Advances the implicit scheme one slice at a time.
 
     Completed slices are never mutated.  The weights are kept once, in the
-    step order of ``conv_weights`` (``weights`` is their lag-ordered view).
-    On a grid, the history of step m is read from the increments ``du``:
-    at the start of each base block ``_ToeplitzHistory.far_field`` adds the
-    earlier blocks' share to the unwritten rows of ``du`` ahead, and step m
-    adds the solved rows of its own block by one contiguous product.  Then
-    one sparse LU solve with the factors of ``beta_{m,m} I + L``, kept for
-    the whole trajectory (rebuilt at every step only for time-dependent
-    coefficients, and taken from another trajectory inside
+    step order of ``conv_weights`` (``weights`` is their lag-ordered view),
+    and inside ``_shared_systems()`` they, their ``_ToeplitzHistory`` and
+    ``_lead`` come from the first stepper with the same measure, step count
+    and step.  On a grid, the history of step m is read from the increments
+    ``du``: at the start of each base block ``_ToeplitzHistory.far_field``
+    adds the earlier blocks' share to the unwritten rows of ``du`` ahead,
+    and step m adds the solved rows of its own block by one contiguous
+    product, written straight into its right-hand-side row.  To that row
+    goes the step-invariant ``f_m + rhs_bc``, kept as one vector with the
+    factors of ``beta_{m,m} I + L``; both are built at the first step
+    (the factors taken from another trajectory inside
     ``_shared_systems()``; ``lu_factorisations`` counts those computed
-    here), gives the slice.  Its right-hand side is kept until the relative
-    residual is checked: for the steps since the last check at once, at
-    each base-block start, before the factors are replaced and whenever
-    ``residuals`` is read.  In the relaxation mode the first ``advance``
-    solves the whole trajectory at once (see ``_relax``) and every call
-    returns its slice.
+    here) and again at every step only when A is time dependent or f or a
+    Dirichlet g is callable.  One sparse LU solve then gives the slice.
+    The right-hand side is kept until the relative residual is checked:
+    for the steps since the last check at once, at each base-block start,
+    before the factors are replaced and whenever ``residuals`` is read.  In
+    the relaxation mode the first ``advance`` solves the whole trajectory
+    at once (see ``_relax``) and every call returns its slice.
     """
 
     def __init__(self, spec: MeasureSpec, grid: SpatialGrid,
@@ -334,22 +379,13 @@ class TimeStepper:
         self.reaction = float(reaction)
         self.tau = horizon / n_steps
         self.n_steps = n_steps
-        # hist[j] = beta at lag N - j, so the history weights of step m are
-        # the contiguous slice hist[N-m : N-1]; weights[j] = beta at lag j+1
-        if kernel_cumulative is not None:
-            big_k = np.asarray(kernel_cumulative, dtype=float)
-            if big_k.shape != (n_steps + 1,):
-                raise SolverError("kernel_cumulative must have n_steps+1 entries")
-            hist = (np.diff(big_k) / self.tau)[::-1].copy()
-        else:
-            hist = conv_weights(spec, n_steps, self.tau)
-        if not np.all(hist > 0.0):
-            raise SolverError("history weights must be finite and positive")
-        self._hist = hist
-        self.weights = hist[::-1]
-        self._history = _ToeplitzHistory(self.weights)
-        self._beta_mm = float(hist[-1])
-        self._lead = self._beta_mm - hist  # beta_{m,m} - beta_{m,i}; see advance
+        key = None if kernel_cumulative is not None \
+            else ("history", spec, n_steps, self.tau)
+        self._hist, self._history, self._lead = _share(
+            key, lambda: _history_setup(spec, n_steps, self.tau,
+                                        kernel_cumulative))
+        self.weights = self._hist[::-1]
+        self._beta_mm = float(self._hist[-1])
         self.u = np.empty((n_steps + 1,) + grid.shape)
         self.u[0] = _datum(u0, 0.0, grid.centers())
         self._u_flat = self.u.reshape(n_steps + 1, -1)
@@ -359,15 +395,23 @@ class TimeStepper:
             _datum(f, 0.0, grid.centers()).ravel()
         self.f_samples = None if np.isscalar(f) and float(f) == 0.0 \
             else np.zeros_like(self.u)
+        if self._source is not None and self.f_samples is not None:
+            self.f_samples[1:] = self._source.reshape(grid.shape)
         self._residuals = np.zeros(n_steps)
         # b of the steps not yet checked, step m in row (m-1) % B
         self._rhs = np.zeros((min(_TOEPLITZ_BLOCK, n_steps),
                               self._u_flat.shape[1]))
         self._checked = 0  # steps whose residual is in _residuals
         self.m = 0
+        self._relaxation = not grid.dim
         self._bc_callable = any(callable(bc.value)
                                 for pair in grid.boundary for bc in pair)
-        self._factors = self._rhs_bc = self.coefficient_bounds = None
+        # whether _system rebuilds _lu and _step_rhs at every step, not only
+        # at the first
+        self._refresh = not self._relaxation and (
+            coefficients.time_dependent or callable(f) or self._bc_callable)
+        self._factors = self._lu = self._step_rhs = None
+        self.coefficient_bounds = None
         self.lu_factorisations = 0
 
     # -- spatial operator -------------------------------------------------
@@ -460,29 +504,31 @@ class TimeStepper:
         self.lu_factorisations += 1
         return full, lu, rhs_bc, self.coefficient_bounds, faces
 
-    def _system(self, t: float):
-        """``(full, splu(full), rhs_bc)`` at ``t``.  The factors are built at
-        the first step, or taken from the shared systems (see
-        ``_shared_systems``) with the ``coefficient_bounds`` read to build
-        them, and again at every step only for time-dependent coefficients.
-        When a Dirichlet value is callable, the boundary vector is sampled
-        again at every step with the face diffusivities kept with the
-        factors, so a static A is read only to build them."""
-        varies = self.coefficients.time_dependent
+    def _system(self, m: int) -> None:
+        """The factors ``_lu`` and the step-invariant ``_step_rhs = f_m +
+        rhs_bc`` of step m.  The factors are built at the first step, or
+        taken from the shared systems (see ``_shared_systems``) with the
+        ``coefficient_bounds`` read to build them, and again at every step
+        only for time-dependent coefficients.  When a Dirichlet value is
+        callable, the boundary vector is sampled again at every step with
+        the face diffusivities kept with the factors, so a static A is read
+        only to build them; a callable f is sampled into ``f_samples``."""
+        t, varies = m * self.tau, self.coefficients.time_dependent
         if self._factors is None or varies:
             self._check_residuals()  # before the matrix they solved goes
-            shared = None if varies else _shared.get()
-            if shared is None:
-                self._factors = self._factorise(t)
-            else:
-                key = (self.grid, self.coefficients, self._beta_mm, t)
-                if key not in shared:
-                    shared[key] = self._factorise(t)
-                self._factors = shared[key]
-            self._rhs_bc, self.coefficient_bounds = self._factors[2:4]
+            key = None if varies else \
+                ("system", self.grid, self.coefficients, self._beta_mm, t)
+            self._factors = _share(key, lambda: self._factorise(t))
+            rhs_bc, self.coefficient_bounds = self._factors[2:4]
         elif self._bc_callable:
-            self._rhs_bc = self._dirichlet(t, self._factors[4])[1].ravel()
-        return self._factors[0], self._factors[1], self._rhs_bc
+            rhs_bc = self._dirichlet(t, self._factors[4])[1].ravel()
+        else:
+            rhs_bc = self._factors[2]
+        f_m = self._source
+        if f_m is None:
+            f_m = _datum(self.f, t, self.grid.centers()).ravel()
+            self.f_samples[m] = f_m.reshape(self.grid.shape)
+        self._lu, self._step_rhs = self._factors[1], f_m + rhs_bc
 
     # -- step residuals ----------------------------------------------------
 
@@ -511,41 +557,34 @@ class TimeStepper:
     # -- one step ----------------------------------------------------------
 
     def advance(self) -> np.ndarray:
-        if self.m >= self.n_steps:
-            raise SolverError("trajectory already complete")
-        if self.grid.dim == 0:
-            if self.m == 0:
-                self._relax()
-            self.m += 1
-            return self.u[self.m]
         m = self.m + 1
-        t_m = m * self.tau
-        u, du, n = self._u_flat, self.du, self.n_steps
+        if m > self.n_steps:
+            raise SolverError("trajectory already complete")
+        if self._relaxation:
+            if m == 1:
+                self._relax()
+            self.m = m
+            return self.u[m]
+        u, du = self._u_flat, self.du
         # Until step m overwrites it, du[m-1] holds the far-field history of
         # step m minus beta_{m,m} u_lo, u_lo the slice at the start of its
         # base block; with u_{m-1} = u_lo + sum_{lo <= i < m-1} du_i the rows
         # of its own block then enter with weights beta_{m,m} - beta_{m,i}.
         near = (m - 1) % _TOEPLITZ_BLOCK
+        b = self._rhs[near]
         if near:
-            rhs = self._lead[n - 1 - near:n - 1] @ du[m - 1 - near:m - 1]
-            rhs -= du[m - 1]
+            np.dot(self._lead[-1 - near:-1], du[m - 1 - near:m - 1], out=b)
+            b -= du[m - 1]
         else:
             if m > 1:
                 self._check_residuals()
                 self._history.far_field(du, du, m - 1)
             du[m - 1:m - 1 + _TOEPLITZ_BLOCK] -= self._beta_mm * u[m - 1]
-            rhs = -du[m - 1]
-        f_m = self._source
-        if f_m is None:
-            f_m = _datum(self.f, t_m, self.grid.centers()).ravel()
-        if self.f_samples is not None:
-            self.f_samples[m] = f_m.reshape(self.grid.shape)
-        rhs += f_m
-
-        _, lu, rhs_bc = self._system(t_m)
-        b = self._rhs[near]
-        np.add(rhs, rhs_bc, out=b)
-        u[m] = lu.solve(b)
+            np.negative(du[m - 1], out=b)
+        if self._refresh or self._lu is None:
+            self._system(m)
+        b += self._step_rhs
+        u[m] = self._lu.solve(b)
         np.subtract(u[m], u[m - 1], out=du[m - 1])
         self.m = m
         return self.u[m]

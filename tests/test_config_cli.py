@@ -142,6 +142,7 @@ class TestParsing:
         ("smooth1d", "t1", 50.0, "/params/t1"),
         ("smooth1d", "t1", 0.0129, "/params/t1"),
         ("smooth1d", "t1", 0.0127, None),  # the horizon is 0.01280
+        ("smooth1d", "t1", 1e-6, "/params/t1"),  # the first step is 5.0e-5
     ])
     def test_run_time_value_names_its_pointer(self, tmp_path, capsys, name,
                                               key, value, pointer):

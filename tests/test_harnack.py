@@ -217,36 +217,50 @@ class TestSharedFactors:
     nothing of it outlives the ensemble."""
 
     def test_one_factorisation_same_ratios(self, half, monkeypatch):
+        # one set of history weights and one factorisation per ensemble, on
+        # a line and on a square, with the ratios, worst step residual and
+        # coefficient bounds of the members solved one by one outside any
+        # shared scope; 130 steps reach two far-field block starts
         from scipy.sparse import linalg as sparse_linalg
 
-        calls = []
-        real_splu = sparse_linalg.splu
+        calls = {"splu": 0, "weights": 0}
+        real_splu, real_weights = sparse_linalg.splu, S.conv_weights
 
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return real_splu(matrix)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(sparse_linalg, "splu", counted)
-        rep = H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
-                                 n_members=4, seed=5, n_steps=64, r=0.4,
-                                 x0=0.5)
-        assert len(calls) == 1 and rep.lu_factorisations == 1
-        assert S._shared.get() is None
-        assert rep.max_step_residual <= 1e-10
-        # the same members, solved one by one outside any shared scope
-        grid = dirichlet_grid(32)
-        x = grid.axis_centers(0)
+        monkeypatch.setattr(sparse_linalg, "splu", counted("splu", real_splu))
+        monkeypatch.setattr(S, "conv_weights",
+                            counted("weights", real_weights))
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        square = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(12, 12),
+                               boundary=((bc, bc),) * 2)
         height = 2.0 * phi_bar(half, 0.4)
-        ratios = []
-        for member in range(4):
-            rng = np.random.default_rng(np.random.SeedSequence([5, member]))
-            fld = S.solve(half, grid, IDENTITY,
-                          H.random_fourier_profile(rng)(x), 0.0, height, 64)
-            ratios.append(H.weak_harnack_ratio(
-                fld, half, t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0,
-                p=1.0).ratio)
-        assert len(calls) == 5
-        assert rep.ratios == tuple(ratios)
+        for grid in (dirichlet_grid(32), square):
+            calls.update(splu=0, weights=0)
+            rep = H.harnack_ensemble(half, grid, IDENTITY, n_members=4,
+                                     seed=5, n_steps=130, r=0.4, x0=0.5)
+            assert calls == {"splu": 1, "weights": 1}
+            assert rep.lu_factorisations == 1
+            assert S._shared.get() is None
+            assert rep.max_step_residual <= 1e-10
+            ratios, worst = [], 0.0
+            for member in range(4):
+                fld = S.solve(half, grid, IDENTITY,
+                              H.member_data(grid, 5, member), 0.0, height,
+                              130)
+                assert fld.lu_factorisations == 1
+                assert fld.coefficient_bounds == rep.coefficient_bounds
+                worst = max(worst, fld.max_step_residual)
+                ratios.append(H.weak_harnack_ratio(
+                    fld, half, t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0,
+                    p=1.0).ratio)
+            assert calls == {"splu": 5, "weights": 5}
+            assert rep.ratios == tuple(ratios)
+            assert rep.max_step_residual == worst
 
     def test_cylinders_built_once_per_ensemble(self, half, monkeypatch):
         # phi once for the ensemble's horizon and once for its cylinders;

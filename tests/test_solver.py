@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -46,11 +47,11 @@ class DirectHistoryStepper(S.TimeStepper):
     def advance(self):
         m = self.m + 1
         u, n = self._u_flat, self.n_steps
-        rhs = self._beta_mm * u[m - 1] + self._source
+        self._system(m)
+        rhs = self._beta_mm * u[m - 1] + self._step_rhs
         if m >= 2:
             rhs -= self._hist[n - m:n - 1] @ self.du[:m - 1]
-        full, lu, rhs_bc = self._system(m * self.tau)
-        u[m] = lu.solve(rhs + rhs_bc)
+        u[m] = self._lu.solve(rhs)
         np.subtract(u[m], u[m - 1], out=self.du[m - 1])
         self.m = m
         return self.u[m]
@@ -78,9 +79,9 @@ class PerStepResidualStepper(S.TimeStepper):
         super().__init__(*args, **kwargs)
         self.reference = []
 
-    def _system(self, t):
-        full, lu, rhs_bc = super()._system(t)
-        return full, _CheckedFactors(full, lu, self.reference), rhs_bc
+    def _system(self, m):
+        super()._system(m)
+        self._lu = _CheckedFactors(self._factors[0], self._lu, self.reference)
 
 
 class TestConvWeights:
@@ -514,6 +515,83 @@ class TestAssembly:
         cached = S.solve(half, grid, S.CoefficientField.constant(1.0),
                          u0, 0.0, 0.4, 24)
         assert np.array_equal(fld.values, cached.values)
+
+
+class TestSharedSetup:
+    """What steppers inside one ``_shared_systems()`` scope share, and what
+    each step rebuilds."""
+
+    def test_weights_shared_only_for_equal_measure_steps_and_step(self, half):
+        # equal (spec, n_steps, tau) share one set of weights; another
+        # measure, step count or horizon, or given kernel_cumulative, has its
+        # own, and every trajectory is that of a solve outside the scope
+        grid = dirichlet_grid(16)
+        u0 = np.sin(np.pi * grid.axis_centers(0))
+        big_k = one_star_k_eval(half, 0.5 / 192 * np.arange(193))
+        runs = [(half, 0.5, 192, None), (half, 0.5, 192, None),
+                (MeasureSpec.single_order(0.25), 0.5, 192, None),
+                (half, 1.0, 384, None), (half, 0.75, 192, None),
+                (half, 0.5, 192, big_k)]
+        with S._shared_systems():
+            steppers = [S.TimeStepper(spec, grid, IDENTITY, u0, 0.0, horizon,
+                                      n, kernel_cumulative=cumulative)
+                        for spec, horizon, n, cumulative in runs]
+            for stepper in steppers:
+                while stepper.m < stepper.n_steps:
+                    stepper.advance()
+        for part in ("_hist", "_history", "_lead"):
+            first, again, *others = (getattr(s, part) for s in steppers)
+            assert again is first
+            assert len({id(first), *map(id, others)}) == len(runs) - 1
+        for (spec, horizon, n, cumulative), stepper in zip(runs, steppers):
+            alone = S.solve(spec, grid, IDENTITY, u0, 0.0, horizon, n,
+                            kernel_cumulative=cumulative)
+            assert np.array_equal(stepper.u, alone.values)
+            assert np.array_equal(stepper.residuals, alone.residuals)
+
+    # field reads, factorisations and SHA-256 of the trajectory's bytes
+    REFRESHED = {
+        "callable-f": (3, 1, "9d0256e99976ed591c798d50cfb036e2"
+                             "90f7b77cc12d49168f038a0cbaafadf6"),
+        "callable-g": (3, 1, "7d7725187affd2b8f3f8af15ed0d0d9c"
+                             "396ff42217ad8dd3b906fb66fc97a05d"),
+        "time-dependent": (3 * 32, 32, "43bb5b08682209c9bd7d932e6e15b708"
+                                       "f763f449679e2c43d11542049c86a19c"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFRESHED))
+    def test_refreshed_each_step(self, half, case):
+        # f_m + rhs_bc, and the factors for a time-dependent A, are rebuilt
+        # at every step on these paths only; 16 cells and 32 steps
+        reads, factorisations, digest = self.REFRESHED[case]
+        calls = []
+
+        def static(x):
+            calls.append(x.shape)
+            return 1.0 + x
+
+        def varying(t, x):
+            calls.append(x.shape)
+            return (1.0 + t) * (1.0 + x)
+
+        sine = lambda t, x: np.sin(np.pi * x[..., 0])
+        g, u0, f = {"callable-f": (0.0, sine, lambda t, x: t * x[..., 0]),
+                    "callable-g": (lambda t, x: t, 0.0, 0.0),
+                    "time-dependent": (0.0, sine, 0.3)}[case]
+        coeffs = S.CoefficientField(varying, time_dependent=True) \
+            if case == "time-dependent" else S.CoefficientField(static)
+        fld = S.solve(half, dirichlet_grid(16, g), coeffs, u0, f, 1.0, 32)
+        assert len(calls) == reads
+        assert fld.lu_factorisations == factorisations
+        assert hashlib.sha256(fld.values.tobytes()).hexdigest() == digest
+        if case == "callable-g":
+            assert fld.f_samples is None
+        else:
+            x = dirichlet_grid(16).axis_centers(0)
+            expect = fld.times[:, None] * x if callable(f) \
+                else np.full((33, 16), f)
+            assert np.array_equal(fld.f_samples[1:], expect[1:])
+            assert not np.any(fld.f_samples[0])
 
 
 class TestData:
