@@ -3,10 +3,14 @@
 Subcommands: kernels | verify | solve | harnack | holder, each driven by a
 JSON config (see configs/ for examples).  Results land in a directory with a
 manifest.json carrying the config hash, seed and package version.  Every CSV
-goes through one block-streaming writer with one float format (the repr of
-a Python float, which round-trips), applied per column before the columns
-are broadcast into rows, so numeric content is deterministic for a fixed
-config and seed.  Exit codes: 0 success, 2 when a hard inequality
+goes through one block-streaming writer with one float format, Python's
+``repr`` (the shortest text that reads back to the same double), applied
+per column before the columns are broadcast into rows, so numeric content
+is deterministic for a fixed config and seed.  orjson's compiled shortest
+round-trip formatter writes a float ``v`` with ``1e-4 <= |v| < 1e16`` or
+``v = 0``, where its text is ``repr(v)`` byte for byte; ``repr`` itself
+writes the rest (NaN, infinities and the exponent forms), so the text is
+``repr`` throughout.  Exit codes: 0 success, 2 when a hard inequality
 certificate is violated (a NaN or inf counts as violated), 1 on runtime
 errors.
 """
@@ -35,6 +39,32 @@ __all__ = ["main", "run"]
 
 SONINE_TOLERANCE = 1e-3
 _CSV_CHUNK_ROWS = 1 << 12
+# the dtype that orjson formats a column of each numeric kind in
+_JSON_NUMBERS = {"f": np.float64, "i": np.int64, "u": np.uint64}
+
+
+def _cells(block: np.ndarray) -> list[str]:
+    """The CSV text of each entry of ``block``, in row-major order.
+
+    A float is ``repr(v)`` and an integer ``str(v)``: one ``orjson.dumps``
+    of the contiguous flat block gives both, and the floats outside
+    ``[1e-4, 1e16)`` in magnitude (but 0), where orjson's text is not
+    ``repr``, are written by ``repr``.  Any other entry is ``str(v)``.
+    """
+    dtype = _JSON_NUMBERS.get(block.dtype.kind)
+    if dtype is None or block.dtype.itemsize > 8 or not block.size:
+        return [str(v) for v in block.ravel().tolist()]
+    import orjson
+
+    flat = np.ascontiguousarray(block, dtype=dtype).ravel()
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode().split(",")
+    if dtype is np.float64:
+        mag = np.abs(flat)
+        outside = (flat != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))
+        for k in np.flatnonzero(outside).tolist():
+            cells[k] = repr(float(flat[k]))
+    return cells
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
@@ -42,10 +72,11 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
     Rows go out in blocks of leading-axis slices, at most ``_CSV_CHUNK_ROWS``
     rows unless one slice holds more.  In a block each column is formatted
-    on its own unbroadcast shape (a ``(t, 1)`` column costs one ``str`` per
-    time), as the ``str`` of the Python scalars from ``tolist``, which is
-    the repr for floats; the cells are joined by broadcasting ``+`` over
-    object arrays of strings.
+    on its own unbroadcast shape (a ``(t, 1)`` column costs one cell per
+    time) by ``_cells``: a float is its ``repr``, orjson's text inside
+    ``[1e-4, 1e16)`` and ``repr``'s own outside it, and anything else its
+    ``str``.  The cells are broadcast into an object array of rows with the
+    separators between them, and the block is written as one joined string.
     """
     cols = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
@@ -55,13 +86,14 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, shape[0], step):
-            rows = None
-            for col, end in zip(cols, ends):
+            rows = np.empty((min(step, shape[0] - lo),) + shape[1:]
+                            + (2 * len(cols),), dtype=object)
+            rows[..., 1::2] = ends
+            for k, col in enumerate(cols):
                 block = col[lo:lo + step] if len(col) > 1 else col
-                cells = np.array([str(v) + end for v in block.ravel().tolist()],
-                                 dtype=object).reshape(block.shape)
-                rows = cells if rows is None else rows + cells
-            fh.writelines(rows.ravel().tolist())
+                rows[..., 2 * k] = np.array(_cells(block),
+                                            dtype=object).reshape(block.shape)
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def _write_json(path: Path, data: dict) -> None:

@@ -373,6 +373,9 @@ class TimeStepper:
         require_valid(spec)
         if n_steps < 1 or horizon <= 0.0:
             raise SolverError("need n_steps >= 1 and horizon > 0")
+        if grid.dim and coefficients is None:
+            raise SolverError(f"a {grid.dim}d grid needs coefficients A, "
+                              "got None")
         self.spec = spec
         self.grid = grid
         self.coefficients = coefficients

@@ -1,5 +1,6 @@
 """The certificate commands and the package import run on numpy alone:
-scipy is imported only inside the functions that compute with it."""
+scipy is imported only inside the functions that compute with it, and
+orjson only inside the CSV writer, so neither is in the start-up cost."""
 
 import json
 import os
@@ -14,6 +15,9 @@ SRC = Path(memkern.__file__).resolve().parents[1]
 
 SCIPY_MODULES = ("sorted(m for m in sys.modules "
                  "if m.split('.')[0] == 'scipy')")
+
+ORJSON_MODULES = ("sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'orjson')")
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
@@ -32,6 +36,15 @@ def test_import_loads_no_scipy():
 
 def test_cli_import_loads_no_scipy():
     done = _fresh(f"import sys, memkern.cli; print({SCIPY_MODULES})")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
+
+
+def test_import_and_config_parse_load_no_orjson():
+    done = _fresh("import sys, memkern, memkern.cli\n"
+                  "from memkern.config import parse_config\n"
+                  f"parse_config({str(CONFIGS / 'harnack1d.json')!r})\n"
+                  f"print({ORJSON_MODULES})")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]"]
 

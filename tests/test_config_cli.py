@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memkern import config as C
 from memkern.config import (
@@ -725,6 +726,25 @@ CSV_LAYOUTS = {
 }
 
 
+# floats at the edges of the range where orjson's text is repr's: the ends
+# 1e-4 and 1e16 with their neighbours, zeros, infinities, nan, the largest
+# float and the subnormals
+EDGE_FLOATS = [float(v) for edge in (1e-4, 1e16)
+               for v in (np.nextafter(edge, 0.0), edge,
+                         np.nextafter(edge, math.inf))]
+EDGE_FLOATS += [0.0, -0.0, math.inf, -math.inf, math.nan,
+                1.7976931348623157e308, 5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308]
+EDGE_FLOATS += [-v for v in EDGE_FLOATS]
+
+# any float64, bit patterns included, and the edges above
+FLOAT64S = st.one_of(
+    st.floats(width=64),
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from(EDGE_FLOATS))
+
+
 class TestWriteCsv:
     """``_write_csv`` against the plain row-by-row writer, byte for byte."""
 
@@ -745,6 +765,50 @@ class TestWriteCsv:
         cli._write_csv(tmp_path / "out.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == \
             self.reference(header, columns)
+
+    def test_edge_floats(self, tmp_path):
+        header, columns = ["t", "value"], [np.arange(len(EDGE_FLOATS)),
+                                           np.array(EDGE_FLOATS)]
+        cli._write_csv(tmp_path / "out.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == \
+            self.reference(header, columns)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+    def test_non_contiguous_columns(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        times = np.arange(18.0)[::2] / 3.0
+        header = ["t", "i", "value"]
+        columns = [times[:, None], np.arange(10)[None, ::2],
+                   _values((5, 9)).T]
+        assert not columns[2].flags.c_contiguous
+        cli._write_csv(tmp_path / "out.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == \
+            self.reference(header, columns)
+
+    @pytest.mark.parametrize("shape", [(0, 1), (3, 0)])
+    def test_empty_block(self, tmp_path, shape):
+        header = ["t", "i", "value"]
+        columns = [np.zeros(shape[:1] + (1,)), np.arange(shape[1])[None],
+                   np.zeros(shape)]
+        cli._write_csv(tmp_path / "out.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == b"t,i,value\r\n"
+
+    @given(values=st.lists(FLOAT64S, min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_float_text_is_repr(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "floats.csv"
+        cli._write_csv(path, ["value"], [np.array(values)])
+        assert path.read_bytes().decode().split("\r\n")[1:-1] == \
+            [repr(v) for v in values]
+
+    @given(values=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                           max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_int64_text_is_str(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "ints.csv"
+        cli._write_csv(path, ["value"], [np.array(values, dtype=np.int64)])
+        assert path.read_bytes().decode().split("\r\n")[1:-1] == \
+            [str(v) for v in values]
 
 
 class TestMain:

@@ -738,6 +738,13 @@ class TestValidationErrors:
                 f"not finite from t = {t_bad} on")):
             S.solve(half, grid, coeffs, u0, f, 1.0, 16, reaction=1.0)
 
+    @pytest.mark.parametrize("grid", [dirichlet_grid(8), S.SpatialGrid(
+        extents=((0.0, 1.0), (0.0, 1.0)), n_cells=(4, 4))], ids=["1d", "2d"])
+    def test_grid_without_coefficients_rejected(self, half, grid):
+        with pytest.raises(S.SolverError, match=re.escape(
+                f"a {grid.dim}d grid needs coefficients A, got None")):
+            S.solve(half, grid, None, 1.0, 0.0, 1.0, 8)
+
     def test_table_of_wrong_shape_rejected(self):
         grid = dirichlet_grid(8)
         with pytest.raises(S.SolverError, match=r"table shape \(7,\)"):
