@@ -378,6 +378,8 @@ def parse_config(source, experiment: str | None = None,
             and params["u0"].get("kind", "constant") != "constant":
         bad.append(("/params/u0/kind", "a solve without a grid takes only "
                     "'constant' initial data"))
+    if len(set(params["levels"])) < len(params["levels"]):
+        bad.append(("/params/levels", "must not repeat a level"))
     steps = int(data.get("n_steps", _SCHEMA["n_steps"].default))
     if not bad:
         bad = _measured(experiment, measure, grid, params, steps)

@@ -166,10 +166,20 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
 # certificates
 
 
+def _stop_panels(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running totals of the Lp walks whose panel pieces are the rows of
+    ``pieces``, and the panel each walk stops on: the first j >= 20 whose
+    piece is below 1e-10 of the total so far, that piece included, or -1
+    for a walk that does not stop."""
+    total = np.cumsum(pieces, axis=1)
+    stop = (pieces < 1e-10 * total) & (np.arange(pieces.shape[1]) >= 20)
+    return total, np.where(stop.any(axis=1), stop.argmax(axis=1), -1)
+
+
 def _walk_chunks(spec: MeasureSpec, p: float, upper: np.ndarray,
                  most: int) -> int:
     """Chunks that the Lp walks to ``upper`` read, plus one, at most
-    ``most``: their stopping rule on the panels of ``s l(s)^p`` with l
+    ``most``: ``_stop_panels`` on the panels of ``s l(s)^p`` with l
     replaced by its sharp bound 1/(s k1(s)), summed in logs.  Near 0 its
     decay rate 1 - p(1 - mean order under s^-a dmu) tends to
     1 - p(1 - gamma_bar); at a single order the two walks stop on the same
@@ -177,52 +187,8 @@ def _walk_chunks(spec: MeasureSpec, p: float, upper: np.ndarray,
     j = np.arange(8 * most)
     log_s = np.log(0.75 * upper)[:, None] - math.log(2.0) * j
     log_m = (1.0 - p) * log_s - p * np.log(power_moment(spec, np.exp(log_s)))
-    m = np.exp(log_m - log_m.max(axis=1, keepdims=True))
-    stop = (m < 1e-10 * np.cumsum(m, axis=1)) & (j >= 20)
-    last = np.where(stop.any(axis=1), stop.argmax(axis=1), j[-1]).max()
-    return min(most, int(last) // 8 + 2)
-
-
-def _log_lp_norm_p(p: float, upper: float, l: np.ndarray, w: np.ndarray,
-                   last: bool) -> tuple[float, int] | None:
-    """log of ``int_0^upper l(s)^p ds`` by dyadic Gauss-Legendre panels, and
-    the chunks of ``l`` that the walk read.
-
-    The integrand blows up like s^(p*(gamma_bar-1)) at zero but stays
-    integrable for admissible p; panels j = 0, 1, ... on (upper/2^(j+1),
-    upper/2^j] refine toward zero until a panel adds less than 1e-10 of the
-    running total, or 400 panels are taken.  They come in chunks of eight:
-    chunk c is chunk 0 (weights w) scaled by 2^(-8c), and ``l`` holds l on
-    every chunk, shape (chunks, 8, 16).  A walk that needs more chunks than
-    ``l`` holds returns None, or raises if ``last`` says that no more fit in
-    the double range.  Near zero the panels shrink geometrically, so the
-    rest past the last one is the geometric series of the last two; a ratio
-    outside (0, 1) raises.
-    """
-    chunks = l.shape[0]
-    # panel j = i of a chunk is row 7 - i of the ascending edges
-    pieces = (l**p * np.ldexp(w, -8 * np.arange(chunks)[:, None, None])
-              ).sum(axis=2)[:, ::-1].ravel().tolist()
-    total = prev = piece = 0.0
-    for j, x in enumerate(pieces):
-        prev, piece = piece, x
-        total += piece
-        if j >= 20 and piece < 1e-10 * total:
-            break
-    else:
-        if len(pieces) < 400:
-            if not last:
-                return None
-            raise GeometryError(
-                f"Lp walk to {upper} needs nodes past the double range")
-    if prev == 0.0:
-        raise GeometryError(
-            f"Lp walk to {upper}: l^p underflows to 0 on its last two panels")
-    q = piece / prev
-    if not 0.0 < q < 1.0:
-        raise GeometryError(
-            f"Lp walk to {upper}: last panel ratio {q} is not in (0, 1)")
-    return math.log(total + piece * q / (1.0 - q)), j // 8 + 1
+    stop = _stop_panels(np.exp(log_m - log_m.max(axis=1, keepdims=True)))[1]
+    return min(most, int(np.where(stop < 0, j[-1], stop).max()) // 8 + 2)
 
 
 @dataclass(frozen=True)
@@ -256,7 +222,14 @@ def scaling_p_sup(spec: MeasureSpec) -> float:
 
 def scaling_certificate(spec: MeasureSpec, p: float,
                         r_grid) -> ScalingCertificate:
-    """Measure the constant in the Lp scaling bound over a radius grid."""
+    """Measure the constant in the Lp scaling bound over a radius grid.
+
+    The Lp walk to upper = Phi(2r) sums ``l^p``, integrable at zero for
+    admissible p, over dyadic Gauss-Legendre panels j = 0, 1, ... on
+    (upper/2^(j+1), upper/2^j] until ``_stop_panels`` stops it or 400 panels
+    are taken; the rest past the last panel is the geometric series of the
+    last two, whose ratio must lie in (0, 1).
+    """
     require_valid(spec)
     top = scaling_p_sup(spec)
     if not (1.0 <= p < top):
@@ -267,9 +240,9 @@ def scaling_certificate(spec: MeasureSpec, p: float,
         raise GeometryError("need a nonempty positive radius grid")
     phi2r = phi(spec, 2.0 * r)
     uppers = phi2r.tolist()
-    panels = [_gauss_panels(x * 0.5 ** np.arange(8, -1, -1), 16)
-              for x in uppers]
-    s = np.concatenate([x.ravel() for x, _ in panels])
+    s, weights = map(np.stack, zip(*(
+        _gauss_panels(x * 0.5 ** np.arange(8, -1, -1), 16) for x in uppers)))
+    s = s.ravel()
     order = np.argsort(s)
     # one node table and one exponential sum for the walks of all radii:
     # chunk c of the walk to the smallest Phi(2r) needs 8c panels past its
@@ -282,14 +255,34 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     while True:
         l = _l_dyadic_chunks(s[order], 8, chunks, _node_table(
             spec, 0.0, k_lo, k_hi + 8 * (chunks - 1)))[:, np.argsort(order)]
-        l = l.reshape(chunks, r.size, 8, 16)
-        walks = [_log_lp_norm_p(p, x, l[:, i], w, chunks == most)
-                 for i, (x, (_, w)) in enumerate(zip(uppers, panels))]
-        if None not in walks:
+        # chunk c holds panels 8c..8c+7 of every walk, chunk 0 scaled by
+        # 2^(-8c); panel 8c + i is row 7 - i of the ascending edges
+        pieces = (l.reshape(chunks, r.size, 8, 16) ** p * np.ldexp(
+            weights, -8 * np.arange(chunks)[:, None, None, None])
+            ).reshape(-1, 16).sum(axis=1).reshape(chunks, r.size, 8)
+        pieces = pieces[..., ::-1].transpose(1, 0, 2).reshape(r.size, -1)
+        totals, stops = _stop_panels(pieces)
+        if chunks == most or np.all(stops >= 0):
             break
         chunks = most
-    log_lhs = np.array([w[0] + (p - 1.0) * math.log(x)
-                        for w, x in zip(walks, uppers)])
+    if 8 * chunks < 400 and np.any(stops < 0):
+        raise GeometryError(f"Lp walk to {uppers[np.argmax(stops < 0)]} "
+                            "needs nodes past the double range")
+    stops[stops < 0] = 8 * chunks - 1  # the 400-panel cap
+    log_lhs = []
+    for x, piece, total, j in zip(uppers, pieces.tolist(), totals.tolist(),
+                                  stops.tolist()):
+        prev, piece = piece[j - 1], piece[j]
+        if prev == 0.0:
+            raise GeometryError(f"Lp walk to {x}: l^p underflows to 0 on "
+                                "its last two panels")
+        q = piece / prev
+        if not 0.0 < q < 1.0:
+            raise GeometryError(
+                f"Lp walk to {x}: last panel ratio {q} is not in (0, 1)")
+        log_lhs.append(math.log(total[j] + piece * q / (1.0 - q))
+                       + (p - 1.0) * math.log(x))
+    log_lhs = np.array(log_lhs)
     log_rhs = 2.0 * p * np.log(r)
     log_ratio = log_lhs - log_rhs
     with np.errstate(over="ignore"):
@@ -316,7 +309,7 @@ def scaling_certificate(spec: MeasureSpec, p: float,
                               ratio=ratio, c_emp=c_emp, r_admissible=r_adm,
                               log_plateau=log_plateau,
                               walk_chunks=(chunks,
-                                           max(w[1] for w in walks)))
+                                           int(stops.max()) // 8 + 1))
 
 
 def _worst(rel: np.ndarray) -> float:

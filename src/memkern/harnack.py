@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MeasureSpec, gamma_bar
-from .geometry import Cylinder, build_cylinders, phi_bar
+from .geometry import Cylinder, CylinderKind, build_cylinders, phi_bar
 from .solver import (
     CoefficientField,
     SolutionField,
@@ -302,8 +302,11 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
                         ) -> OscillationProfile:
     """Oscillation of u over nested dyadic cylinders anchored at (t1, x1).
 
-    Level j uses the box (t1 - theta*Phi(2^(1-j) r), t1) x B(x1, 2^-j r)
-    clipped to the field's own domain.  The decay exponent is the negative
+    Level j samples the cylinder (t1 - theta*Phi(2^(1-j) r), t1] x
+    B(x1, 2^-j r) through ``_cylinder_masks``, and always its anchor slice,
+    since the level depths drop below the time step within a few levels.
+    Levels that start at t <= 0, whose ball leaves the grid or that hold
+    fewer than 2 samples are skipped.  The decay exponent is the negative
     slope of log2(osc) against the level, fitted over levels whose
     oscillation clears the round-off floor; a field that is flat at every
     level reports status "flat" instead of an exponent.
@@ -311,37 +314,28 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     levels = sorted(int(j) for j in levels)
     if len(levels) < 3:
         raise HarnackError("need at least 3 levels")
+    if len(set(levels)) < len(levels):
+        raise HarnackError(f"levels {levels} repeat a level")
     grid = field.grid
     if grid.dim == 0:
         raise HarnackError("oscillation profiles need a spatial grid")
-    times = field.times
     top_idx = int(math.floor(t1 / field.step + 1e-12))
     if top_idx < 1 or top_idx > field.n_steps:
         raise HarnackError("anchor time t1 outside the computed trajectory")
-    centers = grid.centers().reshape(-1, grid.dim)
     x1c = _point(grid, x1)
-    dist = np.linalg.norm(centers - x1c, axis=1)
     rhos = 0.5 ** np.asarray(levels, dtype=float) * r
     depths = theta * phi_bar(spec, rhos)
     radii, oscs, kept = [], [], []
     for j, rho_r, depth in zip(levels, rhos.tolist(), depths.tolist()):
-        # only levels whose cylinder sits inside the computed domain count:
-        # positive start time and the ball within the grid extents
-        if t1 - depth <= 0.0:
+        if t1 - depth <= 0.0 or not all(
+                lo <= c - rho_r and c + rho_r <= hi
+                for c, (lo, hi) in zip(x1c, grid.extents)):
             continue
-        inside = all(lo <= c - rho_r and c + rho_r <= hi
-                     for c, (lo, hi) in zip(x1c, grid.extents))
-        if not inside:
-            continue
-        # slices in (t1 - depth, t1]; the anchor slice itself always counts,
-        # since the level depths drop below the time step within a few levels
-        t_mask = (times > t1 - depth) & (times <= t1 + 1e-12 * field.horizon)
+        t_mask, x_mask = _cylinder_masks(field, Cylinder(
+            t1 - depth, t1 + 1e-12 * field.horizon, x1c, rho_r,
+            CylinderKind.DYADIC))
         t_mask[top_idx] = True
-        t_mask[0] = False
-        x_mask = dist < rho_r
-        if not np.any(x_mask):
-            continue
-        u = field.values[t_mask].reshape(int(np.sum(t_mask)), -1)[:, x_mask]
+        u = _cells_in_cylinder(field, (t_mask, x_mask))
         if u.size < 2:
             continue
         kept.append(j)

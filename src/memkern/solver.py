@@ -8,31 +8,31 @@ K = 1*k available in closed form, the weights
 are exact kernel-cell integrals that depend on the lag m - i alone, and the
 step m solves
 
-    (beta_{m,m} I + L_m) u_m = beta_{m,m} u_{m-1}
-                               - sum_{i<m} beta_{m,i} (u_i - u_{i-1}) + f_m,
+    ((beta_{m,m} + lam) I + L_m) u_m
+        = beta_{m,m} u_{m-1} - sum_{i<m} beta_{m,i} (u_i - u_{i-1}) + f_m,
 
-where L_m is the flux-form divergence of diagonal A with face coefficients
-averaged from the cell centers, or a scalar reaction rate in the space-free
-relaxation mode.  The history sum is a lower-triangular Toeplitz product,
-which ``volterra._ToeplitzHistory`` splits into base blocks: the far field of
-earlier blocks arrives by dense or FFT block convolutions at block starts,
-O(N log^2 N) over a trajectory, and each step adds only the rows of its own
-block.  The relaxation mode has no spatial operator, so its whole
-trajectory is one triangular Toeplitz solve.  One sparse assembly serves
-every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1}
-for every m, the step matrix is factorised once by sparse LU and reused for
-the whole trajectory unless the coefficients are declared time dependent
-(``scipy.sparse`` is imported by ``solve``, before its clock starts).  The
-source and the Dirichlet boundary vector are kept with the factors as one
-vector, sampled again at every step only when f or a Dirichlet value is
-callable.  Inside ``_shared_systems()``, as over the members of a Harnack
-ensemble, trajectories with equal measure, step count and step share one
-set of history weights with its far-field blocks, and those whose step
-matrices agree share one factorisation.  The relative residual of every
-step is checked against the matrix it solved with, by one sparse product
-per run of steps that share that matrix (at most one base block).  All
-weights are positive and decreasing back in time, which is what the
-nonnegativity and comparison checks in the test-suite lean on.
+where lam is the reaction rate and L_m the flux-form divergence of diagonal
+A with face coefficients averaged from the cell centers, absent in the
+space-free relaxation mode.  The history sum is a lower-triangular Toeplitz
+product, which ``volterra._ToeplitzHistory`` splits into base blocks: the
+far field of earlier blocks arrives by dense or FFT block convolutions at
+block starts, O(N log^2 N) over a trajectory, and each step adds only the
+rows of its own block.  The relaxation mode has no spatial operator, so its
+whole trajectory is one triangular Toeplitz solve.  One sparse assembly
+serves every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} =
+beta_{m,1} for every m, the step matrix is factorised once by sparse LU and
+reused for the whole trajectory unless the coefficients are declared time
+dependent (``scipy.sparse`` is imported by ``solve``, before its clock
+starts).  The source and the Dirichlet boundary vector are kept with the
+factors as one vector, sampled again at every step only when f or a
+Dirichlet value is callable.  Inside ``_shared_systems()``, as over the
+members of a Harnack ensemble, trajectories with equal measure, step count
+and step share one set of history weights with its far-field blocks, and
+those whose step matrices agree share one factorisation.  The relative
+residual of every step is checked against the matrix it solved with, by one
+sparse product per run of steps that share that matrix (at most one base
+block).  All weights are positive and decreasing back in time, which is what
+the nonnegativity and comparison checks in the test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -318,11 +318,11 @@ def _shared_systems():
     """Scope in which steppers share the set-up their inputs fix: equal
     ``(spec, n_steps, tau)`` without ``kernel_cumulative`` take one array of
     history weights with its ``_ToeplitzHistory`` (and the dense blocks it
-    caches), and equal grid, coefficients, ``beta_{m,m}`` and first step
-    time take one factorised step system, and with it the boundary vector
-    of that time.  Time-dependent coefficients are never shared.  The
-    set-ups are dropped when the scope closes, so none outlives it and a
-    coefficient table changed after it is read afresh."""
+    caches), and equal grid, coefficients, ``beta_{m,m} + reaction`` and
+    first step time take one factorised step system, and with it the
+    boundary vector of that time.  Time-dependent coefficients are never
+    shared.  The set-ups are dropped when the scope closes, so none outlives
+    it and a coefficient table changed after it is read afresh."""
     token = _shared.set({})
     try:
         yield
@@ -354,8 +354,8 @@ class TimeStepper:
     and step m adds the solved rows of its own block by one contiguous
     product, written straight into its right-hand-side row.  To that row
     goes the step-invariant ``f_m + rhs_bc``, kept as one vector with the
-    factors of ``beta_{m,m} I + L``; both are built at the first step
-    (the factors taken from another trajectory inside
+    factors of ``(beta_{m,m} + reaction) I + L``; both are built at the
+    first step (the factors taken from another trajectory inside
     ``_shared_systems()``; ``lu_factorisations`` counts those computed
     here) and again at every step only when A is time dependent or f or a
     Dirichlet g is callable.  One sparse LU solve then gives the slice.
@@ -495,14 +495,16 @@ class TimeStepper:
 
     def _factorise(self, t: float):
         """``(full, splu(full), rhs_bc, (nu, lam), faces)`` at ``t``, with
-        ``full`` the step matrix ``beta_{m,m} I + L_t``, ``(nu, lam)`` the
-        ``coefficient_bounds`` of this stepper's reads of A up to here and
-        ``faces`` the Dirichlet face diffusivities of ``_dirichlet``."""
+        ``full`` the step matrix ``(beta_{m,m} + reaction) I + L_t``,
+        ``(nu, lam)`` the ``coefficient_bounds`` of this stepper's reads of
+        A up to here and ``faces`` the Dirichlet face diffusivities of
+        ``_dirichlet``."""
         from scipy.sparse import identity
         from scipy.sparse.linalg import splu
 
         mat, rhs_bc, faces = self._assemble(t)
-        full = (mat + self._beta_mm * identity(self.grid.n_total)).tocsc()
+        full = (mat + (self._beta_mm + self.reaction)
+                * identity(self.grid.n_total)).tocsc()
         lu = splu(full)
         self.lu_factorisations += 1
         return full, lu, rhs_bc, self.coefficient_bounds, faces
@@ -520,7 +522,8 @@ class TimeStepper:
         if self._factors is None or varies:
             self._check_residuals()  # before the matrix they solved goes
             key = None if varies else \
-                ("system", self.grid, self.coefficients, self._beta_mm, t)
+                ("system", self.grid, self.coefficients,
+                 self._beta_mm + self.reaction, t)
             self._factors = _share(key, lambda: self._factorise(t))
             rhs_bc, self.coefficient_bounds = self._factors[2:4]
         elif self._bc_callable:

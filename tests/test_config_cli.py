@@ -117,6 +117,7 @@ class TestParsing:
         ("params/tau", 0, "/params/tau"),
         ("params/p", "x", "/params/p"),
         ("params/x0", 5.0, "/params/x0"),
+        ("params/levels", [1, 1, 1], "/params/levels"),
     ])
     def test_harnack1d_probe_names_its_pointer(self, path, value, pointer):
         # each of these used to parse, or to fail later without a pointer

@@ -227,6 +227,19 @@ class TestScalingCertificate:
         assert np.max(np.abs(bounded.log_lhs - full.log_lhs)
                       / np.abs(full.log_lhs)) <= 1e-14
 
+    def test_stop_panels_on_hand_made_walks(self):
+        stops = np.ones(32)
+        stops[23:] = 1e-12
+        early = np.ones(32)
+        early[3:20] = 1e-12  # small, but before panel 20
+        edge = np.ones(32)
+        # below 1e-10 of the total only once the total includes it
+        edge[20] = 2.0000000001e-9
+        pieces = np.stack([stops, early, 0.9 ** np.arange(32.0), edge])
+        totals, stop = G._stop_panels(pieces)
+        assert stop.tolist() == [23, -1, -1, 20]
+        assert np.array_equal(totals, np.cumsum(pieces, axis=1))
+
     def test_one_walk_call_for_every_radius(self, half, monkeypatch):
         calls = []
         chunks = G._l_dyadic_chunks

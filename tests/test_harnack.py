@@ -346,6 +346,42 @@ class TestOscillation:
                                   theta=1.0, levels=[1, 2], r=0.2)
 
 
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    def test_level_shallower_than_a_step_reads_its_anchor_slice(
+            self, half, shape, monkeypatch):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * len(shape),
+                             n_cells=shape, boundary=((bc, bc),) * len(shape))
+        values = np.random.default_rng(3).random((9,) + shape)
+        fld = S.SolutionField(grid=grid, step=0.05 / 8, values=values,
+                              f_samples=None, residuals=np.zeros(8),
+                              wall_time=0.0)
+        samples, cells = [], H._cells_in_cylinder
+        monkeypatch.setattr(H, "_cells_in_cylinder", lambda f, masks: (
+            samples.append(cells(f, masks)) or samples[-1]))
+        prof = H.oscillation_profile(fld, half, t1=0.045, x1=0.5, theta=1.0,
+                                     levels=[0, 1, 2], r=0.2)
+        assert prof.levels == (0, 1, 2) and len(samples) == 3
+        dist = np.linalg.norm(grid.centers().reshape(-1, len(shape)) - 0.5,
+                              axis=1)
+        # level 0 reaches back over several slices; anchor slice 7
+        assert samples[0].size > np.count_nonzero(dist < 0.2)
+        for rho, u, osc in zip(prof.radii[1:], samples[1:], prof.osc[1:]):
+            assert phi_bar(half, rho) < fld.step
+            in_ball = dist < rho
+            assert u.size == np.count_nonzero(in_ball)
+            assert np.array_equal(u, values[7].reshape(-1)[in_ball])
+            assert osc == u.max() - u.min()
+
+    def test_repeated_levels_error(self, half):
+        grid = dirichlet_grid(256)
+        horizon = 0.5 * phi_bar(half, 0.2)
+        fld = constant_field(grid, 128, horizon / 128, 1.0)
+        with pytest.raises(H.HarnackError, match="repeat"):
+            H.oscillation_profile(fld, half, t1=0.9 * horizon, x1=0.4,
+                                  theta=1.0, levels=[1, 1, 1], r=0.2)
+
+
 class TestPointOnEveryAxis:
     """A centre given as one number stands for it on every axis."""
 

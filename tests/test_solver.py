@@ -160,6 +160,27 @@ class TestRelaxationMode:
                       reaction=1.0)
         assert np.max(np.abs(fld.values)) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("shape", [(8,), (5, 4)], ids=["1d", "2d"])
+    def test_reaction_on_a_grid_matches_relaxation(self, alpha, shape):
+        # constant data under Neumann-zero walls: L u = 0, so every cell
+        # follows the 0d relaxation with the same reaction rate
+        spec, lam = MeasureSpec.single_order(alpha), 3.0
+        bc = S.BoundaryCondition.neumann_zero()
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * len(shape),
+                             n_cells=shape, boundary=((bc, bc),) * len(shape))
+        fld = S.solve(spec, grid, IDENTITY, 1.0, 0.25, 1.0, 512, reaction=lam)
+        ode = S.solve(spec, S.SpatialGrid(), None, 1.0, 0.25, 1.0, 512,
+                      reaction=lam).values[:, 0]
+        got = fld.values.reshape(513, -1)
+        assert np.max(np.abs(got - ode[:, None])) <= 1e-14 * np.max(ode)
+        assert abs(ode[-1] - 1.0) > 0.1  # the reaction moves u
+
+    def test_reaction_changes_a_dirichlet_run(self, half):
+        runs = [S.solve(half, dirichlet_grid(8), IDENTITY, 1.0, 0.0, 1.0, 16,
+                        reaction=lam).values for lam in (0.0, 50.0)]
+        assert np.all(runs[1][1:] < runs[0][1:])
+
 
 class TestPdeSanity:
     def test_constant_preserved_neumann(self, half):
