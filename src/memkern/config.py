@@ -366,6 +366,9 @@ def parse_config(source, experiment: str | None = None,
         grid = _grid_from_dict(data.get("grid"), experiment)
     except SolverError as exc:
         raise ConfigError(bad + [("/grid", str(exc))]) from None
+    if experiment == "solve" and grid.dim \
+            and "ode_lambda" in data.get("params", {}):
+        unread.append("/params/ode_lambda")  # the rate of a gridless solve
     if grid.dim == 0 and experiment in _FALLBACK_CELLS:
         bad.append(("/grid", f"{experiment} needs a 1d or 2d grid"))
     bad += _coefficient_values(data.get("coefficients") or {}, grid)

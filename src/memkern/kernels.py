@@ -17,31 +17,30 @@ summed over Gauss-Legendre nodes on dyadic panels in p (``_node_table``,
 which evaluates H_theta once per call) that put u = p*t over [2^-60, 2^11]
 for every time of the call.  ``_tail`` closes both ends in log p: left of
 the panels every kernel of u is a constant, so the integral of H/pi there is
-the weight of one node at p = 0; right of them exp(-u) is 0, and the running
-integrals and the first cell take moments of H/pi p^-j there.  No panel
-count depends on the measure.  (H_theta peaks at the zero of theta + C, and
-where S is small there the panels do not resolve the peak: for theta > 0
-with a top order near one, and at theta = 0 as well for mixtures with mass
-near both 0 and 1, such as (0.001, 1/2) + (0.999, 1/2), whose l is 0.5%
-high.  l and r_theta are then not accurate to round-off.)  A block of times contracts only
-the band of nodes where its kernel varies.  For r_theta itself
-(``_exp_sums``) that is 2^-10 <= p*t <= 2^10: right of it exp(-p*t) is 0,
-left of it it is its degree-5 Taylor polynomial, so those nodes enter
-through moments of the weights that run over the call, each node entering
-once.  The running integrals
-(``_running_sums``) take 2^-60 <= p*t <= 2^10, with a prefix sum on the left
-and, since their kernels are polynomials in 1/(p*t) there, suffix moments on
-the right.  The sampled r_theta and l of ``volterra``, its Yosida kernels
-(weights c and c/p at theta = n) and the resolvent chain of
-``bound_certificates`` come from one ``_exp_sums`` over several weight
-vectors: the samples, and per-node cell factors (integrals of exp(-p s) over
-one step) for the cell mass, first moment and bubble, so no cell table is a
-difference of running integrals; the first cell is a plain sum over the node
-table and the right tails.  ``sample_kernels`` takes l and r_theta as two
-weight columns of one ``_exp_sums``.  On dyadic panels, scaling t by 2^-m
-and p by 2^m leaves p*t the same bits, so ``_l_dyadic_chunks`` gives every
-chunk of the Lp walks of ``geometry``, for all radii at once, as one weight
-column of one ``_exp_sums``.
+the weight of one node at p = 0; right of them exp(-u) is 0, and a cell that
+starts at t = 0 takes moments of H/pi p^-j there.  No panel count depends on
+the measure.  (H_theta peaks at the zero of theta + C, and where S is small
+there the panels do not resolve the peak: for theta > 0 with a top order
+near one, and at theta = 0 as well for mixtures with mass near both 0 and 1,
+such as (0.001, 1/2) + (0.999, 1/2), whose l is 0.5% high.  l and r_theta
+are then not accurate to round-off.)  r_theta itself (``_exp_sums``)
+contracts a block of times only against the band 2^-10 <= p*t <= 2^10 where
+exp(-p*t) varies: right of it exp(-p*t) is 0, left of it it is its degree-5
+Taylor polynomial, so those nodes enter through moments of the weights that
+run over the call, each node entering once.  Every integral of r_theta is a
+sum of the per-node cell factors of ``_cell_factors``, the integrals of
+exp(-p s) against 1, s and a bubble over one cell: the running integrals
+(1^d * r_theta)(t), d = 1, 2, 3, of ``resolvent_tables`` take the cell
+(0, t].  The sampled r_theta and l of ``volterra``, its Yosida kernels (weights
+c and c/p at theta = n) and the resolvent chain of ``bound_certificates``
+come from one ``_exp_sums`` over several weight vectors: the samples, and
+the factors of one step for the cell mass, first moment and bubble, so no
+cell table is a difference of running integrals; the first cell is a plain
+sum over the node table and the right tails.  ``sample_kernels`` takes l and
+r_theta as two weight columns of one ``_exp_sums``.  On dyadic panels,
+scaling t by 2^-m and p by 2^m leaves p*t the same bits, so
+``_l_dyadic_chunks`` gives every chunk of the Lp walks of ``geometry``, for
+all radii at once, as one weight column of one ``_exp_sums``.
 ``_gauss_panels`` places the nodes of both sums and of their tails, of the
 order moments of k and of the dyadic panels of ``geometry``.
 """
@@ -87,7 +86,7 @@ _GL_NODES_PER_PANEL = 24
 _DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
 _TILE_ENTRIES = 2**15  # times x nodes per matvec tile: 256 KB of doubles
 _TILE_SPAN = 8  # log2 of the widest t ratio in one inversion tile
-_HEAD_U = 2.0**-60  # below u = p*t every g_d(u) is 1/d! in double
+_HEAD_U = 2.0**-60  # below u = p*t every _cell_factors row is constant
 _TAYLOR_U = 2.0**-10  # below it exp(-u) is its Taylor polynomial in double
 _TAYLOR_DEGREE = 5  # (2^-10)^6 / 6! < 2^-69
 _CELL_SERIES_V = 1.5  # _cell_factors sums series below this v = p*tau
@@ -216,41 +215,13 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
 # fixed-node quadrature for the inversion integral
 
 
-def _depth_kernels(u: np.ndarray, depths) -> list[np.ndarray]:
-    """g_d(u) = sum_k (-u)^k / (k+d)!, u = p*t, of the d-fold running integrals
-    of exp(-p t), for depths d >= 1.
-
-    From u = 1 on, g_1 = (1 - exp(-u))/u and g_d = (1/(d-1)! - g_(d-1))/u,
-    so no power of a large u overflows.  Below u = 1, where that recursion
-    cancels, the top depth is its 18-term series and the lower ones follow
-    from g_(d-1) = 1/(d-1)! - u*g_d, which loses nothing there; g_1 keeps
-    its expm1 form throughout.
-    """
-    top = max(depths)
-    fact = math.factorial
-    r = 1.0 / u
-    g = {1: -np.expm1(-u) * r}
-    for d in range(2, top + 1):
-        g[d] = r * (1.0 / fact(d - 1) - g[d - 1])
-    if top > 1:
-        small = u < 1.0
-        us = u[small]
-        series = np.full_like(us, 1.0 / fact(top + 17))
-        for k in range(16, -1, -1):
-            series = 1.0 / fact(top + k) - us * series
-        for d in range(top, 1, -1):
-            g[d][small] = series
-            series = 1.0 / fact(d - 1) - us * series
-    return [g[d] for d in depths]
-
-
 def _panel_range(t_min: float, t_max: float) -> tuple[int, int]:
     """Dyadic panels [2^k, 2^(k+1)], k_lo <= k < k_hi, that put u = p*t over
     [2^-60, 2^11] for every t in [t_min, t_max].  Left of them exp(-u) and
-    every g_d(u) are constants in double, right of them exp(-u) is 0, so
-    ``_tail`` closes both ends.  The left end stays at or below 2^-60 also
-    for t_max < 1, so that the widening tail panels meet H only far from
-    p = 1, where it is smooth in log p."""
+    the ``_cell_factors`` are constants in double, right of them exp(-u) is
+    0, so ``_tail`` closes both ends.  The left end stays at or below 2^-60
+    also for t_max < 1, so that the widening tail panels meet H only far
+    from p = 1, where it is smooth in log p."""
     return (math.floor(math.log2(_HEAD_U) - max(math.log2(t_max), 0.0)),
             math.ceil(_DEPTH0_RIGHT + 1 - math.log2(t_min)))
 
@@ -300,14 +271,14 @@ def _tail(spec: MeasureSpec, theta: float, edge: float, side: str, powers
                      for j in powers]) / math.pi
 
 
-def _band(p: np.ndarray, t_lo: float, t_hi: float, u_left: float):
-    """Index range [b, e) of the ascending nodes p with u_left <= p*t for
-    every t in [t_lo, t_hi] and p*t < 2^10 for some: right of it exp(-u) is
-    0 in double."""
-    return np.searchsorted(p, (u_left / t_hi, 2.0**_DEPTH0_RIGHT / t_lo))
+def _band(p: np.ndarray, t_lo: float, t_hi: float):
+    """Index range [b, e) of the ascending nodes p with 2^-10 <= p*t for
+    every t in [t_lo, t_hi] and p*t < 2^10 for some: left of it exp(-u) is
+    its Taylor polynomial, right of it 0 in double."""
+    return np.searchsorted(p, (_TAYLOR_U / t_hi, 2.0**_DEPTH0_RIGHT / t_lo))
 
 
-def _tiles(p: np.ndarray, ts: np.ndarray, u_left: float):
+def _tiles(p: np.ndarray, ts: np.ndarray):
     """Yield (lo, hi, b, e): the ascending times ts[lo:hi] of one tile and
     its ``_band`` p[b:e].  A tile holds at most ``_TILE_ENTRIES`` entries
     and spans at most 2^_TILE_SPAN in t, so its band is at most that many
@@ -315,10 +286,10 @@ def _tiles(p: np.ndarray, ts: np.ndarray, u_left: float):
     lo = 0
     while lo < ts.size:
         t_end = ts[lo] * 2.0**_TILE_SPAN
-        b, e = _band(p, ts[lo], t_end, u_left)
+        b, e = _band(p, ts[lo], t_end)
         hi = min(lo + max(1, _TILE_ENTRIES // max(e - b, 1)),
                  int(np.searchsorted(ts, t_end, "right")))
-        yield (lo, hi, *_band(p, ts[lo], ts[hi - 1], u_left))
+        yield (lo, hi, *_band(p, ts[lo], ts[hi - 1]))
         lo = hi
 
 
@@ -342,7 +313,7 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
     out = np.empty((ts.size, weights.shape[1]))
     moments = np.zeros((j.size, weights.shape[1]))
     done, t_top = 0, ts[-1]
-    for lo, hi, b, e in reversed(list(_tiles(p, ts, _TAYLOR_U))):
+    for lo, hi, b, e in reversed(list(_tiles(p, ts))):
         tt = ts[lo:hi]
         moments *= (tt[-1] / t_top) ** j[:, None]
         moments += np.vander(p[done:b] * tt[-1], j.size,
@@ -355,68 +326,24 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
     return out
 
 
-def _running_sums(p: np.ndarray, coeff: np.ndarray, tails: np.ndarray,
-                  ts: np.ndarray, depths) -> np.ndarray:
-    """``(1^d * r)(t) = t^d * sum_q coeff_q g_d(p_q t)`` for depths d >= 1 at
-    the ascending times ts, one row per depth.
-
-    A tile contracts ``_depth_kernels`` over its band 2^-60 <= p*t < 2^10.
-    Left of the band g_d is 1/d! in double, so those nodes enter as one
-    prefix sum of the weights; right of it exp(-u) is 0 and
-    g_d = sum_j (-1)^(j-1) u^-j / (d-j)!, so they enter as the suffix
-    moments sum c*p^-j, j = 1..d, plus their right tails ``tails[j-1]``.
-    """
-    left = np.concatenate(([0.0], np.cumsum(coeff)))
-    moments, right = coeff, []
-    for tail in tails[:max(depths)]:
-        moments = np.divide(moments, p, out=np.zeros_like(p), where=p > 0.0)
-        right.append(np.append(np.cumsum(moments[::-1])[::-1], 0.0) + tail)
-    vals = np.empty((len(depths), ts.size))
-    for lo, hi, b, e in _tiles(p, ts, _HEAD_U):
-        tt = ts[lo:hi]
-        g = _depth_kernels(np.multiply.outer(tt, p[b:e]), depths)
-        for i, d in enumerate(depths):
-            vals[i, lo:hi] = tt**d * (
-                g[i] @ coeff[b:e] + left[b] / math.factorial(d))
-            for j in range(1, d + 1):
-                vals[i, lo:hi] += ((-1) ** (j - 1) * right[j - 1][e]
-                                   / math.factorial(d - j)) * tt**(d - j)
-    return vals
-
-
-def _laplace_inversion(spec: MeasureSpec, t, theta: float, depths):
-    """Iterated integrals of r_theta at t, one list entry per requested depth.
-
-    Depth d is ``(1^d * r_theta)(t) = t^d/pi * int g_d(p t) H_theta(p) dp``,
-    summed over one ``_node_table`` for all of t: depth 0 by ``_exp_sums``,
-    the running integrals by ``_running_sums`` with the right tails beyond
-    the table.  Both sort the times into tiles and contract each tile
-    against its band of nodes only.  An array t gives arrays of its shape;
-    anything else gives floats.
+def _laplace_inversion(spec: MeasureSpec, t, theta: float):
+    """r_theta at t: one ``_exp_sums`` over one ``_node_table`` for all of
+    t.  An array t gives an array of its shape; anything else a float.
     """
     require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
     t_flat = t_arr.ravel()
-    out = np.empty((len(depths), t_flat.size))
+    out = np.empty(t_flat.size)
     if t_flat.size:
         order = np.argsort(t_flat)
         ts = t_flat[order]
-        k_lo, k_hi = _panel_range(ts[0], ts[-1])
-        p, coeff = _node_table(spec, theta, k_lo, k_hi)
-        vals = np.empty_like(out)
-        running = [i for i, d in enumerate(depths) if d > 0]
-        if running:
-            vals[running] = _running_sums(p, coeff, _tail(
-                spec, theta, math.ldexp(1.0, k_hi), "right",
-                range(1, max(depths) + 1)), ts, [depths[i] for i in running])
-        if 0 in depths:
-            vals[depths.index(0)] = _exp_sums(p, coeff[:, None], ts)[:, 0]
-        out[:, order] = vals
+        p, coeff = _node_table(spec, theta, *_panel_range(ts[0], ts[-1]))
+        out[order] = _exp_sums(p, coeff[:, None], ts)[:, 0]
     if isinstance(t, np.ndarray):
-        return [row.reshape(t_arr.shape) for row in out]
-    return [float(row[0]) for row in out]
+        return out.reshape(t_arr.shape)
+    return float(out[0])
 
 
 def _cell_factors(v: np.ndarray) -> np.ndarray:
@@ -516,30 +443,58 @@ def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
     return _exp_sums(p[:n], weights, s).T
 
 
+def _running_integrals(spec: MeasureSpec, t, theta: float) -> list:
+    """``(1^d * r_theta)(t)``, d = 1, 2, 3: the mass, t * mass - first
+    moment and (t * depth 2 - bubble)/2 of the cell (0, t] of
+    ``_resolvent_cells``, on one ``_node_table`` with its right ``_tail``
+    moments j = 1, 2, 3, one ``_cell_factors`` call per block of at most
+    ``_TILE_ENTRIES`` entries.  An array t gives arrays of its shape.
+    """
+    require_valid(spec)
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    t_arr = _as_time_array(t)
+    t_flat = t_arr.ravel()
+    out = np.empty((3, t_flat.size))
+    if t_flat.size:
+        k_lo, k_hi = _panel_range(np.min(t_flat), np.max(t_flat))
+        p, coeff = _node_table(spec, theta, k_lo, k_hi)
+        tails = _tail(spec, theta, math.ldexp(1.0, k_hi), "right", (1, 2, 3))
+        rows = max(1, _TILE_ENTRIES // p.size)
+        for lo in range(0, t_flat.size, rows):
+            tt = t_flat[lo:lo + rows]
+            phi = _cell_factors(np.multiply.outer(tt, p).ravel()).reshape(
+                3, tt.size, p.size) @ coeff
+            mass = tt * phi[0] + tails[0]
+            depth2 = tt * mass - (tt**2 * phi[1] + tails[1])
+            bubble = tt**3 * phi[2] + tt * tails[1] - 2.0 * tails[2]
+            out[:, lo:lo + rows] = mass, depth2, 0.5 * (tt * depth2 - bubble)
+    if isinstance(t, np.ndarray):
+        return [row.reshape(t_arr.shape) for row in out]
+    return [float(row[0]) for row in out]
+
+
 def l_eval(spec: MeasureSpec, t):
     """Convolution inverse of k (the Sonine partner), by Laplace inversion."""
-    return _laplace_inversion(spec, t, 0.0, (0,))[0]
+    return _laplace_inversion(spec, t, 0.0)
 
 
 def r_theta_eval(spec: MeasureSpec, t, theta: float):
     """Resolvent kernel of l: solves r + theta*(r*l) = l; theta=0 gives l."""
-    return _laplace_inversion(spec, t, theta, (0,))[0]
+    return _laplace_inversion(spec, t, theta)
 
 
 def resolvent_running_integral(spec: MeasureSpec, t, theta: float = 0.0):
     """Running integral ``(1 * r_theta)(t)``; theta=0 gives ``(1*l)(t)``."""
-    return _laplace_inversion(spec, t, theta, (1,))[0]
+    return _running_integrals(spec, t, theta)[0]
 
 
 def resolvent_tables(spec: MeasureSpec, t: np.ndarray, theta: float = 0.0
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise r_theta plus its three iterated integrals in one sweep.
-
-    Sampling a kernel grid needs all four quantities at every node; one
-    node set in p and one H_theta evaluation serve all four depths.
-    """
+    """Pointwise r_theta and its three running integrals at the flat t."""
     t_flat = np.ravel(np.asarray(t, dtype=float))
-    return tuple(_laplace_inversion(spec, t_flat, theta, (0, 1, 2, 3)))
+    return (_laplace_inversion(spec, t_flat, theta),
+            *_running_integrals(spec, t_flat, theta))
 
 
 # ---------------------------------------------------------------------------

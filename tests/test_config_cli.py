@@ -244,6 +244,23 @@ class TestParsing:
             "solve", params={"n_yosida": 8, "use_yosida": False, "seed": 1}))
         assert config.unread_keys == ("/params/n_yosida",)
 
+    def test_ode_lambda_unread_on_a_grid(self, tmp_path):
+        # ode_lambda is the reaction rate of a solve without a grid: on a
+        # grid it is listed and the solution does not move
+        data = json.loads((ROOT / "configs" / "yosida1d.json").read_text())
+        plain = parse_config(data)
+        data["params"]["ode_lambda"] = 50.0
+        config = parse_config(data)
+        assert plain.unread_keys == ()
+        assert config.unread_keys == ("/params/ode_lambda",)
+        for name, cfg in (("plain", plain), ("lambda", config)):
+            assert cli.run(cfg, tmp_path / name) == 0
+        manifest = json.loads((tmp_path / "lambda" / "manifest.json")
+                              .read_text())
+        assert manifest["unread_keys"] == ["/params/ode_lambda"]
+        assert ((tmp_path / "plain" / "solution.csv").read_bytes()
+                == (tmp_path / "lambda" / "solution.csv").read_bytes())
+
     def test_readme_table_names_the_schema_keys(self):
         def pointers(key, ptr):
             # every key of the schema below ``key``, "*" for an array index

@@ -298,26 +298,52 @@ class TestResolventTables:
             exact = t ** (alpha - 1 + d) / math.gamma(alpha + d)
             assert np.max(np.abs(got - exact) / exact) <= 1e-13, d
 
-
-    def test_depth_kernels_match_mpmath(self):
-        # g_d(u) = sum_k (-u)^k / (k+d)!; the recursion up from g_1 cancels
-        # below u = 1 and the series must take over there
+    def test_cell_factors_match_mpmath(self):
+        # phi_0, phi_1, phi_2 and the depth kernels phi_0 - phi_1 and
+        # (phi_0 - phi_1 - phi_2)/2 of the running integrals; the recursion
+        # from phi_0 cancels below v = 1.5 and the series must take over
         mpmath = pytest.importorskip("mpmath")
-        u = np.concatenate((np.geomspace(1e-9, 700.0, 1201),
+        v = np.concatenate((np.geomspace(1e-9, 700.0, 1201),
                             np.linspace(0.9, 1.1, 81),
-                            np.linspace(9e-4, 1.1e-3, 81)))
-        with mpmath.workdps(60):  # the reference loses 27 digits at 1e-9
-            def exact(d, x):
+                            np.linspace(9e-4, 1.1e-3, 81),
+                            np.linspace(1.4, 1.6, 81),
+                            [np.nextafter(1.5, 0.0), 1.5]))
+        phi = K._cell_factors(v)
+        got = np.vstack((phi, phi[0] - phi[1],
+                         0.5 * (phi[0] - phi[1] - phi[2])))
+        with mpmath.workdps(60):  # phi_2 loses 27 digits at 1e-9
+            def exact(x):
                 x = mpmath.mpf(x)
-                head = mpmath.fsum((-x) ** k / mpmath.factorial(k)
-                                   for k in range(d))
-                return float((mpmath.exp(-x) - head) / (-x) ** d)
+                e = mpmath.exp(-x)
+                rows = ((1 - e) / x, (1 - (1 + x) * e) / x**2,
+                        ((x - 2) + (x + 2) * e) / x**3)
+                return [float(r) for r in (*rows, rows[0] - rows[1],
+                                           (rows[0] - rows[1] - rows[2]) / 2)]
 
-            for depths in ((1, 2, 3), (2,)):
-                for d, got in zip(depths, K._depth_kernels(u, depths)):
-                    ref = np.array([exact(d, x) for x in u])
-                    rel = np.abs(got - ref) / ref
-                    assert np.max(rel) <= 1.5e-15, (depths, d)
+            ref = np.array([exact(x) for x in v]).T
+        rel = np.abs(got - ref) / ref
+        assert np.max(rel) <= 1.5e-15, np.max(rel, axis=1)
+        assert K._cell_factors(np.zeros(1))[:, 0].tolist() == [1.0, 0.5, 1 / 6]
+
+    def test_running_integral_is_depth_one(self, measures):
+        # depth 1 of the tables, in the shape of t; a float for a scalar
+        t = np.geomspace(1e-8, 3.0, 42)
+        for name, spec in measures.items():
+            for theta in (0.0, 4.0):
+                got = K.resolvent_running_integral(spec, t.reshape(6, 7),
+                                                   theta)
+                assert got.shape == (6, 7), name
+                assert np.array_equal(
+                    got.ravel(), K.resolvent_tables(spec, t, theta)[1]), name
+        alpha = 0.3
+        spec = MeasureSpec.single_order(alpha)
+        value = K.resolvent_running_integral(spec, 0.25)
+        assert type(value) is float
+        assert value == pytest.approx(0.25**alpha / math.gamma(1 + alpha),
+                                      rel=1e-13)
+        exact = t**alpha / math.gamma(1 + alpha)
+        got = K.resolvent_running_integral(spec, t)
+        assert np.max(np.abs(got - exact) / exact) <= 1e-13
 
 
 class TestExpSums:
@@ -335,7 +361,7 @@ class TestExpSums:
         ts = np.sort(10 ** rng.uniform(*t_exp, 600))
         w = rng.uniform(0.0, 1.0, (p.size, columns)) / np.sqrt(1 + p[:, None])
         got = K._exp_sums(p, w, ts)
-        assert len(list(K._tiles(p, ts, K._TAYLOR_U))) >= 5
+        assert len(list(K._tiles(p, ts))) >= 5
         wide = np.longdouble
         ref = np.exp(-np.multiply.outer(ts.astype(wide), p.astype(wide))
                      ) @ w.astype(wide)
@@ -496,8 +522,8 @@ class TestBoundCertificates:
             assert certs.chain_t.size == size, name
             if not size:
                 continue
-            r_vals, running = K._laplace_inversion(spec, certs.chain_t,
-                                                   certs.theta, (0, 1))
+            r_vals, running = K.resolvent_tables(spec, certs.chain_t,
+                                                 certs.theta)[:2]
             l_vals = certs.l_values[:size]
             expected = (r_vals * certs.chain_t / running,
                         running / certs.chain_t / l_vals)
