@@ -14,7 +14,6 @@ adaptive quadrature).
 from .measure import (
     MeasureSpec,
     MeasureError,
-    validate_measure,
     mu_integral,
     power_moment,
     gamma_bar,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measure import MeasureSpec, gamma_bar, validate_measure
+from .measure import MeasureError, MeasureSpec, gamma_bar
 from .geometry import phi_bar, scaling_p_sup
 from .harnack import critical_exponent
 from .solver import (BoundaryCondition, CoefficientField, SolverError,
@@ -359,9 +359,11 @@ def parse_config(source, experiment: str | None = None,
     if bad:
         raise ConfigError(bad)
 
-    measure = MeasureSpec.from_dict(data["measure"])
-    bad = [("/measure" + v.pointer, v.message)
-           for v in validate_measure(measure).violations]
+    try:
+        measure, bad = MeasureSpec.from_dict(data["measure"]), []
+    except MeasureError as exc:
+        measure, bad = None, [("/measure" + v.pointer, v.message)
+                              for v in exc.violations]
     try:
         grid = _grid_from_dict(data.get("grid"), experiment)
     except SolverError as exc:

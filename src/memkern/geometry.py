@@ -24,7 +24,6 @@ from .measure import (
     alpha_power_moment,
     gamma_bar,
     power_moment,
-    require_valid,
     tail_mass,
 )
 from .kernels import (_gauss_panels, _l_dyadic_chunks, _node_table,
@@ -66,7 +65,6 @@ def phi(spec: MeasureSpec, r):
     once its step is below 1e-13, so a radius gets the same bits alone or in
     a batch.
     """
-    require_valid(spec)
     r_arr = np.asarray(r, dtype=float)
     flat = r_arr.ravel()
     if np.any(flat <= 0.0):
@@ -230,7 +228,6 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     are taken; the rest past the last panel is the geometric series of the
     last two, whose ratio must lie in (0, 1).
     """
-    require_valid(spec)
     top = scaling_p_sup(spec)
     if not (1.0 <= p < top):
         raise GeometryError(

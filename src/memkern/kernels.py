@@ -59,7 +59,6 @@ from .measure import (
     MeasureError,
     gamma_bar,
     power_moment,
-    require_valid,
     sin_cos_moments,
     _sin_cos_log,
 )
@@ -330,7 +329,6 @@ def _laplace_inversion(spec: MeasureSpec, t, theta: float):
     """r_theta at t: one ``_exp_sums`` over one ``_node_table`` for all of
     t.  An array t gives an array of its shape; anything else a float.
     """
-    require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
@@ -381,7 +379,6 @@ def _grid_table(spec: MeasureSpec, step: float, n: int, theta: float,
                 powers=(1, 2, 3)) -> tuple[np.ndarray, ...]:
     """The theta ``_node_table`` for the grid t_j = j*step, j = 1..n, and
     its right ``_tail`` moments j in powers, for ``_resolvent_cells``."""
-    require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t = _as_time_array(step * np.arange(1, n + 1))
@@ -450,7 +447,6 @@ def _running_integrals(spec: MeasureSpec, t, theta: float) -> list:
     moments j = 1, 2, 3, one ``_cell_factors`` call per block of at most
     ``_TILE_ENTRIES`` entries.  An array t gives arrays of its shape.
     """
-    require_valid(spec)
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
@@ -624,7 +620,6 @@ def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
     monotone in its direction; ``KernelGridError`` names the first property
     that fails.
     """
-    require_valid(spec)
     if step <= 0 or n < 2:
         raise KernelGridError("need step > 0 and n >= 2")
     if 1.0 < _SMALL_T_FLOOR * n:
@@ -724,8 +719,6 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     ``l_kernel`` holds l on the certificate grid, as ``volterra.sample_l``.
     """
     from .geometry import phi  # local import to avoid a cycle
-
-    require_valid(spec)
     t = l_kernel.times
     l_vals = l_kernel.values
     denom = t * np.asarray(k1_eval(spec, t))  # int t^(1-a) dmu = t * k1(t)

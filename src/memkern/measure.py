@@ -4,8 +4,9 @@ A measure here is a finite nonnegative combination
 
     mu = sum_n q_n * delta(alpha_n)  +  w(alpha) d(alpha),
 
-with the orders alpha_n in (0,1) and w piecewise constant on a partition of
-(0,1).  Every kernel evaluated downstream is a moment integral against mu, so
+with the orders alpha_n in (0,1), w piecewise constant on a partition of
+(0,1) and positive mass; a ``MeasureSpec`` that breaks these rules cannot be
+built.  Every kernel evaluated downstream is a moment integral against mu, so
 this module keeps those moments exact where a closed antiderivative exists
 (power moments, oscillatory moments) and falls back to adaptive quadrature for
 generic integrands (scipy's ``quad``, imported by ``mu_integral`` alone).
@@ -22,10 +23,7 @@ import numpy as np
 __all__ = [
     "MeasureError",
     "MeasureSpec",
-    "MeasureValidation",
     "Violation",
-    "validate_measure",
-    "require_valid",
     "mass",
     "tail_mass",
     "mu_integral",
@@ -40,7 +38,12 @@ _LOG_SINGULARITY_GUARD = 1e-12
 
 
 class MeasureError(ValueError):
-    """A measure failed validation, or an integrand misbehaved on its support."""
+    """A measure failed validation (every broken rule in ``violations``), or
+    an integrand misbehaved on its support (``violations`` empty)."""
+
+    def __init__(self, message: str, violations: tuple = ()):
+        super().__init__(message)
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,8 @@ class Violation:
     message: str
     pointer: str = ""  # JSON pointer into the measure's dict form
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.code}: {self.message}"
-
-
-@dataclass(frozen=True)
-class MeasureValidation:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -67,13 +64,20 @@ class MeasureSpec:
     ``weight_values`` holds one density value per piece (len m).  Either
     component may be empty, but not both.  ``gamma_slack`` is the offset used
     when the top of the support is carried by the weight, where the supremum
-    of admissible tail levels is not attained.
+    of admissible tail levels is not attained.  An inadmissible measure
+    raises ``MeasureError`` on construction, with every broken rule.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     weight_breaks: tuple[float, ...] = ()
     weight_values: tuple[float, ...] = ()
     gamma_slack: float = 0.01
+
+    def __post_init__(self):
+        bad = _violations(self)
+        if bad:
+            raise MeasureError(
+                "invalid measure: " + "; ".join(map(str, bad)), bad)
 
     # -- constructors -----------------------------------------------------
 
@@ -126,8 +130,6 @@ class MeasureSpec:
             if w > 0.0:
                 lows.append(a)
                 highs.append(b)
-        if not lows:
-            raise MeasureError("zero measure has no support")
         return min(lows), max(highs)
 
 
@@ -135,8 +137,8 @@ class MeasureSpec:
 # validation
 
 
-def validate_measure(spec: MeasureSpec) -> MeasureValidation:
-    """Report every broken invariant with the JSON pointer of its entry."""
+def _violations(spec: MeasureSpec) -> tuple[Violation, ...]:
+    """Every broken invariant, with the JSON pointer of its entry."""
     bad: list[Violation] = []
 
     def flag(failed: bool, code: str, message: str, pointer: str = ""):
@@ -172,15 +174,7 @@ def validate_measure(spec: MeasureSpec) -> MeasureValidation:
          "gamma_slack must be in (0,1)", "/gamma_slack")
     flag(not bad and mass(spec) <= 0.0, "zero_measure",
          "total mass must be positive")
-    return MeasureValidation(ok=not bad, violations=tuple(bad))
-
-
-def require_valid(spec: MeasureSpec) -> None:
-    report = validate_measure(spec)
-    if not report.ok:
-        raise MeasureError(
-            "invalid measure: " + "; ".join(str(v) for v in report.violations)
-        )
+    return tuple(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +348,11 @@ def gamma_bar(spec: MeasureSpec) -> float:
     If the top of the support is an atom with no weight mass above it, that
     atom's order is returned exactly.  Otherwise the top is carried by the
     weight, the supremum is not attained, and we step down by ``gamma_slack``
-    (never below the largest atom).
+    (never below the largest atom of positive mass).
     """
-    require_valid(spec)
-    top_atom = spec.atoms[-1][0] if any(q > 0 for _, q in spec.atoms) else None
-    sup_w = None
-    for a, b, w in spec.pieces():
-        if w > 0.0:
-            sup_w = b if sup_w is None else max(sup_w, b)
-
-    if sup_w is None:
-        if top_atom is None:
-            raise MeasureError("zero measure")
-        gb = top_atom
-    elif top_atom is not None and sup_w <= top_atom:
+    top_atom = max((a for a, q in spec.atoms if q > 0.0), default=None)
+    sup_w = max((b for _, b, w in spec.pieces() if w > 0.0), default=None)
+    if sup_w is None or top_atom is not None and sup_w <= top_atom:
         gb = top_atom
     else:
         gb = sup_w - spec.gamma_slack
@@ -375,6 +360,8 @@ def gamma_bar(spec: MeasureSpec) -> float:
             gb = max(gb, top_atom)
         if gb <= 0.0:
             gb = sup_w * (1.0 - spec.gamma_slack)
+        # a slack too small to move sup_w would leave gb without mass
+        gb = min(gb, math.nextafter(sup_w, 0.0))
 
     if not (0.0 < gb < 1.0):
         raise MeasureError(f"computed tail level {gb} outside (0,1)")

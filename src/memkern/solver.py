@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import MeasureSpec, require_valid
+from .measure import MeasureSpec
 from .kernels import one_star_k_eval
 from .volterra import _TOEPLITZ_BLOCK, _ToeplitzHistory, _toeplitz_solve
 
@@ -370,7 +370,6 @@ class TimeStepper:
                  coefficients: CoefficientField | None, u0, f,
                  horizon: float, n_steps: int, *, reaction: float = 0.0,
                  kernel_cumulative: np.ndarray | None = None):
-        require_valid(spec)
         if n_steps < 1 or horizon <= 0.0:
             raise SolverError("need n_steps >= 1 and horizon > 0")
         if grid.dim and coefficients is None:

@@ -327,9 +327,14 @@ def _tabled_kernels(tables, step: float) -> list[DiscreteKernel]:
 def l1_distance(a: DiscreteKernel, b: DiscreteKernel,
                 horizon: float | None = None) -> float:
     """L1 distance of two sampled kernels up to the horizon: the head cells'
-    difference plus the trapezoid rule from t_1 on."""
+    difference plus the trapezoid rule from t_1 on.  A horizon that is NaN
+    or rounds to no node raises ``GridMismatchError``."""
     _check_compatible(a, b)
-    keep = a.n if horizon is None else min(a.n, int(round(horizon / a.step)))
+    nodes = a.n if horizon is None else horizon / a.step
+    if not nodes > 0.5:  # round(0.5) is 0
+        raise GridMismatchError(f"horizon {horizon} reaches no node of the "
+                                f"grid of step {a.step}")
+    keep = round(min(a.n, nodes))
     diff = np.abs(a.values[:keep] - b.values[:keep])
     return float(abs(a.head_integral() - b.head_integral())
                  + a.step * (np.sum(diff) - 0.5 * (diff[0] + diff[-1])))

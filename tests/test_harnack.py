@@ -98,6 +98,31 @@ class TestWeakHarnackRatio:
                                    delta=0.5, tau=1.0, p=1.0)
         assert rep.status == "degenerate"
 
+    def _cylinder_field(self, half, geometry_half, minus, rest):
+        # ``minus`` on the cells of Q-, ``rest`` everywhere else
+        g = dirichlet_grid(64)
+        fld = constant_field(g, 128, geometry_half["height"] / 128, rest)
+        (t_minus, x_minus), (t_plus, _) = H._harnack_masks(
+            fld, half, 0.0, 0.5, 0.4, 0.5, 1.0)
+        assert not np.any(t_minus & t_plus)
+        fld.values[np.ix_(t_minus, x_minus)] = minus
+        return fld
+
+    def test_zero_late_infimum_is_unbounded(self, half, geometry_half):
+        fld = self._cylinder_field(half, geometry_half, 1.0, 0.0)
+        rep = H.weak_harnack_ratio(fld, half, t0=0.0, x0=0.5, r=0.4,
+                                   delta=0.5, tau=1.0, p=1.0)
+        assert (rep.status, rep.ratio) == ("unbounded", None)
+        assert rep.mean_p == 1.0 and rep.inf_plus == 0.0
+
+    def test_negative_field_on_cylinder_rejected(self, half, geometry_half):
+        kw = dict(t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0, p=1.0)
+        clipped = self._cylinder_field(half, geometry_half, -0.5e-9, 1.0)
+        assert H.weak_harnack_ratio(clipped, half, **kw).mean_p == 0.0
+        fld = self._cylinder_field(half, geometry_half, -2e-9, 1.0)
+        with pytest.raises(H.HarnackError, match="negative on the working"):
+            H.weak_harnack_ratio(fld, half, **kw)
+
     def test_too_coarse_grid_errors(self, half):
         g = dirichlet_grid(4)
         fld = constant_field(g, 16, 2.0 * phi_bar(half, 0.4) / 16, 1.0)

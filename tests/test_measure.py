@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from memkern.config import ConfigError, parse_config
+from memkern.kernels import k_eval
 from memkern.measure import (
     MeasureSpec,
     MeasureError,
@@ -14,49 +16,177 @@ from memkern.measure import (
     power_moment,
     sin_cos_moments,
     tail_mass,
-    validate_measure,
 )
 
 
-def codes(report):
-    return {v.code for v in report.violations}
+def violations_of(**fields):
+    with pytest.raises(MeasureError) as err:
+        MeasureSpec(**fields)
+    return err.value.violations
+
+
+def codes(violations):
+    return {v.code for v in violations}
 
 
 class TestValidation:
     def test_single_order_valid(self):
-        assert validate_measure(MeasureSpec.single_order(0.5)).ok
+        assert MeasureSpec.single_order(0.5).atoms == ((0.5, 1.0),)
 
     def test_pure_weight_valid(self):
-        assert validate_measure(MeasureSpec.uniform_weight()).ok
+        assert mass(MeasureSpec.uniform_weight()) == 1.0
 
     def test_zero_measure_rejected(self):
-        spec = MeasureSpec(weight_breaks=(0.0, 1.0), weight_values=(0.0,))
-        report = validate_measure(spec)
-        assert not report.ok
-        assert "zero_measure" in codes(report)
+        bad = violations_of(weight_breaks=(0.0, 1.0), weight_values=(0.0,))
+        assert [(v.code, v.pointer) for v in bad] == [("zero_measure", "")]
 
     def test_negative_mass_rejected(self):
-        report = validate_measure(MeasureSpec(atoms=((0.5, -1.0),)))
-        assert "atom_mass_negative" in codes(report)
+        bad = violations_of(atoms=((0.5, -1.0),))
+        assert "atom_mass_negative" in codes(bad)
 
     def test_non_monotone_orders_rejected(self):
-        report = validate_measure(
-            MeasureSpec(atoms=((0.7, 1.0), (0.3, 1.0))))
-        assert "atom_order_monotone" in codes(report)
+        bad = violations_of(atoms=((0.7, 1.0), (0.3, 1.0)))
+        assert "atom_order_monotone" in codes(bad)
 
     def test_order_out_of_range_rejected(self):
-        report = validate_measure(MeasureSpec(atoms=((1.0, 1.0),)))
-        assert "atom_order_range" in codes(report)
+        bad = violations_of(atoms=((1.0, 1.0),))
+        assert "atom_order_range" in codes(bad)
 
     def test_weight_shape_rejected(self):
-        report = validate_measure(
-            MeasureSpec(weight_breaks=(0.0, 0.5, 1.0), weight_values=(1.0,)))
-        assert "weight_shape" in codes(report)
+        bad = violations_of(weight_breaks=(0.0, 0.5, 1.0),
+                            weight_values=(1.0,))
+        assert "weight_shape" in codes(bad)
 
     def test_all_violations_reported(self):
-        spec = MeasureSpec(atoms=((0.9, -1.0), (0.2, 1.0)))
-        report = validate_measure(spec)
-        assert len(report.violations) >= 2
+        bad = violations_of(atoms=((0.9, -1.0), (0.2, 1.0)))
+        assert codes(bad) == {"atom_mass_negative", "atom_order_monotone"}
+
+    @pytest.mark.parametrize("fields,code,pointer", [
+        (dict(atoms=((0.0, 1.0),)), "atom_order_range", "/atoms/0/alpha"),
+        (dict(atoms=((0.5, math.inf),)), "atom_not_finite", "/atoms/0"),
+        (dict(weight_breaks=(-0.1, 1.0), weight_values=(1.0,)),
+         "weight_break_range", "/weight/breaks/0"),
+        (dict(weight_breaks=(0.5, 0.5), weight_values=(1.0,)),
+         "weight_break_monotone", "/weight/breaks/1"),
+        (dict(weight_breaks=(0.0, 1.0), weight_values=(-1.0,)),
+         "weight_value_negative", "/weight/values/0"),
+        (dict(weight_values=(1.0,)), "weight_shape", "/weight"),
+        (dict(atoms=((0.5, 1.0),), gamma_slack=1.0), "gamma_slack_range",
+         "/gamma_slack"),
+        (dict(atoms=((0.5, 0.0),)), "zero_measure", ""),
+    ])
+    def test_every_rule_raises_on_construction(self, fields, code, pointer):
+        bad = violations_of(**fields)
+        assert (code, pointer) in {(v.code, v.pointer) for v in bad}
+
+    @pytest.mark.parametrize("atoms,code,pointer", [
+        (((1.5, 1.0),), "atom_order_range", "/atoms/0/alpha"),
+        (((0.5, -1.0),), "atom_mass_negative", "/atoms/0/q"),
+        (((0.7, 1.0), (0.3, 1.0)), "atom_order_monotone", "/atoms/1/alpha"),
+    ])
+    def test_inadmissible_measure_cannot_be_built(self, atoms, code, pointer):
+        # these used to build, and k_eval, conv_weights and sample_k then
+        # returned negative kernels from them without a word
+        with pytest.raises(MeasureError, match=code) as err:
+            MeasureSpec(atoms=atoms)
+        assert [(v.code, v.pointer) for v in err.value.violations] == [
+            (code, pointer)]
+        with pytest.raises(MeasureError):
+            MeasureSpec.from_atoms(atoms)
+
+    def test_gamma_bar_skips_a_massless_top_atom(self):
+        # a zero-mass atom above the support used to be taken as its top
+        spec = MeasureSpec(atoms=((0.3, 1.0), (0.6, 0.0)))
+        assert gamma_bar(spec) == 0.3
+        spec = MeasureSpec(atoms=((0.3, 1.0), (0.9, 0.0)),
+                           weight_breaks=(0.2, 0.5), weight_values=(1.0,))
+        assert gamma_bar(spec) == 0.5 - spec.gamma_slack
+
+    @pytest.mark.parametrize("top", [0.5, 1.0])
+    def test_gamma_bar_below_a_weight_top_for_any_slack(self, top):
+        # a slack below the last bit of the top used to give gamma_bar = top,
+        # which carries no mass (or lies outside (0,1) at top = 1)
+        spec = MeasureSpec(weight_breaks=(0.0, top), weight_values=(1.0,),
+                           gamma_slack=1e-300)
+        assert gamma_bar(spec) == math.nextafter(top, 0.0)
+
+
+def admissible(data) -> bool:
+    """Admissibility decided from the dict alone: orders strictly rising in
+    (0,1), masses >= 0, a weight with one nonnegative value per piece of a
+    strictly rising partition inside [0,1], a slack in (0,1), some mass."""
+    orders = [a["alpha"] for a in data["atoms"]]
+    masses = [a["q"] for a in data["atoms"]]
+    breaks, values = data["weight"]["breaks"], data["weight"]["values"]
+    pieces = list(zip(breaks, breaks[1:], values))
+    return (all(0.0 < a < 1.0 for a in orders)
+            and all(lo < hi for lo, hi in zip(orders, orders[1:]))
+            and all(q >= 0.0 for q in masses)
+            and (breaks == values == [] or len(values) == len(breaks) - 1 > 0)
+            and all(0.0 <= b <= 1.0 for b in breaks)
+            and all(lo < hi for lo, hi, _ in pieces)
+            and all(v >= 0.0 for v in values)
+            and 0.0 < data.get("gamma_slack", 0.01) < 1.0
+            and (any(q > 0.0 for q in masses)
+                 or any(v * (hi - lo) > 0.0 for lo, hi, v in pieces)))
+
+
+def mostly(inside, outside, **open_ends):
+    """Floats from ``inside`` seven times in eight, else from ``outside``."""
+    return st.one_of(*[st.floats(*inside, **open_ends)] * 7,
+                     st.floats(*outside))
+
+
+@st.composite
+def measure_dicts(draw):
+    """Measure dicts with orders in [-0.5, 1.5], masses and densities in
+    [-1, 2], breaks in [-0.25, 1.25] and a slack in [-0.5, 1.5], mostly
+    inside their admissible ranges and mostly sorted and of matching shape,
+    so that about one in five is admissible."""
+    atoms = draw(st.lists(st.fixed_dictionaries(
+        {"alpha": mostly((0.0, 1.0), (-0.5, 1.5), exclude_min=True,
+                         exclude_max=True),
+         "q": mostly((0.0, 2.0), (-1.0, 2.0), exclude_min=True)}),
+        max_size=3))
+    breaks = draw(st.one_of(st.just([]), st.lists(
+        mostly((0.0, 1.0), (-0.25, 1.25)), min_size=2, max_size=4)))
+    for entries, key in ((atoms, lambda a: a["alpha"]), (breaks, None)):
+        if draw(st.integers(0, 3)):
+            entries.sort(key=key)
+    n_values = max(len(breaks) - 1, 0)
+    if not draw(st.integers(0, 3)):
+        n_values = draw(st.integers(0, 3))
+    values = draw(st.lists(mostly((0.0, 2.0), (-1.0, 2.0)),
+                           min_size=n_values, max_size=n_values))
+    data = {"atoms": atoms, "weight": {"breaks": breaks, "values": values}}
+    if draw(st.booleans()):
+        data["gamma_slack"] = draw(mostly((0.0, 1.0), (-0.5, 1.5),
+                                          exclude_min=True, exclude_max=True))
+    return data
+
+
+class TestAdmissibility:
+    @given(data=measure_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_construction_agrees_with_an_independent_oracle(self, data):
+        config = {"experiment": "kernels", "measure": data}
+        try:
+            spec = MeasureSpec.from_dict(data)
+        except MeasureError as exc:
+            event("refused")
+            assert not admissible(data)
+            assert exc.violations
+            with pytest.raises(ConfigError) as err:
+                parse_config(config)
+            assert [ptr for ptr, _ in err.value.violations] == [
+                "/measure" + v.pointer for v in exc.violations]
+            return
+        event("admitted")
+        assert admissible(data)
+        assert parse_config(config).measure == spec
+        for t in (1e-3, 1.0, 10.0):
+            for value in (k_eval(spec, t), power_moment(spec, t)):
+                assert math.isfinite(value) and value >= 0.0
 
 
 class TestMuIntegral:

@@ -542,6 +542,19 @@ class TestL1:
         assert V.l1_norm(one, horizon=0.5) == 0.5
         assert V.l1_distance(one.scaled(3.0), one) == 2.0
 
+    def test_horizon_must_reach_a_node(self):
+        # a negative horizon used to measure as its absolute value, a tiny
+        # one raised IndexError and NaN a conversion error
+        one = V.DiscreteKernel(1.0 / 64, np.ones(64), head=1.0 / 64)
+        assert V.l1_norm(one, horizon=0.5) == 0.5
+        assert V.l1_norm(one, horizon=1.5 / 64) == 2.0 / 64
+        assert V.l1_norm(one, horizon=math.inf) == V.l1_norm(one)
+        for bad in (-0.5, 1e-9, 0.5 / 64, 0.0, math.nan):
+            with pytest.raises(V.GridMismatchError, match=f"horizon {bad}"):
+                V.l1_norm(one, horizon=bad)
+            with pytest.raises(V.GridMismatchError, match=f"horizon {bad}"):
+                V.l1_distance(one, one.scaled(2.0), horizon=bad)
+
 
 class TestSoninePartner:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.55, 0.8, 0.9])
