@@ -1,18 +1,19 @@
 """Command-line orchestration: run experiments, emit CSV/JSON artifacts.
 
 Subcommands: kernels | verify | solve | harnack | holder, each driven by a
-JSON config (see configs/ for examples).  Results land in a directory with a
-manifest.json carrying the config hash, seed and package version.  Every CSV
-goes through one block-streaming writer with one float format, Python's
-``repr`` (the shortest text that reads back to the same double), applied
-per column before the columns are broadcast into rows, so numeric content
-is deterministic for a fixed config and seed.  orjson's compiled shortest
-round-trip formatter writes a float ``v`` with ``1e-4 <= |v| < 1e16`` or
-``v = 0``, where its text is ``repr(v)`` byte for byte; ``repr`` itself
-writes the rest (NaN, infinities and the exponent forms), so the text is
-``repr`` throughout.  Exit codes: 0 success, 2 when a hard inequality
-certificate is violated (a NaN or inf counts as violated), 1 on runtime
-errors.
+JSON config (see configs/ for examples).  A runner only computes; ``run``
+then writes its CSVs, ``report.json`` and a manifest.json carrying the
+config hash, seed, package version and the files written, so a run that
+raises writes no artifact.  Every CSV goes through one block-streaming
+writer with one float format, Python's ``repr`` (the shortest text that
+reads back to the same double), applied per column before the columns are
+broadcast into rows, so numeric content is deterministic for a fixed config
+and seed.  orjson's compiled shortest round-trip formatter writes a float
+``v`` with ``1e-4 <= |v| < 1e16`` or ``v = 0``, where its text is
+``repr(v)`` byte for byte; ``repr`` itself writes the rest (NaN, infinities
+and the exponent forms), so the text is ``repr`` throughout.  Exit codes: 0
+success, 2 when a hard inequality certificate is violated (a NaN or inf
+counts as violated), 1 on runtime errors.
 """
 
 from __future__ import annotations
@@ -101,38 +102,22 @@ def _write_json(path: Path, data: dict) -> None:
         json.dump(data, fh, indent=2, sort_keys=True, default=_json_default)
 
 
-def _write_manifest(out: Path, config: ExperimentConfig, seed: int,
-                    extra: dict) -> None:
-    manifest = {
-        "config_hash": config_hash(config),
-        "version": __version__,
-        "seed": seed,
-        "experiment": config.experiment,
-        "config": config.to_dict(),
-        "unread_keys": list(config.unread_keys),
-    }
-    manifest.update(extra)
-    _write_json(out / "manifest.json", manifest)
-
-
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns (exit code, tables, report, manifest keys),
+# ``tables`` mapping a CSV file name to (header, columns), the report or None
 
 
-def _run_kernels(config: ExperimentConfig, out: Path, seed: int) -> int:
+def _run_kernels(config: ExperimentConfig, seed: int):
     spec = config.measure
     step = config.horizon / config.n_steps
     theta = float(config.params["theta"])
     kinds = list(_kernels.KernelKind)
-    files = [f"kernel_{kind.value}.csv" for kind in kinds]
     grids = _kernels.sample_kernels(spec, kinds, step, config.n_steps, theta)
-    for name, grid in zip(files, grids):
-        _write_csv(out / name, ["t", "value"], [grid.times, grid.values])
-    _write_manifest(out, config, seed, {"files": files, "theta": theta})
-    return 0
+    return 0, {f"kernel_{kind.value}.csv": (["t", "value"], [g.times, g.values])
+               for kind, g in zip(kinds, grids)}, None, {"theta": theta}
 
 
-def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
+def _run_verify(config: ExperimentConfig, seed: int):
     spec = config.measure
     n = config.n_steps
     step = config.horizon / n
@@ -141,11 +126,6 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     l_kernel = _volterra.sample_l(spec, step, n)
     certs = _kernels.bound_certificates(spec, l_kernel,
                                         r=float(config.params["r"]))
-    _write_csv(out / "certificates.csv",
-               ["t", "l", "upper_ratio", "holder_ratio"],
-               [certs.t, certs.l_values, certs.upper_ratio,
-                certs.holder_ratio])
-
     k_kernel = _volterra.sample_k(spec, step, n)
     sonine = _volterra.conv(k_kernel, l_kernel)
     gap = np.abs(sonine.values - 1.0)
@@ -165,8 +145,11 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
     # exp of a log below -700 underflows; those bounds are written as 0
     lhs = [math.exp(v) if v > -700 else 0.0 for v in scaling.log_lhs]
     rhs = [math.exp(v) if v > -700 else 0.0 for v in scaling.log_rhs]
-    _write_csv(out / "scaling.csv", ["r", "phi_2r", "lhs", "rhs", "ratio"],
-               [scaling.r, scaling.phi_2r, lhs, rhs, scaling.ratio])
+    tables = {
+        "certificates.csv": (["t", "l", "upper_ratio", "holder_ratio"], [
+            certs.t, certs.l_values, certs.upper_ratio, certs.holder_ratio]),
+        "scaling.csv": (["r", "phi_2r", "lhs", "rhs", "ratio"], [
+            scaling.r, scaling.phi_2r, lhs, rhs, scaling.ratio])}
 
     violations = (certs.hard_violations + phi_lam.violations
                   + phi_low.violations
@@ -186,13 +169,10 @@ def _run_verify(config: ExperimentConfig, out: Path, seed: int) -> int:
                     "r_admissible": scaling.r_admissible},
         "hard_violations": violations,
     }
-    _write_json(out / "report.json", report)
-    _write_manifest(out, config, seed, {
-        "files": ["certificates.csv", "scaling.csv", "report.json"],
+    return 2 if violations else 0, tables, report, {
         "sonine_residual_late": sonine_residual_late,
         "lp_walk_chunks": dict(zip(("computed", "most_used"),
-                                   scaling.walk_chunks))})
-    return 2 if violations else 0
+                                   scaling.walk_chunks))}
 
 
 def _initial_data(desc: dict, grid: _solver.SpatialGrid, seed: int):
@@ -218,7 +198,7 @@ def _step_figures(run) -> dict:
     return figures
 
 
-def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
+def _run_solve(config: ExperimentConfig, seed: int):
     spec = config.measure
     grid = config.grid()
     params = config.params
@@ -242,35 +222,27 @@ def _run_solve(config: ExperimentConfig, out: Path, seed: int) -> int:
     header = ["t", "i", "j"][:1 + len(cells)] + ["value"]
     columns = ([field.times.reshape((-1,) + (1,) * len(cells))]
                + [c[None] for c in cells] + [field.values])
-    _write_csv(out / "solution.csv", header, columns)
-    _write_manifest(out, config, seed, {
-        "files": ["solution.csv"], "wall_time": field.wall_time,
-        **_step_figures(field)})
-    return 0
+    return 0, {"solution.csv": (header, columns)}, None, {
+        "wall_time": field.wall_time, **_step_figures(field)}
 
 
-def _run_harnack(config: ExperimentConfig, out: Path, seed: int) -> int:
+def _run_harnack(config: ExperimentConfig, seed: int):
     params = config.params
     grid = config.grid()
     report = _harnack.harnack_ensemble(
         config.measure, grid, config.coefficients(grid),
         n_members=params["n_members"], seed=seed, n_steps=config.n_steps,
         **{k: float(params[k]) for k in ("r", "x0", "delta", "tau", "p", "t0")})
-    mhash = config_hash(config)[:16]
-    _write_csv(out / "harnack.csv",
-               ["seed", "member", "ratio", "p", "n_cells", "measure_hash"],
-               [seed, np.arange(len(report.ratios)), report.ratios, report.p,
-                report.n_cells, mhash])
-    _write_json(out / "report.json", {
+    table = (["seed", "member", "ratio", "p", "n_cells", "measure_hash"],
+             [seed, np.arange(len(report.ratios)), report.ratios, report.p,
+              report.n_cells, config_hash(config)[:16]])
+    return 0, {"harnack.csv": table}, {
         "max_ratio": report.max_ratio, "median_ratio": report.median_ratio,
-        "all_finite": report.all_finite, "statuses": list(report.statuses)})
-    _write_manifest(out, config, seed, {
-        "files": ["harnack.csv", "report.json"],
-        **_step_figures(report)})
-    return 0
+        "all_finite": report.all_finite,
+        "statuses": list(report.statuses)}, _step_figures(report)
 
 
-def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
+def _run_holder(config: ExperimentConfig, seed: int):
     spec = config.measure
     params = config.params
     r = float(params["r"])
@@ -284,15 +256,11 @@ def _run_holder(config: ExperimentConfig, out: Path, seed: int) -> int:
     profile = _harnack.oscillation_profile(
         field, spec, t1=t1, x1=float(params["x1"]), theta=theta,
         levels=params["levels"], r=r)
-    _write_csv(out / "oscillation.csv", ["level", "radius", "osc"],
-               [profile.levels, profile.radii, profile.osc])
-    _write_json(out / "report.json", {
+    table = (["level", "radius", "osc"],
+             [profile.levels, profile.radii, profile.osc])
+    return 0, {"oscillation.csv": table}, {
         "kappa": profile.kappa, "fit_residual": profile.fit_residual,
-        "status": profile.status, "t1": t1, "r": r})
-    _write_manifest(out, config, seed, {
-        "files": ["oscillation.csv", "report.json"],
-        **_step_figures(field)})
-    return 0
+        "status": profile.status, "t1": t1, "r": r}, _step_figures(field)
 
 
 _RUNNERS = {
@@ -305,10 +273,25 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment and write its artifacts; returns the process
+    exit code.  Nothing is written before the runner returns, and the
+    manifest's ``files`` lists what was written."""
+    seed = config.params["seed"]
+    code, tables, report, extra = _RUNNERS[config.experiment](config, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.experiment](config, out, config.params["seed"])
+    for name, (header, columns) in tables.items():
+        _write_csv(out / name, header, columns)
+    files = list(tables)
+    if report is not None:
+        _write_json(out / "report.json", report)
+        files.append("report.json")
+    _write_json(out / "manifest.json", {
+        "config_hash": config_hash(config), "version": __version__,
+        "seed": seed, "experiment": config.experiment,
+        "config": config.to_dict(), "unread_keys": list(config.unread_keys),
+        "files": files, **extra})
+    return code
 
 
 def main(argv=None) -> int:

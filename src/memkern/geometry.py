@@ -289,16 +289,12 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     if not np.any(inside):
         raise GeometryError("no grid radius satisfies Phi(2r) <= 1")
     # the plateau is the limiting small-radius value; the admissible radius is
-    # the largest grid point below which every ratio stays within 2x of it
+    # the largest grid point below which every ratio stays within 2x of it,
+    # or r[0] (r is sorted and Phi increasing, so ``inside`` is a prefix)
     log_plateau = float(log_ratio[inside][0])
     within = inside & (np.abs(log_ratio - log_plateau) <= math.log(2.0))
-    r_adm = float(r[inside][0])
-    for i in range(r.size):
-        if not inside[i]:
-            break
-        if not within[i]:
-            break
-        r_adm = float(r[i])
+    leading = int(np.logical_and.accumulate(within).sum())
+    r_adm = float(r[max(leading, 1) - 1])
     window = inside & (r <= r_adm)
     c_emp = float(np.exp(np.max(log_ratio[window])))
     return ScalingCertificate(p=p, r=r, phi_2r=phi2r, log_lhs=log_lhs,

@@ -718,7 +718,8 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
 
     ``l_kernel`` holds l on the certificate grid, as ``volterra.sample_l``.
     """
-    from .geometry import phi  # local import to avoid a cycle
+    from .geometry import phi  # local imports to avoid a cycle
+    from .volterra import sample_r_theta
     t = l_kernel.times
     l_vals = l_kernel.values
     denom = t * np.asarray(k1_eval(spec, t))  # int t^(1-a) dmu = t * k1(t)
@@ -736,17 +737,13 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     if ct.size:
         # the grid needs two samples; 1*r_theta is the running sum of the
         # nonnegative cell masses of r_theta
-        n = max(ct.size, 2)
-        p, c, tails = _grid_table(spec, l_kernel.step, n, theta)
-        r_vals, mass = (a[:ct.size, 0] for a in _resolvent_cells(
-            p, c[:, None], tails[:, None], l_kernel.step, n)[:2])
-        avg = np.cumsum(mass) / ct
-        big_k = np.asarray(one_star_k_eval(spec, ct))
-        chain1 = r_vals / avg
+        r_theta = sample_r_theta(spec, l_kernel.step, max(ct.size, 2), theta)
+        avg = np.cumsum(r_theta.cell_mass[:ct.size]) / ct
+        chain1 = r_theta.values[:ct.size] / avg
         chain2 = avg / l_vals[window]
-        chain3 = l_vals[window] * big_k
+        chain3 = l_vals[window] * np.asarray(one_star_k_eval(spec, ct))
     else:
-        r_vals = avg = big_k = chain1 = chain2 = chain3 = np.array([])
+        chain1 = chain2 = chain3 = np.array([])
     return BoundCertificates(
         t=t, l_values=l_vals, upper_ratio=upper, holder_ratio=holder,
         chain_t=ct, chain_r_over_avg=chain1, chain_avg_over_l=chain2,

@@ -4,12 +4,13 @@ A measure here is a finite nonnegative combination
 
     mu = sum_n q_n * delta(alpha_n)  +  w(alpha) d(alpha),
 
-with the orders alpha_n in (0,1), w piecewise constant on a partition of
-(0,1) and positive mass; a ``MeasureSpec`` that breaks these rules cannot be
-built.  Every kernel evaluated downstream is a moment integral against mu, so
-this module keeps those moments exact where a closed antiderivative exists
-(power moments, oscillatory moments) and falls back to adaptive quadrature for
-generic integrands (scipy's ``quad``, imported by ``mu_integral`` alone).
+with the orders alpha_n in (0,1), w finite and piecewise constant on a
+partition of (0,1) and a normal (not subnormal) positive mass; a
+``MeasureSpec`` that breaks these rules cannot be built.  Every kernel
+evaluated downstream is a moment integral against mu, so this module keeps
+those moments exact where a closed antiderivative exists (power moments,
+oscillatory moments) and falls back to adaptive quadrature for generic
+integrands (scipy's ``quad``, imported by ``mu_integral`` alone).
 """
 
 from __future__ import annotations
@@ -169,11 +170,14 @@ def _violations(spec: MeasureSpec) -> tuple[Violation, ...]:
     for i, v in enumerate(values if shape_ok else ()):
         flag(v < 0.0, "weight_value_negative", "weight density must be >= 0",
              f"/weight/values/{i}")
+        flag(not math.isfinite(v), "weight_value_not_finite",
+             "weight density must be finite", f"/weight/values/{i}")
 
     flag(not (0.0 < spec.gamma_slack < 1.0), "gamma_slack_range",
          "gamma_slack must be in (0,1)", "/gamma_slack")
-    flag(not bad and mass(spec) <= 0.0, "zero_measure",
-         "total mass must be positive")
+    # a subnormal mass underflows in the tail mass of gamma_bar
+    flag(not bad and not mass(spec) >= np.finfo(float).tiny, "zero_measure",
+         "total mass must be at least the smallest normal double")
     return tuple(bad)
 
 

@@ -227,10 +227,12 @@ class TestParsing:
     def test_unread_keys(self, tmp_path):
         # listed, not refused: a harnack run takes its horizon from the
         # cylinders, and verify runs on no grid
-        harnack = parse_config(str(ROOT / "configs" / "harnack1d.json"))
+        harnack = parse_config(str(ROOT / "configs" / "harnack1d.json"),
+                               n_steps=32)
         assert harnack.unread_keys == ("/horizon",)
-        cli._write_manifest(tmp_path, harnack, 7, {})
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert cli.run(harnack, tmp_path / "harnack") == 0
+        manifest = json.loads((tmp_path / "harnack" / "manifest.json")
+                              .read_text())
         assert manifest["unread_keys"] == ["/horizon"]
         config = parse_config(small_config("verify", grid={
             "extents": [[0.0, 1.0]], "n_cells": [16]}))
@@ -469,6 +471,42 @@ class TestParsing:
 
 
 class TestRunners:
+    @pytest.mark.parametrize("experiment,params,files", [
+        ("kernels", {"seed": 0},
+         ["kernel_k.csv", "kernel_k1.csv", "kernel_one_star_k.csv",
+          "kernel_l.csv", "kernel_r_theta.csv"]),
+        ("verify", {"seed": 0},
+         ["certificates.csv", "scaling.csv", "report.json"]),
+        ("solve", {"seed": 0}, ["solution.csv"]),
+        ("harnack", {"r": 0.4, "x0": 0.5, "p": 1.0, "n_members": 2,
+                     "seed": 1}, ["harnack.csv", "report.json"]),
+        ("holder", {"r": 0.2, "eta": 0.25, "theta": 1.0, "x1": 0.4,
+                    "levels": [1, 2, 3], "seed": 0},
+         ["oscillation.csv", "report.json"]),
+    ])
+    def test_manifest_lists_every_file_written(self, tmp_path, experiment,
+                                               params, files):
+        config = parse_config(small_config(experiment, n_steps=32,
+                                           params=params))
+        assert cli.run(config, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["files"] == files
+        assert sorted(manifest["files"]) == sorted(
+            p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+
+    def test_failed_run_writes_no_artifact(self, tmp_path, monkeypatch):
+        # the certificates used to be written before a later check raised
+        def broken(*args, **kwargs):
+            raise RuntimeError("scaling failed")
+
+        monkeypatch.setattr(cli._geometry, "scaling_certificate", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config("verify", n_steps=64)))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+        assert not out.exists() or not any(out.iterdir())
+
     def test_kernels_outputs(self, tmp_path):
         config = parse_config(small_config())
         code = cli.run(config, tmp_path)

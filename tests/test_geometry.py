@@ -275,6 +275,16 @@ class TestScalingCertificate:
             sc = G.scaling_certificate(spec, p, r_grid)
             assert np.all(np.isfinite(sc.log_ratio))
             assert sc.r_admissible >= r_grid[0]
+            # r_admissible against a walk over the radii: the last of the
+            # leading run within 2x of the plateau, and r[0] at least
+            within = (sc.phi_2r <= 1.0) & (np.abs(
+                sc.log_ratio - sc.log_plateau) <= math.log(2.0))
+            r_adm = sc.r[0]
+            for r, ok in zip(sc.r, within):
+                if not ok:
+                    break
+                r_adm = r
+            assert sc.r_admissible == r_adm
 
     def test_near_limit_exponent_larger_ratio(self, half):
         r_grid = np.logspace(-3, -1, 4)

@@ -74,6 +74,15 @@ class TestValidation:
         (dict(atoms=((0.5, 1.0),), gamma_slack=1.0), "gamma_slack_range",
          "/gamma_slack"),
         (dict(atoms=((0.5, 0.0),)), "zero_measure", ""),
+        (dict(weight_breaks=(0.0, 0.5, 1.0), weight_values=(1.0, math.nan)),
+         "weight_value_not_finite", "/weight/values/1"),
+        (dict(weight_breaks=(0.0, 1.0), weight_values=(math.inf,)),
+         "weight_value_not_finite", "/weight/values/0"),
+        # a subnormal mass used to build, and gamma_bar then raised "tail
+        # level carries no mass"
+        (dict(weight_breaks=(0.0, 1.0), weight_values=(5e-324,)),
+         "zero_measure", ""),
+        (dict(atoms=((0.5, 2.2250738585072009e-308),)), "zero_measure", ""),
     ])
     def test_every_rule_raises_on_construction(self, fields, code, pointer):
         bad = violations_of(**fields)
@@ -113,8 +122,9 @@ class TestValidation:
 
 def admissible(data) -> bool:
     """Admissibility decided from the dict alone: orders strictly rising in
-    (0,1), masses >= 0, a weight with one nonnegative value per piece of a
-    strictly rising partition inside [0,1], a slack in (0,1), some mass."""
+    (0,1), masses >= 0, a weight with one finite nonnegative value per piece
+    of a strictly rising partition inside [0,1], a slack in (0,1), and a
+    total mass of at least the smallest normal double."""
     orders = [a["alpha"] for a in data["atoms"]]
     masses = [a["q"] for a in data["atoms"]]
     breaks, values = data["weight"]["breaks"], data["weight"]["values"]
@@ -125,10 +135,10 @@ def admissible(data) -> bool:
             and (breaks == values == [] or len(values) == len(breaks) - 1 > 0)
             and all(0.0 <= b <= 1.0 for b in breaks)
             and all(lo < hi for lo, hi, _ in pieces)
-            and all(v >= 0.0 for v in values)
+            and all(0.0 <= v < math.inf for v in values)
             and 0.0 < data.get("gamma_slack", 0.01) < 1.0
-            and (any(q > 0.0 for q in masses)
-                 or any(v * (hi - lo) > 0.0 for lo, hi, v in pieces)))
+            and sum(masses) + sum(v * (hi - lo) for lo, hi, v in pieces)
+            >= 2.2250738585072014e-308)
 
 
 def mostly(inside, outside, **open_ends):
