@@ -42,7 +42,6 @@ from .volterra import (
 )
 from .geometry import (
     Cylinder,
-    CylinderKind,
     GeometryError,
     phi,
     phi_bar,

@@ -13,7 +13,6 @@ inequalities that make the cylinder geometry usable at small radii.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,12 +25,11 @@ from .measure import (
     power_moment,
     tail_mass,
 )
-from .kernels import (_gauss_panels, _l_dyadic_chunks, _node_table,
+from .kernels import (_gauss_panels, _inversion_table, _l_dyadic_chunks,
                       _panel_range)
 
 __all__ = [
     "GeometryError",
-    "CylinderKind",
     "Cylinder",
     "phi",
     "phi_bar",
@@ -109,35 +107,21 @@ def phi_bar(spec: MeasureSpec, r):
 # cylinders
 
 
-class CylinderKind(str, enum.Enum):
-    Q_MINUS = "q_minus"
-    Q_PLUS = "q_plus"
-    DYADIC = "dyadic"
-
-
 @dataclass(frozen=True)
 class Cylinder:
     t_start: float
     t_end: float
     center: tuple[float, ...]
     radius: float
-    kind: CylinderKind
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise GeometryError("cylinder needs t_start < t_end")
-        if self.radius <= 0.0:
-            raise GeometryError("cylinder needs radius > 0")
+        if not self.radius > 0.0:
+            raise GeometryError(
+                f"cylinder needs radius > 0, not {self.radius}")
         object.__setattr__(self, "center", tuple(
             float(c) for c in np.atleast_1d(self.center)))
-
-    def contains(self, t: float, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.center and x.size != len(self.center):
-            raise GeometryError("point dimension mismatch")
-        in_ball = (np.linalg.norm(x - np.asarray(self.center)) < self.radius
-                   if self.center else True)
-        return self.t_start < t < self.t_end and bool(in_ball)
 
 
 def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
@@ -153,11 +137,9 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
     if tau <= 0.0 or r <= 0.0:
         raise GeometryError("tau and r must be positive")
     height = tau * phi(spec, 2.0 * r)
-    q_minus = Cylinder(t0, t0 + delta * height, x0, delta * r,
-                       CylinderKind.Q_MINUS)
-    q_plus = Cylinder(t0 + (2.0 - delta) * height, t0 + 2.0 * height, x0,
-                      delta * r, CylinderKind.Q_PLUS)
-    return q_minus, q_plus
+    return (Cylinder(t0, t0 + delta * height, x0, delta * r),
+            Cylinder(t0 + (2.0 - delta) * height, t0 + 2.0 * height, x0,
+                     delta * r))
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +228,12 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     # first, and no panel edge may pass 2^1023 (Phi(2r) >= 1e-300 keeps the
     # first chunk below it).  Walks that the chunks do not finish get all
     # that fit.
-    k_lo, k_hi = _panel_range(phi2r.min() / 256, phi2r.max())
-    most = min(50, (1023 - k_hi) // 8 + 1)
+    t_lo, t_hi = phi2r.min() / 256, phi2r.max()
+    most = min(50, (1023 - _panel_range(t_lo, t_hi)[1]) // 8 + 1)
     chunks = _walk_chunks(spec, p, phi2r, most)
     while True:
-        l = _l_dyadic_chunks(s[order], 8, chunks, _node_table(
-            spec, 0.0, k_lo, k_hi + 8 * (chunks - 1)))[:, np.argsort(order)]
+        table = _inversion_table(spec, 0.0, t_lo, t_hi, reach=8 * (chunks - 1))
+        l = _l_dyadic_chunks(s[order], 8, chunks, table)[:, np.argsort(order)]
         # chunk c holds panels 8c..8c+7 of every walk, chunk 0 scaled by
         # 2^(-8c); panel 8c + i is row 7 - i of the ascending edges
         pieces = (l.reshape(chunks, r.size, 8, 16) ** p * np.ldexp(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MeasureSpec, gamma_bar
-from .geometry import Cylinder, CylinderKind, build_cylinders, phi_bar
+from .geometry import Cylinder, build_cylinders, phi_bar
 from .solver import (
     CoefficientField,
     SolutionField,
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _MIN_CYLINDER_CELLS = 8
+_PROFILE_MODES = 8  # Fourier modes of random_fourier_profile
+_PROFILE_DECAY = 1.5  # amplitude m^-decay of its mode m
+_FLAT_TOL = 1e-10  # strong_max_check: attained and flat within this
 
 
 class HarnackError(ValueError):
@@ -114,8 +117,7 @@ class HarnackReport:
 
 def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
                        t0: float, x0, r: float, delta: float, tau: float,
-                       p: float, min_cells: int = _MIN_CYLINDER_CELLS,
-                       masks=None) -> HarnackReport:
+                       p: float, masks=None) -> HarnackReport:
     """Ratio of the early Lp mean to the late infimum over paired cylinders.
 
     The negative-forcing correction ``r^2 * sup f^-`` enters the denominator
@@ -131,7 +133,7 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
     if masks is None:
         masks = _harnack_masks(field, spec, t0, x0, r, delta, tau)
     u_minus, u_plus = (_cells_in_cylinder(field, m) for m in masks)
-    if u_minus.size < min_cells or u_plus.size < min_cells:
+    if min(u_minus.size, u_plus.size) < _MIN_CYLINDER_CELLS:
         raise HarnackError(
             f"discrete cylinders too small ({u_minus.size}, {u_plus.size}); "
             "refine the grid or enlarge the cylinder")
@@ -167,21 +169,21 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
 # random ensembles
 
 
-def random_fourier_profile(rng: np.random.Generator, n_modes: int = 8,
-                           decay: float = 1.5):
+def random_fourier_profile(rng: np.random.Generator):
     """Clipped random Fourier profile on [0,1]: smooth, nonnegative, seeded.
 
     Returns a callable of the spatial coordinate so the same draw can be
     sampled on any grid resolution.
     """
     offsets = abs(rng.normal(loc=0.8, scale=0.3))
-    amps = rng.normal(size=n_modes) / (np.arange(1, n_modes + 1) ** decay)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_modes)
+    modes = np.arange(1, _PROFILE_MODES + 1)
+    amps = rng.normal(size=_PROFILE_MODES) / modes**_PROFILE_DECAY
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=_PROFILE_MODES)
 
     def profile(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         acc = np.full_like(x, offsets)
-        for m in range(n_modes):
+        for m in range(_PROFILE_MODES):
             acc = acc + amps[m] * np.sin(math.pi * (m + 1) * x + phases[m])
         return np.maximum(acc, 0.0)
 
@@ -332,8 +334,7 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
                 for c, (lo, hi) in zip(x1c, grid.extents)):
             continue
         t_mask, x_mask = _cylinder_masks(field, Cylinder(
-            t1 - depth, t1 + 1e-12 * field.horizon, x1c, rho_r,
-            CylinderKind.DYADIC))
+            t1 - depth, t1 + 1e-12 * field.horizon, x1c, rho_r))
         t_mask[top_idx] = True
         u = _cells_in_cylinder(field, (t_mask, x_mask))
         if u.size < 2:
@@ -366,25 +367,24 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
 # strong maximum principle
 
 
-def strong_max_check(field: SolutionField, cyl: Cylinder,
-                     tol: float = 1e-10) -> str:
+def strong_max_check(field: SolutionField, cyl: Cylinder) -> str:
     """Constancy-after-attained-maximum verdict on one cylinder.
 
     If the supremum over the cylinder reaches the global supremum (within
-    tol), every earlier time slice must be flat; returns "consistent",
-    "violated", or "not-applicable" when the hypothesis fails.
+    ``_FLAT_TOL``), every earlier time slice must be flat; returns
+    "consistent", "violated", or "not-applicable" when the hypothesis fails.
     """
     u_cyl = _cells_in_cylinder(field, _cylinder_masks(field, cyl))
     if u_cyl.size == 0:
         raise HarnackError("cylinder contains no samples")
     global_sup = float(np.max(field.values))
-    if float(np.max(u_cyl)) < global_sup - tol:
+    if float(np.max(u_cyl)) < global_sup - _FLAT_TOL:
         return "not-applicable"
     times = field.times
     earlier = times < cyl.t_start
     earlier[0] = False  # the initial slice is data, not solution
     for idx in np.nonzero(earlier)[0]:
         sl = field.values[idx]
-        if float(np.max(sl) - np.min(sl)) > tol:
+        if float(np.max(sl) - np.min(sl)) > _FLAT_TOL:
             return "violated"
     return "consistent"

@@ -13,21 +13,23 @@ only exist through a real-axis inversion integral
     H_theta(p) = S / (S^2 + (theta + C)^2),
     S = int p^a sin(pi a) dmu,  C = int p^a cos(pi a) dmu,
 
-summed over Gauss-Legendre nodes on dyadic panels in p (``_node_table``,
-which evaluates H_theta once per call) that put u = p*t over [2^-60, 2^11]
-for every time of the call.  ``_tail`` closes both ends in log p: left of
-the panels every kernel of u is a constant, so the integral of H/pi there is
-the weight of one node at p = 0; right of them exp(-u) is 0, and a cell that
-starts at t = 0 takes moments of H/pi p^-j there.  No panel count depends on
-the measure.  (H_theta peaks at the zero of theta + C, and where S is small
-there the panels do not resolve the peak: for theta > 0 with a top order
-near one, and at theta = 0 as well for mixtures with mass near both 0 and 1,
-such as (0.001, 1/2) + (0.999, 1/2), whose l is 0.5% high.  l and r_theta
-are then not accurate to round-off.)  r_theta itself (``_exp_sums``)
-contracts a block of times only against the band 2^-10 <= p*t <= 2^10 where
-exp(-p*t) varies: right of it exp(-p*t) is 0, left of it it is its degree-5
-Taylor polynomial, so those nodes enter through moments of the weights that
-run over the call, each node entering once.  Every integral of r_theta is a
+summed over Gauss-Legendre nodes on dyadic panels in p that put u = p*t
+over [2^-60, 2^11] for every time of the call.  ``_inversion_table`` builds
+every such node set: it evaluates H_theta once per call, which checks theta,
+and alone calls ``_tail``, which closes both ends in log p: left of the
+panels every kernel of u is a constant, so the integral of H/pi p^-s there
+is the weight of one node at p = 0; right of them exp(-u) is 0, and a cell
+that starts at t = 0 takes moments of H/pi p^-j there.  No panel count
+depends on the measure.  (H_theta peaks at the zero of theta + C, and where
+S is small there the panels do not resolve the peak: for theta > 0 with a
+top order near one, and at theta = 0 as well for mixtures with mass near
+both 0 and 1, such as (0.001, 1/2) + (0.999, 1/2), whose l is 0.5% high.
+l and r_theta are then not accurate to round-off.)  r_theta itself
+(``_exp_sums``) contracts a block of times only against the band
+2^-10 <= p*t <= 2^10 where exp(-p*t) varies: right of it exp(-p*t) is 0,
+left of it it is its degree-5 Taylor polynomial, so those nodes enter
+through moments of the weights that run over the call, each node entering
+once.  Every integral of r_theta is a
 sum of the per-node cell factors of ``_cell_factors``, the integrals of
 exp(-p s) against 1, s and a bubble over one cell: the running integrals
 (1^d * r_theta)(t), d = 1, 2, 3, of ``resolvent_tables`` take the cell
@@ -56,10 +58,10 @@ import numpy as np
 
 from .measure import (
     MeasureSpec,
-    MeasureError,
     gamma_bar,
     power_moment,
     sin_cos_moments,
+    _as_time_array,
     _sin_cos_log,
 )
 
@@ -117,17 +119,6 @@ def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     return mid + half * nodes, half * weights
-
-
-def _as_time_array(t, positive: bool = True):
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise MeasureError("kernel evaluation requires finite t")
-    if positive and np.any(t_arr <= 0.0):
-        raise MeasureError("kernel evaluation requires t > 0")
-    if np.any(t_arr < 0.0):
-        raise MeasureError("running integrals require t >= 0")
-    return t_arr
 
 
 def _k_moments(spec: MeasureSpec, t, depths):
@@ -192,10 +183,11 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
     """Laplace-plane function ``(H_theta(p), S(p), C(p))``.
 
     Computed in a scaled form so that underflow of the oscillatory moments at
-    extreme p cannot produce spurious infinities.
+    extreme p cannot produce spurious infinities.  The one check of theta:
+    every kernel of theta evaluates H_theta before anything else of theta.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and nonnegative, not {theta}")
     p_arr = np.asarray(p, dtype=float)
     s, c = sin_cos_moments(spec, p_arr)
     d = theta + c
@@ -225,19 +217,29 @@ def _panel_range(t_min: float, t_max: float) -> tuple[int, int]:
             math.ceil(_DEPTH0_RIGHT + 1 - math.log2(t_min)))
 
 
-def _node_table(spec: MeasureSpec, theta: float, k_lo: int, k_hi: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes p of the Gauss-Legendre panels [2^k, 2^(k+1)], k_lo <= k < k_hi,
-    ascending behind a node at p = 0, and their weights times H_theta(p)/pi;
-    the node at p = 0 holds the left tail ``(1/pi) int_0^(2^k_lo) H_theta dp``.
-
-    The nodes of panel k + m are those of panel k times 2^m, bit for bit.
+def _inversion_table(spec: MeasureSpec, theta: float, t_lo: float,
+                     t_hi: float, powers=(0,), right=(), reach: int = 0):
+    """Nodes p of the panels of ``_panel_range(t_lo, t_hi)`` and ``reach``
+    more on the right, ascending behind a node at p = 0; one weight column
+    per s in powers, the panel weights times H_theta p^-s / pi with the left
+    ``_tail`` of that integrand at p = 0; and the right ``_tail`` moments of
+    H_theta p^-(s+j) / pi, one row per j in ``right`` (None without).  The
+    nodes of panel k + m are those of panel k times 2^m, bit for bit.
     """
+    k_lo, k_hi = _panel_range(t_lo, t_hi)
+    k_hi += reach
     p, w = (a.ravel() for a in _gauss_panels(
         np.ldexp(1.0, np.arange(k_lo, k_hi + 1)), _GL_NODES_PER_PANEL))
-    left = _tail(spec, theta, math.ldexp(1.0, k_lo), "left", (0,))
-    return (np.append(0.0, p),
-            np.append(left, w * h_laplace_eval(spec, p, theta)[0] / math.pi))
+    c = w * h_laplace_eval(spec, p, theta)[0] / math.pi
+    weights = np.vstack((
+        _tail(spec, theta, math.ldexp(1.0, k_lo), "left", powers),
+        np.column_stack([c / p**s for s in powers])))
+    tails = None
+    if right:
+        tails = _tail(spec, theta, math.ldexp(1.0, k_hi), "right",
+                      [s + j for j in right for s in powers]
+                      ).reshape(len(right), len(powers))
+    return np.append(0.0, p), weights, tails
 
 
 # y-nodes and weights of _tail: 16-point Gauss-Legendre panels on [0, 1]
@@ -326,19 +328,17 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
 
 
 def _laplace_inversion(spec: MeasureSpec, t, theta: float):
-    """r_theta at t: one ``_exp_sums`` over one ``_node_table`` for all of
-    t.  An array t gives an array of its shape; anything else a float.
+    """r_theta at t: one ``_exp_sums`` over one ``_inversion_table`` for
+    all of t.  An array t gives an array of its shape; anything else a float.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
     t_flat = t_arr.ravel()
     out = np.empty(t_flat.size)
     if t_flat.size:
         order = np.argsort(t_flat)
         ts = t_flat[order]
-        p, coeff = _node_table(spec, theta, *_panel_range(ts[0], ts[-1]))
-        out[order] = _exp_sums(p, coeff[:, None], ts)[:, 0]
+        p, weights, _ = _inversion_table(spec, theta, ts[0], ts[-1])
+        out[order] = _exp_sums(p, weights, ts)[:, 0]
     if isinstance(t, np.ndarray):
         return out.reshape(t_arr.shape)
     return float(out[0])
@@ -376,17 +376,13 @@ def _cell_factors(v: np.ndarray) -> np.ndarray:
 
 
 def _grid_table(spec: MeasureSpec, step: float, n: int, theta: float,
-                powers=(1, 2, 3)) -> tuple[np.ndarray, ...]:
-    """The theta ``_node_table`` for the grid t_j = j*step, j = 1..n, and
-    its right ``_tail`` moments j in powers, for ``_resolvent_cells``."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+                powers=(0,)):
+    """The ``_inversion_table`` of the grid t_j = j*step, j = 1..n, with the
+    right tails j = 1, 2, 3 of ``_resolvent_cells``."""
     t = _as_time_array(step * np.arange(1, n + 1))
     if t.size < 2:
         raise GridMismatchError("need at least 2 samples on one axis")
-    k_lo, k_hi = _panel_range(t[0], t[-1])
-    return (*_node_table(spec, theta, k_lo, k_hi),
-            _tail(spec, theta, math.ldexp(1.0, k_hi), "right", powers))
+    return _inversion_table(spec, theta, t[0], t[-1], powers, (1, 2, 3))
 
 
 def _resolvent_cells(p: np.ndarray, weights: np.ndarray, tails: np.ndarray,
@@ -427,11 +423,12 @@ def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
     bit, so l(s 2^(-m c)) is the sum over the nodes of ``_panel_range`` of s
     with the weights m c panels to the right; the nodes that pass the left
     end join the node at p = 0 as a prefix sum.  One ``_exp_sums`` takes
-    every row.  ``table`` is a theta = 0 ``_node_table`` that reaches
+    every row.  ``table`` is a theta = 0 ``_inversion_table`` that reaches
     m (chunks - 1) panels past that range; s may hold the nodes of several
     walks.
     """
-    p, coeff = table
+    p, weights, _ = table
+    coeff = weights[:, 0]
     k_hi = _panel_range(s[0], s[-1])[1]  # the table may reach further
     n = 1 + _GL_NODES_PER_PANEL * (k_hi + 1 - math.frexp(p[1])[1])
     shift = m * _GL_NODES_PER_PANEL * np.arange(chunks)
@@ -443,19 +440,17 @@ def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
 def _running_integrals(spec: MeasureSpec, t, theta: float) -> list:
     """``(1^d * r_theta)(t)``, d = 1, 2, 3: the mass, t * mass - first
     moment and (t * depth 2 - bubble)/2 of the cell (0, t] of
-    ``_resolvent_cells``, on one ``_node_table`` with its right ``_tail``
-    moments j = 1, 2, 3, one ``_cell_factors`` call per block of at most
+    ``_resolvent_cells``, on one ``_inversion_table`` with its right tails
+    j = 1, 2, 3, one ``_cell_factors`` call per block of at most
     ``_TILE_ENTRIES`` entries.  An array t gives arrays of its shape.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
     t_arr = _as_time_array(t)
     t_flat = t_arr.ravel()
     out = np.empty((3, t_flat.size))
     if t_flat.size:
-        k_lo, k_hi = _panel_range(np.min(t_flat), np.max(t_flat))
-        p, coeff = _node_table(spec, theta, k_lo, k_hi)
-        tails = _tail(spec, theta, math.ldexp(1.0, k_hi), "right", (1, 2, 3))
+        p, weights, tails = _inversion_table(
+            spec, theta, np.min(t_flat), np.max(t_flat), right=(1, 2, 3))
+        coeff, tails = weights[:, 0], tails[:, 0]
         rows = max(1, _TILE_ENTRIES // p.size)
         for lo in range(0, t_flat.size, rows):
             tt = t_flat[lo:lo + rows]
@@ -514,18 +509,18 @@ class GridMismatchError(ValueError):
 
 @dataclass
 class DiscreteKernel:
-    """Samples at t_j = j*step plus optional exact cell integrals.
+    """Samples at t_j = j*step, step positive and finite, plus optional
+    exact cell integrals.
 
-    ``head`` is the exact integral over the first cell (0, step].
     ``cell_mass`` holds exact integrals over every cell ((j-1)*step, j*step],
-    and ``cell_first_moment`` the matching integrals of s*kernel(s); both are
-    optional refinements used by the product-integration schemes.  Instances
-    are treated as immutable; the sample array is locked.
+    the first cell (0, step] included, and ``cell_first_moment`` the matching
+    integrals of s*kernel(s); both are optional refinements used by the
+    product-integration schemes.  Instances are treated as immutable; the
+    sample array is locked.
     """
 
     step: float
     values: np.ndarray
-    head: float | None = None
     cell_mass: np.ndarray | None = None
     cell_first_moment: np.ndarray | None = None
     cell_bubble_moment: np.ndarray | None = None
@@ -536,10 +531,9 @@ class DiscreteKernel:
             raise GridMismatchError("need at least 2 samples on one axis")
         if not np.all(np.isfinite(vals)):
             raise GridMismatchError("samples must be finite")
-        if self.step <= 0.0:
-            raise GridMismatchError("step must be positive")
-        if self.head is not None and not math.isfinite(self.head):
-            raise GridMismatchError("head must be finite")
+        if not 0.0 < self.step < math.inf:
+            raise GridMismatchError(
+                f"step must be positive and finite, not {self.step}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         for name in ("cell_mass", "cell_first_moment", "cell_bubble_moment"):
@@ -565,20 +559,13 @@ class DiscreteKernel:
     def times(self) -> np.ndarray:
         return self.step * np.arange(1, self.n + 1)
 
-    def head_integral(self) -> float:
-        """Integral over the first cell (0, step]; rectangle rule fallback."""
-        if self.cell_mass is not None:
-            return float(self.cell_mass[0])
-        if self.head is not None:
-            return float(self.head)
-        return float(self.step * self.values[0])
-
     def masses(self) -> np.ndarray:
-        """Cell masses A_m; trapezoid synthesis when no exact table exists."""
+        """Cell masses A_m; the rectangle rule on the first cell and the
+        trapezoid rule on the others when no exact table exists."""
         if self.cell_mass is not None:
             return self.cell_mass
         out = np.empty(self.n)
-        out[0] = self.head_integral()
+        out[0] = self.step * self.values[0]
         out[1:] = 0.5 * self.step * (self.values[:-1] + self.values[1:])
         return out
 
@@ -603,7 +590,6 @@ class DiscreteKernel:
             return None if arr is None else factor * arr
         return DiscreteKernel(
             self.step, factor * self.values,
-            head=None if self.head is None else factor * self.head,
             cell_mass=_s(self.cell_mass),
             cell_first_moment=_s(self.cell_first_moment),
             cell_bubble_moment=_s(self.cell_bubble_moment),
@@ -631,10 +617,9 @@ def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
     thetas = [theta if kind is KernelKind.R_THETA else 0.0
               for kind in kinds if kind not in evaluators]
     if thetas:
-        tables = [_node_table(spec, th, *_panel_range(t[0], t[-1]))
-                  for th in thetas]
-        inverted = iter(_exp_sums(tables[0][0], np.column_stack(
-            [c for _, c in tables]), t).T)
+        tables = [_inversion_table(spec, th, t[0], t[-1]) for th in thetas]
+        inverted = iter(_exp_sums(tables[0][0], np.hstack(
+            [w for _, w, _ in tables]), t).T)
     out = []
     for kind in kinds:
         vals = np.asarray(evaluators[kind](spec, t) if kind in evaluators

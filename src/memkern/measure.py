@@ -245,12 +245,24 @@ def _power_antiderivative(t, a: float, b: float):
     return np.where(small, series, regular)
 
 
+def _as_time_array(t, positive: bool = True) -> np.ndarray:
+    """t (or p) as an array, finite and positive (nonnegative with
+    ``positive=False``): the one time check of the moments and kernels.  The
+    minimum carries a NaN, so two reductions check every entry."""
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.size:
+        lo = t_arr.min()
+        if not ((lo > 0.0 or not positive and lo == 0.0)
+                and t_arr.max() < math.inf):
+            kind = "positive" if positive else "nonnegative"
+            raise MeasureError(f"evaluation points must be finite and {kind}")
+    return t_arr
+
+
 def power_moment(spec: MeasureSpec, t):
     """Exact moment ``integral of t^(-alpha) d mu(alpha)``.  Scalar in, scalar
     out; arrays broadcast."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise MeasureError("power moments require t > 0")
+    t_arr = _as_time_array(t)
     out = np.zeros_like(t_arr)
     for a, q in spec.atoms:
         if q == 0.0:
@@ -265,9 +277,7 @@ def power_moment(spec: MeasureSpec, t):
 
 def alpha_power_moment(spec: MeasureSpec, t):
     """Exact moment ``integral of alpha * t^(-alpha) d mu(alpha)``."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise MeasureError("power moments require t > 0")
+    t_arr = _as_time_array(t)
     out = np.zeros_like(t_arr)
     for a, q in spec.atoms:
         if q == 0.0:
@@ -295,9 +305,7 @@ def sin_cos_moments(spec: MeasureSpec, p):
     Exact for both atoms and weight pieces (the piece antiderivatives of
     exp(a log p) sin/cos(pi a) are elementary).  ``p`` broadcasts.
     """
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0):
-        raise MeasureError("oscillatory moments require p > 0")
+    p_arr = _as_time_array(p)
     s, c = _sin_cos_log(spec, np.log(p_arr), p_arr)
     if isinstance(p, np.ndarray):
         return s, c

@@ -114,11 +114,15 @@ class SpatialGrid:
             for bc in pair:
                 if bc.kind not in ("dirichlet", "neumann_zero"):
                     raise SolverError(f"unknown boundary kind {bc.kind!r}")
-        for (lo, hi), n in zip(self.extents, self.n_cells):
-            if hi <= lo:
-                raise SolverError("extent upper bound must exceed lower")
+        for axis, ((lo, hi), n) in enumerate(zip(self.extents, self.n_cells)):
+            if not -math.inf < lo < hi < math.inf:
+                raise SolverError(f"axis {axis}: extent ({lo}, {hi}) must be "
+                                  "finite with upper bound above lower")
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise SolverError(
+                    f"axis {axis}: n_cells {n!r} is not an integer")
             if n < 3:
-                raise SolverError("need at least 3 cells per active axis")
+                raise SolverError(f"axis {axis}: need at least 3 cells")
         if self.dim > 2:
             raise SolverError("only dim <= 2 is supported")
 

@@ -48,6 +48,7 @@ __all__ = [
 _TOEPLITZ_BLOCK = 64     # base block B of the lower-triangular Toeplitz engine
 _DENSE_FAR_FIELD = 128   # far-field spans s up to this are one dense matmul
 _FFT_CHUNK_BYTES = 1 << 18  # spectrum bytes of one column chunk of the FFT path
+_BURN_IN = 0.05  # fraction of the horizon fundamental_identity_residual skips
 
 
 def _check_compatible(a: DiscreteKernel, b: DiscreteKernel) -> None:
@@ -97,10 +98,9 @@ def conv(a: DiscreteKernel, b: DiscreteKernel) -> DiscreteKernel:
         x[row], x[row + 1, 1:] = other, other[:-1]
         x[row + 2, 2:] = (other[2:] - 2.0 * other[1:-1] + other[:-2]) / tau**2
     out = _half_range_product(w, x)
-    # first cell: one factor's exact head mass against the other's first
+    # first cell: one factor's exact cell mass against the other's first
     # sample, or the mean of both ways when both or neither have one
-    a_exact, b_exact = (k.cell_mass is not None or k.head is not None
-                        for k in (a, b))
+    a_exact, b_exact = (k.cell_mass is not None for k in (a, b))
     own_a = 0.5 if a_exact == b_exact else float(a_exact)
     out[0] = ((1.0 - own_a) * a.values[0] * b.masses()[0]
               + own_a * b.values[0] * a.masses()[0])
@@ -303,24 +303,24 @@ def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
         d_m[first:last] = np.sum(
             w * (x - edges[:-1, None]) * (edges[1:, None] - x)
             * _kernels._k_moments(spec, x, (0,))[0], axis=1)
-    return DiscreteKernel(step, vals, head=float(running[0][0]), cell_mass=a_m,
-                          cell_first_moment=b_m, cell_bubble_moment=d_m)
+    return DiscreteKernel(step, vals, cell_mass=a_m, cell_first_moment=b_m,
+                          cell_bubble_moment=d_m)
 
 
 def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
                    theta: float) -> DiscreteKernel:
     """Resolvent samples with cell tables summed node by node, without
     differences of running integrals (``kernels._resolvent_cells``)."""
-    p, c, tails = _kernels._grid_table(spec, step, n_steps, theta)
     return _tabled_kernels(_kernels._resolvent_cells(
-        p, c[:, None], tails[:, None], step, n_steps), step)[0]
+        *_kernels._grid_table(spec, step, n_steps, theta), step, n_steps),
+        step)[0]
 
 
 def _tabled_kernels(tables, step: float) -> list[DiscreteKernel]:
     """One kernel with exact cell tables per weight column of
     ``kernels._resolvent_cells``."""
-    return [DiscreteKernel(step, vals, head=float(mass[0]), cell_mass=mass,
-                           cell_first_moment=first, cell_bubble_moment=bubble)
+    return [DiscreteKernel(step, vals, cell_mass=mass, cell_first_moment=first,
+                           cell_bubble_moment=bubble)
             for vals, mass, first, bubble in zip(*(a.T for a in tables))]
 
 
@@ -336,7 +336,7 @@ def l1_distance(a: DiscreteKernel, b: DiscreteKernel,
                                 f"grid of step {a.step}")
     keep = round(min(a.n, nodes))
     diff = np.abs(a.values[:keep] - b.values[:keep])
-    return float(abs(a.head_integral() - b.head_integral())
+    return float(abs(a.masses()[0] - b.masses()[0])
                  + a.step * (np.sum(diff) - 0.5 * (diff[0] + diff[-1])))
 
 
@@ -373,15 +373,10 @@ def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int
     if n < 1:
         raise ValueError("n must be a positive integer")
     theta = float(n)
-    p, c, tails = _kernels._grid_table(spec, step, n_steps, theta,
-                                       (1, 2, 3, 4))
-    # the node at p = 0 holds the part of sum c/p left of the table
-    p_lo = math.ldexp(1.0, math.frexp(p[1])[1] - 1)
-    c_over_p = np.append(_kernels._tail(spec, theta, p_lo, "left", (1,)),
-                         c[1:] / p[1:])
+    p, weights, tails = _kernels._grid_table(spec, step, n_steps, theta,
+                                             (0, 1))
     h, s_n = _tabled_kernels(_kernels._resolvent_cells(
-        p, theta * np.column_stack((c, c_over_p)),
-        theta * np.column_stack((tails[:3], tails[1:])), step, n_steps), step)
+        p, theta * weights, theta * tails, step, n_steps), step)
     return YosidaKernels(n=n, h=h, k_n=s_n.scaled(theta), s_n=s_n)
 
 
@@ -399,8 +394,7 @@ class FundamentalIdentityReport:
 
 def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
                                   H: Callable[[np.ndarray], np.ndarray],
-                                  H_prime: Callable[[np.ndarray], np.ndarray],
-                                  *, burn_in: float = 0.05
+                                  H_prime: Callable[[np.ndarray], np.ndarray]
                                   ) -> FundamentalIdentityReport:
     """Residual of the chain-rule identity for the regularized operator.
 
@@ -410,7 +404,7 @@ def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
     integral from product trapezoid, so the residual measures how ``conv``'s
     product integration and those trapezoid sums disagree, not how accurate
     k_n is: exact cell tables for k_n raise it.  The sup-norm residual is
-    taken over interior nodes past a burn-in fraction of the horizon (the
+    taken over interior nodes past the first ``_BURN_IN`` of the horizon (the
     centered differences amplify the kernel's steep start at a fixed node
     index as the grid refines); the convexity remainder is tracked at every
     interior node.
@@ -427,10 +421,13 @@ def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
             and math.isfinite(hu0)):
         raise ValueError("H or H' not finite on the range of u")
 
-    u_kern = DiscreteKernel(tau, u, head=0.5 * tau * (u0 + u[0]))
-    hu_kern = DiscreteKernel(tau, hu, head=0.5 * tau * (hu0 + hu[0]))
-    conv_u = conv(k_n, u_kern).values
-    conv_hu = conv(k_n, hu_kern).values
+    def _trapezoid(v: np.ndarray, v0: float) -> DiscreteKernel:
+        # samples with the trapezoid cell masses, v0 the value at t = 0
+        return DiscreteKernel(
+            tau, v, cell_mass=0.5 * tau * (np.append(v0, v[:-1]) + v))
+
+    conv_u = conv(k_n, _trapezoid(u, u0)).values
+    conv_hu = conv(k_n, _trapezoid(hu, hu0)).values
 
     def _ddt(c: np.ndarray) -> np.ndarray:
         d = np.full(n, np.nan)
@@ -441,8 +438,7 @@ def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
     d_conv_hu = _ddt(conv_hu)
     # the kernel value multiplying (-H + H'u) goes through the same discrete
     # pipeline (d/dt of k_n * 1), so degenerate cases cancel identically
-    ones_kern = DiscreteKernel(tau, np.ones(n), head=tau)
-    k_equiv = _ddt(conv(k_n, ones_kern).values)
+    k_equiv = _ddt(conv(k_n, _trapezoid(np.ones(n), 1.0)).values)
 
     kd = np.empty(n)  # -k_n'(t_j), centered inside, one-sided at the ends
     kv = k_n.values
@@ -467,10 +463,10 @@ def fundamental_identity_residual(k_n: DiscreteKernel, u: np.ndarray,
     rhs = d_conv_hu + (-hu + hp * u) * k_equiv + remainder
     residuals = lhs - rhs
 
-    lo = max(1, int(math.ceil(burn_in * n)))
+    lo = max(1, int(math.ceil(_BURN_IN * n)))
     hi = n - 1
     if hi <= lo:
-        raise ValueError("grid too short for the requested burn-in window")
+        raise ValueError("grid too short for the burn-in window")
     window_res = residuals[lo:hi]
     return FundamentalIdentityReport(
         sup_residual=float(np.max(np.abs(window_res))),

@@ -16,7 +16,7 @@ from memkern import volterra as V
 from memkern import geometry as G
 from memkern import solver as S
 from memkern import harnack as H
-from memkern.geometry import Cylinder, CylinderKind, phi_bar
+from memkern.geometry import Cylinder, phi_bar
 
 from conftest import canonical_measures
 
@@ -264,8 +264,7 @@ def test_criterion_12_strong_maximum_principle(half):
                          boundary=((bc_m, bc_m),))
     const_sol = S.solve(half, grid, coeffs, 2.0, 0.0, 0.05, 64)
     verdict_const = H.strong_max_check(
-        const_sol, Cylinder(0.02, 0.04, (0.5,), 0.2, CylinderKind.DYADIC),
-        1e-10)
+        const_sol, Cylinder(0.02, 0.04, (0.5,), 0.2))
 
     bc_0 = S.BoundaryCondition.dirichlet(0.0)
     grid0 = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(64,),
@@ -273,8 +272,7 @@ def test_criterion_12_strong_maximum_principle(half):
     x = grid0.axis_centers(0)
     heat_like = S.solve(half, grid0, coeffs, np.sin(np.pi * x), 0.0, 0.05, 64)
     verdict_heat = H.strong_max_check(
-        heat_like, Cylinder(0.02, 0.045, (0.5,), 0.2, CylinderKind.DYADIC),
-        1e-10)
+        heat_like, Cylinder(0.02, 0.045, (0.5,), 0.2))
 
     verdicts = [verdict_const, verdict_heat]
     ok = (verdict_const == "consistent" and verdict_heat == "not-applicable"

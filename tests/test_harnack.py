@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memkern.geometry import Cylinder, CylinderKind, phi_bar
+from memkern.geometry import Cylinder, phi_bar
 from memkern import harnack as H
 from memkern import solver as S
 
@@ -441,15 +441,15 @@ class TestStrongMax:
         # constant data with matching boundary stays at its maximum
         grid = dirichlet_grid(48, value=2.0)
         fld = S.solve(half, grid, IDENTITY, 2.0, 0.0, 0.05, 64)
-        cyl = Cylinder(0.02, 0.04, (0.5,), 0.2, CylinderKind.DYADIC)
-        assert H.strong_max_check(fld, cyl, 1e-10) == "consistent"
+        cyl = Cylinder(0.02, 0.04, (0.5,), 0.2)
+        assert H.strong_max_check(fld, cyl) == "consistent"
 
     def test_decaying_scenario_not_applicable(self, half):
         grid = dirichlet_grid(64)
         x = grid.axis_centers(0)
         fld = S.solve(half, grid, IDENTITY, np.sin(np.pi * x), 0.0, 0.05, 64)
-        cyl = Cylinder(0.02, 0.045, (0.5,), 0.2, CylinderKind.DYADIC)
-        assert H.strong_max_check(fld, cyl, 1e-10) == "not-applicable"
+        cyl = Cylinder(0.02, 0.045, (0.5,), 0.2)
+        assert H.strong_max_check(fld, cyl) == "not-applicable"
 
     def test_fabricated_violation_detected(self, half):
         grid = dirichlet_grid(32)
@@ -459,12 +459,11 @@ class TestStrongMax:
         fld = S.SolutionField(grid=grid, step=0.01, values=vals,
                               f_samples=None, residuals=np.zeros(64),
                               wall_time=0.0)
-        cyl = Cylinder(0.5, 0.6, (0.5,), 0.3, CylinderKind.DYADIC)
-        assert H.strong_max_check(fld, cyl, 1e-10) == "violated"
+        cyl = Cylinder(0.5, 0.6, (0.5,), 0.3)
+        assert H.strong_max_check(fld, cyl) == "violated"
 
     def test_empty_cylinder_errors(self, half):
         grid = dirichlet_grid(32)
         fld = constant_field(grid, 32, 0.01, 1.0)
         with pytest.raises(H.HarnackError):
-            H.strong_max_check(fld, Cylinder(5.0, 6.0, (0.5,), 0.3,
-                                             CylinderKind.DYADIC))
+            H.strong_max_check(fld, Cylinder(5.0, 6.0, (0.5,), 0.3))

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 from scipy.special import rgamma
 
-from memkern.measure import MeasureSpec, MeasureError, mu_integral
+from memkern.measure import (MeasureSpec, MeasureError, alpha_power_moment,
+                             mu_integral, power_moment, sin_cos_moments)
 from memkern import cli
 from memkern import kernels as K
 from memkern import volterra as V
@@ -39,6 +40,17 @@ class TestPointwiseKernels:
             for bad in (math.nan, math.inf):
                 with pytest.raises(MeasureError):
                     f(measures["two_atom"], np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [
+        K.k_eval, K.k1_eval, K.one_star_k_eval, K.l_eval, K.h_laplace_eval,
+        power_moment, alpha_power_moment, sin_cos_moments],
+        ids=lambda f: f.__name__)
+    def test_time_rule(self, half, entry, t):
+        # k1 of NaN was NaN and of inf 0, and H of NaN was 0
+        for arg in (t, np.array([0.5, t])):
+            with pytest.raises(MeasureError):
+                entry(half, arg)
 
     def test_k1_values(self, half):
         assert K.k1_eval(half, 4.0) == pytest.approx(0.5, rel=1e-14)
@@ -402,6 +414,31 @@ class TestResolvent:
     def test_negative_theta_rejected(self, half):
         with pytest.raises(ValueError):
             K.r_theta_eval(half, 1.0, -0.5)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("entry", [
+        "h_laplace_eval", "r_theta_eval", "resolvent_running_integral",
+        "resolvent_tables", "sample_kernel", "sample_kernels",
+        "sample_r_theta"])
+    def test_theta_rule(self, half, entry, theta):
+        # theta < 0 let NaN through: r_theta came out finite and wrong, H
+        # was 0, and theta = inf gave NaN
+        t = np.array([0.5, 1.0])
+        calls = {
+            "h_laplace_eval": lambda: K.h_laplace_eval(half, t, theta),
+            "r_theta_eval": lambda: K.r_theta_eval(half, t, theta),
+            "resolvent_running_integral":
+                lambda: K.resolvent_running_integral(half, t, theta),
+            "resolvent_tables": lambda: K.resolvent_tables(half, t, theta),
+            "sample_kernel": lambda: K.sample_kernel(
+                half, K.KernelKind.R_THETA, 1 / 64, 64, theta),
+            "sample_kernels": lambda: K.sample_kernels(
+                half, ["l", "r_theta"], 1 / 64, 64, theta),
+            "sample_r_theta": lambda: V.sample_r_theta(half, 1 / 64, 64,
+                                                       theta),
+        }
+        with pytest.raises(ValueError, match="theta"):
+            calls[entry]()
 
 
 class TestKernelGrid:

@@ -719,6 +719,19 @@ class TestValidationErrors:
         with pytest.raises(S.SolverError):
             S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(2,))
 
+    @pytest.mark.parametrize("extents, n_cells, axis", [
+        (((0.0, math.inf),), (8,), 0),
+        (((math.nan, 1.0),), (8,), 0),
+        (((0.0, 1.0), (-math.inf, 1.0)), (8, 8), 1),
+        (((0.0, 1.0),), (3.5,), 0),
+        (((0.0, 1.0),), (True,), 0),
+        (((0.0, 1.0), (0.0, 1.0)), (8, 8.0), 1)])
+    def test_bad_axis_rejected_naming_it(self, extents, n_cells, axis):
+        # an infinite extent used to solve with no diffusion and the boundary
+        # ignored, a NaN one to fail in the sparse LU, 3.5 cells in numpy
+        with pytest.raises(S.SolverError, match=f"axis {axis}"):
+            S.SpatialGrid(extents=extents, n_cells=n_cells)
+
     def test_unknown_boundary_kind_rejected_at_construction(self):
         bc = S.BoundaryCondition.dirichlet()
         with pytest.raises(S.SolverError, match="dirichelt"):

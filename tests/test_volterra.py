@@ -41,8 +41,8 @@ def reference_conv(a, b):
     d_a, d_b = a.bubble_moments(), b.bubble_moments()
     app = _second_differences(av, tau)
     bpp = _second_differences(bv, tau)
-    a_exact = a.cell_mass is not None or a.head is not None
-    b_exact = b.cell_mass is not None or b.head is not None
+    a_exact = a.cell_mass is not None
+    b_exact = b.cell_mass is not None
     out = np.empty(n)
     if a_exact and not b_exact:
         out[0] = bv[0] * a.masses()[0]
@@ -79,10 +79,11 @@ def reference_conv(a, b):
 
 
 def random_kernel(rng, n, tables, tau=0.05):
-    """Random samples with no tables, an exact head, or all cell tables."""
+    """Random samples with no tables, exact cell masses alone, or all cell
+    tables."""
     v = rng.standard_normal(n)
-    if tables == "head":
-        return V.DiscreteKernel(tau, v, head=float(rng.standard_normal()))
+    if tables == "mass":
+        return V.DiscreteKernel(tau, v, cell_mass=rng.standard_normal(n))
     if tables == "cells":
         return V.DiscreteKernel(tau, v, cell_mass=rng.standard_normal(n),
                                 cell_first_moment=rng.standard_normal(n),
@@ -120,8 +121,8 @@ class TestConv:
         assert np.max(np.abs(ab - ba)) <= 1e-12
 
     @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
-           a_tables=st.sampled_from(["none", "head", "cells"]),
-           b_tables=st.sampled_from(["none", "head", "cells"]))
+           a_tables=st.sampled_from(["none", "mass", "cells"]),
+           b_tables=st.sampled_from(["none", "mass", "cells"]))
     @settings(max_examples=60, deadline=None)
     def test_matches_direct_sum(self, n, seed, a_tables, b_tables):
         rng = np.random.default_rng(seed)
@@ -138,8 +139,8 @@ class TestConv:
             with pytest.raises(V.GridMismatchError):
                 random_kernel(rng, n, "cells")
             return
-        for a_tables in ("none", "head", "cells"):
-            for b_tables in ("none", "head", "cells"):
+        for a_tables in ("none", "mass", "cells"):
+            for b_tables in ("none", "mass", "cells"):
                 a = random_kernel(rng, n, a_tables)
                 b = random_kernel(rng, n, b_tables)
                 ref = reference_conv(a, b).values
@@ -165,13 +166,20 @@ class TestConv:
         with pytest.raises(V.GridMismatchError):
             V.conv(a, c)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_nonfinite_step_rejected(self, step):
+        # step <= 0 let NaN through, and two NaN-step kernels passed
+        # _check_compatible
+        with pytest.raises(V.GridMismatchError, match="step"):
+            V.DiscreteKernel(step, np.ones(4))
+
     def test_nonfinite_tables_rejected(self):
         ones = np.ones(4)
         bad = np.array([1.0, np.nan, 1.0, 1.0])
         with pytest.raises(V.GridMismatchError, match="cell_bubble_moment"):
             V.DiscreteKernel(0.1, ones, cell_bubble_moment=bad)
-        with pytest.raises(V.GridMismatchError, match="head"):
-            V.DiscreteKernel(0.1, ones, head=math.inf)
+        with pytest.raises(V.GridMismatchError, match="cell_mass"):
+            V.DiscreteKernel(0.1, ones, cell_mass=[math.inf, 1.0, 1.0, 1.0])
 
     @given(s1=st.floats(-2.0, 2.0), s2=st.floats(-2.0, 2.0))
     @settings(max_examples=20, deadline=None)
@@ -320,14 +328,13 @@ class TestResolventCellTables:
             assert np.max(np.abs(rk.values - points) / points) <= 2e-15, name
             got = np.column_stack((rk.cell_mass, rk.cell_first_moment,
                                    rk.cell_bubble_moment))[cells - 1]
-            assert rk.head == got[0, 0]
+            assert rk.masses()[0] == got[0, 0]
             # the same node table, summed without any cancellation; right of
             # it the first cell's factors are 1/p, 1/p^2 and tau/p^2 - 2/p^3
-            k_lo, k_hi = K._panel_range(tau, 1.0)
-            p, c = K._node_table(spec, theta, k_lo, k_hi)
-            ref = _cell_integrals_longdouble(p, c, tau, cells)
-            m1, m2, m3 = K._tail(spec, theta, math.ldexp(1.0, k_hi), "right",
-                                 (1, 2, 3))
+            p, c, tails = K._inversion_table(spec, theta, tau, 1.0,
+                                             right=(1, 2, 3))
+            ref = _cell_integrals_longdouble(p, c[:, 0], tau, cells)
+            m1, m2, m3 = tails[:, 0]
             ref[0] += (m1, m2, tau * m2 - 2.0 * m3)
             rel = np.abs((got - ref) / ref).astype(float)
             assert np.max(rel) <= 1e-14, (name, np.max(rel, axis=0))
@@ -364,7 +371,7 @@ class TestResolventCellTables:
         a = mp.mpf(alpha)
         ref = np.array([float(((mp.mpf(m) / n) ** a - (mp.mpf(m - 1) / n) ** a)
                               / mp.gamma(1 + a)) for m in range(1, 65)])
-        assert lk.head == pytest.approx(ref[0], rel=1e-13)
+        assert lk.cell_mass[0] == pytest.approx(ref[0], rel=1e-13)
         assert np.max(np.abs(lk.cell_mass[:64] / ref - 1.0)) <= 1e-13
 
 
@@ -448,7 +455,7 @@ class TestYosida:
             assert abs(y.s_n.values[j - 1] / reference(t, 0) - 1.0) <= 1e-13
             assert abs(y.h.values[j - 1] / reference(t, 1) - 1.0) <= 1e-13
         head = 1.0 - reference(mp.mpf(1) / 2048, 0)
-        assert abs(y.h.head_integral() / head - 1.0) <= 1e-13
+        assert abs(y.h.cell_mass[0] / head - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("n", [4, 256])
     @pytest.mark.parametrize("name", ["uniform", "two_atom"])
@@ -537,7 +544,8 @@ class TestL1:
     def test_constant_kernel(self):
         # head cell plus trapezoid over [t_1, t_N] covers (0, 1] once
         tau = 2.0**-11
-        one = V.DiscreteKernel(tau, np.ones(2048), head=tau)
+        one = V.DiscreteKernel(tau, np.ones(2048),
+                               cell_mass=np.full(2048, tau))
         assert V.l1_norm(one) == 1.0
         assert V.l1_norm(one, horizon=0.5) == 0.5
         assert V.l1_distance(one.scaled(3.0), one) == 2.0
@@ -545,7 +553,8 @@ class TestL1:
     def test_horizon_must_reach_a_node(self):
         # a negative horizon used to measure as its absolute value, a tiny
         # one raised IndexError and NaN a conversion error
-        one = V.DiscreteKernel(1.0 / 64, np.ones(64), head=1.0 / 64)
+        one = V.DiscreteKernel(1.0 / 64, np.ones(64),
+                               cell_mass=np.full(64, 1.0 / 64))
         assert V.l1_norm(one, horizon=0.5) == 0.5
         assert V.l1_norm(one, horizon=1.5 / 64) == 2.0 / 64
         assert V.l1_norm(one, horizon=math.inf) == V.l1_norm(one)
