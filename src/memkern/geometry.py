@@ -25,8 +25,7 @@ from .measure import (
     power_moment,
     tail_mass,
 )
-from .kernels import (_gauss_panels, _inversion_table, _l_dyadic_chunks,
-                      _panel_range)
+from .kernels import _gauss_panels, _l_dyadic_chunks, _panel_range
 
 __all__ = [
     "GeometryError",
@@ -232,8 +231,8 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     most = min(50, (1023 - _panel_range(t_lo, t_hi)[1]) // 8 + 1)
     chunks = _walk_chunks(spec, p, phi2r, most)
     while True:
-        table = _inversion_table(spec, 0.0, t_lo, t_hi, reach=8 * (chunks - 1))
-        l = _l_dyadic_chunks(s[order], 8, chunks, table)[:, np.argsort(order)]
+        l = _l_dyadic_chunks(spec, s[order], 8, chunks, t_lo, t_hi
+                             )[:, np.argsort(order)]
         # chunk c holds panels 8c..8c+7 of every walk, chunk 0 scaled by
         # 2^(-8c); panel 8c + i is row 7 - i of the ascending edges
         pieces = (l.reshape(chunks, r.size, 8, 16) ** p * np.ldexp(

@@ -33,16 +33,17 @@ once.  Every integral of r_theta is a
 sum of the per-node cell factors of ``_cell_factors``, the integrals of
 exp(-p s) against 1, s and a bubble over one cell: the running integrals
 (1^d * r_theta)(t), d = 1, 2, 3, of ``resolvent_tables`` take the cell
-(0, t].  The sampled r_theta and l of ``volterra``, its Yosida kernels (weights
-c and c/p at theta = n) and the resolvent chain of ``bound_certificates``
-come from one ``_exp_sums`` over several weight vectors: the samples, and
-the factors of one step for the cell mass, first moment and bubble, so no
-cell table is a difference of running integrals; the first cell is a plain
-sum over the node table and the right tails.  ``sample_kernels`` takes l and
-r_theta as two weight columns of one ``_exp_sums``.  On dyadic panels,
-scaling t by 2^-m and p by 2^m leaves p*t the same bits, so
-``_l_dyadic_chunks`` gives every chunk of the Lp walks of ``geometry``, for
-all radii at once, as one weight column of one ``_exp_sums``.
+(0, t].  ``_resolvent_kernels`` builds the sampled r_theta and l of
+``volterra``, its Yosida kernels (weights c and c/p at theta = n) and the
+resolvent chain of ``bound_certificates`` from one ``_exp_sums`` over
+several weight vectors: the samples, and the factors of one step for the
+cell mass, first moment and bubble, so no cell table is a difference of
+running integrals; the first cell is a plain sum over the node table and
+the right tails.  ``sample_kernels`` takes l and r_theta as two weight
+columns of one ``_exp_sums``.  On dyadic panels, scaling t by 2^-m and p
+by 2^m leaves p*t the same bits, so ``_l_dyadic_chunks`` gives every chunk
+of the Lp walks of ``geometry``, all radii at once, as one weight column of
+one ``_exp_sums`` on its own table.  No node table leaves this module.
 ``_gauss_panels`` places the nodes of both sums and of their tails, of the
 order moments of k and of the dyadic panels of ``geometry``.
 """
@@ -375,37 +376,30 @@ def _cell_factors(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_table(spec: MeasureSpec, step: float, n: int, theta: float,
-                powers=(0,)):
-    """The ``_inversion_table`` of the grid t_j = j*step, j = 1..n, with the
-    right tails j = 1, 2, 3 of ``_resolvent_cells``."""
+def _resolvent_kernels(spec: MeasureSpec, theta: float, step: float, n: int,
+                       powers=(0,)) -> list[DiscreteKernel]:
+    """``f = sum_q c_q p_q^-s exp(-p_q t)`` over the ``_inversion_table`` of
+    the grid t_j = j*step, j = 1..n, one ``DiscreteKernel`` per s in powers
+    (s = 0 is r_theta): its samples and its cell integrals ``int f``,
+    ``int s f`` and ``int (s - t_(m-1))(t_m - s) f`` over each cell
+    (t_(m-1), t_m].
+
+    Cell m is ``sum W exp(-p t_(m-1)) F(p)`` for the weights W of the table
+    and the per-node cell factors F = tau phi_0, tau^2 phi_1 (plus t_(m-1)
+    times the mass) and tau^3 phi_2 of ``_cell_factors``: for W >= 0 every
+    term is nonnegative, so nothing cancels.  The samples and the cells
+    m >= 2 are one ``_exp_sums`` over the grid; the first cell (t_0 = 0) is
+    the plain sum of the factors over the nodes plus their right tails.
+    Right of the table p*tau >= 2^11, where the factors are 1/p, 1/p^2 and
+    tau/p^2 - 2/p^3, so the table's right tails j = 1, 2, 3 hold the
+    moments ``sum W p^-j`` of each column beyond it.
+    """
     t = _as_time_array(step * np.arange(1, n + 1))
     if t.size < 2:
         raise GridMismatchError("need at least 2 samples on one axis")
-    return _inversion_table(spec, theta, t[0], t[-1], powers, (1, 2, 3))
-
-
-def _resolvent_cells(p: np.ndarray, weights: np.ndarray, tails: np.ndarray,
-                     step: float, n: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Samples of ``f = sum_q W_q exp(-p_q s)`` at t_j = j*step, j = 1..n,
-    and its cell integrals ``int f``, ``int s f`` and
-    ``int (s - t_(m-1))(t_m - s) f`` over each cell (t_(m-1), t_m]: four
-    arrays of shape (n, k), one column per column of the weights W (shape
-    (nodes, k)), e.g. the ``_grid_table`` weights c of r_theta.
-
-    Cell m is ``sum W exp(-p t_(m-1)) F(p)`` for the per-node cell factors
-    F = tau phi_0, tau^2 phi_1 (plus t_(m-1) times the mass) and
-    tau^3 phi_2 of ``_cell_factors``: for W >= 0 every term is nonnegative,
-    so nothing cancels.  The samples and the cells m >= 2 are one
-    ``_exp_sums`` over the grid; the first cell (t_0 = 0) is the plain sum
-    of the factors over the nodes plus their right tails.  Right of the
-    table p*tau >= 2^11, where the factors are 1/p, 1/p^2 and
-    tau/p^2 - 2/p^3, so ``tails`` (shape (3, k)) holds the moments
-    ``sum W p^-j``, j = 1, 2, 3, of each column beyond the table.
-    """
+    p, weights, tails = _inversion_table(spec, theta, t[0], t[-1], powers,
+                                         (1, 2, 3))
     k = weights.shape[1]
-    t = step * np.arange(1, n + 1)
     factors = (_cell_factors(p * step)[:, None] * weights.T).reshape(3 * k, -1)
     factors *= np.repeat([step, step**2, step**3], k)[:, None]
     sums = _exp_sums(p, np.column_stack((weights, factors.T)), t)
@@ -413,24 +407,29 @@ def _resolvent_cells(p: np.ndarray, weights: np.ndarray, tails: np.ndarray,
         (tails[0], tails[1], step * tails[1] - 2.0 * tails[2]))
     cells = np.vstack((first, sums[:-1, k:]))
     mass, shifted, bubble = np.split(cells, 3, axis=1)
-    return sums[:, :k], mass, (t - step)[:, None] * mass + shifted, bubble
+    first_moment = (t - step)[:, None] * mass + shifted
+    return [DiscreteKernel(step, *columns) for columns in zip(
+        sums[:, :k].T, mass.T, first_moment.T, bubble.T)]
 
 
-def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
-    """l at s * 2^(-m c) for ascending s, one row per c < chunks.
+def _l_dyadic_chunks(spec: MeasureSpec, s: np.ndarray, m: int, chunks: int,
+                     t_lo: float, t_hi: float) -> np.ndarray:
+    """l at s * 2^(-m c), s ascending in [t_lo, t_hi], a row per c < chunks.
 
     The nodes of panel k + m c are those of panel k times 2^(m c), bit for
     bit, so l(s 2^(-m c)) is the sum over the nodes of ``_panel_range`` of s
     with the weights m c panels to the right; the nodes that pass the left
-    end join the node at p = 0 as a prefix sum.  One ``_exp_sums`` takes
-    every row.  ``table`` is a theta = 0 ``_inversion_table`` that reaches
-    m (chunks - 1) panels past that range; s may hold the nodes of several
-    walks.
+    end join the node at p = 0 as a prefix sum.  So one theta = 0
+    ``_inversion_table`` of (t_lo, t_hi), reaching m (chunks - 1) panels
+    further, and one ``_exp_sums`` take every row; s may hold the nodes of
+    several walks.
     """
-    p, weights, _ = table
+    p, weights, _ = _inversion_table(spec, 0.0, t_lo, t_hi,
+                                     reach=m * (chunks - 1))
     coeff = weights[:, 0]
+    k_lo = _panel_range(t_lo, t_hi)[0]
     k_hi = _panel_range(s[0], s[-1])[1]  # the table may reach further
-    n = 1 + _GL_NODES_PER_PANEL * (k_hi + 1 - math.frexp(p[1])[1])
+    n = 1 + _GL_NODES_PER_PANEL * (k_hi - k_lo)
     shift = m * _GL_NODES_PER_PANEL * np.arange(chunks)
     weights = np.lib.stride_tricks.sliding_window_view(coeff, n)[shift].T
     weights[0] = np.cumsum(coeff)[shift]
@@ -440,7 +439,7 @@ def _l_dyadic_chunks(s: np.ndarray, m: int, chunks: int, table):
 def _running_integrals(spec: MeasureSpec, t, theta: float) -> list:
     """``(1^d * r_theta)(t)``, d = 1, 2, 3: the mass, t * mass - first
     moment and (t * depth 2 - bubble)/2 of the cell (0, t] of
-    ``_resolvent_cells``, on one ``_inversion_table`` with its right tails
+    ``_resolvent_kernels``, on one ``_inversion_table`` with its right tails
     j = 1, 2, 3, one ``_cell_factors`` call per block of at most
     ``_TILE_ENTRIES`` entries.  An array t gives arrays of its shape.
     """
@@ -606,8 +605,8 @@ def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
     monotone in its direction; ``KernelGridError`` names the first property
     that fails.
     """
-    if step <= 0 or n < 2:
-        raise KernelGridError("need step > 0 and n >= 2")
+    if not 0.0 < step < math.inf or n < 2:
+        raise KernelGridError("need a finite step > 0 and n >= 2")
     if 1.0 < _SMALL_T_FLOOR * n:
         raise KernelGridError("grid too fine: first node below the small-t floor")
     t = step * np.arange(1, n + 1)
@@ -657,8 +656,8 @@ class BoundCertificates:
     ``upper_ratio`` is l(t) * int t^(1-a) dmu, which exact analysis bounds by
     one; any sample above 1 + 1e-12 is a hard violation.  ``holder_ratio``
     tracks l(t) / t^(gamma_bar - 1) for t < 1.  The resolvent chain ratios
-    are the three inequality gaps evaluated with theta = c1 / r^2 on the
-    window t < c_bar * Phi(r).
+    are the three inequality gaps evaluated with theta = 1 / r^2 on the
+    window t < Phi(r).
     """
 
     t: np.ndarray
@@ -697,14 +696,12 @@ class BoundCertificates:
 
 
 def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
-                       c1: float = 1.0, c_bar: float = 1.0,
                        r: float = 0.5) -> BoundCertificates:
     """Measure the sharp upper bound on l and the resolvent comparison chain.
 
     ``l_kernel`` holds l on the certificate grid, as ``volterra.sample_l``.
     """
-    from .geometry import phi  # local imports to avoid a cycle
-    from .volterra import sample_r_theta
+    from .geometry import phi  # local import to avoid a cycle
     t = l_kernel.times
     l_vals = l_kernel.values
     denom = t * np.asarray(k1_eval(spec, t))  # int t^(1-a) dmu = t * k1(t)
@@ -716,13 +713,14 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     holder = np.full_like(t, np.nan)
     holder[mask] = l_vals[mask] / t[mask] ** (gb - 1.0)
 
-    theta = c1 / r**2
-    window = t < c_bar * phi(spec, r)
+    theta = 1.0 / r**2
+    window = t < phi(spec, r)
     ct = t[window]
     if ct.size:
         # the grid needs two samples; 1*r_theta is the running sum of the
         # nonnegative cell masses of r_theta
-        r_theta = sample_r_theta(spec, l_kernel.step, max(ct.size, 2), theta)
+        r_theta = _resolvent_kernels(spec, theta, l_kernel.step,
+                                     max(ct.size, 2))[0]
         avg = np.cumsum(r_theta.cell_mass[:ct.size]) / ct
         chain1 = r_theta.values[:ct.size] / avg
         chain2 = avg / l_vals[window]

@@ -11,8 +11,8 @@ gracefully to trapezoid cell masses.  Two O(N log^2 N) engines share one
 FFT block product: the half-range product of ``conv``, and the Toeplitz
 engine of the first-kind solve and the stepper's history (dense blocks
 are numpy strided views; only the solve imports scipy's triangular
-solver).  The Yosida kernels need no solve: they are exponential sums over
-the resolvent's node table at theta = n.
+solver).  The sampled l and r_theta and the Yosida kernels need no solve:
+they are exponential sums with cell tables from ``kernels._resolvent_kernels``.
 """
 
 from __future__ import annotations
@@ -310,18 +310,8 @@ def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
 def sample_r_theta(spec: MeasureSpec, step: float, n_steps: int,
                    theta: float) -> DiscreteKernel:
     """Resolvent samples with cell tables summed node by node, without
-    differences of running integrals (``kernels._resolvent_cells``)."""
-    return _tabled_kernels(_kernels._resolvent_cells(
-        *_kernels._grid_table(spec, step, n_steps, theta), step, n_steps),
-        step)[0]
-
-
-def _tabled_kernels(tables, step: float) -> list[DiscreteKernel]:
-    """One kernel with exact cell tables per weight column of
-    ``kernels._resolvent_cells``."""
-    return [DiscreteKernel(step, vals, cell_mass=mass, cell_first_moment=first,
-                           cell_bubble_moment=bubble)
-            for vals, mass, first, bubble in zip(*(a.T for a in tables))]
+    differences of running integrals (``kernels._resolvent_kernels``)."""
+    return _kernels._resolvent_kernels(spec, theta, step, n_steps)[0]
 
 
 def l1_distance(a: DiscreteKernel, b: DiscreteKernel,
@@ -366,17 +356,16 @@ def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int
     (r_n + n*(r_n*l) = l).  So h_n = n*r_n solves h + n*(h*l) = n*l, and
     s_n = 1 - n*(1*r_n) = n*sum (c/p) exp(-p t) solves s + n*(s*l) = 1,
     because sum c/p = 1/n (H_n >= 0, and 1/n is r_n's Laplace transform at
-    0).  Both are sums of nonnegative terms over the one table, with no
-    solve and no difference of running integrals; k_n = n*s_n stays exact
-    when n outruns the grid and h_n concentrates inside the first cell.
+    0).  Both are n times the ``kernels._resolvent_kernels`` of powers 0
+    and 1: sums of nonnegative terms over the one table, with no solve and
+    no difference of running integrals; k_n = n*s_n stays exact when n
+    outruns the grid and h_n concentrates inside the first cell.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     theta = float(n)
-    p, weights, tails = _kernels._grid_table(spec, step, n_steps, theta,
-                                             (0, 1))
-    h, s_n = _tabled_kernels(_kernels._resolvent_cells(
-        p, theta * weights, theta * tails, step, n_steps), step)
+    h, s_n = (k.scaled(theta) for k in _kernels._resolvent_kernels(
+        spec, theta, step, n_steps, (0, 1)))
     return YosidaKernels(n=n, h=h, k_n=s_n.scaled(theta), s_n=s_n)
 
 

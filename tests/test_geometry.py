@@ -181,7 +181,7 @@ class TestScalingCertificate:
     def test_lp_walk_without_geometric_rest_raises(self, half, monkeypatch):
         # with l = s^-1.5 the panels grow by 2^0.5 toward zero, so the walk
         # runs to its panel cap and has no geometric rest to add
-        def chunks(s, m, n_chunks, table):
+        def chunks(spec, s, m, n_chunks, t_lo, t_hi):
             return np.ldexp(s, -m * np.arange(n_chunks)[:, None]) ** -1.5
 
         monkeypatch.setattr(G, "_l_dyadic_chunks", chunks)
@@ -243,7 +243,7 @@ class TestScalingCertificate:
         calls = []
         chunks = G._l_dyadic_chunks
         monkeypatch.setattr(G, "_l_dyadic_chunks", lambda *args: calls.append(
-            args[2]) or chunks(*args))
+            args[3]) or chunks(*args))
         sc = G.scaling_certificate(half, 1.5,
                                    np.logspace(-3, np.log10(0.45), 8))
         assert calls == [sc.walk_chunks[0]]
@@ -255,7 +255,7 @@ class TestScalingCertificate:
         calls = []
         chunks = G._l_dyadic_chunks
         monkeypatch.setattr(G, "_l_dyadic_chunks", lambda *args: calls.append(
-            args[2]) or chunks(*args))
+            args[3]) or chunks(*args))
         monkeypatch.setattr(G, "_walk_chunks", lambda spec, p, upper, most: 3)
         sc = G.scaling_certificate(half, 1.5, r_grid)
         assert calls == [3, 50] and sc.walk_chunks == (50, 16)

@@ -487,6 +487,22 @@ class TestKernelGrid:
                 assert np.array_equal(grid.times, one.times)
                 assert np.max(np.abs(grid.values - one.values)
                               / one.values) <= 1e-14, (name, kind)
+            # the l of `memkern kernels` is the l of `memkern verify`
+            tabled = {K.KernelKind.L_KERNEL: V.sample_l(spec, 1.0 / 512, 512),
+                      K.KernelKind.R_THETA: V.sample_r_theta(spec, 1.0 / 512,
+                                                             512, 4.0)}
+            for kind, one in tabled.items():
+                grid = grids[kinds.index(kind)]
+                assert np.max(np.abs(grid.values - one.values)
+                              / one.values) <= 1e-15, (name, kind)
+
+    @pytest.mark.parametrize("kind", ["k", "k1", "l", "r_theta"])
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_step_rejected(self, half, kind, step):
+        # every kind refuses the step itself, before the panel range of l
+        # and r_theta or the time check of k and k1 sees it
+        with pytest.raises(K.KernelGridError, match="step"):
+            K.sample_kernels(half, [kind], step, 64)
 
     def test_multi_kind_sampler_builds_one_exponential_block(
             self, half, monkeypatch):
@@ -551,11 +567,10 @@ class TestBoundCertificates:
         # against the inversion of r_theta and 1*r_theta at the same times
         from memkern.geometry import phi
 
-        step = 1.0 / 512
         for name, spec in measures.items():
-            c_bar = (size + 0.5) * step / phi(spec, 0.5)
+            step = phi(spec, 0.5) / (size + 0.5)
             certs = K.bound_certificates(spec, V.sample_l(spec, step, 512),
-                                         r=0.5, c_bar=c_bar)
+                                         r=0.5)
             assert certs.chain_t.size == size, name
             if not size:
                 continue

@@ -409,7 +409,7 @@ class TestYosida:
                             horizon=1.0) / V.l1_norm(y.k_n, horizon=1.0)
         assert rel <= 0.08
 
-    @pytest.mark.parametrize("n", [4, 256, 4096])
+    @pytest.mark.parametrize("n", [4, 100, 256, 4096])
     def test_order_half_against_mittag_leffler(self, half, n):
         # s_n = E_1/2(-n t^1/2) = exp(n^2 t) erfc(n t^1/2) and
         # h_n = n t^-1/2 E_1/2,1/2(-n t^1/2), in 30-digit mpmath
