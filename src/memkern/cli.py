@@ -171,6 +171,7 @@ def _run_verify(config: ExperimentConfig, seed: int):
     }
     return 2 if violations else 0, tables, report, {
         "sonine_residual_late": sonine_residual_late,
+        "sonine_residual_time": float(l_kernel.times[9 + np.argmax(gap[9:])]),
         "lp_walk_chunks": dict(zip(("computed", "most_used"),
                                    scaling.walk_chunks))}
 

@@ -29,9 +29,12 @@ l and r_theta are then not accurate to round-off.)  r_theta itself
 2^-10 <= p*t <= 2^10 where exp(-p*t) varies: right of it exp(-p*t) is 0,
 left of it it is its degree-5 Taylor polynomial, so those nodes enter
 through moments of the weights that run over the call, each node entering
-once.  Every integral of r_theta is a
-sum of the per-node cell factors of ``_cell_factors``, the integrals of
-exp(-p s) against 1, s and a bubble over one cell: the running integrals
+once.  On the grid t_j = j*tau of ``_grid_times``, exp(-p t_j) is
+geometric in j: a block is one table exp(-p i tau) of the call against the
+weights times exp(-p t_lo), an exp per band node (per entry on the times of
+``l_eval`` and the Lp walk).  Every integral of r_theta is a sum of the
+per-node cell factors of ``_cell_factors``, the integrals of exp(-p s)
+against 1, s and a bubble over one cell: the running integrals
 (1^d * r_theta)(t), d = 1, 2, 3, of ``resolvent_tables`` take the cell
 (0, t].  ``_resolvent_kernels`` builds the sampled r_theta and l of
 ``volterra``, its Yosida kernels (weights c and c/p at theta = n) and the
@@ -87,6 +90,7 @@ __all__ = [
 _GL_NODES_PER_PANEL = 24
 _DEPTH0_RIGHT = 10  # exp(-u) underflows to exactly 0 beyond u = 745 < 2^10
 _TILE_ENTRIES = 2**15  # times x nodes per matvec tile: 256 KB of doubles
+_TABLE_ENTRIES = 2**17  # offsets x band nodes of a grid's table: 1 MB
 _TILE_SPAN = 8  # log2 of the widest t ratio in one inversion tile
 _HEAD_U = 2.0**-60  # below u = p*t every _cell_factors row is constant
 _TAYLOR_U = 2.0**-10  # below it exp(-u) is its Taylor polynomial in double
@@ -295,36 +299,46 @@ def _tiles(p: np.ndarray, ts: np.ndarray):
         lo = hi
 
 
-def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray
-              ) -> np.ndarray:
+def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray,
+              step: float | None = None) -> np.ndarray:
     """``sum_q weights[q] * exp(-p_q t)`` at the ascending times ts, one
     column per column of weights (shape (nodes, k)).
 
     A tile contracts one block exp(-outer(t, p)) over its band
     2^-10 <= p*t < 2^10 against every column at once; right of the band the
-    exponential is 0.  Left of it exp(-u) is its degree-5 Taylor polynomial
-    to round-off, so those nodes enter through the moments
-    ``sum W (p t_hi)^j`` of the tile's largest time t_hi.  The tiles run
-    from the largest times down, so the nodes left of the band only grow:
-    the moments run over the call, each node enters them once, and a tile
-    rescales them by (t_hi / previous t_hi)^j <= 1, so no power of p leaves
-    the double range.
+    exponential is 0.  On the grid ts = step * (1..n), the block of
+    t_lo + i*step is a table exp(-outer(step * i, p)) of the call, if it
+    fits ``_TABLE_ENTRIES``, against the columns times exp(-p t_lo).  Left
+    of the band exp(-u) is its degree-5 Taylor polynomial to round-off, so
+    those nodes enter through the moments ``sum W (p t_hi)^j`` of the
+    tile's largest time t_hi.  The tiles run from the largest times down,
+    so the nodes left of the band only grow: the moments run over the call,
+    each node enters them once, and a tile rescales them by
+    (t_hi / previous t_hi)^j <= 1, so no power of p leaves the double range.
     """
     j = np.arange(_TAYLOR_DEGREE + 1)
     inverse_fact = 1.0 / np.cumprod(np.maximum(j, 1))
+    tiles = list(_tiles(p, ts))
+    rows = max(hi - lo for lo, hi, _, _ in tiles)
+    b0, e0 = tiles[-1][2], tiles[0][3]  # the bands move left as t grows
+    table = (np.exp(np.multiply.outer(-step * np.arange(rows), p[b0:e0]))
+             if step is not None and rows * (e0 - b0) <= _TABLE_ENTRIES else None)
     out = np.empty((ts.size, weights.shape[1]))
     moments = np.zeros((j.size, weights.shape[1]))
     done, t_top = 0, ts[-1]
-    for lo, hi, b, e in reversed(list(_tiles(p, ts))):
+    for lo, hi, b, e in reversed(tiles):
         tt = ts[lo:hi]
         moments *= (tt[-1] / t_top) ** j[:, None]
         moments += np.vander(p[done:b] * tt[-1], j.size,
                              increasing=True).T @ weights[done:b]
         done, t_top = b, tt[-1]
-        block = np.multiply.outer(-tt, p[b:e])
-        np.exp(block, out=block)
+        if table is None:
+            block, w = np.exp(np.multiply.outer(-tt, p[b:e])), weights[b:e]
+        else:
+            block = table[:hi - lo, b - b0:e - b0]
+            w = np.exp(-tt[0] * p[b:e])[:, None] * weights[b:e]
         taylor = np.vander(-tt / t_top, j.size, increasing=True) * inverse_fact
-        out[lo:hi] = block @ weights[b:e] + taylor @ moments
+        out[lo:hi] = block @ w + taylor @ moments
     return out
 
 
@@ -394,15 +408,13 @@ def _resolvent_kernels(spec: MeasureSpec, theta: float, step: float, n: int,
     tau/p^2 - 2/p^3, so the table's right tails j = 1, 2, 3 hold the
     moments ``sum W p^-j`` of each column beyond it.
     """
-    t = _as_time_array(step * np.arange(1, n + 1))
-    if t.size < 2:
-        raise GridMismatchError("need at least 2 samples on one axis")
+    t = _grid_times(step, n)
     p, weights, tails = _inversion_table(spec, theta, t[0], t[-1], powers,
                                          (1, 2, 3))
     k = weights.shape[1]
     factors = (_cell_factors(p * step)[:, None] * weights.T).reshape(3 * k, -1)
     factors *= np.repeat([step, step**2, step**3], k)[:, None]
-    sums = _exp_sums(p, np.column_stack((weights, factors.T)), t)
+    sums = _exp_sums(p, np.column_stack((weights, factors.T)), t, step)
     first = factors.sum(axis=1) + np.concatenate(
         (tails[0], tails[1], step * tails[1] - 2.0 * tails[2]))
     cells = np.vstack((first, sums[:-1, k:]))
@@ -595,6 +607,17 @@ class DiscreteKernel:
         )
 
 
+def _grid_times(step: float, n: int) -> np.ndarray:
+    """t_j = j*step, j = 1..n, after the one check of a sampled grid: a
+    finite step > 0 and horizon, n >= 2 and the small-t floor."""
+    if n < 2 or not 0.0 < step <= step * n < math.inf:
+        raise KernelGridError(f"need a finite step > 0, a finite horizon "
+                              f"and n >= 2, not step {step} and n {n}")
+    if 1.0 < _SMALL_T_FLOOR * n:
+        raise KernelGridError("grid too fine: first node below the small-t floor")
+    return step * np.arange(1, n + 1)
+
+
 def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
                    theta: float = 0.0) -> list[DiscreteKernel]:
     """Samples of several kernels at t_j = j*step, j = 1..n (t = 0 excluded),
@@ -605,11 +628,7 @@ def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
     monotone in its direction; ``KernelGridError`` names the first property
     that fails.
     """
-    if not 0.0 < step < math.inf or n < 2:
-        raise KernelGridError("need a finite step > 0 and n >= 2")
-    if 1.0 < _SMALL_T_FLOOR * n:
-        raise KernelGridError("grid too fine: first node below the small-t floor")
-    t = step * np.arange(1, n + 1)
+    t = _grid_times(step, n)
     kinds = [KernelKind(kind) for kind in kinds]
     evaluators = {KernelKind.K_KERNEL: k_eval, KernelKind.K1: k1_eval,
                   KernelKind.ONE_STAR_K: one_star_k_eval}
@@ -618,7 +637,7 @@ def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
     if thetas:
         tables = [_inversion_table(spec, th, t[0], t[-1]) for th in thetas]
         inverted = iter(_exp_sums(tables[0][0], np.hstack(
-            [w for _, w, _ in tables]), t).T)
+            [w for _, w, _ in tables]), t, step).T)
     out = []
     for kind in kinds:
         vals = np.asarray(evaluators[kind](spec, t) if kind in evaluators
@@ -713,8 +732,8 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     holder = np.full_like(t, np.nan)
     holder[mask] = l_vals[mask] / t[mask] ** (gb - 1.0)
 
+    window = t < phi(spec, r)  # phi refuses r <= 0 before theta is formed
     theta = 1.0 / r**2
-    window = t < phi(spec, r)
     ct = t[window]
     if ct.size:
         # the grid needs two samples; 1*r_theta is the running sum of the

@@ -288,7 +288,7 @@ def sample_k(spec: MeasureSpec, step: float, n_steps: int) -> DiscreteKernel:
     ``int (s - t_(m-1))(t_m - s) k`` as ``tau R2 - 2 R3`` on the first cell
     and as Gauss-Legendre sums of positive terms on the others, which lie a
     step or more from the pole of k at 0."""
-    t = step * np.arange(1, n_steps + 1)
+    t = _kernels._grid_times(step, n_steps)
     vals, *running = _kernels._k_moments(spec, t, (0, 1, 2, 3))
     r1, r2 = (np.concatenate(([0.0], r)) for r in running[:2])
     t_e = np.concatenate(([0.0], t))

@@ -542,6 +542,16 @@ class TestRunners:
         assert data["sonine_residual_late"] <= json.loads(
             (tmp_path / "report.json").read_text())["sonine_residual"]
 
+    def test_verify_records_sonine_residual_time(self, tmp_path):
+        # the max of |k*l - 1| on t >= 10 tau sits at its first node for
+        # order 1/2: the convolution's error at a fixed grid index
+        config = parse_config(small_config("verify", n_steps=512))
+        assert cli.run(config, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["sonine_residual_time"] == 10 * (1.0 / 512)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "sonine_residual_time" not in report
+
     def test_verify_exit_zero_order_near_zero(self, tmp_path):
         # u = p*t reaches 2^600 for order 0.05; u**2 would overflow to NaN
         config = parse_config(small_config(

@@ -379,6 +379,51 @@ class TestExpSums:
                      ) @ w.astype(wide)
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
+    @pytest.mark.parametrize("columns", [1, 4])
+    @pytest.mark.parametrize("step", [1 / 2048, 4 / 64, 1e-3])
+    @pytest.mark.parametrize("n", [2, 3, 64, 2048])
+    @pytest.mark.parametrize("nodes", ["dense", "sparse", "clustered"])
+    def test_grid_matches_longdouble_direct_sum(self, nodes, n, step,
+                                                columns):
+        # the one table exp(-p i step) of a uniform grid against the full
+        # sum in extended precision.  Sparse nodes make tiles of 1792 rows;
+        # 600 more nodes at p*step in [2^8, 2^9] make the tallest tile's
+        # table pass _TABLE_ENTRIES, and the blocks are then formed entry
+        # by entry as on arbitrary times
+        rng = np.random.default_rng(n + columns)
+        p_exp = (-300, 300) if nodes == "sparse" else (-40, 12)
+        p = np.append(0.0, 10 ** rng.uniform(*p_exp, 800))
+        if nodes == "clustered":
+            p = np.append(p, np.ldexp(rng.uniform(1.0, 2.0, 600), 8) / step)
+        p = np.sort(p)
+        ts = step * np.arange(1, n + 1)
+        w = rng.uniform(0.0, 1.0, (p.size, columns)) / np.sqrt(1 + p[:, None])
+        got = K._exp_sums(p, w, ts, step)
+        tiles = list(K._tiles(p, ts))
+        table = (max(hi - lo for lo, hi, _, _ in tiles)
+                 * (tiles[0][3] - tiles[-1][2]))
+        if n == 2048:
+            assert len(tiles) >= (2 if nodes == "sparse" else 5)
+            assert (table > K._TABLE_ENTRIES) == (nodes == "clustered")
+        wide = np.longdouble
+        ref = np.vstack([np.exp(-np.multiply.outer(chunk, p.astype(wide)))
+                         @ w.astype(wide)
+                         for chunk in np.array_split(ts.astype(wide),
+                                                     -(-n // 256))])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [0.0, 4.0])
+    def test_grid_table_matches_arbitrary_times(self, measures, theta):
+        # the grid's table and the per-entry block of arbitrary times, on
+        # the inversion table of the grid
+        step, n = 1 / 2048, 2048
+        ts = step * np.arange(1, n + 1)
+        for name, spec in measures.items():
+            p, w, _ = K._inversion_table(spec, theta, ts[0], ts[-1])
+            got = K._exp_sums(p, w, ts, step)
+            ref = K._exp_sums(p, w, ts)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15, name
+
 
 class TestResolvent:
     def test_theta_zero_is_l(self, half):
@@ -450,8 +495,8 @@ class TestKernelGrid:
 
     def test_monotonicity_violation_raises(self, half, monkeypatch):
         # l is one weight column of the sampler's exponential sum
-        monkeypatch.setattr(K, "_exp_sums",
-                            lambda p, w, ts: np.array([[1.0], [2.0], [3.0]]))
+        monkeypatch.setattr(K, "_exp_sums", lambda p, w, ts, step:
+                            np.array([[1.0], [2.0], [3.0]]))
         with pytest.raises(K.KernelGridError, match="nonincreasing"):
             K.sample_kernel(half, K.KernelKind.L_KERNEL, 0.1, 3)
 
@@ -496,20 +541,43 @@ class TestKernelGrid:
                 assert np.max(np.abs(grid.values - one.values)
                               / one.values) <= 1e-15, (name, kind)
 
-    @pytest.mark.parametrize("kind", ["k", "k1", "l", "r_theta"])
+    @staticmethod
+    def _sample(half, kind, step, n):
+        samplers = {
+            "sample_l": lambda: V.sample_l(half, step, n),
+            "sample_r_theta": lambda: V.sample_r_theta(half, step, n, 1.0),
+            "sample_k": lambda: V.sample_k(half, step, n)}
+        if kind in samplers:
+            return samplers[kind]()
+        return K.sample_kernels(half, [kind], step, n)
+
+    @pytest.mark.parametrize("kind", ["k", "k1", "l", "r_theta", "sample_l",
+                                      "sample_r_theta", "sample_k"])
     @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_step_rejected(self, half, kind, step):
-        # every kind refuses the step itself, before the panel range of l
-        # and r_theta or the time check of k and k1 sees it
+        # every sampler refuses the step itself in kernels._grid_times,
+        # before the panel range of l and r_theta or the time check of k
+        # and k1 sees it; volterra's samplers raised MeasureError
         with pytest.raises(K.KernelGridError, match="step"):
-            K.sample_kernels(half, [kind], step, 64)
+            self._sample(half, kind, step, 64)
+
+    @pytest.mark.parametrize("kind", ["k", "l", "sample_l", "sample_r_theta",
+                                      "sample_k"])
+    @pytest.mark.parametrize("step, n", [(1 / 64, 0), (1 / 64, 1),
+                                         (1e308, 4)])
+    def test_bad_grid_size_rejected(self, half, kind, step, n):
+        # fewer than 2 samples, or an infinite horizon: sample_k with n = 0
+        # raised IndexError, sample_l GridMismatchError, and sample_kernels
+        # an OverflowError for l at step 1e308
+        with pytest.raises(K.KernelGridError, match="n >= 2"):
+            self._sample(half, kind, step, n)
 
     def test_multi_kind_sampler_builds_one_exponential_block(
             self, half, monkeypatch):
         calls = []
         exp_sums = K._exp_sums
-        monkeypatch.setattr(K, "_exp_sums", lambda p, w, ts: calls.append(
-            w.shape) or exp_sums(p, w, ts))
+        monkeypatch.setattr(K, "_exp_sums", lambda p, w, ts, step:
+                            calls.append(w.shape) or exp_sums(p, w, ts, step))
         K.sample_kernels(half, list(K.KernelKind), 1.0 / 256, 256, theta=1.0)
         assert calls == [(calls[0][0], 2)]
 
@@ -525,7 +593,7 @@ class TestKernelGrid:
         cols = [[3.0, 2.0, 1.0]] * 2
         cols[column] = bad
         monkeypatch.setattr(K, "_exp_sums",
-                            lambda p, w, ts: np.array(cols).T)
+                            lambda p, w, ts, step: np.array(cols).T)
         kinds = [K.KernelKind.K_KERNEL, K.KernelKind.L_KERNEL,
                  K.KernelKind.R_THETA]
         with pytest.raises(K.KernelGridError, match=message):
@@ -582,6 +650,15 @@ class TestBoundCertificates:
             for got, ref in zip((certs.chain_r_over_avg,
                                  certs.chain_avg_over_l), expected):
                 assert np.max(np.abs(got / ref - 1.0)) <= 1e-13, name
+
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_nonpositive_radius_rejected(self, half, r):
+        # phi refuses the radius before theta = 1/r^2 is formed: r = 0
+        # raised a bare ZeroDivisionError
+        from memkern.geometry import GeometryError
+
+        with pytest.raises(GeometryError, match="r > 0"):
+            K.bound_certificates(half, V.sample_l(half, 1 / 256, 256), r=r)
 
     def test_csv(self, half, verify_run):
         path = verify_run / "certificates.csv"
