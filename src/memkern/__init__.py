@@ -7,8 +7,8 @@ convolution calculus and Yosida layer, ``geometry`` the scaling function and
 cylinders, ``solver`` the implicit memory stepper, ``harnack`` the empirical
 regularity harness, and ``cli`` the experiment runner.  Importing the
 package loads numpy only: scipy is imported inside the few functions that
-compute with it (sparse LU of grid solves, triangular Toeplitz blocks,
-adaptive quadrature).
+compute with it (the step factorisations of grid solves, adaptive
+quadrature).
 """
 
 from .measure import (

@@ -19,6 +19,7 @@ counts as violated), 1 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -192,6 +193,7 @@ def _step_figures(run) -> dict:
     """The step-solve figures of a trajectory or an ensemble, with the
     bounds of A that the stepper measured, when it solved on a grid."""
     figures = {"lu_factorisations": run.lu_factorisations,
+               "lu_fill": run.lu_fill,
                "max_step_residual": run.max_step_residual}
     if run.coefficient_bounds is not None:
         figures["coefficient_bounds"] = dict(zip(("nu", "lam"),
@@ -295,7 +297,9 @@ def run(config: ExperimentConfig, out_dir) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="memkern",
         description="memory-kernel calculus experiments")
@@ -307,7 +311,11 @@ def main(argv=None) -> int:
         p.add_argument("--steps", type=int, default=None,
                        help="override n_steps")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = parse_config(args.config, experiment=args.command,
                               n_steps=args.steps, seed=args.seed)

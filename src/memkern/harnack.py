@@ -224,6 +224,7 @@ class EnsembleReport:
     median_ratio: float
     max_step_residual: float  # worst relative step residual of any member
     lu_factorisations: int    # computed over all members; 1 when shared
+    lu_fill: int              # entries of the largest step factors used
     coefficient_bounds: tuple[float, float]  # (nu, lam) every member read
 
     @property
@@ -252,7 +253,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     height = 2.0 * tau * phi_bar(spec, r)
     ratios: list[float] = []
     statuses: list[str] = []
-    worst, factorisations, masks, bounds = 0.0, 0, None, None
+    worst, factorisations, fill, masks, bounds = 0.0, 0, 0, None, None
     with _shared_systems():
         for member in range(n_members):
             fld = solve(spec, grid, coefficients,
@@ -268,6 +269,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
                           else math.nan)
             worst = float(np.maximum(worst, fld.max_step_residual))
             factorisations += fld.lu_factorisations
+            fill = max(fill, fld.lu_fill)
             bounds = fld.coefficient_bounds  # the same for every member
     arr = np.asarray(ratios)
     finite = arr[np.isfinite(arr)]
@@ -277,7 +279,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
         max_ratio=float(np.max(finite)) if finite.size else math.nan,
         median_ratio=float(np.median(finite)) if finite.size else math.nan,
         max_step_residual=worst, lu_factorisations=factorisations,
-        coefficient_bounds=bounds,
+        lu_fill=fill, coefficient_bounds=bounds,
     )
 
 

@@ -20,15 +20,17 @@ block starts, O(N log^2 N) over a trajectory, and each step adds only the
 rows of its own block.  The relaxation mode has no spatial operator, so its
 whole trajectory is one triangular Toeplitz solve.  One sparse assembly
 serves every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} =
-beta_{m,1} for every m, the step matrix is factorised once by sparse LU and
-reused for the whole trajectory unless the coefficients are declared time
-dependent (``scipy.sparse`` is imported by ``solve``, before its clock
-starts).  The source and the Dirichlet boundary vector are kept with the
-factors as one vector, sampled again at every step only when f or a
-Dirichlet value is callable.  Inside ``_shared_systems()``, as over the
-members of a Harnack ensemble, trajectories with equal measure, step count
-and step share one set of history weights with its far-field blocks, and
-those whose step matrices agree share one factorisation.  The relative
+beta_{m,1} for every m, the step matrix is factorised once and reused for
+the whole trajectory unless the coefficients are declared time dependent:
+in 1d, where it is tridiagonal, by LAPACK's tridiagonal LU, and in 2d by
+sparse LU with the minimum-degree ordering of its symmetric pattern (scipy
+is imported by ``solve``, before its clock starts).  The source and the
+Dirichlet boundary vector are kept with the factors as one vector, sampled
+again at every step only when f or a Dirichlet value is callable.  Inside
+``_shared_systems()``, as over the members of a Harnack ensemble,
+trajectories with equal measure, step count and step share one set of
+history weights with its far-field blocks, and those whose step matrices
+agree share one factorisation.  The relative
 residual of every step is checked against the matrix it solved with, by one
 sparse product per run of steps that share that matrix (at most one base
 block).  All weights are positive and decreasing back in time, which is what
@@ -222,7 +224,8 @@ class SolutionField:
     f_samples: np.ndarray | None  # same layout, or None when f == 0
     residuals: np.ndarray
     wall_time: float
-    lu_factorisations: int = 0    # splu calls made here; 0 if shared
+    lu_factorisations: int = 0    # LU factorisations made here; 0 if shared
+    lu_fill: int = 0              # entries of the largest step factors used
     coefficient_bounds: tuple | None = None  # (nu, lam) of every assembly
 
     @property
@@ -362,7 +365,7 @@ class TimeStepper:
     first step (the factors taken from another trajectory inside
     ``_shared_systems()``; ``lu_factorisations`` counts those computed
     here) and again at every step only when A is time dependent or f or a
-    Dirichlet g is callable.  One sparse LU solve then gives the slice.
+    Dirichlet g is callable.  One solve with the factors gives the slice.
     The right-hand side is kept until the relative residual is checked:
     for the steps since the last check at once, at each base-block start,
     before the factors are replaced and whenever ``residuals`` is read.  In
@@ -412,13 +415,13 @@ class TimeStepper:
         self._relaxation = not grid.dim
         self._bc_callable = any(callable(bc.value)
                                 for pair in grid.boundary for bc in pair)
-        # whether _system rebuilds _lu and _step_rhs at every step, not only
-        # at the first
+        # whether _system rebuilds _solve and _step_rhs at every step, not
+        # only at the first
         self._refresh = not self._relaxation and (
             coefficients.time_dependent or callable(f) or self._bc_callable)
-        self._factors = self._lu = self._step_rhs = None
+        self._factors = self._solve = self._step_rhs = None
         self.coefficient_bounds = None
-        self.lu_factorisations = 0
+        self.lu_factorisations = self.lu_fill = 0
 
     # -- spatial operator -------------------------------------------------
 
@@ -497,24 +500,44 @@ class TimeStepper:
         return mat + sparse.diags(diag.ravel()), rhs_bc.ravel(), faces
 
     def _factorise(self, t: float):
-        """``(full, splu(full), rhs_bc, (nu, lam), faces)`` at ``t``, with
+        """``(full, solve, rhs_bc, (nu, lam), faces, fill)`` at ``t``, with
         ``full`` the step matrix ``(beta_{m,m} + reaction) I + L_t``,
-        ``(nu, lam)`` the ``coefficient_bounds`` of this stepper's reads of
-        A up to here and ``faces`` the Dirichlet face diffusivities of
-        ``_dirichlet``."""
+        ``solve(b)`` its LU solve, ``(nu, lam)`` the ``coefficient_bounds``
+        of this stepper's reads of A up to here, ``faces`` the Dirichlet face
+        diffusivities of ``_dirichlet`` and ``fill`` the entries the factors
+        hold.  A 1d ``full``, the three-point flux form, is tridiagonal and
+        takes LAPACK's tridiagonal LU, without SuperLU's fixed cost per
+        solve; a 2d one takes SuperLU with the minimum-degree ordering of
+        its symmetric pattern."""
         from scipy.sparse import identity
-        from scipy.sparse.linalg import splu
 
         mat, rhs_bc, faces = self._assemble(t)
         full = (mat + (self._beta_mm + self.reaction)
                 * identity(self.grid.n_total)).tocsc()
-        lu = splu(full)
+        if self.grid.dim == 1:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+
+            dl, d, du, du2, ipiv, info = dgttrf(
+                full.diagonal(-1), full.diagonal(), full.diagonal(1))
+            if info:
+                raise SolverError(f"the step matrix at t={t} is singular "
+                                  f"(dgttrf info {info})")
+
+            def solve(b):
+                return dgttrs(dl, d, du, du2, ipiv, b)[0]
+
+            fill = dl.size + d.size + du.size + du2.size
+        else:
+            from scipy.sparse.linalg import splu
+
+            lu = splu(full, permc_spec="MMD_AT_PLUS_A")
+            solve, fill = lu.solve, lu.L.nnz + lu.U.nnz
         self.lu_factorisations += 1
-        return full, lu, rhs_bc, self.coefficient_bounds, faces
+        return full, solve, rhs_bc, self.coefficient_bounds, faces, fill
 
     def _system(self, m: int) -> None:
-        """The factors ``_lu`` and the step-invariant ``_step_rhs = f_m +
-        rhs_bc`` of step m.  The factors are built at the first step, or
+        """The factors' solve ``_solve`` and the step-invariant ``_step_rhs =
+        f_m + rhs_bc`` of step m.  The factors are built at the first step, or
         taken from the shared systems (see ``_shared_systems``) with the
         ``coefficient_bounds`` read to build them, and again at every step
         only for time-dependent coefficients.  When a Dirichlet value is
@@ -529,6 +552,7 @@ class TimeStepper:
                  self._beta_mm + self.reaction, t)
             self._factors = _share(key, lambda: self._factorise(t))
             rhs_bc, self.coefficient_bounds = self._factors[2:4]
+            self.lu_fill = max(self.lu_fill, self._factors[5])
         elif self._bc_callable:
             rhs_bc = self._dirichlet(t, self._factors[4])[1].ravel()
         else:
@@ -537,7 +561,7 @@ class TimeStepper:
         if f_m is None:
             f_m = _datum(self.f, t, self.grid.centers()).ravel()
             self.f_samples[m] = f_m.reshape(self.grid.shape)
-        self._lu, self._step_rhs = self._factors[1], f_m + rhs_bc
+        self._solve, self._step_rhs = self._factors[1], f_m + rhs_bc
 
     # -- step residuals ----------------------------------------------------
 
@@ -590,10 +614,10 @@ class TimeStepper:
                 self._history.far_field(du, du, m - 1)
             du[m - 1:m - 1 + _TOEPLITZ_BLOCK] -= self._beta_mm * u[m - 1]
             np.negative(du[m - 1], out=b)
-        if self._refresh or self._lu is None:
+        if self._refresh or self._solve is None:
             self._system(m)
         b += self._step_rhs
-        u[m] = self._lu.solve(b)
+        u[m] = self._solve(b)
         np.subtract(u[m], u[m - 1], out=du[m - 1])
         self.m = m
         return self.u[m]
@@ -630,10 +654,10 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
     source or boundary data, raises ``SolverError``.  The step solvers
     import scipy on first use; it is loaded before the clock starts, so
     ``wall_time`` is the solve's own."""
-    if grid.dim:
+    if grid.dim == 1:
+        import scipy.linalg.lapack, scipy.sparse  # noqa: E401, F401
+    elif grid.dim:
         import scipy.sparse.linalg  # noqa: F401
-    else:
-        import scipy.linalg  # noqa: F401
     start = time.perf_counter()
     stepper = TimeStepper(spec, grid, coefficients, u0, f, horizon, n_steps,
                           reaction=reaction,
@@ -650,6 +674,7 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
                          f_samples=stepper.f_samples,
                          residuals=stepper.residuals, wall_time=wall,
                          lu_factorisations=stepper.lu_factorisations,
+                         lu_fill=stepper.lu_fill,
                          coefficient_bounds=stepper.coefficient_bounds)
 
 

@@ -10,9 +10,10 @@ trapezoid suffers next to a t^-a endpoint.  Kernels without tables degrade
 gracefully to trapezoid cell masses.  Two O(N log^2 N) engines share one
 FFT block product: the half-range product of ``conv``, and the Toeplitz
 engine of the first-kind solve and the stepper's history (dense blocks
-are numpy strided views; only the solve imports scipy's triangular
-solver).  The sampled l and r_theta and the Yosida kernels need no solve:
-they are exponential sums with cell tables from ``kernels._resolvent_kernels``.
+are numpy strided views, and the solve applies the inverse of its one
+leading block).  The sampled l and r_theta and the Yosida kernels need no
+solve: they are exponential sums with cell tables from
+``kernels._resolvent_kernels``.
 """
 
 from __future__ import annotations
@@ -210,24 +211,32 @@ def _toeplitz_solve(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``T x = rhs`` for the lower-triangular Toeplitz ``T`` with first
     column ``column``; ``rhs`` is ``(n,)`` or ``(n, k)``.  The far-field sums
     of ``_ToeplitzHistory`` build up in the unsolved rows of ``x``, and each
-    base block then takes one triangular solve.  NaN and inf pass through
-    to ``x``, where ``solver.solve`` names the first time they reach."""
-    from scipy.linalg import solve_triangular
-
+    base block then takes one product with the inverse of T's leading
+    block, the lower-triangular Toeplitz matrix of the column's reciprocal
+    power series.  From the first row whose right-hand side is NaN or
+    inf, ``x`` is NaN, and ``solver.solve`` names the time of that row; a
+    product over it would spread it to the rows before."""
     n = rhs.shape[0]
     history = _ToeplitzHistory(column)
     size = min(_TOEPLITZ_BLOCK, n)
-    block = _toeplitz(np.concatenate((np.zeros(size - 1),
-                                      history.column[:size])), size)
+    c = history.column[:size]
+    series = np.zeros(size)  # sum_{j <= k} c[j] series[k - j] = (k == 0)
+    series[0] = 1.0 / c[0]
+    for k in range(1, size):
+        series[k] = -series[0] * np.dot(c[1:k + 1], series[k - 1::-1])
+    inverse = _toeplitz(np.concatenate((np.zeros(size - 1), series)), size)
     x = np.zeros(rhs.shape)
     x2, rhs2 = (x, rhs) if rhs.ndim == 2 else (x[:, None], rhs[:, None])
     for lo in range(0, n, _TOEPLITZ_BLOCK):
         hi = min(lo + _TOEPLITZ_BLOCK, n)
         if lo:
             history.far_field(x2, x2, lo)
-        x2[lo:hi] = solve_triangular(block[:hi - lo, :hi - lo],
-                                     rhs2[lo:hi] - x2[lo:hi], lower=True,
-                                     check_finite=False)
+        b = rhs2[lo:hi] - x2[lo:hi]
+        rows = hi - lo
+        if not np.isfinite(b).all():  # NaN from the first bad row on
+            rows = int(np.argmin(np.isfinite(b).all(axis=1)))
+            x2[lo + rows:hi] = np.nan
+        x2[lo:lo + rows] = inverse[:rows, :rows] @ b[:rows]
     return x
 
 

@@ -50,13 +50,36 @@ def test_import_and_config_parse_load_no_orjson():
 
 
 def test_solve_wall_time_leaves_out_the_scipy_import(tmp_path):
-    # the first solve of a process imports scipy's solvers before its clock
-    # starts; the ode05 solve itself takes about 0.01 s
-    out = tmp_path / "ode05"
-    done = _fresh("from memkern.cli import main\n"
-                  f"main(['solve', '--config', {str(CONFIGS / 'ode05.json')!r},"
-                  f" '--out', {str(out)!r}])")
+    # the first grid solve of a process imports scipy's solvers before its
+    # clock starts; the yosida1d solve itself takes about 0.01 s
+    argv = ["solve", "--config", str(CONFIGS / "yosida1d.json"),
+            "--out", str(tmp_path / "yosida1d")]
+    done = _fresh("import sys\n"
+                  "from memkern.cli import main\n"
+                  f"main({argv!r})\n"
+                  f"print({SCIPY_MODULES})")
     assert done.returncode == 0, done.stderr
+    assert "scipy.linalg" in done.stdout
+    manifest = json.loads((tmp_path / "yosida1d" / "manifest.json")
+                          .read_text())
+    assert 0.0 < manifest["wall_time"] < 0.1
+
+
+def test_relaxation_solve_and_sonine_oracle_run_without_scipy(tmp_path):
+    # the space-free solve and the first-kind oracle share one triangular
+    # Toeplitz solve, which inverts its leading block with numpy
+    out = tmp_path / "ode05"
+    argv = ["solve", "--config", str(CONFIGS / "ode05.json"),
+            "--out", str(out)]
+    done = _fresh("import json, sys\n"
+                  "from memkern.cli import main\n"
+                  "from memkern.measure import MeasureSpec\n"
+                  "from memkern.volterra import sonine_partner\n"
+                  f"code = main({argv!r})\n"
+                  "sonine_partner(MeasureSpec.single_order(0.5), 1/256, 256)\n"
+                  f"print(json.dumps([code, {SCIPY_MODULES}]))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
     manifest = json.loads((out / "manifest.json").read_text())
     assert 0.0 < manifest["wall_time"] < 0.1
 

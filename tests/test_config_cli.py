@@ -609,8 +609,9 @@ class TestRunners:
     def test_solve_manifest_counts_lu_factorisations(self, tmp_path,
                                                     monkeypatch,
                                                     time_dependent):
-        # one splu per trajectory for constant coefficients, one per step
-        # when they are declared time dependent
+        # one LU factorisation per trajectory for constant coefficients, one
+        # per step when they are declared time dependent; the tridiagonal
+        # factors of 8 cells hold 7 + 8 + 7 + 6 entries
         from memkern.config import ExperimentConfig
         from memkern.solver import CoefficientField
 
@@ -625,6 +626,7 @@ class TestRunners:
         assert cli.run(config, tmp_path) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["lu_factorisations"] == (24 if time_dependent else 1)
+        assert manifest["lu_fill"] == 28
 
     def test_verify_exit_two_on_nan_sonine_residual(self, tmp_path,
                                                      monkeypatch):
@@ -680,6 +682,7 @@ class TestRunners:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["max_step_residual"] <= 1e-10
         assert manifest["lu_factorisations"] == 1
+        assert manifest["lu_fill"] == 4 * 32 - 4
 
     def test_harnack_runs_on_a_2d_config_grid(self, tmp_path):
         config = parse_config(small_config(
@@ -878,6 +881,23 @@ class TestWriteCsv:
 
 
 class TestMain:
+    def test_parser_built_once(self, tmp_path, capsys):
+        # every call of main after the first reuses the parser, and a
+        # parse error still exits 2 with argparse's message
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["kernels", "--config", str(cfg_path), "--out",
+                             str(tmp_path / "out"), "--steps", "32"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kernels", "--config", str(cfg_path), "--steps", "q"])
+        assert exc.value.code == 2
+        assert "argument --steps: invalid int value: 'q'" in \
+            capsys.readouterr().err
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_main_happy_path(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config()))

@@ -243,13 +243,15 @@ class TestSharedFactors:
 
     def test_one_factorisation_same_ratios(self, half, monkeypatch):
         # one set of history weights and one factorisation per ensemble, on
-        # a line and on a square, with the ratios, worst step residual and
-        # coefficient bounds of the members solved one by one outside any
-        # shared scope; 130 steps reach two far-field block starts
+        # a line (tridiagonal LU) and on a square (sparse LU), with the
+        # ratios, worst step residual and coefficient bounds of the members
+        # solved one by one outside any shared scope; 130 steps reach two
+        # far-field block starts
+        from scipy.linalg import lapack
         from scipy.sparse import linalg as sparse_linalg
 
-        calls = {"splu": 0, "weights": 0}
-        real_splu, real_weights = sparse_linalg.splu, S.conv_weights
+        calls = {"lu": 0, "weights": 0}
+        real_weights = S.conv_weights
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -257,7 +259,9 @@ class TestSharedFactors:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sparse_linalg, "splu", counted("splu", real_splu))
+        monkeypatch.setattr(lapack, "dgttrf", counted("lu", lapack.dgttrf))
+        monkeypatch.setattr(sparse_linalg, "splu",
+                            counted("lu", sparse_linalg.splu))
         monkeypatch.setattr(S, "conv_weights",
                             counted("weights", real_weights))
         bc = S.BoundaryCondition.dirichlet(0.0)
@@ -265,10 +269,10 @@ class TestSharedFactors:
                                boundary=((bc, bc),) * 2)
         height = 2.0 * phi_bar(half, 0.4)
         for grid in (dirichlet_grid(32), square):
-            calls.update(splu=0, weights=0)
+            calls.update(lu=0, weights=0)
             rep = H.harnack_ensemble(half, grid, IDENTITY, n_members=4,
                                      seed=5, n_steps=130, r=0.4, x0=0.5)
-            assert calls == {"splu": 1, "weights": 1}
+            assert calls == {"lu": 1, "weights": 1}
             assert rep.lu_factorisations == 1
             assert S._shared.get() is None
             assert rep.max_step_residual <= 1e-10
@@ -283,7 +287,7 @@ class TestSharedFactors:
                 ratios.append(H.weak_harnack_ratio(
                     fld, half, t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0,
                     p=1.0).ratio)
-            assert calls == {"splu": 5, "weights": 5}
+            assert calls == {"lu": 5, "weights": 5}
             assert rep.ratios == tuple(ratios)
             assert rep.max_step_residual == worst
 

@@ -51,21 +51,21 @@ class DirectHistoryStepper(S.TimeStepper):
         rhs = self._beta_mm * u[m - 1] + self._step_rhs
         if m >= 2:
             rhs -= self._hist[n - m:n - 1] @ self.du[:m - 1]
-        u[m] = self._lu.solve(rhs)
+        u[m] = self._solve(rhs)
         np.subtract(u[m], u[m - 1], out=self.du[m - 1])
         self.m = m
         return self.u[m]
 
 
 class _CheckedFactors:
-    """LU factors whose ``solve`` records ``max|full x - b| / max|b|`` of
-    each solve against the matrix of that step."""
+    """A step solve that records ``max|full x - b| / max|b|`` of each solve
+    against the matrix of that step."""
 
-    def __init__(self, full, lu, record):
-        self.full, self.lu, self.record = full, lu, record
+    def __init__(self, full, solve, record):
+        self.full, self.solve, self.record = full, solve, record
 
-    def solve(self, b):
-        new = self.lu.solve(b)
+    def __call__(self, b):
+        new = self.solve(b)
         scale = max(float(np.abs(b).max()), 1e-300)
         self.record.append(float(np.abs(self.full @ new - b).max()) / scale)
         return new
@@ -81,7 +81,8 @@ class PerStepResidualStepper(S.TimeStepper):
 
     def _system(self, m):
         super()._system(m)
-        self._lu = _CheckedFactors(self._factors[0], self._lu, self.reference)
+        self._solve = _CheckedFactors(self._factors[0], self._solve,
+                                      self.reference)
 
 
 class TestConvWeights:
@@ -493,6 +494,23 @@ class TestAssembly:
         exact = grid.centers() @ np.array([1.0, 2.0])
         assert np.max(np.abs(fld.values - exact)) <= 1e-12
 
+    def test_2d_factors_ordered_by_minimum_degree(self, half):
+        # the minimum-degree ordering of the symmetric pattern holds fewer
+        # entries than SuperLU's default column ordering, and lu_fill
+        # counts them
+        from scipy.sparse.linalg import splu
+
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(24, 24),
+                             boundary=((bc, bc),) * 2)
+        coeffs = S.CoefficientField.checkerboard(0.1, 10.0, 0.125)
+        fld = S.solve(half, grid, coeffs, 1.0, 0.0, 0.5, 8)
+        full = S.TimeStepper(half, grid, coeffs, 1.0, 0.0, 0.5,
+                             8)._factorise(0.0625)[0]
+        default = splu(full)
+        assert fld.lu_fill < default.L.nnz + default.U.nnz
+        assert fld.max_step_residual <= 1e-10
+
     def test_2d_with_neumann_y_walls_matches_1d(self, half):
         bcd = S.BoundaryCondition.dirichlet(0.5)
         bcn = S.BoundaryCondition.neumann_zero()
@@ -538,6 +556,116 @@ class TestAssembly:
         assert np.array_equal(fld.values, cached.values)
 
 
+def refreshed_run(case, calls):
+    """``(grid, A, u0, f)`` of a 16-cell run that rebuilds its right-hand
+    side at every step, and for a time-dependent A its factors too; each
+    read of A appends its point shape to ``calls``."""
+    def static(x):
+        calls.append(x.shape)
+        return 1.0 + x
+
+    def varying(t, x):
+        calls.append(x.shape)
+        return (1.0 + t) * (1.0 + x)
+
+    sine = lambda t, x: np.sin(np.pi * x[..., 0])
+    g, u0, f = {"callable-f": (0.0, sine, lambda t, x: t * x[..., 0]),
+                "callable-g": (lambda t, x: t, 0.0, 0.0),
+                "time-dependent": (0.0, sine, 0.3)}[case]
+    coeffs = S.CoefficientField(varying, time_dependent=True) \
+        if case == "time-dependent" else S.CoefficientField(static)
+    return dirichlet_grid(16, g), coeffs, u0, f
+
+
+class SuperLUParityStepper(S.TimeStepper):
+    """Solves each step as ``TimeStepper`` does and records, per step, how
+    far SuperLU's solution ``y`` of the same system is from it, ``x``: the
+    normwise backward gap ``max|full (x - y)| / (|full| max|x| + max|b|)``
+    in ``backward``, ``|full|`` the infinity norm, and ``max|x - y| /
+    max|y|`` in ``forward``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.backward, self.forward = [], []
+
+    def _factorise(self, t):
+        from scipy.sparse.linalg import splu
+
+        full, solve, *rest = super()._factorise(t)
+        reference = splu(full).solve
+        norm = float(abs(full).sum(axis=1).max())
+
+        def both(b):
+            x, y = solve(b), reference(b)
+            scale = norm * np.abs(x).max() + np.abs(b).max()
+            self.backward.append(float(np.abs(full @ (x - y)).max() / scale))
+            self.forward.append(float(np.abs(x - y).max() / np.abs(y).max()))
+            return x
+
+        return (full, both, *rest)
+
+
+class TestTridiagonalSolve:
+    """The 1d step solve, LAPACK's tridiagonal LU, against SuperLU on the
+    same step matrix and right-hand side at every step.
+
+    The two solutions ``x`` and ``y`` agree within 1e-14 in the normwise
+    backward sense: both solve the step system to rounding.  ``x - y``
+    itself is within 1e-14 of ``y`` where the step matrix is well
+    conditioned: on 3 cells and on the 16-cell runs that ``TestSharedSetup``
+    pins.  On 64 and 2048 cells it reads up to 6.2e-12 (condition numbers
+    up to 1.3e7), as both solvers err by about condition number times
+    rounding; against an extended-precision tridiagonal solve of the
+    2048-cell board the tridiagonal LU errs by 5.0e-13 and SuperLU by
+    5.7e-12."""
+
+    @staticmethod
+    def _case(case, n):
+        grid = dirichlet_grid(n, 0.2)
+        coeffs = S.CoefficientField.checkerboard(0.1, 10.0, 0.125)
+        u0 = lambda t, x: np.sin(3.0 * np.pi * x[..., 0]) ** 2
+        if case == "neumann":
+            grid, coeffs = neumann_grid(n), S.CoefficientField(
+                lambda x: 1.0 + x)
+        elif case == "callable-g":
+            bc = S.BoundaryCondition.dirichlet(
+                lambda t, x: t * (1.0 + x[..., 0]))
+            grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(n,),
+                                 boundary=((bc, bc),))
+        elif case == "time-dependent":
+            coeffs = S.CoefficientField(
+                lambda t, x: (1.0 + t) * (1.0 + x), time_dependent=True)
+        return grid, coeffs, u0, 0.3
+
+    @staticmethod
+    def _run(half, grid, coeffs, u0, f, n_steps):
+        stepper = SuperLUParityStepper(half, grid, coeffs, u0, f, 1.0,
+                                       n_steps)
+        while stepper.m < n_steps:
+            stepper.advance()
+        assert len(stepper.backward) == n_steps
+        assert max(stepper.backward) <= 1e-14
+        return stepper
+
+    @pytest.mark.parametrize("n", [3, 64, 2048])
+    @pytest.mark.parametrize("case", ["dirichlet", "neumann", "callable-g",
+                                      "time-dependent"])
+    def test_matches_superlu(self, half, case, n):
+        stepper = self._run(half, *self._case(case, n), 96)
+        if n == 3:
+            assert max(stepper.forward) <= 1e-14
+        assert stepper.lu_fill == 4 * n - 4  # dl, d, du and du2
+        assert stepper.lu_factorisations == (96 if case == "time-dependent"
+                                             else 1)
+
+    @pytest.mark.parametrize("case", ["callable-f", "callable-g",
+                                      "time-dependent"])
+    def test_pinned_runs_match_superlu(self, half, case):
+        # the runs whose trajectory bytes TestSharedSetup pins
+        stepper = self._run(half, *refreshed_run(case, []), 32)
+        assert max(stepper.forward) <= 1e-14
+
+
 class TestSharedSetup:
     """What steppers inside one ``_shared_systems()`` scope share, and what
     each step rebuilds."""
@@ -570,14 +698,15 @@ class TestSharedSetup:
             assert np.array_equal(stepper.u, alone.values)
             assert np.array_equal(stepper.residuals, alone.residuals)
 
-    # field reads, factorisations and SHA-256 of the trajectory's bytes
+    # field reads, factorisations and SHA-256 of the trajectory's bytes,
+    # each run checked against SuperLU by TestTridiagonalSolve
     REFRESHED = {
-        "callable-f": (3, 1, "9d0256e99976ed591c798d50cfb036e2"
-                             "90f7b77cc12d49168f038a0cbaafadf6"),
-        "callable-g": (3, 1, "7d7725187affd2b8f3f8af15ed0d0d9c"
-                             "396ff42217ad8dd3b906fb66fc97a05d"),
-        "time-dependent": (3 * 32, 32, "43bb5b08682209c9bd7d932e6e15b708"
-                                       "f763f449679e2c43d11542049c86a19c"),
+        "callable-f": (3, 1, "778b29f9db104aac208537b47597d25a"
+                             "0f80a156e1d770838b885f5d22dae9c3"),
+        "callable-g": (3, 1, "ab67b1268f1da12b742e257428c3f56c"
+                             "c91a044265383ac267f97a7e3ddfe99f"),
+        "time-dependent": (3 * 32, 32, "c980375a4f20a1b806914cdae966f2e2"
+                                       "361cd82a776250431c8743580d648229"),
     }
 
     @pytest.mark.parametrize("case", list(REFRESHED))
@@ -586,22 +715,8 @@ class TestSharedSetup:
         # at every step on these paths only; 16 cells and 32 steps
         reads, factorisations, digest = self.REFRESHED[case]
         calls = []
-
-        def static(x):
-            calls.append(x.shape)
-            return 1.0 + x
-
-        def varying(t, x):
-            calls.append(x.shape)
-            return (1.0 + t) * (1.0 + x)
-
-        sine = lambda t, x: np.sin(np.pi * x[..., 0])
-        g, u0, f = {"callable-f": (0.0, sine, lambda t, x: t * x[..., 0]),
-                    "callable-g": (lambda t, x: t, 0.0, 0.0),
-                    "time-dependent": (0.0, sine, 0.3)}[case]
-        coeffs = S.CoefficientField(varying, time_dependent=True) \
-            if case == "time-dependent" else S.CoefficientField(static)
-        fld = S.solve(half, dirichlet_grid(16, g), coeffs, u0, f, 1.0, 32)
+        grid, coeffs, u0, f = refreshed_run(case, calls)
+        fld = S.solve(half, grid, coeffs, u0, f, 1.0, 32)
         assert len(calls) == reads
         assert fld.lu_factorisations == factorisations
         assert hashlib.sha256(fld.values.tobytes()).hexdigest() == digest
@@ -751,7 +866,8 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("case, t_bad", [
         ("u0", 0.0), ("f", 0.0625), ("dirichlet", 0.0625),
-        ("dirichlet-late", 0.5), ("relaxation", 0.0)])
+        ("dirichlet-late", 0.5), ("relaxation", 0.0),
+        ("relaxation-late", 0.5), ("relaxation-inf", 0.30078125)])
     def test_non_finite_trajectory_raises(self, half, case, t_bad):
         grid, u0, f = dirichlet_grid(8), 1.0, 0.0
         if case == "u0":
@@ -765,12 +881,18 @@ class TestValidationErrors:
                 lambda t, x: np.inf if t >= 0.5 else 0.0)
             grid = S.SpatialGrid(extents=((0.0, 1.0),), n_cells=(8,),
                                  boundary=((bc, bc),))
-        else:
+        elif case == "relaxation":
             grid, u0 = S.SpatialGrid(), np.nan
+        else:
+            # from step 128, the last of a base block of 64, or step 77,
+            # inside one: no earlier slice of that block may turn non-finite
+            bad = np.nan if case == "relaxation-late" else np.inf
+            grid, f = S.SpatialGrid(), lambda t, x: bad if t >= t_bad else 0.0
         coeffs = None if grid.dim == 0 else IDENTITY
+        n_steps = 16 if grid.dim or case == "relaxation" else 256
         with pytest.raises(S.SolverError, match=re.escape(
                 f"not finite from t = {t_bad} on")):
-            S.solve(half, grid, coeffs, u0, f, 1.0, 16, reaction=1.0)
+            S.solve(half, grid, coeffs, u0, f, 1.0, n_steps, reaction=1.0)
 
     @pytest.mark.parametrize("grid", [dirichlet_grid(8), S.SpatialGrid(
         extents=((0.0, 1.0), (0.0, 1.0)), n_cells=(4, 4))], ids=["1d", "2d"])
