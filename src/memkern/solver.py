@@ -18,19 +18,19 @@ product, which ``volterra._ToeplitzHistory`` splits into base blocks: the
 far field of earlier blocks arrives by dense or FFT block convolutions at
 block starts, O(N log^2 N) over a trajectory, and each step adds only the
 rows of its own block.  The relaxation mode has no spatial operator, so its
-whole trajectory is one triangular Toeplitz solve.  One sparse assembly
-serves every axis (3 points in 1d, 5 in 2d), and since beta_{m,m} =
-beta_{m,1} for every m, the step matrix is factorised once and reused for
-the whole trajectory unless the coefficients are declared time dependent:
-in 1d, where it is tridiagonal, by LAPACK's tridiagonal LU, and in 2d by
-sparse LU with the minimum-degree ordering of its symmetric pattern (scipy
-is imported by ``solve``, before its clock starts).  The source and the
-Dirichlet boundary vector are kept with the factors as one vector, sampled
-again at every step only when f or a Dirichlet value is callable.  Inside
-``_shared_systems()``, as over the members of a Harnack ensemble,
-trajectories with equal measure, step count and step share one set of
-history weights with its far-field blocks, and those whose step matrices
-agree share one factorisation.  The relative
+whole trajectory is one triangular Toeplitz solve.  The step matrix is
+built from its diagonals, the main one and one symmetric band per axis (3
+points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1} for every m, it
+is factorised once and reused for the whole trajectory unless the
+coefficients are declared time dependent: in 1d, where it is tridiagonal,
+by LAPACK's tridiagonal LU, and in 2d by sparse LU with the minimum-degree
+ordering of its symmetric pattern (scipy is imported by ``solve``, before
+its clock starts).  The source and the Dirichlet boundary vector are kept
+with the factors as one vector, sampled again at every step only when f or
+a Dirichlet value is callable.  Inside ``_shared_systems()``, as over the
+members of a Harnack ensemble, trajectories with equal measure, step count
+and step share one set of history weights with its far-field blocks, and
+those whose step matrices agree share one factorisation.  The relative
 residual of every step is checked against the matrix it solved with, by one
 sparse product per run of steps that share that matrix (at most one base
 block).  All weights are positive and decreasing back in time, which is what
@@ -216,7 +216,10 @@ class CoefficientField:
 
 @dataclass
 class SolutionField:
-    """Trajectory on (0, T]: row m holds the slice at t_m = m*step (row 0 = u0)."""
+    """Trajectory on (0, T]: row m holds the slice at t_m = m*step (row 0 = u0).
+
+    ``residuals``, each step's ``max|full u_m - b_m| / max|b_m|``, is not a
+    backward error: it grows with the step matrix's condition number."""
 
     grid: SpatialGrid
     step: float
@@ -226,7 +229,7 @@ class SolutionField:
     wall_time: float
     lu_factorisations: int = 0    # LU factorisations made here; 0 if shared
     lu_fill: int = 0              # entries of the largest step factors used
-    coefficient_bounds: tuple | None = None  # (nu, lam) of every assembly
+    coefficient_bounds: tuple | None = None  # (nu, lam) of every step matrix
 
     @property
     def n_steps(self) -> int:
@@ -256,29 +259,28 @@ class SolutionField:
 
 def conv_weights(spec: MeasureSpec, m: int, tau: float) -> np.ndarray:
     """History weights beta_{m,1..m} from exact differences of K = 1*k."""
-    if m < 1 or tau <= 0.0:
-        raise SolverError("need m >= 1 and tau > 0")
-    big_k = np.asarray(one_star_k_eval(spec, tau * np.arange(0, m + 1)))
-    d = np.diff(big_k) / tau
-    return d[::-1].copy()
+    if not (isinstance(m, (int, np.integer)) and m >= 1
+            and 0.0 < tau < math.inf):
+        raise SolverError("need an integer m >= 1 and a finite tau > 0, "
+                          f"not {m!r} and {tau}")
+    return _history_setup(spec, m, tau, None)[0].copy()
 
 
 def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
                    kernel_cumulative: np.ndarray | None):
-    """``(hist, _ToeplitzHistory, lead)`` of the history weights, from
-    ``conv_weights`` or from the differences of ``kernel_cumulative``.
-    ``hist[j]`` is beta at lag N - j, so the weights of step m are the
-    contiguous slice ``hist[N-m : N-1]``; ``hist[::-1]``, the Toeplitz
+    """``(hist, _ToeplitzHistory, lead)`` of the history weights, the
+    differences of ``kernel_cumulative``, or else of K = 1*k at the step
+    times.  ``hist[j]`` is beta at lag N - j, so the weights of step m are
+    the contiguous slice ``hist[N-m : N-1]``; ``hist[::-1]``, the Toeplitz
     column, runs from lag 1; ``lead`` holds ``beta_{m,m} - beta_{m,i}``
     (see ``TimeStepper.advance``).  The arrays are read-only, as steppers
     share them inside ``_shared_systems()``."""
-    if kernel_cumulative is None:
-        hist = conv_weights(spec, n_steps, tau)
-    else:
-        big_k = np.asarray(kernel_cumulative, dtype=float)
-        if big_k.shape != (n_steps + 1,):
-            raise SolverError("kernel_cumulative must have n_steps+1 entries")
-        hist = (np.diff(big_k) / tau)[::-1].copy()
+    big_k = np.asarray(one_star_k_eval(spec, tau * np.arange(n_steps + 1))
+                       if kernel_cumulative is None else kernel_cumulative,
+                       dtype=float)
+    if big_k.shape != (n_steps + 1,):
+        raise SolverError("kernel_cumulative must have n_steps+1 entries")
+    hist = (np.diff(big_k) / tau)[::-1].copy()
     if not np.all(hist > 0.0):
         raise SolverError("history weights must be finite and positive")
     lead = hist[-1] - hist
@@ -377,8 +379,12 @@ class TimeStepper:
                  coefficients: CoefficientField | None, u0, f,
                  horizon: float, n_steps: int, *, reaction: float = 0.0,
                  kernel_cumulative: np.ndarray | None = None):
-        if n_steps < 1 or horizon <= 0.0:
-            raise SolverError("need n_steps >= 1 and horizon > 0")
+        if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1
+                and 0.0 < horizon < math.inf):
+            raise SolverError("need an integer n_steps >= 1 and a finite "
+                              f"horizon > 0, not {n_steps!r} and {horizon}")
+        if not math.isfinite(reaction):
+            raise SolverError(f"reaction = {reaction} is not finite")
         if grid.dim and coefficients is None:
             raise SolverError(f"a {grid.dim}d grid needs coefficients A, "
                               "got None")
@@ -469,18 +475,24 @@ class TimeStepper:
                 rhs_bc[cells] += 2.0 * a_face * g / h**2
         return diag, rhs_bc, a_faces
 
-    def _assemble(self, t: float):
-        """Flux-form ``L_t`` as a sparse matrix, the boundary vector at
-        ``t`` and the Dirichlet face diffusivities.  An interior face carries
-        the mean diffusivity of its two cells, a Dirichlet face the
-        diffusivity at its midpoint (see ``_dirichlet``)."""
+    def _factorise(self, t: float):
+        """``(full, solve, rhs_bc, (nu, lam), faces, fill)`` at ``t``: the
+        step matrix ``(beta_{m,m} + reaction) I + L_t``, its LU solve, the
+        boundary vector, the ``coefficient_bounds`` of this stepper's reads
+        of A up to here, the Dirichlet face diffusivities of ``_dirichlet``
+        and the entries the factors hold.  ``full`` is built from its
+        diagonals: the main one and, per axis, one symmetric band at offset
+        +-stride(axis), zero where a grid row ends.  An interior face
+        carries the mean diffusivity of its two cells, a Dirichlet face the
+        diffusivity at its midpoint.  In 1d the three diagonals take
+        LAPACK's tridiagonal LU, without SuperLU's fixed cost per solve; a
+        2d ``full`` takes SuperLU with the minimum-degree ordering of its
+        symmetric pattern."""
         from scipy import sparse
 
-        grid = self.grid
+        grid, n = self.grid, self.grid.n_total
         a_cells = self._diffusivity(t, grid.centers())
-        idx = np.arange(grid.n_total).reshape(grid.shape)
-        diag = np.zeros(grid.shape)
-        rows, cols, vals = [], [], []
+        diag, bands, offsets = np.zeros(grid.shape), [], []
         for axis, h in enumerate(grid.spacing):
             lo = _along(grid.dim, axis, slice(None, -1))
             hi = _along(grid.dim, axis, slice(1, None))
@@ -488,37 +500,20 @@ class TimeStepper:
             coef = 0.5 * (a[lo] + a[hi]) / h**2
             diag[lo] += coef
             diag[hi] += coef
-            rows += [idx[lo].ravel(), idx[hi].ravel()]
-            cols += [idx[hi].ravel(), idx[lo].ravel()]
-            vals += [-coef.ravel()] * 2
+            band = np.zeros(grid.shape)
+            band[lo] = -coef
+            stride = math.prod(grid.shape[axis + 1:])
+            bands += [band.ravel()[:n - stride]] * 2
+            offsets += [-stride, stride]
         bc_diag, rhs_bc, faces = self._dirichlet(t)
         diag += bc_diag
-        n = grid.n_total
-        mat = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-        return mat + sparse.diags(diag.ravel()), rhs_bc.ravel(), faces
-
-    def _factorise(self, t: float):
-        """``(full, solve, rhs_bc, (nu, lam), faces, fill)`` at ``t``, with
-        ``full`` the step matrix ``(beta_{m,m} + reaction) I + L_t``,
-        ``solve(b)`` its LU solve, ``(nu, lam)`` the ``coefficient_bounds``
-        of this stepper's reads of A up to here, ``faces`` the Dirichlet face
-        diffusivities of ``_dirichlet`` and ``fill`` the entries the factors
-        hold.  A 1d ``full``, the three-point flux form, is tridiagonal and
-        takes LAPACK's tridiagonal LU, without SuperLU's fixed cost per
-        solve; a 2d one takes SuperLU with the minimum-degree ordering of
-        its symmetric pattern."""
-        from scipy.sparse import identity
-
-        mat, rhs_bc, faces = self._assemble(t)
-        full = (mat + (self._beta_mm + self.reaction)
-                * identity(self.grid.n_total)).tocsc()
-        if self.grid.dim == 1:
+        diag += self._beta_mm + self.reaction
+        full = sparse.diags([diag.ravel(), *bands], [0, *offsets],
+                            format="csc")
+        if grid.dim == 1:
             from scipy.linalg.lapack import dgttrf, dgttrs
 
-            dl, d, du, du2, ipiv, info = dgttrf(
-                full.diagonal(-1), full.diagonal(), full.diagonal(1))
+            dl, d, du, du2, ipiv, info = dgttrf(bands[0], diag, bands[1])
             if info:
                 raise SolverError(f"the step matrix at t={t} is singular "
                                   f"(dgttrf info {info})")
@@ -533,7 +528,8 @@ class TimeStepper:
             lu = splu(full, permc_spec="MMD_AT_PLUS_A")
             solve, fill = lu.solve, lu.L.nnz + lu.U.nnz
         self.lu_factorisations += 1
-        return full, solve, rhs_bc, self.coefficient_bounds, faces, fill
+        return (full, solve, rhs_bc.ravel(), self.coefficient_bounds, faces,
+                fill)
 
     def _system(self, m: int) -> None:
         """The factors' solve ``_solve`` and the step-invariant ``_step_rhs =
@@ -569,7 +565,10 @@ class TimeStepper:
     def residuals(self) -> np.ndarray:
         """``max|full u_m - b_m| / max|b_m|`` of every step taken, with
         ``full`` the matrix step m solved with (0 for steps not taken, and
-        in the relaxation mode)."""
+        in the relaxation mode).  Not a backward error, it grows with the
+        condition number of ``full``: 3.8e-10 on a 2048-cell Neumann line
+        with A = 1 + x, order 1/2 and 96 steps over (0, 1], where each
+        solve's normwise backward error is at most 1.6e-16."""
         self._check_residuals()
         return self._residuals
 

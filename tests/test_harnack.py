@@ -251,7 +251,7 @@ class TestSharedFactors:
         from scipy.sparse import linalg as sparse_linalg
 
         calls = {"lu": 0, "weights": 0}
-        real_weights = S.conv_weights
+        real_weights = S._history_setup
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -262,7 +262,7 @@ class TestSharedFactors:
         monkeypatch.setattr(lapack, "dgttrf", counted("lu", lapack.dgttrf))
         monkeypatch.setattr(sparse_linalg, "splu",
                             counted("lu", sparse_linalg.splu))
-        monkeypatch.setattr(S, "conv_weights",
+        monkeypatch.setattr(S, "_history_setup",
                             counted("weights", real_weights))
         bc = S.BoundaryCondition.dirichlet(0.0)
         square = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(12, 12),

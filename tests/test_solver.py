@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,15 +30,14 @@ IDENTITY = S.CoefficientField.constant(1.0)
 
 
 def _is_m_matrix(stepper, t):
-    """Off-diagonals of the assembled operator at t nonpositive, and rows of
-    the step matrix beta_mm I + L_t weakly diagonally dominant."""
-    mat = stepper._assemble(t)[0].tocoo()
+    """Off-diagonals of the step matrix beta_mm I + L_t at t nonpositive,
+    and its rows weakly diagonally dominant."""
+    mat = stepper._factorise(t)[0].tocoo()
     off = mat.row != mat.col
     offsum = np.zeros(mat.shape[0])
     np.add.at(offsum, mat.row[off], np.abs(mat.data[off]))
-    beta_mm = float(stepper.weights[0])
     return bool(np.all(mat.data[off] <= 1e-14)
-                and np.all(mat.diagonal() + beta_mm >= offsum - 1e-12))
+                and np.all(mat.diagonal() >= offsum - 1e-12))
 
 
 class DirectHistoryStepper(S.TimeStepper):
@@ -482,7 +482,67 @@ class TestStepResiduals:
 
 
 class TestAssembly:
-    """The one sparse assembly and the factorisation kept across steps."""
+    """The step matrix built from its diagonals and the factorisation kept
+    across steps."""
+
+    @pytest.mark.parametrize("case", ["1d-table", "1d-time-dependent",
+                                      "2d-table", "2d-time-dependent"])
+    def test_step_matrix_entries_against_cell_by_cell(self, half, case):
+        # every entry of the step matrix against a dense one built cell by
+        # cell: -(a_c + a_nb) / (2 h^2) between cells that share a face,
+        # exactly, and 0 between any other two, as across the row ends of
+        # the 2d axis-1 band; beta_mm + reaction, those couplings and 2 a /
+        # h^2 per Dirichlet face (a at its midpoint) on the diagonal, and
+        # 2 a g / h^2 in the boundary vector, within 1e-14
+        dim, shape = int(case[0]), (7,) if case[0] == "1" else (5, 4)
+        g = lambda t, x: 1.0 + t * x[..., 0]
+        walls = ((S.BoundaryCondition.dirichlet(g),
+                  S.BoundaryCondition.neumann_zero()),
+                 (S.BoundaryCondition.neumann_zero(),
+                  S.BoundaryCondition.dirichlet(0.3)))
+        grid = S.SpatialGrid(extents=((0.0, 1.0), (-0.5, 2.0))[:dim],
+                             n_cells=shape, boundary=walls[:dim])
+        if case.endswith("table"):
+            coeffs = S.CoefficientField.from_table(
+                np.random.default_rng(2).uniform(0.1, 10.0, shape), grid)
+            read = lambda t, x: coeffs.fn(x[None])[0]
+        else:
+            coeffs = S.CoefficientField(
+                lambda t, x: (1.0 + t) * (1.0 + x * x) * [1.0, 2.5][:dim],
+                time_dependent=True)
+            read = lambda t, x: coeffs.fn(t, x[None])[0]
+        t, reaction = 0.375, 0.7
+        stepper = S.TimeStepper(half, grid, coeffs, 1.0, 0.0, 1.0, 8,
+                                reaction=reaction)
+        full, _, rhs_bc = stepper._factorise(t)[:3]
+        n, centres = grid.n_total, grid.centers()
+        ref, ref_bc = np.zeros((n, n)), np.zeros(n)
+        for cell in np.ndindex(shape):
+            i = np.ravel_multi_index(cell, shape)
+            ref[i, i] = stepper.weights[0] + reaction
+            for axis, h in enumerate(grid.spacing):
+                a = read(t, centres[cell])[axis]
+                for side, nb in enumerate((cell[axis] - 1, cell[axis] + 1)):
+                    other = cell[:axis] + (nb,) + cell[axis + 1:]
+                    if 0 <= nb < shape[axis]:
+                        coef = 0.5 * (a + read(t, centres[other])[axis]) / h**2
+                        ref[i, np.ravel_multi_index(other, shape)] = -coef
+                        ref[i, i] += coef
+                    elif grid.boundary[axis][side].kind == "dirichlet":
+                        face = centres[cell].copy()
+                        face[axis] = grid.extents[axis][side]
+                        value = grid.boundary[axis][side].value
+                        value = value(t, face[None])[0] if callable(value) \
+                            else value
+                        a_face = read(t, face)[axis]
+                        ref[i, i] += 2.0 * a_face / h**2
+                        ref_bc[i] += 2.0 * a_face * value / h**2
+        dense, off = full.toarray(), ~np.eye(n, dtype=bool)
+        assert np.array_equal(dense[off], ref[off])
+        assert full.nnz == np.count_nonzero(ref)
+        assert np.allclose(np.diag(dense), np.diag(ref), rtol=1e-14, atol=0)
+        assert np.allclose(rhs_bc, ref_bc, rtol=1e-14, atol=0)
+        assert np.count_nonzero(ref_bc) == (1 if dim == 1 else 8)
 
     def test_callable_dirichlet_linear_field_2d(self, half):
         linear = lambda t, x: x[..., 0] + 2.0 * x[..., 1]
@@ -893,6 +953,36 @@ class TestValidationErrors:
         with pytest.raises(S.SolverError, match=re.escape(
                 f"not finite from t = {t_bad} on")):
             S.solve(half, grid, coeffs, u0, f, 1.0, n_steps, reaction=1.0)
+
+    @pytest.mark.parametrize("grid", [S.SpatialGrid(), dirichlet_grid(8)],
+                             ids=["0d", "1d"])
+    @pytest.mark.parametrize("n_steps, horizon, reaction, message", [
+        (16, math.nan, 0.0, "finite horizon > 0, not 16 and nan"),
+        (16, math.inf, 0.0, "finite horizon > 0, not 16 and inf"),
+        (16.5, 1.0, 0.0, "integer n_steps >= 1 and a finite horizon > 0, "
+                         "not 16.5 and 1.0"),
+        (16, 1.0, math.nan, "reaction = nan is not finite"),
+        (16, 1.0, -math.inf, "reaction = -inf is not finite")])
+    def test_bad_steps_horizon_or_reaction_rejected_first(
+            self, half, monkeypatch, grid, n_steps, horizon, reaction,
+            message):
+        # refused before any work and without a warning: the history
+        # weights, the first thing built, are never reached
+        monkeypatch.setattr(S, "_history_setup", None)
+        coeffs = None if grid.dim == 0 else IDENTITY
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(S.SolverError, match=re.escape(message)):
+                S.solve(half, grid, coeffs, 1.0, 0.0, horizon, n_steps,
+                        reaction=reaction)
+
+    @pytest.mark.parametrize("m, tau", [
+        (4, math.nan), (4, math.inf), (4, -0.5), (4.5, 0.1)])
+    def test_conv_weights_need_a_count_and_a_finite_positive_step(
+            self, half, m, tau):
+        with pytest.raises(S.SolverError,
+                           match=re.escape(f"tau > 0, not {m} and {tau}")):
+            S.conv_weights(half, m, tau)
 
     @pytest.mark.parametrize("grid", [dirichlet_grid(8), S.SpatialGrid(
         extents=((0.0, 1.0), (0.0, 1.0)), n_cells=(4, 4))], ids=["1d", "2d"])
