@@ -190,9 +190,11 @@ def _initial_data(desc: dict, grid: _solver.SpatialGrid, seed: int):
 
 
 def _step_figures(run) -> dict:
-    """The step-solve figures of a trajectory or an ensemble, with the
-    bounds of A that the stepper measured, when it solved on a grid."""
-    figures = {"lu_factorisations": run.lu_factorisations,
+    """The step-solve figures of a trajectory or an ensemble, its solves'
+    wall time among them, with the bounds of A that the stepper measured,
+    when it solved on a grid."""
+    figures = {"wall_time": run.wall_time,
+               "lu_factorisations": run.lu_factorisations,
                "lu_fill": run.lu_fill,
                "max_step_residual": run.max_step_residual}
     if run.coefficient_bounds is not None:
@@ -225,8 +227,7 @@ def _run_solve(config: ExperimentConfig, seed: int):
     header = ["t", "i", "j"][:1 + len(cells)] + ["value"]
     columns = ([field.times.reshape((-1,) + (1,) * len(cells))]
                + [c[None] for c in cells] + [field.values])
-    return 0, {"solution.csv": (header, columns)}, None, {
-        "wall_time": field.wall_time, **_step_figures(field)}
+    return 0, {"solution.csv": (header, columns)}, None, _step_figures(field)
 
 
 def _run_harnack(config: ExperimentConfig, seed: int):

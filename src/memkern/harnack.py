@@ -226,6 +226,7 @@ class EnsembleReport:
     lu_factorisations: int    # computed over all members; 1 when shared
     lu_fill: int              # entries of the largest step factors used
     coefficient_bounds: tuple[float, float]  # (nu, lam) every member read
+    wall_time: float          # the members' solves, summed
 
     @property
     def all_finite(self) -> bool:
@@ -254,6 +255,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     ratios: list[float] = []
     statuses: list[str] = []
     worst, factorisations, fill, masks, bounds = 0.0, 0, 0, None, None
+    wall = 0.0
     with _shared_systems():
         for member in range(n_members):
             fld = solve(spec, grid, coefficients,
@@ -270,6 +272,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
             worst = float(np.maximum(worst, fld.max_step_residual))
             factorisations += fld.lu_factorisations
             fill = max(fill, fld.lu_fill)
+            wall += fld.wall_time
             bounds = fld.coefficient_bounds  # the same for every member
     arr = np.asarray(ratios)
     finite = arr[np.isfinite(arr)]
@@ -279,7 +282,7 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
         max_ratio=float(np.max(finite)) if finite.size else math.nan,
         median_ratio=float(np.median(finite)) if finite.size else math.nan,
         max_step_residual=worst, lu_factorisations=factorisations,
-        lu_fill=fill, coefficient_bounds=bounds,
+        lu_fill=fill, coefficient_bounds=bounds, wall_time=wall,
     )
 
 

@@ -16,9 +16,12 @@ A with face coefficients averaged from the cell centers, absent in the
 space-free relaxation mode.  The history sum is a lower-triangular Toeplitz
 product, which ``volterra._ToeplitzHistory`` splits into base blocks: the
 far field of earlier blocks arrives by dense or FFT block convolutions at
-block starts, O(N log^2 N) over a trajectory, and each step adds only the
-rows of its own block.  The relaxation mode has no spatial operator, so its
-whole trajectory is one triangular Toeplitz solve.  The step matrix is
+block starts, O(N log^2 N) over a trajectory.  With it every term that no
+solve of the block changes is added to the block's rows at its start, so a
+step is one product of the near-field weights with the rows of its own
+block, one solve and one difference.  The relaxation mode has no spatial
+operator, so its whole trajectory is one triangular Toeplitz solve, made
+once however it is stepped.  The step matrix is
 built from its diagonals, the main one and one symmetric band per axis (3
 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1} for every m, it
 is factorised once and reused for the whole trajectory unless the
@@ -273,8 +276,9 @@ def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
     times.  ``hist[j]`` is beta at lag N - j, so the weights of step m are
     the contiguous slice ``hist[N-m : N-1]``; ``hist[::-1]``, the Toeplitz
     column, runs from lag 1; ``lead`` holds ``beta_{m,m} - beta_{m,i}``
-    (see ``TimeStepper.advance``).  The arrays are read-only, as steppers
-    share them inside ``_shared_systems()``."""
+    with its last entry, 0, set to -1 (see ``TimeStepper._run``).  The
+    arrays are read-only, as steppers share them inside
+    ``_shared_systems()``."""
     big_k = np.asarray(one_star_k_eval(spec, tau * np.arange(n_steps + 1))
                        if kernel_cumulative is None else kernel_cumulative,
                        dtype=float)
@@ -284,6 +288,7 @@ def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
     if not np.all(hist > 0.0):
         raise SolverError("history weights must be finite and positive")
     lead = hist[-1] - hist
+    lead[-1] = -1.0
     hist.flags.writeable = lead.flags.writeable = False
     return hist, _ToeplitzHistory(hist[::-1]), lead
 
@@ -351,28 +356,28 @@ def _share(key: tuple | None, build: Callable):
 
 
 class TimeStepper:
-    """Advances the implicit scheme one slice at a time.
+    """Advances the implicit scheme, one slice (``advance``) or up to a
+    step (``_run``, which ``solve`` calls once) at a time.
 
     Completed slices are never mutated.  The weights are kept once, in the
     step order of ``conv_weights`` (``weights`` is their lag-ordered view),
     and inside ``_shared_systems()`` they, their ``_ToeplitzHistory`` and
     ``_lead`` come from the first stepper with the same measure, step count
     and step.  On a grid, the history of step m is read from the increments
-    ``du``: at the start of each base block ``_ToeplitzHistory.far_field``
-    adds the earlier blocks' share to the unwritten rows of ``du`` ahead,
-    and step m adds the solved rows of its own block by one contiguous
-    product, written straight into its right-hand-side row.  To that row
-    goes the step-invariant ``f_m + rhs_bc``, kept as one vector with the
-    factors of ``(beta_{m,m} + reaction) I + L``; both are built at the
-    first step (the factors taken from another trajectory inside
-    ``_shared_systems()``; ``lu_factorisations`` counts those computed
-    here) and again at every step only when A is time dependent or f or a
-    Dirichlet g is callable.  One solve with the factors gives the slice.
-    The right-hand side is kept until the relative residual is checked:
-    for the steps since the last check at once, at each base-block start,
-    before the factors are replaced and whenever ``residuals`` is read.  In
-    the relaxation mode the first ``advance`` solves the whole trajectory
-    at once (see ``_relax``) and every call returns its slice.
+    ``du``, whose rows take every step-invariant term at the start of their
+    base block, so a step is one contiguous product of its block's rows,
+    written straight into its right-hand-side row, one solve and one
+    difference (see ``_run``).  The step-invariant ``f_m + rhs_bc`` is
+    kept as one vector with the factors of ``(beta_{m,m} + reaction) I +
+    L``; both are built at the first step (the factors taken from another
+    trajectory inside ``_shared_systems()``; ``lu_factorisations`` counts
+    those computed here) and again at every step only when A is time
+    dependent or f or a Dirichlet g is callable.  The right-hand side is
+    kept until the relative residual is checked: for the steps since the
+    last check at once, at each base-block start, before the factors are
+    replaced and whenever ``residuals`` is read.  In the relaxation mode
+    the first step solves the whole trajectory at once (see ``_relax``)
+    and every later one only moves ``m``.
     """
 
     def __init__(self, spec: MeasureSpec, grid: SpatialGrid,
@@ -586,40 +591,63 @@ class TimeStepper:
         self._residuals[lo:hi] = np.abs(gap).max(axis=0) / scale
         self._checked = hi
 
-    # -- one step ----------------------------------------------------------
+    # -- the step loop -----------------------------------------------------
 
     def advance(self) -> np.ndarray:
-        m = self.m + 1
-        if m > self.n_steps:
+        """Takes the next step and returns its slice."""
+        self._run(self.m + 1)
+        return self.u[self.m]
+
+    def _run(self, stop: int) -> None:
+        """Steps ``m+1 .. stop``, base block by base block.  Until step m
+        overwrites it, ``du[m-1]`` holds every term of its right-hand side
+        that no solve of its own block changes: the far-field history of
+        the earlier blocks, ``-beta_{m,m} u_lo`` (``u_lo`` the slice at the
+        block start) and, for a system not refreshed at every step,
+        ``-(f_m + rhs_bc)``, all added to the block's rows at its start.
+        With ``u_{m-1} = u_lo + sum_{lo <= i < m-1} du_i``, the rows of its
+        own block enter with the weights ``beta_{m,m} - beta_{m,i}`` of
+        ``_lead``, whose last entry -1 takes ``du[m-1]`` itself: a step is
+        one product into its right-hand-side row, one solve and one
+        difference.  A refreshed system (``_system`` at every step)
+        subtracts its step's ``f_m + rhs_bc`` from ``du[m-1]`` before the
+        product."""
+        if stop > self.n_steps:
             raise SolverError("trajectory already complete")
         if self._relaxation:
-            if m == 1:
+            if self.m == 0:
                 self._relax()
-            self.m = m
-            return self.u[m]
-        u, du = self._u_flat, self.du
-        # Until step m overwrites it, du[m-1] holds the far-field history of
-        # step m minus beta_{m,m} u_lo, u_lo the slice at the start of its
-        # base block; with u_{m-1} = u_lo + sum_{lo <= i < m-1} du_i the rows
-        # of its own block then enter with weights beta_{m,m} - beta_{m,i}.
-        near = (m - 1) % _TOEPLITZ_BLOCK
-        b = self._rhs[near]
-        if near:
-            np.dot(self._lead[-1 - near:-1], du[m - 1 - near:m - 1], out=b)
-            b -= du[m - 1]
-        else:
-            if m > 1:
-                self._check_residuals()
-                self._history.far_field(du, du, m - 1)
-            du[m - 1:m - 1 + _TOEPLITZ_BLOCK] -= self._beta_mm * u[m - 1]
-            np.negative(du[m - 1], out=b)
-        if self._refresh or self._solve is None:
-            self._system(m)
-        b += self._step_rhs
-        u[m] = self._solve(b)
-        np.subtract(u[m], u[m - 1], out=du[m - 1])
-        self.m = m
-        return self.u[m]
+            self.m = stop
+            return
+        u, du, rhs, lags = self._u_flat, self.du, self._rhs, self._lead
+        refresh, start = self._refresh, self.m
+        while start < stop:
+            lo = start - start % _TOEPLITZ_BLOCK
+            if start == lo:
+                if lo:
+                    self._check_residuals()
+                    self._history.far_field(du, du, lo)
+                block = du[lo:lo + _TOEPLITZ_BLOCK]
+                block -= self._beta_mm * u[lo]
+                if not refresh:
+                    if self._solve is None:
+                        self._system(1)
+                    block -= self._step_rhs
+            end = min(stop, lo + _TOEPLITZ_BLOCK)
+            solve, prev = self._solve, u[start]
+            for row in range(start, end):
+                if refresh:
+                    self.m = row  # the steps _system may check first
+                    self._system(row + 1)
+                    solve = self._solve
+                    du[row] -= self._step_rhs
+                b = rhs[row - lo]
+                np.dot(lags[lo - row - 1:], du[lo:row + 1], out=b)
+                new = solve(b)
+                u[row + 1] = new
+                np.subtract(new, prev, out=du[row])
+                prev = new
+            self.m = start = end
 
     def _relax(self) -> None:
         """The whole relaxation trajectory as one lower-triangular Toeplitz
@@ -661,8 +689,7 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
     stepper = TimeStepper(spec, grid, coefficients, u0, f, horizon, n_steps,
                           reaction=reaction,
                           kernel_cumulative=kernel_cumulative)
-    for _ in range(n_steps):
-        stepper.advance()
+    stepper._run(n_steps)
     wall = time.perf_counter() - start
     finite = np.isfinite(stepper._u_flat).all(axis=1)
     finite[1:] &= np.isfinite(stepper.residuals)  # residual of step m

@@ -762,6 +762,29 @@ class TestRunners:
         assert manifest["max_step_residual"] <= 1e-10
         assert manifest["lu_factorisations"] == 1
 
+    @pytest.mark.parametrize("experiment", ["solve", "harnack", "holder"])
+    def test_grid_manifests_record_stepping_wall_time(self, tmp_path,
+                                                      experiment):
+        # the solves' wall time, summed over the members of an ensemble,
+        # goes to the manifest only; holder runs on its fallback grid
+        grid = {"extents": [[0.0, 1.0]], "n_cells": [16],
+                "boundary": [[{"type": "dirichlet", "value": 0.0}] * 2]}
+        grid = {} if experiment == "holder" else {"grid": grid}
+        params = {"solve": {},
+                  "harnack": {"r": 0.4, "x0": 0.5, "p": 1.0, "n_members": 3,
+                              "seed": 1},
+                  "holder": {"r": 0.2, "eta": 0.25, "theta": 1.0, "x1": 0.4,
+                             "levels": [1, 2, 3, 4], "seed": 0}}[experiment]
+        config = parse_config(small_config(experiment, n_steps=128,
+                                           params=params, **grid))
+        assert cli.run(config, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert math.isfinite(manifest["wall_time"])
+        assert manifest["wall_time"] > 0.0
+        report = tmp_path / "report.json"
+        assert not report.exists() or "wall_time" not in json.loads(
+            report.read_text())
+
 
 # floats whose repr is easy to get wrong: signed zero, the smallest
 # subnormal, the edge of exact integers, a short exponent form, an

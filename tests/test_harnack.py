@@ -194,6 +194,20 @@ class TestConfigSetup:
         assert rep.lu_factorisations == 1
         assert rep.coefficient_bounds == (0.1, 10.0)
 
+    def test_ensemble_wall_time_sums_the_members(self, half, monkeypatch):
+        fields = []
+
+        def capture(*args, **kwargs):
+            fields.append(S.solve(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(H, "solve", capture)
+        rep = H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,
+                                 n_members=3, seed=7, n_steps=64, r=0.4,
+                                 x0=0.5)
+        assert len(fields) == 3
+        assert rep.wall_time == sum(fld.wall_time for fld in fields) > 0.0
+
     def test_2d_grid_runs_in_2d(self, half, monkeypatch):
         bc = S.BoundaryCondition.dirichlet(0.0)
         grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(16, 16),

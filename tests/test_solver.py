@@ -441,6 +441,63 @@ class TestBlockHistory:
         assert np.max(np.abs(fld.values - ref.u)) <= 1e-12 * scale
 
 
+class TestSteppingInPieces:
+    """A trajectory stepped in pieces, by ``advance`` or by ``_run`` up to
+    each stop, is the trajectory of one ``solve``, bit for bit."""
+
+    STOPS = (1, 63, 64, 65, 128, 129, 160)
+
+    @staticmethod
+    def _case(case):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        u0 = lambda t, x: np.sin(3.0 * np.pi * x[..., 0]) ** 2
+        if case == "static-1d":
+            return dirichlet_grid(24), S.CoefficientField.checkerboard(
+                0.1, 10.0, 0.125), u0, 0.3
+        if case == "static-2d":
+            grid = S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(8, 6),
+                                 boundary=((bc, bc),) * 2)
+            return grid, S.CoefficientField.constant([1.0, 0.8]), u0, 0.3
+        if case == "neumann":
+            return neumann_grid(24), S.CoefficientField(
+                lambda x: 1.0 + x), u0, 0.0
+        if case == "relaxation":
+            return S.SpatialGrid(), None, 1.0, 0.3
+        return refreshed_run(case, [])
+
+    @pytest.mark.parametrize("how", ["advance", "run"])
+    @pytest.mark.parametrize("case", ["static-1d", "static-2d", "neumann",
+                                      "callable-f", "callable-g",
+                                      "time-dependent", "relaxation"])
+    def test_pieces_equal_one_solve(self, half, case, how):
+        n = self.STOPS[-1]
+        args = self._case(case)
+        fld = S.solve(half, *args, 1.0, n)
+        stepper = S.TimeStepper(half, *args, 1.0, n)
+        for stop in self.STOPS:
+            while stepper.m < stop:
+                if how == "advance":
+                    got = stepper.advance()
+                else:
+                    stepper._run(stop)
+                    got = stepper.u[stop]
+            assert stepper.m == stop
+            assert np.array_equal(got, fld.values[stop])
+            assert np.array_equal(stepper.u[:stop + 1],
+                                  fld.values[:stop + 1])
+            assert np.array_equal(stepper.residuals[:stop],
+                                  fld.residuals[:stop])
+        assert np.array_equal(stepper.u, fld.values)
+        assert np.array_equal(stepper.residuals, fld.residuals)
+        if fld.f_samples is None:
+            assert stepper.f_samples is None
+        else:
+            assert np.array_equal(stepper.f_samples, fld.f_samples)
+        assert stepper.lu_factorisations == fld.lu_factorisations
+        with pytest.raises(S.SolverError, match="already complete"):
+            stepper.advance()
+
+
 class TestStepResiduals:
     """The residuals checked once per run of steps that share one matrix
     against the check made after every solve."""
@@ -759,15 +816,29 @@ class TestSharedSetup:
             assert np.array_equal(stepper.residuals, alone.residuals)
 
     # field reads, factorisations and SHA-256 of the trajectory's bytes,
-    # each run checked against SuperLU by TestTridiagonalSolve
+    # each run checked against SuperLU by TestTridiagonalSolve and against
+    # the direct history product by test_refreshed_runs_match_direct_history
     REFRESHED = {
-        "callable-f": (3, 1, "778b29f9db104aac208537b47597d25a"
-                             "0f80a156e1d770838b885f5d22dae9c3"),
-        "callable-g": (3, 1, "ab67b1268f1da12b742e257428c3f56c"
-                             "c91a044265383ac267f97a7e3ddfe99f"),
-        "time-dependent": (3 * 32, 32, "c980375a4f20a1b806914cdae966f2e2"
-                                       "361cd82a776250431c8743580d648229"),
+        "callable-f": (3, 1, "0a933168739dac359a9f051629bd9770"
+                             "c0bfd25e4176f1a1d5be484c9a617b3b"),
+        "callable-g": (3, 1, "63d6866a2912e139bec3c96335775a68"
+                             "88a11c0bce352217061d84f97df8ea7f"),
+        "time-dependent": (3 * 32, 32, "bf4da19232c43403b015dfc306fd860b"
+                                       "8680337d60127f837b609ba9daba6441"),
     }
+
+    @pytest.mark.parametrize("n_steps", [32, 160])
+    @pytest.mark.parametrize("case", list(REFRESHED))
+    def test_refreshed_runs_match_direct_history(self, half, case, n_steps):
+        # the pinned runs, and runs over three base blocks, against the
+        # whole history multiplied at every step
+        grid, coeffs, u0, f = refreshed_run(case, [])
+        fld = S.solve(half, grid, coeffs, u0, f, 1.0, n_steps)
+        ref = DirectHistoryStepper(half, grid, coeffs, u0, f, 1.0, n_steps)
+        while ref.m < n_steps:
+            ref.advance()
+        scale = np.max(np.abs(ref.u))
+        assert np.max(np.abs(fld.values - ref.u)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("case", list(REFRESHED))
     def test_refreshed_each_step(self, half, case):
