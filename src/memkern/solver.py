@@ -17,27 +17,27 @@ space-free relaxation mode.  The history sum is a lower-triangular Toeplitz
 product, which ``volterra._ToeplitzHistory`` splits into base blocks: the
 far field of earlier blocks arrives by dense or FFT block convolutions at
 block starts, O(N log^2 N) over a trajectory.  With it every term that no
-solve of the block changes is added to the block's rows at its start, so a
-step is one product of the near-field weights with the rows of its own
-block, one solve and one difference.  The relaxation mode has no spatial
-operator, so its whole trajectory is one triangular Toeplitz solve, made
-once however it is stepped.  The step matrix is
-built from its diagonals, the main one and one symmetric band per axis (3
-points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1} for every m, it
-is factorised once and reused for the whole trajectory unless the
+solve of the block changes, f_m and the Dirichlet boundary vector included,
+is subtracted from the block's rows at its start (for a time-dependent A
+those two enter at their step), so a step is one product of the near-field
+weights with the rows of its own block, one solve and one difference.  The
+relaxation mode has no spatial operator, so its whole trajectory is one
+triangular Toeplitz solve, made once however it is stepped.  The step
+matrix is built from its diagonals, the main one and one symmetric band per
+axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1} for every
+m, it is factorised once and reused for the whole trajectory unless the
 coefficients are declared time dependent: in 1d, where it is tridiagonal,
 by LAPACK's tridiagonal LU, and in 2d by sparse LU with the minimum-degree
 ordering of its symmetric pattern (scipy is imported by ``solve``, before
-its clock starts).  The source and the Dirichlet boundary vector are kept
-with the factors as one vector, sampled again at every step only when f or
-a Dirichlet value is callable.  Inside ``_shared_systems()``, as over the
-members of a Harnack ensemble, trajectories with equal measure, step count
-and step share one set of history weights with its far-field blocks, and
-those whose step matrices agree share one factorisation.  The relative
-residual of every step is checked against the matrix it solved with, by one
-sparse product per run of steps that share that matrix (at most one base
-block).  All weights are positive and decreasing back in time, which is what
-the nonnegativity and comparison checks in the test-suite lean on.
+its clock starts).  Inside ``_shared_systems()``, as over the members of a
+Harnack ensemble, trajectories with equal measure, step count and step
+share one set of history weights with its far-field blocks, and those whose
+step matrices agree share one factorisation.  The relative residual of
+every step is checked against the matrix it solved with, by one sparse
+product at the end of each run of steps that share it: a base block's
+steps, one step with a time-dependent A, or the one step of ``advance``.
+All weights are positive and decreasing back in time, which is what the
+nonnegativity and comparison checks in the test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -284,8 +284,9 @@ def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
                        dtype=float)
     if big_k.shape != (n_steps + 1,):
         raise SolverError("kernel_cumulative must have n_steps+1 entries")
-    hist = (np.diff(big_k) / tau)[::-1].copy()
-    if not np.all(hist > 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        hist = (np.diff(big_k) / tau)[::-1].copy()
+    if not np.all((hist > 0.0) & (hist < math.inf)):
         raise SolverError("history weights must be finite and positive")
     lead = hist[-1] - hist
     lead[-1] = -1.0
@@ -364,20 +365,18 @@ class TimeStepper:
     and inside ``_shared_systems()`` they, their ``_ToeplitzHistory`` and
     ``_lead`` come from the first stepper with the same measure, step count
     and step.  On a grid, the history of step m is read from the increments
-    ``du``, whose rows take every step-invariant term at the start of their
-    base block, so a step is one contiguous product of its block's rows,
+    ``du``, whose rows take every term that no solve of their base block
+    changes at its start, ``f_m + rhs_bc`` included (for a time-dependent A
+    at its step), so a step is one contiguous product of its block's rows,
     written straight into its right-hand-side row, one solve and one
-    difference (see ``_run``).  The step-invariant ``f_m + rhs_bc`` is
-    kept as one vector with the factors of ``(beta_{m,m} + reaction) I +
-    L``; both are built at the first step (the factors taken from another
-    trajectory inside ``_shared_systems()``; ``lu_factorisations`` counts
-    those computed here) and again at every step only when A is time
-    dependent or f or a Dirichlet g is callable.  The right-hand side is
-    kept until the relative residual is checked: for the steps since the
-    last check at once, at each base-block start, before the factors are
-    replaced and whenever ``residuals`` is read.  In the relaxation mode
-    the first step solves the whole trajectory at once (see ``_relax``)
-    and every later one only moves ``m``.
+    difference (see ``_run``).  The factors of ``(beta_{m,m} + reaction) I
+    + L`` are built at the first step (or taken from another trajectory
+    inside ``_shared_systems()``; ``lu_factorisations`` counts those
+    computed here) and again at every step only when A is time dependent.
+    ``residuals`` is checked at the end of each run of steps that share a
+    matrix (see ``_check``), so ``advance`` checks its one step per call.
+    In the relaxation mode the first step solves the whole trajectory at
+    once (see ``_relax``) and every later one only moves ``m``.
     """
 
     def __init__(self, spec: MeasureSpec, grid: SpatialGrid,
@@ -417,21 +416,15 @@ class TimeStepper:
             else np.zeros_like(self.u)
         if self._source is not None and self.f_samples is not None:
             self.f_samples[1:] = self._source.reshape(grid.shape)
-        self._residuals = np.zeros(n_steps)
-        # b of the steps not yet checked, step m in row (m-1) % B
+        self.residuals = np.zeros(n_steps)  # 0 in the relaxation mode
+        # b of the current base block's steps, step m in row (m-1) % B
         self._rhs = np.zeros((min(_TOEPLITZ_BLOCK, n_steps),
                               self._u_flat.shape[1]))
-        self._checked = 0  # steps whose residual is in _residuals
         self.m = 0
         self._relaxation = not grid.dim
         self._bc_callable = any(callable(bc.value)
                                 for pair in grid.boundary for bc in pair)
-        # whether _system rebuilds _solve and _step_rhs at every step, not
-        # only at the first
-        self._refresh = not self._relaxation and (
-            coefficients.time_dependent or callable(f) or self._bc_callable)
-        self._factors = self._solve = self._step_rhs = None
-        self.coefficient_bounds = None
+        self._factors = self.coefficient_bounds = None
         self.lu_factorisations = self.lu_fill = 0
 
     # -- spatial operator -------------------------------------------------
@@ -536,82 +529,74 @@ class TimeStepper:
         return (full, solve, rhs_bc.ravel(), self.coefficient_bounds, faces,
                 fill)
 
-    def _system(self, m: int) -> None:
-        """The factors' solve ``_solve`` and the step-invariant ``_step_rhs =
-        f_m + rhs_bc`` of step m.  The factors are built at the first step, or
-        taken from the shared systems (see ``_shared_systems``) with the
-        ``coefficient_bounds`` read to build them, and again at every step
-        only for time-dependent coefficients.  When a Dirichlet value is
-        callable, the boundary vector is sampled again at every step with
-        the face diffusivities kept with the factors, so a static A is read
-        only to build them; a callable f is sampled into ``f_samples``."""
-        t, varies = m * self.tau, self.coefficients.time_dependent
+    def _system(self, t: float) -> tuple:
+        """The factors of ``_factorise`` for a step at t, built at the first
+        step (or taken from the shared systems with the ``coefficient_bounds``
+        read to build them) and again at every step for a time-dependent A."""
+        varies = self.coefficients.time_dependent
         if self._factors is None or varies:
-            self._check_residuals()  # before the matrix they solved goes
             key = None if varies else \
                 ("system", self.grid, self.coefficients,
                  self._beta_mm + self.reaction, t)
             self._factors = _share(key, lambda: self._factorise(t))
-            rhs_bc, self.coefficient_bounds = self._factors[2:4]
+            self.coefficient_bounds = self._factors[3]
             self.lu_fill = max(self.lu_fill, self._factors[5])
-        elif self._bc_callable:
-            rhs_bc = self._dirichlet(t, self._factors[4])[1].ravel()
-        else:
-            rhs_bc = self._factors[2]
-        f_m = self._source
-        if f_m is None:
-            f_m = _datum(self.f, t, self.grid.centers()).ravel()
-            self.f_samples[m] = f_m.reshape(self.grid.shape)
-        self._solve, self._step_rhs = self._factors[1], f_m + rhs_bc
+        return self._factors
 
-    # -- step residuals ----------------------------------------------------
+    def _sources(self, first: int, last: int) -> np.ndarray:
+        """``f_m + rhs_bc`` of steps ``first .. last`` with the current
+        factors: one vector if neither f nor a Dirichlet g is callable, else
+        one row per step, sampled in step order, f into ``f_samples`` and g
+        with the face diffusivities kept with the factors, but at step 1
+        and for a time-dependent A, whose factors read it at the step."""
+        _, _, rhs_bc, _, faces, _ = self._factors
+        if self._source is not None and not self._bc_callable:
+            return self._source + rhs_bc
+        rows = np.empty((last - first + 1, rhs_bc.size))
+        fresh = self._bc_callable and not self.coefficients.time_dependent
+        for row, m in zip(rows, range(first, last + 1)):
+            t = m * self.tau
+            bc = self._dirichlet(t, faces)[1].ravel() \
+                if fresh and m > 1 else rhs_bc
+            f_m = self._source
+            if f_m is None:
+                f_m = _datum(self.f, t, self.grid.centers()).ravel()
+                self.f_samples[m] = f_m.reshape(self.grid.shape)
+            np.add(f_m, bc, out=row)
+        return rows
 
-    @property
-    def residuals(self) -> np.ndarray:
-        """``max|full u_m - b_m| / max|b_m|`` of every step taken, with
-        ``full`` the matrix step m solved with (0 for steps not taken, and
-        in the relaxation mode).  Not a backward error, it grows with the
+    def _check(self, lo: int, hi: int) -> None:
+        """``residuals`` of steps ``lo+1 .. hi`` of one base block, solved
+        with the current factors, by one sparse product: ``max|full u_m -
+        b_m| / max|b_m|``.  Not a backward error, it grows with the
         condition number of ``full``: 3.8e-10 on a 2048-cell Neumann line
         with A = 1 + x, order 1/2 and 96 steps over (0, 1], where each
         solve's normwise backward error is at most 1.6e-16."""
-        self._check_residuals()
-        return self._residuals
-
-    def _check_residuals(self) -> None:
-        """Residuals of the steps since the last check by one sparse
-        product.  They all solved with the current factors and lie in one
-        base block, so their right-hand sides are contiguous rows."""
-        lo, hi = self._checked, self.m
-        if hi == lo or self._factors is None:
-            return
         start = lo % _TOEPLITZ_BLOCK
         b = self._rhs[start:start + hi - lo]
         gap = self._factors[0] @ self._u_flat[lo + 1:hi + 1].T - b.T
         scale = np.maximum(np.abs(b).max(axis=1), 1e-300)
-        self._residuals[lo:hi] = np.abs(gap).max(axis=0) / scale
-        self._checked = hi
+        self.residuals[lo:hi] = np.abs(gap).max(axis=0) / scale
 
     # -- the step loop -----------------------------------------------------
 
     def advance(self) -> np.ndarray:
-        """Takes the next step and returns its slice."""
+        """Takes the next step, checks its residual and returns its slice."""
         self._run(self.m + 1)
         return self.u[self.m]
 
     def _run(self, stop: int) -> None:
         """Steps ``m+1 .. stop``, base block by base block.  Until step m
         overwrites it, ``du[m-1]`` holds every term of its right-hand side
-        that no solve of its own block changes: the far-field history of
-        the earlier blocks, ``-beta_{m,m} u_lo`` (``u_lo`` the slice at the
-        block start) and, for a system not refreshed at every step,
-        ``-(f_m + rhs_bc)``, all added to the block's rows at its start.
-        With ``u_{m-1} = u_lo + sum_{lo <= i < m-1} du_i``, the rows of its
-        own block enter with the weights ``beta_{m,m} - beta_{m,i}`` of
-        ``_lead``, whose last entry -1 takes ``du[m-1]`` itself: a step is
-        one product into its right-hand-side row, one solve and one
-        difference.  A refreshed system (``_system`` at every step)
-        subtracts its step's ``f_m + rhs_bc`` from ``du[m-1]`` before the
-        product."""
+        that no solve of its block changes, subtracted at the block start:
+        the far field of earlier blocks, ``beta_{m,m} u_lo`` (``u_lo`` the
+        slice there) and ``f_m + rhs_bc``, which for a time-dependent A
+        enters at the step, with its factors.  As ``u_{m-1} = u_lo +
+        sum_{lo <= i < m-1} du_i``, the block's rows enter with the weights
+        ``beta_{m,m} - beta_{m,i}`` of ``_lead``, whose last entry -1 takes
+        ``du[m-1]`` itself: a step is one product into its right-hand-side
+        row, one solve and one difference.  ``_check`` ends each run of
+        steps that share a matrix."""
         if stop > self.n_steps:
             raise SolverError("trajectory already complete")
         if self._relaxation:
@@ -620,33 +605,30 @@ class TimeStepper:
             self.m = stop
             return
         u, du, rhs, lags = self._u_flat, self.du, self._rhs, self._lead
-        refresh, start = self._refresh, self.m
+        varies, start = self.coefficients.time_dependent, self.m
         while start < stop:
             lo = start - start % _TOEPLITZ_BLOCK
+            end = start + 1 if varies else min(stop, lo + _TOEPLITZ_BLOCK)
             if start == lo:
                 if lo:
-                    self._check_residuals()
                     self._history.far_field(du, du, lo)
                 block = du[lo:lo + _TOEPLITZ_BLOCK]
                 block -= self._beta_mm * u[lo]
-                if not refresh:
-                    if self._solve is None:
-                        self._system(1)
-                    block -= self._step_rhs
-            end = min(stop, lo + _TOEPLITZ_BLOCK)
-            solve, prev = self._solve, u[start]
+                if not varies:
+                    self._system(self.tau)
+                    block -= self._sources(lo + 1, lo + len(block))
+            if varies:
+                self._system(end * self.tau)
+                du[start:end] -= self._sources(end, end)
+            solve, prev = self._factors[1], u[start]
             for row in range(start, end):
-                if refresh:
-                    self.m = row  # the steps _system may check first
-                    self._system(row + 1)
-                    solve = self._solve
-                    du[row] -= self._step_rhs
                 b = rhs[row - lo]
                 np.dot(lags[lo - row - 1:], du[lo:row + 1], out=b)
                 new = solve(b)
                 u[row + 1] = new
                 np.subtract(new, prev, out=du[row])
                 prev = new
+            self._check(start, end)
             self.m = start = end
 
     def _relax(self) -> None:

@@ -47,11 +47,11 @@ class DirectHistoryStepper(S.TimeStepper):
     def advance(self):
         m = self.m + 1
         u, n = self._u_flat, self.n_steps
-        self._system(m)
-        rhs = self._beta_mm * u[m - 1] + self._step_rhs
+        solve = self._system(m * self.tau)[1]
+        rhs = self._beta_mm * u[m - 1] + self._sources(m, m).ravel()
         if m >= 2:
             rhs -= self._hist[n - m:n - 1] @ self.du[:m - 1]
-        u[m] = self._solve(rhs)
+        u[m] = solve(rhs)
         np.subtract(u[m], u[m - 1], out=self.du[m - 1])
         self.m = m
         return self.u[m]
@@ -79,10 +79,9 @@ class PerStepResidualStepper(S.TimeStepper):
         super().__init__(*args, **kwargs)
         self.reference = []
 
-    def _system(self, m):
-        super()._system(m)
-        self._solve = _CheckedFactors(self._factors[0], self._solve,
-                                      self.reference)
+    def _factorise(self, t):
+        full, solve, *rest = super()._factorise(t)
+        return (full, _CheckedFactors(full, solve, self.reference), *rest)
 
 
 class TestConvWeights:
@@ -468,7 +467,8 @@ class TestSteppingInPieces:
     @pytest.mark.parametrize("how", ["advance", "run"])
     @pytest.mark.parametrize("case", ["static-1d", "static-2d", "neumann",
                                       "callable-f", "callable-g",
-                                      "time-dependent", "relaxation"])
+                                      "time-dependent", "time-dependent-f-g",
+                                      "relaxation"])
     def test_pieces_equal_one_solve(self, half, case, how):
         n = self.STOPS[-1]
         args = self._case(case)
@@ -674,23 +674,26 @@ class TestAssembly:
 
 
 def refreshed_run(case, calls):
-    """``(grid, A, u0, f)`` of a 16-cell run that rebuilds its right-hand
-    side at every step, and for a time-dependent A its factors too; each
-    read of A appends its point shape to ``calls``."""
-    def static(x):
-        calls.append(x.shape)
-        return 1.0 + x
+    """``(grid, A, u0, f)`` of a 16-cell run whose right-hand side is
+    sampled at every step, and for a time-dependent A its factors too; each
+    read of A, f or g appends its name to ``calls``."""
+    def read(name, value):
+        def fn(*args):
+            calls.append(name)
+            return value(*args)
+        return fn
 
-    def varying(t, x):
-        calls.append(x.shape)
-        return (1.0 + t) * (1.0 + x)
-
+    static = read("A", lambda x: 1.0 + x)
+    varying = read("A", lambda t, x: (1.0 + t) * (1.0 + x))
     sine = lambda t, x: np.sin(np.pi * x[..., 0])
-    g, u0, f = {"callable-f": (0.0, sine, lambda t, x: t * x[..., 0]),
-                "callable-g": (lambda t, x: t, 0.0, 0.0),
-                "time-dependent": (0.0, sine, 0.3)}[case]
+    g_t = read("g", lambda t, x: t)
+    f_tx = read("f", lambda t, x: t * x[..., 0])
+    g, u0, f = {"callable-f": (0.0, sine, f_tx),
+                "callable-g": (g_t, 0.0, 0.0),
+                "time-dependent": (0.0, sine, 0.3),
+                "time-dependent-f-g": (g_t, sine, f_tx)}[case]
     coeffs = S.CoefficientField(varying, time_dependent=True) \
-        if case == "time-dependent" else S.CoefficientField(static)
+        if case.startswith("time-dependent") else S.CoefficientField(static)
     return dirichlet_grid(16, g), coeffs, u0, f
 
 
@@ -776,7 +779,7 @@ class TestTridiagonalSolve:
                                              else 1)
 
     @pytest.mark.parametrize("case", ["callable-f", "callable-g",
-                                      "time-dependent"])
+                                      "time-dependent", "time-dependent-f-g"])
     def test_pinned_runs_match_superlu(self, half, case):
         # the runs whose trajectory bytes TestSharedSetup pins
         stepper = self._run(half, *refreshed_run(case, []), 32)
@@ -825,6 +828,8 @@ class TestSharedSetup:
                              "88a11c0bce352217061d84f97df8ea7f"),
         "time-dependent": (3 * 32, 32, "bf4da19232c43403b015dfc306fd860b"
                                        "8680337d60127f837b609ba9daba6441"),
+        "time-dependent-f-g": (3 * 32, 32, "be210a1158f2c220d375ba774bf57e94"
+                                           "85013b946e9a0b20ecbc8ba4377725a0"),
     }
 
     @pytest.mark.parametrize("n_steps", [32, 160])
@@ -848,7 +853,10 @@ class TestSharedSetup:
         calls = []
         grid, coeffs, u0, f = refreshed_run(case, calls)
         fld = S.solve(half, grid, coeffs, u0, f, 1.0, 32)
-        assert len(calls) == reads
+        # A as pinned, g once per Dirichlet side and step, f once per step
+        g_read = callable(grid.boundary[0][0].value)
+        assert [calls.count(name) for name in "Agf"] == [
+            reads, 2 * 32 * g_read, 32 * callable(f)]
         assert fld.lu_factorisations == factorisations
         assert hashlib.sha256(fld.values.tobytes()).hexdigest() == digest
         if case == "callable-g":
@@ -994,6 +1002,22 @@ class TestValidationErrors:
         with pytest.raises(S.SolverError, match="finite"):
             S.solve(half, grid, coeffs, 1.0, 0.0, 1.0, n_steps, reaction=1.0,
                     kernel_cumulative=cum)
+
+    @pytest.mark.parametrize("last", [math.inf, 1e308])
+    @pytest.mark.parametrize("grid", [S.SpatialGrid(), dirichlet_grid(8)],
+                             ids=["0d", "1d"])
+    def test_infinite_history_weight_rejected_before_stepping(self, half,
+                                                              grid, last):
+        # an infinite last weight, or one that overflows in the division
+        # by the step, is refused by the stepper's constructor, without a
+        # floating-point warning
+        coeffs = None if grid.dim == 0 else IDENTITY
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(S.SolverError,
+                               match="history weights must be finite"):
+                S.TimeStepper(half, grid, coeffs, 1.0, 0.0, 1.0, 4,
+                              kernel_cumulative=[0.0, 1.0, 2.0, 3.0, last])
 
     @pytest.mark.parametrize("case, t_bad", [
         ("u0", 0.0), ("f", 0.0625), ("dirichlet", 0.0625),
