@@ -16,28 +16,28 @@ A with face coefficients averaged from the cell centers, absent in the
 space-free relaxation mode.  The history sum is a lower-triangular Toeplitz
 product, which ``volterra._ToeplitzHistory`` splits into base blocks: the
 far field of earlier blocks arrives by dense or FFT block convolutions at
-block starts, O(N log^2 N) over a trajectory.  With it every term that no
-solve of the block changes, f_m and the Dirichlet boundary vector included,
-is subtracted from the block's rows at its start (for a time-dependent A
-those two enter at their step), so a step is one product of the near-field
-weights with the rows of its own block, one solve and one difference.  The
-relaxation mode has no spatial operator, so its whole trajectory is one
-triangular Toeplitz solve, made once however it is stepped.  The step
-matrix is built from its diagonals, the main one and one symmetric band per
-axis (3 points in 1d, 5 in 2d), and since beta_{m,m} = beta_{m,1} for every
-m, it is factorised once and reused for the whole trajectory unless the
-coefficients are declared time dependent: in 1d, where it is tridiagonal,
-by LAPACK's tridiagonal LU, and in 2d by sparse LU with the minimum-degree
-ordering of its symmetric pattern (scipy is imported by ``solve``, before
-its clock starts).  Inside ``_shared_systems()``, as over the members of a
-Harnack ensemble, trajectories with equal measure, step count and step
-share one set of history weights with its far-field blocks, and those whose
-step matrices agree share one factorisation.  The relative residual of
-every step is checked against the matrix it solved with, by one sparse
-product at the end of each run of steps that share it: a base block's
-steps, one step with a time-dependent A, or the one step of ``advance``.
-All weights are positive and decreasing back in time, which is what the
-nonnegativity and comparison checks in the test-suite lean on.
+block starts, O(N log^2 N) over a trajectory.  The unit of stepping is the
+run of steps that share one step matrix: a base block's steps, or one step
+for a time-dependent A.  Every term that no solve of a run changes, f_m and
+the Dirichlet boundary vector included, is subtracted from its rows at its
+start, so a step is one product of the near-field weights with the rows of
+its own block, one solve and one difference.  The relaxation mode has no
+spatial operator, so its whole trajectory is one triangular Toeplitz solve,
+made once however it is stepped.  The step matrix is built from its
+diagonals, the main one and one symmetric band per axis (3 points in 1d, 5
+in 2d), and since beta_{m,m} = beta_{m,1} for every m, it is factorised
+once and reused for the whole trajectory unless the coefficients are
+declared time dependent: in 1d, where it is tridiagonal, by LAPACK's
+tridiagonal LU, and in 2d by sparse LU with the minimum-degree ordering of
+its symmetric pattern (scipy is imported by ``solve``, before its clock
+starts).  Inside ``_shared_systems()``, as over the members of a Harnack
+ensemble, trajectories with equal measure, step count and step share one
+set of history weights with its far-field blocks, and those whose step
+matrices agree share one factorisation.  The relative residual of every
+step is checked against the matrix it solved with, by one sparse product at
+the end of its run (of one step when taken by ``advance``).  All weights
+are positive and decreasing back in time, which is what the nonnegativity
+and comparison checks in the test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -222,7 +222,9 @@ class SolutionField:
     """Trajectory on (0, T]: row m holds the slice at t_m = m*step (row 0 = u0).
 
     ``residuals``, each step's ``max|full u_m - b_m| / max|b_m|``, is not a
-    backward error: it grows with the step matrix's condition number."""
+    backward error: it grows with the step matrix's condition number.  A NaN
+    or inf in ``values``, ``f_samples`` or ``residuals`` raises, as does a
+    ``residuals`` or ``f_samples`` of another layout."""
 
     grid: SpatialGrid
     step: float
@@ -233,6 +235,22 @@ class SolutionField:
     lu_factorisations: int = 0    # LU factorisations made here; 0 if shared
     lu_fill: int = 0              # entries of the largest step factors used
     coefficient_bounds: tuple | None = None  # (nu, lam) of every step matrix
+
+    def __post_init__(self):
+        rows = len(self.values)
+        samples = self.values if self.f_samples is None else self.f_samples
+        if (np.shape(self.residuals) != (rows - 1,)
+                or np.shape(samples) != np.shape(self.values)):
+            raise SolverError("a field needs one residual per step and "
+                              "f_samples in the layout of its values")
+        finite = np.isfinite(self.values.reshape(rows, -1)).all(axis=1)
+        if self.f_samples is not None:
+            finite &= np.isfinite(self.f_samples.reshape(rows, -1)).all(axis=1)
+        finite[1:] &= np.isfinite(self.residuals)  # residual of step m
+        if not finite.all():
+            raise SolverError("the trajectory, its source or its step "
+                              "residual is not finite from t = "
+                              f"{np.argmin(finite) * self.step} on")
 
     @property
     def n_steps(self) -> int:
@@ -364,17 +382,17 @@ class TimeStepper:
     step order of ``conv_weights`` (``weights`` is their lag-ordered view),
     and inside ``_shared_systems()`` they, their ``_ToeplitzHistory`` and
     ``_lead`` come from the first stepper with the same measure, step count
-    and step.  On a grid, the history of step m is read from the increments
-    ``du``, whose rows take every term that no solve of their base block
-    changes at its start, ``f_m + rhs_bc`` included (for a time-dependent A
-    at its step), so a step is one contiguous product of its block's rows,
-    written straight into its right-hand-side row, one solve and one
-    difference (see ``_run``).  The factors of ``(beta_{m,m} + reaction) I
-    + L`` are built at the first step (or taken from another trajectory
-    inside ``_shared_systems()``; ``lu_factorisations`` counts those
-    computed here) and again at every step only when A is time dependent.
-    ``residuals`` is checked at the end of each run of steps that share a
-    matrix (see ``_check``), so ``advance`` checks its one step per call.
+    and step.  On a grid, steps go in runs that share one step matrix (a
+    base block's, or one step for a time-dependent A), and the history of
+    step m is read from the increments ``du``, whose rows take every term
+    that no solve of their run changes at its start, ``f_m + rhs_bc``
+    included: a step is one contiguous product of its block's rows into
+    its right-hand-side row, one solve and one difference (see ``_run``).
+    The factors of ``(beta_{m,m} + reaction) I + L`` are built for the
+    first run (or taken from another trajectory inside
+    ``_shared_systems()``; ``lu_factorisations`` counts those computed
+    here), and for every run only when A is time dependent.  ``residuals``
+    is checked at the end of each run, so ``advance`` checks its step.
     In the relaxation mode the first step solves the whole trajectory at
     once (see ``_relax``) and every later one only moves ``m``.
     """
@@ -474,18 +492,18 @@ class TimeStepper:
         return diag, rhs_bc, a_faces
 
     def _factorise(self, t: float):
-        """``(full, solve, rhs_bc, (nu, lam), faces, fill)`` at ``t``: the
-        step matrix ``(beta_{m,m} + reaction) I + L_t``, its LU solve, the
-        boundary vector, the ``coefficient_bounds`` of this stepper's reads
-        of A up to here, the Dirichlet face diffusivities of ``_dirichlet``
-        and the entries the factors hold.  ``full`` is built from its
-        diagonals: the main one and, per axis, one symmetric band at offset
-        +-stride(axis), zero where a grid row ends.  An interior face
-        carries the mean diffusivity of its two cells, a Dirichlet face the
-        diffusivity at its midpoint.  In 1d the three diagonals take
-        LAPACK's tridiagonal LU, without SuperLU's fixed cost per solve; a
-        2d ``full`` takes SuperLU with the minimum-degree ordering of its
-        symmetric pattern."""
+        """``(full, solve, rhs_bc, (nu, lam), faces, fill, t)``: the step
+        matrix ``(beta_{m,m} + reaction) I + L_t``, its LU solve, the
+        boundary vector at t, the ``coefficient_bounds`` of this stepper's
+        reads of A up to here, the Dirichlet face diffusivities of
+        ``_dirichlet``, the entries the factors hold and t itself.  ``full``
+        is built from its diagonals: the main one and, per axis, one
+        symmetric band at offset +-stride(axis), zero where a grid row ends.
+        An interior face carries the mean diffusivity of its two cells, a
+        Dirichlet face the diffusivity at its midpoint.  In 1d the three
+        diagonals take LAPACK's tridiagonal LU, without SuperLU's fixed cost
+        per solve; a 2d ``full`` takes SuperLU with the minimum-degree
+        ordering of its symmetric pattern."""
         from scipy import sparse
 
         grid, n = self.grid, self.grid.n_total
@@ -527,12 +545,12 @@ class TimeStepper:
             solve, fill = lu.solve, lu.L.nnz + lu.U.nnz
         self.lu_factorisations += 1
         return (full, solve, rhs_bc.ravel(), self.coefficient_bounds, faces,
-                fill)
+                fill, t)
 
     def _system(self, t: float) -> tuple:
-        """The factors of ``_factorise`` for a step at t, built at the first
-        step (or taken from the shared systems with the ``coefficient_bounds``
-        read to build them) and again at every step for a time-dependent A."""
+        """The factors of ``_factorise`` for a run from t on: built for the
+        first run (or shared, with the ``coefficient_bounds`` read to build
+        them), and again for every run when A is time dependent."""
         varies = self.coefficients.time_dependent
         if self._factors is None or varies:
             key = None if varies else \
@@ -543,27 +561,28 @@ class TimeStepper:
             self.lu_fill = max(self.lu_fill, self._factors[5])
         return self._factors
 
-    def _sources(self, first: int, last: int) -> np.ndarray:
-        """``f_m + rhs_bc`` of steps ``first .. last`` with the current
-        factors: one vector if neither f nor a Dirichlet g is callable, else
-        one row per step, sampled in step order, f into ``f_samples`` and g
-        with the face diffusivities kept with the factors, but at step 1
-        and for a time-dependent A, whose factors read it at the step."""
-        _, _, rhs_bc, _, faces, _ = self._factors
-        if self._source is not None and not self._bc_callable:
-            return self._source + rhs_bc
-        rows = np.empty((last - first + 1, rhs_bc.size))
-        fresh = self._bc_callable and not self.coefficients.time_dependent
-        for row, m in zip(rows, range(first, last + 1)):
-            t = m * self.tau
-            bc = self._dirichlet(t, faces)[1].ravel() \
-                if fresh and m > 1 else rhs_bc
-            f_m = self._source
-            if f_m is None:
-                f_m = _datum(self.f, t, self.grid.centers()).ravel()
-                self.f_samples[m] = f_m.reshape(self.grid.shape)
-            np.add(f_m, bc, out=row)
+    def _forcing(self, first: int, last: int) -> np.ndarray:
+        """f at steps ``first .. last``, sampled here alone: one vector for
+        an f that is not callable, else one row per step, read in step
+        order into ``f_samples``."""
+        if self._source is not None:
+            return self._source
+        rows = np.array([_datum(self.f, m * self.tau, self.grid.centers())
+                         .ravel() for m in range(first, last + 1)])
+        self.f_samples[first:last + 1] = rows.reshape((-1,) + self.grid.shape)
         return rows
+
+    def _sources(self, first: int, last: int) -> np.ndarray:
+        """``f_m + rhs_bc`` of the run of steps ``first .. last``: one vector
+        if neither f nor a Dirichlet g is callable, else one row per step,
+        f from ``_forcing`` and g from the factors' ``rhs_bc`` at the time
+        they were built, else read anew with the factors' faces."""
+        _, _, rhs_bc, _, faces, _, built = self._factors
+        bc = rhs_bc if not self._bc_callable else np.array([
+            rhs_bc if m * self.tau == built
+            else self._dirichlet(m * self.tau, faces)[1].ravel()
+            for m in range(first, last + 1)])
+        return self._forcing(first, last) + bc
 
     def _check(self, lo: int, hi: int) -> None:
         """``residuals`` of steps ``lo+1 .. hi`` of one base block, solved
@@ -586,17 +605,17 @@ class TimeStepper:
         return self.u[self.m]
 
     def _run(self, stop: int) -> None:
-        """Steps ``m+1 .. stop``, base block by base block.  Until step m
-        overwrites it, ``du[m-1]`` holds every term of its right-hand side
-        that no solve of its block changes, subtracted at the block start:
-        the far field of earlier blocks, ``beta_{m,m} u_lo`` (``u_lo`` the
-        slice there) and ``f_m + rhs_bc``, which for a time-dependent A
-        enters at the step, with its factors.  As ``u_{m-1} = u_lo +
-        sum_{lo <= i < m-1} du_i``, the block's rows enter with the weights
-        ``beta_{m,m} - beta_{m,i}`` of ``_lead``, whose last entry -1 takes
-        ``du[m-1]`` itself: a step is one product into its right-hand-side
-        row, one solve and one difference.  ``_check`` ends each run of
-        steps that share a matrix."""
+        """Steps ``m+1 .. stop`` in runs that share one step matrix: a base
+        block's steps up to ``stop``, or one step for a time-dependent A.
+        Until step m overwrites it, ``du[m-1]`` holds every term of its
+        right-hand side that no solve of its run changes: the far field of
+        earlier blocks and ``beta_{m,m} u_lo`` (``u_lo`` the slice there)
+        from the block start, and ``f_m + rhs_bc`` from the run start.  As
+        ``u_{m-1} = u_lo + sum_{lo <= i < m-1} du_i``, the block's rows
+        enter with the weights ``beta_{m,m} - beta_{m,i}`` of ``_lead``,
+        whose last entry -1 takes ``du[m-1]`` itself: a step is one product
+        into its right-hand-side row, one solve and one difference.
+        ``_check`` ends each run."""
         if stop > self.n_steps:
             raise SolverError("trajectory already complete")
         if self._relaxation:
@@ -605,22 +624,17 @@ class TimeStepper:
             self.m = stop
             return
         u, du, rhs, lags = self._u_flat, self.du, self._rhs, self._lead
-        varies, start = self.coefficients.time_dependent, self.m
+        start = self.m
         while start < stop:
             lo = start - start % _TOEPLITZ_BLOCK
-            end = start + 1 if varies else min(stop, lo + _TOEPLITZ_BLOCK)
+            end = start + 1 if self.coefficients.time_dependent \
+                else min(stop, lo + _TOEPLITZ_BLOCK)
             if start == lo:
                 if lo:
                     self._history.far_field(du, du, lo)
-                block = du[lo:lo + _TOEPLITZ_BLOCK]
-                block -= self._beta_mm * u[lo]
-                if not varies:
-                    self._system(self.tau)
-                    block -= self._sources(lo + 1, lo + len(block))
-            if varies:
-                self._system(end * self.tau)
-                du[start:end] -= self._sources(end, end)
-            solve, prev = self._factors[1], u[start]
+                du[lo:lo + _TOEPLITZ_BLOCK] -= self._beta_mm * u[lo]
+            solve, prev = self._system((start + 1) * self.tau)[1], u[start]
+            du[start:end] -= self._sources(start + 1, end)
             for row in range(start, end):
                 b = rhs[row - lo]
                 np.dot(lags[lo - row - 1:], du[lo:row + 1], out=b)
@@ -634,19 +648,15 @@ class TimeStepper:
     def _relax(self) -> None:
         """The whole relaxation trajectory as one lower-triangular Toeplitz
         system ``(T + lam L1) du = f - lam u0`` (``L1`` the all-ones lower
-        triangle), with ``f`` sampled at every ``t_m``.  The trajectory is
-        the running sum of ``du``, taken in ``np.longdouble``: summed in
-        double, N = 32768 increments moved u(T) by about 1e-14."""
+        triangle), with ``f`` from ``_forcing``.  The trajectory is the
+        running sum of ``du``, taken in ``np.longdouble``: summed in double,
+        N = 32768 increments moved u(T) by about 1e-14."""
         column = self.weights + self.reaction
         if column[0] == 0.0:
             raise SolverError("degenerate step: zero diagonal")
         u, n = self._u_flat, self.n_steps
-        f = self._source if self._source is not None else np.array(
-            [_datum(self.f, m * self.tau, self.grid.centers())
-             for m in range(1, n + 1)])
-        if self.f_samples is not None:
-            self.f_samples[1:] = f
-        rhs = np.broadcast_to(f - self.reaction * u[0], (n, 1))
+        rhs = np.broadcast_to(self._forcing(1, n) - self.reaction * u[0],
+                              (n, 1))
         self.du = _toeplitz_solve(column, rhs)
         running = np.cumsum(self.du, axis=0, dtype=np.longdouble)
         running += u[0]
@@ -659,10 +669,9 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
           kernel_cumulative: np.ndarray | None = None) -> SolutionField:
     """Run the full trajectory and collect residual and timing metadata.
 
-    A trajectory or step residual that is not finite, as from NaN initial,
-    source or boundary data, raises ``SolverError``.  The step solvers
-    import scipy on first use; it is loaded before the clock starts, so
-    ``wall_time`` is the solve's own."""
+    NaN initial, source or boundary data raise ``SolverError`` (see
+    ``SolutionField``).  The step solvers import scipy on first use; it is
+    loaded before the clock starts, so ``wall_time`` is the solve's own."""
     if grid.dim == 1:
         import scipy.linalg.lapack, scipy.sparse  # noqa: E401, F401
     elif grid.dim:
@@ -673,11 +682,6 @@ def solve(spec: MeasureSpec, grid: SpatialGrid,
                           kernel_cumulative=kernel_cumulative)
     stepper._run(n_steps)
     wall = time.perf_counter() - start
-    finite = np.isfinite(stepper._u_flat).all(axis=1)
-    finite[1:] &= np.isfinite(stepper.residuals)  # residual of step m
-    if not finite.all():
-        raise SolverError("the trajectory or its step residual is not finite "
-                          f"from t = {np.argmin(finite) * stepper.tau} on")
     return SolutionField(grid=grid, step=stepper.tau, values=stepper.u,
                          f_samples=stepper.f_samples,
                          residuals=stepper.residuals, wall_time=wall,
