@@ -3,17 +3,22 @@
 Subcommands: kernels | verify | solve | harnack | holder, each driven by a
 JSON config (see configs/ for examples).  A runner only computes; ``run``
 then writes its CSVs, ``report.json`` and a manifest.json carrying the
-config hash, seed, package version and the files written, so a run that
-raises writes no artifact.  Every CSV goes through one block-streaming
-writer with one float format, Python's ``repr`` (the shortest text that
-reads back to the same double), applied per column before the columns are
-broadcast into rows, so numeric content is deterministic for a fixed config
-and seed.  orjson's compiled shortest round-trip formatter writes a float
-``v`` with ``1e-4 <= |v| < 1e16`` or ``v = 0``, where its text is
-``repr(v)`` byte for byte; ``repr`` itself writes the rest (NaN, infinities
-and the exponent forms), so the text is ``repr`` throughout.  Exit codes: 0
-success, 2 when a hard inequality certificate is violated (a NaN or inf
-counts as violated), 1 on runtime errors.
+config hash, seed, package version, the files written and the seconds
+spent writing them, so a run that raises writes no artifact.  Every CSV goes
+through one block-streaming writer: the lines of one leading index (one
+time of a trajectory) form a template of fixed pieces, the separators and
+the cells of the columns constant along that axis, with a slot for each
+column that varies along it; a block of rows repeats the template and fills
+the slots.  One formatter, ``_cells``, writes every cell as bytes, each
+column on its own shape, with one float format, Python's ``repr`` (the
+shortest text that reads back to the same double), so numeric content is
+deterministic for a fixed config and seed.  orjson's compiled shortest
+round-trip formatter writes a float ``v`` with ``1e-4 <= |v| < 1e16`` or
+``v = 0``, where its text is ``repr(v)`` byte for byte; ``repr`` itself
+writes the rest (NaN, infinities and the exponent forms), so the text is
+``repr`` throughout.  Exit codes: 0 success, 2 when a hard inequality
+certificate is violated (a NaN or inf counts as violated), 1 on runtime
+errors.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import functools
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,57 +51,67 @@ _CSV_CHUNK_ROWS = 1 << 12
 _JSON_NUMBERS = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
-def _cells(block: np.ndarray) -> list[str]:
-    """The CSV text of each entry of ``block``, in row-major order.
+def _cells(block: np.ndarray) -> list[bytes]:
+    """The CSV text of each entry of ``block`` in row-major order, as bytes.
 
-    A float is ``repr(v)`` and an integer ``str(v)``: one ``orjson.dumps``
-    of the contiguous flat block gives both, and the floats outside
-    ``[1e-4, 1e16)`` in magnitude (but 0), where orjson's text is not
-    ``repr``, are written by ``repr``.  Any other entry is ``str(v)``.
+    Every CSV cell is written here.  A float is ``repr(v)`` and an integer
+    ``str(v)``: one ``orjson.dumps`` of the contiguous flat block gives
+    both, and ``repr`` writes the floats outside ``[1e-4, 1e16)`` in
+    magnitude (but 0), where orjson's text differs.  Others are ``str(v)``.
     """
     dtype = _JSON_NUMBERS.get(block.dtype.kind)
     if dtype is None or block.dtype.itemsize > 8 or not block.size:
-        return [str(v) for v in block.ravel().tolist()]
+        return [str(v).encode() for v in block.ravel().tolist()]
     import orjson
 
     flat = np.ascontiguousarray(block, dtype=dtype).ravel()
     text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].decode().split(",")
+    cells = text[1:-1].split(b",")
     if dtype is np.float64:
         mag = np.abs(flat)
         outside = (flat != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))
         for k in np.flatnonzero(outside).tolist():
-            cells[k] = repr(float(flat[k]))
+            cells[k] = repr(float(flat[k])).encode()
     return cells
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write CRLF rows of broadcast-compatible columns in row-major order.
 
-    Rows go out in blocks of leading-axis slices, at most ``_CSV_CHUNK_ROWS``
-    rows unless one slice holds more.  In a block each column is formatted
-    on its own unbroadcast shape (a ``(t, 1)`` column costs one cell per
-    time) by ``_cells``: a float is its ``repr``, orjson's text inside
-    ``[1e-4, 1e16)`` and ``repr``'s own outside it, and anything else its
-    ``str``.  The cells are broadcast into an object array of rows with the
-    separators between them, and the block is written as one joined string.
+    One leading index's lines form a template: per inner cell a head, then
+    per column varying along the leading axis a slot and the piece after
+    it, pieces holding the separators and the other columns' cells.  A list
+    of it repeated over ``_CSV_CHUNK_ROWS`` rows (or one leading index) has
+    its slots refilled per block by extended-slice assignments of ``_cells``
+    on each column's shape and is written as one exact-size ``b"".join``.
     """
-    cols = [np.asarray(c) for c in columns]
-    shape = np.broadcast_shapes((1,), *(c.shape for c in cols))
-    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
-    step = max(1, _CSV_CHUNK_ROWS // max(1, math.prod(shape[1:])))
-    ends = [","] * (len(cols) - 1) + ["\r\n"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, shape[0], step):
-            rows = np.empty((min(step, shape[0] - lo),) + shape[1:]
-                            + (2 * len(cols),), dtype=object)
-            rows[..., 1::2] = ends
-            for k, col in enumerate(cols):
-                block = col[lo:lo + step] if len(col) > 1 else col
-                rows[..., 2 * k] = np.array(_cells(block),
-                                            dtype=object).reshape(block.shape)
-            fh.write("".join(rows.ravel().tolist()))
+    shape = np.broadcast_shapes((1,), *map(np.shape, columns))
+    cols = [np.asarray(c)[(None,) * (len(shape) - np.ndim(c))]
+            for c in columns]
+    slots = [k for k, c in enumerate(cols) if len(c) != 1] or [0]
+
+    def rows(block):  # the cells of a leading slice, one per row it spans
+        cells, spans = _cells(block), block.shape[:1] + shape[1:]
+        return cells if block.shape == spans else np.broadcast_to(np.array(
+            cells, dtype=object).reshape(block.shape), spans).ravel().tolist()
+
+    line = np.full((math.prod(shape[1:]), 2 * len(slots) + 1), b"", object)
+    for k, col in enumerate(cols):  # the piece after slot s is column 2s + 2
+        text = b"" if k in slots else np.array(rows(col[:1]), dtype=object)
+        line[:, 2 * sum(s <= k for s in slots)] += text + (
+            b"," if k + 1 < len(cols) else b"\r\n")
+    head, last = line[:1, 0].tolist(), line[-1:, -1].tolist()
+    line[:, -1] += np.roll(line[:, 0], -1)  # a tail runs into the next head
+    step = max(1, _CSV_CHUNK_ROWS // max(1, len(line)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        out = head + line[:, 1:].ravel().tolist() * min(step, shape[0])
+        for lo in range(0, shape[0], step):  # a block refills the slots
+            del out[1 + line[:, 1:].size * (shape[0] - lo):]  # if shorter
+            out[-1:] = last
+            for s, k in enumerate(slots):
+                out[2 * s + 1::2 * len(slots)] = rows(cols[k][lo:lo + step])
+            fh.write(b"".join(out))
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -278,12 +294,14 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig, out_dir) -> int:
     """Execute one experiment and write its artifacts; returns the process
-    exit code.  Nothing is written before the runner returns, and the
-    manifest's ``files`` lists what was written."""
+    exit code.  Nothing is written before the runner returns, the
+    manifest's ``files`` lists what was written and its ``write_time`` the
+    seconds spent writing the CSVs and ``report.json``."""
     seed = config.params["seed"]
     code, tables, report, extra = _RUNNERS[config.experiment](config, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     for name, (header, columns) in tables.items():
         _write_csv(out / name, header, columns)
     files = list(tables)
@@ -294,7 +312,7 @@ def run(config: ExperimentConfig, out_dir) -> int:
         "config_hash": config_hash(config), "version": __version__,
         "seed": seed, "experiment": config.experiment,
         "config": config.to_dict(), "unread_keys": list(config.unread_keys),
-        "files": files, **extra})
+        "files": files, "write_time": time.perf_counter() - start, **extra})
     return code
 
 

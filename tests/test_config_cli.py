@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -491,6 +492,8 @@ class TestRunners:
         assert cli.run(config, tmp_path) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["files"] == files
+        assert math.isfinite(manifest["write_time"])
+        assert manifest["write_time"] >= 0.0
         assert sorted(manifest["files"]) == sorted(
             p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
 
@@ -799,9 +802,8 @@ def _values(shape):
     return values
 
 
-def _solution_layout(cells):
+def _solution_layout(cells, n_times=9):
     """The columns of ``solution.csv`` for a ``cells``-shaped grid."""
-    n_times = 9
     index = np.indices(cells, sparse=True)
     return (["t", "i", "j"][:1 + len(cells)] + ["value"],
             [0.125 * np.arange(n_times).reshape((-1,) + (1,) * len(cells))]
@@ -815,6 +817,20 @@ CSV_LAYOUTS = {
     "harnack": (["seed", "member", "ratio", "p", "n_cells", "measure_hash"],
                 [7, np.arange(11), _values(11), 1.5, 64, "0f3a9c"]),
     "kernel": (["t", "value"], [np.arange(10) / 3.0, _values(10)]),
+    # a column varying along the leading axis and one inner axis only
+    "2d-partial": (["t", "i", "j", "row_mean", "value"],
+                   _solution_layout((3, 4))[1][:3] + [_values((9, 3, 1)),
+                                                      _values((9, 3, 4))]),
+    # a string scalar with the characters of format templates and a comma
+    "text": (["seed", "note", "value"], [3, "50% {x}, {}", _values(6)]),
+    "bool-float32": (["flag", "x", "value"], [np.arange(8) % 3 == 0,
+                                              _values(8).astype(np.float32),
+                                              _values(8)]),
+    "one-time": _solution_layout((3, 4), n_times=1),
+    # a line that starts with a column constant along the leading axis
+    "inner-first": (["i", "t", "value"], [np.arange(4)[None],
+                                          np.arange(9.0)[:, None] / 8,
+                                          _values((9, 4))]),
 }
 
 
@@ -857,6 +873,18 @@ class TestWriteCsv:
         cli._write_csv(tmp_path / "out.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == \
             self.reference(header, columns)
+
+    def test_memory_bounded_by_the_block(self, tmp_path):
+        # each block is joined and written on its own, so the peak does not
+        # grow with the number of rows in the file
+        peaks = []
+        for n_times in (512, 4096):
+            header, columns = _solution_layout((128,), n_times=n_times)
+            tracemalloc.start()
+            cli._write_csv(tmp_path / "out.csv", header, columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_edge_floats(self, tmp_path):
         header, columns = ["t", "value"], [np.arange(len(EDGE_FLOATS)),
