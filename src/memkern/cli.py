@@ -3,22 +3,22 @@
 Subcommands: kernels | verify | solve | harnack | holder, each driven by a
 JSON config (see configs/ for examples).  A runner only computes; ``run``
 then writes its CSVs, ``report.json`` and a manifest.json carrying the
-config hash, seed, package version, the files written and the seconds
-spent writing them, so a run that raises writes no artifact.  Every CSV goes
-through one block-streaming writer: the lines of one leading index (one
-time of a trajectory) form a template of fixed pieces, the separators and
-the cells of the columns constant along that axis, with a slot for each
-column that varies along it; a block of rows repeats the template and fills
-the slots.  One formatter, ``_cells``, writes every cell as bytes, each
-column on its own shape, with one float format, Python's ``repr`` (the
-shortest text that reads back to the same double), so numeric content is
-deterministic for a fixed config and seed.  orjson's compiled shortest
-round-trip formatter writes a float ``v`` with ``1e-4 <= |v| < 1e16`` or
-``v = 0``, where its text is ``repr(v)`` byte for byte; ``repr`` itself
-writes the rest (NaN, infinities and the exponent forms), so the text is
-``repr`` throughout.  Exit codes: 0 success, 2 when a hard inequality
-certificate is violated (a NaN or inf counts as violated), 1 on runtime
-errors.
+config hash, seed, package version, the files written, the seconds spent
+writing them and the count of values ``repr`` formatted, so a run that
+raises writes no artifact.  Every CSV goes through one block-streaming
+writer: the lines of one leading index (one time of a trajectory) form a
+template of fixed pieces, the separators and the cells of the columns
+constant along that axis, with a slot for each column that varies along it;
+a block of rows repeats the template and fills the slots.  One formatter,
+``_cells``, writes every cell as bytes, each column on its own shape, with
+one float format, Python's ``repr`` (the shortest text that reads back to
+the same double), so numeric content is deterministic for a fixed config and
+seed.  orjson's compiled shortest round-trip formatter writes a float ``v``
+with ``1e-4 <= |v| < 1e16`` or ``v = 0``, where its text is ``repr(v)`` byte
+for byte; ``repr`` itself writes the rest (NaN, infinities and the exponent
+forms), so the text is ``repr`` throughout.  Exit codes: 0 success, 2 when a
+hard inequality certificate is violated (a NaN or inf counts as violated), 1
+on runtime errors.
 """
 
 from __future__ import annotations
@@ -51,32 +51,36 @@ _CSV_CHUNK_ROWS = 1 << 12
 _JSON_NUMBERS = {"f": np.float64, "i": np.int64, "u": np.uint64}
 
 
-def _cells(block: np.ndarray) -> list[bytes]:
-    """The CSV text of each entry of ``block`` in row-major order, as bytes.
+def _cells(block: np.ndarray) -> tuple[list[bytes], int]:
+    """The CSV text of each entry of ``block`` in row-major order, as bytes,
+    and how many of those ``repr`` wrote.
 
     Every CSV cell is written here.  A float is ``repr(v)`` and an integer
     ``str(v)``: one ``orjson.dumps`` of the contiguous flat block gives
     both, and ``repr`` writes the floats outside ``[1e-4, 1e16)`` in
-    magnitude (but 0), where orjson's text differs.  Others are ``str(v)``.
+    magnitude (but 0), where orjson's text differs, one call a value.
+    Others are ``str(v)``.
     """
     dtype = _JSON_NUMBERS.get(block.dtype.kind)
     if dtype is None or block.dtype.itemsize > 8 or not block.size:
-        return [str(v).encode() for v in block.ravel().tolist()]
+        return [str(v).encode() for v in block.ravel().tolist()], 0
     import orjson
 
     flat = np.ascontiguousarray(block, dtype=dtype).ravel()
     text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].split(b",")
+    cells, fixed = text[1:-1].split(b","), []
     if dtype is np.float64:
         mag = np.abs(flat)
-        outside = (flat != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))
-        for k in np.flatnonzero(outside).tolist():
+        fixed = np.flatnonzero((flat != 0.0)
+                               & ~((mag >= 1e-4) & (mag < 1e16))).tolist()
+        for k in fixed:
             cells[k] = repr(float(flat[k])).encode()
-    return cells
+    return cells, len(fixed)
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write CRLF rows of broadcast-compatible columns in row-major order.
+def _write_csv(path: Path, header: list[str], columns) -> int:
+    """Write CRLF rows of broadcast-compatible columns in row-major order;
+    returns the number of values ``_cells`` formatted by ``repr``.
 
     One leading index's lines form a template: per inner cell a head, then
     per column varying along the leading axis a slot and the piece after
@@ -89,9 +93,12 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     cols = [np.asarray(c)[(None,) * (len(shape) - np.ndim(c))]
             for c in columns]
     slots = [k for k, c in enumerate(cols) if len(c) != 1] or [0]
+    fixed = 0
 
     def rows(block):  # the cells of a leading slice, one per row it spans
-        cells, spans = _cells(block), block.shape[:1] + shape[1:]
+        nonlocal fixed
+        (cells, n), spans = _cells(block), block.shape[:1] + shape[1:]
+        fixed += n
         return cells if block.shape == spans else np.broadcast_to(np.array(
             cells, dtype=object).reshape(block.shape), spans).ravel().tolist()
 
@@ -112,6 +119,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             for s, k in enumerate(slots):
                 out[2 * s + 1::2 * len(slots)] = rows(cols[k][lo:lo + step])
             fh.write(b"".join(out))
+    return fixed
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -295,15 +303,16 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir) -> int:
     """Execute one experiment and write its artifacts; returns the process
     exit code.  Nothing is written before the runner returns, the
-    manifest's ``files`` lists what was written and its ``write_time`` the
-    seconds spent writing the CSVs and ``report.json``."""
+    manifest's ``files`` lists what was written, its ``write_time`` the
+    seconds spent writing the CSVs and ``report.json`` and its
+    ``repr_cells`` the CSV values formatted one by one by ``repr``."""
     seed = config.params["seed"]
     code, tables, report, extra = _RUNNERS[config.experiment](config, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    for name, (header, columns) in tables.items():
-        _write_csv(out / name, header, columns)
+    repr_cells = sum(_write_csv(out / name, header, columns)
+                     for name, (header, columns) in tables.items())
     files = list(tables)
     if report is not None:
         _write_json(out / "report.json", report)
@@ -312,7 +321,8 @@ def run(config: ExperimentConfig, out_dir) -> int:
         "config_hash": config_hash(config), "version": __version__,
         "seed": seed, "experiment": config.experiment,
         "config": config.to_dict(), "unread_keys": list(config.unread_keys),
-        "files": files, "write_time": time.perf_counter() - start, **extra})
+        "files": files, "write_time": time.perf_counter() - start,
+        "repr_cells": repr_cells, **extra})
     return code
 
 

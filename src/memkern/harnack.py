@@ -72,35 +72,43 @@ def _point(grid: SpatialGrid, x) -> np.ndarray:
 # cylinder sampling
 
 
-def _cylinder_masks(field: SolutionField, cyl: Cylinder
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The time slices and the cells of ``field`` strictly inside the
-    cylinder; fields with the same times and grid share them."""
+def _cylinder_masks(field: SolutionField, cyl: Cylinder,
+                    anchor: int = -1) -> np.ndarray:
+    """Flat indices into ``field.values`` of the samples strictly inside the
+    cylinder, and of the whole slice ``anchor`` if given, in row-major
+    order: ``field.values.take`` of them reads the cylinder in one gather.
+    Fields with the same times and grid share them."""
     grid = field.grid
     if grid.dim == 0:
         raise HarnackError("cylinder measurements need a spatial grid")
-    times = field.times
-    t_mask = (times > cyl.t_start) & (times < cyl.t_end)
+    steps = np.arange(field.values.shape[0])
+    times = field.step * steps
+    rows = np.flatnonzero((times > cyl.t_start) & (times < cyl.t_end)
+                          | (steps == anchor))
     centers = grid.centers().reshape(-1, grid.dim)
     dist = np.linalg.norm(centers - np.asarray(cyl.center), axis=1)
-    return t_mask, dist < cyl.radius
+    cells = np.flatnonzero(dist < cyl.radius)
+    return (rows[:, None] * grid.n_total + cells).ravel()
 
 
-def _cells_in_cylinder(field: SolutionField, masks) -> np.ndarray:
-    """Samples of u at cell centers strictly inside the cylinder whose
-    ``_cylinder_masks`` are given."""
-    t_mask, x_mask = masks
-    if not np.any(t_mask) or not np.any(x_mask):
-        return np.empty((0,))
-    block = field.values[t_mask].reshape(int(np.sum(t_mask)), -1)
-    return block[:, x_mask].ravel()
+def _layout(field: SolutionField) -> tuple:
+    """What the cylinder samples of ``field`` depend on: the shape of its
+    values, its step and the extents of its grid."""
+    return field.values.shape, field.step, field.grid.extents
 
 
 def _harnack_masks(field: SolutionField, spec: MeasureSpec, t0: float, x0,
-                   r: float, delta: float, tau: float) -> list:
-    """``_cylinder_masks`` of the early and the late ``build_cylinders``."""
-    return [_cylinder_masks(field, cyl) for cyl in build_cylinders(
-        spec, t0, _point(field.grid, x0), r, delta, tau)]
+                   r: float, delta: float, tau: float) -> tuple:
+    """``(layout, early, late)``: ``_cylinder_masks`` of the early and the
+    late ``build_cylinders``, with the ``_layout`` of the field they fit."""
+    cylinders = build_cylinders(spec, t0, _point(field.grid, x0), r, delta,
+                                tau)
+    return (_layout(field), *(_cylinder_masks(field, c) for c in cylinders))
+
+
+def _scale(field: SolutionField) -> float:
+    """``max|u|`` over the trajectory, at least 1."""
+    return max(float(field.values.max()), -float(field.values.min()), 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,8 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
     whenever the field carries forcing samples.  Nonnegativity of u on the
     working cylinder is a precondition; solver round-off slightly below zero
     is clipped.  ``masks``, the ``_harnack_masks`` of a field with the same
-    times and grid, spares building the cylinders again.
+    times and grid, spares building the cylinders again; those of another
+    layout are refused.
     """
     gb = gamma_bar(spec)
     kappa = critical_exponent(gb, max(field.grid.dim, 1))
@@ -132,12 +141,17 @@ def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
         raise HarnackError(f"p={p} outside (0, {kappa:.4f})")
     if masks is None:
         masks = _harnack_masks(field, spec, t0, x0, r, delta, tau)
-    u_minus, u_plus = (_cells_in_cylinder(field, m) for m in masks)
+    layout, *early_late = masks
+    if layout != _layout(field):
+        raise HarnackError("masks built for values of shape {}, step {} on "
+                           "{} do not fit a field of shape {}, step {} on {}"
+                           .format(*layout, *_layout(field)))
+    u_minus, u_plus = map(field.values.take, early_late)
     if min(u_minus.size, u_plus.size) < _MIN_CYLINDER_CELLS:
         raise HarnackError(
             f"discrete cylinders too small ({u_minus.size}, {u_plus.size}); "
             "refine the grid or enlarge the cylinder")
-    scale = max(float(np.max(np.abs(field.values))), 1.0)
+    scale = _scale(field)
     if min(u_minus.min(), u_plus.min()) < -1e-9 * scale:
         raise HarnackError("field is negative on the working cylinder")
     u_minus = np.maximum(u_minus, 0.0)
@@ -182,9 +196,12 @@ def random_fourier_profile(rng: np.random.Generator):
 
     def profile(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        axes = (-1,) + (1,) * x.ndim  # one mode per leading index
+        waves = amps.reshape(axes) * np.sin(
+            np.multiply.outer(math.pi * modes, x) + phases.reshape(axes))
         acc = np.full_like(x, offsets)
-        for m in range(_PROFILE_MODES):
-            acc = acc + amps[m] * np.sin(math.pi * (m + 1) * x + phases[m])
+        for wave in waves:  # summed mode by mode, lowest first
+            acc += wave
         return np.maximum(acc, 0.0)
 
     return profile
@@ -338,10 +355,8 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
                 lo <= c - rho_r and c + rho_r <= hi
                 for c, (lo, hi) in zip(x1c, grid.extents)):
             continue
-        t_mask, x_mask = _cylinder_masks(field, Cylinder(
-            t1 - depth, t1 + 1e-12 * field.horizon, x1c, rho_r))
-        t_mask[top_idx] = True
-        u = _cells_in_cylinder(field, (t_mask, x_mask))
+        u = field.values.take(_cylinder_masks(field, Cylinder(
+            t1 - depth, t1 + 1e-12 * field.horizon, x1c, rho_r), top_idx))
         if u.size < 2:
             continue
         kept.append(j)
@@ -350,8 +365,7 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     if len(kept) < 3:
         raise HarnackError("fewer than 3 usable levels inside the domain")
     osc_arr = np.asarray(oscs)
-    floor = 10.0 * np.finfo(float).eps * max(float(np.max(np.abs(field.values))),
-                                             1.0)
+    floor = 10.0 * np.finfo(float).eps * _scale(field)
     usable = osc_arr > floor
     if not np.any(usable):
         return OscillationProfile(tuple(kept), tuple(radii), tuple(oscs),
@@ -379,7 +393,7 @@ def strong_max_check(field: SolutionField, cyl: Cylinder) -> str:
     ``_FLAT_TOL``), every earlier time slice must be flat; returns
     "consistent", "violated", or "not-applicable" when the hypothesis fails.
     """
-    u_cyl = _cells_in_cylinder(field, _cylinder_masks(field, cyl))
+    u_cyl = field.values.take(_cylinder_masks(field, cyl))
     if u_cyl.size == 0:
         raise HarnackError("cylinder contains no samples")
     global_sup = float(np.max(field.values))

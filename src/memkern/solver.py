@@ -289,14 +289,15 @@ def conv_weights(spec: MeasureSpec, m: int, tau: float) -> np.ndarray:
 
 def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
                    kernel_cumulative: np.ndarray | None):
-    """``(hist, _ToeplitzHistory, lead)`` of the history weights, the
+    """``(hist, _ToeplitzHistory, lags)`` of the history weights, the
     differences of ``kernel_cumulative``, or else of K = 1*k at the step
     times.  ``hist[j]`` is beta at lag N - j, so the weights of step m are
     the contiguous slice ``hist[N-m : N-1]``; ``hist[::-1]``, the Toeplitz
-    column, runs from lag 1; ``lead`` holds ``beta_{m,m} - beta_{m,i}``
-    with its last entry, 0, set to -1 (see ``TimeStepper._run``).  The
-    arrays are read-only, as steppers share them inside
-    ``_shared_systems()``."""
+    column, runs from lag 1.  ``lead`` holds ``beta_{m,m} - beta_{m,i}``
+    with its last entry, 0, set to -1, and ``lags[k]`` is its window
+    ``lead[-(k+1):]``, one per step k of a base block (see
+    ``TimeStepper._run``).  The arrays are read-only, as steppers share
+    them inside ``_shared_systems()``."""
     big_k = np.asarray(one_star_k_eval(spec, tau * np.arange(n_steps + 1))
                        if kernel_cumulative is None else kernel_cumulative,
                        dtype=float)
@@ -309,7 +310,9 @@ def _history_setup(spec: MeasureSpec, n_steps: int, tau: float,
     lead = hist[-1] - hist
     lead[-1] = -1.0
     hist.flags.writeable = lead.flags.writeable = False
-    return hist, _ToeplitzHistory(hist[::-1]), lead
+    lags = tuple(lead[-(k + 1):]
+                 for k in range(min(_TOEPLITZ_BLOCK, n_steps)))
+    return hist, _ToeplitzHistory(hist[::-1]), lags
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +384,14 @@ class TimeStepper:
     Completed slices are never mutated.  The weights are kept once, in the
     step order of ``conv_weights`` (``weights`` is their lag-ordered view),
     and inside ``_shared_systems()`` they, their ``_ToeplitzHistory`` and
-    ``_lead`` come from the first stepper with the same measure, step count
-    and step.  On a grid, steps go in runs that share one step matrix (a
-    base block's, or one step for a time-dependent A), and the history of
-    step m is read from the increments ``du``, whose rows take every term
-    that no solve of their run changes at its start, ``f_m + rhs_bc``
-    included: a step is one contiguous product of its block's rows into
-    its right-hand-side row, one solve and one difference (see ``_run``).
+    the near-field windows ``_lags`` come from the first stepper with the
+    same measure, step count and step.  On a grid, steps go in runs that
+    share one step matrix (a base block's, or one step for a time-dependent
+    A), and the history of step m is read from the increments ``du``, whose
+    rows take every term that no solve of their run changes at its start,
+    ``f_m + rhs_bc`` included: a step is one contiguous product of its
+    block's rows into its right-hand-side row (kept as ``_rhs_rows``), one
+    solve and one difference (see ``_run``).
     The factors of ``(beta_{m,m} + reaction) I + L`` are built for the
     first run (or taken from another trajectory inside
     ``_shared_systems()``; ``lu_factorisations`` counts those computed
@@ -418,7 +422,7 @@ class TimeStepper:
         self.n_steps = n_steps
         key = None if kernel_cumulative is not None \
             else ("history", spec, n_steps, self.tau)
-        self._hist, self._history, self._lead = _share(
+        self._hist, self._history, self._lags = _share(
             key, lambda: _history_setup(spec, n_steps, self.tau,
                                         kernel_cumulative))
         self.weights = self._hist[::-1]
@@ -438,6 +442,7 @@ class TimeStepper:
         # b of the current base block's steps, step m in row (m-1) % B
         self._rhs = np.zeros((min(_TOEPLITZ_BLOCK, n_steps),
                               self._u_flat.shape[1]))
+        self._rhs_rows = tuple(self._rhs)
         self.m = 0
         self._relaxation = not grid.dim
         self._bc_callable = any(callable(bc.value)
@@ -612,9 +617,10 @@ class TimeStepper:
         earlier blocks and ``beta_{m,m} u_lo`` (``u_lo`` the slice there)
         from the block start, and ``f_m + rhs_bc`` from the run start.  As
         ``u_{m-1} = u_lo + sum_{lo <= i < m-1} du_i``, the block's rows
-        enter with the weights ``beta_{m,m} - beta_{m,i}`` of ``_lead``,
-        whose last entry -1 takes ``du[m-1]`` itself: a step is one product
-        into its right-hand-side row, one solve and one difference.
+        enter with the weights ``beta_{m,m} - beta_{m,i}`` of its window in
+        ``_lags``, whose last entry -1 takes ``du[m-1]`` itself: a step is
+        one product into its right-hand-side row, one solve and one
+        difference.
         ``_check`` ends each run."""
         if stop > self.n_steps:
             raise SolverError("trajectory already complete")
@@ -623,7 +629,7 @@ class TimeStepper:
                 self._relax()
             self.m = stop
             return
-        u, du, rhs, lags = self._u_flat, self.du, self._rhs, self._lead
+        u, du = self._u_flat, self.du
         start = self.m
         while start < stop:
             lo = start - start % _TOEPLITZ_BLOCK
@@ -635,9 +641,10 @@ class TimeStepper:
                 du[lo:lo + _TOEPLITZ_BLOCK] -= self._beta_mm * u[lo]
             solve, prev = self._system((start + 1) * self.tau)[1], u[start]
             du[start:end] -= self._sources(start + 1, end)
-            for row in range(start, end):
-                b = rhs[row - lo]
-                np.dot(lags[lo - row - 1:], du[lo:row + 1], out=b)
+            for row, b, lags in zip(range(start, end),
+                                    self._rhs_rows[start - lo:],
+                                    self._lags[start - lo:]):
+                np.dot(lags, du[lo:row + 1], out=b)
                 new = solve(b)
                 u[row + 1] = new
                 np.subtract(new, prev, out=du[row])

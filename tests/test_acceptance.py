@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole gate stays well under five minutes on a laptop.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from memkern import volterra as V
 from memkern import geometry as G
 from memkern import solver as S
 from memkern import harnack as H
+from memkern import cli
 from memkern.geometry import Cylinder, phi_bar
 
 from conftest import canonical_measures
@@ -279,3 +282,38 @@ def test_criterion_12_strong_maximum_principle(half):
           and verdicts.count("violated") == 0)
     _report(12, "strong-maximum-principle", ok,
             f"constant {verdict_const}, heat-like {verdict_heat}")
+
+
+def test_criterion_13_checkerboard_corner(tmp_path):
+    # configs/corner2d.json as shipped (contrast c = 10, 256^2 cells), and
+    # with c = 3 and with 128^2 cells.  Near the board's corner a stationary
+    # solution grows like r^beta(c), beta(c) = (4/pi) arctan(c^-1/2), so the
+    # fitted exponent must fall with c and, toward beta, with the cell size
+    shipped = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "corner2d.json").read_text())
+    kappa, elapsed = {}, math.inf
+    for c in (3.0, 10.0):
+        for n in (128, 256):
+            name = f"c{c:g}-n{n}"
+            config = dict(shipped, grid=dict(shipped["grid"], n_cells=[n, n]),
+                          coefficients=dict(shipped["coefficients"], high=c))
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            start = time.perf_counter()
+            assert cli.main(["holder", "--config", str(path),
+                             "--out", str(tmp_path / name)]) == 0
+            if config == shipped:
+                elapsed = time.perf_counter() - start
+            kappa[c, n] = json.loads((tmp_path / name / "report.json")
+                                     .read_text())["kappa"]
+
+    def beta(c):
+        return 4.0 / math.pi * math.atan(c ** -0.5)
+
+    ok = (all(kappa[10.0, n] < kappa[3.0, n] < 1.0 for n in (128, 256))
+          and all(kappa[c, 256] < kappa[c, 128] for c in (3.0, 10.0)))
+    _report(13, "checkerboard-corner", ok, ", ".join(
+        f"c={c:g} kappa {kappa[c, 128]:.3f} -> {kappa[c, 256]:.3f}, "
+        f"beta {beta(c):.3f}, gap {kappa[c, 256] - beta(c):.3f}"
+        for c in (3.0, 10.0)))
+    assert elapsed <= 5.0, f"corner2d ran {elapsed:.1f}s, over 5s"

@@ -196,6 +196,8 @@ class TestParsing:
             solution({**desc, name: new}, tmp_path / "set")
 
     @pytest.mark.parametrize("name, digest", [
+        ("corner2d", "643226d0bc50f99cc9f6ec94a02a2a28"
+                     "780ac4f95268502135f3e8478a70f654"),
         ("edge005", "4ab75b899fcc6a6dba37e2f57ad451cf"
                     "10b1cc7982cd160dd42ffa0cde3b1c12"),
         ("edge099", "dff61fa62a146fe231a2a3076d7f05da"
@@ -494,6 +496,8 @@ class TestRunners:
         assert manifest["files"] == files
         assert math.isfinite(manifest["write_time"])
         assert manifest["write_time"] >= 0.0
+        assert isinstance(manifest["repr_cells"], int)
+        assert manifest["repr_cells"] >= 0
         assert sorted(manifest["files"]) == sorted(
             p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
 
@@ -913,20 +917,34 @@ class TestWriteCsv:
         cli._write_csv(tmp_path / "out.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == b"t,i,value\r\n"
 
+    def test_counts_values_formatted_by_repr(self, tmp_path, monkeypatch):
+        # a value is counted once per formatting: t's 1e-5 is written on
+        # four lines and counted once, the integer column never
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 2)
+        value = np.full((3, 4), 0.5)
+        value[0, 1], value[2, 3], value[1, 0] = 1e-7, 3e16, math.nan
+        columns = [np.array([[1e-5], [0.0], [2.0]]), np.arange(4)[None],
+                   value]
+        assert cli._write_csv(tmp_path / "out.csv", ["t", "i", "value"],
+                              columns) == 4
+
     @given(values=st.lists(FLOAT64S, min_size=1, max_size=50))
     @settings(max_examples=300, deadline=None)
     def test_float_text_is_repr(self, tmp_path_factory, values):
         path = tmp_path_factory.getbasetemp() / "floats.csv"
-        cli._write_csv(path, ["value"], [np.array(values)])
+        fixed = cli._write_csv(path, ["value"], [np.array(values)])
         assert path.read_bytes().decode().split("\r\n")[1:-1] == \
             [repr(v) for v in values]
+        assert fixed == sum(v != 0.0 and not 1e-4 <= abs(v) < 1e16
+                            for v in values)
 
     @given(values=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
                            max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_int64_text_is_str(self, tmp_path_factory, values):
         path = tmp_path_factory.getbasetemp() / "ints.csv"
-        cli._write_csv(path, ["value"], [np.array(values, dtype=np.int64)])
+        assert cli._write_csv(path, ["value"],
+                              [np.array(values, dtype=np.int64)]) == 0
         assert path.read_bytes().decode().split("\r\n")[1:-1] == \
             [str(v) for v in values]
 

@@ -102,10 +102,9 @@ class TestWeakHarnackRatio:
         # ``minus`` on the cells of Q-, ``rest`` everywhere else
         g = dirichlet_grid(64)
         fld = constant_field(g, 128, geometry_half["height"] / 128, rest)
-        (t_minus, x_minus), (t_plus, _) = H._harnack_masks(
-            fld, half, 0.0, 0.5, 0.4, 0.5, 1.0)
-        assert not np.any(t_minus & t_plus)
-        fld.values[np.ix_(t_minus, x_minus)] = minus
+        _, early, late = H._harnack_masks(fld, half, 0.0, 0.5, 0.4, 0.5, 1.0)
+        assert not np.intersect1d(early, late).size
+        fld.values.reshape(-1)[early] = minus
         return fld
 
     def test_zero_late_infimum_is_unbounded(self, half, geometry_half):
@@ -149,6 +148,102 @@ class TestWeakHarnackRatio:
                                    delta=0.5, tau=1.0, p=1.0)
         assert rep.correction == pytest.approx(0.4**2 * 0.5)
         assert rep.ratio == pytest.approx(2.0 / (2.0 + 0.08))
+
+    @pytest.mark.parametrize("other", [
+        dict(n_cells=32), dict(n_steps=64), dict(step_scale=1.5)],
+        ids=["grid", "step-count", "step"])
+    def test_masks_of_another_field_refused(self, half, geometry_half,
+                                            other):
+        # masks fit only fields of their values' shape, step and grid; an
+        # unchecked flat gather would read other cells silently
+        g = geometry_half
+        kw = dict(t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0, p=1.0)
+        n_steps = other.get("n_steps", 128)
+        built = constant_field(
+            dirichlet_grid(other.get("n_cells", 64)), n_steps,
+            other.get("step_scale", 1.0) * g["height"] / n_steps, 1.0)
+        fld = constant_field(dirichlet_grid(64), 128, g["height"] / 128, 1.0)
+        masks = H._harnack_masks(built, half, 0.0, 0.5, 0.4, 0.5, 1.0)
+        with pytest.raises(H.HarnackError) as info:
+            H.weak_harnack_ratio(fld, half, masks=masks, **kw)
+        assert str(built.values.shape) in str(info.value)
+        assert str(fld.values.shape) in str(info.value)
+        assert str(built.step) in str(info.value)
+        assert H.weak_harnack_ratio(built, half, masks=masks, **kw).ratio \
+            == 1.0
+
+
+class TestGather:
+    """The flat gathers of ``_cylinder_masks`` against a boolean selection
+    of the same samples, element for element and in order."""
+
+    @staticmethod
+    def selected(field, cyl, anchor=None):
+        t_mask = (field.times > cyl.t_start) & (field.times < cyl.t_end)
+        if anchor is not None:
+            t_mask[anchor] = True
+        dist = np.linalg.norm(field.grid.centers() - np.asarray(cyl.center),
+                              axis=-1)
+        return field.values[t_mask][:, dist < cyl.radius].ravel()
+
+    @staticmethod
+    def field(shape, n_steps=96, step=0.5 / 96):
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((0.0, 1.0),) * len(shape),
+                             n_cells=shape, boundary=((bc, bc),) * len(shape))
+        values = np.random.default_rng(7).random((n_steps + 1,) + shape)
+        return S.SolutionField(grid=grid, step=step, values=values,
+                               f_samples=None, residuals=np.zeros(n_steps),
+                               wall_time=0.0)
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    def test_harnack_pair(self, half, shape):
+        from memkern.geometry import build_cylinders
+
+        fld = self.field(shape, step=2.0 * phi_bar(half, 0.4) / 96)
+        layout, *gathers = H._harnack_masks(fld, half, 0.0, 0.5, 0.4, 0.5,
+                                            1.0)
+        cylinders = build_cylinders(half, 0.0, np.full(len(shape), 0.5), 0.4,
+                                    0.5, 1.0)
+        for idx, cyl in zip(gathers, cylinders, strict=True):
+            expected = self.selected(fld, cyl)
+            assert expected.size >= 8
+            assert np.array_equal(fld.values.take(idx), expected)
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    def test_oscillation_levels_with_anchor(self, half, shape, monkeypatch):
+        fld = self.field(shape)
+        seen, gather = [], H._cylinder_masks
+
+        def recorded(field, cyl, anchor=-1):
+            seen.append((cyl, anchor))
+            return gather(field, cyl, anchor)
+
+        monkeypatch.setattr(H, "_cylinder_masks", recorded)
+        prof = H.oscillation_profile(fld, half, t1=0.3, x1=0.5, theta=1.0,
+                                     levels=[0, 1, 2, 3, 4, 5], r=0.3)
+        assert len(seen) == 6 and len(prof.levels) >= 3
+        kept = []
+        for cyl, anchor in seen:
+            assert anchor == int(0.3 / fld.step + 1e-12)
+            expected = self.selected(fld, cyl, anchor)
+            assert np.array_equal(fld.values.take(gather(fld, cyl, anchor)),
+                                  expected)
+            if expected.size >= 2:  # the levels the profile keeps
+                kept.append(expected.max() - expected.min())
+        assert prof.osc == tuple(kept)
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cyl", [Cylinder(5.0, 6.0, (0.5, 0.5), 0.3),
+                                     Cylinder(0.1, 0.2, (0.5, 0.5), 1e-3)],
+                             ids=["after-the-horizon", "between-centres"])
+    def test_empty_cylinder(self, shape, cyl):
+        fld = self.field(shape)
+        cyl = Cylinder(cyl.t_start, cyl.t_end, cyl.center[:len(shape)],
+                       cyl.radius)
+        samples = fld.values.take(H._cylinder_masks(fld, cyl))
+        assert samples.shape == self.selected(fld, cyl).shape == (0,)
+        assert samples.dtype == fld.values.dtype
 
 
 class TestEnsemble:
@@ -399,9 +494,9 @@ class TestOscillation:
         fld = S.SolutionField(grid=grid, step=0.05 / 8, values=values,
                               f_samples=None, residuals=np.zeros(8),
                               wall_time=0.0)
-        samples, cells = [], H._cells_in_cylinder
-        monkeypatch.setattr(H, "_cells_in_cylinder", lambda f, masks: (
-            samples.append(cells(f, masks)) or samples[-1]))
+        samples, cells = [], H._cylinder_masks
+        monkeypatch.setattr(H, "_cylinder_masks", lambda f, *args: (
+            samples.append(f.values.take(idx := cells(f, *args))) or idx))
         prof = H.oscillation_profile(fld, half, t1=0.045, x1=0.5, theta=1.0,
                                      levels=[0, 1, 2], r=0.2)
         assert prof.levels == (0, 1, 2) and len(samples) == 3

@@ -810,7 +810,7 @@ class TestSharedSetup:
             for stepper in steppers:
                 while stepper.m < stepper.n_steps:
                     stepper.advance()
-        for part in ("_hist", "_history", "_lead"):
+        for part in ("_hist", "_history", "_lags"):
             first, again, *others = (getattr(s, part) for s in steppers)
             assert again is first
             assert len({id(first), *map(id, others)}) == len(runs) - 1
