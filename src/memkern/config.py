@@ -20,7 +20,7 @@ import numpy as np
 
 from .measure import MeasureError, MeasureSpec, gamma_bar
 from .geometry import phi_bar, scaling_p_sup
-from .harnack import critical_exponent
+from .harnack import _anchor_slice, critical_exponent
 from .solver import (BoundaryCondition, CoefficientField, SolverError,
                      SpatialGrid)
 
@@ -313,8 +313,7 @@ def _measured(experiment: str, measure: MeasureSpec, grid: SpatialGrid,
         if params["t1"] > horizon:
             bad.append(("/params/t1", "must be at most the horizon "
                         f"2 eta Phi_bar(r) = {horizon:.6g}"))
-        # oscillation_profile's anchor slice is floor(t1 / step + 1e-12)
-        elif params["t1"] / (step := horizon / n_steps) + 1e-12 < 1.0:
+        elif _anchor_slice(params["t1"], step := horizon / n_steps) < 1:
             bad.append(("/params/t1", "must be at least the first step time "
                         f"2 eta Phi_bar(r) / n_steps = {step:.6g}"))
     return bad

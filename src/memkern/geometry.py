@@ -131,6 +131,9 @@ def build_cylinders(spec: MeasureSpec, t0: float, x0, r: float, delta: float,
     (t0 + (2-delta)*tau*Phi(2r), t0 + 2*tau*Phi(2r)) x B(x0, delta*r);
     disjoint, with the same total time span 2*tau*Phi(2r).
     """
+    for name, value in (("t0", t0), ("tau", tau), ("r", r)):
+        if not math.isfinite(value):
+            raise GeometryError(f"{name} = {value} is not finite")
     if not (0.0 < delta < 1.0):
         raise GeometryError("delta must lie in (0,1)")
     if tau <= 0.0 or r <= 0.0:

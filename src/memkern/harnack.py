@@ -20,6 +20,7 @@ from .solver import (
     CoefficientField,
     SolutionField,
     SpatialGrid,
+    _share,
     _shared_systems,
     solve,
 )
@@ -59,6 +60,12 @@ def critical_exponent(gamma_bar_value: float, n_dim: int) -> float:
     return (2.0 + n_dim * g) / (2.0 + n_dim * g - 2.0 * g)
 
 
+def _anchor_slice(t1: float, step: float) -> int:
+    """Row of the slice at time t1 on steps of ``step``, or of the last one
+    before it: the anchor of ``oscillation_profile``'s levels."""
+    return int(math.floor(t1 / step + 1e-12))
+
+
 def _point(grid: SpatialGrid, x) -> np.ndarray:
     """A point of the grid's space; one number stands for it on every axis."""
     try:
@@ -77,7 +84,7 @@ def _cylinder_masks(field: SolutionField, cyl: Cylinder,
     """Flat indices into ``field.values`` of the samples strictly inside the
     cylinder, and of the whole slice ``anchor`` if given, in row-major
     order: ``field.values.take`` of them reads the cylinder in one gather.
-    Fields with the same times and grid share them."""
+    They are read-only, as ``_harnack_masks`` shares them."""
     grid = field.grid
     if grid.dim == 0:
         raise HarnackError("cylinder measurements need a spatial grid")
@@ -88,22 +95,22 @@ def _cylinder_masks(field: SolutionField, cyl: Cylinder,
     centers = grid.centers().reshape(-1, grid.dim)
     dist = np.linalg.norm(centers - np.asarray(cyl.center), axis=1)
     cells = np.flatnonzero(dist < cyl.radius)
-    return (rows[:, None] * grid.n_total + cells).ravel()
-
-
-def _layout(field: SolutionField) -> tuple:
-    """What the cylinder samples of ``field`` depend on: the shape of its
-    values, its step and the extents of its grid."""
-    return field.values.shape, field.step, field.grid.extents
+    idx = (rows[:, None] * grid.n_total + cells).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def _harnack_masks(field: SolutionField, spec: MeasureSpec, t0: float, x0,
                    r: float, delta: float, tau: float) -> tuple:
-    """``(layout, early, late)``: ``_cylinder_masks`` of the early and the
-    late ``build_cylinders``, with the ``_layout`` of the field they fit."""
-    cylinders = build_cylinders(spec, t0, _point(field.grid, x0), r, delta,
-                                tau)
-    return (_layout(field), *(_cylinder_masks(field, c) for c in cylinders))
+    """``(early, late)``: ``_cylinder_masks`` of the early and the late
+    ``build_cylinders``, built once inside ``_shared_systems()`` for fields
+    of equal values shape, step and grid extents."""
+    center = _point(field.grid, x0)
+    key = ("cylinders", field.values.shape, field.step, field.grid.extents,
+           spec, t0, tuple(center.tolist()), r, delta, tau)
+    return _share(key, lambda: tuple(
+        _cylinder_masks(field, c)
+        for c in build_cylinders(spec, t0, center, r, delta, tau)))
 
 
 def _scale(field: SolutionField) -> float:
@@ -125,28 +132,20 @@ class HarnackReport:
 
 def weak_harnack_ratio(field: SolutionField, spec: MeasureSpec, *,
                        t0: float, x0, r: float, delta: float, tau: float,
-                       p: float, masks=None) -> HarnackReport:
+                       p: float) -> HarnackReport:
     """Ratio of the early Lp mean to the late infimum over paired cylinders.
 
     The negative-forcing correction ``r^2 * sup f^-`` enters the denominator
     whenever the field carries forcing samples.  Nonnegativity of u on the
     working cylinder is a precondition; solver round-off slightly below zero
-    is clipped.  ``masks``, the ``_harnack_masks`` of a field with the same
-    times and grid, spares building the cylinders again; those of another
-    layout are refused.
+    is clipped.
     """
     gb = gamma_bar(spec)
     kappa = critical_exponent(gb, max(field.grid.dim, 1))
     if not (0.0 < p < kappa):
         raise HarnackError(f"p={p} outside (0, {kappa:.4f})")
-    if masks is None:
-        masks = _harnack_masks(field, spec, t0, x0, r, delta, tau)
-    layout, *early_late = masks
-    if layout != _layout(field):
-        raise HarnackError("masks built for values of shape {}, step {} on "
-                           "{} do not fit a field of shape {}, step {} on {}"
-                           .format(*layout, *_layout(field)))
-    u_minus, u_plus = map(field.values.take, early_late)
+    u_minus, u_plus = map(field.values.take, _harnack_masks(
+        field, spec, t0, x0, r, delta, tau))
     if min(u_minus.size, u_plus.size) < _MIN_CYLINDER_CELLS:
         raise HarnackError(
             f"discrete cylinders too small ({u_minus.size}, {u_plus.size}); "
@@ -260,9 +259,9 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     Member m starts from ``member_data(grid, seed, m)``.  The members differ
     only in their initial data, so inside one ``_shared_systems()`` scope
     they share one set of history weights with its far-field blocks, one
-    factorised step system with its boundary vector, and one pair of
-    cylinders; each member still runs its own ``solve`` and
-    ``weak_harnack_ratio``.
+    factorised step system with its boundary vector, and the index arrays
+    of one pair of cylinders; each member runs one ``solve`` and one
+    ``weak_harnack_ratio``, which take them from the scope.
     """
     if grid.dim == 0:
         raise HarnackError("the ensemble needs a 1d or 2d grid")
@@ -271,18 +270,15 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     height = 2.0 * tau * phi_bar(spec, r)
     ratios: list[float] = []
     statuses: list[str] = []
-    worst, factorisations, fill, masks, bounds = 0.0, 0, 0, None, None
+    worst, factorisations, fill, bounds = 0.0, 0, 0, None
     wall = 0.0
     with _shared_systems():
         for member in range(n_members):
             fld = solve(spec, grid, coefficients,
                         member_data(grid, seed, member), 0.0, t0 + height,
                         n_steps)
-            if masks is None:
-                masks = _harnack_masks(fld, spec, t0, x0, r, delta, tau)
             report = weak_harnack_ratio(fld, spec, t0=t0, x0=x0, r=r,
-                                        delta=delta, tau=tau, p=p,
-                                        masks=masks)
+                                        delta=delta, tau=tau, p=p)
             statuses.append(report.status)
             ratios.append(report.ratio if report.ratio is not None
                           else math.nan)
@@ -343,7 +339,7 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     grid = field.grid
     if grid.dim == 0:
         raise HarnackError("oscillation profiles need a spatial grid")
-    top_idx = int(math.floor(t1 / field.step + 1e-12))
+    top_idx = _anchor_slice(t1, field.step)
     if top_idx < 1 or top_idx > field.n_steps:
         raise HarnackError("anchor time t1 outside the computed trajectory")
     x1c = _point(grid, x1)

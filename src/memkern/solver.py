@@ -32,12 +32,13 @@ tridiagonal LU, and in 2d by sparse LU with the minimum-degree ordering of
 its symmetric pattern (scipy is imported by ``solve``, before its clock
 starts).  Inside ``_shared_systems()``, as over the members of a Harnack
 ensemble, trajectories with equal measure, step count and step share one
-set of history weights with its far-field blocks, and those whose step
-matrices agree share one factorisation.  The relative residual of every
-step is checked against the matrix it solved with, by one sparse product at
-the end of its run (of one step when taken by ``advance``).  All weights
-are positive and decreasing back in time, which is what the nonnegativity
-and comparison checks in the test-suite lean on.
+set of history weights with its far-field blocks, those whose step
+matrices agree share one factorisation, and ``harnack`` builds the index
+arrays of a pair of cylinders once for fields of one layout.  The relative
+residual of every step is checked against the matrix it solved with, by
+one sparse product at the end of its run (of one step when taken by
+``advance``).  All weights are positive and decreasing back in time, which
+is what the nonnegativity and comparison checks in the test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -97,6 +98,16 @@ class BoundaryCondition:
         return cls("neumann_zero")
 
 
+def _pair(axis: int, what: str, value) -> tuple:
+    """``value`` unpacked as a (lo, hi) pair of the grid's axis ``axis``."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise SolverError(f"axis {axis}: {what} {value!r} is not a (lo, hi) "
+                          "pair") from None
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Cell-centered grid; empty ``extents`` selects the space-free ODE mode."""
@@ -115,11 +126,12 @@ class SpatialGrid:
                 self, "boundary",
                 tuple((BoundaryCondition.dirichlet(), BoundaryCondition.dirichlet())
                       for _ in self.extents))
-        for pair in self.boundary:
-            for bc in pair:
+        for axis, pair in enumerate(self.boundary):
+            for bc in _pair(axis, "boundary", pair):
                 if bc.kind not in ("dirichlet", "neumann_zero"):
                     raise SolverError(f"unknown boundary kind {bc.kind!r}")
-        for axis, ((lo, hi), n) in enumerate(zip(self.extents, self.n_cells)):
+        for axis, (extent, n) in enumerate(zip(self.extents, self.n_cells)):
+            lo, hi = _pair(axis, "extent", extent)
             if not -math.inf < lo < hi < math.inf:
                 raise SolverError(f"axis {axis}: extent ({lo}, {hi}) must be "
                                   "finite with upper bound above lower")
@@ -194,6 +206,10 @@ class CoefficientField:
                      period: float) -> "CoefficientField":
         """Scalar diffusivity alternating between two values on a grid of
         the given period (a standard rough-coefficient stress test)."""
+        if not 0.0 < period < math.inf:
+            raise SolverError(f"checkerboard period {period} must be finite "
+                              "and positive")
+
         def fn(x):
             odd = np.sum(np.floor(x / period), axis=-1, keepdims=True) % 2
             return np.broadcast_to(np.where(odd, high, low), x.shape)
@@ -357,8 +373,10 @@ def _shared_systems():
     caches), and equal grid, coefficients, ``beta_{m,m} + reaction`` and
     first step time take one factorised step system, and with it the
     boundary vector of that time.  Time-dependent coefficients are never
-    shared.  The set-ups are dropped when the scope closes, so none outlives
-    it and a coefficient table changed after it is read afresh."""
+    shared.  Fields of one layout take one pair of Harnack cylinders' index
+    arrays (``harnack._harnack_masks``).  The set-ups are dropped when the
+    scope closes, so none outlives it and a coefficient table changed after
+    it is read afresh."""
     token = _shared.set({})
     try:
         yield

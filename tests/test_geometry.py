@@ -115,6 +115,17 @@ class TestCylinders:
         with pytest.raises(G.GeometryError):
             G.build_cylinders(half, 0.0, 0.0, -0.5, 0.5, 1.0)
 
+    @pytest.mark.parametrize("name, t0, r, tau", [
+        ("t0", math.nan, 0.5, 1.0), ("t0", math.inf, 0.5, 1.0),
+        ("r", 0.0, math.nan, 1.0), ("r", 0.0, math.inf, 1.0),
+        ("tau", 0.0, 0.5, math.nan), ("tau", 0.0, 0.5, math.inf)])
+    def test_non_finite_parameter_rejected_naming_it(self, half, name, t0,
+                                                     r, tau):
+        # NaN or infinite tau and NaN t0 used to raise the misleading
+        # "cylinder needs t_start < t_end"
+        with pytest.raises(G.GeometryError, match=f"^{name} = .* not finite"):
+            G.build_cylinders(half, t0, 0.0, r, 0.5, tau)
+
 
 class TestScalingCertificate:
     def test_single_order_constant_ratio(self, half):

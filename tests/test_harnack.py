@@ -102,7 +102,7 @@ class TestWeakHarnackRatio:
         # ``minus`` on the cells of Q-, ``rest`` everywhere else
         g = dirichlet_grid(64)
         fld = constant_field(g, 128, geometry_half["height"] / 128, rest)
-        _, early, late = H._harnack_masks(fld, half, 0.0, 0.5, 0.4, 0.5, 1.0)
+        early, late = H._harnack_masks(fld, half, 0.0, 0.5, 0.4, 0.5, 1.0)
         assert not np.intersect1d(early, late).size
         fld.values.reshape(-1)[early] = minus
         return fld
@@ -149,29 +149,6 @@ class TestWeakHarnackRatio:
         assert rep.correction == pytest.approx(0.4**2 * 0.5)
         assert rep.ratio == pytest.approx(2.0 / (2.0 + 0.08))
 
-    @pytest.mark.parametrize("other", [
-        dict(n_cells=32), dict(n_steps=64), dict(step_scale=1.5)],
-        ids=["grid", "step-count", "step"])
-    def test_masks_of_another_field_refused(self, half, geometry_half,
-                                            other):
-        # masks fit only fields of their values' shape, step and grid; an
-        # unchecked flat gather would read other cells silently
-        g = geometry_half
-        kw = dict(t0=0.0, x0=0.5, r=0.4, delta=0.5, tau=1.0, p=1.0)
-        n_steps = other.get("n_steps", 128)
-        built = constant_field(
-            dirichlet_grid(other.get("n_cells", 64)), n_steps,
-            other.get("step_scale", 1.0) * g["height"] / n_steps, 1.0)
-        fld = constant_field(dirichlet_grid(64), 128, g["height"] / 128, 1.0)
-        masks = H._harnack_masks(built, half, 0.0, 0.5, 0.4, 0.5, 1.0)
-        with pytest.raises(H.HarnackError) as info:
-            H.weak_harnack_ratio(fld, half, masks=masks, **kw)
-        assert str(built.values.shape) in str(info.value)
-        assert str(fld.values.shape) in str(info.value)
-        assert str(built.step) in str(info.value)
-        assert H.weak_harnack_ratio(built, half, masks=masks, **kw).ratio \
-            == 1.0
-
 
 class TestGather:
     """The flat gathers of ``_cylinder_masks`` against a boolean selection
@@ -201,8 +178,7 @@ class TestGather:
         from memkern.geometry import build_cylinders
 
         fld = self.field(shape, step=2.0 * phi_bar(half, 0.4) / 96)
-        layout, *gathers = H._harnack_masks(fld, half, 0.0, 0.5, 0.4, 0.5,
-                                            1.0)
+        gathers = H._harnack_masks(fld, half, 0.0, 0.5, 0.4, 0.5, 1.0)
         cylinders = build_cylinders(half, 0.0, np.full(len(shape), 0.5), 0.4,
                                     0.5, 1.0)
         for idx, cyl in zip(gathers, cylinders, strict=True):
@@ -420,6 +396,40 @@ class TestSharedFactors:
         H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY, n_members=5,
                            seed=5, n_steps=32, r=0.4, x0=0.5)
         assert calls == {"phi": 2, "ratio": 5}
+
+    def test_cylinders_shared_only_for_one_layout_and_point(self, half):
+        # fields of equal values shape, step and grid extents share one pair
+        # of read-only index arrays for one point x0, however it is given;
+        # another values shape, step, grid or x0 has its own, and every
+        # ratio is the one computed outside the scope
+        def field(n_cells=64, n_steps=96, step_scale=1.0, lo=0.0, seed=0):
+            bc = S.BoundaryCondition.dirichlet(0.0)
+            grid = S.SpatialGrid(extents=((lo, 1.0),), n_cells=(n_cells,),
+                                 boundary=((bc, bc),))
+            values = np.random.default_rng(seed).random(
+                (n_steps + 1, n_cells)) + 0.5
+            return S.SolutionField(
+                grid=grid, step=step_scale * 2.0 * phi_bar(half, 0.4) / 96,
+                values=values, f_samples=None, residuals=np.zeros(n_steps),
+                wall_time=0.0)
+
+        runs = [(field(), 0.5), (field(seed=1), np.array([0.5])),
+                (field(n_cells=48), 0.5), (field(n_steps=128), 0.5),
+                (field(step_scale=0.9), 0.5), (field(lo=-0.25), 0.5),
+                (field(), (0.55,))]
+        kw = dict(t0=0.0, r=0.4, delta=0.5, tau=1.0)
+        with S._shared_systems():
+            masks = [H._harnack_masks(fld, half, x0=x0, **kw)
+                     for fld, x0 in runs]
+            ratios = [H.weak_harnack_ratio(fld, half, x0=x0, p=1.0,
+                                           **kw).ratio for fld, x0 in runs]
+        for part in (0, 1):
+            first, again, *others = (pair[part] for pair in masks)
+            assert again is first and not first.flags.writeable
+            assert len({id(first), *map(id, others)}) == len(runs) - 1
+        for (fld, x0), ratio in zip(runs, ratios):
+            assert ratio == H.weak_harnack_ratio(fld, half, x0=x0, p=1.0,
+                                                 **kw).ratio
 
     def test_table_changed_after_ensemble_is_read_afresh(self, half):
         H.harnack_ensemble(half, dirichlet_grid(32), IDENTITY,

@@ -992,12 +992,39 @@ class TestValidationErrors:
         (((0.0, 1.0), (-math.inf, 1.0)), (8, 8), 1),
         (((0.0, 1.0),), (3.5,), 0),
         (((0.0, 1.0),), (True,), 0),
-        (((0.0, 1.0), (0.0, 1.0)), (8, 8.0), 1)])
+        (((0.0, 1.0), (0.0, 1.0)), (8, 8.0), 1),
+        (((0.0, 1.0), (0.0, 1.0, 2.0)), (8, 8), 1),
+        (((0.0, 1.0), 1.0), (8, 8), 1)])
     def test_bad_axis_rejected_naming_it(self, extents, n_cells, axis):
         # an infinite extent used to solve with no diffusion and the boundary
-        # ignored, a NaN one to fail in the sparse LU, 3.5 cells in numpy
+        # ignored, a NaN one to fail in the sparse LU, 3.5 cells in numpy,
+        # three bounds or one with a bare ValueError or TypeError
         with pytest.raises(S.SolverError, match=f"axis {axis}"):
             S.SpatialGrid(extents=extents, n_cells=n_cells)
+
+    @pytest.mark.parametrize("boundary, axis", [
+        (((S.BoundaryCondition.dirichlet(1.0),),), 0),
+        (((S.BoundaryCondition.dirichlet(),) * 2,
+          (S.BoundaryCondition.dirichlet(),) * 3), 1),
+        (((S.BoundaryCondition.dirichlet(),) * 2,
+          S.BoundaryCondition.dirichlet()), 1)],
+        ids=["one-side", "three-sides", "bare-side"])
+    def test_boundary_not_a_pair_rejected_naming_axis(self, boundary, axis):
+        # one side used to leave the hi side zero-flux silently, three sides
+        # to fail inside solve with a bare IndexError, a bare side with a
+        # TypeError
+        extents = ((0.0, 1.0),) * len(boundary)
+        pair = re.escape("is not a (lo, hi) pair")
+        with pytest.raises(S.SolverError, match=f"axis {axis}: .* {pair}"):
+            S.SpatialGrid(extents=extents, n_cells=(8,) * len(boundary),
+                          boundary=boundary)
+
+    @pytest.mark.parametrize("period", [0.0, -0.25, math.nan, math.inf])
+    def test_checkerboard_period_must_be_finite_and_positive(self, period):
+        # period 0 or NaN gave a constant high field with RuntimeWarnings,
+        # an infinite one a constant low field
+        with pytest.raises(S.SolverError, match="period"):
+            S.CoefficientField.checkerboard(0.1, 10.0, period)
 
     def test_unknown_boundary_kind_rejected_at_construction(self):
         bc = S.BoundaryCondition.dirichlet()
