@@ -27,18 +27,21 @@ made once however it is stepped.  The step matrix is built from its
 diagonals, the main one and one symmetric band per axis (3 points in 1d, 5
 in 2d), and since beta_{m,m} = beta_{m,1} for every m, it is factorised
 once and reused for the whole trajectory unless the coefficients are
-declared time dependent: in 1d, where it is tridiagonal, by LAPACK's
-tridiagonal LU, and in 2d by sparse LU with the minimum-degree ordering of
-its symmetric pattern (scipy is imported by ``solve``, before its clock
-starts).  Inside ``_shared_systems()``, as over the members of a Harnack
-ensemble, trajectories with equal measure, step count and step share one
-set of history weights with its far-field blocks, those whose step
-matrices agree share one factorisation, and ``harnack`` builds the index
-arrays of a pair of cylinders once for fields of one layout.  The relative
-residual of every step is checked against the matrix it solved with, by
-one sparse product at the end of its run (of one step when taken by
-``advance``).  All weights are positive and decreasing back in time, which
-is what the nonnegativity and comparison checks in the test-suite lean on.
+declared time dependent: in 1d, where it is symmetric tridiagonal and
+positive definite whenever beta_{m,m} + lam > 0 (L is positive
+semidefinite), as L D L^T by LAPACK's ``dpttrf`` and ``dpttrs``, which
+refuse a matrix that is not positive definite, and in 2d by sparse LU with
+the minimum-degree ordering of its symmetric pattern (scipy is imported by
+``solve``, before its clock starts).  Inside ``_shared_systems()``, as
+over the members of a Harnack ensemble, trajectories with equal measure,
+step count and step share one set of history weights with its far-field
+blocks, those whose step matrices agree share one factorisation, and
+``harnack`` builds the index arrays of a pair of cylinders once for fields
+of one layout.  The relative residual of every step is checked against the
+matrix it solved with, by one sparse product at the end of its run (of one
+step when taken by ``advance``).  All weights are positive and decreasing
+back in time, which is what the nonnegativity and comparison checks in the
+test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -121,17 +124,16 @@ class SpatialGrid:
             raise SolverError("n_cells must match extents")
         if self.boundary and len(self.boundary) != len(self.extents):
             raise SolverError("boundary must give one (lo, hi) pair per axis")
-        if not self.boundary and self.extents:
-            object.__setattr__(
-                self, "boundary",
-                tuple((BoundaryCondition.dirichlet(), BoundaryCondition.dirichlet())
-                      for _ in self.extents))
-        for axis, pair in enumerate(self.boundary):
-            for bc in _pair(axis, "boundary", pair):
+        boundary = tuple(_pair(axis, "boundary", pair)
+                         for axis, pair in enumerate(self.boundary)) \
+            or ((BoundaryCondition.dirichlet(),) * 2,) * len(self.extents)
+        for pair in boundary:
+            for bc in pair:
                 if bc.kind not in ("dirichlet", "neumann_zero"):
                     raise SolverError(f"unknown boundary kind {bc.kind!r}")
-        for axis, (extent, n) in enumerate(zip(self.extents, self.n_cells)):
-            lo, hi = _pair(axis, "extent", extent)
+        extents = tuple(_pair(axis, "extent", extent)
+                        for axis, extent in enumerate(self.extents))
+        for axis, ((lo, hi), n) in enumerate(zip(extents, self.n_cells)):
             if not -math.inf < lo < hi < math.inf:
                 raise SolverError(f"axis {axis}: extent ({lo}, {hi}) must be "
                                   "finite with upper bound above lower")
@@ -142,6 +144,11 @@ class SpatialGrid:
                 raise SolverError(f"axis {axis}: need at least 3 cells")
         if self.dim > 2:
             raise SolverError("only dim <= 2 is supported")
+        # tuples, whether lists were given or not: the grid keys set-ups
+        # shared in _shared_systems(), and its shape extends tuples
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "n_cells", tuple(self.n_cells))
+        object.__setattr__(self, "boundary", boundary)
 
     @property
     def dim(self) -> int:
@@ -248,7 +255,7 @@ class SolutionField:
     f_samples: np.ndarray | None  # same layout, or None when f == 0
     residuals: np.ndarray
     wall_time: float
-    lu_factorisations: int = 0    # LU factorisations made here; 0 if shared
+    lu_factorisations: int = 0    # step factorisations made here; 0 if shared
     lu_fill: int = 0              # entries of the largest step factors used
     coefficient_bounds: tuple | None = None  # (nu, lam) of every step matrix
 
@@ -516,17 +523,20 @@ class TimeStepper:
 
     def _factorise(self, t: float):
         """``(full, solve, rhs_bc, (nu, lam), faces, fill, t)``: the step
-        matrix ``(beta_{m,m} + reaction) I + L_t``, its LU solve, the
+        matrix ``(beta_{m,m} + reaction) I + L_t``, its solve, the
         boundary vector at t, the ``coefficient_bounds`` of this stepper's
         reads of A up to here, the Dirichlet face diffusivities of
         ``_dirichlet``, the entries the factors hold and t itself.  ``full``
         is built from its diagonals: the main one and, per axis, one
         symmetric band at offset +-stride(axis), zero where a grid row ends.
         An interior face carries the mean diffusivity of its two cells, a
-        Dirichlet face the diffusivity at its midpoint.  In 1d the three
-        diagonals take LAPACK's tridiagonal LU, without SuperLU's fixed cost
-        per solve; a 2d ``full`` takes SuperLU with the minimum-degree
-        ordering of its symmetric pattern."""
+        Dirichlet face the diffusivity at its midpoint.  In 1d the main
+        diagonal and the band take LAPACK's L D L^T (``dpttrf``; ``dpttrs``
+        solves), 2n - 1 entries without SuperLU's fixed cost per solve; a
+        matrix that is not positive definite, possible only when
+        ``beta_{m,m} + reaction <= 0``, is refused.  A 2d ``full`` takes
+        SuperLU with the minimum-degree ordering of its symmetric
+        pattern."""
         from scipy import sparse
 
         grid, n = self.grid, self.grid.n_total
@@ -550,17 +560,20 @@ class TimeStepper:
         full = sparse.diags([diag.ravel(), *bands], [0, *offsets],
                             format="csc")
         if grid.dim == 1:
-            from scipy.linalg.lapack import dgttrf, dgttrs
+            from scipy.linalg.lapack import dpttrf, dpttrs
 
-            dl, d, du, du2, ipiv, info = dgttrf(bands[0], diag, bands[1])
+            d, e, info = dpttrf(diag, bands[0])
             if info:
-                raise SolverError(f"the step matrix at t={t} is singular "
-                                  f"(dgttrf info {info})")
+                raise SolverError(
+                    f"the 1d step matrix at t={t} with reaction "
+                    f"{self.reaction} is not positive definite (dpttrf info "
+                    f"{info}); beta_mm + reaction > 0, here "
+                    f"{self._beta_mm + self.reaction:.6g}, makes it so")
 
             def solve(b):
-                return dgttrs(dl, d, du, du2, ipiv, b)[0]
+                return dpttrs(d, e, b)[0]
 
-            fill = dl.size + d.size + du.size + du2.size
+            fill = d.size + e.size
         else:
             from scipy.sparse.linalg import splu
 
@@ -611,7 +624,7 @@ class TimeStepper:
         """``residuals`` of steps ``lo+1 .. hi`` of one base block, solved
         with the current factors, by one sparse product: ``max|full u_m -
         b_m| / max|b_m|``.  Not a backward error, it grows with the
-        condition number of ``full``: 3.8e-10 on a 2048-cell Neumann line
+        condition number of ``full``: 4.0e-10 on a 2048-cell Neumann line
         with A = 1 + x, order 1/2 and 96 steps over (0, 1], where each
         solve's normwise backward error is at most 1.6e-16."""
         start = lo % _TOEPLITZ_BLOCK
@@ -627,6 +640,7 @@ class TimeStepper:
         self._run(self.m + 1)
         return self.u[self.m]
 
+    @np.errstate(invalid="ignore")
     def _run(self, stop: int) -> None:
         """Steps ``m+1 .. stop`` in runs that share one step matrix: a base
         block's steps up to ``stop``, or one step for a time-dependent A.
@@ -639,7 +653,10 @@ class TimeStepper:
         ``_lags``, whose last entry -1 takes ``du[m-1]`` itself: a step is
         one product into its right-hand-side row, one solve and one
         difference.
-        ``_check`` ends each run."""
+        ``_check`` ends each run.  An inf in a right-hand side leaves
+        +-inf in the LDL^T solution, whose differences would warn; the
+        ``SolutionField`` built from the trajectory names the first time
+        that is not finite instead."""
         if stop > self.n_steps:
             raise SolverError("trajectory already complete")
         if self._relaxation:

@@ -633,7 +633,7 @@ class TestRunners:
         assert cli.run(config, tmp_path) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["lu_factorisations"] == (24 if time_dependent else 1)
-        assert manifest["lu_fill"] == 28
+        assert manifest["lu_fill"] == 15
 
     def test_verify_exit_two_on_nan_sonine_residual(self, tmp_path,
                                                      monkeypatch):
@@ -689,7 +689,7 @@ class TestRunners:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["max_step_residual"] <= 1e-10
         assert manifest["lu_factorisations"] == 1
-        assert manifest["lu_fill"] == 4 * 32 - 4
+        assert manifest["lu_fill"] == 2 * 32 - 1
 
     def test_harnack_runs_on_a_2d_config_grid(self, tmp_path):
         config = parse_config(small_config(

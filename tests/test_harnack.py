@@ -328,7 +328,7 @@ class TestSharedFactors:
 
     def test_one_factorisation_same_ratios(self, half, monkeypatch):
         # one set of history weights and one factorisation per ensemble, on
-        # a line (tridiagonal LU) and on a square (sparse LU), with the
+        # a line (L D L^T) and on a square (sparse LU), with the
         # ratios, worst step residual and coefficient bounds of the members
         # solved one by one outside any shared scope; 130 steps reach two
         # far-field block starts
@@ -344,7 +344,7 @@ class TestSharedFactors:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(lapack, "dgttrf", counted("lu", lapack.dgttrf))
+        monkeypatch.setattr(lapack, "dpttrf", counted("lu", lapack.dpttrf))
         monkeypatch.setattr(sparse_linalg, "splu",
                             counted("lu", sparse_linalg.splu))
         monkeypatch.setattr(S, "_history_setup",
@@ -375,6 +375,24 @@ class TestSharedFactors:
             assert calls == {"lu": 5, "weights": 5}
             assert rep.ratios == tuple(ratios)
             assert rep.max_step_residual == worst
+
+    def test_grid_given_as_lists(self, half):
+        # extents, n_cells and boundary given as lists are kept as tuples:
+        # the grid is hashed into the shared set-ups' keys, and a list of
+        # cells failed to extend the trajectory's shape
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        listed = S.SpatialGrid(extents=[[0.0, 1.0]], n_cells=[32],
+                               boundary=[[bc, bc]])
+        grid = dirichlet_grid(32)
+        assert listed == grid and hash(listed) == hash(grid)
+        u0 = H.member_data(grid, 5, 0)
+        fields = [S.solve(half, g, IDENTITY, u0, 0.0, 1.0, 32)
+                  for g in (listed, grid)]
+        assert np.array_equal(fields[0].values, fields[1].values)
+        reports = [H.harnack_ensemble(half, g, IDENTITY, n_members=3, seed=5,
+                                      n_steps=32, r=0.4, x0=0.5)
+                   for g in (listed, grid)]
+        assert reports[0].ratios == reports[1].ratios
 
     def test_cylinders_built_once_per_ensemble(self, half, monkeypatch):
         # phi once for the ensemble's horizon and once for its cylinders;

@@ -728,8 +728,8 @@ class SuperLUParityStepper(S.TimeStepper):
 
 
 class TestTridiagonalSolve:
-    """The 1d step solve, LAPACK's tridiagonal LU, against SuperLU on the
-    same step matrix and right-hand side at every step.
+    """The 1d step solve, LAPACK's L D L^T, against SuperLU on the same
+    step matrix and right-hand side at every step.
 
     The two solutions ``x`` and ``y`` agree within 1e-14 in the normwise
     backward sense: both solve the step system to rounding.  ``x - y``
@@ -737,9 +737,9 @@ class TestTridiagonalSolve:
     conditioned: on 3 cells and on the 16-cell runs that ``TestSharedSetup``
     pins.  On 64 and 2048 cells it reads up to 6.2e-12 (condition numbers
     up to 1.3e7), as both solvers err by about condition number times
-    rounding; against an extended-precision tridiagonal solve of the
-    2048-cell board the tridiagonal LU errs by 5.0e-13 and SuperLU by
-    5.7e-12."""
+    rounding; against a 40-digit tridiagonal solve of the 2048-cell board's
+    96 steps the L D L^T solve errs by at most 7.8e-13 and SuperLU by
+    6.7e-12."""
 
     @staticmethod
     def _case(case, n):
@@ -776,7 +776,7 @@ class TestTridiagonalSolve:
         stepper = self._run(half, *self._case(case, n), 96)
         if n == 3:
             assert max(stepper.forward) <= 1e-14
-        assert stepper.lu_fill == 4 * n - 4  # dl, d, du and du2
+        assert stepper.lu_fill == 2 * n - 1  # d and e of L D L^T
         assert stepper.lu_factorisations == (96 if case == "time-dependent"
                                              else 1)
 
@@ -824,14 +824,14 @@ class TestSharedSetup:
     # each run checked against SuperLU by TestTridiagonalSolve and against
     # the direct history product by test_refreshed_runs_match_direct_history
     REFRESHED = {
-        "callable-f": (3, 1, "0a933168739dac359a9f051629bd9770"
-                             "c0bfd25e4176f1a1d5be484c9a617b3b"),
-        "callable-g": (3, 1, "63d6866a2912e139bec3c96335775a68"
-                             "88a11c0bce352217061d84f97df8ea7f"),
-        "time-dependent": (3 * 32, 32, "bf4da19232c43403b015dfc306fd860b"
-                                       "8680337d60127f837b609ba9daba6441"),
-        "time-dependent-f-g": (3 * 32, 32, "be210a1158f2c220d375ba774bf57e94"
-                                           "85013b946e9a0b20ecbc8ba4377725a0"),
+        "callable-f": (3, 1, "ac50107c6ddcaab908e5e1633fccdb54"
+                             "40b0494dbcf943e371910d96a3b3d889"),
+        "callable-g": (3, 1, "9ab5eade958f00a3f9cf5460937745d4"
+                             "11b3f6275db9ba8093a439ce31adf62f"),
+        "time-dependent": (3 * 32, 32, "b48b6fa330b3557856b0b505984a8d08"
+                                       "88ebcf75ad191745a572220a0a339097"),
+        "time-dependent-f-g": (3 * 32, 32, "4c4e56866aa0bb9de87a97d1e4008bb5"
+                                           "5d0e50107e2b296cb15992d90c2302c7"),
     }
 
     @pytest.mark.parametrize("n_steps", [32, 160])
@@ -1058,6 +1058,25 @@ class TestValidationErrors:
                                match="history weights must be finite"):
                 S.TimeStepper(half, grid, coeffs, 1.0, 0.0, 1.0, 4,
                               kernel_cumulative=[0.0, 1.0, 2.0, 3.0, last])
+
+    def test_indefinite_1d_step_matrix_refused(self, half):
+        # beta_mm = 4 / Gamma(3/2) ~ 4.51 at order 1/2 and step 1/16, and L
+        # of a Neumann line annihilates constants: with reaction -10 the
+        # step matrix is indefinite, and a trajectory from u0 = 1 would
+        # turn negative (u(T) = -0.057 by a pivoted LU)
+        with pytest.raises(S.SolverError, match=re.escape(
+                "1d step matrix at t=0.0625 with reaction -10.0 is not "
+                "positive definite")):
+            S.solve(half, neumann_grid(8), IDENTITY, 1.0, 0.0, 1.0, 16,
+                    reaction=-10.0)
+        # above -beta_mm it stays positive definite, and the flat line is
+        # the relaxation trajectory of the same reaction
+        line = S.solve(half, neumann_grid(8), IDENTITY, 1.0, 0.0, 1.0, 16,
+                       reaction=-2.0)
+        ode = S.solve(half, S.SpatialGrid(), None, 1.0, 0.0, 1.0, 16,
+                      reaction=-2.0)
+        assert np.max(np.abs(line.values - ode.values)) <= \
+            1e-13 * np.max(ode.values)
 
     @pytest.mark.parametrize("case, t_bad", [
         ("u0", 0.0), ("f", 0.0625), ("dirichlet", 0.0625),
