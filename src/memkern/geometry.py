@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import (
+    MeasureError,
     MeasureSpec,
+    _as_time_array,
     alpha_power_moment,
     gamma_bar,
     power_moment,
@@ -57,15 +59,15 @@ _PHI_LO, _PHI_HI = 1e-300, 1e300
 def phi(spec: MeasureSpec, r):
     """Time height Phi(r): the unique solution of ``k1(Phi(r)) = r^-2``.
 
-    Array in, array out; scalar in, float out.  Every radius runs Newton on
+    In the form of r (``_as_time_array``).  Every radius runs Newton on
     log k1 against log x from x = 1, clipped to [1e-300, 1e300] and frozen
     once its step is below 1e-13, so a radius gets the same bits alone or in
     a batch.
     """
-    r_arr = np.asarray(r, dtype=float)
-    flat = r_arr.ravel()
-    if np.any(flat <= 0.0):
-        raise GeometryError("phi requires r > 0")
+    try:
+        flat, form = _as_time_array(r)
+    except MeasureError:
+        raise GeometryError("phi requires finite radii r > 0") from None
     target = flat ** -2.0
     k1_lo, k1_hi = power_moment(spec, _PHI_LO), power_moment(spec, _PHI_HI)
     crossed = (k1_lo > target) & (target > k1_hi)
@@ -92,14 +94,13 @@ def phi(spec: MeasureSpec, r):
         i = int(np.argmax(~(resid <= 1e-11)))
         raise GeometryError(
             f"phi root polish failed at r={flat[i]}: residual {resid[i]}")
-    if np.ndim(r) == 0 and not isinstance(r, np.ndarray):
-        return float(x[0])
-    return x.reshape(r_arr.shape)
+    return form(x)
 
 
 def phi_bar(spec: MeasureSpec, r):
     """Doubled-radius height ``Phi(2r)``, the natural cylinder time scale."""
-    return phi(spec, 2.0 * np.asarray(r))
+    heights = phi(spec, 2.0 * np.ravel(r))  # refuses r as phi does
+    return _as_time_array(r)[1](heights)
 
 
 # ---------------------------------------------------------------------------

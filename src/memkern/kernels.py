@@ -137,10 +137,9 @@ def _k_moments(spec: MeasureSpec, t, depths):
     depth: cell moments are differences of these sums and would amplify the
     extra rounding of t^d * t^-alpha.  A depth d need not be an integer: it
     gives the Riemann-Liouville integral of order d.  Depths >= 1 are 0 at
-    t = 0; an array t gives arrays of its shape, anything else floats.
+    t = 0; each depth in the form of t (``_as_time_array``).
     """
-    t_arr = _as_time_array(t, positive=0 in depths)
-    t_flat = t_arr.ravel()
+    t_flat, form = _as_time_array(t, positive=0 in depths)
     pos = t_flat > 0.0
     tp = t_flat[pos]
     out = np.zeros((len(depths), t_flat.size))
@@ -164,9 +163,7 @@ def _k_moments(spec: MeasureSpec, t, depths):
             for i, d in enumerate(depths):
                 vals[i, lo:lo + rows] = tt ** (d - alpha) @ coeff[i]
         out[:, pos] = vals
-    if isinstance(t, np.ndarray):
-        return [row.reshape(t_arr.shape) for row in out]
-    return [float(row[0]) for row in out]
+    return [form(row) for row in out]
 
 
 def k_eval(spec: MeasureSpec, t):
@@ -193,8 +190,8 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
     """
     if not 0.0 <= theta < math.inf:
         raise ValueError(f"theta must be finite and nonnegative, not {theta}")
-    p_arr = np.asarray(p, dtype=float)
-    s, c = sin_cos_moments(spec, p_arr)
+    p_flat, form = _as_time_array(p)
+    s, c = sin_cos_moments(spec, p_flat)
     d = theta + c
     scale = np.maximum(np.abs(s), np.abs(d))
     safe = np.where(scale > 0.0, scale, 1.0)
@@ -202,9 +199,7 @@ def h_laplace_eval(spec: MeasureSpec, p, theta: float = 0.0):
         h = np.where(scale > 0.0,
                      (s / safe) / (safe * ((s / safe) ** 2 + (d / safe) ** 2)),
                      0.0)
-    if isinstance(p, np.ndarray):
-        return h, s, c
-    return float(h), float(s), float(c)
+    return form(h), form(s), form(c)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +338,17 @@ def _exp_sums(p: np.ndarray, weights: np.ndarray, ts: np.ndarray,
 
 
 def _laplace_inversion(spec: MeasureSpec, t, theta: float):
-    """r_theta at t: one ``_exp_sums`` over one ``_inversion_table`` for
-    all of t.  An array t gives an array of its shape; anything else a float.
+    """r_theta at t, in the form of t (``_as_time_array``): one
+    ``_exp_sums`` over one ``_inversion_table`` for all of t.
     """
-    t_arr = _as_time_array(t)
-    t_flat = t_arr.ravel()
+    t_flat, form = _as_time_array(t)
     out = np.empty(t_flat.size)
     if t_flat.size:
         order = np.argsort(t_flat)
         ts = t_flat[order]
         p, weights, _ = _inversion_table(spec, theta, ts[0], ts[-1])
         out[order] = _exp_sums(p, weights, ts)[:, 0]
-    if isinstance(t, np.ndarray):
-        return out.reshape(t_arr.shape)
-    return float(out[0])
+    return form(out)
 
 
 def _cell_factors(v: np.ndarray) -> np.ndarray:
@@ -453,10 +445,9 @@ def _running_integrals(spec: MeasureSpec, t, theta: float) -> list:
     moment and (t * depth 2 - bubble)/2 of the cell (0, t] of
     ``_resolvent_kernels``, on one ``_inversion_table`` with its right tails
     j = 1, 2, 3, one ``_cell_factors`` call per block of at most
-    ``_TILE_ENTRIES`` entries.  An array t gives arrays of its shape.
+    ``_TILE_ENTRIES`` entries.  Each in the form of t (``_as_time_array``).
     """
-    t_arr = _as_time_array(t)
-    t_flat = t_arr.ravel()
+    t_flat, form = _as_time_array(t)
     out = np.empty((3, t_flat.size))
     if t_flat.size:
         p, weights, tails = _inversion_table(
@@ -471,9 +462,7 @@ def _running_integrals(spec: MeasureSpec, t, theta: float) -> list:
             depth2 = tt * mass - (tt**2 * phi[1] + tails[1])
             bubble = tt**3 * phi[2] + tt * tails[1] - 2.0 * tails[2]
             out[:, lo:lo + rows] = mass, depth2, 0.5 * (tt * depth2 - bubble)
-    if isinstance(t, np.ndarray):
-        return [row.reshape(t_arr.shape) for row in out]
-    return [float(row[0]) for row in out]
+    return [form(row) for row in out]
 
 
 def l_eval(spec: MeasureSpec, t):
@@ -607,12 +596,18 @@ class DiscreteKernel:
         )
 
 
+def _is_integer(n) -> bool:
+    """The one integer test of counts: an int or a numpy integer, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _grid_times(step: float, n: int) -> np.ndarray:
     """t_j = j*step, j = 1..n, after the one check of a sampled grid: a
-    finite step > 0 and horizon, n >= 2 and the small-t floor."""
-    if n < 2 or not 0.0 < step <= step * n < math.inf:
+    finite step > 0 and horizon, an integer n >= 2 and the small-t floor."""
+    if not (_is_integer(n) and n >= 2 and 0.0 < step <= step * n < math.inf):
         raise KernelGridError(f"need a finite step > 0, a finite horizon "
-                              f"and n >= 2, not step {step} and n {n}")
+                              f"and an integer n >= 2, not step {step} and "
+                              f"n {n!r}")
     if 1.0 < _SMALL_T_FLOOR * n:
         raise KernelGridError("grid too fine: first node below the small-t floor")
     return step * np.arange(1, n + 1)
@@ -640,8 +635,8 @@ def sample_kernels(spec: MeasureSpec, kinds, step: float, n: int,
             [w for _, w, _ in tables]), t, step).T)
     out = []
     for kind in kinds:
-        vals = np.asarray(evaluators[kind](spec, t) if kind in evaluators
-                          else next(inverted), dtype=float)
+        vals = (evaluators[kind](spec, t) if kind in evaluators
+                else next(inverted))
         if not np.all(np.isfinite(vals)):
             raise KernelGridError("samples must be finite")
         if np.any(vals < 0.0):
@@ -723,7 +718,7 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
     from .geometry import phi  # local import to avoid a cycle
     t = l_kernel.times
     l_vals = l_kernel.values
-    denom = t * np.asarray(k1_eval(spec, t))  # int t^(1-a) dmu = t * k1(t)
+    denom = t * k1_eval(spec, t)  # int t^(1-a) dmu = t * k1(t)
     upper = l_vals * denom
     hard = int(np.sum(~(upper <= 1.0 + 1e-12)))  # NaN counts as a violation
 
@@ -743,7 +738,7 @@ def bound_certificates(spec: MeasureSpec, l_kernel: DiscreteKernel, *,
         avg = np.cumsum(r_theta.cell_mass[:ct.size]) / ct
         chain1 = r_theta.values[:ct.size] / avg
         chain2 = avg / l_vals[window]
-        chain3 = l_vals[window] * np.asarray(one_star_k_eval(spec, ct))
+        chain3 = l_vals[window] * one_star_k_eval(spec, ct)
     else:
         chain1 = chain2 = chain3 = np.array([])
     return BoundCertificates(

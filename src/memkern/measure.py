@@ -229,12 +229,11 @@ def mu_integral(spec: MeasureSpec, g: Callable[[float], float]) -> float:
 
 
 def _power_antiderivative(t, a: float, b: float):
-    """Integral of t^(-alpha) over alpha in [a, b]; exact, t broadcastable.
+    """Integral of t^(-alpha) over alpha in [a, b] at the array t; exact.
 
     Near t = 1 the closed form cancels catastrophically, so a short series in
     log t takes over; its leading term is the t = 1 limit b - a.
     """
-    t = np.asarray(t, dtype=float)
     log_t = np.log(t)
     small = np.abs(log_t) < 1e-3
     safe = np.where(small, 1.0, log_t)
@@ -245,10 +244,13 @@ def _power_antiderivative(t, a: float, b: float):
     return np.where(small, series, regular)
 
 
-def _as_time_array(t, positive: bool = True) -> np.ndarray:
-    """t (or p) as an array, finite and positive (nonnegative with
-    ``positive=False``): the one time check of the moments and kernels.  The
-    minimum carries a NaN, so two reductions check every entry."""
+def _as_time_array(t, positive: bool = True):
+    """``(flat, form)``: t (or p) flat as floats, finite and positive
+    (nonnegative with ``positive=False``), and the function that gives a
+    flat result t's form: an array of t's shape if t is an ndarray (0-d too),
+    list or tuple, else a float.  The one time check and form rule of the
+    moments, kernels and Phi; the minimum carries a NaN, so two reductions
+    check every entry."""
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size:
         lo = t_arr.min()
@@ -256,13 +258,15 @@ def _as_time_array(t, positive: bool = True) -> np.ndarray:
                 and t_arr.max() < math.inf):
             kind = "positive" if positive else "nonnegative"
             raise MeasureError(f"evaluation points must be finite and {kind}")
-    return t_arr
+    if isinstance(t, (np.ndarray, list, tuple)):
+        return t_arr.ravel(), lambda out: out.reshape(t_arr.shape)
+    return t_arr.ravel(), lambda out: float(out[0])
 
 
 def power_moment(spec: MeasureSpec, t):
-    """Exact moment ``integral of t^(-alpha) d mu(alpha)``.  Scalar in, scalar
-    out; arrays broadcast."""
-    t_arr = _as_time_array(t)
+    """Exact moment ``integral of t^(-alpha) d mu(alpha)``, in the form of t
+    (``_as_time_array``)."""
+    t_arr, form = _as_time_array(t)
     out = np.zeros_like(t_arr)
     for a, q in spec.atoms:
         if q == 0.0:
@@ -272,12 +276,12 @@ def power_moment(spec: MeasureSpec, t):
         if w == 0.0:
             continue
         out = out + w * _power_antiderivative(t_arr, a, b)
-    return out if isinstance(t, np.ndarray) else float(out)
+    return form(out)
 
 
 def alpha_power_moment(spec: MeasureSpec, t):
     """Exact moment ``integral of alpha * t^(-alpha) d mu(alpha)``."""
-    t_arr = _as_time_array(t)
+    t_arr, form = _as_time_array(t)
     out = np.zeros_like(t_arr)
     for a, q in spec.atoms:
         if q == 0.0:
@@ -296,20 +300,18 @@ def alpha_power_moment(spec: MeasureSpec, t):
         series = ((b**2 - a**2) / 2.0 + m * (b**3 - a**3) / 3.0
                   + m**2 * (b**4 - a**4) / 8.0 + m**3 * (b**5 - a**5) / 30.0)
         out = out + w * np.where(small, series, exact)
-    return out if isinstance(t, np.ndarray) else float(out)
+    return form(out)
 
 
 def sin_cos_moments(spec: MeasureSpec, p):
     """Oscillatory moments ``(S, C) = (int p^a sin(pi a) dmu, int p^a cos(pi a) dmu)``.
 
     Exact for both atoms and weight pieces (the piece antiderivatives of
-    exp(a log p) sin/cos(pi a) are elementary).  ``p`` broadcasts.
+    exp(a log p) sin/cos(pi a) are elementary).  Both in the form of p.
     """
-    p_arr = _as_time_array(p)
+    p_arr, form = _as_time_array(p)
     s, c = _sin_cos_log(spec, np.log(p_arr), p_arr)
-    if isinstance(p, np.ndarray):
-        return s, c
-    return float(s), float(c)
+    return form(s), form(c)
 
 
 def _sin_cos_pi(a: float) -> tuple[float, float]:

@@ -29,19 +29,20 @@ in 2d), and since beta_{m,m} = beta_{m,1} for every m, it is factorised
 once and reused for the whole trajectory unless the coefficients are
 declared time dependent: in 1d, where it is symmetric tridiagonal and
 positive definite whenever beta_{m,m} + lam > 0 (L is positive
-semidefinite), as L D L^T by LAPACK's ``dpttrf`` and ``dpttrs``, which
-refuse a matrix that is not positive definite, and in 2d by sparse LU with
-the minimum-degree ordering of its symmetric pattern (scipy is imported by
-``solve``, before its clock starts).  Inside ``_shared_systems()``, as
-over the members of a Harnack ensemble, trajectories with equal measure,
-step count and step share one set of history weights with its far-field
-blocks, those whose step matrices agree share one factorisation, and
-``harnack`` builds the index arrays of a pair of cylinders once for fields
-of one layout.  The relative residual of every step is checked against the
-matrix it solved with, by one sparse product at the end of its run (of one
-step when taken by ``advance``).  All weights are positive and decreasing
-back in time, which is what the nonnegativity and comparison checks in the
-test-suite lean on.
+semidefinite), as L D L^T by LAPACK's ``dpttrf`` and ``dpttrs``, and in 2d
+by sparse LU with the minimum-degree ordering of its symmetric pattern and
+no row pivoting, whose pivots then have the signs of the eigenvalues; in
+both a step matrix that is not positive definite is refused (scipy is
+imported by ``solve``, before its clock starts).  Inside
+``_shared_systems()``, as over the members of a Harnack ensemble,
+trajectories with equal measure, step count and step share one set of
+history weights with its far-field blocks, those whose step matrices agree
+share one factorisation, and ``harnack`` builds the index arrays of a pair
+of cylinders once for fields of one layout.  The relative residual of every
+step is checked against the matrix it solved with, by one sparse product at
+the end of its run (of one step when taken by ``advance``).  All weights
+are positive and decreasing back in time, which is what the nonnegativity
+and comparison checks in the test-suite lean on.
 
 A, u0, f and the Dirichlet values g are data on point sets of shape
 ``(..., dim)`` (the cell centres, and a side's face midpoints for A and g),
@@ -63,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .measure import MeasureSpec
-from .kernels import one_star_k_eval
+from .kernels import _is_integer, one_star_k_eval
 from .volterra import _TOEPLITZ_BLOCK, _ToeplitzHistory, _toeplitz_solve
 
 __all__ = [
@@ -137,7 +138,7 @@ class SpatialGrid:
             if not -math.inf < lo < hi < math.inf:
                 raise SolverError(f"axis {axis}: extent ({lo}, {hi}) must be "
                                   "finite with upper bound above lower")
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            if not _is_integer(n):
                 raise SolverError(
                     f"axis {axis}: n_cells {n!r} is not an integer")
             if n < 3:
@@ -303,8 +304,7 @@ class SolutionField:
 
 def conv_weights(spec: MeasureSpec, m: int, tau: float) -> np.ndarray:
     """History weights beta_{m,1..m} from exact differences of K = 1*k."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1
-            and 0.0 < tau < math.inf):
+    if not (_is_integer(m) and m >= 1 and 0.0 < tau < math.inf):
         raise SolverError("need an integer m >= 1 and a finite tau > 0, "
                           f"not {m!r} and {tau}")
     return _history_setup(spec, m, tau, None)[0].copy()
@@ -430,7 +430,7 @@ class TimeStepper:
                  coefficients: CoefficientField | None, u0, f,
                  horizon: float, n_steps: int, *, reaction: float = 0.0,
                  kernel_cumulative: np.ndarray | None = None):
-        if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1
+        if not (_is_integer(n_steps) and n_steps >= 1
                 and 0.0 < horizon < math.inf):
             raise SolverError("need an integer n_steps >= 1 and a finite "
                               f"horizon > 0, not {n_steps!r} and {horizon}")
@@ -532,11 +532,13 @@ class TimeStepper:
         An interior face carries the mean diffusivity of its two cells, a
         Dirichlet face the diffusivity at its midpoint.  In 1d the main
         diagonal and the band take LAPACK's L D L^T (``dpttrf``; ``dpttrs``
-        solves), 2n - 1 entries without SuperLU's fixed cost per solve; a
-        matrix that is not positive definite, possible only when
-        ``beta_{m,m} + reaction <= 0``, is refused.  A 2d ``full`` takes
-        SuperLU with the minimum-degree ordering of its symmetric
-        pattern."""
+        solves), 2n - 1 entries without SuperLU's fixed cost per solve.  A
+        2d ``full`` takes SuperLU with the minimum-degree ordering of its
+        symmetric pattern and no row pivoting: with equal row and column
+        permutations the signs of U's diagonal are those of the eigenvalues
+        (Sylvester's law of inertia).  In both, a matrix that is not
+        positive definite, possible only when ``beta_{m,m} + reaction <=
+        0``, is refused."""
         from scipy import sparse
 
         grid, n = self.grid, self.grid.n_total
@@ -563,12 +565,7 @@ class TimeStepper:
             from scipy.linalg.lapack import dpttrf, dpttrs
 
             d, e, info = dpttrf(diag, bands[0])
-            if info:
-                raise SolverError(
-                    f"the 1d step matrix at t={t} with reaction "
-                    f"{self.reaction} is not positive definite (dpttrf info "
-                    f"{info}); beta_mm + reaction > 0, here "
-                    f"{self._beta_mm + self.reaction:.6g}, makes it so")
+            definite = info == 0
 
             def solve(b):
                 return dpttrs(d, e, b)[0]
@@ -577,8 +574,17 @@ class TimeStepper:
         else:
             from scipy.sparse.linalg import splu
 
-            lu = splu(full, permc_spec="MMD_AT_PLUS_A")
-            solve, fill = lu.solve, lu.L.nnz + lu.U.nnz
+            lu = splu(full, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+            upper = lu.U
+            definite = (np.array_equal(lu.perm_r, lu.perm_c)
+                        and upper.diagonal().min() > 0.0)
+            solve, fill = lu.solve, lu.L.nnz + upper.nnz
+        if not definite:
+            raise SolverError(
+                f"the {grid.dim}d step matrix at t={t} with reaction "
+                f"{self.reaction} is not positive definite; beta_mm + "
+                f"reaction > 0, here {self._beta_mm + self.reaction:.6g}, "
+                "makes it so")
         self.lu_factorisations += 1
         return (full, solve, rhs_bc.ravel(), self.coefficient_bounds, faces,
                 fill, t)

@@ -370,8 +370,8 @@ def yosida_kernels(spec: MeasureSpec, n: int, step: float, n_steps: int
     no difference of running integrals; k_n = n*s_n stays exact when n
     outruns the grid and h_n concentrates inside the first cell.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if not (_kernels._is_integer(n) and n >= 1):
+        raise ValueError(f"n must be a positive integer, not {n!r}")
     theta = float(n)
     h, s_n = (k.scaled(theta) for k in _kernels._resolvent_kernels(
         spec, theta, step, n_steps, (0, 1)))

@@ -65,6 +65,13 @@ class TestPhi:
         with pytest.raises(G.GeometryError):
             G.phi(half, 0.0)
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_radius_not_finite_and_positive_raises(self, half, r):
+        # NaN and inf failed later, as "no bracket" for phi(nan)
+        for f in (G.phi, G.phi_bar):
+            with pytest.raises(G.GeometryError, match="finite radii r > 0"):
+                f(half, np.array([0.5, r]))
+
     def test_bracket_failure_raises(self):
         # the uniform weight has only log decay of k1, so huge radii push
         # the root beyond the representable bracket

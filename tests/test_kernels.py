@@ -9,6 +9,7 @@ from scipy.special import rgamma
 from memkern.measure import (MeasureSpec, MeasureError, alpha_power_moment,
                              mu_integral, power_moment, sin_cos_moments)
 from memkern import cli
+from memkern import geometry as G
 from memkern import kernels as K
 from memkern import volterra as V
 from memkern.config import parse_config
@@ -51,6 +52,39 @@ class TestPointwiseKernels:
         for arg in (t, np.array([0.5, t])):
             with pytest.raises(MeasureError):
                 entry(half, arg)
+
+    FORMED = {
+        "k_eval": K.k_eval, "k1_eval": K.k1_eval,
+        "one_star_k_eval": K.one_star_k_eval, "l_eval": K.l_eval,
+        "r_theta_eval": lambda spec, t: K.r_theta_eval(spec, t, 4.0),
+        "resolvent_running_integral": K.resolvent_running_integral,
+        "power_moment": power_moment, "alpha_power_moment": alpha_power_moment,
+        "sin_cos_moments": sin_cos_moments, "h_laplace_eval": K.h_laplace_eval,
+        "phi": G.phi, "phi_bar": G.phi_bar}
+
+    @pytest.mark.parametrize("name", list(FORMED))
+    def test_form_rule(self, half, name):
+        # the result takes the form of the points (measure._as_time_array):
+        # k_eval of [0.5, 1.0] was the float k(0.5), power_moment of it a
+        # TypeError
+        def parts(out):
+            return out if isinstance(out, tuple) else (out,)
+
+        f = self.FORMED[name]
+        for points in ([0.5, 1.0], (0.5, 1.0), [[0.5, 1.0], [2.0, 0.25]]):
+            for got, ref in zip(parts(f(half, points)),
+                                parts(f(half, np.array(points)))):
+                assert type(got) is np.ndarray
+                assert got.shape == np.shape(points)
+                assert np.array_equal(got, ref)
+        for point in (0.5, np.float64(0.5)):
+            for got, ref in zip(parts(f(half, point)),
+                                parts(f(half, np.array([0.5])))):
+                assert type(got) is float and got == ref[0]
+        for got in parts(f(half, np.array(0.5))):
+            assert type(got) is np.ndarray and got.shape == ()
+        for got in parts(f(half, [])):
+            assert type(got) is np.ndarray and got.shape == (0,)
 
     def test_k1_values(self, half):
         assert K.k1_eval(half, 4.0) == pytest.approx(0.5, rel=1e-14)

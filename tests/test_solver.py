@@ -9,7 +9,7 @@ import pytest
 from memkern.measure import MeasureSpec
 from memkern import solver as S
 from memkern import volterra as V
-from memkern.kernels import one_star_k_eval
+from memkern.kernels import one_star_k_eval, sample_kernel
 
 E_HALF_AT_1 = 0.4275835761558070  # E_{1/2}(-1) = e * erfc(1)
 
@@ -438,6 +438,37 @@ class TestBlockHistory:
             ref.advance()
         scale = np.max(np.abs(ref.u))
         assert np.max(np.abs(fld.values - ref.u)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mixture", [False, True], ids=["half", "mixture"])
+    def test_point_source_response_is_shift_invariant(self, half, dim,
+                                                      mixture):
+        # the weights and A do not depend on time, so a unit source in the
+        # middle cell at step s answers with the step-1 response delayed by
+        # s - 1 steps; the steps s cross the base blocks of 64 and the dense
+        # and FFT far-field spans of the block history
+        spec = MeasureSpec.from_atoms([(0.2, 0.99), (0.9, 0.01)]) \
+            if mixture else half
+        n_cells = 64 if dim == 1 else 24
+        grid = S.SpatialGrid(extents=((-3.5, 4.5),) * dim,
+                             n_cells=(n_cells,) * dim)
+        coeffs = S.CoefficientField.checkerboard(0.1, 10.0, 0.5)
+        n_steps = 384
+        source = np.zeros(grid.shape)
+        source[(n_cells // 2,) * dim] = 1.0
+
+        def response(s):
+            def f(t, x):
+                return source if round(t * n_steps) == s else 0.0
+            return S.solve(spec, grid, coeffs, 0.0, f, 1.0, n_steps).values
+
+        first = response(1)
+        scale = np.max(np.abs(first))
+        for s in (2, 17, 64, 65, 130, 300):
+            u = response(s)
+            assert np.all(u[:s] == 0.0), s
+            assert np.max(np.abs(u[s:] - first[1:n_steps + 2 - s])) <= \
+                1e-13 * scale, s
 
 
 class TestSteppingInPieces:
@@ -1002,6 +1033,23 @@ class TestValidationErrors:
         with pytest.raises(S.SolverError, match=f"axis {axis}"):
             S.SpatialGrid(extents=extents, n_cells=n_cells)
 
+    COUNTS = {
+        "sample_l": lambda spec, n: V.sample_l(spec, 0.1, n),
+        "sample_kernel": lambda spec, n: sample_kernel(spec, "k", 0.1, n),
+        "yosida_kernels": lambda spec, n: V.yosida_kernels(spec, n, 0.1, 8),
+        "conv_weights": lambda spec, n: S.conv_weights(spec, n, 0.1),
+        "TimeStepper": lambda spec, n: S.TimeStepper(
+            spec, S.SpatialGrid(), None, 1.0, 0.0, 1.0, n)}
+
+    @pytest.mark.parametrize("count", [2.5, 4.0, True, np.float64(8.0)],
+                             ids=["2.5", "4.0", "True", "float64"])
+    @pytest.mark.parametrize("name", list(COUNTS))
+    def test_count_not_an_integer_refused(self, half, name, count):
+        # sample_l took 2.5 as 3 samples and sample_kernel 3.7 as 4,
+        # yosida_kernels built n = 2.5 and conv_weights took True as m = 1
+        with pytest.raises((ValueError, S.SolverError), match="integer"):
+            self.COUNTS[name](half, count)
+
     @pytest.mark.parametrize("boundary, axis", [
         (((S.BoundaryCondition.dirichlet(1.0),),), 0),
         (((S.BoundaryCondition.dirichlet(),) * 2,
@@ -1077,6 +1125,25 @@ class TestValidationErrors:
                       reaction=-2.0)
         assert np.max(np.abs(line.values - ode.values)) <= \
             1e-13 * np.max(ode.values)
+
+    def test_indefinite_2d_step_matrix_refused(self, half):
+        # the 8 x 8 Neumann square has one negative eigenvalue at reaction
+        # -10 (L annihilates constants), which a pivoted LU solved without
+        # comment to u(T) = -0.057; the Dirichlet square's smallest
+        # eigenvalue of L, about 2 pi^2, keeps the same reaction definite
+        def square(bc):
+            return S.SpatialGrid(extents=((0.0, 1.0),) * 2, n_cells=(8, 8),
+                                 boundary=((bc, bc),) * 2)
+
+        with pytest.raises(S.SolverError, match=re.escape(
+                "2d step matrix at t=0.0625 with reaction -10.0 is not "
+                "positive definite")):
+            S.solve(half, square(S.BoundaryCondition.neumann_zero()),
+                    IDENTITY, 1.0, 0.0, 1.0, 16, reaction=-10.0)
+        walled = S.solve(half, square(S.BoundaryCondition.dirichlet(0.0)),
+                         IDENTITY, 1.0, 0.0, 1.0, 16, reaction=-10.0)
+        assert walled.max_step_residual <= 1e-12
+        assert np.all(walled.values[-1] > 0.0)
 
     @pytest.mark.parametrize("case, t_bad", [
         ("u0", 0.0), ("f", 0.0625), ("dirichlet", 0.0625),
