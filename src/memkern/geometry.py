@@ -267,8 +267,6 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     log_lhs = np.array(log_lhs)
     log_rhs = 2.0 * p * np.log(r)
     log_ratio = log_lhs - log_rhs
-    with np.errstate(over="ignore"):
-        ratio = np.exp(log_ratio)
 
     inside = phi2r <= 1.0
     if not np.any(inside):
@@ -281,7 +279,13 @@ def scaling_certificate(spec: MeasureSpec, p: float,
     leading = int(np.logical_and.accumulate(within).sum())
     r_adm = float(r[max(leading, 1) - 1])
     window = inside & (r <= r_adm)
-    c_emp = float(np.exp(np.max(log_ratio[window])))
+    log_c_emp = float(np.max(log_ratio[window]))
+    if log_c_emp > math.log(np.finfo(float).max):
+        raise GeometryError(f"scaling certificate at p = {p:.6g}: log c_emp = "
+                            f"{log_c_emp:.6g} is past the double range")
+    c_emp = float(np.exp(log_c_emp))
+    with np.errstate(over="ignore"):
+        ratio = np.exp(log_ratio)
     return ScalingCertificate(p=p, r=r, phi_2r=phi2r, log_lhs=log_lhs,
                               log_rhs=log_rhs, log_ratio=log_ratio,
                               ratio=ratio, c_emp=c_emp, r_admissible=r_adm,

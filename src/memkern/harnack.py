@@ -16,6 +16,7 @@ import numpy as np
 
 from .measure import MeasureSpec, gamma_bar
 from .geometry import Cylinder, build_cylinders, phi_bar
+from .kernels import _is_integer
 from .solver import (
     CoefficientField,
     SolutionField,
@@ -44,6 +45,7 @@ _MIN_CYLINDER_CELLS = 8
 _PROFILE_MODES = 8  # Fourier modes of random_fourier_profile
 _PROFILE_DECAY = 1.5  # amplitude m^-decay of its mode m
 _FLAT_TOL = 1e-10  # strong_max_check: attained and flat within this
+_SNAP = 1e-9  # an edge this near a node, in steps or radii, lies on it
 
 
 class HarnackError(ValueError):
@@ -60,10 +62,25 @@ def critical_exponent(gamma_bar_value: float, n_dim: int) -> float:
     return (2.0 + n_dim * g) / (2.0 + n_dim * g - 2.0 * g)
 
 
+def _snapped(x) -> np.ndarray:
+    """``x`` with each entry within ``_SNAP`` of an integer moved onto it."""
+    near = np.rint(x)
+    return np.where(np.abs(x - near) <= _SNAP, near, x)
+
+
+def _rows(field: SolutionField, t_start: float, t_end: float,
+          anchor: int = -1) -> np.ndarray:
+    """Mask of the rows m with t_start/step < m < t_end/step, both edges
+    ``_snapped``, and of the row ``anchor`` if given."""
+    start, end = _snapped(np.array([t_start, t_end]) / field.step)
+    steps = np.arange(field.values.shape[0])
+    return (steps > start) & (steps < end) | (steps == anchor)
+
+
 def _anchor_slice(t1: float, step: float) -> int:
     """Row of the slice at time t1 on steps of ``step``, or of the last one
     before it: the anchor of ``oscillation_profile``'s levels."""
-    return int(math.floor(t1 / step + 1e-12))
+    return int(math.floor(_snapped(t1 / step)))
 
 
 def _point(grid: SpatialGrid, x) -> np.ndarray:
@@ -84,17 +101,18 @@ def _cylinder_masks(field: SolutionField, cyl: Cylinder,
     """Flat indices into ``field.values`` of the samples strictly inside the
     cylinder, and of the whole slice ``anchor`` if given, in row-major
     order: ``field.values.take`` of them reads the cylinder in one gather.
-    They are read-only, as ``_harnack_masks`` shares them."""
+    Both edges are open, times in steps and distances in radii: row m is
+    inside when t_start/step < m < t_end/step (``_rows``), a cell when
+    |centre - x0|/radius < 1, each ratio ``_snapped`` within 1e-9, so a
+    node on an edge is out however it rounds.  They are read-only, as
+    ``_harnack_masks`` shares them."""
     grid = field.grid
     if grid.dim == 0:
         raise HarnackError("cylinder measurements need a spatial grid")
-    steps = np.arange(field.values.shape[0])
-    times = field.step * steps
-    rows = np.flatnonzero((times > cyl.t_start) & (times < cyl.t_end)
-                          | (steps == anchor))
+    rows = np.flatnonzero(_rows(field, cyl.t_start, cyl.t_end, anchor))
     centers = grid.centers().reshape(-1, grid.dim)
     dist = np.linalg.norm(centers - np.asarray(cyl.center), axis=1)
-    cells = np.flatnonzero(dist < cyl.radius)
+    cells = np.flatnonzero(_snapped(dist / cyl.radius) < 1.0)
     idx = (rows[:, None] * grid.n_total + cells).ravel()
     idx.flags.writeable = False
     return idx
@@ -265,8 +283,11 @@ def harnack_ensemble(spec: MeasureSpec, grid: SpatialGrid,
     """
     if grid.dim == 0:
         raise HarnackError("the ensemble needs a 1d or 2d grid")
-    if n_members < 1:
-        raise HarnackError("the ensemble needs at least one member")
+    if not (_is_integer(n_members) and n_members >= 1):
+        raise HarnackError("the ensemble needs at least one member, counted "
+                           f"by an integer, not {n_members!r}")
+    if not _is_integer(seed):
+        raise HarnackError(f"the seed must be an integer, not {seed!r}")
     height = 2.0 * tau * phi_bar(spec, r)
     ratios: list[float] = []
     statuses: list[str] = []
@@ -322,15 +343,20 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
                         ) -> OscillationProfile:
     """Oscillation of u over nested dyadic cylinders anchored at (t1, x1).
 
-    Level j samples the cylinder (t1 - theta*Phi(2^(1-j) r), t1] x
-    B(x1, 2^-j r) through ``_cylinder_masks``, and always its anchor slice,
-    since the level depths drop below the time step within a few levels.
-    Levels that start at t <= 0, whose ball leaves the grid or that hold
-    fewer than 2 samples are skipped.  The decay exponent is the negative
-    slope of log2(osc) against the level, fitted over levels whose
-    oscillation clears the round-off floor; a field that is flat at every
-    level reports status "flat" instead of an exponent.
+    Level j, an integer, samples the open cylinder (t1 - theta*Phi(2^(1-j)
+    r), t1) x B(x1, 2^-j r) through ``_cylinder_masks`` (open edges, times
+    in steps and distances in radii, snapped within 1e-9), and always its
+    anchor slice ``_anchor_slice(t1, step)``, since the level depths drop
+    below the time step within a few levels.  Levels that start at t <= 0
+    (in steps, snapped), whose ball leaves the grid or that hold fewer than
+    2 samples are skipped.  The decay exponent is the negative slope of
+    log2(osc) against the level, fitted over levels whose oscillation
+    clears the round-off floor; a field that is flat at every level reports
+    status "flat" instead of an exponent.
     """
+    for j in levels:
+        if not _is_integer(j):
+            raise HarnackError(f"level {j!r} is not an integer")
     levels = sorted(int(j) for j in levels)
     if len(levels) < 3:
         raise HarnackError("need at least 3 levels")
@@ -347,12 +373,12 @@ def oscillation_profile(field: SolutionField, spec: MeasureSpec, *,
     depths = theta * phi_bar(spec, rhos)
     radii, oscs, kept = [], [], []
     for j, rho_r, depth in zip(levels, rhos.tolist(), depths.tolist()):
-        if t1 - depth <= 0.0 or not all(
+        if _snapped((t1 - depth) / field.step) <= 0.0 or not all(
                 lo <= c - rho_r and c + rho_r <= hi
                 for c, (lo, hi) in zip(x1c, grid.extents)):
             continue
         u = field.values.take(_cylinder_masks(field, Cylinder(
-            t1 - depth, t1 + 1e-12 * field.horizon, x1c, rho_r), top_idx))
+            t1 - depth, t1, x1c, rho_r), top_idx))
         if u.size < 2:
             continue
         kept.append(j)
@@ -388,6 +414,9 @@ def strong_max_check(field: SolutionField, cyl: Cylinder) -> str:
     If the supremum over the cylinder reaches the global supremum (within
     ``_FLAT_TOL``), every earlier time slice must be flat; returns
     "consistent", "violated", or "not-applicable" when the hypothesis fails.
+    The cylinder is sampled by ``_cylinder_masks`` and the earlier slices
+    are the rows of the open interval (0, t_start) by ``_rows``'s rule, in
+    steps and snapped; row 0 is data, not solution, and is not read.
     """
     u_cyl = field.values.take(_cylinder_masks(field, cyl))
     if u_cyl.size == 0:
@@ -395,11 +424,6 @@ def strong_max_check(field: SolutionField, cyl: Cylinder) -> str:
     global_sup = float(np.max(field.values))
     if float(np.max(u_cyl)) < global_sup - _FLAT_TOL:
         return "not-applicable"
-    times = field.times
-    earlier = times < cyl.t_start
-    earlier[0] = False  # the initial slice is data, not solution
-    for idx in np.nonzero(earlier)[0]:
-        sl = field.values[idx]
-        if float(np.max(sl) - np.min(sl)) > _FLAT_TOL:
-            return "violated"
-    return "consistent"
+    earlier = field.values[_rows(field, 0.0, cyl.t_start)]
+    spread = np.ptp(earlier.reshape(-1, field.grid.n_total), axis=1)
+    return "violated" if np.any(spread > _FLAT_TOL) else "consistent"

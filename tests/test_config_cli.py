@@ -569,6 +569,29 @@ class TestRunners:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["hard_violations"] == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("measure", [
+        {"atoms": [{"alpha": 0.9994, "q": 1.0}],
+         "weight": {"breaks": [0.0, 1.0], "values": [0.5]}},
+        {"atoms": [{"alpha": 0.0193, "q": 0.604},
+                   {"alpha": 0.9992, "q": 0.396}],
+         "weight": {"breaks": [], "values": []}}],
+        ids=["atom-and-density", "two-atoms"])
+    def test_verify_refuses_c_emp_past_the_double_range(self, tmp_path,
+                                                         capsys, measure):
+        # the default p (833.8 and 625.5) takes log c_emp past 709: the run
+        # exited 0 with "c_emp": Infinity, which a strict json.load refuses
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(
+            "verify", n_steps=256, measure=measure,
+            params={"r": 0.5, "seed": 0})))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+        assert re.search(r"p = \d+\.\d+: log c_emp = \d+\.\d+ is past "
+                         "the double range", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_verify_exit_two_on_violation(self, tmp_path, monkeypatch):
         from memkern import kernels as K
 

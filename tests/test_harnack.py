@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from memkern.geometry import Cylinder, phi_bar
+from memkern.measure import MeasureSpec
 from memkern import harnack as H
 from memkern import solver as S
 
@@ -156,12 +159,22 @@ class TestGather:
 
     @staticmethod
     def selected(field, cyl, anchor=None):
-        t_mask = (field.times > cyl.t_start) & (field.times < cyl.t_end)
+        """The documented rule written out: open edges, times in steps and
+        distances in radii, each moved onto an integer within 1e-9 of it;
+        rows floor(start) < m < ceil(end), cells |x - x0| / radius < 1."""
+        def snap(x):
+            near = np.round(x)
+            return np.where(np.abs(x - near) <= 1e-9, near, x)
+
+        start = int(np.floor(snap(cyl.t_start / field.step)))
+        end = int(np.ceil(snap(cyl.t_end / field.step)))
+        t_mask = np.zeros(field.values.shape[0], dtype=bool)
+        t_mask[max(start + 1, 0):max(end, 0)] = True
         if anchor is not None:
             t_mask[anchor] = True
         dist = np.linalg.norm(field.grid.centers() - np.asarray(cyl.center),
                               axis=-1)
-        return field.values[t_mask][:, dist < cyl.radius].ravel()
+        return field.values[t_mask][:, snap(dist / cyl.radius) < 1].ravel()
 
     @staticmethod
     def field(shape, n_steps=96, step=0.5 / 96):
@@ -220,6 +233,67 @@ class TestGather:
         samples = fld.values.take(H._cylinder_masks(fld, cyl))
         assert samples.shape == self.selected(fld, cyl).shape == (0,)
         assert samples.dtype == fld.values.dtype
+
+
+class TestExactRescaling:
+    """For a single order the discrete problem is self-similar under
+    x -> lambda x with the steps scaled by Phi, so a constant measured on
+    cylinders of radius r must not depend on r."""
+
+    RADII = (0.01, 0.05, 0.2, 0.8, 3.0)
+
+    @staticmethod
+    def run(spec, x0, half_width, n_cells, n_steps, horizon, data):
+        """Trajectory on x0 +- half_width, Dirichlet 0, with the data given
+        on the domain's unit coordinate."""
+        bc = S.BoundaryCondition.dirichlet(0.0)
+        grid = S.SpatialGrid(extents=((x0 - half_width, x0 + half_width),),
+                             n_cells=(n_cells,), boundary=((bc, bc),))
+        y = (grid.axis_centers(0) - x0 + half_width) / (2.0 * half_width)
+        return S.solve(spec, grid, IDENTITY, data(y), 0.0, horizon, n_steps)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_ratio_and_kappa_do_not_depend_on_r(self, alpha):
+        spec = MeasureSpec.single_order(alpha)
+        profile = H.random_fourier_profile(np.random.default_rng(1))
+        ratios, kappas = [], []
+        for r in self.RADII:
+            fld = self.run(spec, 0.5, 8.0 * r, 512, 192,
+                           2.0 * phi_bar(spec, r), profile)
+            ratios.append(H.weak_harnack_ratio(
+                fld, spec, t0=0.0, x0=0.5, r=r, delta=0.5, tau=1.0,
+                p=1.0).ratio)
+            eta = 0.25
+            fld = self.run(spec, 0.4, 2.0 * r, 256, 256,
+                           2.0 * eta * phi_bar(spec, r),
+                           lambda y: np.sin(np.pi * y))
+            kappas.append(H.oscillation_profile(
+                fld, spec, t1=1.5 * eta * phi_bar(spec, r), x1=0.4,
+                theta=1.0, levels=[0, 1, 2, 3, 4], r=r).kappa)
+        for values in (ratios, kappas):
+            assert np.ptp(values) <= 1e-12 * min(values), values
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    def test_node_on_an_edge_stays_out_one_ulp_either_way(self, shape):
+        # rows 10 and 48 lie on the time edges, and the cells at distance
+        # 5 cell widths (3-4-5 in 2d) on the ball's edge
+        fld = TestGather.field(shape, step=0.3 / 96)
+        h = 1.0 / shape[0]
+        center = np.full(len(shape), (shape[0] // 2 - 0.5) * h)  # of a cell
+        edges = (10 * fld.step, 48 * fld.step, 5.0 * h)
+        exact = H._cylinder_masks(fld, Cylinder(*edges[:2], center,
+                                                edges[2]))
+        rows = exact // fld.grid.n_total
+        assert np.array_equal(np.unique(rows), np.arange(11, 48))
+        dist = np.linalg.norm(fld.grid.centers() - center, axis=-1).ravel()
+        assert set(exact % fld.grid.n_total) == set(
+            np.flatnonzero(dist < 4.999 * h))
+        for way in (-np.inf, np.inf):
+            for moved in range(3):
+                shifted = list(edges)
+                shifted[moved] = np.nextafter(edges[moved], way)
+                assert np.array_equal(H._cylinder_masks(fld, Cylinder(
+                    *shifted[:2], center, shifted[2])), exact)
 
 
 class TestEnsemble:
@@ -320,6 +394,29 @@ class TestConfigSetup:
         with pytest.raises(H.HarnackError, match="at least one member"):
             H.harnack_ensemble(half, dirichlet_grid(16), IDENTITY,
                                n_members=0, seed=0, n_steps=16, r=0.4, x0=0.5)
+
+    @pytest.mark.parametrize("call, value, named", [
+        ("levels", [1, 2.7, 3, 4], 2.7), ("levels", [1.5, 2, 3, 4], 1.5),
+        ("levels", [True, 2, 3, 4], True), ("n_members", True, True),
+        ("n_members", 2.0, 2.0), ("seed", True, True), ("seed", 1.0, 1.0)])
+    def test_counts_must_be_integers(self, half, call, value, named):
+        # these ran as levels (1, 2, 3, 4), one member or seed 1, or raised
+        # a bare TypeError; numpy integers pass, bools do not
+        if call == "levels":
+            horizon = 0.5 * phi_bar(half, 0.2)
+            fld = constant_field(dirichlet_grid(64), 64, horizon / 64, 1.0)
+            run = lambda levels: H.oscillation_profile(
+                fld, half, t1=0.9 * horizon, x1=0.4, theta=1.0,
+                levels=levels, r=0.2)
+            assert run(np.arange(1, 5)).flat
+        else:
+            kw = dict(n_members=1, seed=0)
+            run = lambda v: H.harnack_ensemble(
+                half, dirichlet_grid(16), IDENTITY, n_steps=16, r=0.4,
+                x0=0.5, **{**kw, call: v})
+            assert run(np.int64(1)).all_finite
+        with pytest.raises(H.HarnackError, match=re.escape(repr(named))):
+            run(value)
 
 
 class TestSharedFactors:
